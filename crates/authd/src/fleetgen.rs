@@ -1,14 +1,16 @@
 //! Live fleet loadgen: the algorithmic resolver fleet over real sockets.
 //!
-//! Where [`crate::loadgen`] replays *pre-planned* queries from the
-//! calibrated [`simnet::drive::Driver`], this module runs `--resolvers=N`
-//! actual [`IterativeResolver`] instances concurrently. Each lane is one
-//! resolver from the fleet materialization: it receives client stimuli
-//! (sampled by [`simnet::emerge::sample_stimulus`]) and walks the
-//! delegation hierarchy through a `LiveTransport` — synthetic root and
-//! leaf tiers answered in-process, the *vantage* tier sent over real
-//! UDP/TCP sockets to the `authd` server with the logical-address
-//! [`Preamble`], so the server's capture tap records exactly what an
+//! By default [`crate::loadgen`] replays *pre-planned* queries from the
+//! calibrated [`simnet::drive::Driver`]; with
+//! [`LoadgenConfig::resolvers`] set it calls into this module, which
+//! runs `--resolvers=N` actual [`IterativeResolver`] instances
+//! concurrently. Each lane is one resolver from the fleet
+//! materialization: it receives client stimuli (sampled by
+//! [`simnet::emerge::sample_stimulus`]) and walks the delegation
+//! hierarchy through a `LiveTransport` — synthetic root and leaf tiers
+//! answered in-process, the *vantage* tier sent over real UDP/TCP
+//! sockets to the `authd` server through the shared [`Client`]
+//! exchange, so the server's capture tap records exactly what an
 //! offline [`simnet::emerge::SimTransport`] run would have recorded.
 //!
 //! Same resolver code, offline and live: Q-min flips on the provider
@@ -17,92 +19,35 @@
 //! (TC=1) answers retry over TCP through the resolver's own state
 //! machine observing a real truncated wire response.
 
-use crate::proxy::Preamble;
+use crate::client::Client;
+use crate::loadgen::LoadgenConfig;
 use crate::signal;
 use crate::stats::Stats;
 use dns_wire::message::Message;
-use dns_wire::tcp::frame;
 use netbase::flow::IpVersion;
 use netbase::time::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use resolver::{Exchange, IterativeResolver, ResolverConfig, SharedCache, Transport};
+use resolver::{Exchange, IterativeResolver, SharedCache, Transport};
 use simnet::emerge::{
-    ns_rtt_histograms, sample_stimulus, synth_leaf_answer, synth_root_referral, ROOT_V4, ROOT_V6,
+    fleet_resolver, ns_rtt_histograms, root_hints, sample_stimulus, synth_leaf_answer,
+    synth_root_referral, ROOT_V4, ROOT_V6,
 };
 use simnet::engine::Engine;
 use simnet::fleet::Fleet;
-use simnet::scenario::{DatasetSpec, Scale};
-use std::io::{self, Read, Write};
-use std::net::{IpAddr, SocketAddr, TcpStream, UdpSocket};
+use std::io;
+use std::net::{IpAddr, SocketAddr};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Nominal RTT credited to in-process root/leaf tiers (µs); only feeds
 /// the resolver's per-host EWMA, never a capture record.
 const SYNTH_TIER_RTT_US: u32 = 2_000;
 
-/// Fleet load-generator parameters.
-pub struct FleetgenConfig {
-    /// Dataset whose fleets, zone, and demand model drive the traffic.
-    pub spec: DatasetSpec,
-    /// Fleet scale factor.
-    pub scale: Scale,
-    /// Seed — must match the analyzer's seed for live/offline parity.
-    pub seed: u64,
-    /// Server's UDP endpoint.
-    pub server_udp: SocketAddr,
-    /// Server's TCP endpoint.
-    pub server_tcp: SocketAddr,
-    /// Concurrent resolver instances, assigned to fleets by traffic
-    /// share.
-    pub resolvers: usize,
-    /// OS threads driving the resolver lanes.
-    pub workers: usize,
-    /// Stop after this many *vantage* queries (None = unbounded).
-    pub max_queries: Option<u64>,
-    /// Stop after this long (None = unbounded).
-    pub duration: Option<Duration>,
-    /// Per-exchange response timeout.
-    pub timeout: Duration,
-}
-
-impl FleetgenConfig {
-    /// Sensible defaults against a local server: 64 resolvers, 4
-    /// threads.
-    pub fn new(
-        spec: DatasetSpec,
-        scale: Scale,
-        seed: u64,
-        server_udp: SocketAddr,
-        server_tcp: SocketAddr,
-    ) -> FleetgenConfig {
-        FleetgenConfig {
-            spec,
-            scale,
-            seed,
-            server_udp,
-            server_tcp,
-            resolvers: 64,
-            workers: 4,
-            max_queries: None,
-            duration: None,
-            timeout: Duration::from_millis(500),
-        }
-    }
-}
-
-/// What a fleet-generation run did.
+/// The resolver-level half of a fleet run's report (the socket-level
+/// half is the [`crate::loadgen::LoadgenReport`] it rides in).
 #[derive(Debug, Clone, Copy)]
 pub struct FleetgenReport {
-    /// Vantage queries sent over real sockets.
-    pub sent: u64,
-    /// Responses received and parsed.
-    pub received: u64,
-    /// Exchanges that timed out.
-    pub timeouts: u64,
-    /// TC=1 answers retried over TCP.
-    pub tcp_fallbacks: u64,
     /// Client stimuli handed to resolvers.
     pub stimuli: u64,
     /// Shared-cache hit ratio across all fleets at shutdown.
@@ -111,8 +56,6 @@ pub struct FleetgenReport {
     pub resolver_retries: u64,
     /// Resolver-level timeouts observed in walk state machines.
     pub resolver_timeouts: u64,
-    /// Wall-clock run time.
-    pub elapsed: Duration,
 }
 
 /// The live three-tier transport: in-process root/leaf, real sockets
@@ -120,17 +63,13 @@ pub struct FleetgenReport {
 /// resolver instance whose walk is being driven.
 struct LiveTransport<'a> {
     engine: &'a Engine,
-    config: &'a FleetgenConfig,
-    stats: &'a Stats,
+    client: Client<'a>,
     rtt_hists: &'a [std::sync::Arc<obs::Histogram>],
-    sock: UdpSocket,
-    buf: Vec<u8>,
     rng: StdRng,
     root_zone: bool,
     // current lane
     fleet: usize,
     resolver_idx: usize,
-    sent_total: &'a AtomicU64,
     inflight: &'a AtomicI64,
     inflight_gauge: &'a obs::Gauge,
 }
@@ -144,134 +83,31 @@ impl<'a> LiveTransport<'a> {
         &self.fleet().resolvers[self.resolver_idx]
     }
 
-    fn families(&self) -> (bool, bool) {
-        let r = self.profile();
-        let has = |v: IpVersion| {
-            IpVersion::of(r.ip) == v || r.alt_ip.map(|a| IpVersion::of(a) == v).unwrap_or(false)
-        };
-        (has(IpVersion::V4), has(IpVersion::V6))
-    }
-
-    /// One real UDP exchange with the server (TCP retry on TC=1); the
-    /// preamble carries the logical resolver/server flow so the tap
-    /// records offline-shaped addresses.
-    fn vantage_exchange(&mut self, dst: IpAddr, query: &Message) -> Exchange {
-        let family = IpVersion::of(dst);
-        let src_ip = self.profile().addr_for(family);
+    /// One real exchange with vantage server `si`; the preamble carries
+    /// the logical resolver/server flow so the tap records
+    /// offline-shaped addresses, and the measured RTTs feed both the
+    /// resolver's selector and the per-nameserver histogram.
+    fn vantage_exchange(&mut self, si: usize, dst: IpAddr, query: &Message) -> Exchange {
+        let src_ip = self.profile().addr_for(IpVersion::of(dst));
         let src = SocketAddr::new(src_ip, self.rng.gen_range(1024..u16::MAX));
-        let logical_dst = SocketAddr::new(dst, 53);
         let Ok(wire) = query.encode() else {
             return Exchange::Timeout;
         };
 
         let gauge_val = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
         self.inflight_gauge.set(gauge_val as f64);
-        let result = self.vantage_udp(&wire, src, logical_dst, query.header.id);
+        let ns_rtt = self.rtt_hists.get(si).map(|h| &**h);
+        let reply = self
+            .client
+            .exchange(&wire, src, SocketAddr::new(dst, 53), false, ns_rtt);
         let gauge_val = self.inflight.fetch_sub(1, Ordering::Relaxed) - 1;
         self.inflight_gauge.set(gauge_val as f64);
-        result
-    }
-
-    fn vantage_udp(
-        &mut self,
-        wire: &[u8],
-        src: SocketAddr,
-        logical_dst: SocketAddr,
-        id: u16,
-    ) -> Exchange {
-        let preamble = Preamble {
-            src,
-            dst: logical_dst,
-            rtt_us: 0,
-        };
-        let mut datagram = preamble.encode();
-        datagram.extend_from_slice(wire);
-        self.stats.bump(&self.stats.sent);
-        self.sent_total.fetch_add(1, Ordering::Relaxed);
-        let sent_at = Instant::now();
-        if self
-            .sock
-            .send_to(&datagram, self.config.server_udp)
-            .is_err()
-        {
-            self.stats.bump(&self.stats.timeouts);
-            return Exchange::Timeout;
-        }
-        loop {
-            let Ok(n) = self.sock.recv(&mut self.buf) else {
-                self.stats.bump(&self.stats.timeouts);
-                return Exchange::Timeout;
-            };
-            let Ok(msg) = Message::parse(&self.buf[..n]) else {
-                self.stats.bump(&self.stats.malformed);
-                continue;
-            };
-            if msg.header.id != id {
-                // a straggler from a timed-out earlier exchange
-                continue;
-            }
-            let rtt_us = sent_at.elapsed().as_micros().max(1) as u64;
-            self.stats.latency.record(rtt_us);
-            self.stats.bump(&self.stats.responses);
-            self.record_rtt(logical_dst.ip(), rtt_us);
-            if msg.header.truncated {
-                self.stats.bump(&self.stats.tcp_fallbacks);
-                self.stats.bump(&self.stats.sent);
-                self.sent_total.fetch_add(1, Ordering::Relaxed);
-                return match self.vantage_tcp(wire, src, logical_dst) {
-                    Some(full) => full,
-                    None => {
-                        self.stats.bump(&self.stats.timeouts);
-                        Exchange::Timeout
-                    }
-                };
-            }
-            return Exchange::Answer {
-                message: msg,
-                rtt_us: rtt_us.min(u32::MAX as u64) as u32,
-            };
-        }
-    }
-
-    /// One query/response over a fresh TCP connection.
-    fn vantage_tcp(&mut self, wire: &[u8], src: SocketAddr, dst: SocketAddr) -> Option<Exchange> {
-        let connect_at = Instant::now();
-        let mut stream =
-            TcpStream::connect_timeout(&self.config.server_tcp, self.config.timeout).ok()?;
-        let rtt_us = connect_at.elapsed().as_micros().max(1) as u32;
-        stream.set_read_timeout(Some(self.config.timeout)).ok()?;
-        let _ = stream.set_nodelay(true);
-        let preamble = Preamble { src, dst, rtt_us };
-        let mut out = preamble.encode();
-        out.extend_from_slice(&frame(wire).ok()?);
-        stream.write_all(&out).ok()?;
-        let sent_at = Instant::now();
-        let mut len = [0u8; 2];
-        stream.read_exact(&mut len).ok()?;
-        let mut body = vec![0u8; u16::from_be_bytes(len) as usize];
-        stream.read_exact(&mut body).ok()?;
-        let measured = sent_at.elapsed().as_micros().max(1) as u64;
-        self.stats.latency.record(measured);
-        self.stats.bump(&self.stats.responses);
-        self.record_rtt(dst.ip(), measured);
-        let msg = Message::parse(&body).ok()?;
-        Some(Exchange::Answer {
-            message: msg,
-            rtt_us: measured.min(u32::MAX as u64) as u32,
-        })
-    }
-
-    fn record_rtt(&self, dst: IpAddr, rtt_us: u64) {
-        if let Some(si) = self
-            .engine
-            .spec()
-            .servers
-            .iter()
-            .position(|s| IpAddr::V4(s.v4) == dst || IpAddr::V6(s.v6) == dst)
-        {
-            if let Some(h) = self.rtt_hists.get(si) {
-                h.record(rtt_us);
-            }
+        match reply {
+            Some(reply) => Exchange::Answer {
+                message: reply.message,
+                rtt_us: reply.rtt_us.min(u32::MAX as u64) as u32,
+            },
+            None => Exchange::Timeout,
         }
     }
 }
@@ -279,7 +115,7 @@ impl<'a> LiveTransport<'a> {
 impl Transport for LiveTransport<'_> {
     fn exchange(&mut self, server: IpAddr, query: &Message) -> Exchange {
         if !self.root_zone && (server == ROOT_V4 || server == ROOT_V6) {
-            let (v4, v6) = self.families();
+            let (v4, v6) = self.profile().families();
             let message = synth_root_referral(
                 self.engine.zone(),
                 &self.engine.spec().servers,
@@ -292,14 +128,14 @@ impl Transport for LiveTransport<'_> {
                 rtt_us: SYNTH_TIER_RTT_US,
             };
         }
-        if self
+        if let Some(si) = self
             .engine
             .spec()
             .servers
             .iter()
-            .any(|s| IpAddr::V4(s.v4) == server || IpAddr::V6(s.v6) == server)
+            .position(|s| IpAddr::V4(s.v4) == server || IpAddr::V6(s.v6) == server)
         {
-            return self.vantage_exchange(server, query);
+            return self.vantage_exchange(si, server, query);
         }
         let ttl = self.fleet().spec.cache_ttl.as_secs().max(1) as u32;
         Exchange::Answer {
@@ -309,27 +145,11 @@ impl Transport for LiveTransport<'_> {
     }
 
     fn root_servers(&self) -> Vec<IpAddr> {
-        let (v4, v6) = self.families();
-        if self.root_zone {
-            let mut out = Vec::new();
-            for s in &self.engine.spec().servers {
-                if v4 {
-                    out.push(IpAddr::V4(s.v4));
-                }
-                if v6 {
-                    out.push(IpAddr::V6(s.v6));
-                }
-            }
-            return out;
-        }
-        let mut out = Vec::new();
-        if v4 {
-            out.push(ROOT_V4);
-        }
-        if v6 {
-            out.push(ROOT_V6);
-        }
-        out
+        root_hints(
+            &self.engine.spec().servers,
+            self.root_zone,
+            self.profile().families(),
+        )
     }
 }
 
@@ -342,12 +162,17 @@ struct Lane {
     rng: StdRng,
 }
 
-/// Run `config.resolvers` concurrent resolver instances against the
-/// server until a stop condition (vantage-query count, duration, or
-/// SIGINT) fires. Returns the socket-level and resolver-level tallies.
-pub fn run_fleetgen(config: &FleetgenConfig, stats: &Stats) -> io::Result<FleetgenReport> {
-    stats.publish("authd_fleetgen");
-    let engine = Engine::new(config.spec.clone(), config.scale, config.seed);
+/// Run `resolvers` concurrent resolver instances against the server
+/// until a stop condition (vantage-query count, duration, or SIGINT)
+/// fires. Socket-level tallies accumulate in `stats`; the
+/// resolver-level ones are returned.
+pub(crate) fn run(
+    config: &LoadgenConfig,
+    engine: &Engine,
+    resolvers: usize,
+    started: Instant,
+    stats: &Stats,
+) -> io::Result<FleetgenReport> {
     let nfleets = engine.fleets().len();
     if nfleets == 0 {
         return Err(io::Error::other("dataset has no fleets"));
@@ -381,7 +206,7 @@ pub fn run_fleetgen(config: &FleetgenConfig, stats: &Stats) -> io::Result<Fleetg
 
     // assign lanes to fleets proportionally to traffic share: lane i
     // takes the fleet whose cumulative share covers (i + 0.5) / N
-    let resolvers = config.resolvers.max(1);
+    let resolvers = resolvers.max(1);
     let shares: Vec<f64> = engine
         .fleets()
         .iter()
@@ -403,30 +228,23 @@ pub fn run_fleetgen(config: &FleetgenConfig, stats: &Stats) -> io::Result<Fleetg
             let mut rng = StdRng::seed_from_u64(config.seed ^ 0xf1ee_0000 ^ i as u64);
             let fleet = &engine.fleets()[fi];
             let resolver_idx = fleet.pick(&mut rng);
-            let prof = &fleet.resolvers[resolver_idx];
-            let mut r = IterativeResolver::new(ResolverConfig {
-                qmin: fleet.spec.qmin_active(config.spec.start),
-                edns_size: prof.edns_size,
-                do_bit: prof.do_bit,
-                ..Default::default()
-            });
-            r.attach_shared_cache(caches[fi].clone());
-            r.set_log_enabled(false);
             Lane {
                 fleet: fi,
                 resolver_idx,
-                resolver: r,
+                resolver: fleet_resolver(
+                    &fleet.resolvers[resolver_idx],
+                    fleet.spec.qmin_active(config.spec.start),
+                    &caches[fi],
+                ),
                 rng,
             }
         })
         .collect();
     instances_gauge.set(resolvers as f64);
 
-    let started = Instant::now();
     let start_sim = config.spec.start;
     let deadline = config.duration.map(|d| started + d);
     let stop = AtomicBool::new(false);
-    let sent_total = AtomicU64::new(0);
     let inflight = AtomicI64::new(0);
     let stimuli = AtomicU64::new(0);
     let workers = config.workers.clamp(1, resolvers);
@@ -437,10 +255,9 @@ pub fn run_fleetgen(config: &FleetgenConfig, stats: &Stats) -> io::Result<Fleetg
         per_worker[i % workers].push(lane);
     }
 
-    let engine_ref = &engine;
+    let engine_ref = engine;
     let rtt_ref = &rtt_hists[..];
     let stop_ref = &stop;
-    let sent_ref = &sent_total;
     let inflight_ref = &inflight;
     let stimuli_ref = &stimuli;
     let gauge_ref = &*inflight_gauge;
@@ -453,23 +270,18 @@ pub fn run_fleetgen(config: &FleetgenConfig, stats: &Stats) -> io::Result<Fleetg
             .into_iter()
             .map(|mut my_lanes| {
                 s.spawn(move |_| {
-                    let Ok(sock) = UdpSocket::bind("127.0.0.1:0") else {
+                    let Ok(client) = Client::new(config, stats) else {
                         stop_ref.store(true, Ordering::SeqCst);
                         return (0u64, 0u64);
                     };
-                    let _ = sock.set_read_timeout(Some(config.timeout));
                     let mut tr = LiveTransport {
                         engine: engine_ref,
-                        config,
-                        stats,
+                        client,
                         rtt_hists: rtt_ref,
-                        sock,
-                        buf: vec![0u8; 65_535],
                         rng: StdRng::seed_from_u64(config.seed ^ 0x11fe_7a05),
                         root_zone: engine_ref.zone().is_root_zone(),
                         fleet: 0,
                         resolver_idx: 0,
-                        sent_total: sent_ref,
                         inflight: inflight_ref,
                         inflight_gauge: gauge_ref,
                     };
@@ -478,9 +290,7 @@ pub fn run_fleetgen(config: &FleetgenConfig, stats: &Stats) -> io::Result<Fleetg
                             if signal::triggered()
                                 || stop_ref.load(Ordering::SeqCst)
                                 || deadline.is_some_and(|d| Instant::now() >= d)
-                                || config
-                                    .max_queries
-                                    .is_some_and(|m| sent_ref.load(Ordering::Relaxed) >= m)
+                                || config.max_queries.is_some_and(|m| stats.sent.get() >= m)
                             {
                                 stop_ref.store(true, Ordering::SeqCst);
                                 let mut retries = 0;
@@ -545,14 +355,9 @@ pub fn run_fleetgen(config: &FleetgenConfig, stats: &Stats) -> io::Result<Fleetg
     timeouts_counter.add(resolver_timeouts);
 
     Ok(FleetgenReport {
-        sent: stats.sent.get(),
-        received: stats.responses.get(),
-        timeouts: stats.timeouts.get(),
-        tcp_fallbacks: stats.tcp_fallbacks.get(),
         stimuli: stimuli.load(Ordering::Relaxed),
         cache_hit_ratio,
         resolver_retries,
         resolver_timeouts,
-        elapsed: started.elapsed(),
     })
 }

@@ -14,16 +14,20 @@
 //!   declared directly against the platform libc — no new crates), a
 //!   portable `try_clone` fallback elsewhere, and a `poll(2)`-based
 //!   readiness wait for the TCP accept loop.
-//! - [`loadgen`] — a closed-loop load generator driven by
+//! - [`loadgen`] — the closed-loop load generator
+//!   ([`run_loadgen`]): by default driven by
 //!   [`simnet::drive::Driver`], replaying the same fleet profiles
 //!   (per-CP qtype mixes, Q-min, EDNS sizes, dual-stack preferences)
-//!   the offline engine uses, with TCP fallback on truncation.
-//! - [`fleetgen`] — the *algorithmic* load generator: `--resolvers=N`
+//!   the offline engine uses.
+//! - [`fleetgen`] — its *algorithmic* mode: `--resolvers=N`
 //!   concurrent [`resolver::IterativeResolver`] instances walking the
 //!   hierarchy over real sockets, with shared per-fleet caches, RTT
 //!   selection learned from measured socket latencies, and Q-min
 //!   flipping on the provider rollout date — the same resolver code
 //!   the offline fleet engine ([`simnet::emerge`]) runs in-process.
+//! - [`client`] — the one closed-loop exchange both modes put on the
+//!   socket: preamble-framed UDP send, id-matched receive, TCP retry
+//!   on TC=1.
 //! - [`tap`] — a capture tap mirroring every query/response the server
 //!   handles into the same `.dnscap` format, so live traffic flows
 //!   through the unchanged `entrada` → `core` analysis pipeline.
@@ -38,6 +42,7 @@
 //! No async runtime and no new dependencies: `std::net` blocking
 //! sockets, one thread per worker, `crossbeam` channels in between.
 
+pub mod client;
 pub mod fleetgen;
 pub mod live;
 pub mod loadgen;
@@ -49,7 +54,7 @@ pub mod sockets;
 pub mod stats;
 pub mod tap;
 
-pub use fleetgen::{run_fleetgen, FleetgenConfig, FleetgenReport};
+pub use fleetgen::FleetgenReport;
 pub use live::{run_live, LiveConfig, LiveReport};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use obs::Histogram;

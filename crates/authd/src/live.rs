@@ -76,8 +76,8 @@ pub struct LiveReport {
     pub client: StatsSnapshot,
     /// Capture records flushed to disk.
     pub records: u64,
-    /// Fleet-mode extras (`LiveConfig::resolvers`), absent on the
-    /// calibrated replay path.
+    /// Fleet-mode extras (`LiveConfig::resolvers`, same as
+    /// `loadgen.fleet`), absent on the calibrated replay path.
     pub fleet: Option<crate::fleetgen::FleetgenReport>,
 }
 
@@ -94,7 +94,7 @@ pub fn run_live(config: &LiveConfig) -> io::Result<LiveReport> {
     let client_stats = Stats::new();
     let started = Instant::now();
     let done = AtomicBool::new(false);
-    let report = crossbeam::thread::scope(|s| {
+    let loadgen = crossbeam::thread::scope(|s| {
         // The monitor always runs: it keeps the qps gauges fresh for
         // `--metrics-addr` scrapes, and additionally prints stats lines
         // when an interval was requested.
@@ -126,61 +126,32 @@ pub fn run_live(config: &LiveConfig) -> io::Result<LiveReport> {
                 }
             });
         }
-        let report = match config.resolvers {
-            Some(n) => {
-                let mut fg = crate::fleetgen::FleetgenConfig::new(
-                    config.spec.clone(),
-                    config.scale,
-                    config.seed,
-                    server.udp_addr(),
-                    server.tcp_addr(),
-                );
-                fg.resolvers = n;
-                fg.workers = config.loadgen_workers;
-                fg.max_queries = config.max_queries;
-                fg.duration = config.duration;
-                crate::fleetgen::run_fleetgen(&fg, &client_stats).map(|fleet| {
-                    (
-                        LoadgenReport {
-                            sent: fleet.sent,
-                            received: fleet.received,
-                            timeouts: fleet.timeouts,
-                            tcp_fallbacks: fleet.tcp_fallbacks,
-                            elapsed: fleet.elapsed,
-                        },
-                        Some(fleet),
-                    )
-                })
-            }
-            None => {
-                let mut lg = LoadgenConfig::new(
-                    config.spec.clone(),
-                    config.scale,
-                    config.seed,
-                    server.udp_addr(),
-                    server.tcp_addr(),
-                );
-                lg.workers = config.loadgen_workers;
-                lg.max_queries = config.max_queries;
-                lg.duration = config.duration;
-                run_loadgen(&lg, &client_stats).map(|r| (r, None))
-            }
-        };
+        let mut lg = LoadgenConfig::new(
+            config.spec.clone(),
+            config.scale,
+            config.seed,
+            server.udp_addr(),
+            server.tcp_addr(),
+        );
+        lg.workers = config.loadgen_workers;
+        lg.max_queries = config.max_queries;
+        lg.duration = config.duration;
+        lg.resolvers = config.resolvers;
+        let report = run_loadgen(&lg, &client_stats);
         done.store(true, Ordering::SeqCst);
         report
     })
     .expect("live threads do not panic")?;
-    let (loadgen_report, fleet) = report;
 
     let elapsed = started.elapsed().as_secs_f64();
     let server_snap = server.stats().snapshot(elapsed);
     let records = server.shutdown()?;
     Ok(LiveReport {
-        loadgen: loadgen_report,
+        loadgen,
         server: server_snap,
         client: client_stats.snapshot(elapsed),
         records,
-        fleet,
+        fleet: loadgen.fleet,
     })
 }
 

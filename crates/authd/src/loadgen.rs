@@ -1,29 +1,31 @@
 //! Closed-loop load generator driven by the fleet profiles.
 //!
-//! A producer thread pulls [`PlannedQuery`]s from
+//! [`run_loadgen`] is the one entry point. By default it *replays*: a
+//! producer thread pulls [`PlannedQuery`]s from
 //! [`simnet::drive::Driver`] — the same fleet materialization, qtype
 //! mixes, Q-min schedule, EDNS sizes, and cache model the offline
-//! engine uses — into a bounded channel; N worker threads each run a
-//! closed loop: send the query (UDP, or TCP for the direct-TCP share),
-//! wait for the response, record the latency, and retry truncated
-//! (TC=1) UDP answers over TCP exactly like a real resolver.
+//! engine uses — into a bounded channel, and N worker threads each run
+//! one [`Client`] exchange per query (UDP, or TCP for the direct-TCP
+//! share, with TCP fallback on TC=1). With
+//! [`LoadgenConfig::resolvers`] set, the same workers instead drive
+//! resolver walks ([`crate::fleetgen`]) over the same [`Client`].
 //!
-//! Every datagram carries a [`Preamble`] with the logical
+//! Every query carries a [`crate::proxy::Preamble`] with the logical
 //! resolver/server addresses so the server's capture tap attributes
 //! traffic the way the offline analyzer expects.
 
-use crate::proxy::Preamble;
+use crate::client::Client;
+use crate::fleetgen::{self, FleetgenReport};
 use crate::signal;
 use crate::stats::Stats;
-use dns_wire::message::Message;
-use dns_wire::tcp::frame;
 use netbase::time::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::drive::{Driver, PlannedQuery};
+use simnet::engine::Engine;
 use simnet::scenario::{DatasetSpec, Scale};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, UdpSocket};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -41,12 +43,19 @@ pub struct LoadgenConfig {
     pub server_tcp: SocketAddr,
     /// Closed-loop worker threads.
     pub workers: usize,
-    /// Stop after this many queries (None = unbounded).
+    /// Stop after this many queries — planned queries on the replay
+    /// path, vantage queries sent (TCP retries included) on the fleet
+    /// path (None = unbounded).
     pub max_queries: Option<u64>,
     /// Stop after this long (None = unbounded).
     pub duration: Option<Duration>,
     /// Per-query response timeout.
     pub timeout: Duration,
+    /// Run the *algorithmic resolver fleet* ([`crate::fleetgen`]) with
+    /// this many concurrent resolver instances, assigned to fleets by
+    /// traffic share, instead of replaying the calibrated
+    /// [`Driver`]'s pre-planned queries.
+    pub resolvers: Option<usize>,
 }
 
 impl LoadgenConfig {
@@ -68,6 +77,7 @@ impl LoadgenConfig {
             max_queries: None,
             duration: None,
             timeout: Duration::from_millis(500),
+            resolvers: None,
         }
     }
 }
@@ -85,6 +95,8 @@ pub struct LoadgenReport {
     pub tcp_fallbacks: u64,
     /// Wall-clock run time.
     pub elapsed: Duration,
+    /// Resolver-level extras, when [`LoadgenConfig::resolvers`] is set.
+    pub fleet: Option<FleetgenReport>,
 }
 
 struct Job {
@@ -97,13 +109,37 @@ struct Job {
 /// queries before returning.
 pub fn run_loadgen(config: &LoadgenConfig, stats: &Stats) -> io::Result<LoadgenReport> {
     stats.publish("authd_loadgen");
-    let mut driver = Driver::new(config.spec.clone(), config.scale, config.seed);
+    let engine = Engine::new(config.spec.clone(), config.scale, config.seed);
     let started = Instant::now();
+    let fleet = match config.resolvers {
+        Some(n) => Some(fleetgen::run(config, &engine, n, started, stats)?),
+        None => {
+            replay(
+                config,
+                Driver::from_engine(engine, config.seed),
+                started,
+                stats,
+            );
+            None
+        }
+    };
+    Ok(LoadgenReport {
+        sent: stats.sent.get(),
+        received: stats.responses.get(),
+        timeouts: stats.timeouts.get(),
+        tcp_fallbacks: stats.tcp_fallbacks.get(),
+        elapsed: started.elapsed(),
+        fleet,
+    })
+}
+
+/// Replay the calibrated driver's queries through `config.workers`
+/// closed-loop clients.
+fn replay(config: &LoadgenConfig, mut driver: Driver, started: Instant, stats: &Stats) {
     let start_sim = config.spec.start;
     let deadline = config.duration.map(|d| started + d);
     let stop = AtomicBool::new(false);
     let (tx, rx) = crossbeam::channel::bounded::<Job>(1024);
-
     crossbeam::thread::scope(|s| {
         for _ in 0..config.workers.max(1) {
             let rx = rx.clone();
@@ -159,14 +195,6 @@ pub fn run_loadgen(config: &LoadgenConfig, stats: &Stats) -> io::Result<LoadgenR
         drop(tx); // workers drain the queue and exit
     })
     .expect("loadgen threads do not panic");
-
-    Ok(LoadgenReport {
-        sent: stats.sent.get(),
-        received: stats.responses.get(),
-        timeouts: stats.timeouts.get(),
-        tcp_fallbacks: stats.tcp_fallbacks.get(),
-        elapsed: started.elapsed(),
-    })
 }
 
 fn worker_loop(
@@ -175,17 +203,14 @@ fn worker_loop(
     stats: &Stats,
     stop: &AtomicBool,
 ) {
-    let sock = match UdpSocket::bind("127.0.0.1:0") {
-        Ok(s) => s,
-        Err(_) => {
-            stop.store(true, Ordering::SeqCst);
-            return;
-        }
+    let Ok(mut client) = Client::new(config, stats) else {
+        stop.store(true, Ordering::SeqCst);
+        return;
     };
-    let _ = sock.set_read_timeout(Some(config.timeout));
-    let mut buf = vec![0u8; 65_535];
     while let Ok(job) = rx.recv() {
-        run_one(&sock, &mut buf, &job, config, stats);
+        let src = SocketAddr::new(job.q.src, job.src_port);
+        let dst = SocketAddr::new(job.q.dst, 53);
+        client.exchange(&job.q.wire, src, dst, job.q.tcp_direct, None);
         if signal::triggered() {
             // drain fast: keep consuming jobs so the producer's channel
             // never wedges, but stop doing network work
@@ -195,81 +220,4 @@ fn worker_loop(
             break;
         }
     }
-}
-
-/// One closed-loop exchange: UDP (with TCP fallback on TC) or direct TCP.
-fn run_one(sock: &UdpSocket, buf: &mut [u8], job: &Job, config: &LoadgenConfig, stats: &Stats) {
-    let src = SocketAddr::new(job.q.src, job.src_port);
-    let dst = SocketAddr::new(job.q.dst, 53);
-    if job.q.tcp_direct {
-        stats.bump(&stats.sent);
-        if tcp_exchange(config, &job.q.wire, src, dst, stats).is_none() {
-            stats.bump(&stats.timeouts);
-        }
-        return;
-    }
-
-    let preamble = Preamble {
-        src,
-        dst,
-        rtt_us: 0,
-    };
-    let mut datagram = preamble.encode();
-    datagram.extend_from_slice(&job.q.wire);
-    stats.bump(&stats.sent);
-    let sent_at = Instant::now();
-    if sock.send_to(&datagram, config.server_udp).is_err() {
-        stats.bump(&stats.timeouts);
-        return;
-    }
-    let Ok(n) = sock.recv(buf) else {
-        // read timeout, or an RRL drop that looks identical to one
-        stats.bump(&stats.timeouts);
-        return;
-    };
-    stats
-        .latency
-        .record(sent_at.elapsed().as_micros().max(1) as u64);
-    stats.bump(&stats.responses);
-    let Ok(msg) = Message::parse(&buf[..n]) else {
-        stats.bump(&stats.malformed);
-        return;
-    };
-    if msg.header.truncated {
-        // the TCP proof-of-path: retry the same question over TCP
-        stats.bump(&stats.tcp_fallbacks);
-        stats.bump(&stats.sent);
-        if tcp_exchange(config, &job.q.wire, src, dst, stats).is_none() {
-            stats.bump(&stats.timeouts);
-        }
-    }
-}
-
-/// One query/response over a fresh TCP connection; None on any failure.
-fn tcp_exchange(
-    config: &LoadgenConfig,
-    wire: &[u8],
-    src: SocketAddr,
-    dst: SocketAddr,
-    stats: &Stats,
-) -> Option<Vec<u8>> {
-    let connect_at = Instant::now();
-    let mut stream = TcpStream::connect_timeout(&config.server_tcp, config.timeout).ok()?;
-    let rtt_us = connect_at.elapsed().as_micros().max(1) as u32;
-    stream.set_read_timeout(Some(config.timeout)).ok()?;
-    let _ = stream.set_nodelay(true);
-    let preamble = Preamble { src, dst, rtt_us };
-    let mut out = preamble.encode();
-    out.extend_from_slice(&frame(wire).ok()?);
-    stream.write_all(&out).ok()?;
-    let sent_at = Instant::now();
-    let mut len = [0u8; 2];
-    stream.read_exact(&mut len).ok()?;
-    let mut body = vec![0u8; u16::from_be_bytes(len) as usize];
-    stream.read_exact(&mut body).ok()?;
-    stats
-        .latency
-        .record(sent_at.elapsed().as_micros().max(1) as u64);
-    stats.bump(&stats.responses);
-    Some(body)
 }

@@ -44,11 +44,16 @@ impl Preamble {
     /// Encode, ready to prepend to a payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(46);
-        out.extend_from_slice(&MAGIC);
-        push_addr(&mut out, self.src);
-        push_addr(&mut out, self.dst);
-        out.extend_from_slice(&self.rtt_us.to_be_bytes());
+        self.encode_into(&mut out);
         out
+    }
+
+    /// Append the encoding to `out` (a reused send buffer).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&MAGIC);
+        push_addr(out, self.src);
+        push_addr(out, self.dst);
+        out.extend_from_slice(&self.rtt_us.to_be_bytes());
     }
 
     /// Parse a preamble off the front of `buf`.

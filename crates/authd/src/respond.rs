@@ -10,9 +10,9 @@ use dns_wire::message::Message;
 use dns_wire::types::Rcode;
 use netbase::flow::Transport;
 use netbase::time::SimTime;
-use simnet::engine::{name_key, name_key_wire};
 use simnet::rrl::{RateLimiter, ResponseClass, RrlAction, RrlGate};
 use simnet::scenario::DatasetSpec;
+use simnet::vantage;
 use std::net::IpAddr;
 use zonedb::zone::ZoneModel;
 
@@ -257,52 +257,14 @@ impl Responder {
             };
         }
 
-        let limit = match &query.edns {
-            None => 512,
-            Some(e) => e.udp_payload_size.max(512) as usize,
-        };
-        let action = match rrl {
-            Some(limiter) => {
-                let class = match answer.rcode {
-                    Rcode::NoError => {
-                        let key = query
-                            .question()
-                            .map(|q| name_key(&q.qname))
-                            .unwrap_or_default();
-                        ResponseClass::Positive(key)
-                    }
-                    Rcode::NxDomain => ResponseClass::Negative,
-                    _ => ResponseClass::Error,
-                };
-                limiter.gate(src, class, now)
-            }
-            None => RrlAction::Respond,
-        };
-        match action {
-            RrlAction::Respond => {
-                let (bytes, truncated) = answer
-                    .message
-                    .encode_with_limit(limit)
-                    .expect("responses always fit after truncation");
-                Outcome::Reply {
-                    bytes,
-                    truncated,
-                    slipped: false,
-                }
-            }
-            RrlAction::Slip => {
-                let mut slip = answer.message.clone();
-                slip.answers.clear();
-                slip.authorities.clear();
-                slip.additionals.clear();
-                slip.header.truncated = true;
-                Outcome::Reply {
-                    bytes: slip.encode().expect("slip encodes"),
-                    truncated: true,
-                    slipped: true,
-                }
-            }
-            RrlAction::Drop => Outcome::RrlDrop,
+        let edns_size = query.edns.as_ref().map_or(0, |e| e.udp_payload_size);
+        match vantage::shape_udp(&answer.message, edns_size, src, now, rrl) {
+            Some(reply) => Outcome::Reply {
+                bytes: reply.bytes,
+                truncated: reply.truncated,
+                slipped: reply.slipped,
+            },
+            None => Outcome::RrlDrop,
         }
     }
 
@@ -418,13 +380,10 @@ impl Responder {
                                 && bytes[t + 10] == 0
                         };
                         if tail_ok {
-                            let class = match bytes[3] & 0x0f {
-                                0 => ResponseClass::Positive(name_key_wire(
-                                    &payload[12..12 + shape.qname_len as usize],
-                                )),
-                                3 => ResponseClass::Negative,
-                                _ => ResponseClass::Error,
-                            };
+                            let class = vantage::response_class(
+                                Rcode::from_u16((bytes[3] & 0x0f) as u16),
+                                &payload[12..12 + shape.qname_len as usize],
+                            );
                             match &mut slots[idx] {
                                 Some(entry) => {
                                     entry.key.clear();

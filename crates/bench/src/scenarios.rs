@@ -977,21 +977,21 @@ fn fleet_live() -> Vec<Scenario> {
             config.udp_workers = 2;
             config.tcp_workers = 1;
             let server = authd::Server::start(config).expect("server starts");
-            let mut fg = authd::FleetgenConfig::new(
+            let mut fg = authd::LoadgenConfig::new(
                 spec,
                 Scale::tiny(),
                 9,
                 server.udp_addr(),
                 server.tcp_addr(),
             );
-            fg.resolvers = 16;
+            fg.resolvers = Some(16);
             fg.workers = 2;
             fg.max_queries = Some(QUERIES);
             Prepared::new(QUERIES, move || {
                 // keep the server alive for the whole scenario
                 let _ = server.udp_addr();
                 let stats = authd::Stats::new();
-                let report = authd::run_fleetgen(&fg, &stats).expect("fleetgen runs");
+                let report = authd::run_loadgen(&fg, &stats).expect("loadgen runs");
                 report.sent
             })
         },

@@ -309,6 +309,26 @@ mod tests {
     }
 
     #[test]
+    fn fleet_tcp_retries_pair_with_their_responses() {
+        let run = crate::pipeline::run_spec_with(
+            dataset(Vantage::Nl, 2020),
+            Scale::tiny(),
+            42,
+            &crate::pipeline::PipelineOpts::with_fleet(),
+        );
+        assert!(
+            run.gen_stats.truncated_udp > 0,
+            "the TC→TCP retry path must be exercised"
+        );
+        assert_eq!(run.gen_stats.queries, run.ingest_stats.rows);
+        assert_eq!(run.ingest_stats.unmatched_responses, 0);
+        assert_eq!(
+            run.ingest_stats.unanswered_queries, 0,
+            "a retry's response carries the retry's id"
+        );
+    }
+
+    #[test]
     fn analysis_attributes_cloud_traffic() {
         let run = run_dataset(Vantage::Nl, 2020, Scale::tiny(), 11);
         let share = run.analysis.cloud_share();

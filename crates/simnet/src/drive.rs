@@ -131,25 +131,33 @@ impl Driver {
             return q;
         }
         for _ in 0..MAX_CACHE_SKIPS {
-            if let Some(q) = self.try_sample(t) {
+            if let Some(q) = self.demand(t, true) {
                 return q;
             }
         }
         // hot caches everywhere: emit the next demand event uncached
-        self.force_sample(t)
+        self.demand(t, false).expect("uncached demand always emits")
     }
 
-    /// One demand event; `None` when a resolver cache absorbed it.
-    fn try_sample(&mut self, t: SimTime) -> Option<PlannedQuery> {
+    /// One demand event through the engine's qname/qtype decision chain
+    /// (shared code, so live and offline runs cannot drift apart);
+    /// `None` when `use_caches` and a resolver cache absorbed it.
+    fn demand(&mut self, t: SimTime, use_caches: bool) -> Option<PlannedQuery> {
         let fi = pick_cum(&self.fleet_cum, self.rng.gen());
-        let want_junk = {
-            let fleet = &self.engine.fleets[fi];
-            (self.junk_emitted[fi] as f64) < fleet.spec.junk_ratio * (self.emitted[fi] + 1) as f64
-        };
-        let r_idx = self.engine.fleets[fi].pick(&mut self.rng);
-
-        let (qname, qtype, signed, cacheable, idx) = self.pick_question(fi, want_junk, t);
-        if cacheable {
+        let fleet = &self.engine.fleets[fi];
+        let want_junk =
+            (self.junk_emitted[fi] as f64) < fleet.spec.junk_ratio * (self.emitted[fi] + 1) as f64;
+        let r_idx = fleet.pick(&mut self.rng);
+        let (qname, qtype, signed, cacheable) = pick_question_for(
+            self.engine.zone(),
+            &self.engine.zipf,
+            &self.engine.junk,
+            &fleet.spec,
+            t,
+            want_junk,
+            &mut self.rng,
+        );
+        if cacheable && use_caches {
             let ckey = CacheKey {
                 domain: name_key(&qname),
                 rtype: qtype.to_u16(),
@@ -161,49 +169,12 @@ impl Driver {
                 self.cache_hits += 1;
                 return None;
             }
-            let ttl = self.engine.fleets[fi].spec.cache_ttl;
-            self.caches[fi]
-                .get_mut(&(r_idx as u32))
-                .expect("just inserted")
-                .insert(ckey, t, ttl);
+            cache.insert(ckey, t, fleet.spec.cache_ttl);
         }
-        Some(self.build_query(fi, r_idx, qname, qtype, signed, cacheable, idx, t))
-    }
-
-    /// Emit a demand event without consulting the caches.
-    fn force_sample(&mut self, t: SimTime) -> PlannedQuery {
-        let fi = pick_cum(&self.fleet_cum, self.rng.gen());
-        let want_junk = {
-            let fleet = &self.engine.fleets[fi];
-            (self.junk_emitted[fi] as f64) < fleet.spec.junk_ratio * (self.emitted[fi] + 1) as f64
-        };
-        let r_idx = self.engine.fleets[fi].pick(&mut self.rng);
-        let (qname, qtype, signed, cacheable, idx) = self.pick_question(fi, want_junk, t);
-        self.build_query(fi, r_idx, qname, qtype, signed, cacheable, idx, t)
-    }
-
-    /// The engine's qname/qtype decision chain (shared code, so live
-    /// and offline runs cannot drift apart): junk vs Zipf-popular
-    /// valid names, deep names, Q-min rewriting.
-    fn pick_question(
-        &mut self,
-        fi: usize,
-        is_junk: bool,
-        t: SimTime,
-    ) -> (Name, RType, bool, bool, u64) {
-        pick_question_for(
-            self.engine.zone(),
-            &self.engine.zipf,
-            &self.engine.junk,
-            &self.engine.fleets[fi].spec,
-            t,
-            is_junk,
-            &mut self.rng,
-        )
+        Some(self.build_query(fi, r_idx, qname, qtype, signed, cacheable))
     }
 
     /// Encode the query and queue DNSSEC follow-ups.
-    #[allow(clippy::too_many_arguments)]
     fn build_query(
         &mut self,
         fi: usize,
@@ -212,8 +183,6 @@ impl Driver {
         qtype: RType,
         signed: bool,
         cacheable: bool,
-        _idx: u64,
-        t: SimTime,
     ) -> PlannedQuery {
         self.emitted[fi] += 1;
         if !cacheable {
@@ -242,7 +211,6 @@ impl Driver {
             let q = self.encode_one(fi, r_idx, &apex, RType::Dnskey, false);
             self.pending.push_back(q);
         }
-        let _ = t;
         planned
     }
 
@@ -277,12 +245,8 @@ impl Driver {
             builder = builder.with_edns(resolver.edns_size, resolver.do_bit);
         }
         let wire = builder.build().encode().expect("generated queries encode");
-        let site_tcp_extra = spec
-            .sites
-            .get(resolver.site as usize)
-            .and_then(|s| s.tcp_extra)
-            .unwrap_or(spec.tcp_extra);
-        let tcp_direct = site_tcp_extra > 0.0 && rng.gen_bool(site_tcp_extra);
+        let tcp_extra = spec.tcp_extra_at(resolver.site as usize);
+        let tcp_direct = tcp_extra > 0.0 && rng.gen_bool(tcp_extra);
         PlannedQuery {
             wire,
             qname: wire_qname,

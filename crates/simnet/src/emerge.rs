@@ -49,15 +49,16 @@ use crate::engine::{
 };
 use crate::fleet::{Fleet, Resolver as FleetResolver};
 use crate::profile::FleetSpec;
-use crate::rrl::{RateLimiter, ResponseClass, RrlAction};
+use crate::rrl::RateLimiter;
 use crate::scenario::Incident;
+use crate::vantage::{self, Recorded, TCP_RETRY_GAP_US};
 use dns_wire::builder::MessageBuilder;
 use dns_wire::message::Message;
 use dns_wire::name::Name;
 use dns_wire::rdata::RData;
 use dns_wire::types::{RType, Rcode};
-use netbase::capture::{CaptureRecord, Direction, RecordSink};
-use netbase::flow::{FlowKey, IpVersion, Transport as FlowTransport};
+use netbase::capture::{CaptureRecord, RecordSink};
+use netbase::flow::IpVersion;
 use netbase::time::{SimDuration, SimTime};
 use obs::Histogram;
 use rand::rngs::StdRng;
@@ -152,10 +153,10 @@ pub fn sample_stimulus(
 ///
 /// - **root tier** (synthetic, unrecorded): refers everything to the
 ///   vantage zone, glue filtered to the resolver's address families.
-/// - **vantage tier** (recorded): [`Authoritative::respond`] plus the
-///   full capture-shaping of the calibrated engine — 0x20 case mixing,
-///   EDNS truncation with TCP retry, direct-TCP extra, RRL, incident
-///   interception.
+/// - **vantage tier** (recorded): [`Authoritative::respond`] behind
+///   incident interception and 0x20 case mixing, put on the wire by
+///   [`vantage::record`] (EDNS truncation with TCP retry, direct-TCP
+///   extra, RRL) exactly as the calibrated engine's exchanges are.
 /// - **leaf tier** (synthetic, unrecorded): registrant nameservers at
 ///   the referral glue addresses; positive answers carry the fleet's
 ///   `cache_ttl` so cache absorption matches the calibrated model.
@@ -232,19 +233,11 @@ impl<'a> SimTransport<'a> {
         self.start + self.elapsed
     }
 
-    fn families(&self) -> (bool, bool) {
-        let r = self.profile();
-        let has = |v: IpVersion| {
-            IpVersion::of(r.ip) == v || r.alt_ip.map(|a| IpVersion::of(a) == v).unwrap_or(false)
-        };
-        (has(IpVersion::V4), has(IpVersion::V6))
-    }
-
     /// The synthetic root's referral into the vantage zone. Glue is
     /// family-filtered: a v6-only resolver only learns v6 vantage
     /// addresses, so dual-stack preference stays emergent downstream.
     fn root_referral(&mut self, query: &Message) -> Exchange {
-        let (v4, v6) = self.families();
+        let (v4, v6) = self.profile().families();
         let message = synth_root_referral(self.zone, self.servers, v4, v6, query);
         self.elapsed = self.elapsed + SimDuration::from_micros(ROOT_RTT_US + HOP_GAP_US);
         Exchange::Answer {
@@ -295,41 +288,30 @@ impl<'a> SimTransport<'a> {
         None
     }
 
-    /// One recorded exchange at the vantage: the same capture shaping
-    /// as the calibrated engine's `emit_exchange`, driven by the
-    /// resolver's actual wire query.
+    /// One recorded exchange at the vantage, driven by the resolver's
+    /// actual wire query.
     fn vantage_exchange(&mut self, si: usize, dst_ip: IpAddr, query: &Message) -> Exchange {
         let family = IpVersion::of(dst_ip);
         let r = self.profile();
         let src_ip = r.addr_for(family);
         let rtt_us = r.rtt_us(si, family);
         let mix = r.mix_case;
-        let edns_size = r.edns_size;
-        let site_tcp_extra = self
-            .fleet
-            .spec
-            .sites
-            .get(r.site as usize)
-            .and_then(|s| s.tcp_extra)
-            .unwrap_or(self.fleet.spec.tcp_extra);
+        let tcp_extra = self.fleet.spec.tcp_extra_at(r.site as usize);
 
-        let question = match query.question() {
-            Some(q) => q.clone(),
-            None => {
-                return Exchange::Answer {
-                    message: MessageBuilder::response(query, Rcode::FormErr).build(),
-                    rtt_us,
-                }
-            }
+        let Some(question) = query.question() else {
+            return Exchange::Answer {
+                message: MessageBuilder::response(query, Rcode::FormErr).build(),
+                rtt_us,
+            };
         };
-        let qname = question.qname.clone();
+        let qname = &question.qname;
         let t = self.now();
         let signed = self
             .zone
-            .delegation_index(&qname)
+            .delegation_index(qname)
             .map(|i| self.zone.is_signed(i))
             .unwrap_or(false);
-        let answer = match self.incident_referral(&qname, question.qtype, t, query) {
+        let answer = match self.incident_referral(qname, question.qtype, t, query) {
             Some(a) => a,
             None => self.auth.respond(query, signed),
         };
@@ -340,163 +322,54 @@ impl<'a> SimTransport<'a> {
         // The wire records carry the 0x20-mixed name; the resolver-side
         // message keeps the clean name so Name equality in the walk is
         // unaffected (real resolvers compare case-insensitively).
-        let wire_qname = if mix {
-            mix_case_0x20(&qname, &mut self.rng)
-        } else {
-            qname.clone()
-        };
-        let mut recorded_query = query.clone();
-        recorded_query.questions[0].qname = wire_qname.clone();
-        let query_bytes = recorded_query.encode().expect("queries encode");
-        let mut recorded_resp = answer.message.clone();
-        if mix && !recorded_resp.questions.is_empty() {
-            recorded_resp.questions[0].qname = wire_qname;
-        }
-
-        // Direct-TCP share (resolvers probing TCP reachability).
-        if site_tcp_extra > 0.0 && self.rng.gen_bool(site_tcp_extra) {
-            self.write_tcp(&query_bytes, &recorded_resp, src_ip, dst_ip, rtt_us, t);
-            self.elapsed = self.elapsed + SimDuration::from_micros(2 * rtt_us as u64 + HOP_GAP_US);
-            return Exchange::Answer {
-                message: answer.message,
-                rtt_us,
-            };
-        }
-
-        // UDP path with truncation and RRL, as in the calibrated engine.
-        let limit = if edns_size == 0 {
-            512
-        } else {
-            edns_size.max(512) as usize
-        };
-        let rrl_action = match &mut self.rrl {
-            Some(limiter) => {
-                let class = match answer.rcode {
-                    Rcode::NoError => ResponseClass::Positive(name_key(&qname)),
-                    Rcode::NxDomain => ResponseClass::Negative,
-                    _ => ResponseClass::Error,
-                };
-                limiter.check(src_ip, class, t)
+        let mixed = mix.then(|| {
+            let wire_qname = mix_case_0x20(qname, &mut self.rng);
+            let mut q = query.clone();
+            let mut r = answer.message.clone();
+            q.questions[0].qname = wire_qname.clone();
+            if let Some(rq) = r.questions.first_mut() {
+                rq.qname = wire_qname;
             }
-            None => RrlAction::Respond,
-        };
-        let (resp_bytes, truncated) = match rrl_action {
-            RrlAction::Respond => recorded_resp
-                .encode_with_limit(limit)
-                .expect("responses always fit after truncation"),
-            RrlAction::Slip => {
-                self.stats.rrl_slips += 1;
-                let mut slip = recorded_resp.clone();
-                slip.answers.clear();
-                slip.authorities.clear();
-                slip.additionals.clear();
-                slip.header.truncated = true;
-                (slip.encode().expect("slip encodes"), true)
-            }
-            RrlAction::Drop => {
-                self.stats.rrl_drops += 1;
-                (Vec::new(), false)
-            }
-        };
-        let src_port = self.rng.gen_range(1024..u16::MAX);
-        let flow = FlowKey {
-            src: src_ip,
-            src_port,
-            dst: dst_ip,
-            dst_port: 53,
-            transport: FlowTransport::Udp,
-        };
-        self.buf.push(CaptureRecord {
-            timestamp: t,
-            direction: Direction::Query,
-            flow,
-            tcp_rtt_us: 0,
-            payload: query_bytes.clone(),
+            (q, r)
         });
-        self.stats.queries += 1;
-        self.emitted += 1;
-        if self.junk_stimulus {
-            self.stats.junk_queries += 1;
-        }
-        if rrl_action == RrlAction::Drop {
-            // the resolver sees silence and retries per its state machine
-            self.elapsed = self.elapsed + SimDuration::from_micros(TIMEOUT_COST_US);
-            return Exchange::Timeout;
-        }
-        self.buf.push(CaptureRecord {
-            timestamp: t + SimDuration::from_micros(rtt_us as u64),
-            direction: Direction::Response,
-            flow: flow.reversed(),
-            tcp_rtt_us: 0,
-            payload: resp_bytes,
-        });
-        self.stats.responses += 1;
-        if truncated {
-            self.stats.truncated_udp += 1;
-            let retry_at = t + SimDuration::from_micros(rtt_us as u64 + 2000);
-            let mut retry = recorded_query;
-            retry.header.id = self.rng.gen();
-            self.write_tcp(
-                &retry.encode().expect("queries encode"),
-                &recorded_resp,
+        let (wire_query, wire_response) = match &mixed {
+            Some((q, r)) => (q, r),
+            None => (query, &answer.message),
+        };
+        let recorded = vantage::record(
+            &vantage::Exchange {
+                query: wire_query,
+                response: wire_response,
                 src_ip,
                 dst_ip,
                 rtt_us,
-                retry_at,
-            );
-            self.elapsed =
-                self.elapsed + SimDuration::from_micros(3 * rtt_us as u64 + 2000 + HOP_GAP_US);
-        } else {
-            self.elapsed = self.elapsed + SimDuration::from_micros(rtt_us as u64 + HOP_GAP_US);
+                at: t,
+                tcp_extra,
+            },
+            &mut self.rng,
+            self.rrl.as_mut(),
+            &mut self.buf,
+            &mut self.stats,
+        );
+        self.emitted += recorded.queries();
+        if self.junk_stimulus {
+            self.stats.junk_queries += recorded.queries();
         }
+        let rtt = rtt_us as u64;
+        let walk_cost = match recorded {
+            Recorded::Dropped => {
+                // the resolver sees silence and retries per its state machine
+                self.elapsed = self.elapsed + SimDuration::from_micros(TIMEOUT_COST_US);
+                return Exchange::Timeout;
+            }
+            Recorded::Udp => rtt,
+            Recorded::Tcp => 2 * rtt,
+            Recorded::UdpThenTcp => 3 * rtt + TCP_RETRY_GAP_US,
+        };
+        self.elapsed = self.elapsed + SimDuration::from_micros(walk_cost + HOP_GAP_US);
         Exchange::Answer {
             message: answer.message,
             rtt_us,
-        }
-    }
-
-    /// A TCP query/response pair with measured handshake RTT (same
-    /// shape as the calibrated engine's `write_tcp_exchange`).
-    fn write_tcp(
-        &mut self,
-        query_bytes: &[u8],
-        resp: &Message,
-        src_ip: IpAddr,
-        dst_ip: IpAddr,
-        rtt_us: u32,
-        t: SimTime,
-    ) {
-        let measured = (rtt_us as f64 * self.rng.gen_range(0.97..1.03)) as u32;
-        let src_port = self.rng.gen_range(1024..u16::MAX);
-        let flow = FlowKey {
-            src: src_ip,
-            src_port,
-            dst: dst_ip,
-            dst_port: 53,
-            transport: FlowTransport::Tcp,
-        };
-        let after_handshake = t + SimDuration::from_micros(rtt_us as u64);
-        self.buf.push(CaptureRecord {
-            timestamp: after_handshake,
-            direction: Direction::Query,
-            flow,
-            tcp_rtt_us: measured,
-            payload: dns_wire::tcp::frame(query_bytes).expect("queries fit TCP"),
-        });
-        let resp_wire = resp.encode().expect("responses encode");
-        self.buf.push(CaptureRecord {
-            timestamp: after_handshake + SimDuration::from_micros(rtt_us as u64),
-            direction: Direction::Response,
-            flow: flow.reversed(),
-            tcp_rtt_us: measured,
-            payload: dns_wire::tcp::frame(&resp_wire).expect("responses fit TCP"),
-        });
-        self.stats.queries += 1;
-        self.stats.responses += 1;
-        self.stats.tcp_queries += 1;
-        self.emitted += 1;
-        if self.junk_stimulus {
-            self.stats.junk_queries += 1;
         }
     }
 
@@ -511,6 +384,25 @@ impl<'a> SimTransport<'a> {
             rtt_us: LEAF_RTT_US as u32,
         }
     }
+}
+
+/// Where a fleet resolver primes from, filtered to the address
+/// families it has: the synthetic root, or — when the vantage *is* the
+/// root (B-Root datasets) — straight at the recorded servers.
+pub fn root_hints(servers: &[ServerSpec], root_zone: bool, (v4, v6): (bool, bool)) -> Vec<IpAddr> {
+    let hints = if root_zone {
+        servers
+            .iter()
+            .map(|s| (IpAddr::V4(s.v4), IpAddr::V6(s.v6)))
+            .collect()
+    } else {
+        vec![(ROOT_V4, ROOT_V6)]
+    };
+    hints
+        .into_iter()
+        .flat_map(|(a4, a6)| [v4.then_some(a4), v6.then_some(a6)])
+        .flatten()
+        .collect()
 }
 
 /// Build the synthetic root's referral into the vantage zone: one NS
@@ -669,29 +561,7 @@ impl Transport for SimTransport<'_> {
     }
 
     fn root_servers(&self) -> Vec<IpAddr> {
-        let (v4, v6) = self.families();
-        if self.root_zone {
-            // the vantage *is* the root (B-Root datasets): priming goes
-            // straight to the recorded servers
-            let mut out = Vec::new();
-            for s in self.servers {
-                if v4 {
-                    out.push(IpAddr::V4(s.v4));
-                }
-                if v6 {
-                    out.push(IpAddr::V6(s.v6));
-                }
-            }
-            return out;
-        }
-        let mut out = Vec::new();
-        if v4 {
-            out.push(ROOT_V4);
-        }
-        if v6 {
-            out.push(ROOT_V6);
-        }
-        out
+        root_hints(self.servers, self.root_zone, self.profile().families())
     }
 }
 
@@ -711,6 +581,37 @@ struct FleetSummary {
     retries: u64,
     timeouts: u64,
     instances: u64,
+}
+
+impl FleetSummary {
+    fn of(shared: &SharedCache, resolvers: &HashMap<usize, IterativeResolver>) -> FleetSummary {
+        FleetSummary {
+            cache_hits: shared.hits(),
+            cache_misses: shared.misses(),
+            retries: resolvers.values().map(|r| r.stats.retries).sum(),
+            timeouts: resolvers.values().map(|r| r.stats.timeouts).sum(),
+            instances: resolvers.len() as u64,
+        }
+    }
+}
+
+/// One fleet member as a resolver instance: its profile's EDNS
+/// parameters, Q-min as scheduled, the fleet's shared cache attached.
+/// Shared by the offline streams and the live loadgen's lanes.
+pub fn fleet_resolver(
+    profile: &FleetResolver,
+    qmin: bool,
+    shared: &SharedCache,
+) -> IterativeResolver {
+    let mut r = IterativeResolver::new(ResolverConfig {
+        qmin,
+        edns_size: profile.edns_size,
+        do_bit: profile.do_bit,
+        ..Default::default()
+    });
+    r.attach_shared_cache(shared.clone());
+    r.set_log_enabled(false);
+    r
 }
 
 /// Persistent per-fleet state: the shared cache and the lazily
@@ -785,18 +686,10 @@ impl<'a> FleetStream<'a> {
                 &mut tr.rng,
             );
             let r_idx = fleet.pick(&mut tr.rng);
-            let res = self.resolvers.entry(r_idx).or_insert_with(|| {
-                let prof = &fleet.resolvers[r_idx];
-                let mut r = IterativeResolver::new(ResolverConfig {
-                    qmin: qmin_on,
-                    edns_size: prof.edns_size,
-                    do_bit: prof.do_bit,
-                    ..Default::default()
-                });
-                r.attach_shared_cache(shared.clone());
-                r.set_log_enabled(false);
-                r
-            });
+            let res = self
+                .resolvers
+                .entry(r_idx)
+                .or_insert_with(|| fleet_resolver(&fleet.resolvers[r_idx], qmin_on, shared));
             res.set_qmin(qmin_on);
             res.set_now_micros(t.as_micros());
             tr.begin(r_idx, t, stim.junk);
@@ -816,17 +709,7 @@ impl<'a> FleetStream<'a> {
     }
 
     fn summary(&self) -> FleetSummary {
-        let mut s = FleetSummary {
-            cache_hits: self.shared.hits(),
-            cache_misses: self.shared.misses(),
-            instances: self.resolvers.len() as u64,
-            ..Default::default()
-        };
-        for r in self.resolvers.values() {
-            s.retries += r.stats.retries;
-            s.timeouts += r.stats.timeouts;
-        }
-        s
+        FleetSummary::of(&self.shared, &self.resolvers)
     }
 }
 
@@ -907,18 +790,10 @@ impl<'a> IncidentStream<'a> {
                     RType::Aaaa
                 };
                 let r_idx = fleet.pick(&mut tr.rng);
-                let res = self.resolvers.entry(r_idx).or_insert_with(|| {
-                    let prof = &fleet.resolvers[r_idx];
-                    let mut r = IterativeResolver::new(ResolverConfig {
-                        qmin: qmin_on,
-                        edns_size: prof.edns_size,
-                        do_bit: prof.do_bit,
-                        ..Default::default()
-                    });
-                    r.attach_shared_cache(shared.clone());
-                    r.set_log_enabled(false);
-                    r
-                });
+                let res = self
+                    .resolvers
+                    .entry(r_idx)
+                    .or_insert_with(|| fleet_resolver(&fleet.resolvers[r_idx], qmin_on, shared));
                 res.set_qmin(qmin_on);
                 res.set_now_micros(t.as_micros());
                 tr.begin(r_idx, t, false);
@@ -935,17 +810,7 @@ impl<'a> IncidentStream<'a> {
     }
 
     fn summary(&self) -> FleetSummary {
-        let mut s = FleetSummary {
-            cache_hits: self.shared.hits(),
-            cache_misses: self.shared.misses(),
-            instances: self.resolvers.len() as u64,
-            ..Default::default()
-        };
-        for r in self.resolvers.values() {
-            s.retries += r.stats.retries;
-            s.timeouts += r.stats.timeouts;
-        }
-        s
+        FleetSummary::of(&self.shared, &self.resolvers)
     }
 }
 
@@ -1143,7 +1008,8 @@ mod tests {
     use super::*;
     use crate::profile::Vantage;
     use crate::scenario::{dataset, monthly_google, Scale};
-    use netbase::capture::{CaptureReader, CaptureWriter};
+    use netbase::capture::{CaptureReader, CaptureWriter, Direction};
+    use netbase::flow::Transport as FlowTransport;
 
     fn generate_fleet_capture(
         spec: crate::scenario::DatasetSpec,

@@ -7,19 +7,20 @@
 //! Demand above the emitted count is absorbed by resolver caches, just
 //! as real vantage points only see the cache-miss shadow of user demand.
 
-use crate::auth::{Answer, Authoritative};
+use crate::auth::Authoritative;
 use crate::cache::{CacheKey, TtlCache};
 use crate::fleet::{sample_dist, splitmix, Fleet, Resolver};
 use crate::profile::FleetSpec;
 use crate::ptr::PtrDb;
-use crate::rrl::{RateLimiter, ResponseClass, RrlAction};
+use crate::rrl::RateLimiter;
 use crate::scenario::{DatasetSpec, Incident, Scale};
+use crate::vantage;
 use asdb::synth::{InternetPlan, PlanConfig};
 use dns_wire::builder::MessageBuilder;
 use dns_wire::name::Name;
 use dns_wire::types::RType;
-use netbase::capture::{CaptureRecord, CaptureWriter, Direction, RecordSink};
-use netbase::flow::{FlowKey, IpVersion, Transport};
+use netbase::capture::{CaptureRecord, CaptureWriter, RecordSink};
+use netbase::flow::IpVersion;
 use netbase::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -405,14 +406,7 @@ impl Engine {
             fleet_counts[fi] += done;
         }
         self.emit_incidents(
-            slot,
-            cum_weights,
-            slot_start,
-            slot_len,
-            &mut rng,
-            &mut rrl,
-            &mut buf,
-            &mut stats,
+            slot_start, slot_len, &mut rng, &mut rrl, &mut buf, &mut stats,
         );
         buf.sort_by_key(|r| r.timestamp);
         SliceOut {
@@ -440,7 +434,7 @@ impl Engine {
         let r_idx = fleet.pick(rng);
         let resolver = &fleet.resolvers[r_idx];
 
-        let (qname, qtype, signed, cacheable, _domain_idx) =
+        let (qname, qtype, signed, cacheable) =
             pick_question_for(&self.zone, &self.zipf, &self.junk, spec, t, is_junk, rng);
 
         let ckey = CacheKey {
@@ -464,11 +458,7 @@ impl Engine {
         if cacheable {
             // the spec's TTL verbatim: entries decay per-record from
             // their own insertion instant (no whole-second rounding)
-            let ttl = spec.cache_ttl;
-            caches
-                .entry(r_idx as u32)
-                .or_insert_with(|| TtlCache::new(CACHE_CAP))
-                .insert(ckey, t, ttl);
+            cache.insert(ckey, t, spec.cache_ttl);
         }
 
         // DNSSEC validation follow-ups
@@ -479,9 +469,6 @@ impl Engine {
                 domain: name_key(&delegation),
                 rtype: RType::Ds.to_u16(),
             };
-            let cache = caches
-                .entry(r_idx as u32)
-                .or_insert_with(|| TtlCache::new(CACHE_CAP));
             if !cache.lookup(dkey, t) {
                 emitted += self.emit_exchange(
                     fleet,
@@ -495,10 +482,7 @@ impl Engine {
                     buf,
                     stats,
                 );
-                caches
-                    .entry(r_idx as u32)
-                    .or_insert_with(|| TtlCache::new(CACHE_CAP))
-                    .insert(dkey, t, SimDuration::from_secs(3600));
+                cache.insert(dkey, t, SimDuration::from_secs(3600));
             }
         }
         if spec.validates && rng.gen_bool(spec.dnskey_prob) {
@@ -544,7 +528,6 @@ impl Engine {
             IpVersion::V4 => IpAddr::V4(server_spec.v4),
             IpVersion::V6 => IpAddr::V6(server_spec.v6),
         };
-        let rtt_us = resolver.rtt_us(server, IpVersion::of(src_ip));
 
         // 0x20 case randomization: the anti-spoofing measure some CPs
         // apply; the analysis side must (and does) treat names
@@ -554,173 +537,28 @@ impl Engine {
         } else {
             qname.clone()
         };
-        let mut builder = MessageBuilder::query(rng.gen(), wire_qname.clone(), qtype);
+        let mut builder = MessageBuilder::query(rng.gen(), wire_qname, qtype);
         if resolver.edns_size > 0 {
             builder = builder.with_edns(resolver.edns_size, resolver.do_bit);
         }
         let query = builder.build();
-        let answer: Answer = self.auth.respond(&query, signed);
-        let query_bytes = query.encode().expect("generated queries encode");
-
-        let site_tcp_extra = spec
-            .sites
-            .get(resolver.site as usize)
-            .and_then(|s| s.tcp_extra)
-            .unwrap_or(spec.tcp_extra);
-
-        let mut emitted = 0u64;
-        if site_tcp_extra > 0.0 && rng.gen_bool(site_tcp_extra) {
-            emitted += self.write_tcp_exchange(
-                &query_bytes,
-                &answer,
+        let answer = self.auth.respond(&query, signed);
+        vantage::record(
+            &vantage::Exchange {
+                query: &query,
+                response: &answer.message,
                 src_ip,
                 dst_ip,
-                rtt_us,
-                t,
-                rng,
-                buf,
-                stats,
-            );
-            return emitted;
-        }
-
-        // UDP path
-        let limit = if resolver.edns_size == 0 {
-            512
-        } else {
-            resolver.edns_size.max(512) as usize
-        };
-        // Response Rate Limiting at the authoritative (§4.4): under
-        // pressure, a response may be replaced by a TC=1 slip (forcing
-        // the TCP proof-of-path) or silently dropped.
-        let rrl_action = match rrl {
-            Some(limiter) => {
-                let class = match answer.rcode {
-                    dns_wire::types::Rcode::NoError => ResponseClass::Positive(name_key(qname)),
-                    dns_wire::types::Rcode::NxDomain => ResponseClass::Negative,
-                    _ => ResponseClass::Error,
-                };
-                limiter.check(src_ip, class, t)
-            }
-            None => RrlAction::Respond,
-        };
-        let (resp_bytes, truncated) = match rrl_action {
-            RrlAction::Respond => answer
-                .message
-                .encode_with_limit(limit)
-                .expect("responses always fit after truncation"),
-            RrlAction::Slip => {
-                stats.rrl_slips += 1;
-                let mut slip = answer.message.clone();
-                slip.answers.clear();
-                slip.authorities.clear();
-                slip.additionals.clear();
-                slip.header.truncated = true;
-                (slip.encode().expect("slip encodes"), true)
-            }
-            RrlAction::Drop => {
-                stats.rrl_drops += 1;
-                (Vec::new(), false)
-            }
-        };
-        let src_port = rng.gen_range(1024..u16::MAX);
-        let flow = FlowKey {
-            src: src_ip,
-            src_port,
-            dst: dst_ip,
-            dst_port: 53,
-            transport: Transport::Udp,
-        };
-        buf.push(CaptureRecord {
-            timestamp: t,
-            direction: Direction::Query,
-            flow,
-            tcp_rtt_us: 0,
-            payload: query_bytes.clone(),
-        });
-        stats.queries += 1;
-        emitted += 1;
-        if rrl_action != RrlAction::Drop {
-            buf.push(CaptureRecord {
-                timestamp: t + SimDuration::from_micros(rtt_us as u64),
-                direction: Direction::Response,
-                flow: flow.reversed(),
-                tcp_rtt_us: 0,
-                payload: resp_bytes,
-            });
-            stats.responses += 1;
-        }
-        if truncated {
-            stats.truncated_udp += 1;
-            // TCP retry with a fresh transaction
-            let retry_at = t + SimDuration::from_micros(rtt_us as u64 + 2000);
-            let mut b = MessageBuilder::query(rng.gen(), wire_qname.clone(), qtype);
-            if resolver.edns_size > 0 {
-                b = b.with_edns(resolver.edns_size, resolver.do_bit);
-            }
-            let retry = b.build();
-            let retry_answer = self.auth.respond(&retry, signed);
-            emitted += self.write_tcp_exchange(
-                &retry.encode().expect("queries encode"),
-                &retry_answer,
-                src_ip,
-                dst_ip,
-                rtt_us,
-                retry_at,
-                rng,
-                buf,
-                stats,
-            );
-        }
-        emitted
-    }
-
-    /// Write a TCP query/response pair carrying the measured handshake
-    /// RTT (what the paper's Figure 5 derives its medians from).
-    #[allow(clippy::too_many_arguments)]
-    fn write_tcp_exchange(
-        &self,
-        query_bytes: &[u8],
-        answer: &Answer,
-        src_ip: IpAddr,
-        dst_ip: IpAddr,
-        rtt_us: u32,
-        t: SimTime,
-        rng: &mut StdRng,
-        buf: &mut Vec<CaptureRecord>,
-        stats: &mut DatasetStats,
-    ) -> u64 {
-        // the capture box measures SYN->SYNACK with small kernel jitter
-        let measured = (rtt_us as f64 * rng.gen_range(0.97..1.03)) as u32;
-        let src_port = rng.gen_range(1024..u16::MAX);
-        let flow = FlowKey {
-            src: src_ip,
-            src_port,
-            dst: dst_ip,
-            dst_port: 53,
-            transport: Transport::Tcp,
-        };
-        let after_handshake = t + SimDuration::from_micros(rtt_us as u64);
-        // DNS-over-TCP frames carry the RFC 1035 two-octet length prefix
-        buf.push(CaptureRecord {
-            timestamp: after_handshake,
-            direction: Direction::Query,
-            flow,
-            tcp_rtt_us: measured,
-            payload: dns_wire::tcp::frame(query_bytes).expect("generated queries fit TCP"),
-        });
-        let resp_wire = answer.message.encode().expect("responses encode");
-        buf.push(CaptureRecord {
-            timestamp: after_handshake + SimDuration::from_micros(rtt_us as u64),
-            direction: Direction::Response,
-            flow: flow.reversed(),
-            tcp_rtt_us: measured,
-            payload: dns_wire::tcp::frame(&resp_wire).expect("responses fit TCP"),
-        });
-        stats.queries += 1;
-        stats.responses += 1;
-        stats.tcp_queries += 1;
-        1
+                rtt_us: resolver.rtt_us(server, IpVersion::of(src_ip)),
+                at: t,
+                tcp_extra: spec.tcp_extra_at(resolver.site as usize),
+            },
+            rng,
+            rrl.as_mut(),
+            buf,
+            stats,
+        )
+        .queries()
     }
 
     /// Layer incident traffic (the Feb-2020 cyclic dependency) over a
@@ -728,8 +566,6 @@ impl Engine {
     #[allow(clippy::too_many_arguments)]
     fn emit_incidents(
         &self,
-        slot: usize,
-        cum_weights: &[f64],
         slot_start: SimTime,
         slot_len: SimDuration,
         rng: &mut StdRng,
@@ -779,7 +615,6 @@ impl Engine {
                 );
             }
         }
-        let _ = (slot, cum_weights);
     }
 }
 
@@ -800,7 +635,7 @@ pub(crate) fn pick_question_for(
     t: SimTime,
     is_junk: bool,
     rng: &mut StdRng,
-) -> (Name, RType, bool, bool, u64) {
+) -> (Name, RType, bool, bool) {
     if is_junk {
         let (name, _) = junk.sample(rng);
         let qt = if rng.gen_bool(0.9) {
@@ -808,7 +643,7 @@ pub(crate) fn pick_question_for(
         } else {
             RType::Aaaa
         };
-        (name, qt, false, false, 0u64)
+        (name, qt, false, false)
     } else {
         let idx = zipf.sample(rng);
         let base = zone.registered_domain(idx);
@@ -824,7 +659,7 @@ pub(crate) fn pick_question_for(
             qn = zone.minimized_qname(&qn);
             qt = RType::Ns;
         }
-        (qn, qt, zone.is_signed(idx), true, idx)
+        (qn, qt, zone.is_signed(idx), true)
     }
 }
 
@@ -941,7 +776,8 @@ mod tests {
     use crate::profile::Vantage;
     use crate::scenario::{dataset, monthly_google, Scale};
     use dns_wire::message::Message;
-    use netbase::capture::CaptureReader;
+    use netbase::capture::{CaptureReader, Direction};
+    use netbase::flow::Transport;
 
     fn generate(vantage: Vantage, year: u16) -> (Engine, Vec<CaptureRecord>, DatasetStats) {
         let engine = Engine::new(dataset(vantage, year), Scale::tiny(), 42);

@@ -47,6 +47,14 @@ impl Resolver {
         }
     }
 
+    /// Whether this resolver has an address to send from over
+    /// `(IPv4, IPv6)`.
+    pub fn families(&self) -> (bool, bool) {
+        let has =
+            |v| IpVersion::of(self.ip) == v || self.alt_ip.is_some_and(|a| IpVersion::of(a) == v);
+        (has(IpVersion::V4), has(IpVersion::V6))
+    }
+
     /// RTT to `server` over `version`, in microseconds.
     pub fn rtt_us(&self, server: usize, version: IpVersion) -> u32 {
         match version {

@@ -23,8 +23,11 @@
 //!
 //! The module map: [`profile`] (calibration tables), [`fleet`]
 //! (resolver fleets, Facebook sites, PTR zone), [`cache`] (TTL caches),
-//! [`auth`] (the authoritative responder), [`engine`] (the generation
-//! loop), [`scenario`] (the nine datasets plus the monthly series).
+//! [`auth`] (the authoritative responder), [`vantage`] (what the
+//! vantage puts on the wire: truncation, RRL, the TC→TCP retry),
+//! [`engine`] (the calibrated generation loop), [`emerge`] (the same
+//! loop fed by resolver walks), [`scenario`] (the nine datasets plus
+//! the monthly series).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,6 +42,7 @@ pub mod profile;
 pub mod ptr;
 pub mod rrl;
 pub mod scenario;
+pub mod vantage;
 
 pub use drive::{Driver, PlannedQuery};
 pub use engine::{DatasetStats, Engine};

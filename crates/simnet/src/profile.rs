@@ -161,6 +161,16 @@ impl FleetSpec {
         }
     }
 
+    /// Probability that a resolver at `site` sends a query over TCP
+    /// outright: the site's own share where it has one (Table 5), the
+    /// fleet's otherwise.
+    pub fn tcp_extra_at(&self, site: usize) -> f64 {
+        self.sites
+            .get(site)
+            .and_then(|s| s.tcp_extra)
+            .unwrap_or(self.tcp_extra)
+    }
+
     /// Is QNAME minimization active for this fleet at `t`?
     pub fn qmin_active(&self, t: SimTime) -> bool {
         matches!(self.qmin_from, Some(start) if t >= start && self.qmin_frac > 0.0)

@@ -965,43 +965,22 @@ fn loadgen_cli(
     if config.max_queries.is_none() && config.duration.is_none() {
         config.max_queries = Some(10_000);
     }
+    config.resolvers = parsed_flag(flags, "--resolvers", "a count")?;
 
     authd::signal::install();
     let stats = authd::Stats::new();
-    if let Some(resolvers) = parsed_flag(flags, "--resolvers", "a count")? {
-        let mut fg = authd::FleetgenConfig::new(
-            config.spec.clone(),
-            config.scale,
-            config.seed,
-            config.server_udp,
-            config.server_tcp,
-        );
-        fg.resolvers = resolvers;
-        fg.workers = config.workers;
-        fg.max_queries = config.max_queries;
-        fg.duration = config.duration;
-        let report = authd::run_fleetgen(&fg, &stats).expect("fleetgen runs");
-        println!("{}", stats.snapshot(report.elapsed.as_secs_f64()));
+    let report = authd::run_loadgen(&config, &stats).expect("loadgen runs");
+    println!("{}", stats.snapshot(report.elapsed.as_secs_f64()));
+    if let (Some(resolvers), Some(fleet)) = (config.resolvers, report.fleet) {
         println!(
             "fleet  | resolvers {} cache-hit {:.3} stimuli {} retries {} timeouts {}",
             resolvers,
-            report.cache_hit_ratio,
-            report.stimuli,
-            report.resolver_retries,
-            report.resolver_timeouts
+            fleet.cache_hit_ratio,
+            fleet.stimuli,
+            fleet.resolver_retries,
+            fleet.resolver_timeouts
         );
-        println!(
-            "sent {} received {} timeouts {} tcp-fallbacks {} in {:.2}s",
-            report.sent,
-            report.received,
-            report.timeouts,
-            report.tcp_fallbacks,
-            report.elapsed.as_secs_f64()
-        );
-        return Ok(ExitCode::SUCCESS);
     }
-    let report = authd::run_loadgen(&config, &stats).expect("loadgen runs");
-    println!("{}", stats.snapshot(report.elapsed.as_secs_f64()));
     println!(
         "sent {} received {} timeouts {} tcp-fallbacks {} in {:.2}s",
         report.sent,

@@ -139,3 +139,111 @@ fn rrl_dropped_queries_surface_as_unanswered_in_ingest() {
 
     std::fs::remove_file(&capture).ok();
 }
+
+/// Live/offline parity at the byte level: one fixed (query, source,
+/// time) trace with RRL on goes through the offline recorder and
+/// through the live responder's cached path, and every UDP response —
+/// truncations, slips and drops included — comes out identical.
+#[test]
+fn offline_recorder_and_live_responder_emit_identical_udp_responses() {
+    use authd::respond::{OutcomeRef, RespondScratch};
+    use authd::Responder;
+    use dns_wire::builder::MessageBuilder;
+    use dns_wire::types::RType;
+    use netbase::flow::Transport;
+    use netbase::time::SimDuration;
+    use rand::{rngs::StdRng, SeedableRng};
+    use simnet::auth::Authoritative;
+    use simnet::rrl::{RateLimiter, RrlConfig};
+    use simnet::vantage::{self, Recorded};
+    use std::net::IpAddr;
+
+    let spec = dataset(Vantage::Nl, 2020);
+    let zone = spec.zone.build();
+    let auth = Authoritative::new(zone.clone());
+    let responder = Responder::new(zone.clone());
+    let tight = RrlConfig {
+        responses_per_second: 2,
+        burst: 2,
+        slip: 2,
+        ..RrlConfig::default()
+    };
+    let (mut rrl_offline, mut rrl_live) = (RateLimiter::new(tight), RateLimiter::new(tight));
+    let mut scratch = RespondScratch::new();
+    let mut rng = StdRng::seed_from_u64(1);
+    let mut stats = simnet::DatasetStats::default();
+    let mut buf = Vec::new();
+
+    let sources: [IpAddr; 2] = ["192.0.2.1".parse().unwrap(), "2001:db8::7".parse().unwrap()];
+    let dst_ip: IpAddr = IpAddr::V4(spec.servers[0].v4);
+    let (mut truncated, mut slipped, mut dropped) = (0, 0, 0);
+    for i in 0..400u64 {
+        let qname = match i % 7 {
+            6 => "no-such-name-xyzzy.nl".parse().unwrap(),
+            k => zone.registered_domain(k % 3),
+        };
+        let mut b = MessageBuilder::query(i as u16, qname.clone(), RType::A);
+        if let Some(size) = [None, Some(512), Some(1232), Some(4096)][(i % 4) as usize] {
+            b = b.with_edns(size, true);
+        }
+        let query = b.build();
+        let src_ip = sources[(i % 2) as usize];
+        let at = spec.start + SimDuration::from_millis(i * 10);
+
+        let signed = zone
+            .delegation_index(&qname)
+            .is_some_and(|idx| zone.is_signed(idx));
+        let answer = auth.respond(&query, signed);
+        let first = buf.len();
+        let recorded = vantage::record(
+            &vantage::Exchange {
+                query: &query,
+                response: &answer.message,
+                src_ip,
+                dst_ip,
+                rtt_us: 1_000,
+                at,
+                tcp_extra: 0.0,
+            },
+            &mut rng,
+            Some(&mut rrl_offline),
+            &mut buf,
+            &mut stats,
+        );
+        let offline = (recorded != Recorded::Dropped).then(|| buf[first + 1].payload.clone());
+
+        let live = match responder.handle_into(
+            &query.encode().unwrap(),
+            Transport::Udp,
+            src_ip,
+            at,
+            Some(&mut rrl_live),
+            &mut scratch,
+        ) {
+            OutcomeRef::Reply {
+                bytes,
+                truncated: tc,
+                slipped: sl,
+            } => {
+                truncated += (tc && !sl) as u32;
+                slipped += sl as u32;
+                Some(bytes.to_vec())
+            }
+            OutcomeRef::RrlDrop => {
+                dropped += 1;
+                None
+            }
+            OutcomeRef::Malformed => panic!("query {i} is well-formed"),
+        };
+        assert_eq!(offline, live, "query {i} ({qname})");
+    }
+    assert!(
+        truncated > 0 && slipped > 0 && dropped > 0,
+        "trace must exercise every shape: {truncated} truncated, {slipped} slipped, {dropped} dropped"
+    );
+    assert_eq!(
+        (stats.rrl_slips, stats.rrl_drops),
+        (slipped as u64, dropped as u64)
+    );
+    assert!(scratch.hits() > 0, "the cached respond path was exercised");
+}
