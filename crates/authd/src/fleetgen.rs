@@ -28,10 +28,10 @@ use netbase::flow::IpVersion;
 use netbase::time::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use resolver::{Exchange, IterativeResolver, SharedCache, Transport};
+use resolver::{CacheStats, Exchange, IterativeResolver, SharedCache, Transport};
 use simnet::emerge::{
     fleet_resolver, ns_rtt_histograms, root_hints, sample_stimulus, synth_leaf_answer,
-    synth_root_referral, ROOT_V4, ROOT_V6,
+    synth_root_referral, FleetCacheMetrics, ROOT_V4, ROOT_V6,
 };
 use simnet::engine::Engine;
 use simnet::fleet::Fleet;
@@ -52,6 +52,10 @@ pub struct FleetgenReport {
     pub stimuli: u64,
     /// Shared-cache hit ratio across all fleets at shutdown.
     pub cache_hit_ratio: f64,
+    /// Entries evicted from full cache maps, all fleets.
+    pub cache_evictions: u64,
+    /// Entries the fleets' caches held at shutdown.
+    pub cache_entries: u64,
     /// Resolver-level retransmissions.
     pub resolver_retries: u64,
     /// Resolver-level timeouts observed in walk state machines.
@@ -153,6 +157,15 @@ impl Transport for LiveTransport<'_> {
     }
 }
 
+/// Every fleet's cache figures, summed.
+fn cache_totals(caches: &[SharedCache]) -> CacheStats {
+    let mut total = CacheStats::default();
+    for cache in caches {
+        total.absorb(&cache.stats());
+    }
+    total
+}
+
 /// One resolver lane: a persistent resolver instance bound to one
 /// materialized fleet member.
 struct Lane {
@@ -186,10 +199,7 @@ pub(crate) fn run(
         "resolver_fleet_instances",
         "resolver instances materialized across all fleets",
     );
-    let hit_gauge = obs::gauge(
-        "resolver_fleet_cache_hit_ratio",
-        "shared-cache hit ratio across all fleet resolvers",
-    );
+    let cache_metrics = FleetCacheMetrics::register();
     let retries_counter = obs::counter(
         "resolver_retries_total",
         "fleet resolver query retransmissions",
@@ -261,7 +271,7 @@ pub(crate) fn run(
     let inflight_ref = &inflight;
     let stimuli_ref = &stimuli;
     let gauge_ref = &*inflight_gauge;
-    let hit_ref = &*hit_gauge;
+    let cache_metrics_ref = &cache_metrics;
     let caches_ref = &caches[..];
     let mut resolver_retries = 0u64;
     let mut resolver_timeouts = 0u64;
@@ -315,13 +325,9 @@ pub(crate) fn run(
                             );
                             let nth = stimuli_ref.fetch_add(1, Ordering::Relaxed);
                             if nth.is_multiple_of(128) {
-                                // keep the hit-ratio gauge live for
+                                // keep the cache gauges live for
                                 // mid-run /metrics and /flight scrapes
-                                let hits: u64 = caches_ref.iter().map(|c| c.hits()).sum();
-                                let misses: u64 = caches_ref.iter().map(|c| c.misses()).sum();
-                                if hits + misses > 0 {
-                                    hit_ref.set(hits as f64 / (hits + misses) as f64);
-                                }
+                                cache_metrics_ref.observe(&cache_totals(caches_ref));
                             }
                             lane.resolver.set_qmin(fleet.spec.qmin_active(now));
                             lane.resolver.set_now_micros(now.as_micros());
@@ -341,22 +347,17 @@ pub(crate) fn run(
     })
     .expect("fleetgen threads do not panic");
 
-    let hits: u64 = caches.iter().map(|c| c.hits()).sum();
-    let misses: u64 = caches.iter().map(|c| c.misses()).sum();
-    let lookups = hits + misses;
-    let cache_hit_ratio = if lookups == 0 {
-        0.0
-    } else {
-        hits as f64 / lookups as f64
-    };
-    hit_gauge.set(cache_hit_ratio);
+    let cache = cache_totals(&caches);
+    cache_metrics.finish(&cache);
     inflight_gauge.set(0.0);
     retries_counter.add(resolver_retries);
     timeouts_counter.add(resolver_timeouts);
 
     Ok(FleetgenReport {
         stimuli: stimuli.load(Ordering::Relaxed),
-        cache_hit_ratio,
+        cache_hit_ratio: cache.hit_ratio(),
+        cache_evictions: cache.evictions,
+        cache_entries: cache.entries() as u64,
         resolver_retries,
         resolver_timeouts,
     })

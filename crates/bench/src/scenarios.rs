@@ -946,8 +946,41 @@ fn resolver_scenario(cached: bool) -> Prepared {
     })
 }
 
+/// `FleetCache::put_addresses` into a map already at
+/// `DEFAULT_CAPACITY`: every put adds a key, so every put evicts. The
+/// row that trips the gate if eviction goes back to scanning the map.
+fn cache_put_full_scenario() -> Prepared {
+    use resolver::cache::{FleetCache, DEFAULT_CAPACITY};
+    use zonedb::zone::ZoneModel;
+
+    const PUTS: u64 = 64;
+    let zone = ZoneModel::nl(5_900_000);
+    let addr = vec![std::net::IpAddr::from([192, 0, 2, 1])];
+    let mut cache = FleetCache::with_capacity(DEFAULT_CAPACITY);
+    let mut next = 0u64;
+    let mut put = move |cache: &mut FleetCache| {
+        let name = zone.registered_domain(next % 5_900_000);
+        cache.put_addresses(&name, RType::A, addr.clone(), next, 3600);
+        next += 1;
+    };
+    for _ in 0..DEFAULT_CAPACITY {
+        put(&mut cache);
+    }
+    Prepared::new(PUTS, move || {
+        for _ in 0..PUTS {
+            put(&mut cache);
+        }
+        cache.stats().evictions
+    })
+}
+
 fn resolver_walks() -> Vec<Scenario> {
     vec![
+        Scenario {
+            group: "resolver",
+            name: "cache_put_full",
+            setup: cache_put_full_scenario,
+        },
         Scenario {
             group: "resolver",
             name: "resolve_cold",
@@ -1095,6 +1128,7 @@ mod tests {
             "serve/respond_udp_cached",
             "authd/saturation",
             "authd/saturation_single",
+            "resolver/cache_put_full",
             "resolver/resolve_cold",
             "resolver/resolve_cached",
             "fleet/live_1k",

@@ -127,7 +127,24 @@ impl Name {
         Ok(Name { wire })
     }
 
+    /// The ancestor of this name with exactly `depth` labels — `depth`
+    /// 2 of `www.example.nl.` is `example.nl.` — or the name itself when
+    /// it has no more than `depth` labels. One slice of the wire form.
+    pub fn ancestor(&self, depth: usize) -> Name {
+        let mut skip = self.label_count().saturating_sub(depth);
+        let mut pos = 0;
+        while skip > 0 {
+            pos += 1 + self.wire[pos] as usize;
+            skip -= 1;
+        }
+        Name {
+            wire: self.wire[pos..].to_vec(),
+        }
+    }
+
     /// True if `self` equals `zone` or is underneath it (case-insensitive).
+    /// Allocation-free: walks label lengths to where `zone`'s wire form
+    /// would have to start, then case-folds that suffix against it.
     ///
     /// ```
     /// # use dns_wire::name::Name;
@@ -137,18 +154,14 @@ impl Name {
     /// assert!(!zone.is_subdomain_of(&host));
     /// ```
     pub fn is_subdomain_of(&self, zone: &Name) -> bool {
-        if zone.is_root() {
-            return true;
-        }
-        let mine: Vec<&[u8]> = self.labels().collect();
-        let theirs: Vec<&[u8]> = zone.labels().collect();
-        if theirs.len() > mine.len() {
+        let Some(boundary) = self.wire.len().checked_sub(zone.wire.len()) else {
             return false;
+        };
+        let mut pos = 0;
+        while pos < boundary {
+            pos += 1 + self.wire[pos] as usize;
         }
-        mine.iter()
-            .rev()
-            .zip(theirs.iter().rev())
-            .all(|(a, b)| eq_fold(a, b))
+        pos == boundary && eq_fold(&self.wire[boundary..], &zone.wire)
     }
 
     /// The QNAME-minimization test of RFC 7816 as applied by the paper:
@@ -228,27 +241,19 @@ impl Name {
     }
 }
 
-/// Case-folding byte-slice equality (ASCII only, per RFC 4343).
+/// Case-folding equality of two wire-form names or suffixes (ASCII
+/// only, per RFC 4343), both starting on a label boundary. Length
+/// octets take part in the fold, which is exact because every
+/// constructor caps labels at [`MAX_LABEL_LEN`] (0x3f): a length octet
+/// is never a letter, so the first differing length already differs as
+/// a byte, and until then the label boundaries of both sides coincide.
 fn eq_fold(a: &[u8], b: &[u8]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b.iter())
-            .all(|(x, y)| x.eq_ignore_ascii_case(y))
+    a.eq_ignore_ascii_case(b)
 }
 
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
-        if self.wire.len() != other.wire.len() {
-            return false;
-        }
-        // Label lengths are never in the ASCII-letter range collision zone?
-        // They are: length 0x41..=0x5a would case-fold wrongly. Compare
-        // label-wise to be exact.
-        self.labels().count() == other.labels().count()
-            && self
-                .labels()
-                .zip(other.labels())
-                .all(|(a, b)| eq_fold(a, b))
+        eq_fold(&self.wire, &other.wire)
     }
 }
 
@@ -631,6 +636,64 @@ mod tests {
         assert!(n("anything.at.all").is_subdomain_of(&Name::root()));
         // suffix-in-label must not count: "foonl" is not under "nl"
         assert!(!n("foonl").is_subdomain_of(&nl));
+    }
+
+    #[test]
+    fn subdomain_folds_case_and_respects_label_boundaries() {
+        assert!(n("WWW.Example.NL").is_subdomain_of(&n("example.nl")));
+        assert!(n("www.example.nl").is_subdomain_of(&n("EXAMPLE.NL")));
+        // same trailing bytes, different label boundary
+        assert!(!n("xnl").is_subdomain_of(&n("nl")));
+        assert!(!n("a.xnl").is_subdomain_of(&n("nl")));
+        // the zone's wire form appears inside one label of the name:
+        // `\x04x\x02nl\x00` ends in `\x02nl\x00`, but not at a boundary
+        let inner = Name::from_labels([b"x\x02nl".as_slice()]).unwrap();
+        assert!(inner.as_wire().ends_with(n("nl").as_wire()));
+        assert!(!inner.is_subdomain_of(&n("nl")));
+        // root and equal names
+        assert!(Name::root().is_subdomain_of(&Name::root()));
+        assert!(!Name::root().is_subdomain_of(&n("nl")));
+        assert!(n("example.nl").is_subdomain_of(&n("Example.NL")));
+    }
+
+    #[test]
+    fn length_octets_never_collide_with_letters() {
+        // a length octet in 0x41..=0x5a ('A'..='Z') would fold onto
+        // 0x61..=0x7a and break the whole-wire compare; labels cap at
+        // 63 octets, so no constructor can produce one
+        for len in 0x41..=0x5a_usize {
+            let label = vec![b'a'; len];
+            assert!(Name::from_labels([label.as_slice()]).is_err());
+            assert!(Name::root().child(&label).is_err());
+            let mut wire = vec![len as u8];
+            wire.extend_from_slice(&label);
+            wire.push(0);
+            assert!(Name::parse(&wire, 0).is_err());
+        }
+        // the longest legal label: its length octet is 0x3f ('?')
+        let max = vec![b'Q'; MAX_LABEL_LEN];
+        let upper = Name::from_labels([max.as_slice(), b"NL"]).unwrap();
+        let lower = Name::from_labels([max.to_ascii_lowercase().as_slice(), b"nl"]).unwrap();
+        assert_eq!(upper, lower);
+        assert!(upper.is_subdomain_of(&lower));
+        assert!(upper.is_subdomain_of(&n("nl")));
+        // a label of 0x3f '?' bytes differs from one of 0x3e
+        let shorter = Name::from_labels([&max[1..], b"nl"]).unwrap();
+        assert_ne!(upper, shorter);
+        assert!(!upper.is_subdomain_of(&shorter));
+    }
+
+    #[test]
+    fn ancestor_slices_to_depth() {
+        let d = n("a.b.WWW.example.nl");
+        assert_eq!(d.ancestor(0), Name::root());
+        assert_eq!(d.ancestor(1), n("nl"));
+        assert_eq!(d.ancestor(2), n("example.nl"));
+        assert_eq!(d.ancestor(3).to_string(), "WWW.example.nl.");
+        assert_eq!(d.ancestor(5), d);
+        assert_eq!(d.ancestor(9), d, "already at or below that depth");
+        assert_eq!(Name::root().ancestor(0), Name::root());
+        assert_eq!(Name::root().ancestor(3), Name::root());
     }
 
     #[test]

@@ -70,6 +70,9 @@ pub struct BenchReport {
     pub label: String,
     /// True when the run used the reduced `--quick` settings.
     pub quick: bool,
+    /// Cores available to the run (`None` in reports that predate the
+    /// field): rows taken at different core counts do not compare.
+    pub cores: Option<usize>,
     /// Per-scenario measurements, in run order.
     pub scenarios: Vec<ScenarioReport>,
 }
@@ -94,6 +97,7 @@ impl BenchReport {
             schema_version: SCHEMA_VERSION,
             label: label.into(),
             quick,
+            cores: std::thread::available_parallelism().ok().map(|n| n.get()),
             scenarios: Vec::new(),
         }
     }
@@ -371,6 +375,7 @@ mod tests {
             schema_version: SCHEMA_VERSION,
             label: "test".into(),
             quick: true,
+            cores: Some(2),
             scenarios,
         }
     }

@@ -4,12 +4,13 @@
 //!
 //! The resolver is generic over [`Transport`], so the same walk runs
 //! against the in-process test [`Network`](crate::hierarchy::Network),
-//! simnet's zone-model answerer, or real sockets toward `authd`. Fleet
-//! deployments attach a [`SharedCache`] (per-entry TTL decay, shared
-//! across the fleet's resolvers) and get per-host RTT ordering plus a
-//! bounded retry/timeout state machine per in-flight query.
+//! simnet's zone-model answerer, or real sockets toward `authd`. Every
+//! resolver caches through a [`SharedCache`] (per-entry TTL decay) —
+//! its own until a fleet attaches the one its resolvers share — and
+//! gets per-host RTT ordering plus a bounded retry/timeout state
+//! machine per in-flight query.
 
-use crate::cache::{Negative, SharedCache};
+use crate::cache::{Negative, SharedCache, DEFAULT_CAPACITY};
 use crate::selector::HostSelector;
 use crate::transport::{Exchange, Transport};
 use dns_wire::builder::MessageBuilder;
@@ -129,8 +130,8 @@ pub struct ResolverStats {
     pub retries: u64,
     /// Exchanges that ended in a transport timeout.
     pub timeouts: u64,
-    /// Resolutions answered from the shared cache (positive or
-    /// negative) without any query.
+    /// Resolutions answered from the cache (positive or negative)
+    /// without any query.
     pub cache_hits: u64,
     /// Resolutions that had to walk.
     pub cache_misses: u64,
@@ -139,12 +140,6 @@ pub struct ResolverStats {
 /// An iterative (root-walking) resolver with caches.
 pub struct IterativeResolver {
     config: ResolverConfig,
-    /// zone cut -> learned server addresses (per-instance fallback
-    /// when no shared cache is attached; no TTL decay).
-    delegation_cache: HashMap<Name, Vec<IpAddr>>,
-    /// terminal answers: (qname, qtype) -> addresses (per-instance
-    /// fallback).
-    address_cache: HashMap<(Name, RType), Vec<IpAddr>>,
     /// every query sent, in order (when logging is enabled).
     pub log: Vec<QueryLogEntry>,
     /// Retry/timeout/cache counters.
@@ -157,11 +152,11 @@ pub struct IterativeResolver {
     ds_cache: HashMap<Name, Option<Vec<u8>>>,
     /// zone -> verified DNSKEY material.
     dnskey_cache: HashMap<Name, Vec<u8>>,
-    /// Fleet-shared cache with per-entry TTL decay; when attached, the
-    /// per-instance maps above are bypassed entirely.
-    shared: Option<SharedCache>,
-    /// Simulation/wall clock, microseconds — the time base for shared
-    /// cache expiry.
+    /// Answers, denials and zone cuts, with per-entry TTL decay:
+    /// private to this resolver until a fleet's cache is attached.
+    cache: SharedCache,
+    /// Simulation/wall clock, microseconds — the time base for cache
+    /// expiry.
     now_us: u64,
     selector: HostSelector,
 }
@@ -171,8 +166,6 @@ impl IterativeResolver {
     pub fn new(config: ResolverConfig) -> Self {
         IterativeResolver {
             config,
-            delegation_cache: HashMap::new(),
-            address_cache: HashMap::new(),
             log: Vec::new(),
             stats: ResolverStats::default(),
             queries_this_call: 0,
@@ -181,21 +174,21 @@ impl IterativeResolver {
             resolving: HashSet::new(),
             ds_cache: HashMap::new(),
             dnskey_cache: HashMap::new(),
-            shared: None,
+            cache: SharedCache::with_capacity(DEFAULT_CAPACITY),
             now_us: 0,
             selector: HostSelector::new(),
         }
     }
 
-    /// Attach a fleet-shared cache; all positive/negative/delegation
-    /// caching moves there (with real TTL decay against the clock set
-    /// by [`IterativeResolver::set_now_micros`]).
+    /// Attach a fleet-shared cache in place of the private one; all
+    /// positive/negative/delegation caching moves there.
     pub fn attach_shared_cache(&mut self, cache: SharedCache) {
-        self.shared = Some(cache);
+        self.cache = cache;
     }
 
-    /// Advance this resolver's clock (microseconds). Only consulted
-    /// for shared-cache expiry; per-instance maps ignore it.
+    /// Advance this resolver's clock (microseconds), against which
+    /// cached entries decay. A resolver whose clock is never set stays
+    /// at 0, where nothing it cached expires.
     pub fn set_now_micros(&mut self, now_us: u64) {
         self.now_us = now_us;
     }
@@ -227,9 +220,9 @@ impl IterativeResolver {
         self.sent_total as usize
     }
 
-    /// Cached zone cuts (for tests/inspection; per-instance map only).
+    /// Zone cuts in this resolver's cache (for tests/inspection).
     pub fn cached_cuts(&self) -> usize {
-        self.delegation_cache.len()
+        self.cache.stats().delegations
     }
 
     /// Resolve `name`/`rtype` to addresses, walking `net` from its
@@ -262,48 +255,28 @@ impl IterativeResolver {
         if cname_depth > self.config.max_cnames {
             return Err(ResolveError::CnameLoop);
         }
-        if let Some(shared) = &self.shared {
-            let now = self.now_us;
-            if let Some(kind) = shared.with(|c| c.negative(name, rtype, now)) {
-                return Err(match kind {
-                    Negative::NxDomain => ResolveError::NxDomain,
-                    Negative::NoData => ResolveError::NoData,
-                });
-            }
-            if let Some(addrs) = shared.with(|c| c.addresses(name, rtype, now)) {
-                return Ok(addrs);
-            }
-        } else if let Some(cached) = self.address_cache.get(&(name.clone(), rtype)) {
-            return Ok(cached.clone());
+        let now = self.now_us;
+        if let Some(cached) = self.cache.with(|c| c.consult(name, rtype, now)) {
+            return cached.map_err(|kind| match kind {
+                Negative::NxDomain => ResolveError::NxDomain,
+                Negative::NoData => ResolveError::NoData,
+            });
         }
         if !self.resolving.insert(name.clone()) {
             return Err(ResolveError::CyclicDependency { name: name.clone() });
         }
         let result = self.walk(net, name, rtype, cname_depth);
         self.resolving.remove(name);
-        match &result {
-            Ok((addrs, ttl)) => {
-                if let Some(shared) = &self.shared {
-                    let now = self.now_us;
-                    shared.with(|c| c.put_addresses(name, rtype, addrs.clone(), now, *ttl));
-                } else {
-                    self.address_cache
-                        .insert((name.clone(), rtype), addrs.clone());
-                }
+        self.cache.with(|c| match &result {
+            Ok((addrs, ttl)) => c.put_addresses(name, rtype, addrs.clone(), now, *ttl),
+            Err(ResolveError::NxDomain) => {
+                c.put_negative(name, rtype, Negative::NxDomain, now, DEFAULT_NEGATIVE_TTL)
             }
-            Err(e @ (ResolveError::NxDomain | ResolveError::NoData)) => {
-                if let Some(shared) = &self.shared {
-                    let kind = if *e == ResolveError::NxDomain {
-                        Negative::NxDomain
-                    } else {
-                        Negative::NoData
-                    };
-                    let now = self.now_us;
-                    shared.with(|c| c.put_negative(name, rtype, kind, now, DEFAULT_NEGATIVE_TTL));
-                }
+            Err(ResolveError::NoData) => {
+                c.put_negative(name, rtype, Negative::NoData, now, DEFAULT_NEGATIVE_TTL)
             }
             Err(_) => {}
-        }
+        });
         result.map(|(addrs, _)| addrs)
     }
 
@@ -325,7 +298,7 @@ impl IterativeResolver {
         for _ in 0..64 {
             // pick the wire question
             let (send_qname, send_qtype) = if self.config.qmin {
-                let child = ancestor_at(name, known_depth + 1);
+                let child = name.ancestor(known_depth + 1);
                 if &child == name {
                     (name.clone(), rtype)
                 } else {
@@ -412,13 +385,9 @@ impl IterativeResolver {
                 if self.config.validate {
                     self.validate_delegation(net, &servers, &new_cut, &new_servers)?;
                 }
-                if let Some(shared) = &self.shared {
-                    let now = self.now_us;
-                    shared.with(|c| c.put_delegation(&new_cut, new_servers.clone(), now, cut_ttl));
-                } else {
-                    self.delegation_cache
-                        .insert(new_cut.clone(), new_servers.clone());
-                }
+                let now = self.now_us;
+                self.cache
+                    .with(|c| c.put_delegation(&new_cut, new_servers.clone(), now, cut_ttl));
                 known_depth = new_cut.label_count();
                 servers = new_servers;
                 continue;
@@ -493,16 +462,8 @@ impl IterativeResolver {
     /// The deepest cached delegation covering `name` (falling back to
     /// the root servers).
     fn best_cut<T: Transport>(&self, net: &T, name: &Name) -> (Name, Vec<IpAddr>) {
-        if let Some(shared) = &self.shared {
-            return shared
-                .with(|c| c.deepest_cut(name, self.now_us))
-                .unwrap_or_else(|| (Name::root(), net.root_servers()));
-        }
-        self.delegation_cache
-            .iter()
-            .filter(|(cut, _)| name.is_subdomain_of(cut))
-            .max_by_key(|(cut, _)| cut.label_count())
-            .map(|(cut, servers)| (cut.clone(), servers.clone()))
+        self.cache
+            .with(|c| c.deepest_cut(name, self.now_us))
             .unwrap_or_else(|| (Name::root(), net.root_servers()))
     }
 
@@ -614,15 +575,6 @@ fn answer_ttl(resp: &Message, owner: &Name) -> u32 {
         .map(|r| r.ttl)
         .min()
         .unwrap_or(DEFAULT_ANSWER_TTL)
-}
-
-/// The ancestor of `name` with exactly `depth` labels.
-fn ancestor_at(name: &Name, depth: usize) -> Name {
-    let mut n = name.clone();
-    while n.label_count() > depth {
-        n = n.parent();
-    }
-    n
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@ use netbase::time::{SimDuration, SimTime};
 use obs::Histogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use resolver::{Exchange, IterativeResolver, ResolverConfig, SharedCache, Transport};
+use resolver::{CacheStats, Exchange, IterativeResolver, ResolverConfig, SharedCache, Transport};
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
@@ -576,8 +576,7 @@ struct FleetSlice {
 /// End-of-run roll-up from one fleet's stream.
 #[derive(Debug, Clone, Copy, Default)]
 struct FleetSummary {
-    cache_hits: u64,
-    cache_misses: u64,
+    cache: CacheStats,
     retries: u64,
     timeouts: u64,
     instances: u64,
@@ -586,12 +585,51 @@ struct FleetSummary {
 impl FleetSummary {
     fn of(shared: &SharedCache, resolvers: &HashMap<usize, IterativeResolver>) -> FleetSummary {
         FleetSummary {
-            cache_hits: shared.hits(),
-            cache_misses: shared.misses(),
+            cache: shared.stats(),
             retries: resolvers.values().map(|r| r.stats.retries).sum(),
             timeouts: resolvers.values().map(|r| r.stats.timeouts).sum(),
             instances: resolvers.len() as u64,
         }
+    }
+}
+
+/// The fleet-cache series both fleet drivers publish (this module
+/// offline, `authd::fleetgen` live), summed over every fleet's cache.
+pub struct FleetCacheMetrics {
+    hit_ratio: Arc<obs::Gauge>,
+    entries: Arc<obs::Gauge>,
+    evictions: Arc<obs::Counter>,
+}
+
+impl FleetCacheMetrics {
+    /// Register (or look up) the three series.
+    pub fn register() -> FleetCacheMetrics {
+        FleetCacheMetrics {
+            hit_ratio: obs::gauge(
+                "resolver_fleet_cache_hit_ratio",
+                "shared-cache hit ratio across all fleet resolvers",
+            ),
+            entries: obs::gauge(
+                "resolver_fleet_cache_entries",
+                "entries held by the fleets' shared caches (addresses + negatives + delegations)",
+            ),
+            evictions: obs::counter(
+                "resolver_fleet_cache_evictions_total",
+                "entries evicted from full fleet cache maps (added when the run ends)",
+            ),
+        }
+    }
+
+    /// Refresh the gauges; cheap enough for mid-run scrapes.
+    pub fn observe(&self, cache: &CacheStats) {
+        self.hit_ratio.set(cache.hit_ratio());
+        self.entries.set(cache.entries() as f64);
+    }
+
+    /// End of run: the gauges, and the eviction total onto its counter.
+    pub fn finish(&self, cache: &CacheStats) {
+        self.observe(cache);
+        self.evictions.add(cache.evictions);
     }
 }
 
@@ -935,8 +973,7 @@ impl Engine {
             if merged.is_ok() {
                 for srx in sum_rxs.iter().flatten() {
                     if let Ok(s) = srx.recv() {
-                        summary.cache_hits += s.cache_hits;
-                        summary.cache_misses += s.cache_misses;
+                        summary.cache.absorb(&s.cache);
                         summary.retries += s.retries;
                         summary.timeouts += s.timeouts;
                         summary.instances += s.instances;
@@ -951,7 +988,7 @@ impl Engine {
         })
         .expect("fleet workers do not panic")?;
 
-        stats.cache_hits = stats.cache_hits.max(summary.cache_hits);
+        stats.cache_hits = stats.cache_hits.max(summary.cache.hits);
         stats.per_fleet = self
             .fleets()
             .iter()
@@ -959,16 +996,7 @@ impl Engine {
             .map(|(f, c)| (f.spec.name.clone(), *c))
             .collect();
         stage.add_items(stats.queries + stats.responses);
-        let lookups = summary.cache_hits + summary.cache_misses;
-        obs::gauge(
-            "resolver_fleet_cache_hit_ratio",
-            "shared-cache hit ratio across all fleet resolvers",
-        )
-        .set(if lookups == 0 {
-            0.0
-        } else {
-            summary.cache_hits as f64 / lookups as f64
-        });
+        FleetCacheMetrics::register().finish(&summary.cache);
         obs::gauge(
             "resolver_fleet_instances",
             "resolver instances materialized across all fleets",

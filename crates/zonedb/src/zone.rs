@@ -195,21 +195,21 @@ impl ZoneModel {
         }
         match &self.kind {
             ZoneKind::SecondLevel { slds } => {
-                let sld = ancestor_at(qname, 2);
+                let sld = qname.ancestor(2);
                 match leftmost_index(&sld) {
                     Some(idx) if idx < *slds => Lookup::Delegated,
                     _ => Lookup::NxDomain,
                 }
             }
             ZoneKind::MixedLevel { slds, thirds } => {
-                let sld = ancestor_at(qname, 2);
+                let sld = qname.ancestor(2);
                 let sld_label = label_string(&sld);
                 // structural subzone like co.nz?
                 if let Some(sub_pos) = NZ_SUBZONES.iter().position(|(s, _)| *s == sld_label) {
                     if qname.label_count() == 2 {
                         return Lookup::InZone;
                     }
-                    let third = ancestor_at(qname, 3);
+                    let third = qname.ancestor(3);
                     match leftmost_index(&third) {
                         Some(local) if third_level_member(sub_pos, local, *thirds) => {
                             Lookup::Delegated
@@ -224,7 +224,7 @@ impl ZoneModel {
                 }
             }
             ZoneKind::Root { .. } => {
-                let tld = ancestor_at(qname, 1);
+                let tld = qname.ancestor(1);
                 let cache = self.tld_cache.as_ref().expect("root model has cache");
                 if cache.contains_key(&tld) {
                     Lookup::Delegated
@@ -248,15 +248,15 @@ impl ZoneModel {
         let apex_depth = self.apex.label_count();
         match &self.kind {
             ZoneKind::MixedLevel { .. } => {
-                let sld = ancestor_at(full, 2);
+                let sld = full.ancestor(2);
                 if NZ_SUBZONES.iter().any(|(s, _)| *s == label_string(&sld))
                     && full.label_count() >= 3
                 {
-                    return ancestor_at(full, 3);
+                    return full.ancestor(3);
                 }
-                ancestor_at(full, apex_depth + 1)
+                full.ancestor(apex_depth + 1)
             }
-            _ => ancestor_at(full, apex_depth + 1),
+            _ => full.ancestor(apex_depth + 1),
         }
     }
 
@@ -270,13 +270,13 @@ impl ZoneModel {
             return None;
         }
         match &self.kind {
-            ZoneKind::SecondLevel { .. } => leftmost_index(&ancestor_at(qname, 2)),
+            ZoneKind::SecondLevel { .. } => leftmost_index(&qname.ancestor(2)),
             ZoneKind::MixedLevel { slds, thirds } => {
-                let sld = ancestor_at(qname, 2);
+                let sld = qname.ancestor(2);
                 let sld_label = label_string(&sld);
                 match NZ_SUBZONES.iter().position(|(s, _)| *s == sld_label) {
                     Some(sub_pos) => {
-                        let local = leftmost_index(&ancestor_at(qname, 3))?;
+                        let local = leftmost_index(&qname.ancestor(3))?;
                         let start: u64 = (0..sub_pos)
                             .map(|j| share_of(j, NZ_SUBZONES[j].1, *thirds))
                             .sum();
@@ -286,7 +286,7 @@ impl ZoneModel {
                 }
             }
             ZoneKind::Root { .. } => {
-                let tld = ancestor_at(qname, 1);
+                let tld = qname.ancestor(1);
                 self.tld_cache.as_ref().and_then(|c| c.get(&tld).copied())
             }
         }
@@ -339,16 +339,6 @@ fn share_of(i: usize, weight: f64, thirds: u64) -> u64 {
 /// Is `local` a registered third-level index inside subzone `sub_pos`?
 fn third_level_member(sub_pos: usize, local: u64, thirds: u64) -> bool {
     local < share_of(sub_pos, NZ_SUBZONES[sub_pos].1, thirds)
-}
-
-/// The ancestor of `name` with exactly `depth` labels (`name` itself if
-/// already at or below that depth).
-fn ancestor_at(name: &Name, depth: usize) -> Name {
-    let mut n = name.clone();
-    while n.label_count() > depth {
-        n = n.parent();
-    }
-    n
 }
 
 /// The leftmost label as a lowercase string.

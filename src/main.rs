@@ -453,6 +453,10 @@ fn main() -> ExitCode {
         if !scans.is_empty() {
             print!("{scans}");
         }
+        let fleet_cache = render_fleet_cache();
+        if !fleet_cache.is_empty() {
+            print!("{fleet_cache}");
+        }
         let queues = render_queue_gauges();
         if !queues.is_empty() {
             print!("{queues}");
@@ -826,17 +830,20 @@ fn render_scan_counters() -> String {
     )
 }
 
+/// The sampled value of the gauge or counter called `name`.
+fn sampled(samples: &[(String, obs::SampleValue)], name: &str) -> Option<f64> {
+    samples.iter().find_map(|(n, v)| match v {
+        obs::SampleValue::Gauge(v) if n == name => Some(*v),
+        obs::SampleValue::Counter(v) if n == name => Some(*v as f64),
+        _ => None,
+    })
+}
+
 /// The queue-depth summary printed under the `--stats` stage table:
 /// one row per registered `QueueDepth` (depth at last observation plus
 /// high-water mark); empty when nothing registered a bounded queue.
 fn render_queue_gauges() -> String {
     let samples = obs::Registry::global().sample();
-    let value_of = |name: &str| {
-        samples.iter().find_map(|(n, v)| match v {
-            obs::SampleValue::Gauge(v) if n == name => Some(*v),
-            _ => None,
-        })
-    };
     let mut rows = String::new();
     for (name, value) in &samples {
         let Some(prefix) = name.strip_suffix("_queue_peak") else {
@@ -845,7 +852,7 @@ fn render_queue_gauges() -> String {
         let obs::SampleValue::Gauge(peak) = value else {
             continue;
         };
-        let depth = value_of(&format!("{prefix}_queue_depth")).unwrap_or(0.0);
+        let depth = sampled(&samples, &format!("{prefix}_queue_depth")).unwrap_or(0.0);
         rows.push_str(&format!(
             "{prefix:<28} {:>8} {:>8}\n",
             depth as u64, *peak as u64
@@ -857,6 +864,42 @@ fn render_queue_gauges() -> String {
     format!(
         "== queues ==\n{:<28} {:>8} {:>8}\n{rows}",
         "queue", "depth", "peak"
+    )
+}
+
+/// The fleet-cache summary printed under the `--stats` stage table;
+/// empty unless a resolver fleet ran in this process.
+fn render_fleet_cache() -> String {
+    let samples = obs::Registry::global().sample();
+    let value_of = |name: &str| sampled(&samples, name);
+    let Some(entries) = value_of("resolver_fleet_cache_entries") else {
+        return String::new();
+    };
+    format!(
+        "== fleet cache ==\n\
+         {:<20} {:>12.3}\n\
+         {:<20} {:>12}\n\
+         {:<20} {:>12}\n",
+        "hit ratio",
+        value_of("resolver_fleet_cache_hit_ratio").unwrap_or(0.0),
+        "entries",
+        entries as u64,
+        "evictions",
+        value_of("resolver_fleet_cache_evictions_total").unwrap_or(0.0) as u64,
+    )
+}
+
+/// The resolver-level line of a fleet run's closing report.
+fn fleet_line(resolvers: usize, fleet: &authd::FleetgenReport) -> String {
+    format!(
+        "fleet  | resolvers {} cache-hit {:.3} stimuli {} retries {} timeouts {} cache-entries {} evictions {}",
+        resolvers,
+        fleet.cache_hit_ratio,
+        fleet.stimuli,
+        fleet.resolver_retries,
+        fleet.resolver_timeouts,
+        fleet.cache_entries,
+        fleet.cache_evictions
     )
 }
 
@@ -972,14 +1015,7 @@ fn loadgen_cli(
     let report = authd::run_loadgen(&config, &stats).expect("loadgen runs");
     println!("{}", stats.snapshot(report.elapsed.as_secs_f64()));
     if let (Some(resolvers), Some(fleet)) = (config.resolvers, report.fleet) {
-        println!(
-            "fleet  | resolvers {} cache-hit {:.3} stimuli {} retries {} timeouts {}",
-            resolvers,
-            fleet.cache_hit_ratio,
-            fleet.stimuli,
-            fleet.resolver_retries,
-            fleet.resolver_timeouts
-        );
+        println!("{}", fleet_line(resolvers, &fleet));
     }
     println!(
         "sent {} received {} timeouts {} tcp-fallbacks {} in {:.2}s",
@@ -1042,14 +1078,7 @@ fn live_cli(
     println!("serve  | {}", report.server);
     println!("loadgen| {}", report.client);
     if let Some(fleet) = &report.fleet {
-        println!(
-            "fleet  | resolvers {} cache-hit {:.3} stimuli {} retries {} timeouts {}",
-            config.resolvers.unwrap_or(0),
-            fleet.cache_hit_ratio,
-            fleet.stimuli,
-            fleet.resolver_retries,
-            fleet.resolver_timeouts
-        );
+        println!("{}", fleet_line(config.resolvers.unwrap_or(0), fleet));
     }
     if report.records == 0 {
         eprintln!("live run produced an empty capture");

@@ -46,6 +46,7 @@ fn bench_list_covers_the_required_scenarios() {
         "serve/respond_tcp",
         "authd/saturation",
         "authd/saturation_single",
+        "resolver/cache_put_full",
         "resolver/resolve_cold",
         "resolver/resolve_cached",
         "fleet/live_1k",
