@@ -229,7 +229,7 @@ fn columnar(c: &mut Criterion) {
         "\n--- ablation: row structs vs columnar batch ---\n{} rows: ~{} KB as structs, {} KB columnar ({} distinct qnames)",
         rows.len(),
         row_bytes / 1024,
-        batch.memory_bytes() / 1024,
+        batch.bytes() / 1024,
         batch.dictionary_size()
     );
     c.bench_function("ablations/scan_row_structs", |b| {

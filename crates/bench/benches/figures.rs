@@ -4,6 +4,7 @@
 use bench::{quick, shared_broot2020, shared_nl2020};
 use criterion::Criterion;
 use dnscentral_core::experiments::run_monthly_series;
+use dnscentral_core::pipeline::PipelineOpts;
 use dnscentral_core::qmin::{detect_cusum, detect_threshold};
 use dnscentral_core::{ednssize, junk, metrics, report};
 use simnet::profile::Vantage;
@@ -39,7 +40,14 @@ fn benches(c: &mut Criterion) {
     });
 
     // Figure 3: the monthly series + change-point detection.
-    let series = run_monthly_series(Vantage::Nl, Scale::tiny(), 42);
+    let series = run_monthly_series(
+        Vantage::Nl,
+        asdb::cloud::Provider::Google,
+        Scale::tiny(),
+        42,
+        &PipelineOpts::default(),
+        1,
+    );
     let detected = detect_cusum(&series, 0.05, 0.3);
     print_once(
         "Figure 3 (scaled)",

@@ -43,6 +43,6 @@ pub mod transport;
 
 pub use analysis::{DatasetAnalysis, ProviderAgg};
 pub use experiments::{run_dataset, run_monthly_series, DatasetRun};
-pub use pipeline::{run_dataset_with, run_spec_with, PipelineOpts};
+pub use pipeline::{run_spec_with, PipelineOpts};
 pub use sink::{FanoutSink, RowSink};
 pub use suite::{run_suite, run_tasks};

@@ -6,13 +6,14 @@
 //! the paper-vs-measured record is always reproducible from source.
 
 use crate::analysis::DatasetAnalysis;
-use crate::experiments::run_monthly_series_for_jobs;
+use crate::experiments::run_monthly_series;
+use crate::pipeline::PipelineOpts;
 use crate::qmin::MonthlySample;
 use crate::{ednssize, junk, metrics, qmin, transport};
 use asdb::cloud::Provider;
 use serde::Serialize;
 use simnet::profile::Vantage;
-use simnet::scenario::Scale;
+use simnet::scenario::{dataset, DatasetSpec, Scale};
 
 /// One measured dataset, however it was produced — a fresh pipeline run
 /// or a warehouse scan. The comparison body only needs the id and the
@@ -55,62 +56,55 @@ fn pct_row(
     }
 }
 
-/// Run the comparison suite serially ([`compare_with`] at one job).
-pub fn compare(scale: Scale, seed: u64) -> Vec<ComparisonRow> {
-    compare_with(scale, seed, 1)
-}
-
-/// Run the comparison suite with up to `jobs` datasets (and then
-/// monthly samples) in flight. This generates and analyzes five
-/// datasets plus two monthly series; at [`Scale::small`] it takes tens
-/// of seconds serially, at [`Scale::report`] some minutes. The rows are
-/// identical for any job count — results are merged in dataset order.
-pub fn compare_with(scale: Scale, seed: u64, jobs: usize) -> Vec<ComparisonRow> {
-    use simnet::scenario::dataset;
-    let specs = vec![
+/// The five datasets the comparison reads, in the order
+/// [`compare_rows`] takes them.
+pub fn comparison_specs() -> Vec<DatasetSpec> {
+    vec![
         dataset(Vantage::Nl, 2020),
         dataset(Vantage::Nl, 2019),
         dataset(Vantage::Nz, 2020),
         dataset(Vantage::Nz, 2019),
         dataset(Vantage::BRoot, 2020),
-    ];
-    let mut runs = crate::suite::run_suite(
-        specs,
-        scale,
-        seed,
-        &crate::pipeline::PipelineOpts::default(),
-        jobs,
-    )
-    .into_iter()
-    .map(|run| Measured {
-        id: run.id,
-        analysis: run.analysis,
-    });
-    let (nl20, nl19, nz20, nz19, br20) = (
-        runs.next().expect("nl-w2020"),
-        runs.next().expect("nl-w2019"),
-        runs.next().expect("nz-w2020"),
-        runs.next().expect("nz-w2019"),
-        runs.next().expect("broot-w2020"),
-    );
-    let nl_series = run_monthly_series_for_jobs(Vantage::Nl, Provider::Google, scale, seed, jobs);
-    let nz_series = run_monthly_series_for_jobs(Vantage::Nz, Provider::Google, scale, seed, jobs);
-    compare_rows(&nl20, &nl19, &nz20, &nz19, &br20, &nl_series, &nz_series)
+    ]
 }
 
-/// The comparison body over already-measured inputs: the five datasets
-/// plus both Figure 3 Google monthly series. [`compare_with`] feeds it
-/// fresh pipeline runs; [`crate::store::compare`] feeds it warehouse
-/// scans — same rows either way.
+/// Run the comparison suite with up to `jobs` datasets (and then
+/// monthly samples) in flight, each through the pipeline `opts`
+/// describes. This generates and analyzes five datasets plus two
+/// monthly series; at [`Scale::small`] it takes tens of seconds
+/// serially, at [`Scale::report`] some minutes. The rows are identical
+/// for any job count — results are merged in dataset order.
+pub fn compare_with(
+    scale: Scale,
+    seed: u64,
+    opts: &PipelineOpts,
+    jobs: usize,
+) -> Vec<ComparisonRow> {
+    let datasets: Vec<Measured> =
+        crate::suite::run_suite(comparison_specs(), scale, seed, opts, jobs)
+            .into_iter()
+            .map(|run| Measured {
+                id: run.id,
+                analysis: run.analysis,
+            })
+            .collect();
+    let series = |vantage| run_monthly_series(vantage, Provider::Google, scale, seed, opts, jobs);
+    compare_rows(&datasets, &series(Vantage::Nl), &series(Vantage::Nz))
+}
+
+/// The comparison body over already-measured inputs: the five
+/// [`comparison_specs`] datasets plus both Figure 3 Google monthly
+/// series. [`compare_with`] feeds it fresh pipeline runs;
+/// [`crate::store::compare`] feeds it warehouse scans — same rows
+/// either way.
 pub fn compare_rows(
-    nl20: &Measured,
-    nl19: &Measured,
-    nz20: &Measured,
-    nz19: &Measured,
-    br20: &Measured,
+    datasets: &[Measured],
     nl_series: &[MonthlySample],
     nz_series: &[MonthlySample],
 ) -> Vec<ComparisonRow> {
+    let [nl20, nl19, nz20, nz19, br20] = datasets else {
+        panic!("compare_rows takes the five comparison_specs datasets");
+    };
     let mut rows = Vec::new();
 
     // --- Table 3: valid fractions -----------------------------------
@@ -371,7 +365,7 @@ mod tests {
 
     #[test]
     fn comparison_runs_and_mostly_lands_at_tiny_scale() {
-        let rows = compare(Scale::tiny(), 42);
+        let rows = compare_with(Scale::tiny(), 42, &PipelineOpts::default(), 1);
         assert!(rows.len() > 30, "broad coverage: {} rows", rows.len());
         let pass = rows.iter().filter(|r| r.ok).count();
         // tiny scale is noisy; demand a strong majority, not perfection

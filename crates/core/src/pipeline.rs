@@ -1,38 +1,33 @@
-//! The fused generate→ingest pipeline.
+//! The one consumer: records become rows become sinks here and nowhere
+//! else.
 //!
-//! [`crate::experiments`] historically decoupled the generator from the
-//! analyzer with an on-disk `.dnscap` file. That round trip is pure
-//! overhead for experiment runs (ENTRADA itself went streaming for the
-//! same reason), so the default path here pipes [`CaptureRecord`]s
-//! through a bounded crossbeam channel straight from the (optionally
-//! sharded) engine into `entrada`'s ingest — no intermediate file, one
-//! pass, backpressure via the channel bound. [`PipelineOpts::keep_capture`]
-//! retains the two-pass on-disk behaviour (and the capture itself);
-//! both paths produce row-identical results.
+//! [`consume`] is ENTRADA's single pass — join, enrich, aggregate — over
+//! any [`RecordSource`], with the [`Engine`] as the enrichment context.
+//! The default path streams: the (optionally sharded) engine hands each
+//! hourly slice, whole, to a [`SliceRouter`], which routes it over a
+//! bounded channel to one of `jobs` consumers; backpressure is the
+//! channel bound and no intermediate file exists.
+//! [`PipelineOpts::keep_capture`] is the two-pass reference: generate
+//! the `.dnscap`, then one [`consume`] over the file. Both produce
+//! row-identical results, and the same call analyzes a capture that
+//! came from a live tap.
 
 use crate::analysis::DatasetAnalysis;
 use crate::dualstack::DualStackAnalysis;
-use crate::experiments::{analyze_capture, DatasetRun};
+use crate::experiments::DatasetRun;
 use crate::sink::{DualStackSink, FanoutSink, RowSink};
-use asdb::synth::InternetPlan;
+use crate::store::{StoreSink, WarehouseTarget};
 use entrada::enrich::Enricher;
 use entrada::ingest::{CaptureIngest, IngestStats};
 use entrada::schema::QueryRow;
-use netbase::capture::{CaptureError, CaptureRecord, Direction, RecordSink, RecordSource};
-use simnet::engine::{plan_config_for, Engine};
-use simnet::profile::Vantage;
-use simnet::scenario::{dataset, DatasetSpec, Scale};
-use std::path::PathBuf;
-
-/// Records move through the channel in batches of this many; per-record
-/// sends would pay a lock round-trip each, which at millions of records
-/// costs more than the disk round-trip the channel replaces.
-const BATCH: usize = 512;
-
-/// Batches buffered in flight between the generator and the ingest
-/// side; bounds memory (`BATCH * CHANNEL_DEPTH` records) and applies
-/// backpressure when ingest lags.
-const CHANNEL_DEPTH: usize = 32;
+use netbase::capture::{
+    CaptureError, CaptureReader, CaptureRecord, CaptureWriter, Direction, RecordSink, RecordSource,
+};
+use simnet::engine::{DatasetStats, Engine};
+use simnet::scenario::{DatasetSpec, Scale};
+use std::fs::File;
+use std::io::{BufReader, BufWriter};
+use std::path::{Path, PathBuf};
 
 /// How one pipeline run executes.
 #[derive(Debug, Clone, Default)]
@@ -100,11 +95,10 @@ impl PipelineOpts {
     }
 }
 
-/// Flight-recorder hop for a sampled query leaving the generator (one
-/// relaxed atomic load when sampling is off; responses never sample).
-#[inline]
+/// Flight-recorder hop for a sampled query leaving the generator
+/// (responses never sample).
 fn note_gen_hop(rec: &CaptureRecord) {
-    if rec.direction == Direction::Query && obs::flight::sampling_enabled() {
+    if rec.direction == Direction::Query {
         let key =
             obs::flight::query_key(rec.timestamp.as_micros(), &rec.flow.src, rec.flow.src_port);
         if obs::flight::sampled(key) {
@@ -128,93 +122,43 @@ fn note_row_hops(row: &QueryRow) {
     }
 }
 
-/// [`RecordSink`] over the sending half of a bounded channel: the
-/// engine pushes records into it; a full channel blocks (backpressure),
-/// a disconnected one (ingest side gone) surfaces as a broken pipe.
-/// Records are coalesced into `BATCH`-sized chunks; the tail chunk is
-/// flushed on drop, so the ingest side sees every record the moment the
-/// generator finishes.
-pub struct ChannelSink {
-    tx: crossbeam::channel::Sender<Vec<CaptureRecord>>,
-    batch: Vec<CaptureRecord>,
-}
-
-impl ChannelSink {
-    /// Wrap the sending half of a batch channel.
-    pub fn new(tx: crossbeam::channel::Sender<Vec<CaptureRecord>>) -> ChannelSink {
-        ChannelSink {
-            tx,
-            batch: Vec::with_capacity(BATCH),
-        }
-    }
-}
-
-impl RecordSink for ChannelSink {
-    fn emit(&mut self, rec: CaptureRecord) -> std::io::Result<()> {
-        note_gen_hop(&rec);
-        self.batch.push(rec);
-        if self.batch.len() < BATCH {
-            return Ok(());
-        }
-        let full = std::mem::replace(&mut self.batch, Vec::with_capacity(BATCH));
-        self.tx.send(full).map_err(|_| {
-            std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "pipeline ingest side disconnected",
-            )
-        })
-    }
-}
-
-impl Drop for ChannelSink {
-    fn drop(&mut self) {
-        if !self.batch.is_empty() {
-            // receiver already gone is fine here: nothing to report to
-            let _ = self.tx.send(std::mem::take(&mut self.batch));
-        }
-    }
-}
-
 /// Slices buffered in flight per analysis worker. A slice is one
 /// generator hour — the unit the join state partitions on — so this
-/// bounds parallel-consumer memory to `jobs * SLICE_DEPTH` slices.
+/// bounds streamed-pipeline memory to `jobs * SLICE_DEPTH` slices and
+/// applies backpressure when analysis lags.
 const SLICE_DEPTH: usize = 2;
 
 /// [`RecordSink`] that routes whole time slices to analysis workers:
-/// records buffer until the generator's [`RecordSink::slice_end`], then
-/// the complete slice goes to worker `slot % jobs`. Because every
-/// query/response exchange falls entirely within one slice, each
-/// worker's ingest joins exactly the transactions it would have joined
-/// serially — the per-slice-partitionable join state the parallel
-/// consumer rests on.
+/// the generator hands each slice over as one vector
+/// ([`RecordSink::emit_slice`]) and it goes, untouched, to worker
+/// `slot % jobs`. Because every query/response exchange falls entirely
+/// within one slice, each worker's ingest joins exactly the
+/// transactions it would have joined serially — the
+/// per-slice-partitionable join state the parallel consumer rests on.
+/// A full channel blocks (backpressure); a disconnected one surfaces as
+/// a broken pipe.
 pub struct SliceRouter {
     txs: Vec<crossbeam::channel::Sender<Vec<CaptureRecord>>>,
-    buf: Vec<CaptureRecord>,
 }
 
 impl SliceRouter {
     /// Route slices round-robin by slot over the given worker channels.
     pub fn new(txs: Vec<crossbeam::channel::Sender<Vec<CaptureRecord>>>) -> SliceRouter {
         assert!(!txs.is_empty(), "at least one analysis worker");
-        SliceRouter {
-            txs,
-            buf: Vec::new(),
-        }
+        SliceRouter { txs }
     }
 }
 
 impl RecordSink for SliceRouter {
+    /// A record outside any slice travels as a slice of its own.
     fn emit(&mut self, rec: CaptureRecord) -> std::io::Result<()> {
-        note_gen_hop(&rec);
-        self.buf.push(rec);
-        Ok(())
+        self.emit_slice(0, vec![rec])
     }
 
-    fn slice_end(&mut self, slot: u64) -> std::io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
+    fn emit_slice(&mut self, slot: u64, slice: Vec<CaptureRecord>) -> std::io::Result<()> {
+        if obs::flight::sampling_enabled() {
+            slice.iter().for_each(note_gen_hop);
         }
-        let slice = std::mem::take(&mut self.buf);
         self.txs[(slot as usize) % self.txs.len()]
             .send(slice)
             .map_err(|_| {
@@ -226,67 +170,43 @@ impl RecordSink for SliceRouter {
     }
 }
 
-impl Drop for SliceRouter {
-    fn drop(&mut self) {
-        // The engine closes every slot with slice_end, so this buffer
-        // is empty on the happy path; on an abort, salvage the tail
-        // rather than silently dropping records.
-        if !self.buf.is_empty() {
-            let _ = self.txs[0].send(std::mem::take(&mut self.buf));
-        }
-    }
-}
-
 /// [`RecordSource`] over the receiving half: sender disconnect (the
-/// generator finished and dropped its sink) is the clean end-of-stream.
+/// generator finished and dropped its router) is the clean
+/// end-of-stream. Busy/idle and queue-depth accounting is updated once
+/// per slice refill (two clock reads per slice), so the per-record path
+/// stays untouched.
 pub struct ChannelSource {
     rx: crossbeam::channel::Receiver<Vec<CaptureRecord>>,
     buf: std::vec::IntoIter<CaptureRecord>,
-    telemetry: Option<SourceTelemetry>,
-}
-
-/// Busy/idle and queue-depth accounting for an instrumented
-/// [`ChannelSource`], updated once per batch refill (two clock reads
-/// per `BATCH` records) so the per-record path stays untouched.
-struct SourceTelemetry {
     util: obs::Utilization,
     queue: obs::QueueDepth,
-    /// When the last refill handed a batch to the consumer; the gap to
-    /// the next refill is time spent analyzing that batch.
+    /// When the last refill handed a slice to the consumer; the gap to
+    /// the next refill is time spent analyzing that slice.
     last_refill: Option<std::time::Instant>,
 }
 
 impl ChannelSource {
-    /// Wrap the receiving half of a batch channel.
-    pub fn new(rx: crossbeam::channel::Receiver<Vec<CaptureRecord>>) -> ChannelSource {
-        ChannelSource {
-            rx,
-            buf: Vec::new().into_iter(),
-            telemetry: None,
-        }
-    }
-
-    /// [`ChannelSource::new`] plus telemetry: registers
+    /// Wrap the receiving half of a slice channel, registering
     /// `{prefix}_busy_permille` (consumer busy fraction) and
-    /// `{prefix}_queue_depth`/`_peak` (batches waiting in the channel)
+    /// `{prefix}_queue_depth`/`_peak` (slices waiting in the channel)
     /// in the global metrics registry.
-    pub fn instrumented(
+    pub fn new(
         rx: crossbeam::channel::Receiver<Vec<CaptureRecord>>,
         prefix: &str,
     ) -> ChannelSource {
-        let mut source = ChannelSource::new(rx);
-        source.telemetry = Some(SourceTelemetry {
+        ChannelSource {
+            rx,
+            buf: Vec::new().into_iter(),
             util: obs::Utilization::new(obs::gauge(
                 &format!("{prefix}_busy_permille"),
                 "analysis consumer busy fraction (permille, windowed)",
             )),
             queue: obs::QueueDepth::register(
                 prefix,
-                "record batches buffered between generator and ingest",
+                "record slices buffered between generator and ingest",
             ),
             last_refill: None,
-        });
-        source
+        }
     }
 }
 
@@ -296,227 +216,207 @@ impl RecordSource for ChannelSource {
             if let Some(rec) = self.buf.next() {
                 return Ok(Some(rec));
             }
-            if let Some(t) = &mut self.telemetry {
-                let now = std::time::Instant::now();
-                if let Some(prev) = t.last_refill.take() {
-                    t.util.busy(now.duration_since(prev));
-                }
-                match self.rx.recv() {
-                    Ok(batch) => {
-                        let refilled = std::time::Instant::now();
-                        t.util.idle(refilled.duration_since(now));
-                        t.queue.record(self.rx.len());
-                        t.last_refill = Some(refilled);
-                        self.buf = batch.into_iter();
-                    }
-                    Err(_) => return Ok(None),
-                }
-            } else {
-                match self.rx.recv() {
-                    Ok(batch) => self.buf = batch.into_iter(),
-                    Err(_) => return Ok(None),
-                }
+            let now = std::time::Instant::now();
+            if let Some(prev) = self.last_refill.take() {
+                self.util.busy(now.duration_since(prev));
             }
+            let Ok(slice) = self.rx.recv() else {
+                return Ok(None);
+            };
+            let refilled = std::time::Instant::now();
+            self.util.idle(refilled.duration_since(now));
+            self.queue.record(self.rx.len());
+            self.last_refill = Some(refilled);
+            self.buf = slice.into_iter();
         }
     }
 }
 
-/// Generate + analyze one of the Table 3 datasets with explicit
-/// pipeline options.
-pub fn run_dataset_with(
-    vantage: Vantage,
-    year: u16,
-    scale: Scale,
-    seed: u64,
+/// The in-memory analysis state of one dataset: the single-pass
+/// aggregation plus the Facebook dual-stack joins against the engine's
+/// PTR view. Warehouse scans ([`crate::store::analyze_source`]) fill
+/// the same pair from stored rows.
+pub type AnalysisSinks<'a> = FanoutSink<DatasetAnalysis, DualStackSink<'a>>;
+
+/// Everything one consumer feeds: the analysis state and the warehouse
+/// appender (a no-op branch for runs that persist nothing).
+pub type Sinks<'a> = FanoutSink<AnalysisSinks<'a>, StoreSink<'a>>;
+
+/// A fresh, empty [`AnalysisSinks`] for `engine`'s dataset.
+pub fn analysis_sinks(engine: &Engine) -> AnalysisSinks<'_> {
+    FanoutSink::new(
+        DatasetAnalysis::new(engine.zone().clone()),
+        DualStackSink::new(
+            DualStackAnalysis::with_servers(&engine.spec().servers),
+            engine.ptr_db(),
+        ),
+    )
+}
+
+/// The one pass from records to sinks: join and enrich `source` against
+/// `engine`'s address plan, push every row into a fresh set of sinks
+/// (appending to `store` on the way when there is one) and return them
+/// with the ingest accounting. Every path runs this — a streamed slice
+/// channel, a kept or live capture file, `jobs` of them in parallel
+/// whose partials [`RowSink::merge`] — so the analysis is the same code
+/// whatever produced the records. A source cut short by a torn record
+/// is reported here, loudly; progress is reported against the dataset's
+/// total, of which a parallel consumer sees its share.
+pub fn consume<'a>(
+    source: impl RecordSource,
+    engine: &'a Engine,
+    store: Option<&'a WarehouseTarget>,
+) -> (Sinks<'a>, IngestStats) {
+    let mut ingest = CaptureIngest::new(source, Enricher::new(engine.plan().mapper.clone()));
+    let mut sinks = FanoutSink::new(
+        analysis_sinks(engine),
+        StoreSink::new(store.map(|t| t.store.appender(&t.source, t.config))),
+    );
+    let mut progress = obs::Progress::new(
+        format!("analyze {}", engine.spec().id()),
+        Some(engine.scaled_total()),
+    );
+    for row in ingest.by_ref() {
+        note_row_hops(&row);
+        sinks.push(&row);
+        progress.tick(1);
+    }
+    let stats = ingest.stats().clone();
+    warn_on_capture_errors(&engine.spec().id(), &stats);
+    (sinks, stats)
+}
+
+/// [`consume`] over the capture file at `path`.
+pub fn consume_capture<'a>(
+    path: &Path,
+    engine: &'a Engine,
+    store: Option<&'a WarehouseTarget>,
+) -> std::io::Result<(Sinks<'a>, IngestStats)> {
+    let mut stage = obs::stage("pipeline.analyze");
+    let _span = obs::span(format!("analyze {}", engine.spec().id()));
+    let reader = CaptureReader::new(BufReader::new(File::open(path)?))
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    let (sinks, stats) = consume(reader, engine, store);
+    stage.add_items(stats.rows);
+    Ok((sinks, stats))
+}
+
+/// Close a consumer's sinks: flush the warehouse branch (partitions
+/// stay staged for the caller to [`warehouse::Warehouse::commit`]) and
+/// hand back the analysis state.
+pub fn finish(
+    sinks: Sinks<'_>,
+) -> Result<(DatasetAnalysis, DualStackAnalysis), warehouse::WarehouseError> {
+    let (analysis, store) = sinks.into_parts();
+    store.finish()?;
+    let (analysis, dualstack) = analysis.into_parts();
+    Ok((analysis, dualstack.into_inner()))
+}
+
+/// Drive `engine`'s generator — the calibrated sampler, or the resolver
+/// fleet under [`PipelineOpts::fleet`] — into `out`.
+fn generate<S: RecordSink>(
+    engine: &Engine,
+    out: &mut S,
     opts: &PipelineOpts,
-) -> DatasetRun {
-    run_spec_with(dataset(vantage, year), scale, seed, opts)
+) -> std::io::Result<DatasetStats> {
+    let mut stage = obs::stage("pipeline.generate");
+    let _span = obs::span(format!("generate {}", engine.spec().id()));
+    let stats = if opts.fleet {
+        engine.generate_fleet(out, opts.shard_count())
+    } else {
+        engine.generate_sharded(out, opts.shard_count())
+    }?;
+    stage.add_items(stats.queries + stats.responses);
+    Ok(stats)
+}
+
+/// Generate `engine`'s dataset into a `.dnscap` file at `path`; the
+/// file is byte-identical for any shard count.
+pub fn write_capture(
+    engine: &Engine,
+    path: &Path,
+    opts: &PipelineOpts,
+) -> std::io::Result<DatasetStats> {
+    let mut writer = CaptureWriter::new(BufWriter::new(File::create(path)?))?;
+    let stats = generate(engine, &mut writer, opts)?;
+    writer.finish()?;
+    Ok(stats)
+}
+
+/// The streamed pipeline: one generator thread feeding `jobs` consumers
+/// through a [`SliceRouter`]. Each worker joins and aggregates its own
+/// slice subset (sound because slices are join-self-contained) and the
+/// partials merge in worker order.
+fn stream<'a>(
+    engine: &'a Engine,
+    opts: &'a PipelineOpts,
+) -> (DatasetStats, Sinks<'a>, IngestStats) {
+    let jobs = opts.job_count();
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..jobs)
+        .map(|_| crossbeam::channel::bounded::<Vec<CaptureRecord>>(SLICE_DEPTH))
+        .unzip();
+    crossbeam::thread::scope(|scope| {
+        let generator = scope.spawn(move |_| generate(engine, &mut SliceRouter::new(txs), opts));
+        let mut stage = obs::stage("pipeline.analyze");
+        let _span = obs::span(format!("analyze {}", engine.spec().id()));
+        let workers: Vec<_> = rxs
+            .into_iter()
+            .enumerate()
+            .map(|(w, rx)| {
+                scope.spawn(move |_| {
+                    let mut wstage = obs::stage_owned(format!("pipeline.analyze.worker{w}"));
+                    let queue = match jobs {
+                        1 => "pipeline_analyze".to_string(),
+                        _ => format!("pipeline_analyze_worker{w}"),
+                    };
+                    let source = ChannelSource::new(rx, &queue);
+                    let (sinks, stats) = consume(source, engine, opts.warehouse.as_ref());
+                    wstage.add_items(stats.rows);
+                    (sinks, stats)
+                })
+            })
+            .collect();
+        let gen_stats = generator
+            .join()
+            .expect("generator thread")
+            .expect("streamed generation succeeds");
+        let mut parts = workers
+            .into_iter()
+            .map(|h| h.join().expect("analysis worker"));
+        let (mut sinks, mut ingest_stats) = parts.next().expect("at least one worker");
+        for (partial, partial_stats) in parts {
+            sinks.merge(partial);
+            ingest_stats.merge(&partial_stats);
+        }
+        stage.add_items(ingest_stats.rows);
+        (gen_stats, sinks, ingest_stats)
+    })
+    .expect("pipeline scope join")
 }
 
 /// Generate + analyze an arbitrary dataset spec with explicit pipeline
-/// options: streaming (default) or via a kept on-disk capture, 1..N
-/// generator shards either way.
+/// options: streamed (default), or via a kept on-disk capture that is
+/// generated and then consumed in one pass; 1..N generator shards
+/// either way.
 pub fn run_spec_with(
     spec: DatasetSpec,
     scale: Scale,
     seed: u64,
     opts: &PipelineOpts,
 ) -> DatasetRun {
-    if let Some(path) = &opts.keep_capture {
-        let gen_stats = if opts.fleet {
-            crate::experiments::generate_capture_fleet(&spec, scale, seed, path, opts.shard_count())
-        } else {
-            crate::experiments::generate_capture_sharded(
-                &spec,
-                scale,
-                seed,
-                path,
-                opts.shard_count(),
-            )
-        }
-        .expect("capture generation succeeds");
-        let (analysis, dualstack, ingest_stats) =
-            analyze_capture(&spec, scale, seed, path).expect("capture analysis succeeds");
-        if let Some(target) = &opts.warehouse {
-            crate::store::append_capture(target, &spec, scale, seed, path)
-                .expect("warehouse append from kept capture succeeds");
-        }
-        return DatasetRun {
-            id: spec.id(),
-            spec,
-            analysis,
-            dualstack,
-            gen_stats,
-            ingest_stats,
-        };
-    }
-
     let engine = Engine::new(spec.clone(), scale, seed);
-    let plan = InternetPlan::build(&plan_config_for(&spec, scale, seed));
-    let mapper = plan.mapper;
-    let shards = opts.shard_count();
-    let jobs = opts.job_count();
-    let fleet = opts.fleet;
-    let engine_ref = &engine;
-    let spec_ref = &spec;
-    let mapper_ref = &mapper;
-    // Each consumer (the serial loop, or one of N workers) owns a fresh
-    // copy of the full analysis state; partials merge losslessly. The
-    // warehouse branch rides the same fanout: every consumer gets its
-    // own appender and the staged partitions merge with the partials.
-    let store_target = opts.warehouse.as_ref();
-    let fresh_sink = || {
-        FanoutSink::new(
-            FanoutSink::new(
-                DatasetAnalysis::new(engine_ref.zone().clone()),
-                DualStackSink::new(
-                    DualStackAnalysis::with_servers(&spec_ref.servers),
-                    engine_ref.ptr_db(),
-                ),
-            ),
-            crate::store::StoreSink::new(
-                store_target.map(|t| t.store.appender(&t.source, t.config)),
-            ),
-        )
-    };
-
-    let (gen_stats, sink, ingest_stats) = crossbeam::thread::scope(|scope| {
-        if jobs == 1 {
-            let (tx, rx) = crossbeam::channel::bounded::<Vec<CaptureRecord>>(CHANNEL_DEPTH);
-            let generator = scope.spawn(move |_| {
-                let mut stage = obs::stage("pipeline.generate");
-                let _span = obs::span(format!("generate {}", spec_ref.id()));
-                let mut sink = ChannelSink::new(tx);
-                let stats = if fleet {
-                    engine_ref.generate_fleet(&mut sink, shards)
-                } else {
-                    engine_ref.generate_sharded(&mut sink, shards)
-                };
-                if let Ok(s) = &stats {
-                    stage.add_items(s.queries + s.responses);
-                }
-                stats
-            });
-
-            let mut stage = obs::stage("pipeline.analyze");
-            let _span = obs::span(format!("analyze {}", spec_ref.id()));
-            let mut ingest = CaptureIngest::new(
-                ChannelSource::instrumented(rx, "pipeline_analyze"),
-                Enricher::new(mapper_ref.clone()),
-            );
-            let mut sink = fresh_sink();
-            let mut progress = obs::Progress::new(
-                format!("analyze {}", spec_ref.id()),
-                Some(engine_ref.scaled_total()),
-            );
-            for row in ingest.by_ref() {
-                note_row_hops(&row);
-                sink.push(&row);
-                progress.tick(1);
-            }
-            let ingest_stats = ingest.stats().clone();
-            stage.add_items(ingest_stats.rows);
-            let gen_stats = generator
-                .join()
-                .expect("generator thread")
-                .expect("streamed generation succeeds");
-            (gen_stats, sink, ingest_stats)
-        } else {
-            // Parallel consumer: whole slices are routed to worker
-            // `slot % jobs`; each worker joins and aggregates its own
-            // subset (sound because slices are join-self-contained),
-            // and the partials merge in worker order below.
-            let mut txs = Vec::with_capacity(jobs);
-            let mut rxs = Vec::with_capacity(jobs);
-            for _ in 0..jobs {
-                let (tx, rx) = crossbeam::channel::bounded::<Vec<CaptureRecord>>(SLICE_DEPTH);
-                txs.push(tx);
-                rxs.push(rx);
-            }
-            let generator = scope.spawn(move |_| {
-                let mut stage = obs::stage("pipeline.generate");
-                let _span = obs::span(format!("generate {}", spec_ref.id()));
-                let mut sink = SliceRouter::new(txs);
-                let stats = if fleet {
-                    engine_ref.generate_fleet(&mut sink, shards)
-                } else {
-                    engine_ref.generate_sharded(&mut sink, shards)
-                };
-                if let Ok(s) = &stats {
-                    stage.add_items(s.queries + s.responses);
-                }
-                stats
-            });
-
-            let mut stage = obs::stage("pipeline.analyze");
-            let _span = obs::span(format!("analyze {}", spec_ref.id()));
-            let fresh_sink = &fresh_sink;
-            let workers: Vec<_> = rxs
-                .into_iter()
-                .enumerate()
-                .map(|(w, rx)| {
-                    scope.spawn(move |_| {
-                        let mut wstage = obs::stage_owned(format!("pipeline.analyze.worker{w}"));
-                        let mut ingest = CaptureIngest::new(
-                            ChannelSource::instrumented(rx, &format!("pipeline_analyze_worker{w}")),
-                            Enricher::new(mapper_ref.clone()),
-                        );
-                        let mut sink = fresh_sink();
-                        for row in ingest.by_ref() {
-                            note_row_hops(&row);
-                            sink.push(&row);
-                        }
-                        let stats = ingest.stats().clone();
-                        wstage.add_items(stats.rows);
-                        (sink, stats)
-                    })
-                })
-                .collect();
-            let gen_stats = generator
-                .join()
-                .expect("generator thread")
-                .expect("streamed generation succeeds");
-            let mut parts = workers
-                .into_iter()
-                .map(|h| h.join().expect("analysis worker"));
-            let (mut sink, mut ingest_stats) = parts.next().expect("at least one worker");
-            for (partial, partial_stats) in parts {
-                sink.merge(partial);
-                ingest_stats.merge(&partial_stats);
-            }
-            stage.add_items(ingest_stats.rows);
-            (gen_stats, sink, ingest_stats)
+    let (gen_stats, sinks, ingest_stats) = match &opts.keep_capture {
+        Some(path) => {
+            let gen_stats =
+                write_capture(&engine, path, opts).expect("capture generation succeeds");
+            let (sinks, ingest_stats) = consume_capture(path, &engine, opts.warehouse.as_ref())
+                .expect("capture analysis succeeds");
+            (gen_stats, sinks, ingest_stats)
         }
-    })
-    .expect("pipeline scope join");
-    let (inner, store_sink) = sink.into_parts();
-    let (analysis, dualstack) = inner.into_parts();
-    let dualstack = dualstack.into_inner();
-    store_sink
-        .finish()
-        .expect("warehouse append flushes cleanly");
-
-    warn_on_capture_errors(&spec.id(), &ingest_stats);
+        None => stream(&engine, opts),
+    };
+    let (analysis, dualstack) = finish(sinks).expect("warehouse append flushes cleanly");
     DatasetRun {
         id: spec.id(),
         spec,
@@ -530,7 +430,7 @@ pub fn run_spec_with(
 /// Surface torn/corrupt capture records: a nonzero count means the
 /// ingest stream ended early and every downstream table is computed
 /// from a partial dataset — loud on stderr, counted for scrapes.
-pub fn warn_on_capture_errors(id: &str, stats: &IngestStats) {
+fn warn_on_capture_errors(id: &str, stats: &IngestStats) {
     if stats.capture_errors > 0 {
         eprintln!(
             "warning: {id}: {} torn/corrupt capture record(s) cut the ingest stream short; \
@@ -549,6 +449,45 @@ pub fn warn_on_capture_errors(id: &str, stats: &IngestStats) {
 mod tests {
     use super::*;
     use crate::experiments::{run_spec, temp_capture_path};
+    use simnet::profile::Vantage;
+    use simnet::scenario::dataset;
+
+    /// A `SliceRouter` hands the generator's slices over untouched:
+    /// over one channel the stream is the generator's `Vec` output
+    /// record for record; over three, slot `s` lands on channel
+    /// `s % 3`, each slice keeps its order, and dealing the channels
+    /// back round-robin rebuilds the same vector.
+    #[test]
+    fn slice_router_delivers_the_generators_records_in_slice_order() {
+        let engine = Engine::new(dataset(Vantage::Nz, 2020), Scale::tiny(), 19);
+        let mut reference: Vec<CaptureRecord> = Vec::new();
+        engine.generate_sharded(&mut reference, 1).unwrap();
+        assert!(!reference.is_empty());
+        let slots = engine.spec().days as usize * 24;
+
+        for channels in [1usize, 3] {
+            let (txs, rxs): (Vec<_>, Vec<_>) = (0..channels)
+                .map(|_| crossbeam::channel::unbounded::<Vec<CaptureRecord>>())
+                .unzip();
+            let mut router = SliceRouter::new(txs);
+            engine.generate_sharded(&mut router, 2).unwrap();
+            drop(router);
+            let per_channel: Vec<Vec<Vec<CaptureRecord>>> = rxs
+                .iter()
+                .map(|rx| std::iter::from_fn(|| rx.recv().ok()).collect())
+                .collect();
+            assert_eq!(
+                per_channel.iter().map(Vec::len).sum::<usize>(),
+                slots,
+                "one delivery per slot over {channels} channel(s)"
+            );
+            let mut lanes: Vec<_> = per_channel.into_iter().map(Vec::into_iter).collect();
+            let rebuilt: Vec<CaptureRecord> = (0..slots)
+                .flat_map(|slot| lanes[slot % channels].next().expect("slot delivered"))
+                .collect();
+            assert!(rebuilt == reference, "{channels} channel(s)");
+        }
+    }
 
     /// The tentpole's correctness claim: the in-memory streamed path
     /// and the kept-capture disk path produce identical results.

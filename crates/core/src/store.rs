@@ -10,34 +10,25 @@
 //! pass that produces the in-memory report. The read side rebuilds the
 //! exact per-dataset analysis from committed partitions: each source
 //! records its `(spec, scale, seed)` as manifest metadata
-//! ([`SourceInfo`]), scans reconstruct the enrichment context from it
-//! the same way [`crate::experiments::analyze_capture`] does from a
-//! capture file, and partition chunks fan out over
+//! ([`SourceInfo`]), scans rebuild the same [`Engine`] from it that
+//! [`crate::experiments::analyze_capture`] does for a capture file and
+//! fill the same [`analysis_sinks`], and partition chunks fan out over
 //! [`crate::suite::run_tasks`] — order-insensitive sinks make the
 //! result byte-identical to the in-memory path for any `--jobs` value.
 
 use crate::analysis::DatasetAnalysis;
 use crate::dualstack::DualStackAnalysis;
-use crate::experiments::DatasetRun;
-use crate::paper::{compare_rows, ComparisonRow, Measured};
-use crate::pipeline::{run_spec_with, PipelineOpts};
+use crate::experiments::{figure3_specs, monthly_sample, DatasetRun};
+use crate::paper::{compare_rows, comparison_specs, ComparisonRow, Measured};
+use crate::pipeline::{analysis_sinks, run_spec_with, PipelineOpts};
 use crate::qmin::MonthlySample;
-use crate::sink::{DualStackSink, FanoutSink, RowSink};
+use crate::sink::RowSink;
 use asdb::cloud::Provider;
-use asdb::synth::InternetPlan;
-use dns_wire::types::RType;
-use entrada::agg::Counter;
-use entrada::enrich::Enricher;
-use entrada::ingest::CaptureIngest;
 use entrada::schema::QueryRow;
-use netbase::capture::CaptureReader;
 use serde::{Deserialize, Serialize};
-use simnet::engine::{plan_config_for, Engine};
+use simnet::engine::Engine;
 use simnet::profile::Vantage;
-use simnet::scenario::{
-    dataset, figure3_months, monthly_google, monthly_provider, DatasetSpec, Scale,
-};
-use std::path::Path;
+use simnet::scenario::{DatasetSpec, Scale};
 use std::sync::Arc;
 use warehouse::scan::row_matches;
 use warehouse::{AppendConfig, AppendStats, Appender, Predicate, ScanStats, Warehouse};
@@ -128,8 +119,31 @@ pub fn source_info(wh: &Warehouse, id: &str) -> Result<SourceInfo, String> {
     serde_json::from_str(&meta.meta).map_err(|e| format!("source {id:?} metadata unreadable: {e}"))
 }
 
-/// Generate + analyze `spec` with the fused pipeline, appending every
-/// row to the warehouse under `spec.id()` on the way through. Staged
+/// Register `id` as the source of a `(spec, scale, seed)` run
+/// ([`ensure_source`]) and return the target its rows append under.
+pub fn register(
+    wh: &Arc<Warehouse>,
+    id: &str,
+    spec: &DatasetSpec,
+    scale: Scale,
+    seed: u64,
+    config: AppendConfig,
+) -> Result<WarehouseTarget, String> {
+    let info = SourceInfo {
+        spec: spec.clone(),
+        scale,
+        seed,
+    };
+    ensure_source(wh, id, &info)?;
+    Ok(WarehouseTarget {
+        store: Arc::clone(wh),
+        source: id.to_string(),
+        config,
+    })
+}
+
+/// Generate + analyze `spec` with the pipeline, appending every row to
+/// the warehouse under `spec.id()` on the way through. Staged
 /// partitions are left for the caller to [`Warehouse::commit`], so one
 /// CLI invocation is one atomic manifest update.
 pub fn ingest_spec(
@@ -140,22 +154,8 @@ pub fn ingest_spec(
     opts: &PipelineOpts,
     config: AppendConfig,
 ) -> Result<DatasetRun, String> {
-    let id = spec.id();
-    ensure_source(
-        wh,
-        &id,
-        &SourceInfo {
-            spec: spec.clone(),
-            scale,
-            seed,
-        },
-    )?;
     let opts = PipelineOpts {
-        warehouse: Some(WarehouseTarget {
-            store: Arc::clone(wh),
-            source: id,
-            config,
-        }),
+        warehouse: Some(register(wh, &spec.id(), &spec, scale, seed, config)?),
         ..opts.clone()
     };
     Ok(run_spec_with(spec, scale, seed, &opts))
@@ -166,13 +166,7 @@ pub fn monthly_source_id(vantage: Vantage, provider: Provider, year: i32, month:
     format!("fig3-{provider:?}-{vantage:?}-{year}-{month:02}").to_lowercase()
 }
 
-/// The per-month seed of the Figure 3 series (the same derivation
-/// [`crate::experiments::run_monthly_series_for_jobs`] uses).
-fn monthly_seed(seed: u64, year: i32, month: u32) -> u64 {
-    seed ^ ((year as u64) << 8 | month as u64)
-}
-
-/// Ingest the 18-month Figure 3 series (Nov 2018 – Apr 2020) for one
+/// Ingest the 18-month Figure 3 series ([`figure3_specs`]) for one
 /// vantage and provider, up to `jobs` months in flight. Each month is
 /// its own warehouse source carrying its own spec and derived seed.
 /// Staged partitions are left for the caller to commit.
@@ -187,106 +181,30 @@ pub fn ingest_monthly(
     config: AppendConfig,
     jobs: usize,
 ) -> Result<Vec<DatasetRun>, String> {
-    let months: Vec<(String, DatasetSpec, u64)> = figure3_months()
-        .into_iter()
-        .map(|(year, month)| {
-            let spec = if provider == Provider::Google {
-                monthly_google(vantage, year, month)
-            } else {
-                monthly_provider(vantage, provider, year, month)
-            };
-            (
-                monthly_source_id(vantage, provider, year, month),
-                spec,
-                monthly_seed(seed, year, month),
-            )
-        })
-        .collect();
     // Register every source before any generation work, so a
     // spec/scale/seed conflict fails fast instead of mid-series.
-    for (id, spec, mseed) in &months {
-        ensure_source(
-            wh,
-            id,
-            &SourceInfo {
-                spec: spec.clone(),
-                scale,
-                seed: *mseed,
-            },
-        )?;
-    }
+    let months = figure3_specs(vantage, provider, seed)
+        .into_iter()
+        .map(|(year, month, spec, mseed)| {
+            let id = monthly_source_id(vantage, provider, year, month);
+            let target = register(wh, &id, &spec, scale, mseed, config)?;
+            Ok((spec, mseed, target))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     let tasks = months
         .into_iter()
-        .map(|(id, spec, mseed)| {
+        .map(|(spec, mseed, target)| {
+            let label = format!("store.ingest.{}", target.source);
             let opts = PipelineOpts {
-                warehouse: Some(WarehouseTarget {
-                    store: Arc::clone(wh),
-                    source: id.clone(),
-                    config,
-                }),
+                warehouse: Some(target),
                 ..opts.clone()
             };
-            let label = format!("store.ingest.{id}");
             (label, move || run_spec_with(spec, scale, mseed, &opts))
         })
         .collect();
     Ok(crate::suite::run_tasks(tasks, jobs, |run: &DatasetRun| {
         run.ingest_stats.rows
     }))
-}
-
-/// Re-read a capture file and append its rows to the warehouse (the
-/// two-pass `--keep-capture` path, and `analyze`/`live` on an existing
-/// capture). The enrichment context is reconstructed from
-/// `(spec, scale, seed)` exactly as the analysis pass does, so the
-/// stored rows match what the analyzer saw. Partitions stay staged.
-pub fn append_capture(
-    target: &WarehouseTarget,
-    spec: &DatasetSpec,
-    scale: Scale,
-    seed: u64,
-    path: &Path,
-) -> Result<AppendStats, String> {
-    let plan = InternetPlan::build(&plan_config_for(spec, scale, seed));
-    let enricher = Enricher::new(plan.mapper);
-    let file = std::fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let reader = CaptureReader::new(std::io::BufReader::new(file))
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut ingest = CaptureIngest::new(reader, enricher);
-    let mut app = target.store.appender(&target.source, target.config);
-    for row in ingest.by_ref() {
-        app.push(&row);
-    }
-    app.finish().map_err(|e| e.to_string())
-}
-
-/// [`append_capture`] with source registration under `spec.id()`: the
-/// convenience entry the `analyze --warehouse` and `live --warehouse`
-/// commands use on an existing capture file.
-pub fn append_dataset_capture(
-    wh: &Arc<Warehouse>,
-    spec: &DatasetSpec,
-    scale: Scale,
-    seed: u64,
-    path: &Path,
-    config: AppendConfig,
-) -> Result<AppendStats, String> {
-    let id = spec.id();
-    ensure_source(
-        wh,
-        &id,
-        &SourceInfo {
-            spec: spec.clone(),
-            scale,
-            seed,
-        },
-    )?;
-    let target = WarehouseTarget {
-        store: Arc::clone(wh),
-        source: id,
-        config,
-    };
-    append_capture(&target, spec, scale, seed, path)
 }
 
 /// One source's full analysis state, rebuilt from warehouse scans.
@@ -324,24 +242,16 @@ pub fn analyze_source(
         let text = warehouse::explain::render_plan(&pred, &metas, &stats);
         warehouse::explain::record_plan(id.to_string(), text);
     }
-    // zone + PTR view, reconstructed as analyze_capture does
+    // the enrichment context (zone, PTR view, server list), rebuilt
+    // as analyze_capture does
     let engine = Engine::new(info.spec.clone(), info.scale, info.seed);
-    let fresh_sink = || {
-        FanoutSink::new(
-            DatasetAnalysis::new(engine.zone().clone()),
-            DualStackSink::new(
-                DualStackAnalysis::with_servers(&info.spec.servers),
-                engine.ptr_db(),
-            ),
-        )
-    };
+    let engine_ref = &engine;
 
     let sink = if metas.is_empty() {
-        fresh_sink()
+        analysis_sinks(engine_ref)
     } else {
         let chunk_count = metas.len().min(jobs.max(1) * 4);
         let chunk_size = metas.len().div_ceil(chunk_count);
-        let fresh_ref = &fresh_sink;
         let pred_ref = &pred;
         let tasks: Vec<(String, _)> = metas
             .chunks(chunk_size)
@@ -350,7 +260,7 @@ pub fn analyze_source(
                 let label = format!("store.scan.{id}.{i}");
                 (label, move || {
                     let mut stats = ScanStats::default();
-                    let mut sink = fresh_ref();
+                    let mut sink = analysis_sinks(engine_ref);
                     for meta in chunk {
                         let Some(batch) = wh.read_for_scan(meta, &mut stats) else {
                             continue;
@@ -472,20 +382,17 @@ pub fn monthly_series(
     provider: Provider,
     jobs: usize,
 ) -> Result<(Vec<MonthlySample>, ScanStats), String> {
-    let tasks = figure3_months()
+    // only the month list matters here: each source's spec and seed
+    // come back from its manifest metadata
+    let tasks = figure3_specs(vantage, provider, 0)
         .into_iter()
-        .map(|(year, month)| {
+        .map(|(year, month, ..)| {
             let id = monthly_source_id(vantage, provider, year, month);
             let label = format!("store.fig3.{id}");
             let task = move || -> Result<(MonthlySample, ScanStats), String> {
                 let sa = analyze_source(wh, &id, &Predicate::all(), 1)?;
-                let agg = sa.analysis.provider(Some(provider));
-                let mut qtypes: Counter<RType> = Counter::new();
-                for (t, c) in agg.qtype.iter() {
-                    qtypes.add(*t, c);
-                }
                 Ok((
-                    MonthlySample::from_counters(year, month, &qtypes, agg.minimized_ns),
+                    monthly_sample(year, month, provider, &sa.analysis),
                     sa.stats,
                 ))
             };
@@ -511,30 +418,26 @@ pub fn monthly_series(
 /// same rows the in-memory run does on the same `(scale, seed)`.
 pub fn compare(wh: &Warehouse, jobs: usize) -> Result<(Vec<ComparisonRow>, ScanStats), String> {
     let mut stats = ScanStats::default();
-    let mut get = |vantage: Vantage, year: u16| -> Result<Measured, String> {
-        let sa = analyze_source(wh, &dataset(vantage, year).id(), &Predicate::all(), jobs)?;
+    let mut datasets = Vec::new();
+    for spec in comparison_specs() {
+        let sa = analyze_source(wh, &spec.id(), &Predicate::all(), jobs)?;
         stats.merge(&sa.stats);
-        Ok(Measured {
+        datasets.push(Measured {
             id: sa.id,
             analysis: sa.analysis,
-        })
-    };
-    let nl20 = get(Vantage::Nl, 2020)?;
-    let nl19 = get(Vantage::Nl, 2019)?;
-    let nz20 = get(Vantage::Nz, 2020)?;
-    let nz19 = get(Vantage::Nz, 2019)?;
-    let br20 = get(Vantage::BRoot, 2020)?;
+        });
+    }
     let (nl_series, nl_stats) = monthly_series(wh, Vantage::Nl, Provider::Google, jobs)?;
     let (nz_series, nz_stats) = monthly_series(wh, Vantage::Nz, Provider::Google, jobs)?;
     stats.merge(&nl_stats);
     stats.merge(&nz_stats);
-    let rows = compare_rows(&nl20, &nl19, &nz20, &nz19, &br20, &nl_series, &nz_series);
-    Ok((rows, stats))
+    Ok((compare_rows(&datasets, &nl_series, &nz_series), stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::scenario::dataset;
 
     #[test]
     fn monthly_ids_are_distinct_and_stable() {
@@ -569,10 +472,5 @@ mod tests {
         assert_eq!(back.spec.id(), "nz-w2019");
         assert!(source_info(&wh, "missing").is_err());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn monthly_seed_matches_series_derivation() {
-        assert_eq!(monthly_seed(42, 2019, 12), 42 ^ ((2019u64 << 8) | 12));
     }
 }

@@ -175,7 +175,7 @@ impl ColumnarBatch {
                 0 => None,
                 v => Some(Asn(v)),
             },
-            provider: tag_provider(provider_tag_at(self, i)),
+            provider: tag_provider(asn_provider_tag(self.asns[i])),
             public_dns: flags & 4 != 0,
         }
     }
@@ -199,18 +199,7 @@ impl ColumnarBatch {
     /// Per-row provider tags (see [`provider_tag`]), derived from the
     /// ASN column — providers are not stored per row.
     pub fn provider_tags(&self) -> impl Iterator<Item = u8> + '_ {
-        // providers derive from ASNs: reconstruct via the 20 known ASes
-        self.asns.iter().map(|&asn| {
-            if asn == 0 {
-                return 0;
-            }
-            for p in asdb::cloud::ALL_PROVIDERS {
-                if p.asns().iter().any(|a| a.0 == asn) {
-                    return provider_tag(Some(p));
-                }
-            }
-            0
-        })
+        self.asns.iter().copied().map(asn_provider_tag)
     }
 
     /// Merge another batch in: columns are appended, the other batch's
@@ -259,11 +248,6 @@ impl ColumnarBatch {
             + self.dict_arena.len()
             + self.dict_offsets.len() * size_of::<(u32, u32)>()
             + self.dict_index.len() * 48
-    }
-
-    /// Approximate heap footprint of the batch, bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.bytes()
     }
 
     /// Borrowed views of the raw columns, for serialization (the
@@ -430,8 +414,9 @@ pub struct Columns {
     pub dict_arena: Vec<u8>,
 }
 
-fn provider_tag_at(batch: &ColumnarBatch, i: usize) -> u8 {
-    let asn = batch.asns[i];
+/// The provider tag of an ASN-column value (0 = unmapped): providers
+/// are not stored per row, they derive from the 20 known cloud ASes.
+fn asn_provider_tag(asn: u32) -> u8 {
     if asn == 0 {
         return 0;
     }
@@ -537,7 +522,7 @@ mod tests {
         assert_eq!(batch.dictionary_size(), 7, "7 distinct names interned once");
         // far below a row-struct representation (Name alone is ~20B heap
         // per row, plus Vec overheads)
-        let per_row = batch.memory_bytes() / batch.len();
+        let per_row = batch.bytes() / batch.len();
         assert!(per_row < 120, "columnar footprint {per_row} B/row");
     }
 
@@ -605,7 +590,6 @@ mod tests {
             + size_of::<u8>() * 2
             + size_of::<u32>() * 4;
         assert!(batch.bytes() >= batch.len() * per_row);
-        assert_eq!(batch.bytes(), batch.memory_bytes());
     }
 
     #[test]

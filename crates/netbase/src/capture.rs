@@ -124,17 +124,17 @@ pub trait RecordSink {
     /// Accept the next record of the stream.
     fn emit(&mut self, rec: CaptureRecord) -> io::Result<()>;
 
-    /// All records of time slice `slot` have been emitted.
+    /// Accept all of time slice `slot`, in order.
     ///
     /// The generator produces traffic in self-contained time slices
     /// (every query/response exchange falls entirely within one slice)
-    /// and calls this after each slice's records, in slice order. Sinks
-    /// that partition downstream work — the parallel-analysis pipeline
-    /// routes whole slices to workers — hook this; file/vector sinks
-    /// keep the no-op default.
-    fn slice_end(&mut self, slot: u64) -> io::Result<()> {
+    /// and hands each over whole, in slice order. Sinks that partition
+    /// downstream work — the analysis pipeline routes whole slices to
+    /// workers — take the vector as is; file/vector sinks keep this
+    /// default, which is [`RecordSink::emit`] record by record.
+    fn emit_slice(&mut self, slot: u64, slice: Vec<CaptureRecord>) -> io::Result<()> {
         let _ = slot;
-        Ok(())
+        slice.into_iter().try_for_each(|rec| self.emit(rec))
     }
 }
 
@@ -436,6 +436,38 @@ mod tests {
             w.finish().unwrap();
         }
         assert_eq!(owned, borrowed, "borrowed writes are byte-identical");
+    }
+
+    /// The default `emit_slice` is `emit`, record by record, in order:
+    /// slices handed to a vector or a file sink land exactly as the
+    /// same records emitted one at a time.
+    #[test]
+    fn default_emit_slice_is_emit_in_order() {
+        let slices: Vec<Vec<CaptureRecord>> = vec![
+            (0..7).map(|i| rec(i, i % 3 == 0)).collect(),
+            Vec::new(),
+            (7..12).map(|i| rec(i, i % 2 == 0)).collect(),
+        ];
+        let mut by_record: Vec<CaptureRecord> = Vec::new();
+        let mut by_slice: Vec<CaptureRecord> = Vec::new();
+        let (mut file_by_record, mut file_by_slice) = (Vec::new(), Vec::new());
+        {
+            let mut w_record = CaptureWriter::new(&mut file_by_record).unwrap();
+            let mut w_slice = CaptureWriter::new(&mut file_by_slice).unwrap();
+            for (slot, slice) in slices.iter().enumerate() {
+                for r in slice {
+                    by_record.emit(r.clone()).unwrap();
+                    w_record.emit(r.clone()).unwrap();
+                }
+                by_slice.emit_slice(slot as u64, slice.clone()).unwrap();
+                w_slice.emit_slice(slot as u64, slice.clone()).unwrap();
+            }
+            w_record.finish().unwrap();
+            w_slice.finish().unwrap();
+        }
+        assert_eq!(by_slice.len(), 12);
+        assert_eq!(by_slice, by_record);
+        assert_eq!(file_by_slice, file_by_record);
     }
 
     #[test]

@@ -24,10 +24,23 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-wide allocation count.
-static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Process-wide allocated-byte count (bytes requested, not freed).
-static TOTAL_BYTES: AtomicU64 = AtomicU64::new(0);
+/// The process-wide totals, on a cache line of their own. Every thread
+/// bumps both on every allocation; as two loose statics the linker
+/// decided, build by build, whether that was one contended line or two
+/// and whether the read-mostly flags packed beside them were invalidated
+/// with it: equivalent sources ran 13% apart in CPU per pipeline record.
+#[repr(align(64))]
+struct Totals {
+    /// Allocation count.
+    allocs: AtomicU64,
+    /// Allocated-byte count (bytes requested, not freed).
+    bytes: AtomicU64,
+}
+
+static TOTALS: Totals = Totals {
+    allocs: AtomicU64::new(0),
+    bytes: AtomicU64::new(0),
+};
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -45,8 +58,8 @@ pub struct CountingAlloc;
 
 #[inline]
 fn note_alloc(size: u64) {
-    TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    TOTAL_BYTES.fetch_add(size, Ordering::Relaxed);
+    TOTALS.allocs.fetch_add(1, Ordering::Relaxed);
+    TOTALS.bytes.fetch_add(size, Ordering::Relaxed);
     // TLS may be unavailable during thread teardown; skip quietly then
     // (the process-wide totals above still see the event).
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get().wrapping_add(1)));
@@ -135,8 +148,8 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, ScopeStats) {
 /// Process-wide `(allocation_count, bytes_allocated)` since start.
 pub fn totals() -> (u64, u64) {
     (
-        TOTAL_ALLOCS.load(Ordering::Relaxed),
-        TOTAL_BYTES.load(Ordering::Relaxed),
+        TOTALS.allocs.load(Ordering::Relaxed),
+        TOTALS.bytes.load(Ordering::Relaxed),
     )
 }
 

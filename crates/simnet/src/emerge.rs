@@ -960,10 +960,7 @@ impl Engine {
                     stats.absorb(&inc.stats);
                     buf.extend(inc.records);
                     buf.sort_by_key(|r| r.timestamp);
-                    for rec in buf {
-                        out.emit(rec)?;
-                    }
-                    out.slice_end(slot as u64)?;
+                    out.emit_slice(slot as u64, buf)?;
                 }
                 Ok(())
             };

@@ -266,10 +266,7 @@ impl Engine {
                 for (acc, c) in fleet_counts.iter_mut().zip(&slice.fleet_counts) {
                     *acc += *c;
                 }
-                for rec in slice.records {
-                    out.emit(rec)?;
-                }
-                out.slice_end(slot as u64)?;
+                out.emit_slice(slot as u64, slice.records)?;
             }
         } else {
             // Workers stripe the slot range (worker w takes slots w,
@@ -308,10 +305,7 @@ impl Engine {
                         for (acc, c) in fleet_counts.iter_mut().zip(&slice.fleet_counts) {
                             *acc += *c;
                         }
-                        for rec in slice.records {
-                            out.emit(rec)?;
-                        }
-                        out.slice_end(slot as u64)?;
+                        out.emit_slice(slot as u64, slice.records)?;
                     }
                     Ok(())
                 };

@@ -9,7 +9,9 @@
 //!                                                       #  Feb-2020 incident)
 //! ```
 
+use asdb::cloud::Provider;
 use dnscentral_core::experiments::run_monthly_series;
+use dnscentral_core::pipeline::PipelineOpts;
 use dnscentral_core::qmin::{detect_cusum, detect_threshold};
 use dnscentral_core::report;
 use simnet::profile::Vantage;
@@ -24,7 +26,14 @@ fn main() {
         "generating 18 monthly Google samples against {} ...",
         vantage.label()
     );
-    let series = run_monthly_series(vantage, Scale::small(), 42);
+    let series = run_monthly_series(
+        vantage,
+        Provider::Google,
+        Scale::small(),
+        42,
+        &PipelineOpts::default(),
+        1,
+    );
 
     let cusum = detect_cusum(&series, 0.05, 0.3);
     print!("{}", report::render_fig3(vantage.label(), &series, cusum));

@@ -40,7 +40,9 @@
 //! usage line, and `help` — they cannot drift apart.
 
 use dnscentral_core::dualstack::DualStackAnalysis;
-use dnscentral_core::experiments::{analyze_capture, generate_capture_sharded};
+use dnscentral_core::experiments::{
+    analyze_capture_into, generate_capture_sharded, run_monthly_series,
+};
 use dnscentral_core::pipeline::{run_spec_with, PipelineOpts};
 use dnscentral_core::{ednssize, junk, metrics, qmin, report, store, transport};
 use simnet::profile::Vantage;
@@ -291,7 +293,8 @@ const BOOL_FLAGS: &[(&str, &str)] = &[
     ),
     (
         "--fleet",
-        "dataset/scenario/concentration/junk-overview: generate with the \
+        "every generating command (dataset, scenario, ingest, report, qmin, \
+         experiments, concentration, junk-overview): generate with the \
          algorithmic resolver fleet (emergent signatures) instead of the \
          calibrated sampler",
     ),
@@ -497,15 +500,18 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
     if jobs == 0 {
         return Err("--jobs must be at least 1".to_string());
     }
-    let keep_capture = flags.iter().any(|f| *f == "--keep-capture");
-    let fleet = flags.iter().any(|f| *f == "--fleet");
-    // capture kept next to the cwd, named after the dataset
-    let opts_for = |id: &str| PipelineOpts {
+    // the one pipeline description every generating command runs under
+    let opts = PipelineOpts {
         shards,
         jobs,
+        fleet: flags.iter().any(|f| *f == "--fleet"),
+        ..PipelineOpts::default()
+    };
+    // --keep-capture: the capture stays in the cwd, named after the dataset
+    let keep_capture = flags.iter().any(|f| *f == "--keep-capture");
+    let opts_for = |id: &str| PipelineOpts {
         keep_capture: keep_capture.then(|| std::path::PathBuf::from(format!("{id}.dnscap"))),
-        warehouse: None,
-        fleet,
+        ..opts.clone()
     };
 
     match positional.first().map(|s| s.as_str()) {
@@ -527,28 +533,7 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
         Some("analyze") => {
             let (vantage, year, path) = dataset_args(positional)?;
             let spec = dataset(vantage, year);
-            let (analysis, dualstack, ingest) =
-                analyze_capture(&spec, scale, seed, Path::new(path)).expect("analysis");
-            print_dataset_report(&spec.id(), vantage, &analysis, &dualstack, &spec);
-            eprintln!(
-                "[ingest: {} frames, {} malformed, {} unanswered, {} capture errors]",
-                ingest.frames, ingest.malformed, ingest.unanswered_queries, ingest.capture_errors
-            );
-            if let Some(wh) = open_warehouse(flags)? {
-                let stats = store::append_dataset_capture(
-                    &wh,
-                    &spec,
-                    scale,
-                    seed,
-                    Path::new(path),
-                    append_config(flags)?,
-                )?;
-                let committed = wh.commit().map_err(|e| e.to_string())?;
-                eprintln!(
-                    "[warehouse: {} row(s) -> {committed} new partition(s)]",
-                    stats.rows
-                );
-            }
+            analyze_cli(&spec, scale, seed, Path::new(path), flags)?;
         }
         Some("dataset") => {
             let (vantage, year) = vantage_year(positional)?;
@@ -584,11 +569,6 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
             let vantage =
                 parse_vantage(positional.get(1).ok_or("vantage required (nl|nz|broot)")?)?;
             if flags.iter().any(|f| *f == "--monthly") {
-                // one month per task, `jobs` months in flight
-                let opts = PipelineOpts {
-                    shards,
-                    ..PipelineOpts::default()
-                };
                 let provider = parse_provider(flags)?;
                 let runs = store::ingest_monthly(
                     &wh, vantage, provider, scale, seed, &opts, config, jobs,
@@ -626,9 +606,7 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
                     eprintln!("[warehouse: {}]", stats.summary());
                     series
                 }
-                None => dnscentral_core::experiments::run_monthly_series_for_jobs(
-                    vantage, provider, scale, seed, jobs,
-                ),
+                None => run_monthly_series(vantage, provider, scale, seed, &opts, jobs),
             };
             let detected = qmin::detect_cusum(&series, 0.05, 0.3);
             print!(
@@ -658,7 +636,7 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
                     eprintln!("[warehouse: {}]", stats.summary());
                 }
             }
-            None => full_report(scale, seed, shards, jobs),
+            None => full_report(scale, seed, &opts, jobs),
         },
         Some("inspect") => {
             let path = positional
@@ -691,13 +669,7 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
                 .into_iter()
                 .map(|v| dataset(v, 2020))
                 .collect();
-            let pipe = PipelineOpts {
-                shards,
-                jobs,
-                fleet,
-                ..PipelineOpts::default()
-            };
-            let reports: Vec<_> = dnscentral_core::run_suite(specs, scale, seed, &pipe, jobs)
+            let reports: Vec<_> = dnscentral_core::run_suite(specs, scale, seed, &opts, jobs)
                 .iter()
                 .map(|run| dnscentral_core::concentration::concentration(&run.id, &run.analysis))
                 .collect();
@@ -736,7 +708,7 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
                     eprintln!("[warehouse: {}]", stats.summary());
                     rows
                 }
-                None => dnscentral_core::paper::compare_with(scale, seed, jobs),
+                None => dnscentral_core::paper::compare_with(scale, seed, &opts, jobs),
             };
             print!("{}", dnscentral_core::paper::render_markdown(&rows));
         }
@@ -745,13 +717,7 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
                 .into_iter()
                 .map(|year| dataset(Vantage::BRoot, year))
                 .collect();
-            let pipe = PipelineOpts {
-                shards,
-                jobs,
-                fleet,
-                ..PipelineOpts::default()
-            };
-            let measured: Vec<_> = dnscentral_core::run_suite(specs, scale, seed, &pipe, jobs)
+            let measured: Vec<_> = dnscentral_core::run_suite(specs, scale, seed, &opts, jobs)
                 .iter()
                 .map(|run| (run.spec.year, run.analysis.valid_fraction()))
                 .collect();
@@ -1085,29 +1051,48 @@ fn live_cli(
         return Ok(ExitCode::FAILURE);
     }
 
+    analyze_cli(&spec, scale, seed, Path::new(out), flags)?;
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Analyze a capture file — generated, or tapped off a live run — in
+/// one pass: the dataset report, the ingest accounting line and, under
+/// `--warehouse`, the same rows committed to the store.
+fn analyze_cli(
+    spec: &simnet::scenario::DatasetSpec,
+    scale: Scale,
+    seed: u64,
+    path: &Path,
+    flags: &[&String],
+) -> Result<(), String> {
+    let wh = open_warehouse(flags)?;
+    let target = match &wh {
+        Some(wh) => Some(store::register(
+            wh,
+            &spec.id(),
+            spec,
+            scale,
+            seed,
+            append_config(flags)?,
+        )?),
+        None => None,
+    };
     let (analysis, dualstack, ingest) =
-        analyze_capture(&spec, scale, seed, Path::new(out)).expect("live capture analyzes");
-    print_dataset_report(&spec.id(), vantage, &analysis, &dualstack, &spec);
+        analyze_capture_into(spec, scale, seed, path, target.as_ref())
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+    print_dataset_report(&spec.id(), spec.vantage, &analysis, &dualstack, spec);
     eprintln!(
         "[ingest: {} frames, {} malformed, {} unanswered, {} capture errors]",
         ingest.frames, ingest.malformed, ingest.unanswered_queries, ingest.capture_errors
     );
-    if let Some(wh) = open_warehouse(flags)? {
-        let stats = store::append_dataset_capture(
-            &wh,
-            &spec,
-            scale,
-            seed,
-            Path::new(out),
-            append_config(flags)?,
-        )?;
+    if let Some(wh) = wh {
         let committed = wh.commit().map_err(|e| e.to_string())?;
         eprintln!(
             "[warehouse: {} row(s) -> {committed} new partition(s)]",
-            stats.rows
+            ingest.rows
         );
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }
 
 /// Rewrite `--flag value` as `--flag=value` for the known value-taking
@@ -1434,12 +1419,7 @@ fn print_dataset_report(
 /// flight) in spec order, and every exhibit renders from the collected
 /// results in the same sequence a serial run printed — the report is
 /// byte-identical for any `jobs`/`shards` value.
-fn full_report(scale: Scale, seed: u64, shards: usize, jobs: usize) {
-    let opts = PipelineOpts {
-        shards,
-        jobs,
-        ..PipelineOpts::default()
-    };
+fn full_report(scale: Scale, seed: u64, opts: &PipelineOpts, jobs: usize) {
     let mut summaries = Vec::new();
     let mut shares = Vec::new();
     let mut splits = Vec::new();
@@ -1455,7 +1435,7 @@ fn full_report(scale: Scale, seed: u64, shards: usize, jobs: usize) {
         dnscentral_core::experiments::table3_specs(),
         scale,
         seed,
-        &opts,
+        opts,
         jobs,
     );
     for run in &runs {
@@ -1528,13 +1508,8 @@ fn full_report(scale: Scale, seed: u64, shards: usize, jobs: usize) {
     print!("{}", report::render_junk_overview(&broot_valid));
     println!();
     for vantage in [Vantage::Nl, Vantage::Nz] {
-        let series = dnscentral_core::experiments::run_monthly_series_for_jobs(
-            vantage,
-            asdb::cloud::Provider::Google,
-            scale,
-            seed,
-            jobs,
-        );
+        let provider = asdb::cloud::Provider::Google;
+        let series = run_monthly_series(vantage, provider, scale, seed, opts, jobs);
         let detected = qmin::detect_cusum(&series, 0.05, 0.3);
         print!(
             "{}",
@@ -1579,7 +1554,6 @@ fn analyze_external_pcap(input: &Path, zone: zonedb::zone::ZoneModel) {
     use dnscentral_core::DatasetAnalysis;
     use entrada::enrich::Enricher;
     use entrada::ingest::CaptureIngest;
-    use netbase::capture::{CaptureReader, CaptureWriter};
     use netbase::trie::PrefixTrie;
 
     let data = std::fs::read(input).expect("input reads");
@@ -1598,19 +1572,8 @@ fn analyze_external_pcap(input: &Path, zone: zonedb::zone::ZoneModel) {
     }
     let mapper = AsMapper::new(trie, AsRegistry::with_cloud_providers());
 
-    // feed through the normal ingest path via an in-memory capture
-    let mut buf = Vec::new();
-    {
-        let mut w = CaptureWriter::new(&mut buf).expect("writer");
-        for rec in &records {
-            w.write(rec).expect("write");
-        }
-        w.finish().expect("flush");
-    }
-    let mut ingest = CaptureIngest::new(
-        CaptureReader::new(&buf[..]).expect("header"),
-        Enricher::new(mapper),
-    );
+    // the imported records feed the normal ingest path as they are
+    let mut ingest = CaptureIngest::new(records.into_iter(), Enricher::new(mapper));
     let mut analysis = DatasetAnalysis::new(zone);
     let mut chromium = dnscentral_core::junk::ChromiumProbeStats::default();
     for row in ingest.by_ref() {

@@ -128,13 +128,18 @@ fn baseline_gate_passes_on_self_and_fails_on_injected_regression() {
         .expect("runs");
     assert!(out.status.success());
 
-    // comparing a fresh run against its own twin must not flag noise
+    // Comparing a fresh run against its own twin must not flag noise.
+    // The threshold is wide because this test checks the wiring (exit
+    // code, report lines) while other tests load the box; the diff rule
+    // itself is unit-tested on synthetic reports in `obs::bench`, and CI
+    // runs the real gate at 0.5.
     let out = bin()
         .args([
             "bench",
             "--quick",
             filter,
             &format!("--baseline={}", json.display()),
+            "--threshold=1.0",
         ])
         .output()
         .expect("runs");

@@ -267,6 +267,35 @@ fn dataset_json_is_valid() {
     assert_eq!(doc["table5"]["rows"].as_array().unwrap().len(), 5);
 }
 
+/// `--fleet` reaches the multi-dataset commands: the Figure 3 series
+/// under it comes from resolver walks (so the table differs from the
+/// calibrated one) and still dates Google's rollout to December 2019.
+#[test]
+fn qmin_honours_the_fleet_flag() {
+    let run = |extra: &[&str]| {
+        let out = bin()
+            .args(["qmin", "nl", "--scale=tiny"])
+            .args(extra)
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let calibrated = run(&[]);
+    let fleet = run(&["--fleet"]);
+    assert_ne!(calibrated, fleet, "--fleet was ignored");
+    for text in [&calibrated, &fleet] {
+        assert!(
+            text.contains("Q-min change-point detected: 2019-12"),
+            "{text}"
+        );
+    }
+}
+
 #[test]
 fn warehouse_ingest_then_report_matches_direct_run() {
     let wh = tmp("wh");

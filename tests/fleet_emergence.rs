@@ -8,7 +8,8 @@
 //! between the fleet and calibrated NS shares on either side of the
 //! flip.
 
-use dnscentral_core::experiments::{run_monthly_series, run_monthly_series_fleet, run_spec};
+use asdb::cloud::Provider;
+use dnscentral_core::experiments::{run_monthly_series, run_spec};
 use dnscentral_core::pipeline::{run_spec_with, PipelineOpts};
 use dnscentral_core::qmin::{detect_cusum, ChangePoint, MonthlySample};
 use simnet::profile::Vantage;
@@ -17,12 +18,14 @@ use std::sync::OnceLock;
 
 fn fleet_series() -> &'static Vec<MonthlySample> {
     static S: OnceLock<Vec<MonthlySample>> = OnceLock::new();
-    S.get_or_init(|| run_monthly_series_fleet(Vantage::Nl, Scale::tiny(), 42, 4))
+    let opts = PipelineOpts::with_fleet();
+    S.get_or_init(|| run_monthly_series(Vantage::Nl, Provider::Google, Scale::tiny(), 42, &opts, 4))
 }
 
 fn calibrated_series() -> &'static Vec<MonthlySample> {
     static S: OnceLock<Vec<MonthlySample>> = OnceLock::new();
-    S.get_or_init(|| run_monthly_series(Vantage::Nl, Scale::tiny(), 42))
+    let opts = PipelineOpts::default();
+    S.get_or_init(|| run_monthly_series(Vantage::Nl, Provider::Google, Scale::tiny(), 42, &opts, 1))
 }
 
 fn mean_ns_share(series: &[MonthlySample], post: bool) -> f64 {

@@ -5,9 +5,12 @@ use dnscentral_core::experiments::{
     analyze_capture, generate_capture, generate_capture_sharded, temp_capture_path,
 };
 use dnscentral_core::pipeline::{run_spec_with, PipelineOpts};
+use dnscentral_core::store;
 use simnet::profile::Vantage;
 use simnet::scenario::{dataset, Scale};
 use std::fs;
+use std::sync::Arc;
+use warehouse::{AppendConfig, Predicate, Warehouse};
 
 /// Same (spec, scale, seed) ⇒ byte-identical capture files.
 #[test]
@@ -41,8 +44,11 @@ fn sharded_generation_matches_on_disk() {
     assert_eq!(a, b, "4-shard capture diverged from single-threaded");
 }
 
-/// The streamed (no intermediate file) path and the kept-capture disk
-/// path agree on every ingest counter and analysis aggregate.
+/// The streamed (no intermediate file) path — sharded generator, four
+/// analysis workers — and the kept-capture disk path agree on every
+/// ingest counter and analysis aggregate; and a kept-capture run that
+/// also feeds a warehouse commits rows that render the same report as a
+/// streamed warehouse-only run.
 #[test]
 fn streamed_and_disk_paths_agree_end_to_end() {
     let spec = dataset(Vantage::Nl, 2020);
@@ -50,21 +56,20 @@ fn streamed_and_disk_paths_agree_end_to_end() {
         spec.clone(),
         Scale::tiny(),
         17,
-        &PipelineOpts::with_shards(2),
-    );
-    let path = temp_capture_path("streamed-vs-disk", 17);
-    let disk = run_spec_with(
-        spec,
-        Scale::tiny(),
-        17,
         &PipelineOpts {
             shards: 2,
-            keep_capture: Some(path.clone()),
+            jobs: 4,
             ..Default::default()
         },
     );
+    let path = temp_capture_path("streamed-vs-disk", 17);
+    let disk_opts = PipelineOpts {
+        shards: 2,
+        keep_capture: Some(path.clone()),
+        ..Default::default()
+    };
+    let disk = run_spec_with(spec.clone(), Scale::tiny(), 17, &disk_opts);
     assert!(path.exists());
-    let _ = fs::remove_file(&path);
     assert_eq!(streamed.ingest_stats, disk.ingest_stats);
     assert_eq!(streamed.analysis.total_queries, disk.analysis.total_queries);
     assert_eq!(streamed.analysis.valid_queries, disk.analysis.valid_queries);
@@ -73,6 +78,24 @@ fn streamed_and_disk_paths_agree_end_to_end() {
         streamed.analysis.diurnal_peak_trough(),
         disk.analysis.diurnal_peak_trough()
     );
+
+    // keep_capture + warehouse: the one pass over the file also appends
+    let report_of = |name: &str, opts: &PipelineOpts| {
+        let dir = std::env::temp_dir().join(format!("dnswh-{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let wh = Arc::new(Warehouse::open(&dir).unwrap());
+        let config = AppendConfig::default();
+        let run = store::ingest_spec(&wh, spec.clone(), Scale::tiny(), 17, opts, config).unwrap();
+        assert!(wh.commit().unwrap() > 0, "{name}: partitions committed");
+        let (text, stats) = store::render_report(&wh, &Predicate::all(), 2).unwrap();
+        assert_eq!(stats.rows_matched, run.ingest_stats.rows, "{name}");
+        let _ = fs::remove_dir_all(&dir);
+        text
+    };
+    let kept = report_of("kept", &disk_opts);
+    let _ = fs::remove_file(&path);
+    assert!(kept.contains("nl-w2020"), "{kept}");
+    assert_eq!(kept, report_of("streamed", &PipelineOpts::with_jobs(4)));
 }
 
 /// Generator counters equal analyzer counters across the file boundary.

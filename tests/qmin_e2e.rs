@@ -2,20 +2,28 @@
 //! both ccTLDs, the Dec-2019 change-point detection, and the Feb-2020
 //! `.nz` cyclic-dependency incident.
 
+use asdb::cloud::Provider;
 use dnscentral_core::experiments::run_monthly_series;
+use dnscentral_core::pipeline::PipelineOpts;
 use dnscentral_core::qmin::{detect_cusum, detect_threshold, ChangePoint};
 use simnet::profile::Vantage;
 use simnet::scenario::Scale;
 use std::sync::OnceLock;
 
+/// One provider's calibrated monthly series at the small scale.
+fn series_for(vantage: Vantage, provider: Provider) -> Vec<dnscentral_core::qmin::MonthlySample> {
+    let opts = PipelineOpts::default();
+    run_monthly_series(vantage, provider, Scale::small(), 42, &opts, 1)
+}
+
 fn nl_series() -> &'static Vec<dnscentral_core::qmin::MonthlySample> {
     static S: OnceLock<Vec<dnscentral_core::qmin::MonthlySample>> = OnceLock::new();
-    S.get_or_init(|| run_monthly_series(Vantage::Nl, Scale::small(), 42))
+    S.get_or_init(|| series_for(Vantage::Nl, Provider::Google))
 }
 
 fn nz_series() -> &'static Vec<dnscentral_core::qmin::MonthlySample> {
     static S: OnceLock<Vec<dnscentral_core::qmin::MonthlySample>> = OnceLock::new();
-    S.get_or_init(|| run_monthly_series(Vantage::Nz, Scale::small(), 42))
+    S.get_or_init(|| series_for(Vantage::Nz, Provider::Google))
 }
 
 /// The paper's §4.2.1 headline: Google's Q-min deployment is detectable
@@ -128,15 +136,13 @@ fn detection_survives_the_incident() {
 /// in EXPERIMENTS.md).
 #[test]
 fn all_adopters_dated_correctly() {
-    use asdb::cloud::Provider;
-    use dnscentral_core::experiments::run_monthly_series_for;
     let cases = [
         (Provider::Cloudflare, Vantage::Nl, (2019, 2)),
         (Provider::Facebook, Vantage::Nl, (2019, 9)),
         (Provider::Amazon, Vantage::Nz, (2020, 2)), // starts Feb 15 2020
     ];
     for (provider, vantage, (y, m)) in cases {
-        let series = run_monthly_series_for(vantage, provider, Scale::small(), 42);
+        let series = series_for(vantage, provider);
         let detected = detect_cusum(&series, 0.05, 0.3)
             .unwrap_or_else(|| panic!("{provider}: no change-point"));
         // mid-month starts may date to the following month
@@ -149,7 +155,7 @@ fn all_adopters_dated_correctly() {
         );
     }
     // and the non-adopter yields nothing
-    let ms = run_monthly_series_for(Vantage::Nl, Provider::Microsoft, Scale::small(), 42);
+    let ms = series_for(Vantage::Nl, Provider::Microsoft);
     assert_eq!(
         detect_cusum(&ms, 0.05, 0.3),
         None,
