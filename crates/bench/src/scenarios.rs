@@ -1,11 +1,9 @@
 //! The scenario registry: every benchmarkable hot path as a plain
 //! callable.
 //!
-//! Both harnesses consume this table — the criterion-shim benches in
-//! `benches/` and the `dnscentral bench` subcommand (which feeds the
-//! scenarios to `obs::bench::Runner` and emits `BENCH_*.json`
-//! reports for the perf trajectory). Keeping the bodies here means a
-//! scenario is written once and the two harnesses cannot drift.
+//! The `dnscentral bench` subcommand feeds this table to
+//! `obs::bench::Runner` and emits the `BENCH_*.json` reports of the
+//! perf trajectory.
 //!
 //! A scenario is two layers:
 //!
@@ -17,7 +15,7 @@
 //!
 //! `records_per_iter` is the number of logical records one call
 //! processes (queries served, rows aggregated, names parsed); the
-//! harnesses turn it into records/s.
+//! runner turns it into records/s.
 
 use dns_wire::builder::MessageBuilder;
 use dns_wire::message::Message;
@@ -49,9 +47,8 @@ impl Prepared {
 pub struct Scenario {
     /// Group label (`wire`, `gen`, `ingest`, `pipeline`, `suite`,
     /// `analysis`, `warehouse`, `obs`, `serve`, `authd`, `resolver`,
-    /// `fleet`, `substrates`); the
-    /// criterion benches map groups onto bench binaries, the CLI
-    /// reports `group/name`.
+    /// `fleet`, `substrates`, `ablation`); the CLI reports
+    /// `group/name`.
     pub group: &'static str,
     /// Scenario name within the group.
     pub name: &'static str,
@@ -82,12 +79,8 @@ pub fn all() -> Vec<Scenario> {
     v.extend(resolver_walks());
     v.extend(fleet_live());
     v.extend(substrates());
+    v.extend(ablation());
     v
-}
-
-/// The scenarios of one group, in report order.
-pub fn in_group(group: &str) -> Vec<Scenario> {
-    all().into_iter().filter(|s| s.group == group).collect()
 }
 
 // --- wire -----------------------------------------------------------
@@ -169,22 +162,6 @@ fn wire() -> Vec<Scenario> {
         },
         Scenario {
             group: "wire",
-            name: "name_encode_compressed",
-            setup: || {
-                let names = sample_names();
-                let n = names.len() as u64;
-                Prepared::new(n, move || {
-                    let mut comp = NameCompressor::new();
-                    let mut out = Vec::with_capacity(2048);
-                    for name in &names {
-                        comp.encode(name, &mut out);
-                    }
-                    out.len() as u64
-                })
-            },
-        },
-        Scenario {
-            group: "wire",
             name: "message_encode",
             setup: || {
                 let resp = sample_response();
@@ -261,6 +238,18 @@ fn gen() -> Vec<Scenario> {
 
 // --- ingest ---------------------------------------------------------
 
+/// A tiny `.nz` capture, in memory.
+fn sample_capture_bytes() -> Vec<u8> {
+    use netbase::capture::CaptureWriter;
+    use simnet::engine::Engine;
+    let engine = Engine::new(dataset(Vantage::Nz, 2020), Scale::tiny(), 7);
+    let mut buf = Vec::new();
+    let mut w = CaptureWriter::new(&mut buf).expect("in-memory writer");
+    engine.generate(&mut w).expect("generation");
+    w.finish().expect("flush");
+    buf
+}
+
 fn ingest() -> Vec<Scenario> {
     vec![Scenario {
         group: "ingest",
@@ -270,7 +259,7 @@ fn ingest() -> Vec<Scenario> {
             use entrada::ingest::CaptureIngest;
             use netbase::capture::CaptureReader;
             use simnet::engine::plan_config_for;
-            let capture = crate::sample_capture_bytes();
+            let capture = sample_capture_bytes();
             let nz = dataset(Vantage::Nz, 2020);
             let plan = asdb::synth::InternetPlan::build(&plan_config_for(&nz, Scale::tiny(), 7));
             let rows = {
@@ -415,7 +404,7 @@ fn sample_rows() -> (Vec<entrada::schema::QueryRow>, zonedb::zone::ZoneModel) {
     use entrada::ingest::CaptureIngest;
     use netbase::capture::CaptureReader;
     use simnet::engine::plan_config_for;
-    let capture = crate::sample_capture_bytes();
+    let capture = sample_capture_bytes();
     let nz = dataset(Vantage::Nz, 2020);
     let plan = asdb::synth::InternetPlan::build(&plan_config_for(&nz, Scale::tiny(), 7));
     let reader = CaptureReader::new(&capture[..]).expect("valid header");
@@ -432,40 +421,6 @@ fn sample_analysis() -> (dnscentral_core::analysis::DatasetAnalysis, u64) {
         a.push(row);
     }
     (a, n)
-}
-
-/// A synthetic Q-min monthly series shaped like Figure 5 (pre/post
-/// resolver deployment), shared by the CUSUM bench and its ablation.
-pub fn qmin_series(noise: f64, seed: u64) -> Vec<dnscentral_core::qmin::MonthlySample> {
-    use dnscentral_core::qmin::MonthlySample;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::new();
-    let (mut y, mut m) = (2018, 11);
-    loop {
-        let deployed = (y, m) >= (2019, 12);
-        let base: f64 = if deployed { 0.45 } else { 0.04 };
-        let ns = (base + rng.gen_range(-noise..noise)).clamp(0.0, 1.0);
-        out.push(MonthlySample {
-            year: y,
-            month: m,
-            total: 1000,
-            qtype_counts: vec![],
-            ns_share: ns,
-            minimized_ns_share: if deployed { 0.9 } else { 0.3 },
-            address_share: 1.0 - ns,
-        });
-        if (y, m) == (2020, 4) {
-            break;
-        }
-        m += 1;
-        if m > 12 {
-            m = 1;
-            y += 1;
-        }
-    }
-    out
 }
 
 fn analysis() -> Vec<Scenario> {
@@ -510,20 +465,6 @@ fn analysis() -> Vec<Scenario> {
                         merged.merge(p.clone());
                     }
                     merged.total_queries
-                })
-            },
-        },
-        Scenario {
-            group: "analysis",
-            name: "qmin_cusum",
-            setup: || {
-                use dnscentral_core::qmin::detect_cusum;
-                let series = qmin_series(0.05, 7);
-                let n = series.len() as u64;
-                Prepared::new(n, move || {
-                    detect_cusum(&series, 0.05, 0.3)
-                        .map(|cp| cp.year as u64 * 12 + cp.month as u64)
-                        .unwrap_or(0)
                 })
             },
         },
@@ -1037,35 +978,6 @@ fn substrates() -> Vec<Scenario> {
     vec![
         Scenario {
             group: "substrates",
-            name: "lpm_trie_45k",
-            setup: || {
-                use netbase::prefix::IpPrefix;
-                use netbase::trie::PrefixTrie;
-                use rand::rngs::StdRng;
-                use rand::{Rng, SeedableRng};
-                use std::net::{IpAddr, Ipv4Addr};
-                let mut rng = StdRng::seed_from_u64(1);
-                let mut trie = PrefixTrie::new();
-                for i in 0..45_000u32 {
-                    let len = rng.gen_range(12..=24);
-                    let p = IpPrefix::new(IpAddr::V4(Ipv4Addr::from(rng.gen::<u32>())), len)
-                        .expect("len in range");
-                    trie.insert(p, i);
-                }
-                let probes: Vec<IpAddr> = {
-                    let mut rng = StdRng::seed_from_u64(2);
-                    (0..1024)
-                        .map(|_| IpAddr::V4(Ipv4Addr::from(rng.gen::<u32>())))
-                        .collect()
-                };
-                let n = probes.len() as u64;
-                Prepared::new(n, move || {
-                    probes.iter().filter(|p| trie.lookup(**p).is_some()).count() as u64
-                })
-            },
-        },
-        Scenario {
-            group: "substrates",
             name: "zone_classify_5.9M",
             setup: || {
                 use zonedb::zone::ZoneModel;
@@ -1090,6 +1002,217 @@ fn substrates() -> Vec<Scenario> {
                 Prepared::new(1, move || zipf.sample(&mut rng))
             },
         },
+    ]
+}
+
+// --- ablation -------------------------------------------------------
+//
+// Both sides of each design choice DESIGN.md §6 marks ✦. The two rows
+// of a pair run the same input, so they compare directly.
+
+/// Name compression: the 64 sample names through a [`NameCompressor`]
+/// (suffix table, pointers) or spelled out in full.
+fn name_encode_scenario(compress: bool) -> Prepared {
+    let names = sample_names();
+    let n = names.len() as u64;
+    Prepared::new(n, move || {
+        let mut comp = NameCompressor::new();
+        let mut out = Vec::with_capacity(2048);
+        for name in &names {
+            if compress {
+                comp.encode(name, &mut out);
+            } else {
+                name.encode_uncompressed(&mut out);
+            }
+        }
+        out.len() as u64
+    })
+}
+
+/// Longest-prefix match over 45k random prefixes: the bitwise trie
+/// `asdb` maps addresses with, or a longest-first linear scan.
+fn lpm_scenario(use_trie: bool) -> Prepared {
+    use netbase::prefix::IpPrefix;
+    use netbase::trie::{LinearLpm, PrefixTrie};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::net::{IpAddr, Ipv4Addr};
+    let mut rng = StdRng::seed_from_u64(1);
+    let prefixes: Vec<IpPrefix> = (0..45_000)
+        .map(|_| {
+            let len = rng.gen_range(12..=24);
+            IpPrefix::new(IpAddr::V4(Ipv4Addr::from(rng.gen::<u32>())), len).expect("len in range")
+        })
+        .collect();
+    // few probes: a miss costs the linear scan all 45k entries
+    let probes: Vec<IpAddr> = (0..64)
+        .map(|_| IpAddr::V4(Ipv4Addr::from(rng.gen::<u32>())))
+        .collect();
+    let n = probes.len() as u64;
+    if use_trie {
+        let mut trie = PrefixTrie::new();
+        for (i, p) in prefixes.into_iter().enumerate() {
+            trie.insert(p, i);
+        }
+        Prepared::new(n, move || {
+            probes
+                .iter()
+                .filter(|ip| trie.lookup(**ip).is_some())
+                .count() as u64
+        })
+    } else {
+        let mut linear = LinearLpm::new();
+        for (i, p) in prefixes.into_iter().enumerate() {
+            linear.insert(p, i);
+        }
+        Prepared::new(n, move || {
+            probes
+                .iter()
+                .filter(|ip| linear.lookup(**ip).is_some())
+                .count() as u64
+        })
+    }
+}
+
+/// The resolver-to-authoritative cache-miss funnel (cf. Moura et al.,
+/// "Cache me if you can"): Zipf demand over 100k names, one query every
+/// 30 ms, against a 65,536-entry [`resolver::cache::TtlMap`] at a
+/// 3600 s TTL — look up, and on a miss store the answer.
+fn cache_funnel_scenario() -> Prepared {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use resolver::cache::{TtlMap, DEFAULT_CAPACITY};
+    use zonedb::popularity::ZipfSampler;
+    const QUERIES: u64 = 1024;
+    const TTL_US: u64 = 3600 * 1_000_000;
+    let zipf = ZipfSampler::new(100_000, 0.95);
+    let mut rng = StdRng::seed_from_u64(10);
+    let mut cache: TtlMap<(u64, u16), ()> = TtlMap::default();
+    let mut now_us = 0u64;
+    Prepared::new(QUERIES, move || {
+        let mut misses = 0u64;
+        for _ in 0..QUERIES {
+            now_us += 30_000;
+            let key = (zipf.sample(&mut rng), RType::A.to_u16());
+            if cache.lookup(&key, now_us).is_none() {
+                cache.put(key, (), now_us + TTL_US, DEFAULT_CAPACITY);
+                misses += 1;
+            }
+        }
+        misses
+    })
+}
+
+/// Distinct-resolver counting (Table 3): an exact hash set, or a 4 KiB
+/// HyperLogLog sketch, observing keys drawn from a million.
+fn distinct_scenario(exact: bool) -> Prepared {
+    use entrada::agg::{DistinctCounter, HyperLogLog};
+    const OBSERVATIONS: u64 = 1024;
+    let mut i = 0u64;
+    let mut next_key = move || {
+        i = i.wrapping_add(0x9e37_79b9);
+        i % 1_000_000
+    };
+    if exact {
+        let mut set = DistinctCounter::new();
+        Prepared::new(OBSERVATIONS, move || {
+            for _ in 0..OBSERVATIONS {
+                set.observe(next_key());
+            }
+            set.count()
+        })
+    } else {
+        let mut sketch = HyperLogLog::new(12);
+        Prepared::new(OBSERVATIONS, move || {
+            for _ in 0..OBSERVATIONS {
+                sketch.observe(&next_key());
+            }
+            sketch.estimate() as u64
+        })
+    }
+}
+
+/// A synthetic monthly Q-min series shaped like Figure 3: NS share
+/// 0.04 ± 0.05 until the resolver deploys in 2019-12, 0.45 ± 0.05 after.
+fn qmin_series() -> Vec<dnscentral_core::qmin::MonthlySample> {
+    use dnscentral_core::qmin::MonthlySample;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(7);
+    simnet::scenario::figure3_months()
+        .into_iter()
+        .map(|(year, month)| {
+            let deployed = (year, month) >= (2019, 12);
+            let base: f64 = if deployed { 0.45 } else { 0.04 };
+            let ns = (base + rng.gen_range(-0.05..0.05_f64)).clamp(0.0, 1.0);
+            MonthlySample {
+                year,
+                month,
+                total: 1000,
+                qtype_counts: vec![],
+                ns_share: ns,
+                minimized_ns_share: if deployed { 0.9 } else { 0.3 },
+                address_share: 1.0 - ns,
+            }
+        })
+        .collect()
+}
+
+/// Q-min change-point detection over [`qmin_series`]: CUSUM on the NS
+/// share, or the largest month-over-month jump above a threshold.
+fn detector_scenario(cusum: bool) -> Prepared {
+    use dnscentral_core::qmin::{detect_cusum, detect_threshold};
+    let series = qmin_series();
+    Prepared::new(series.len() as u64, move || {
+        let found = if cusum {
+            detect_cusum(&series, 0.05, 0.3)
+        } else {
+            detect_threshold(&series, 0.15)
+        };
+        found.map_or(0, |cp| cp.year as u64 * 12 + cp.month as u64)
+    })
+}
+
+/// A junk-share scan over the same ingested rows, held as a `Vec` of
+/// row structs or as a dictionary-encoded columnar batch.
+fn row_scan_scenario(columnar: bool) -> Prepared {
+    let (rows, _) = sample_rows();
+    let n = rows.len() as u64;
+    if columnar {
+        let mut batch = entrada::table::ColumnarBatch::new();
+        for r in &rows {
+            batch.push(r);
+        }
+        Prepared::new(n, move || {
+            batch.iter().filter(|r| r.is_junk()).count() as u64
+        })
+    } else {
+        Prepared::new(n, move || {
+            rows.iter().filter(|r| r.is_junk()).count() as u64
+        })
+    }
+}
+
+fn ablation() -> Vec<Scenario> {
+    fn arm(name: &'static str, setup: fn() -> Prepared) -> Scenario {
+        Scenario {
+            group: "ablation",
+            name,
+            setup,
+        }
+    }
+    vec![
+        arm("name_compressed", || name_encode_scenario(true)),
+        arm("name_uncompressed", || name_encode_scenario(false)),
+        arm("lpm_trie", || lpm_scenario(true)),
+        arm("lpm_linear_scan", || lpm_scenario(false)),
+        arm("cache_funnel_3600s", cache_funnel_scenario),
+        arm("distinct_exact", || distinct_scenario(true)),
+        arm("distinct_hll", || distinct_scenario(false)),
+        arm("detector_cusum", || detector_scenario(true)),
+        arm("detector_threshold", || detector_scenario(false)),
+        arm("scan_row_structs", || row_scan_scenario(false)),
+        arm("scan_columnar", || row_scan_scenario(true)),
     ]
 }
 
@@ -1118,7 +1241,7 @@ mod tests {
             "suite/jobs4",
             "analysis/aggregate_rows",
             "analysis/merge",
-            "analysis/qmin_cusum",
+            "ablation/detector_cusum",
             "analysis/edns_size",
             "analysis/concentration",
             "warehouse/append",
@@ -1139,7 +1262,7 @@ mod tests {
 
     #[test]
     fn wire_scenarios_run_and_return_nonzero() {
-        for s in in_group("wire") {
+        for s in wire() {
             let mut p = (s.setup)();
             assert!(p.records_per_iter > 0, "{}: zero records", s.id());
             assert!((p.iter)() > 0, "{}: zero result", s.id());

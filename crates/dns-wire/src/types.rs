@@ -373,7 +373,7 @@ impl Rcode {
         }
     }
 
-    /// The paper's §3 junk criterion: anything but NOERROR.
+    /// The paper's §3 junk rule: anything but NOERROR.
     pub fn is_junk(self) -> bool {
         self != Rcode::NoError
     }
@@ -450,7 +450,7 @@ mod tests {
     }
 
     #[test]
-    fn rcode_junk_criterion_matches_paper() {
+    fn rcode_junk_rule_matches_paper() {
         assert!(!Rcode::NoError.is_junk());
         for r in [
             Rcode::FormErr,

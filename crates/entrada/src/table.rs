@@ -45,25 +45,11 @@ pub fn tag_provider(t: u8) -> Option<Provider> {
     }
 }
 
-/// A dictionary-encoded columnar batch of query rows.
+/// A dictionary-encoded columnar batch of query rows: the raw
+/// [`Columns`] plus a lookup index over the qname dictionary.
 #[derive(Default)]
 pub struct ColumnarBatch {
-    timestamps: Vec<u64>,
-    srcs: Vec<IpAddr>,
-    src_ports: Vec<u16>,
-    servers: Vec<IpAddr>,
-    transports: Vec<u8>, // 0 udp, 1 tcp
-    qname_ids: Vec<u32>,
-    qtypes: Vec<u16>,
-    edns_sizes: Vec<u16>, // u16::MAX sentinel = absent
-    flags: Vec<u8>,       // bit0 do, bit1 truncated, bit2 public_dns, bit3 answered
-    rcodes: Vec<u16>,
-    response_sizes: Vec<u32>,
-    tcp_rtts: Vec<u32>,
-    asns: Vec<u32>, // 0 sentinel = unattributed
-    // qname dictionary: wire-form bytes arena + offsets
-    dict_offsets: Vec<(u32, u32)>,
-    dict_arena: Vec<u8>,
+    cols: Columns,
     dict_index: HashMap<Vec<u8>, u32>,
 }
 
@@ -75,18 +61,19 @@ impl ColumnarBatch {
 
     /// Append one row.
     pub fn push(&mut self, row: &QueryRow) {
-        self.timestamps.push(row.timestamp.as_micros());
-        self.srcs.push(row.src);
-        self.src_ports.push(row.src_port);
-        self.servers.push(row.server);
-        self.transports.push(match row.transport {
+        let qname_id = self.intern(row.qname.as_wire());
+        let c = &mut self.cols;
+        c.timestamps.push(row.timestamp.as_micros());
+        c.srcs.push(row.src);
+        c.src_ports.push(row.src_port);
+        c.servers.push(row.server);
+        c.transports.push(match row.transport {
             Transport::Udp => 0,
             Transport::Tcp => 1,
         });
-        let qname_id = self.intern(row.qname.as_wire());
-        self.qname_ids.push(qname_id);
-        self.qtypes.push(row.qtype.to_u16());
-        self.edns_sizes.push(row.edns_size.unwrap_or(u16::MAX));
+        c.qname_ids.push(qname_id);
+        c.qtypes.push(row.qtype.to_u16());
+        c.edns_sizes.push(row.edns_size.unwrap_or(u16::MAX));
         let mut flags = 0u8;
         if row.do_bit {
             flags |= 1;
@@ -100,38 +87,38 @@ impl ColumnarBatch {
         if row.rcode.is_some() {
             flags |= 8;
         }
-        self.flags.push(flags);
-        self.rcodes.push(row.rcode.map(Rcode::to_u16).unwrap_or(0));
-        self.response_sizes.push(row.response_size.unwrap_or(0));
-        self.tcp_rtts.push(row.tcp_rtt_us);
-        self.asns.push(row.asn.map(|a| a.0).unwrap_or(0));
+        c.flags.push(flags);
+        c.rcodes.push(row.rcode.map(Rcode::to_u16).unwrap_or(0));
+        c.response_sizes.push(row.response_size.unwrap_or(0));
+        c.tcp_rtts.push(row.tcp_rtt_us);
+        c.asns.push(row.asn.map(|a| a.0).unwrap_or(0));
     }
 
     fn intern(&mut self, wire: &[u8]) -> u32 {
         if let Some(&id) = self.dict_index.get(wire) {
             return id;
         }
-        let id = self.dict_offsets.len() as u32;
-        let start = self.dict_arena.len() as u32;
-        self.dict_arena.extend_from_slice(wire);
-        self.dict_offsets.push((start, wire.len() as u32));
+        let id = self.cols.dict_offsets.len() as u32;
+        let start = self.cols.dict_arena.len() as u32;
+        self.cols.dict_arena.extend_from_slice(wire);
+        self.cols.dict_offsets.push((start, wire.len() as u32));
         self.dict_index.insert(wire.to_vec(), id);
         id
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.timestamps.len()
+        self.cols.timestamps.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.timestamps.is_empty()
+        self.cols.timestamps.is_empty()
     }
 
     /// Distinct qnames in the dictionary.
     pub fn dictionary_size(&self) -> usize {
-        self.dict_offsets.len()
+        self.cols.dict_offsets.len()
     }
 
     /// Reconstruct row `i`.
@@ -139,43 +126,44 @@ impl ColumnarBatch {
     /// # Panics
     /// If `i >= len()`.
     pub fn get(&self, i: usize) -> QueryRow {
-        let (start, len) = self.dict_offsets[self.qname_ids[i] as usize];
-        let wire = &self.dict_arena[start as usize..(start + len) as usize];
+        let c = &self.cols;
+        let (start, len) = c.dict_offsets[c.qname_ids[i] as usize];
+        let wire = &c.dict_arena[start as usize..(start + len) as usize];
         let (qname, _) = Name::parse(wire, 0).expect("dictionary holds valid names");
-        let flags = self.flags[i];
+        let flags = c.flags[i];
         QueryRow {
-            timestamp: SimTime(self.timestamps[i]),
-            src: self.srcs[i],
-            src_port: self.src_ports[i],
-            server: self.servers[i],
-            transport: if self.transports[i] == 0 {
+            timestamp: SimTime(c.timestamps[i]),
+            src: c.srcs[i],
+            src_port: c.src_ports[i],
+            server: c.servers[i],
+            transport: if c.transports[i] == 0 {
                 Transport::Udp
             } else {
                 Transport::Tcp
             },
             qname,
-            qtype: RType::from_u16(self.qtypes[i]),
-            edns_size: match self.edns_sizes[i] {
+            qtype: RType::from_u16(c.qtypes[i]),
+            edns_size: match c.edns_sizes[i] {
                 u16::MAX => None,
                 v => Some(v),
             },
             do_bit: flags & 1 != 0,
             rcode: if flags & 8 != 0 {
-                Some(Rcode::from_u16(self.rcodes[i]))
+                Some(Rcode::from_u16(c.rcodes[i]))
             } else {
                 None
             },
-            response_size: match self.response_sizes[i] {
+            response_size: match c.response_sizes[i] {
                 0 => None,
                 v => Some(v),
             },
             response_truncated: flags & 2 != 0,
-            tcp_rtt_us: self.tcp_rtts[i],
-            asn: match self.asns[i] {
+            tcp_rtt_us: c.tcp_rtts[i],
+            asn: match c.asns[i] {
                 0 => None,
                 v => Some(Asn(v)),
             },
-            provider: tag_provider(asn_provider_tag(self.asns[i])),
+            provider: tag_provider(asn_provider_tag(c.asns[i])),
             public_dns: flags & 4 != 0,
         }
     }
@@ -199,7 +187,7 @@ impl ColumnarBatch {
     /// Per-row provider tags (see [`provider_tag`]), derived from the
     /// ASN column — providers are not stored per row.
     pub fn provider_tags(&self) -> impl Iterator<Item = u8> + '_ {
-        self.asns.iter().copied().map(asn_provider_tag)
+        self.cols.asns.iter().copied().map(asn_provider_tag)
     }
 
     /// Merge another batch in: columns are appended, the other batch's
@@ -207,6 +195,7 @@ impl ColumnarBatch {
     /// (shared names stay stored once). Equivalent to pushing the other
     /// batch's rows in order, without reconstructing them.
     pub fn merge(&mut self, other: ColumnarBatch) {
+        let other = other.cols;
         let remap: Vec<u32> = other
             .dict_offsets
             .iter()
@@ -214,20 +203,21 @@ impl ColumnarBatch {
                 self.intern(&other.dict_arena[start as usize..(start + len) as usize])
             })
             .collect();
-        self.qname_ids
+        let c = &mut self.cols;
+        c.qname_ids
             .extend(other.qname_ids.iter().map(|&id| remap[id as usize]));
-        self.timestamps.extend(other.timestamps);
-        self.srcs.extend(other.srcs);
-        self.src_ports.extend(other.src_ports);
-        self.servers.extend(other.servers);
-        self.transports.extend(other.transports);
-        self.qtypes.extend(other.qtypes);
-        self.edns_sizes.extend(other.edns_sizes);
-        self.flags.extend(other.flags);
-        self.rcodes.extend(other.rcodes);
-        self.response_sizes.extend(other.response_sizes);
-        self.tcp_rtts.extend(other.tcp_rtts);
-        self.asns.extend(other.asns);
+        c.timestamps.extend(other.timestamps);
+        c.srcs.extend(other.srcs);
+        c.src_ports.extend(other.src_ports);
+        c.servers.extend(other.servers);
+        c.transports.extend(other.transports);
+        c.qtypes.extend(other.qtypes);
+        c.edns_sizes.extend(other.edns_sizes);
+        c.flags.extend(other.flags);
+        c.rcodes.extend(other.rcodes);
+        c.response_sizes.extend(other.response_sizes);
+        c.tcp_rtts.extend(other.tcp_rtts);
+        c.asns.extend(other.asns);
     }
 
     /// Heap footprint estimate of the batch, bytes: every column at
@@ -239,37 +229,21 @@ impl ColumnarBatch {
     /// `u16` column per row — `rcodes` was missed.)
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
-        self.timestamps.len()
+        self.cols.timestamps.len()
             * (size_of::<u64>()                 // timestamps
                 + size_of::<IpAddr>() * 2       // srcs, servers
                 + size_of::<u16>() * 4          // src_ports, qtypes, edns_sizes, rcodes
                 + size_of::<u8>() * 2           // transports, flags
                 + size_of::<u32>() * 4)         // qname_ids, response_sizes, tcp_rtts, asns
-            + self.dict_arena.len()
-            + self.dict_offsets.len() * size_of::<(u32, u32)>()
+            + self.cols.dict_arena.len()
+            + self.cols.dict_offsets.len() * size_of::<(u32, u32)>()
             + self.dict_index.len() * 48
     }
 
-    /// Borrowed views of the raw columns, for serialization (the
-    /// `warehouse` crate encodes these into partition files).
-    pub fn columns(&self) -> ColumnsRef<'_> {
-        ColumnsRef {
-            timestamps: &self.timestamps,
-            srcs: &self.srcs,
-            src_ports: &self.src_ports,
-            servers: &self.servers,
-            transports: &self.transports,
-            qname_ids: &self.qname_ids,
-            qtypes: &self.qtypes,
-            edns_sizes: &self.edns_sizes,
-            flags: &self.flags,
-            rcodes: &self.rcodes,
-            response_sizes: &self.response_sizes,
-            tcp_rtts: &self.tcp_rtts,
-            asns: &self.asns,
-            dict_offsets: &self.dict_offsets,
-            dict_arena: &self.dict_arena,
-        }
+    /// The raw columns, for serialization (the `warehouse` crate
+    /// encodes these into partition files).
+    pub fn columns(&self) -> &Columns {
+        &self.cols
     }
 
     /// Rebuild a batch from raw columns (the inverse of [`columns`]
@@ -320,67 +294,19 @@ impl ColumnarBatch {
             }
         }
         Ok(ColumnarBatch {
-            timestamps: c.timestamps,
-            srcs: c.srcs,
-            src_ports: c.src_ports,
-            servers: c.servers,
-            transports: c.transports,
-            qname_ids: c.qname_ids,
-            qtypes: c.qtypes,
-            edns_sizes: c.edns_sizes,
-            flags: c.flags,
-            rcodes: c.rcodes,
-            response_sizes: c.response_sizes,
-            tcp_rtts: c.tcp_rtts,
-            asns: c.asns,
-            dict_offsets: c.dict_offsets,
-            dict_arena: c.dict_arena,
+            cols: c,
             dict_index,
         })
     }
 }
 
-/// Borrowed raw columns of a [`ColumnarBatch`] (see
-/// [`ColumnarBatch::columns`]). Field order and sentinels match the
-/// batch internals: `edns_sizes` uses `u16::MAX` for absent,
+/// The raw columns of a [`ColumnarBatch`], one element per row except
+/// the dictionary. Sentinels: `edns_sizes` uses `u16::MAX` for absent,
 /// `response_sizes` 0 for `None`, `asns` 0 for unattributed, and
 /// `flags` packs `do`/`truncated`/`public_dns`/`answered` in bits 0-3.
-pub struct ColumnsRef<'a> {
-    /// Microseconds since the epoch, one per row.
-    pub timestamps: &'a [u64],
-    /// Resolver source addresses.
-    pub srcs: &'a [IpAddr],
-    /// Source ports.
-    pub src_ports: &'a [u16],
-    /// Authoritative server addresses.
-    pub servers: &'a [IpAddr],
-    /// 0 = UDP, 1 = TCP.
-    pub transports: &'a [u8],
-    /// Indexes into `dict_offsets`.
-    pub qname_ids: &'a [u32],
-    /// Query types as raw u16.
-    pub qtypes: &'a [u16],
-    /// EDNS sizes (`u16::MAX` = absent).
-    pub edns_sizes: &'a [u16],
-    /// Packed per-row flag bits.
-    pub flags: &'a [u8],
-    /// Response codes (valid only when flag bit 3 set).
-    pub rcodes: &'a [u16],
-    /// Response sizes (0 = unanswered).
-    pub response_sizes: &'a [u32],
-    /// TCP handshake RTTs, microseconds (0 for UDP).
-    pub tcp_rtts: &'a [u32],
-    /// Origin AS numbers (0 = unattributed).
-    pub asns: &'a [u32],
-    /// `(start, len)` spans into `dict_arena`, one per dictionary id.
-    pub dict_offsets: &'a [(u32, u32)],
-    /// Wire-form qname bytes, concatenated.
-    pub dict_arena: &'a [u8],
-}
-
-/// Owned raw columns for [`ColumnarBatch::from_columns`]; same layout
-/// and sentinels as [`ColumnsRef`].
-#[derive(Default)]
+/// A batch only hands these out by `&`; [`ColumnarBatch::from_columns`]
+/// validates a set before it becomes a batch.
+#[derive(Default, Clone)]
 pub struct Columns {
     /// Microseconds since the epoch, one per row.
     pub timestamps: Vec<u64>,
@@ -598,25 +524,7 @@ mod tests {
         for i in 0..300 {
             batch.push(&row(i));
         }
-        let c = batch.columns();
-        let rebuilt = ColumnarBatch::from_columns(Columns {
-            timestamps: c.timestamps.to_vec(),
-            srcs: c.srcs.to_vec(),
-            src_ports: c.src_ports.to_vec(),
-            servers: c.servers.to_vec(),
-            transports: c.transports.to_vec(),
-            qname_ids: c.qname_ids.to_vec(),
-            qtypes: c.qtypes.to_vec(),
-            edns_sizes: c.edns_sizes.to_vec(),
-            flags: c.flags.to_vec(),
-            rcodes: c.rcodes.to_vec(),
-            response_sizes: c.response_sizes.to_vec(),
-            tcp_rtts: c.tcp_rtts.to_vec(),
-            asns: c.asns.to_vec(),
-            dict_offsets: c.dict_offsets.to_vec(),
-            dict_arena: c.dict_arena.to_vec(),
-        })
-        .expect("valid columns");
+        let rebuilt = ColumnarBatch::from_columns(batch.columns().clone()).expect("valid columns");
         assert_eq!(rebuilt.len(), batch.len());
         assert_eq!(rebuilt.dictionary_size(), batch.dictionary_size());
         for i in 0..batch.len() {
@@ -632,46 +540,14 @@ mod tests {
     fn from_columns_rejects_malformed() {
         let mut batch = ColumnarBatch::new();
         batch.push(&row(1));
-        let c = batch.columns();
-        let mut cols = Columns {
-            timestamps: c.timestamps.to_vec(),
-            srcs: c.srcs.to_vec(),
-            src_ports: c.src_ports.to_vec(),
-            servers: c.servers.to_vec(),
-            transports: c.transports.to_vec(),
-            qname_ids: c.qname_ids.to_vec(),
-            qtypes: c.qtypes.to_vec(),
-            edns_sizes: c.edns_sizes.to_vec(),
-            flags: c.flags.to_vec(),
-            rcodes: c.rcodes.to_vec(),
-            response_sizes: c.response_sizes.to_vec(),
-            tcp_rtts: c.tcp_rtts.to_vec(),
-            asns: c.asns.to_vec(),
-            dict_offsets: c.dict_offsets.to_vec(),
-            dict_arena: c.dict_arena.to_vec(),
-        };
+        let mut cols = batch.columns().clone();
         cols.qtypes.pop();
         assert!(ColumnarBatch::from_columns(cols).is_err(), "length skew");
 
-        let mut bad_ids = Columns {
-            timestamps: vec![0],
-            srcs: vec!["192.0.2.1".parse().unwrap()],
-            src_ports: vec![1],
-            servers: vec!["192.0.2.2".parse().unwrap()],
-            transports: vec![0],
-            qname_ids: vec![7],
-            qtypes: vec![1],
-            edns_sizes: vec![u16::MAX],
-            flags: vec![0],
-            rcodes: vec![0],
-            response_sizes: vec![0],
-            tcp_rtts: vec![0],
-            asns: vec![0],
-            dict_offsets: vec![],
-            dict_arena: vec![],
-        };
+        let mut bad_ids = batch.columns().clone();
+        bad_ids.qname_ids[0] = 7;
         assert!(
-            ColumnarBatch::from_columns(std::mem::take(&mut bad_ids)).is_err(),
+            ColumnarBatch::from_columns(bad_ids).is_err(),
             "qname id out of range"
         );
     }

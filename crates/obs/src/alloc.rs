@@ -8,12 +8,12 @@
 //! static ALLOC: obs::alloc::CountingAlloc = obs::alloc::CountingAlloc;
 //! ```
 //!
-//! Every heap allocation is then counted twice: into process-wide
-//! totals ([`totals`]) and into per-thread counters that [`measure`]
-//! snapshots around a closure — which is how every bench row reports
-//! allocs/op next to ns/op, and how the zero-alloc property of the
-//! `authd` respond path and the wire codec is *asserted* rather than
-//! assumed.
+//! Every heap allocation is then counted twice. The process-wide
+//! [`totals`] are what every bench row's allocs/op is a delta of, so a
+//! scenario's worker threads count. The per-thread counters are what
+//! [`measure`] snapshots around a closure — how the zero-alloc property
+//! of the `authd` respond path and the wire codec is *asserted* rather
+//! than assumed, undisturbed by what other test threads allocate.
 //!
 //! When the allocator is not installed (every library user of `obs`)
 //! all counters stay at zero and [`installed`] reports `false`; the

@@ -50,8 +50,8 @@ pub struct ScenarioReport {
     pub records_per_iter: u64,
     /// Derived throughput, when `records_per_iter > 0`.
     pub records_per_sec: Option<f64>,
-    /// Mean allocation events per op; `None` when the counting
-    /// allocator is not installed.
+    /// Mean allocation events per op, on every thread of the process;
+    /// `None` when the counting allocator is not installed.
     pub allocs_per_op: Option<f64>,
     /// Mean allocated bytes per op; `None` without the allocator.
     pub alloc_bytes_per_op: Option<f64>,
@@ -287,15 +287,18 @@ impl Runner {
 
         let mut sample_ns: Vec<f64> = Vec::with_capacity(samples);
         let track = alloctrack::installed();
-        let (_, allocs) = alloctrack::measure(|| {
-            for _ in 0..samples {
-                let t0 = Instant::now();
-                for _ in 0..batch {
-                    sink = sink.wrapping_add(f());
-                }
-                sample_ns.push(t0.elapsed().as_nanos() as f64 / batch as f64);
+        // process-wide totals, not the calling thread's counters: a
+        // scenario's worker threads allocate too, and the bench process
+        // runs one scenario at a time
+        let (allocs0, bytes0) = alloctrack::totals();
+        for _ in 0..samples {
+            let t0 = Instant::now();
+            for _ in 0..batch {
+                sink = sink.wrapping_add(f());
             }
-        });
+            sample_ns.push(t0.elapsed().as_nanos() as f64 / batch as f64);
+        }
+        let (allocs1, bytes1) = alloctrack::totals();
         std::hint::black_box(sink);
         let iters = samples as u64 * batch;
 
@@ -321,8 +324,8 @@ impl Runner {
             records_per_iter,
             records_per_sec: (records_per_iter > 0 && mean > 0.0)
                 .then(|| records_per_iter as f64 / (mean / 1e9)),
-            allocs_per_op: track.then(|| allocs.allocs as f64 / iters as f64),
-            alloc_bytes_per_op: track.then(|| allocs.bytes as f64 / iters as f64),
+            allocs_per_op: track.then(|| (allocs1 - allocs0) as f64 / iters as f64),
+            alloc_bytes_per_op: track.then(|| (bytes1 - bytes0) as f64 / iters as f64),
             hot_frames: None,
         }
     }

@@ -71,10 +71,12 @@ impl<V> Slot<V> {
     }
 }
 
-/// One of the cache's maps: entries by key, and the same entries in
-/// eviction order.
+/// A TTL map with earliest-expiry eviction: entries by key, and the
+/// same entries in eviction order. [`FleetCache`] is three of these;
+/// `simnet`'s calibrated sampler keeps one per resolver. Times are
+/// whatever unit the caller compares in — the map only orders them.
 #[derive(Debug, Clone)]
-struct TtlMap<K, V> {
+pub struct TtlMap<K, V> {
     entries: HashMap<K, Slot<V>>,
     /// `(expiry, stable_hash(key)) -> key`, one per entry; the first is
     /// the next victim. The hash breaks expiry ties the same way on
@@ -92,8 +94,14 @@ impl<K, V> Default for TtlMap<K, V> {
 }
 
 impl<K: Hash + Eq + Clone, V> TtlMap<K, V> {
-    fn len(&self) -> usize {
+    /// Entries held, live or dead-but-not-yet-removed.
+    pub fn len(&self) -> usize {
         self.entries.len()
+    }
+
+    /// True when nothing is held.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 
     /// The entry under `key` if it is live; a dead one is left alone.
@@ -109,7 +117,8 @@ impl<K: Hash + Eq + Clone, V> TtlMap<K, V> {
     }
 
     /// A clone of the live value under `key`; a dead entry is removed.
-    fn lookup<Q>(&mut self, key: &Q, now_us: u64) -> Option<V>
+    /// An entry is live while `now_us < expiry_us`.
+    pub fn lookup<Q>(&mut self, key: &Q, now_us: u64) -> Option<V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
@@ -127,7 +136,7 @@ impl<K: Hash + Eq + Clone, V> TtlMap<K, V> {
     /// Insert or refresh `key`. An insert that would grow a map already
     /// at `capacity` first evicts the earliest-expiring entry; a refresh
     /// grows nothing and evicts nothing. Returns whether it evicted.
-    fn put(&mut self, key: K, value: V, expiry_us: u64, capacity: usize) -> bool {
+    pub fn put(&mut self, key: K, value: V, expiry_us: u64, capacity: usize) -> bool {
         let evicted = self.entries.len() >= capacity
             && !self.entries.contains_key(&key)
             && self.evict_first();
@@ -710,6 +719,35 @@ mod tests {
         // the 1,000 earliest expiries are the ones that went
         assert!(map.peek(&CountingKey(PUTS - 1), 0).is_none());
         assert!(map.peek(&CountingKey(PUTS), 0).is_some());
+    }
+
+    /// The calibrated sampler's use of the map: a `(domain, rtype)`
+    /// key and no value.
+    type SamplerMap = TtlMap<(u64, u16), ()>;
+
+    #[test]
+    fn sampler_keys_expire_exclusively_and_differ_by_rtype() {
+        let mut m = SamplerMap::default();
+        m.put((5, 1), (), 1_000 + 60, 100);
+        assert!(m.lookup(&(5, 1), 1_000 + 59).is_some());
+        assert!(m.lookup(&(5, 28), 1_000).is_none(), "other rtype");
+        assert_eq!(m.len(), 1);
+        assert!(m.lookup(&(5, 1), 1_000 + 60).is_none(), "dead at expiry");
+        assert!(m.is_empty(), "removed by its own lookup");
+    }
+
+    #[test]
+    fn sampler_keys_evict_soonest_expiry_and_refresh_in_place() {
+        let mut m = SamplerMap::default();
+        m.put((1, 1), (), 10, 2);
+        m.put((2, 1), (), 100, 2);
+        assert!(!m.put((2, 1), (), 120, 2), "a refresh at capacity");
+        assert!(m.peek(&(1, 1), 0).is_some(), "bystander kept");
+        assert!(m.put((3, 1), (), 50, 2), "a new key at capacity");
+        assert_eq!(m.len(), 2);
+        assert!(m.peek(&(1, 1), 0).is_none(), "soonest expiry went");
+        assert!(m.peek(&(2, 1), 0).is_some());
+        assert!(m.peek(&(3, 1), 0).is_some());
     }
 
     #[test]

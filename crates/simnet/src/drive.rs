@@ -10,21 +10,21 @@
 //! (addresses, sites, activity weights), so traffic captured live is
 //! attributable by the unchanged offline analysis pipeline.
 
-use crate::cache::{CacheKey, TtlCache};
-use crate::engine::{choose_server_family, mix_case_0x20, name_key, pick_question_for, Engine};
+use crate::engine::{
+    choose_server_family, mix_case_0x20, name_key, pick_question_for, CacheKey, Engine,
+    ResolverCache, CACHE_CAP,
+};
 use crate::scenario::{DatasetSpec, Scale};
 use dns_wire::builder::MessageBuilder;
 use dns_wire::name::Name;
 use dns_wire::types::RType;
 use netbase::flow::IpVersion;
-use netbase::time::SimTime;
+use netbase::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::net::IpAddr;
 
-/// Per-resolver cache capacity (entries); matches the offline engine.
-const CACHE_CAP: usize = 4096;
 /// How many cache-absorbed demand events one [`Driver::sample`] call
 /// skips before giving up and emitting a (possibly cached) query anyway.
 const MAX_CACHE_SKIPS: u32 = 50;
@@ -59,7 +59,7 @@ pub struct Driver {
     engine: Engine,
     rng: StdRng,
     fleet_cum: Vec<f64>,
-    caches: Vec<HashMap<u32, TtlCache>>,
+    caches: Vec<HashMap<u32, ResolverCache>>,
     emitted: Vec<u64>,
     junk_emitted: Vec<u64>,
     /// DNSSEC follow-up queries waiting to go out.
@@ -162,14 +162,15 @@ impl Driver {
                 domain: name_key(&qname),
                 rtype: qtype.to_u16(),
             };
-            let cache = self.caches[fi]
-                .entry(r_idx as u32)
-                .or_insert_with(|| TtlCache::new(CACHE_CAP));
-            if cache.lookup(ckey, t) {
+            let cache = self.caches[fi].entry(r_idx as u32).or_default();
+            if cache.lookup(&ckey, t.as_micros()).is_some() {
                 self.cache_hits += 1;
                 return None;
             }
-            cache.insert(ckey, t, fleet.spec.cache_ttl);
+            let ttl = fleet.spec.cache_ttl;
+            if ttl != SimDuration::ZERO {
+                cache.put(ckey, (), (t + ttl).as_micros(), CACHE_CAP);
+            }
         }
         Some(self.build_query(fi, r_idx, qname, qtype, signed, cacheable))
     }

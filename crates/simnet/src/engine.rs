@@ -8,7 +8,6 @@
 //! as real vantage points only see the cache-miss shadow of user demand.
 
 use crate::auth::Authoritative;
-use crate::cache::{CacheKey, TtlCache};
 use crate::fleet::{sample_dist, splitmix, Fleet, Resolver};
 use crate::profile::FleetSpec;
 use crate::ptr::PtrDb;
@@ -24,6 +23,7 @@ use netbase::flow::IpVersion;
 use netbase::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use resolver::cache::TtlMap;
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::IpAddr;
@@ -32,7 +32,23 @@ use zonedb::popularity::ZipfSampler;
 use zonedb::zone::ZoneModel;
 
 /// Per-resolver cache capacity (entries).
-const CACHE_CAP: usize = 4096;
+pub(crate) const CACHE_CAP: usize = 4096;
+
+/// What a sampled resolver caches under: the domain/qtype pair it
+/// resolved. A [`name_key`] hash (not the qname text) keeps keys small.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct CacheKey {
+    pub(crate) domain: u64,
+    pub(crate) rtype: u16,
+}
+
+/// One sampled resolver's cache. Keys only — a hit absorbs the demand
+/// event, there is no answer to hand back — each live until
+/// `inserted + ttl`, in microseconds of simulation time. Caching is why
+/// the vantage only sees the cache-miss shadow of user demand (§2 of
+/// the paper).
+pub(crate) type ResolverCache = TtlMap<CacheKey, ()>;
+
 /// Softmax temperature for server preference, microseconds.
 const SERVER_TAU_US: f64 = 30_000.0;
 /// Logistic temperature for dual-stack family choice, microseconds.
@@ -357,7 +373,7 @@ impl Engine {
         let mut rng = StdRng::seed_from_u64(slice_seed(self.seed, slot));
         let mut stats = DatasetStats::default();
         let mut fleet_counts: Vec<u64> = vec![0; self.fleets.len()];
-        let mut caches: Vec<HashMap<u32, TtlCache>> =
+        let mut caches: Vec<HashMap<u32, ResolverCache>> =
             self.fleets.iter().map(|_| HashMap::new()).collect();
         let mut rrl: Option<RateLimiter> = self.spec.rrl.map(RateLimiter::new);
         let mut buf: Vec<CaptureRecord> = Vec::new();
@@ -419,7 +435,7 @@ impl Engine {
         t: SimTime,
         is_junk: bool,
         rng: &mut StdRng,
-        caches: &mut HashMap<u32, TtlCache>,
+        caches: &mut HashMap<u32, ResolverCache>,
         rrl: &mut Option<RateLimiter>,
         buf: &mut Vec<CaptureRecord>,
         stats: &mut DatasetStats,
@@ -435,10 +451,8 @@ impl Engine {
             domain: name_key(&qname),
             rtype: qtype.to_u16(),
         };
-        let cache = caches
-            .entry(r_idx as u32)
-            .or_insert_with(|| TtlCache::new(CACHE_CAP));
-        if cacheable && cache.lookup(ckey, t) {
+        let cache = caches.entry(r_idx as u32).or_default();
+        if cacheable && cache.lookup(&ckey, t.as_micros()).is_some() {
             stats.cache_hits += 1;
             return 0;
         }
@@ -449,10 +463,10 @@ impl Engine {
         if is_junk {
             stats.junk_queries += emitted;
         }
-        if cacheable {
+        if cacheable && spec.cache_ttl != SimDuration::ZERO {
             // the spec's TTL verbatim: entries decay per-record from
             // their own insertion instant (no whole-second rounding)
-            cache.insert(ckey, t, spec.cache_ttl);
+            cache.put(ckey, (), (t + spec.cache_ttl).as_micros(), CACHE_CAP);
         }
 
         // DNSSEC validation follow-ups
@@ -463,7 +477,7 @@ impl Engine {
                 domain: name_key(&delegation),
                 rtype: RType::Ds.to_u16(),
             };
-            if !cache.lookup(dkey, t) {
+            if cache.lookup(&dkey, t.as_micros()).is_none() {
                 emitted += self.emit_exchange(
                     fleet,
                     resolver,
@@ -476,7 +490,8 @@ impl Engine {
                     buf,
                     stats,
                 );
-                cache.insert(dkey, t, SimDuration::from_secs(3600));
+                let expiry = t + SimDuration::from_secs(3600);
+                cache.put(dkey, (), expiry.as_micros(), CACHE_CAP);
             }
         }
         if spec.validates && rng.gen_bool(spec.dnskey_prob) {

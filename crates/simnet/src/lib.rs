@@ -22,7 +22,7 @@
 //!   are encoded in [`profile`].
 //!
 //! The module map: [`profile`] (calibration tables), [`fleet`]
-//! (resolver fleets, Facebook sites, PTR zone), [`cache`] (TTL caches),
+//! (resolver fleets, Facebook sites, PTR zone),
 //! [`auth`] (the authoritative responder), [`vantage`] (what the
 //! vantage puts on the wire: truncation, RRL, the TC→TCP retry),
 //! [`engine`] (the calibrated generation loop), [`emerge`] (the same
@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 
 pub mod auth;
-pub mod cache;
 pub mod drive;
 pub mod emerge;
 pub mod engine;

@@ -197,13 +197,13 @@ pub fn encode(batch: &ColumnarBatch) -> (Vec<u8>, ZoneMap) {
     let mut seg = Vec::new();
 
     // 1: timestamps — zigzag varint deltas
-    put_deltas(&mut seg, c.timestamps);
+    put_deltas(&mut seg, &c.timestamps);
     put_column(&mut out, 1, &seg);
     seg.clear();
 
     // 2: source addresses — raw tag + octets (high entropy)
     put_varint(&mut seg, c.srcs.len() as u64);
-    for ip in c.srcs {
+    for ip in &c.srcs {
         put_ip(&mut seg, ip);
     }
     put_column(&mut out, 2, &seg);
@@ -211,7 +211,7 @@ pub fn encode(batch: &ColumnarBatch) -> (Vec<u8>, ZoneMap) {
 
     // 3: source ports — raw u16 LE
     put_varint(&mut seg, c.src_ports.len() as u64);
-    for p in c.src_ports {
+    for p in &c.src_ports {
         seg.extend_from_slice(&p.to_le_bytes());
     }
     put_column(&mut out, 3, &seg);
@@ -240,7 +240,7 @@ pub fn encode(batch: &ColumnarBatch) -> (Vec<u8>, ZoneMap) {
     seg.clear();
 
     // 5: transports — one bit per row
-    put_bits(&mut seg, c.transports);
+    put_bits(&mut seg, &c.transports);
     put_column(&mut out, 5, &seg);
     seg.clear();
 
@@ -259,7 +259,7 @@ pub fn encode(batch: &ColumnarBatch) -> (Vec<u8>, ZoneMap) {
 
     // 9: flags — raw bytes (16 combinations, short runs)
     put_varint(&mut seg, c.flags.len() as u64);
-    seg.extend_from_slice(c.flags);
+    seg.extend_from_slice(&c.flags);
     put_column(&mut out, 9, &seg);
     seg.clear();
 
@@ -281,7 +281,7 @@ pub fn encode(batch: &ColumnarBatch) -> (Vec<u8>, ZoneMap) {
 
     // 14: qname dictionary — length-prefixed wire-form names in id order
     put_varint(&mut seg, c.dict_offsets.len() as u64);
-    for &(start, len) in c.dict_offsets {
+    for &(start, len) in &c.dict_offsets {
         put_varint(&mut seg, len as u64);
         seg.extend_from_slice(&c.dict_arena[start as usize..(start + len) as usize]);
     }

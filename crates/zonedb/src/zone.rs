@@ -35,7 +35,7 @@ pub enum Lookup {
 
 impl Lookup {
     /// Does this resolution produce a NOERROR rcode (the paper's
-    /// "valid query" criterion)?
+    /// "valid query" test)?
     pub fn is_valid(self) -> bool {
         !matches!(self, Lookup::NxDomain)
     }

@@ -1157,10 +1157,10 @@ fn render_help() -> String {
     out
 }
 
-/// `dnscentral bench`: run the shared scenario registry (the same
-/// bodies the criterion benches time) under `obs::bench::Runner`,
-/// print the results table, optionally write a `BENCH_<label>.json`
-/// report, and optionally gate against a baseline report.
+/// `dnscentral bench`: run the scenario registry under
+/// `obs::bench::Runner`, print the results table, optionally write a
+/// `BENCH_<label>.json` report, and optionally gate against a baseline
+/// report.
 fn bench_cli(flags: &[&String]) -> Result<ExitCode, String> {
     use obs::bench::{default_label, BenchReport, Runner};
 
@@ -1250,6 +1250,16 @@ fn bench_cli(flags: &[&String]) -> Result<ExitCode, String> {
 
     if let Some(base_path) = flag_value(flags, "--baseline") {
         let baseline = BenchReport::load(Path::new(base_path))?;
+        if baseline.cores.is_none() || baseline.cores != report.cores {
+            let cores =
+                |c: Option<usize>| c.map_or("an unrecorded number of".into(), |n| n.to_string());
+            eprintln!(
+                "bench: warning: {base_path} was recorded on {} cores and this run on {}; \
+                 rows taken at different core counts do not compare",
+                cores(baseline.cores),
+                cores(report.cores)
+            );
+        }
         let threshold: f64 =
             parsed_flag(flags, "--threshold", "a fraction like 0.15")?.unwrap_or(0.15);
         let regressions = report.diff(&baseline, threshold);

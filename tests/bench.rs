@@ -37,7 +37,6 @@ fn bench_list_covers_the_required_scenarios() {
         "pipeline/streamed_shard1",
         "pipeline/streamed_shard4",
         "analysis/aggregate_rows",
-        "analysis/qmin_cusum",
         "analysis/edns_size",
         "analysis/junk",
         "analysis/concentration",
@@ -52,6 +51,18 @@ fn bench_list_covers_the_required_scenarios() {
         "fleet/live_1k",
         "warehouse/scan_explain",
         "obs/flight_record",
+        // both sides of each DESIGN §6 ✦ choice
+        "ablation/name_compressed",
+        "ablation/name_uncompressed",
+        "ablation/lpm_trie",
+        "ablation/lpm_linear_scan",
+        "ablation/cache_funnel_3600s",
+        "ablation/distinct_exact",
+        "ablation/distinct_hll",
+        "ablation/detector_cusum",
+        "ablation/detector_threshold",
+        "ablation/scan_row_structs",
+        "ablation/scan_columnar",
     ] {
         assert!(text.lines().any(|l| l == required), "missing {required}");
     }
@@ -85,7 +96,7 @@ fn bench_quick_emits_schema_valid_json() {
     // stdout carries the human table
     let table = String::from_utf8(out.stdout).unwrap();
     assert!(table.contains("ns/op"), "{table}");
-    assert!(table.contains("analysis/qmin_cusum"), "{table}");
+    assert!(table.contains("analysis/aggregate_rows"), "{table}");
 
     let doc: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).expect("valid JSON");
@@ -93,7 +104,7 @@ fn bench_quick_emits_schema_valid_json() {
     assert_eq!(doc["quick"], true);
     assert!(!doc["label"].as_str().unwrap().is_empty());
     let scenarios = doc["scenarios"].as_array().unwrap();
-    assert_eq!(scenarios.len(), 6, "six analysis scenarios");
+    assert_eq!(scenarios.len(), 5, "five analysis scenarios");
     for s in scenarios {
         assert!(s["name"].as_str().unwrap().starts_with("analysis/"));
         assert_eq!(s["group"], "analysis");
@@ -116,7 +127,7 @@ fn baseline_gate_passes_on_self_and_fails_on_injected_regression() {
     use obs::bench::BenchReport;
     let json = tmp("gate.json");
     let doctored = tmp("gate-doctored.json");
-    let filter = "--filter=analysis/qmin_cusum";
+    let filter = "--filter=ablation/detector_cusum";
     let out = bin()
         .args([
             "bench",
@@ -151,9 +162,13 @@ fn baseline_gate_passes_on_self_and_fails_on_injected_regression() {
     assert!(String::from_utf8(out.stdout)
         .unwrap()
         .contains("no regressions"));
+    let core_warning = "rows taken at different core counts do not compare";
+    assert!(!String::from_utf8_lossy(&out.stderr).contains(core_warning));
 
-    // a baseline doctored 100x faster must trip the gate (exit nonzero)
+    // a baseline doctored 100x faster, with no core count on record,
+    // must trip the gate (exit nonzero) and say the rows do not compare
     let mut base = BenchReport::load(&json).expect("loads");
+    base.cores = None;
     for s in &mut base.scenarios {
         s.ns_per_op /= 100.0;
         s.p50_ns /= 100.0;
@@ -173,7 +188,12 @@ fn baseline_gate_passes_on_self_and_fails_on_injected_regression() {
         .expect("runs");
     assert!(!out.status.success(), "doctored baseline not flagged");
     let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("REGRESSION analysis/qmin_cusum"), "{text}");
+    assert!(
+        text.contains("REGRESSION ablation/detector_cusum"),
+        "{text}"
+    );
+    let warned = String::from_utf8_lossy(&out.stderr);
+    assert!(warned.contains(core_warning), "{warned}");
 
     for f in [&json, &doctored] {
         let _ = std::fs::remove_file(f);
@@ -200,7 +220,7 @@ fn bench_profile_writes_parseable_folded_stacks_and_hot_frames() {
         .args([
             "bench",
             "--quick",
-            "--filter=analysis/qmin_cusum",
+            "--filter=ablation/detector_cusum",
             &format!("--profile={}", folded.display()),
             &format!("--json={}", json.display()),
         ])
@@ -226,7 +246,7 @@ fn bench_profile_writes_parseable_folded_stacks_and_hot_frames() {
     let doc: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).expect("valid JSON");
     let row = &doc["scenarios"][0];
-    assert_eq!(row["name"], "analysis/qmin_cusum");
+    assert_eq!(row["name"], "ablation/detector_cusum");
     #[cfg(target_os = "linux")]
     {
         assert!(!text.is_empty(), "expected samples on Linux");
