@@ -12,7 +12,7 @@ use netbase::flow::Transport;
 use netbase::time::SimTime;
 use simnet::rrl::{RateLimiter, ResponseClass, RrlAction, RrlGate};
 use simnet::scenario::DatasetSpec;
-use simnet::vantage;
+use simnet::vantage::{self, WireScratch};
 use std::net::IpAddr;
 use zonedb::zone::ZoneModel;
 
@@ -86,6 +86,8 @@ struct CacheEntry {
 pub struct RespondScratch {
     slots: Vec<Option<CacheEntry>>,
     out: Vec<u8>,
+    /// The encoder cache misses go through.
+    wire: WireScratch,
     hits: u64,
     misses: u64,
 }
@@ -102,6 +104,7 @@ impl RespondScratch {
         RespondScratch {
             slots: (0..CACHE_SLOTS).map(|_| None).collect(),
             out: Vec::with_capacity(MAX_CACHED_RESP),
+            wire: WireScratch::default(),
             hits: 0,
             misses: 0,
         }
@@ -221,12 +224,20 @@ impl Responder {
         now: SimTime,
         rrl: Option<&mut RateLimiter>,
     ) -> Outcome {
-        self.handle_gated(payload, transport, src, now, rrl)
+        self.handle_gated(
+            payload,
+            transport,
+            src,
+            now,
+            rrl,
+            &mut WireScratch::default(),
+        )
     }
 
     /// [`Responder::handle`] generic over the RRL gate, so the sharded
     /// server passes a [`simnet::rrl::ShardedRateLimiter`] handle where
-    /// the serial server passes `&mut RateLimiter`.
+    /// the serial server passes `&mut RateLimiter`. The response is
+    /// encoded through `wire`.
     pub fn handle_gated<L: RrlGate>(
         &self,
         payload: &[u8],
@@ -234,6 +245,7 @@ impl Responder {
         src: IpAddr,
         now: SimTime,
         rrl: Option<&mut L>,
+        wire: &mut WireScratch,
     ) -> Outcome {
         let Ok(query) = Message::parse(payload) else {
             return Outcome::Malformed;
@@ -249,16 +261,15 @@ impl Responder {
         let answer = self.auth.respond(&query, signed);
 
         if transport == Transport::Tcp {
-            let bytes = answer.message.encode().expect("responses encode");
             return Outcome::Reply {
-                bytes,
+                bytes: wire.encode(&answer.message).to_vec(),
                 truncated: false,
                 slipped: false,
             };
         }
 
         let edns_size = query.edns.as_ref().map_or(0, |e| e.udp_payload_size);
-        match vantage::shape_udp(&answer.message, edns_size, src, now, rrl) {
+        match vantage::shape_udp(&answer.message, edns_size, src, now, rrl, wire) {
             Some(reply) => Outcome::Reply {
                 bytes: reply.bytes,
                 truncated: reply.truncated,
@@ -304,6 +315,7 @@ impl Responder {
         let RespondScratch {
             slots,
             out,
+            wire,
             hits,
             misses,
         } = scratch;
@@ -357,12 +369,16 @@ impl Responder {
         }
 
         *misses += 1;
-        match self.handle_gated(payload, transport, src, now, rrl) {
+        match self.handle_gated(payload, transport, src, now, rrl, wire) {
             Outcome::Reply {
                 bytes,
                 truncated,
                 slipped,
             } => {
+                // copied, not swapped in: `out` keeps its full capacity,
+                // so a later hit never has to grow it
+                out.clear();
+                out.extend_from_slice(&bytes);
                 if !slipped && bytes.len() <= MAX_CACHED_RESP {
                     if let (Some(shape), Some(idx)) = (shape, idx) {
                         // with an OPT present its option-less 11-byte
@@ -400,7 +416,7 @@ impl Responder {
                                     *vacant = Some(CacheEntry {
                                         key: payload[2..].to_vec(),
                                         transport,
-                                        resp: bytes.clone(),
+                                        resp: bytes,
                                         truncated,
                                         qname_len: shape.qname_len,
                                         has_edns: shape.has_opt,
@@ -411,7 +427,6 @@ impl Responder {
                         }
                     }
                 }
-                *out = bytes;
                 OutcomeRef::Reply {
                     bytes: out,
                     truncated,

@@ -19,7 +19,7 @@
 
 use dns_wire::builder::MessageBuilder;
 use dns_wire::message::Message;
-use dns_wire::name::{Name, NameCompressor, ReusableCompressor};
+use dns_wire::name::{Name, ReusableCompressor};
 use dns_wire::rdata::RData;
 use dns_wire::types::{RType, Rcode};
 use simnet::profile::Vantage;
@@ -1010,17 +1010,18 @@ fn substrates() -> Vec<Scenario> {
 // Both sides of each design choice DESIGN.md §6 marks ✦. The two rows
 // of a pair run the same input, so they compare directly.
 
-/// Name compression: the 64 sample names through a [`NameCompressor`]
-/// (suffix table, pointers) or spelled out in full.
+/// Name compression: the 64 sample names through a
+/// [`ReusableCompressor`] (suffix table, pointers) or spelled out in
+/// full.
 fn name_encode_scenario(compress: bool) -> Prepared {
     let names = sample_names();
     let n = names.len() as u64;
     Prepared::new(n, move || {
-        let mut comp = NameCompressor::new();
+        let mut comp = ReusableCompressor::new();
         let mut out = Vec::with_capacity(2048);
         for name in &names {
             if compress {
-                comp.encode(name, &mut out);
+                comp.encode_name(name, &mut out);
             } else {
                 name.encode_uncompressed(&mut out);
             }

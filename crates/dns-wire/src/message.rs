@@ -3,7 +3,7 @@
 use crate::edns::Edns;
 use crate::error::WireError;
 use crate::header::{Header, HEADER_LEN};
-use crate::name::{Name, NameCompressor, NameEncoder, ReusableCompressor};
+use crate::name::{Name, ReusableCompressor};
 use crate::rdata::RData;
 use crate::types::{RClass, RType, Rcode};
 
@@ -45,7 +45,7 @@ impl Question {
         ))
     }
 
-    fn encode<C: NameEncoder>(&self, comp: &mut C, out: &mut Vec<u8>) {
+    fn encode(&self, comp: &mut ReusableCompressor, out: &mut Vec<u8>) {
         comp.encode_name(&self.qname, out);
         out.extend_from_slice(&self.qtype.to_u16().to_be_bytes());
         out.extend_from_slice(&self.qclass.to_u16().to_be_bytes());
@@ -81,7 +81,7 @@ impl Record {
         self.rdata.rtype()
     }
 
-    fn encode<C: NameEncoder>(&self, comp: &mut C, out: &mut Vec<u8>) -> Result<(), WireError> {
+    fn encode(&self, comp: &mut ReusableCompressor, out: &mut Vec<u8>) -> Result<(), WireError> {
         comp.encode_name(&self.name, out);
         out.extend_from_slice(&self.rtype().to_u16().to_be_bytes());
         out.extend_from_slice(&self.class.to_u16().to_be_bytes());
@@ -134,18 +134,32 @@ impl Message {
 
     /// Parse a message from wire bytes.
     pub fn parse(msg: &[u8]) -> Result<Message, WireError> {
-        let (mut header, counts) = Header::parse(msg)?;
+        let mut parsed = Message::new(Header::request(0));
+        parsed.parse_into(msg)?;
+        Ok(parsed)
+    }
+
+    /// Parse `msg` into this message, replacing whatever it held and
+    /// keeping the section vectors' capacity, so a caller that parses
+    /// many messages through one scratch `Message` stops allocating for
+    /// the sections. After an error the contents are unspecified (the
+    /// sections parsed before the fault); the next call starts clean.
+    pub fn parse_into(&mut self, msg: &[u8]) -> Result<(), WireError> {
+        self.questions.clear();
+        self.answers.clear();
+        self.authorities.clear();
+        self.additionals.clear();
+        self.edns = None;
+        let (header, counts) = Header::parse(msg)?;
+        self.header = header;
         let mut pos = HEADER_LEN;
 
-        let mut questions = Vec::with_capacity(counts[0] as usize);
         for _ in 0..counts[0] {
             let (q, p) = Question::parse(msg, pos).map_err(|e| section_err(e, "question"))?;
-            questions.push(q);
+            self.questions.push(q);
             pos = p;
         }
 
-        let mut sections: [Vec<Record>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        let mut edns: Option<Edns> = None;
         for (si, count) in counts[1..].iter().enumerate() {
             let section_name = ["answer", "authority", "additional"][si];
             for _ in 0..*count {
@@ -163,7 +177,7 @@ impl Message {
                     return Err(WireError::Truncated { offset: msg.len() });
                 }
                 if rtype == RType::Opt {
-                    if si != 2 || edns.is_some() || !name.is_root() {
+                    if si != 2 || self.edns.is_some() || !name.is_root() {
                         return Err(WireError::MalformedEdns);
                     }
                     let e = Edns::from_record_fields(
@@ -174,13 +188,19 @@ impl Message {
                     // Merge extended rcode: high 8 bits from OPT, low 4
                     // from the header (RFC 6891 §6.1.3).
                     if e.extended_rcode_bits != 0 {
-                        let low = header.rcode.to_u16() & 0x0f;
-                        header.rcode = Rcode::from_u16(((e.extended_rcode_bits as u16) << 4) | low);
+                        let low = self.header.rcode.to_u16() & 0x0f;
+                        self.header.rcode =
+                            Rcode::from_u16(((e.extended_rcode_bits as u16) << 4) | low);
                     }
-                    edns = Some(e);
+                    self.edns = Some(e);
                 } else {
                     let rdata = RData::parse(rtype, msg, rdata_start, rdlen)?;
-                    sections[si].push(Record {
+                    let section = match si {
+                        0 => &mut self.answers,
+                        1 => &mut self.authorities,
+                        _ => &mut self.additionals,
+                    };
+                    section.push(Record {
                         name,
                         class: RClass::from_u16(class_field),
                         ttl: ttl_field,
@@ -190,25 +210,15 @@ impl Message {
                 pos = rdata_start + rdlen;
             }
         }
-        let [answers, authorities, additionals] = sections;
-        Ok(Message {
-            header,
-            questions,
-            answers,
-            authorities,
-            additionals,
-            edns,
-        })
+        Ok(())
     }
 
     /// Encode to wire bytes with name compression. No size limit — for
     /// TCP, or as the first step of [`Message::encode_with_limit`].
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        self.encode_inner(
-            self.answers.len(),
-            self.authorities.len(),
-            self.additionals.len(),
-        )
+        let mut out = Vec::with_capacity(512);
+        self.encode_into(&mut ReusableCompressor::new(), &mut out)?;
+        Ok(out)
     }
 
     /// Encode for UDP under a payload-size limit.
@@ -220,9 +230,24 @@ impl Message {
     /// is the mechanism behind the paper's truncation-rate comparison
     /// (Facebook 17.16% vs Google 0.04%, §4.4).
     pub fn encode_with_limit(&self, limit: usize) -> Result<(Vec<u8>, bool), WireError> {
-        let full = self.encode()?;
-        if full.len() <= limit {
-            return Ok((full, false));
+        let mut out = Vec::with_capacity(512);
+        let truncated =
+            self.encode_with_limit_into(limit, &mut ReusableCompressor::new(), &mut out)?;
+        Ok((out, truncated))
+    }
+
+    /// [`Message::encode_with_limit`] into caller-owned buffers, as
+    /// [`Message::encode_into`] is to [`Message::encode`]. Returns
+    /// whether records were dropped (and TC set).
+    pub fn encode_with_limit_into(
+        &self,
+        limit: usize,
+        comp: &mut ReusableCompressor,
+        out: &mut Vec<u8>,
+    ) -> Result<bool, WireError> {
+        self.encode_into(comp, out)?;
+        if out.len() <= limit {
+            return Ok(false);
         }
         // Drop records from the tail until it fits.
         let mut an = self.answers.len();
@@ -236,34 +261,13 @@ impl Message {
             } else if an > 0 {
                 an -= 1;
             } else {
-                let mut msg = self.clone();
-                msg.header.truncated = true;
-                msg.answers.clear();
-                msg.authorities.clear();
-                msg.additionals.clear();
-                let bytes = msg.encode()?;
-                if bytes.len() > limit {
-                    return Err(WireError::WontFit { limit });
-                }
-                return Ok((bytes, true));
+                return Err(WireError::WontFit { limit });
             }
-            let mut msg = self.clone();
-            msg.header.truncated = true;
-            msg.answers.truncate(an);
-            msg.authorities.truncate(ns);
-            msg.additionals.truncate(ar);
-            let bytes = msg.encode_inner(an, ns, ar)?;
-            if bytes.len() <= limit {
-                return Ok((bytes, true));
+            self.encode_sections(an, ns, ar, true, comp, out)?;
+            if out.len() <= limit {
+                return Ok(true);
             }
         }
-    }
-
-    fn encode_inner(&self, an: usize, ns: usize, ar: usize) -> Result<Vec<u8>, WireError> {
-        let mut out = Vec::with_capacity(512);
-        let mut comp = NameCompressor::new();
-        self.encode_sections(an, ns, ar, &mut comp, &mut out)?;
-        Ok(out)
     }
 
     /// Encode into caller-owned buffers, reusing their capacity: `out`
@@ -275,27 +279,35 @@ impl Message {
         comp: &mut ReusableCompressor,
         out: &mut Vec<u8>,
     ) -> Result<(), WireError> {
-        out.clear();
-        comp.reset();
         self.encode_sections(
             self.answers.len(),
             self.authorities.len(),
             self.additionals.len(),
+            false,
             comp,
             out,
         )
     }
 
-    fn encode_sections<C: NameEncoder>(
+    /// Encode the first `an`/`ns`/`ar` records of each section into the
+    /// cleared `out`, with the TC bit forced on when `cut`.
+    fn encode_sections(
         &self,
         an: usize,
         ns: usize,
         ar: usize,
-        comp: &mut C,
+        cut: bool,
+        comp: &mut ReusableCompressor,
         out: &mut Vec<u8>,
     ) -> Result<(), WireError> {
+        out.clear();
+        comp.reset();
         let opt_count = usize::from(self.edns.is_some());
-        self.header.encode(
+        let header = Header {
+            truncated: self.header.truncated || cut,
+            ..self.header
+        };
+        header.encode(
             [
                 self.questions.len() as u16,
                 an as u16,
@@ -531,7 +543,7 @@ mod tests {
     fn count_mismatch_detected() {
         let mut raw = Vec::new();
         Header::request(5).encode([2, 0, 0, 0], &mut raw); // claims 2 questions
-        let mut comp = NameCompressor::new();
+        let mut comp = ReusableCompressor::new();
         Question::new(n("example.nl"), RType::A).encode(&mut comp, &mut raw);
         assert_eq!(
             Message::parse(&raw),

@@ -24,20 +24,104 @@ pub const MAX_LABEL_LEN: usize = 63;
 pub const MAX_NAME_LEN: usize = 255;
 /// Maximum compression-pointer hops tolerated before declaring a loop.
 const MAX_POINTER_HOPS: usize = 63;
+/// Longest wire form a [`Name`] holds without a heap allocation. Every
+/// name the generators put in a record fits (`ns1.` + the longest
+/// `label.school.nz.` is 28 octets; no `.nl` qname passes 24), and it
+/// keeps `Name` at 32 bytes.
+const INLINE_CAP: usize = 30;
 
 /// A fully-qualified domain name in wire form.
 ///
 /// Internally: the uncompressed wire encoding, e.g. `example.nl.` is
 /// `\x07example\x02nl\x00`. The root name is the single byte `\x00`.
-#[derive(Clone, Eq)]
+/// Wire forms of up to 30 octets live inside the value, so building,
+/// cloning and slicing such a name never touches the heap; longer ones
+/// are boxed. Nothing outside this module can tell which: every
+/// accessor goes through [`Name::as_wire`].
+#[derive(Clone)]
 pub struct Name {
-    wire: Vec<u8>,
+    repr: Repr,
+}
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, buf: [u8; INLINE_CAP] },
+    Heap(Box<[u8]>),
+}
+
+// the hot path's names are inline, and a `Name` stays cheap to move
+const _: () = assert!(INLINE_CAP >= 30 && core::mem::size_of::<Name>() <= 40);
+
+/// A wire form being assembled on the stack. `len` keeps counting past
+/// the buffer so [`WireBuf::finish`] can report the length the name
+/// would have had.
+struct WireBuf {
+    buf: [u8; MAX_NAME_LEN],
+    len: usize,
+}
+
+impl WireBuf {
+    fn new() -> Self {
+        WireBuf {
+            buf: [0; MAX_NAME_LEN],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, byte: u8) {
+        if let Some(slot) = self.buf.get_mut(self.len) {
+            *slot = byte;
+        }
+        self.len += 1;
+    }
+
+    fn extend(&mut self, bytes: &[u8]) {
+        if let Some(dst) = self.buf.get_mut(self.len..self.len + bytes.len()) {
+            dst.copy_from_slice(bytes);
+        }
+        self.len += bytes.len();
+    }
+
+    /// Append one length-prefixed label, after checking its length.
+    fn push_label(&mut self, label: &[u8]) -> Result<(), WireError> {
+        if label.is_empty() {
+            return Err(WireError::BadNameString);
+        }
+        if label.len() > MAX_LABEL_LEN {
+            return Err(WireError::LabelTooLong(label.len()));
+        }
+        self.push(label.len() as u8);
+        self.extend(label);
+        Ok(())
+    }
+
+    fn finish(self) -> Result<Name, WireError> {
+        match self.buf.get(..self.len) {
+            Some(wire) => Ok(Name::from_wire(wire)),
+            None => Err(WireError::NameTooLong(self.len)),
+        }
+    }
 }
 
 impl Name {
     /// The root name (`.`).
     pub fn root() -> Self {
-        Name { wire: vec![0] }
+        Name::from_wire(&[0])
+    }
+
+    /// Store a well-formed wire form of at most [`MAX_NAME_LEN`] octets.
+    fn from_wire(wire: &[u8]) -> Self {
+        let repr = if wire.len() <= INLINE_CAP {
+            let mut buf = [0; INLINE_CAP];
+            buf[..wire.len()].copy_from_slice(wire);
+            Repr::Inline {
+                len: wire.len() as u8,
+                buf,
+            }
+        } else {
+            Repr::Heap(wire.into())
+        };
+        Name { repr }
     }
 
     /// Build a name from an iterator of label byte-slices (top label last).
@@ -51,43 +135,36 @@ impl Name {
     where
         I: IntoIterator<Item = &'a [u8]>,
     {
-        let mut wire = Vec::new();
+        let mut wire = WireBuf::new();
         for label in labels {
-            if label.is_empty() {
-                return Err(WireError::BadNameString);
-            }
-            if label.len() > MAX_LABEL_LEN {
-                return Err(WireError::LabelTooLong(label.len()));
-            }
-            wire.push(label.len() as u8);
-            wire.extend_from_slice(label);
+            wire.push_label(label)?;
         }
         wire.push(0);
-        if wire.len() > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wire.len()));
-        }
-        Ok(Name { wire })
+        wire.finish()
     }
 
     /// The uncompressed wire encoding of this name.
     pub fn as_wire(&self) -> &[u8] {
-        &self.wire
+        match &self.repr {
+            Repr::Inline { len, buf } => &buf[..*len as usize],
+            Repr::Heap(wire) => wire,
+        }
     }
 
     /// Length of the uncompressed wire encoding in octets.
     pub fn wire_len(&self) -> usize {
-        self.wire.len()
+        self.as_wire().len()
     }
 
     /// True if this is the root name.
     pub fn is_root(&self) -> bool {
-        self.wire.len() == 1
+        self.wire_len() == 1
     }
 
     /// Iterate over the labels, leftmost (deepest) first.
     pub fn labels(&self) -> LabelIter<'_> {
         LabelIter {
-            wire: &self.wire,
+            wire: self.as_wire(),
             pos: 0,
         }
     }
@@ -103,43 +180,30 @@ impl Name {
         if self.is_root() {
             return self.clone();
         }
-        let skip = 1 + self.wire[0] as usize;
-        Name {
-            wire: self.wire[skip..].to_vec(),
-        }
+        let wire = self.as_wire();
+        Name::from_wire(&wire[1 + wire[0] as usize..])
     }
 
     /// Prepend one label to this name.
     pub fn child(&self, label: &[u8]) -> Result<Name, WireError> {
-        if label.is_empty() {
-            return Err(WireError::BadNameString);
-        }
-        if label.len() > MAX_LABEL_LEN {
-            return Err(WireError::LabelTooLong(label.len()));
-        }
-        let mut wire = Vec::with_capacity(1 + label.len() + self.wire.len());
-        wire.push(label.len() as u8);
-        wire.extend_from_slice(label);
-        wire.extend_from_slice(&self.wire);
-        if wire.len() > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wire.len()));
-        }
-        Ok(Name { wire })
+        let mut wire = WireBuf::new();
+        wire.push_label(label)?;
+        wire.extend(self.as_wire());
+        wire.finish()
     }
 
     /// The ancestor of this name with exactly `depth` labels — `depth`
     /// 2 of `www.example.nl.` is `example.nl.` — or the name itself when
     /// it has no more than `depth` labels. One slice of the wire form.
     pub fn ancestor(&self, depth: usize) -> Name {
+        let wire = self.as_wire();
         let mut skip = self.label_count().saturating_sub(depth);
         let mut pos = 0;
         while skip > 0 {
-            pos += 1 + self.wire[pos] as usize;
+            pos += 1 + wire[pos] as usize;
             skip -= 1;
         }
-        Name {
-            wire: self.wire[pos..].to_vec(),
-        }
+        Name::from_wire(&wire[pos..])
     }
 
     /// True if `self` equals `zone` or is underneath it (case-insensitive).
@@ -154,14 +218,15 @@ impl Name {
     /// assert!(!zone.is_subdomain_of(&host));
     /// ```
     pub fn is_subdomain_of(&self, zone: &Name) -> bool {
-        let Some(boundary) = self.wire.len().checked_sub(zone.wire.len()) else {
+        let (wire, zone) = (self.as_wire(), zone.as_wire());
+        let Some(boundary) = wire.len().checked_sub(zone.len()) else {
             return false;
         };
         let mut pos = 0;
         while pos < boundary {
-            pos += 1 + self.wire[pos] as usize;
+            pos += 1 + wire[pos] as usize;
         }
-        pos == boundary && eq_fold(&self.wire[boundary..], &zone.wire)
+        pos == boundary && eq_fold(&wire[boundary..], zone)
     }
 
     /// The QNAME-minimization test of RFC 7816 as applied by the paper:
@@ -180,7 +245,7 @@ impl Name {
     /// one). Pointers must point strictly backwards; hop count is capped
     /// to defeat loops.
     pub fn parse(msg: &[u8], pos: usize) -> Result<(Name, usize), WireError> {
-        let mut wire = Vec::new();
+        let mut wire = WireBuf::new();
         let mut cursor = pos;
         let mut after: Option<usize> = None; // resume point in the outer stream
         let mut hops = 0usize;
@@ -196,19 +261,15 @@ impl Name {
                     if len == 0 {
                         wire.push(0);
                         let end = after.unwrap_or(cursor + 1);
-                        if wire.len() > MAX_NAME_LEN {
-                            return Err(WireError::NameTooLong(wire.len()));
-                        }
-                        return Ok((Name { wire }, end));
+                        return Ok((wire.finish()?, end));
                     }
                     let label_end = cursor + 1 + len;
                     if label_end > msg.len() {
                         return Err(WireError::Truncated { offset: msg.len() });
                     }
-                    wire.push(len_byte);
-                    wire.extend_from_slice(&msg[cursor + 1..label_end]);
-                    if wire.len() > MAX_NAME_LEN {
-                        return Err(WireError::NameTooLong(wire.len()));
+                    wire.extend(&msg[cursor..label_end]);
+                    if wire.len > MAX_NAME_LEN {
+                        return Err(WireError::NameTooLong(wire.len));
                     }
                     cursor = label_end;
                 }
@@ -237,7 +298,7 @@ impl Name {
 
     /// Append the uncompressed encoding to `out`.
     pub fn encode_uncompressed(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.wire);
+        out.extend_from_slice(self.as_wire());
     }
 }
 
@@ -253,9 +314,11 @@ fn eq_fold(a: &[u8], b: &[u8]) -> bool {
 
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
-        eq_fold(&self.wire, &other.wire)
+        eq_fold(self.as_wire(), other.as_wire())
     }
 }
+
+impl Eq for Name {}
 
 impl Hash for Name {
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -350,106 +413,53 @@ impl FromStr for Name {
             return Ok(Name::root());
         }
         let bytes = s.as_bytes();
-        let mut labels: Vec<Vec<u8>> = Vec::new();
-        let mut current: Vec<u8> = Vec::new();
+        let mut wire = WireBuf::new();
+        // the open label; `n` keeps counting past the buffer so an
+        // over-long label is reported with its length
+        let mut label = [0u8; MAX_LABEL_LEN];
+        let mut n = 0usize;
         let mut i = 0;
         while i < bytes.len() {
-            match bytes[i] {
+            let octet = match bytes[i] {
                 b'\\' => {
                     let next = *bytes.get(i + 1).ok_or(WireError::BadNameString)?;
                     if next.is_ascii_digit() {
-                        if i + 3 >= bytes.len() {
+                        let ddd = bytes.get(i + 1..i + 4).ok_or(WireError::BadNameString)?;
+                        if !ddd.iter().all(u8::is_ascii_digit) {
                             return Err(WireError::BadNameString);
                         }
-                        let ddd = &s[i + 1..i + 4];
-                        let v: u16 = ddd.parse().map_err(|_| WireError::BadNameString)?;
-                        if v > 255 {
-                            return Err(WireError::BadNameString);
-                        }
-                        current.push(v as u8);
+                        let v = ddd.iter().fold(0u16, |v, d| v * 10 + (d - b'0') as u16);
                         i += 4;
+                        u8::try_from(v).map_err(|_| WireError::BadNameString)?
                     } else {
-                        current.push(next);
                         i += 2;
+                        next
                     }
                 }
                 b'.' => {
-                    if current.is_empty() {
+                    if n == 0 {
                         return Err(WireError::BadNameString);
                     }
-                    labels.push(core::mem::take(&mut current));
+                    wire.push_label(label.get(..n).ok_or(WireError::LabelTooLong(n))?)?;
+                    n = 0;
                     i += 1;
+                    continue;
                 }
                 b => {
-                    current.push(b);
                     i += 1;
+                    b
                 }
+            };
+            if let Some(slot) = label.get_mut(n) {
+                *slot = octet;
             }
+            n += 1;
         }
-        if !current.is_empty() {
-            labels.push(current);
+        if n > 0 {
+            wire.push_label(label.get(..n).ok_or(WireError::LabelTooLong(n))?)?;
         }
-        Name::from_labels(labels.iter().map(|l| l.as_slice()))
-    }
-}
-
-/// A compression map used while encoding a message: remembers, for every
-/// name suffix already emitted, its offset, so later names can point at it
-/// (RFC 1035 §4.1.4). Offsets beyond 0x3FFF cannot be pointed at.
-#[derive(Default)]
-pub struct NameCompressor {
-    /// Suffix (in lowercased wire form) -> offset in the message.
-    seen: std::collections::HashMap<Vec<u8>, u16>,
-}
-
-impl NameCompressor {
-    /// Create an empty compressor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Encode `name` at the current end of `out`, compressing against
-    /// earlier names, and record its suffixes for future reuse.
-    pub fn encode(&mut self, name: &Name, out: &mut Vec<u8>) {
-        let wire = name.as_wire();
-        let mut pos = 0usize;
-        while wire[pos] != 0 {
-            let suffix_key = lower_wire(&wire[pos..]);
-            if let Some(&offset) = self.seen.get(&suffix_key) {
-                out.push(0xc0 | ((offset >> 8) as u8));
-                out.push(offset as u8);
-                return;
-            }
-            let here = out.len();
-            if here <= 0x3fff {
-                self.seen.insert(suffix_key, here as u16);
-            }
-            let len = wire[pos] as usize;
-            out.extend_from_slice(&wire[pos..pos + 1 + len]);
-            pos += 1 + len;
-        }
-        out.push(0);
-    }
-}
-
-fn lower_wire(w: &[u8]) -> Vec<u8> {
-    w.iter().map(|b| b.to_ascii_lowercase()).collect()
-}
-
-/// Strategy for emitting a name into a message under construction.
-///
-/// [`NameCompressor`] is the straightforward per-message implementation;
-/// [`ReusableCompressor`] trades exactness of its suffix table (hashes,
-/// verified against the output buffer) for allocation-free reuse across
-/// messages on hot paths.
-pub trait NameEncoder {
-    /// Append `name` (possibly compressed) at the current end of `out`.
-    fn encode_name(&mut self, name: &Name, out: &mut Vec<u8>);
-}
-
-impl NameEncoder for NameCompressor {
-    fn encode_name(&mut self, name: &Name, out: &mut Vec<u8>) {
-        self.encode(name, out);
+        wire.push(0);
+        wire.finish()
     }
 }
 
@@ -512,8 +522,12 @@ fn suffix_matches(msg: &[u8], at: usize, suffix: &[u8]) -> bool {
     }
 }
 
-/// A [`NameEncoder`] designed for reuse across many messages without
-/// allocating: the suffix table keys are 64-bit FNV hashes instead of
+/// The name compressor (RFC 1035 §4.1.4): remembers, for every name
+/// suffix already emitted, its offset in the message, so later names
+/// can point at it. Offsets beyond 0x3FFF cannot be pointed at.
+///
+/// Built for reuse across messages without allocating: the suffix
+/// table's keys are 64-bit FNV hashes of the case-folded suffix, not
 /// owned byte strings, so [`ReusableCompressor::reset`] between
 /// messages keeps the map's capacity and steady-state encoding performs
 /// zero heap allocations.
@@ -539,10 +553,10 @@ impl ReusableCompressor {
     pub fn reset(&mut self) {
         self.seen.clear();
     }
-}
 
-impl NameEncoder for ReusableCompressor {
-    fn encode_name(&mut self, name: &Name, out: &mut Vec<u8>) {
+    /// Encode `name` at the current end of `out`, compressing against
+    /// earlier names, and record its suffixes for future reuse.
+    pub fn encode_name(&mut self, name: &Name, out: &mut Vec<u8>) {
         let wire = name.as_wire();
         let mut pos = 0usize;
         while wire[pos] != 0 {
@@ -572,10 +586,11 @@ impl NameEncoder for ReusableCompressor {
         out.push(0);
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::strategy::Just;
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()
@@ -745,6 +760,8 @@ mod tests {
         assert!(".leading".parse::<Name>().is_err());
         assert!("trail\\".parse::<Name>().is_err());
         assert!("big\\999escape".parse::<Name>().is_err());
+        // a \DDD escape cut short by a multi-byte character
+        assert!("a\\12\u{e9}.nl".parse::<Name>().is_err());
     }
 
     #[test]
@@ -835,11 +852,11 @@ mod tests {
     #[test]
     fn compressor_reuses_suffixes() {
         let mut out = Vec::new();
-        let mut comp = NameCompressor::new();
-        comp.encode(&n("www.example.nl"), &mut out);
+        let mut comp = ReusableCompressor::new();
+        comp.encode_name(&n("www.example.nl"), &mut out);
         let first_len = out.len();
         assert_eq!(first_len, 16); // 4+8+3+1
-        comp.encode(&n("mail.example.nl"), &mut out);
+        comp.encode_name(&n("mail.example.nl"), &mut out);
         // "mail" label (5 bytes) + pointer (2 bytes)
         assert_eq!(out.len(), first_len + 7);
         // both decode correctly
@@ -852,25 +869,25 @@ mod tests {
     #[test]
     fn compressor_case_insensitive_reuse() {
         let mut out = Vec::new();
-        let mut comp = NameCompressor::new();
-        comp.encode(&n("a.EXAMPLE.NL"), &mut out);
+        let mut comp = ReusableCompressor::new();
+        comp.encode_name(&n("a.EXAMPLE.NL"), &mut out);
         let len = out.len();
-        comp.encode(&n("b.example.nl"), &mut out);
+        comp.encode_name(&n("b.example.nl"), &mut out);
         assert_eq!(out.len(), len + 4, "one label + pointer");
     }
 
     #[test]
     fn compressor_identical_name_is_single_pointer() {
         let mut out = Vec::new();
-        let mut comp = NameCompressor::new();
-        comp.encode(&n("example.nl"), &mut out);
+        let mut comp = ReusableCompressor::new();
+        comp.encode_name(&n("example.nl"), &mut out);
         let len = out.len();
-        comp.encode(&n("example.nl"), &mut out);
+        comp.encode_name(&n("example.nl"), &mut out);
         assert_eq!(out.len(), len + 2);
     }
 
     #[test]
-    fn reusable_compressor_matches_exact_compressor() {
+    fn compressor_reset_forgets_every_suffix() {
         let names = [
             n("www.example.nl"),
             n("mail.EXAMPLE.nl"),
@@ -878,26 +895,26 @@ mod tests {
             n("other.nl"),
             n("deep.a.b.example.nl"),
         ];
-        let mut exact_out = Vec::new();
-        let mut exact = NameCompressor::new();
-        let mut fast_out = Vec::new();
-        let mut fast = ReusableCompressor::new();
+        let mut comp = ReusableCompressor::new();
+        let mut first = Vec::new();
         for name in &names {
-            exact.encode_name(name, &mut exact_out);
-            fast.encode_name(name, &mut fast_out);
+            comp.encode_name(name, &mut first);
         }
-        assert_eq!(exact_out, fast_out, "same bytes as the exact compressor");
-        // and after reset the table is empty again: same output stream
-        fast.reset();
+        // 16, then 5+2, a bare pointer, 6+2, and 5+2+2+2
+        assert_eq!(first.len(), 16 + 7 + 2 + 8 + 11);
+        comp.reset();
         let mut second = Vec::new();
         for name in &names {
-            fast.encode_name(name, &mut second);
+            comp.encode_name(name, &mut second);
         }
-        assert_eq!(second, fast_out);
+        assert_eq!(
+            second, first,
+            "a stale offset would have compressed the first name"
+        );
     }
 
     #[test]
-    fn reusable_compressor_output_decodes() {
+    fn compressor_output_decodes() {
         let names = [
             n("a.b.c.example.nl"),
             n("x.b.c.example.nl"),
@@ -952,5 +969,170 @@ mod tests {
                 n("z.example.nl")
             ]
         );
+    }
+
+    /// Labels (deepest first) whose wire form is exactly `total` octets,
+    /// cut and filled from `noise`. `total` is 1 or at least 3.
+    fn labels_with_wire_len(total: usize, noise: &[u8]) -> Vec<Vec<u8>> {
+        let mut noise = noise.iter().copied().cycle();
+        let mut labels = Vec::new();
+        let mut left = total - 1; // the root octet
+        while left > 0 {
+            // a label takes 2..=64 octets and must not strand a single one
+            let mut take = 2 + noise.next().unwrap() as usize % (left.min(64) - 1);
+            if left - take == 1 {
+                take = if take == 64 { 63 } else { take + 1 };
+            }
+            labels.push(noise.by_ref().take(take - 1).collect());
+            left -= take;
+        }
+        labels
+    }
+
+    fn from_model(labels: &[Vec<u8>]) -> Result<Name, WireError> {
+        Name::from_labels(labels.iter().map(|l| l.as_slice()))
+    }
+
+    /// RFC 4034 §6.1 over the label lists themselves.
+    fn model_cmp(a: &[Vec<u8>], b: &[Vec<u8>]) -> core::cmp::Ordering {
+        let fold = |labels: &[Vec<u8>]| -> Vec<Vec<u8>> {
+            labels
+                .iter()
+                .rev()
+                .map(|l| l.to_ascii_lowercase())
+                .collect()
+        };
+        fold(a).cmp(&fold(b))
+    }
+
+    /// The same octets, case included (`==` folds it).
+    fn same_octets(a: &Name, b: &Name) -> bool {
+        a.as_wire() == b.as_wire()
+    }
+
+    fn hash_of(name: &Name) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        name.hash(&mut h);
+        h.finish()
+    }
+
+    /// Wire lengths either side of the inline capacity, and the longest.
+    fn straddling_len() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            Just(INLINE_CAP - 1),
+            Just(INLINE_CAP),
+            Just(INLINE_CAP + 1),
+            Just(MAX_NAME_LEN)
+        ]
+    }
+
+    fn noise() -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec(any::<u8>(), 64..=320)
+    }
+
+    proptest! {
+        /// A name behaves as its label list does, whichever
+        /// representation holds it and whichever its relatives land in.
+        #[test]
+        fn representation_never_shows(
+            len_a in straddling_len(),
+            len_b in straddling_len(),
+            noise_a in noise(),
+            noise_b in noise(),
+        ) {
+            let model = labels_with_wire_len(len_a, &noise_a);
+            let name = from_model(&model).unwrap();
+            prop_assert_eq!(name.wire_len(), len_a);
+            prop_assert_eq!(matches!(name.repr, Repr::Inline { .. }), len_a <= INLINE_CAP);
+            prop_assert_eq!(name.labels().map(<[u8]>::to_vec).collect::<Vec<_>>(), model.clone());
+
+            // parse and presentation format rebuild the same octets
+            let (parsed, end) = Name::parse(name.as_wire(), 0).unwrap();
+            prop_assert_eq!(end, len_a);
+            prop_assert!(same_octets(&parsed, &name));
+            let shown = name.to_string();
+            prop_assert!(same_octets(&shown.parse().unwrap(), &name));
+
+            // Eq and Hash fold ASCII case and nothing else
+            let swapped: Vec<Vec<u8>> = model
+                .iter()
+                .map(|l| l.iter().map(|b| if b.is_ascii_alphabetic() { b ^ 0x20 } else { *b }).collect())
+                .collect();
+            let other_case = from_model(&swapped).unwrap();
+            prop_assert_eq!(&other_case, &name);
+            prop_assert_eq!(hash_of(&other_case), hash_of(&name));
+            prop_assert_eq!(other_case.cmp(&name), core::cmp::Ordering::Equal);
+
+            // Ord is the model's, across representations
+            let model_b = labels_with_wire_len(len_b, &noise_b);
+            let name_b = from_model(&model_b).unwrap();
+            prop_assert_eq!(name.cmp(&name_b), model_cmp(&model, &model_b));
+            prop_assert_eq!(name == name_b, model_cmp(&model, &model_b).is_eq());
+
+            // parent and ancestor walk down through the capacity
+            let mut walk = name.clone();
+            for depth in (0..model.len()).rev() {
+                walk = walk.parent();
+                let expect = from_model(&model[model.len() - depth..]).unwrap();
+                prop_assert!(same_octets(&walk, &expect));
+                prop_assert!(same_octets(&name.ancestor(depth), &expect));
+                prop_assert!(name.is_subdomain_of(&walk));
+                prop_assert!(other_case.is_subdomain_of(&walk));
+                prop_assert!(!walk.is_subdomain_of(&name));
+            }
+            prop_assert!(walk.is_root());
+            prop_assert!(same_octets(&name.ancestor(model.len() + 3), &name));
+
+            // child walks up through it, until the name would pass 255
+            let label = &noise_b[..1 + noise_b[0] as usize % 63];
+            let grown = 1 + label.len() + len_a;
+            match name.child(label) {
+                Ok(child) => {
+                    prop_assert!(grown <= MAX_NAME_LEN);
+                    prop_assert_eq!(child.wire_len(), grown);
+                    prop_assert_eq!(child.labels().next().unwrap(), label);
+                    prop_assert!(same_octets(&child.parent(), &name));
+                    prop_assert!(child.is_subdomain_of(&name));
+                    prop_assert!(child.is_minimized_child_of(&name));
+                }
+                Err(e) => prop_assert_eq!(e, WireError::NameTooLong(grown)),
+            }
+        }
+
+        /// 256 octets is one too many for every constructor.
+        #[test]
+        fn one_octet_past_the_limit_is_refused(noise in noise()) {
+            let model = labels_with_wire_len(MAX_NAME_LEN + 1, &noise);
+            prop_assert_eq!(from_model(&model), Err(WireError::NameTooLong(256)));
+            let mut wire: Vec<u8> = Vec::new();
+            for l in &model {
+                wire.push(l.len() as u8);
+                wire.extend_from_slice(l);
+            }
+            wire.push(0);
+            prop_assert!(matches!(Name::parse(&wire, 0), Err(WireError::NameTooLong(_))));
+            let longest = from_model(&model[1..]).unwrap();
+            prop_assert_eq!(longest.child(&model[0]), Err(WireError::NameTooLong(256)));
+            // each label's presentation form ends in its own dot
+            let shown: String = model
+                .iter()
+                .map(|l| from_model(std::slice::from_ref(l)).unwrap().to_string())
+                .collect();
+            prop_assert_eq!(shown.parse::<Name>(), Err(WireError::NameTooLong(256)));
+        }
+    }
+
+    #[test]
+    fn short_names_live_inline() {
+        let at_cap = Name::from_labels([&[b'a'; INLINE_CAP - 2][..]]).unwrap();
+        assert_eq!(at_cap.wire_len(), INLINE_CAP);
+        assert!(matches!(at_cap.repr, Repr::Inline { .. }));
+        let over = Name::from_labels([&[b'a'; INLINE_CAP - 1][..]]).unwrap();
+        assert!(matches!(over.repr, Repr::Heap(_)));
+        // slicing a boxed name back under the capacity moves it inline
+        let long = n("a-label-long-enough-to-spill.example.nl");
+        assert!(matches!(long.repr, Repr::Heap(_)));
+        assert!(matches!(long.parent().repr, Repr::Inline { .. }));
+        assert!(matches!(long.ancestor(1).repr, Repr::Inline { .. }));
     }
 }

@@ -4,7 +4,7 @@
 //! a capture is ever dropped on the floor.
 
 use crate::error::WireError;
-use crate::name::{Name, NameEncoder};
+use crate::name::{Name, ReusableCompressor};
 use crate::types::RType;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -425,7 +425,11 @@ impl RData {
     /// Append the wire encoding to `out`, compressing embedded names where
     /// RFC 3597 permits (NS/CNAME/PTR/MX/SOA — the "well known" types).
     /// Returns nothing; the caller patches RDLENGTH around this.
-    pub fn encode<C: NameEncoder>(&self, comp: &mut C, out: &mut Vec<u8>) -> Result<(), WireError> {
+    pub fn encode(
+        &self,
+        comp: &mut ReusableCompressor,
+        out: &mut Vec<u8>,
+    ) -> Result<(), WireError> {
         match self {
             RData::A(a) => out.extend_from_slice(&a.octets()),
             RData::Aaaa(a) => out.extend_from_slice(&a.octets()),
@@ -570,7 +574,6 @@ impl RData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::name::NameCompressor;
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()
@@ -578,7 +581,7 @@ mod tests {
 
     /// Encode standalone (no prior message context), then reparse.
     fn roundtrip(rd: &RData) -> RData {
-        let mut comp = NameCompressor::new();
+        let mut comp = ReusableCompressor::new();
         let mut out = Vec::new();
         rd.encode(&mut comp, &mut out).unwrap();
         RData::parse(rd.rtype(), &out, 0, out.len()).unwrap()
@@ -647,7 +650,7 @@ mod tests {
     #[test]
     fn txt_overlong_string_rejected_on_encode() {
         let txt = RData::Txt(vec![vec![0u8; 256]]);
-        let mut comp = NameCompressor::new();
+        let mut comp = ReusableCompressor::new();
         let mut out = Vec::new();
         assert_eq!(
             txt.encode(&mut comp, &mut out),

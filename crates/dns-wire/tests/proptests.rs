@@ -4,7 +4,7 @@
 use dns_wire::edns::Edns;
 use dns_wire::header::Header;
 use dns_wire::message::{Message, Question, Record};
-use dns_wire::name::Name;
+use dns_wire::name::{Name, ReusableCompressor};
 use dns_wire::rdata::RData;
 use dns_wire::types::{RType, Rcode};
 use proptest::prelude::*;
@@ -27,6 +27,29 @@ fn hostname() -> impl Strategy<Value = Name> {
     prop::collection::vec("[a-z0-9-]{1,20}", 1..=4).prop_filter_map("too long", |labels| {
         Name::from_labels(labels.iter().map(|l| l.as_bytes())).ok()
     })
+}
+
+/// `name` with the case of its letters flipped where `flips` has a bit
+/// set (bit i for the i-th octet, wrapping).
+fn recase(name: &Name, flips: u64) -> Name {
+    let labels: Vec<Vec<u8>> = name
+        .labels()
+        .enumerate()
+        .map(|(i, l)| {
+            l.iter()
+                .enumerate()
+                .map(|(j, b)| {
+                    let flip = flips >> ((i * 7 + j) % 64) & 1 == 1;
+                    if flip && b.is_ascii_alphabetic() {
+                        b ^ 0x20
+                    } else {
+                        *b
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    Name::from_labels(labels.iter().map(|l| l.as_slice())).unwrap()
 }
 
 fn rdata() -> impl Strategy<Value = RData> {
@@ -197,20 +220,137 @@ proptest! {
         }
     }
 
+    /// `parse_into` on a scratch message that has seen other traffic
+    /// is `parse`: same verdict, same error, same contents. The batch
+    /// mixes valid messages with cut and byte-flipped ones, so a parse
+    /// that fails halfway through a section is followed by more parses.
+    #[test]
+    fn parse_into_a_dirty_scratch_equals_parse(
+        batch in prop::collection::vec(
+            (
+                message(),
+                prop::option::of(0usize..4096),
+                prop::collection::vec((0usize..4096, any::<u8>()), 0..=3),
+            ),
+            1..=6,
+        )
+    ) {
+        let mut scratch = Message::new(Header::request(0));
+        for (msg, cut, flips) in batch {
+            let mut bytes = msg.encode().unwrap();
+            if let Some(cut) = cut {
+                bytes.truncate(cut % (bytes.len() + 1));
+            }
+            for (pos, val) in flips {
+                if !bytes.is_empty() {
+                    let len = bytes.len();
+                    bytes[pos % len] ^= val;
+                }
+            }
+            match (scratch.parse_into(&bytes), Message::parse(&bytes)) {
+                (Ok(()), Ok(fresh)) => prop_assert_eq!(&scratch, &fresh),
+                (Err(into), Err(fresh)) => prop_assert_eq!(into, fresh),
+                (into, fresh) => prop_assert!(false, "parse_into {into:?}, parse {fresh:?}"),
+            }
+        }
+    }
+
     /// Compression: two-name messages always decode back to the same
     /// names even when suffixes are shared.
     #[test]
     fn compression_roundtrip(a in hostname(), b in hostname()) {
-        use dns_wire::name::NameCompressor;
         let mut out = Vec::new();
-        let mut comp = NameCompressor::new();
-        comp.encode(&a, &mut out);
+        let mut comp = ReusableCompressor::new();
+        comp.encode_name(&a, &mut out);
         let b_at = out.len();
-        comp.encode(&b, &mut out);
+        comp.encode_name(&b, &mut out);
         let (pa, next) = Name::parse(&out, 0).unwrap();
         let (pb, _) = Name::parse(&out, b_at).unwrap();
         prop_assert_eq!(pa, a);
         prop_assert_eq!(pb, b);
         prop_assert_eq!(next, b_at);
+    }
+
+    /// A suffix already in the message is pointed at whatever its case:
+    /// the second name costs its new label plus one pointer.
+    #[test]
+    fn mixed_case_suffix_is_one_pointer(
+        a in hostname(),
+        label in "[a-z0-9]{1,12}",
+        flips in any::<u64>(),
+    ) {
+        let b = recase(&a, flips).child(label.as_bytes()).unwrap();
+        let mut out = Vec::new();
+        let mut comp = ReusableCompressor::new();
+        comp.encode_name(&a, &mut out);
+        let b_at = out.len();
+        comp.encode_name(&b, &mut out);
+        prop_assert_eq!(out.len() - b_at, 1 + label.len() + 2);
+        let (pb, end) = Name::parse(&out, b_at).unwrap();
+        prop_assert_eq!(pb, b);
+        prop_assert_eq!(end, out.len());
+    }
+
+    /// Names inside RDATA compress against the rest of the message, in
+    /// any case mix, where RFC 3597 allows it and nowhere else: a zone
+    /// every record mentions is spelled out once, plus once for each
+    /// name that must stay uncompressed.
+    #[test]
+    fn rdata_names_compress_across_case(
+        parent in hostname(),
+        flips in prop::collection::vec(any::<u64>(), 12),
+    ) {
+        // an underscore never comes out of `hostname()`
+        let zone = parent.child(b"_zone_").unwrap();
+        let mut flips = flips.into_iter();
+        let mut host = |label: &str| {
+            recase(&zone, flips.next().unwrap()).child(label.as_bytes()).unwrap()
+        };
+        let mut msg = Message::new(Header::request(7));
+        msg.header.response = true;
+        msg.questions.push(Question::new(host("www"), RType::A));
+        msg.answers = vec![
+            Record::new(host("www"), 60, RData::Cname(host("alias"))),
+            Record::new(host("alias"), 60, RData::Mx { preference: 5, exchange: host("mail") }),
+            Record::new(host("4"), 60, RData::Ptr(host("host"))),
+        ];
+        msg.authorities = vec![
+            Record::new(zone.clone(), 60, RData::Ns(host("ns1"))),
+            Record::new(zone.clone(), 60, RData::Soa {
+                mname: host("ns1"),
+                rname: host("hostmaster"),
+                serial: 1,
+                refresh: 2,
+                retry: 3,
+                expire: 4,
+                minimum: 5,
+            }),
+            // the two that RFC 4034 keeps uncompressed
+            Record::new(zone.clone(), 60, RData::Rrsig {
+                type_covered: RType::Soa,
+                algorithm: 8,
+                labels: 2,
+                original_ttl: 60,
+                expiration: 2,
+                inception: 1,
+                key_tag: 9,
+                signer: zone.clone(),
+                signature: vec![0x5a; 16],
+            }),
+            Record::new(zone.clone(), 60, RData::Nsec { next: host("zzz"), type_bitmaps: vec![0, 1, 0x40] }),
+        ];
+        msg.additionals = vec![Record::new(host("ns1"), 60, RData::A([192, 0, 2, 1].into()))];
+
+        let bytes = msg.encode().unwrap();
+        let spelled_out = bytes
+            .to_ascii_lowercase()
+            .windows(7)
+            .filter(|w| w == b"\x06_zone_")
+            .count();
+        prop_assert_eq!(spelled_out, 3, "the question's, the RRSIG signer's and the NSEC next name's");
+        prop_assert_eq!(Message::parse(&bytes).unwrap(), msg.clone());
+        let (mut comp, mut out) = (ReusableCompressor::new(), Vec::new());
+        msg.encode_into(&mut comp, &mut out).unwrap();
+        prop_assert_eq!(out, bytes);
     }
 }

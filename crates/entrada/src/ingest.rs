@@ -12,6 +12,7 @@
 
 use crate::enrich::Enricher;
 use crate::schema::QueryRow;
+use dns_wire::header::Header;
 use dns_wire::message::Message;
 use netbase::capture::{CaptureRecord, Direction, RecordSource};
 use netbase::flow::FlowKey;
@@ -94,6 +95,9 @@ pub struct CaptureIngest<S: RecordSource> {
     source: S,
     enricher: Enricher,
     pending: HashMap<TxnKey, QueryRow>,
+    /// Every message is parsed into this one, so its section vectors
+    /// are sized by the first few messages and reused from then on.
+    scratch: Message,
     stats: IngestStats,
     /// Rows ready to yield (a TCP frame can produce several at once).
     ready: VecDeque<QueryRow>,
@@ -114,6 +118,7 @@ impl<S: RecordSource> CaptureIngest<S> {
             source,
             enricher,
             pending: HashMap::new(),
+            scratch: Message::new(Header::request(0)),
             stats: IngestStats::default(),
             ready: VecDeque::new(),
             finished: false,
@@ -157,34 +162,32 @@ impl<S: RecordSource> CaptureIngest<S> {
                     self.malformed_metric.inc();
                 }
             },
-            netbase::flow::Transport::Udp => self.absorb_message(&rec, &rec.payload.clone()),
+            netbase::flow::Transport::Udp => self.absorb_message(&rec, &rec.payload),
         }
     }
 
     /// Absorb one deframed DNS message from frame `rec`.
     fn absorb_message(&mut self, rec: &CaptureRecord, wire: &[u8]) {
         self.stats.messages += 1;
-        let msg = match Message::parse(wire) {
-            Ok(m) => m,
-            Err(_) => {
-                self.stats.malformed += 1;
-                self.malformed_metric.inc();
-                return;
-            }
-        };
+        let msg = &mut self.scratch;
+        if msg.parse_into(wire).is_err() {
+            self.stats.malformed += 1;
+            self.malformed_metric.inc();
+            return;
+        }
         match rec.direction {
             Direction::Query => {
-                let question = match msg.question() {
-                    Some(q) => q.clone(),
-                    None => {
-                        // a query with an empty question section joins
-                        // nothing and aggregates nowhere: malformed, so
-                        // the message accounting stays exact
-                        self.stats.malformed += 1;
-                        self.malformed_metric.inc();
-                        return;
-                    }
-                };
+                if msg.questions.is_empty() {
+                    // a query with an empty question section joins
+                    // nothing and aggregates nowhere: malformed, so
+                    // the message accounting stays exact
+                    self.stats.malformed += 1;
+                    self.malformed_metric.inc();
+                    return;
+                }
+                // the row takes the first question; the scratch message
+                // is overwritten by the next parse anyway
+                let question = msg.questions.swap_remove(0);
                 let (asn, provider, public_dns) = self.enricher.enrich(rec.flow.src);
                 let row = QueryRow {
                     timestamp: rec.timestamp,

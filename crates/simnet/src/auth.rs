@@ -21,6 +21,9 @@ pub struct ServerSpec {
     pub v6: std::net::Ipv6Addr,
 }
 
+/// Host labels of a delegation's name servers, in NS-set order.
+pub(crate) const NS_LABELS: [&[u8]; 3] = [b"ns1", b"ns2", b"ns3"];
+
 /// The responder for one zone.
 pub struct Authoritative {
     zone: ZoneModel,
@@ -59,22 +62,19 @@ impl Authoritative {
     /// the delegation the qname falls under has a DS RRset (decided by
     /// the caller from the zone model, since junk names have none).
     pub fn respond(&self, query: &Message, signed_delegation: bool) -> Answer {
-        let question = match query.question() {
-            Some(q) => q.clone(),
-            None => {
-                let msg = MessageBuilder::response(query, Rcode::FormErr).build();
-                return Answer {
-                    message: msg,
-                    rcode: Rcode::FormErr,
-                    cache_ttl_secs: 0,
-                };
-            }
+        let Some(question) = query.question() else {
+            let msg = MessageBuilder::response(query, Rcode::FormErr).build();
+            return Answer {
+                message: msg,
+                rcode: Rcode::FormErr,
+                cache_ttl_secs: 0,
+            };
         };
         let dnssec_ok = query.edns.as_ref().map(|e| e.dnssec_ok).unwrap_or(false);
         let lookup = self.zone.classify(&question.qname);
         match lookup {
             Lookup::NxDomain => self.nxdomain(query, dnssec_ok),
-            Lookup::InZone => self.in_zone(query, &question, dnssec_ok),
+            Lookup::InZone => self.in_zone(query, question, dnssec_ok),
             Lookup::Delegated => {
                 let delegation = self.zone.minimized_qname(&question.qname);
                 match question.qtype {
@@ -326,7 +326,7 @@ impl Authoritative {
     /// Deterministic NS host names for a delegation.
     fn ns_name(&self, delegation: &Name, i: u8) -> Name {
         delegation
-            .child(format!("ns{}", i + 1).as_bytes())
+            .child(NS_LABELS[i as usize])
             .unwrap_or_else(|_| delegation.clone())
     }
 }

@@ -43,7 +43,7 @@
 //! - **`.nz` Q-min walks probe twice** (`co.nz NS` + `label.co.nz NS`)
 //!   where the calibrated rewrite emits one minimized probe.
 
-use crate::auth::{Answer, Authoritative, ServerSpec};
+use crate::auth::{Answer, Authoritative, ServerSpec, NS_LABELS};
 use crate::engine::{
     diurnal_weight, mix_case_0x20, name_key, pick_qtype, slice_seed, DatasetStats, Engine,
 };
@@ -51,7 +51,7 @@ use crate::fleet::{Fleet, Resolver as FleetResolver};
 use crate::profile::FleetSpec;
 use crate::rrl::RateLimiter;
 use crate::scenario::Incident;
-use crate::vantage::{self, Recorded, TCP_RETRY_GAP_US};
+use crate::vantage::{self, Recorded, WireScratch, TCP_RETRY_GAP_US};
 use dns_wire::builder::MessageBuilder;
 use dns_wire::message::Message;
 use dns_wire::name::Name;
@@ -173,6 +173,8 @@ pub struct SimTransport<'a> {
     pub rng: StdRng,
     /// Response rate limiter, when the dataset enables RRL.
     pub rrl: Option<RateLimiter>,
+    /// The encoder every recorded message of the slot goes through.
+    wire: WireScratch,
     /// Records captured at the vantage this slot.
     pub buf: Vec<CaptureRecord>,
     /// Counters for the slot.
@@ -205,6 +207,7 @@ impl<'a> SimTransport<'a> {
             root_zone: engine.zone().is_root_zone(),
             rng,
             rrl,
+            wire: WireScratch::default(),
             buf: Vec::new(),
             stats: DatasetStats::default(),
             emitted: 0,
@@ -348,6 +351,7 @@ impl<'a> SimTransport<'a> {
             },
             &mut self.rng,
             self.rrl.as_mut(),
+            &mut self.wire,
             &mut self.buf,
             &mut self.stats,
         );
@@ -482,10 +486,8 @@ pub fn synth_leaf_answer(zone: &ZoneModel, cache_ttl_secs: u32, query: &Message)
                 RType::Ns => {
                     let cut = zone.minimized_qname(&question.qname);
                     let mut b = MessageBuilder::response(query, Rcode::NoError);
-                    for i in 0..2u8 {
-                        let ns = cut
-                            .child(format!("ns{}", i + 1).as_bytes())
-                            .unwrap_or_else(|_| cut.clone());
+                    for label in &NS_LABELS[..2] {
+                        let ns = cut.child(label).unwrap_or_else(|_| cut.clone());
                         b = b.answer(question.qname.clone(), ttl, RData::Ns(ns));
                     }
                     b.build()

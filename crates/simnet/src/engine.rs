@@ -13,7 +13,7 @@ use crate::profile::FleetSpec;
 use crate::ptr::PtrDb;
 use crate::rrl::RateLimiter;
 use crate::scenario::{DatasetSpec, Incident, Scale};
-use crate::vantage;
+use crate::vantage::{self, WireScratch};
 use asdb::synth::{InternetPlan, PlanConfig};
 use dns_wire::builder::MessageBuilder;
 use dns_wire::name::Name;
@@ -109,6 +109,17 @@ struct SliceOut {
     records: Vec<CaptureRecord>,
     stats: DatasetStats,
     fleet_counts: Vec<u64>,
+}
+
+/// What a slice under generation owns: its RNG stream, RRL state, the
+/// wire encoder every message goes through, and the records and
+/// counters produced so far.
+struct SliceState {
+    rng: StdRng,
+    rrl: Option<RateLimiter>,
+    wire: WireScratch,
+    buf: Vec<CaptureRecord>,
+    stats: DatasetStats,
 }
 
 /// RNG seed for one time slice: stable-hash the dataset seed with the
@@ -370,13 +381,16 @@ impl Engine {
         } else {
             cum_weights[slot - 1]
         };
-        let mut rng = StdRng::seed_from_u64(slice_seed(self.seed, slot));
-        let mut stats = DatasetStats::default();
+        let mut s = SliceState {
+            rng: StdRng::seed_from_u64(slice_seed(self.seed, slot)),
+            rrl: self.spec.rrl.map(RateLimiter::new),
+            wire: WireScratch::default(),
+            buf: Vec::new(),
+            stats: DatasetStats::default(),
+        };
         let mut fleet_counts: Vec<u64> = vec![0; self.fleets.len()];
         let mut caches: Vec<HashMap<u32, ResolverCache>> =
             self.fleets.iter().map(|_| HashMap::new()).collect();
-        let mut rrl: Option<RateLimiter> = self.spec.rrl.map(RateLimiter::new);
-        let mut buf: Vec<CaptureRecord> = Vec::new();
 
         for (fi, fleet) in self.fleets.iter().enumerate() {
             // this slice's share of the fleet target: the rounded
@@ -391,7 +405,7 @@ impl Engine {
             while done < quota && attempts < max_attempts {
                 attempts += 1;
                 let t =
-                    slot_start + SimDuration::from_micros(rng.gen_range(0..slot_len.as_micros()));
+                    slot_start + SimDuration::from_micros(s.rng.gen_range(0..slot_len.as_micros()));
                 // junk_ratio is a *server-side* target (Figure 4 is
                 // measured at the vantage): steer junk onto the exact
                 // integer lattice of the cumulative ratio, anchored at
@@ -401,51 +415,36 @@ impl Engine {
                 let base = due_prev + done;
                 let want_junk = (fleet.spec.junk_ratio * (base + 1) as f64).floor()
                     > (fleet.spec.junk_ratio * base as f64).floor();
-                let n = self.demand(
-                    fleet,
-                    t,
-                    want_junk,
-                    &mut rng,
-                    &mut caches[fi],
-                    &mut rrl,
-                    &mut buf,
-                    &mut stats,
-                );
-                done += n;
+                done += self.demand(fleet, t, want_junk, &mut caches[fi], &mut s);
             }
             fleet_counts[fi] += done;
         }
-        self.emit_incidents(
-            slot_start, slot_len, &mut rng, &mut rrl, &mut buf, &mut stats,
-        );
-        buf.sort_by_key(|r| r.timestamp);
+        self.emit_incidents(slot_start, slot_len, &mut s);
+        s.buf.sort_by_key(|r| r.timestamp);
         SliceOut {
-            records: buf,
-            stats,
+            records: s.buf,
+            stats: s.stats,
             fleet_counts,
         }
     }
 
     /// One demand event; returns the number of query records emitted
     /// (0 when the resolver cache absorbed it).
-    #[allow(clippy::too_many_arguments)]
     fn demand(
         &self,
         fleet: &Fleet,
         t: SimTime,
         is_junk: bool,
-        rng: &mut StdRng,
         caches: &mut HashMap<u32, ResolverCache>,
-        rrl: &mut Option<RateLimiter>,
-        buf: &mut Vec<CaptureRecord>,
-        stats: &mut DatasetStats,
+        s: &mut SliceState,
     ) -> u64 {
         let spec = &fleet.spec;
-        let r_idx = fleet.pick(rng);
+        let r_idx = fleet.pick(&mut s.rng);
         let resolver = &fleet.resolvers[r_idx];
 
-        let (qname, qtype, signed, cacheable) =
-            pick_question_for(&self.zone, &self.zipf, &self.junk, spec, t, is_junk, rng);
+        let (qname, qtype, signed, cacheable) = pick_question_for(
+            &self.zone, &self.zipf, &self.junk, spec, t, is_junk, &mut s.rng,
+        );
 
         let ckey = CacheKey {
             domain: name_key(&qname),
@@ -453,15 +452,13 @@ impl Engine {
         };
         let cache = caches.entry(r_idx as u32).or_default();
         if cacheable && cache.lookup(&ckey, t.as_micros()).is_some() {
-            stats.cache_hits += 1;
+            s.stats.cache_hits += 1;
             return 0;
         }
 
-        let mut emitted = self.emit_exchange(
-            fleet, resolver, &qname, qtype, signed, t, rng, rrl, buf, stats,
-        );
+        let mut emitted = self.emit_exchange(fleet, resolver, &qname, qtype, signed, t, s);
         if is_junk {
-            stats.junk_queries += emitted;
+            s.stats.junk_queries += emitted;
         }
         if cacheable && spec.cache_ttl != SimDuration::ZERO {
             // the spec's TTL verbatim: entries decay per-record from
@@ -470,7 +467,11 @@ impl Engine {
         }
 
         // DNSSEC validation follow-ups
-        if spec.validates && !is_junk && signed && qtype != RType::Ds && rng.gen_bool(spec.ds_prob)
+        if spec.validates
+            && !is_junk
+            && signed
+            && qtype != RType::Ds
+            && s.rng.gen_bool(spec.ds_prob)
         {
             let delegation = self.zone.minimized_qname(&qname);
             let dkey = CacheKey {
@@ -485,28 +486,21 @@ impl Engine {
                     RType::Ds,
                     true,
                     t + SimDuration::from_millis(5),
-                    rng,
-                    rrl,
-                    buf,
-                    stats,
+                    s,
                 );
                 let expiry = t + SimDuration::from_secs(3600);
                 cache.put(dkey, (), expiry.as_micros(), CACHE_CAP);
             }
         }
-        if spec.validates && rng.gen_bool(spec.dnskey_prob) {
-            let apex = self.zone.apex().clone();
+        if spec.validates && s.rng.gen_bool(spec.dnskey_prob) {
             emitted += self.emit_exchange(
                 fleet,
                 resolver,
-                &apex,
+                self.zone.apex(),
                 RType::Dnskey,
                 true,
                 t + SimDuration::from_millis(8),
-                rng,
-                rrl,
-                buf,
-                stats,
+                s,
             );
         }
         emitted
@@ -523,14 +517,11 @@ impl Engine {
         qtype: RType,
         signed: bool,
         t: SimTime,
-        rng: &mut StdRng,
-        rrl: &mut Option<RateLimiter>,
-        buf: &mut Vec<CaptureRecord>,
-        stats: &mut DatasetStats,
+        s: &mut SliceState,
     ) -> u64 {
         let spec = &fleet.spec;
         let server_count = self.spec.servers.len();
-        let (server, family) = choose_server_family(spec, resolver, server_count, rng);
+        let (server, family) = choose_server_family(spec, resolver, server_count, &mut s.rng);
         let src_ip = resolver.addr_for(family);
         let server_spec = &self.spec.servers[server];
         let dst_ip: IpAddr = match family {
@@ -542,11 +533,11 @@ impl Engine {
         // apply; the analysis side must (and does) treat names
         // case-insensitively.
         let wire_qname = if resolver.mix_case {
-            mix_case_0x20(qname, rng)
+            mix_case_0x20(qname, &mut s.rng)
         } else {
             qname.clone()
         };
-        let mut builder = MessageBuilder::query(rng.gen(), wire_qname, qtype);
+        let mut builder = MessageBuilder::query(s.rng.gen(), wire_qname, qtype);
         if resolver.edns_size > 0 {
             builder = builder.with_edns(resolver.edns_size, resolver.do_bit);
         }
@@ -562,26 +553,18 @@ impl Engine {
                 at: t,
                 tcp_extra: spec.tcp_extra_at(resolver.site as usize),
             },
-            rng,
-            rrl.as_mut(),
-            buf,
-            stats,
+            &mut s.rng,
+            s.rrl.as_mut(),
+            &mut s.wire,
+            &mut s.buf,
+            &mut s.stats,
         )
         .queries()
     }
 
     /// Layer incident traffic (the Feb-2020 cyclic dependency) over a
     /// slot: cache-defeating A/AAAA floods from Google's resolvers.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_incidents(
-        &self,
-        slot_start: SimTime,
-        slot_len: SimDuration,
-        rng: &mut StdRng,
-        rrl: &mut Option<RateLimiter>,
-        buf: &mut Vec<CaptureRecord>,
-        stats: &mut DatasetStats,
-    ) {
+    fn emit_incidents(&self, slot_start: SimTime, slot_len: SimDuration, s: &mut SliceState) {
         for incident in &self.spec.incidents {
             let Incident::CyclicDependency {
                 start,
@@ -605,23 +588,13 @@ impl Engine {
                 .unwrap_or(&self.fleets[0]);
             for i in 0..quota {
                 let t =
-                    slot_start + SimDuration::from_micros(rng.gen_range(0..slot_len.as_micros()));
-                let resolver = &fleet.resolvers[fleet.pick(rng)];
+                    slot_start + SimDuration::from_micros(s.rng.gen_range(0..slot_len.as_micros()));
+                let resolver = &fleet.resolvers[fleet.pick(&mut s.rng)];
                 let idx = domain_indices[(i % 2) as usize];
                 let qname = self.zone.registered_domain(idx);
                 let qtype = if i % 2 == 0 { RType::A } else { RType::Aaaa };
-                self.emit_exchange(
-                    fleet,
-                    resolver,
-                    &qname,
-                    qtype,
-                    self.zone.is_signed(idx),
-                    t,
-                    rng,
-                    rrl,
-                    buf,
-                    stats,
-                );
+                let signed = self.zone.is_signed(idx);
+                self.emit_exchange(fleet, resolver, &qname, qtype, signed, t, s);
             }
         }
     }
@@ -684,14 +657,16 @@ pub(crate) fn choose_server_family(
     server_count: usize,
     rng: &mut StdRng,
 ) -> (usize, IpVersion) {
+    let preference = |rtt_us: u32| (-(rtt_us as f64) / SERVER_TAU_US).exp();
     if spec.dual_stack {
-        let mut weights = Vec::with_capacity(server_count);
-        for s in 0..server_count {
-            let best = resolver.rtt_v4_us[s].min(resolver.rtt_v6_us[s]) as f64;
-            weights.push((-best / SERVER_TAU_US).exp());
-        }
-        let server = pick_weighted(&weights, rng);
-        let gap = resolver.rtt_v4_us[server] as f64 - resolver.rtt_v6_us[server] as f64;
+        let best = |s| {
+            resolver
+                .rtt_us(s, IpVersion::V4)
+                .min(resolver.rtt_us(s, IpVersion::V6))
+        };
+        let server = pick_weighted(server_count, |s| preference(best(s)), rng);
+        let gap = resolver.rtt_us(server, IpVersion::V4) as f64
+            - resolver.rtt_us(server, IpVersion::V6) as f64;
         let p_v6 = sigmoid(spec.v6_bias + gap / FAMILY_TAU_US);
         let family = if rng.gen_bool(p_v6.clamp(0.001, 0.999)) {
             IpVersion::V6
@@ -701,25 +676,28 @@ pub(crate) fn choose_server_family(
         (server, family)
     } else {
         let family = IpVersion::of(resolver.ip);
-        let mut weights = Vec::with_capacity(server_count);
-        for s in 0..server_count {
-            let rtt = resolver.rtt_us(s, family) as f64;
-            weights.push((-rtt / SERVER_TAU_US).exp());
-        }
-        (pick_weighted(&weights, rng), family)
+        let server = pick_weighted(
+            server_count,
+            |s| preference(resolver.rtt_us(s, family)),
+            rng,
+        );
+        (server, family)
     }
 }
 
-fn pick_weighted(weights: &[f64], rng: &mut StdRng) -> usize {
-    let total: f64 = weights.iter().sum();
+/// An index below `n` drawn in proportion to `weight(i)`. The weights
+/// are computed twice (once for the total, once for the draw) so that
+/// no table of them is built per call.
+fn pick_weighted(n: usize, weight: impl Fn(usize) -> f64, rng: &mut StdRng) -> usize {
+    let total: f64 = (0..n).map(&weight).sum();
     let mut u = rng.gen::<f64>() * total;
-    for (i, w) in weights.iter().enumerate() {
-        u -= w;
+    for i in 0..n {
+        u -= weight(i);
         if u <= 0.0 {
             return i;
         }
     }
-    weights.len() - 1
+    n - 1
 }
 
 fn sigmoid(x: f64) -> f64 {
@@ -728,8 +706,7 @@ fn sigmoid(x: f64) -> f64 {
 
 /// Sample a qtype from the fleet mix.
 pub(crate) fn pick_qtype(mix: &[(RType, f64)], rng: &mut StdRng) -> RType {
-    let dist: Vec<(u16, f64)> = mix.iter().map(|(t, w)| (t.to_u16(), *w)).collect();
-    RType::from_u16(sample_dist(&dist, rng.gen()))
+    sample_dist(mix, rng.gen()).unwrap_or(RType::from_u16(0))
 }
 
 /// Diurnal + weekly load shape (cf. "When the Internet Sleeps").
@@ -741,23 +718,25 @@ pub(crate) fn diurnal_weight(t: SimTime) -> f64 {
     daily * weekly
 }
 
-/// Apply 0x20 case randomization to a name's alphabetic octets.
+/// Apply 0x20 case randomization to a name's alphabetic octets: the
+/// flips happen in place on a stack copy of the wire form, label by
+/// label, so the length octets are never touched.
 pub(crate) fn mix_case_0x20(name: &Name, rng: &mut StdRng) -> Name {
-    let labels: Vec<Vec<u8>> = name
-        .labels()
-        .map(|l| {
-            l.iter()
-                .map(|&b| {
-                    if b.is_ascii_alphabetic() && rng.gen_bool(0.5) {
-                        b ^ 0x20
-                    } else {
-                        b
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    Name::from_labels(labels.iter().map(|l| l.as_slice())).expect("same shape as input")
+    let mut buf = [0u8; dns_wire::name::MAX_NAME_LEN];
+    let wire = &mut buf[..name.wire_len()];
+    wire.copy_from_slice(name.as_wire());
+    let mut pos = 0;
+    while wire[pos] != 0 {
+        let end = pos + 1 + wire[pos] as usize;
+        for b in &mut wire[pos + 1..end] {
+            if b.is_ascii_alphabetic() && rng.gen_bool(0.5) {
+                *b ^= 0x20;
+            }
+        }
+        pos = end;
+    }
+    let (mixed, _) = Name::parse(wire, 0).expect("same shape as input");
+    mixed
 }
 
 /// Case-folded FNV key over a name's wire form (cache identity; also

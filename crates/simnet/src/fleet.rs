@@ -29,10 +29,9 @@ pub struct Resolver {
     pub do_bit: bool,
     /// Applies 0x20 case randomization to outgoing qnames.
     pub mix_case: bool,
-    /// Per-server RTT in microseconds over IPv4.
-    pub rtt_v4_us: Vec<u32>,
-    /// Per-server RTT in microseconds over IPv6.
-    pub rtt_v6_us: Vec<u32>,
+    /// Per-server RTTs in microseconds, in one allocation: every server
+    /// over IPv4, then every server over IPv6.
+    rtts_us: Vec<u32>,
 }
 
 impl Resolver {
@@ -57,9 +56,10 @@ impl Resolver {
 
     /// RTT to `server` over `version`, in microseconds.
     pub fn rtt_us(&self, server: usize, version: IpVersion) -> u32 {
+        let (v4, v6) = self.rtts_us.split_at(self.rtts_us.len() / 2);
         match version {
-            IpVersion::V4 => self.rtt_v4_us[server],
-            IpVersion::V6 => self.rtt_v6_us[server],
+            IpVersion::V4 => v4[server],
+            IpVersion::V6 => v6[server],
         }
     }
 }
@@ -108,24 +108,26 @@ impl Fleet {
         // (Tables 5 vs 6). Random per-resolver assignment would let one
         // lucky heavy-hitter swing the traffic share wildly under Zipf
         // activity skew.
+        // Zipf-ish activity: the resolver of rank r weighs 1/(r+1)^skew.
+        // One table per fleet serves the v6 interval, the EDNS
+        // stratification and every resolver's own weight.
+        let rank_weights: Vec<f64> = (0..spec.resolver_count as u64)
+            .map(|r| 1.0 / ((r + 1) as f64).powf(spec.activity_skew))
+            .collect();
         let v6_interval = if spec.dual_stack {
             (0, 0)
         } else {
-            v6_rank_interval(
-                spec.resolver_count as u64,
-                spec.v6_resolver_frac,
-                spec.v6_activity_boost,
-                spec.activity_skew,
-            )
+            v6_rank_interval(&rank_weights, spec.v6_resolver_frac, spec.v6_activity_boost)
         };
         // EDNS sizes are assigned by weight-stratified deficit so the
         // *query-weighted* size distribution (what Figure 6 plots)
         // matches the spec even under heavy activity skew.
-        let edns_by_rank = stratified_assign(
-            spec.resolver_count as u64,
-            spec.activity_skew,
-            &spec.edns_dist,
-        );
+        let edns_by_rank = stratified_assign(&rank_weights, &spec.edns_dist);
+        // unsited resolvers sit at a drawn distance from every server,
+        // shaped per server by this fixed profile
+        let server_shape: Vec<f64> = (0..server_count)
+            .map(|s| 0.85 + 0.3 * ((s as f64 * 0.7).sin().abs()))
+            .collect();
         // Every physical site must stay observable: independent weighted
         // draws can leave a low-weight site with zero resolvers (or only
         // near-idle ones), hiding it from PTR-based site discovery. Pin
@@ -143,11 +145,10 @@ impl Fleet {
                 .find(|(idx, _)| *idx == i)
                 .map(|(_, s)| *s)
                 .unwrap_or(drawn_site);
-            // Zipf-ish activity skew: weight ~ 1/(rank+1)^skew with the
-            // rank shuffled by index hashing so address order is not
-            // activity order.
+            // the rank is shuffled by index hashing so address order is
+            // not activity order
             let rank = splitmix(seed ^ (i as u64) << 1) % spec.resolver_count as u64;
-            let weight = 1.0 / ((rank + 1) as f64).powf(spec.activity_skew);
+            let weight = rank_weights[rank as usize];
             let v6_resolver = rank >= v6_interval.0 && rank < v6_interval.1;
             let site_spec = spec.sites.get(site as usize);
             let (ip, alt_ip) = assign_addresses(
@@ -161,12 +162,12 @@ impl Fleet {
                 ptr,
             );
             let edns_size = match site_spec.and_then(|s| s.edns_dist.as_ref()) {
-                Some(site_dist) => sample_dist(site_dist, rng.gen()),
+                Some(site_dist) => sample_dist(site_dist, rng.gen()).unwrap_or(0),
                 None => edns_by_rank[rank as usize],
             };
             let do_bit = rng.gen_bool(spec.do_bit_frac);
             let mix_case = rng.gen_bool(spec.case_randomization);
-            let (rtt_v4_us, rtt_v6_us) = rtt_tables(&spec, site_spec, server_count, &mut rng);
+            let rtts_us = rtt_table(site_spec, &server_shape, &mut rng);
             resolvers.push(Resolver {
                 ip,
                 alt_ip,
@@ -175,8 +176,7 @@ impl Fleet {
                 edns_size,
                 do_bit,
                 mix_case,
-                rtt_v4_us,
-                rtt_v6_us,
+                rtts_us,
             });
         }
         let cumulative = cumulative_weights(resolvers.iter().map(|r| r.weight));
@@ -270,11 +270,10 @@ fn assign_addresses(
         let site_code = spec
             .sites
             .get(site as usize)
-            .map(|s| s.code.clone())
-            .unwrap_or_else(|| "xxx".to_string());
+            .map_or("xxx", |s| s.code.as_str());
         // the 13th site's PTR names lack the embedded IPv4 (paper §4.3)
         let embed_v4 = (site as usize) != spec.sites.len().saturating_sub(1);
-        ptr.register_dual_stack(&site_code, index, v4, v6, embed_v4);
+        ptr.register_dual_stack(site_code, index, v4, v6, embed_v4);
         // a handful of addresses have no PTR at all (paper: 1 v4, 2 v6)
         if index == 0 {
             ptr.remove(IpAddr::V4(v4));
@@ -309,56 +308,47 @@ fn host_in(pools: &[IpPrefix], i: u64) -> IpAddr {
     }
 }
 
-/// Per-resolver RTT tables: site tables for sited fleets, otherwise a
-/// lognormal-ish distance draw shared across families with small skew.
-fn rtt_tables(
-    spec: &FleetSpec,
-    site: Option<&SiteSpec>,
-    server_count: usize,
-    rng: &mut StdRng,
-) -> (Vec<u32>, Vec<u32>) {
+/// One resolver's RTT table (IPv4 per server, then IPv6 per server):
+/// the site's table for sited fleets, otherwise a lognormal-ish distance
+/// draw shared across families with small skew, one entry per
+/// `server_shape` factor.
+fn rtt_table(site: Option<&SiteSpec>, server_shape: &[f64], rng: &mut StdRng) -> Vec<u32> {
     match site {
         Some(s) => {
             let jitter = 0.9 + rng.gen::<f64>() * 0.2;
-            let v4 = s
-                .rtt_v4_ms
+            s.rtt_v4_ms
                 .iter()
+                .chain(&s.rtt_v6_ms)
                 .map(|ms| (ms * jitter * 1000.0) as u32)
-                .collect();
-            let v6 = s
-                .rtt_v6_ms
-                .iter()
-                .map(|ms| (ms * jitter * 1000.0) as u32)
-                .collect();
-            (v4, v6)
+                .collect()
         }
         None => {
             let base_ms = 5.0 * (1.0 + rng.gen::<f64>() * 8.0).powf(1.6);
-            let _ = &spec.name;
-            let mut v4 = Vec::with_capacity(server_count);
-            let mut v6 = Vec::with_capacity(server_count);
-            for s in 0..server_count {
-                let per_server = base_ms * (0.85 + 0.3 * ((s as f64 * 0.7).sin().abs()));
+            let servers = server_shape.len();
+            let mut rtts = vec![0; 2 * servers];
+            for (s, shape) in server_shape.iter().enumerate() {
+                let per_server = base_ms * shape;
                 let fam_skew = 0.95 + rng.gen::<f64>() * 0.1;
-                v4.push((per_server * 1000.0) as u32);
-                v6.push((per_server * fam_skew * 1000.0) as u32);
+                rtts[s] = (per_server * 1000.0) as u32;
+                rtts[servers + s] = (per_server * fam_skew * 1000.0) as u32;
             }
-            (v4, v6)
+            rtts
         }
     }
 }
 
-/// Draw from a `(value, weight)` distribution with a uniform `u` in [0,1).
-pub fn sample_dist(dist: &[(u16, f64)], u: f64) -> u16 {
+/// Draw from a `(value, weight)` distribution with a uniform `u` in
+/// [0,1); `None` for an empty distribution.
+pub fn sample_dist<T: Copy>(dist: &[(T, f64)], u: f64) -> Option<T> {
     let total: f64 = dist.iter().map(|(_, w)| w).sum();
     let mut acc = 0.0;
     for (v, w) in dist {
         acc += w / total;
         if u < acc {
-            return *v;
+            return Some(*v);
         }
     }
-    dist.last().map(|(v, _)| *v).unwrap_or(0)
+    dist.last().map(|(v, _)| *v)
 }
 
 /// Pick the fleet's hottest `sites.len()` resolver indices and assign
@@ -416,7 +406,8 @@ fn pick_cumulative(cumulative: &[f64], u: f64) -> usize {
 /// (population share x activity boost). See Tables 5/6 of the paper:
 /// Amazon's 1.8% IPv6 resolvers carry 3% of its queries, Microsoft's
 /// 3% carry almost none.
-fn v6_rank_interval(n: u64, pop_frac: f64, boost: f64, skew: f64) -> (u64, u64) {
+fn v6_rank_interval(weights: &[f64], pop_frac: f64, boost: f64) -> (u64, u64) {
+    let n = weights.len() as u64;
     if pop_frac <= 0.0 || n == 0 {
         return (0, 0);
     }
@@ -424,7 +415,6 @@ fn v6_rank_interval(n: u64, pop_frac: f64, boost: f64, skew: f64) -> (u64, u64) 
         return (0, n);
     }
     let m = (((pop_frac * n as f64).round() as u64).max(1)).min(n);
-    let weights: Vec<f64> = (0..n).map(|r| 1.0 / ((r + 1) as f64).powf(skew)).collect();
     let total: f64 = weights.iter().sum();
     let target = (pop_frac * boost).clamp(0.0, 0.95);
     // slide the window; weights are decreasing, so the window share is
@@ -443,22 +433,21 @@ fn v6_rank_interval(n: u64, pop_frac: f64, boost: f64, skew: f64) -> (u64, u64) 
 
 /// Weight-stratified categorical assignment: distribute ranks over the
 /// `(value, prob)` categories so each category's share of the total
-/// Zipf *weight* (not just count) matches its probability. Greedy by
+/// rank *weight* (not just count) matches its probability. Greedy by
 /// descending weight: each rank goes to the category with the largest
 /// remaining weight deficit.
-fn stratified_assign(n: u64, skew: f64, dist: &[(u16, f64)]) -> Vec<u16> {
-    if n == 0 || dist.is_empty() {
+fn stratified_assign(weights: &[f64], dist: &[(u16, f64)]) -> Vec<u16> {
+    if weights.is_empty() || dist.is_empty() {
         return Vec::new();
     }
     let total_prob: f64 = dist.iter().map(|(_, p)| p).sum();
-    let total_weight: f64 = (0..n).map(|r| 1.0 / ((r + 1) as f64).powf(skew)).sum();
+    let total_weight: f64 = weights.iter().sum();
     let mut deficit: Vec<f64> = dist
         .iter()
         .map(|(_, p)| p / total_prob * total_weight)
         .collect();
-    let mut out = Vec::with_capacity(n as usize);
-    for r in 0..n {
-        let w = 1.0 / ((r + 1) as f64).powf(skew);
+    let mut out = Vec::with_capacity(weights.len());
+    for w in weights {
         let (best, _) = deficit
             .iter()
             .enumerate()
@@ -611,7 +600,7 @@ mod tests {
         }
         // sites 8-10 carry the server-A v6 penalty
         let r = fleet.resolvers.iter().find(|r| r.site == 7).unwrap();
-        assert!(r.rtt_v6_us[0] > r.rtt_v4_us[0] + 25_000);
+        assert!(r.rtt_us(0, IpVersion::V6) > r.rtt_us(0, IpVersion::V4) + 25_000);
     }
 
     #[test]
@@ -627,7 +616,7 @@ mod tests {
         for (x, y) in a.resolvers.iter().zip(b.resolvers.iter()) {
             assert_eq!(x.ip, y.ip);
             assert_eq!(x.edns_size, y.edns_size);
-            assert_eq!(x.rtt_v4_us, y.rtt_v4_us);
+            assert_eq!(x.rtts_us, y.rtts_us);
         }
     }
 
@@ -658,12 +647,12 @@ mod tests {
     #[test]
     fn sample_dist_boundaries() {
         let dist = vec![(512u16, 0.3), (1232, 0.5), (4096, 0.2)];
-        assert_eq!(sample_dist(&dist, 0.0), 512);
-        assert_eq!(sample_dist(&dist, 0.29), 512);
-        assert_eq!(sample_dist(&dist, 0.31), 1232);
-        assert_eq!(sample_dist(&dist, 0.79), 1232);
-        assert_eq!(sample_dist(&dist, 0.81), 4096);
-        assert_eq!(sample_dist(&dist, 0.999), 4096);
+        assert_eq!(sample_dist(&dist, 0.0), Some(512));
+        assert_eq!(sample_dist(&dist, 0.29), Some(512));
+        assert_eq!(sample_dist(&dist, 0.31), Some(1232));
+        assert_eq!(sample_dist(&dist, 0.79), Some(1232));
+        assert_eq!(sample_dist(&dist, 0.81), Some(4096));
+        assert_eq!(sample_dist(&dist, 0.999), Some(4096));
     }
 
     #[test]
@@ -676,8 +665,7 @@ mod tests {
             edns_size: 512,
             do_bit: true,
             mix_case: false,
-            rtt_v4_us: vec![10_000],
-            rtt_v6_us: vec![12_000],
+            rtts_us: vec![10_000, 12_000],
         };
         assert!(r.addr_for(IpVersion::V4).is_ipv4());
         assert!(r.addr_for(IpVersion::V6).is_ipv6());

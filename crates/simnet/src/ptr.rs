@@ -78,17 +78,22 @@ impl PtrDb {
         is_v6: bool,
         embed_v4: bool,
     ) -> Name {
-        let host_label = match (embed_v4, v4) {
+        use std::io::Write;
+        // the host label is written into a label-sized stack buffer
+        let mut buf = [0u8; dns_wire::name::MAX_LABEL_LEN];
+        let mut rest = &mut buf[..];
+        match (embed_v4, v4) {
             (true, Some(a)) => {
                 let o = a.octets();
-                format!("fbdns-{site}-{}-{}-{}-{}", o[0], o[1], o[2], o[3])
+                write!(rest, "fbdns-{site}-{}-{}-{}-{}", o[0], o[1], o[2], o[3])
             }
-            _ => format!("fbdns-{site}-h{host_id}"),
-        };
-        let fam = if is_v6 { "six" } else { "four" };
-        format!("{host_label}.{fam}.fbinfra.example")
-            .parse()
-            .expect("generated PTR names parse")
+            _ => write!(rest, "fbdns-{site}-h{host_id}"),
+        }
+        .expect("generated PTR host labels fit a label");
+        let written = dns_wire::name::MAX_LABEL_LEN - rest.len();
+        let fam: &[u8] = if is_v6 { b"six" } else { b"four" };
+        Name::from_labels([&buf[..written], fam, b"fbinfra", b"example"])
+            .expect("generated PTR names are valid")
     }
 }
 

@@ -11,6 +11,7 @@
 use crate::engine::{name_key_wire, DatasetStats};
 use crate::rrl::{ResponseClass, RrlAction, RrlGate};
 use dns_wire::message::Message;
+use dns_wire::name::ReusableCompressor;
 use dns_wire::types::Rcode;
 use netbase::capture::{CaptureRecord, Direction};
 use netbase::flow::{FlowKey, Transport};
@@ -32,6 +33,30 @@ pub fn response_class(rcode: Rcode, qname_wire: &[u8]) -> ResponseClass {
     }
 }
 
+/// The encoder a slice of generated traffic shares: one name compressor
+/// and one output buffer, reused for every message the slice records,
+/// so a payload costs the one allocation that holds its bytes. Empty
+/// until the first message sizes it.
+#[derive(Default)]
+pub struct WireScratch {
+    comp: ReusableCompressor,
+    out: Vec<u8>,
+}
+
+impl WireScratch {
+    /// `msg` on the wire; the bytes live until the next call.
+    pub fn encode(&mut self, msg: &Message) -> &[u8] {
+        msg.encode_into(&mut self.comp, &mut self.out)
+            .expect("generated messages encode");
+        &self.out
+    }
+
+    /// `msg` as a DNS-over-TCP frame (RFC 1035 two-octet length prefix).
+    fn frame(&mut self, msg: &Message) -> Vec<u8> {
+        dns_wire::tcp::frame(self.encode(msg)).expect("generated messages fit TCP")
+    }
+}
+
 /// A UDP response as it leaves the vantage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UdpReply {
@@ -47,12 +72,14 @@ pub struct UdpReply {
 /// query's EDNS advertised (`edns_size` 0 = no EDNS; never below 512)
 /// and, with a limiter, let RRL pass it, replace it by an empty TC=1
 /// slip (forcing the TCP proof-of-path, §4.4), or drop it (`None`).
+/// Encodes through `wire`; the reply's bytes are an exact-length copy.
 pub fn shape_udp<L: RrlGate>(
     response: &Message,
     edns_size: u16,
     src: IpAddr,
     now: SimTime,
     rrl: Option<&mut L>,
+    wire: &mut WireScratch,
 ) -> Option<UdpReply> {
     let action = match rrl {
         Some(limiter) => {
@@ -63,11 +90,11 @@ pub fn shape_udp<L: RrlGate>(
     };
     match action {
         RrlAction::Respond => {
-            let (bytes, truncated) = response
-                .encode_with_limit(edns_size.max(512) as usize)
+            let truncated = response
+                .encode_with_limit_into(edns_size.max(512) as usize, &mut wire.comp, &mut wire.out)
                 .expect("responses always fit after truncation");
             Some(UdpReply {
-                bytes,
+                bytes: wire.out.clone(),
                 truncated,
                 slipped: false,
             })
@@ -79,7 +106,7 @@ pub fn shape_udp<L: RrlGate>(
             slip.additionals.clear();
             slip.header.truncated = true;
             Some(UdpReply {
-                bytes: slip.encode().expect("slip encodes"),
+                bytes: wire.encode(&slip).to_vec(),
                 truncated: true,
                 slipped: true,
             })
@@ -142,18 +169,20 @@ pub fn record<L: RrlGate>(
     x: &Exchange<'_>,
     rng: &mut StdRng,
     rrl: Option<&mut L>,
+    wire: &mut WireScratch,
     buf: &mut Vec<CaptureRecord>,
     stats: &mut DatasetStats,
 ) -> Recorded {
-    let query_wire = x.query.encode().expect("generated queries encode");
     if x.tcp_extra > 0.0 && rng.gen_bool(x.tcp_extra) {
-        let resp_wire = x.response.encode().expect("responses encode");
-        record_tcp_pair(x, x.at, &query_wire, &resp_wire, rng, buf, stats);
+        let query = wire.frame(x.query);
+        let response = wire.frame(x.response);
+        record_tcp_pair(x, x.at, query, response, rng, buf, stats);
         return Recorded::Tcp;
     }
 
+    let query_wire = wire.encode(x.query).to_vec();
     let edns_size = x.query.edns.as_ref().map_or(0, |e| e.udp_payload_size);
-    let reply = shape_udp(x.response, edns_size, x.src_ip, x.at, rrl);
+    let reply = shape_udp(x.response, edns_size, x.src_ip, x.at, rrl, wire);
     let flow = FlowKey {
         src: x.src_ip,
         src_port: rng.gen_range(1024..u16::MAX),
@@ -190,23 +219,25 @@ pub fn record<L: RrlGate>(
     stats.truncated_udp += 1;
     // the retry is the same question under a fresh id, and so is its
     // answer: re-stamp both wire forms instead of rebuilding them
-    let id: u16 = rng.gen();
-    let mut query_wire = buf[query_idx].payload.clone();
-    let mut resp_wire = x.response.encode().expect("responses encode");
-    query_wire[..2].copy_from_slice(&id.to_be_bytes());
-    resp_wire[..2].copy_from_slice(&id.to_be_bytes());
+    let id = rng.gen::<u16>().to_be_bytes();
+    let mut query =
+        dns_wire::tcp::frame(&buf[query_idx].payload).expect("generated queries fit TCP");
+    let mut response = wire.frame(x.response);
+    query[2..4].copy_from_slice(&id);
+    response[2..4].copy_from_slice(&id);
     let retry_at = x.at + SimDuration::from_micros(x.rtt_us as u64 + TCP_RETRY_GAP_US);
-    record_tcp_pair(x, retry_at, &query_wire, &resp_wire, rng, buf, stats);
+    record_tcp_pair(x, retry_at, query, response, rng, buf, stats);
     Recorded::UdpThenTcp
 }
 
 /// A TCP query/response pair opening at `t`, carrying the handshake RTT
 /// the capture box measures (what Figure 5 derives its medians from).
+/// Both payloads come framed (RFC 1035 two-octet length prefix).
 fn record_tcp_pair(
     x: &Exchange<'_>,
     t: SimTime,
-    query_wire: &[u8],
-    resp_wire: &[u8],
+    query: Vec<u8>,
+    response: Vec<u8>,
     rng: &mut StdRng,
     buf: &mut Vec<CaptureRecord>,
     stats: &mut DatasetStats,
@@ -221,20 +252,19 @@ fn record_tcp_pair(
         transport: Transport::Tcp,
     };
     let after_handshake = t + SimDuration::from_micros(x.rtt_us as u64);
-    // DNS-over-TCP frames carry the RFC 1035 two-octet length prefix
     buf.push(CaptureRecord {
         timestamp: after_handshake,
         direction: Direction::Query,
         flow,
         tcp_rtt_us: measured,
-        payload: dns_wire::tcp::frame(query_wire).expect("generated queries fit TCP"),
+        payload: query,
     });
     buf.push(CaptureRecord {
         timestamp: after_handshake + SimDuration::from_micros(x.rtt_us as u64),
         direction: Direction::Response,
         flow: flow.reversed(),
         tcp_rtt_us: measured,
-        payload: dns_wire::tcp::frame(resp_wire).expect("responses fit TCP"),
+        payload: response,
     });
     stats.queries += 1;
     stats.responses += 1;

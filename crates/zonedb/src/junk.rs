@@ -49,48 +49,48 @@ impl JunkGenerator {
         } else {
             JunkKind::ChromiumProbe
         };
-        let name = match kind {
-            JunkKind::ChromiumProbe => {
-                let probe = chromium_probe_label(rng);
-                if self.zone.is_root_zone() {
-                    probe.parse().expect("probe labels parse")
-                } else {
-                    // a probe leaked as a subdomain query to the ccTLD
-                    self.zone
-                        .apex()
-                        .child(probe.as_bytes())
-                        .expect("short label")
-                }
-            }
+        // the label is drawn on the stack: a probe, plus one digit for a
+        // stale name (digits cannot appear in the syllable encoding, so
+        // a label with a digit is guaranteed unregistered)
+        let mut buf = [0u8; PROBE_MAX_LEN + 1];
+        let mut len = probe_into(rng, &mut buf);
+        match kind {
+            JunkKind::ChromiumProbe => {}
             JunkKind::StaleName => {
-                // digits cannot appear in the syllable encoding, so a
-                // label with a digit is guaranteed unregistered
-                let stale = format!("{}{}", chromium_probe_label(rng), rng.gen_range(0..10));
-                if self.zone.is_root_zone() {
-                    stale.parse().expect("labels parse")
-                } else {
-                    self.zone
-                        .apex()
-                        .child(stale.as_bytes())
-                        .expect("short label")
-                }
+                let digit: i32 = rng.gen_range(0..10);
+                buf[len] = b'0' + digit as u8;
+                len += 1;
             }
             JunkKind::OutOfZone => unreachable!("not drawn by sample"),
-        };
+        }
+        // at the root the label is the whole name; at a ccTLD it is a
+        // probe leaked, or a typo made, as a subdomain query
+        let name = self.zone.apex().child(&buf[..len]).expect("short label");
         (name, kind)
     }
 }
 
-/// A Chromium network-probe label: 7-15 random lowercase letters.
-pub fn chromium_probe_label<R: Rng + ?Sized>(rng: &mut R) -> String {
-    let len = rng.gen_range(7..=15);
+/// Longest Chromium probe label.
+const PROBE_MAX_LEN: usize = 15;
+
+/// Draw a probe label into `buf`; returns its length.
+fn probe_into<R: Rng + ?Sized>(rng: &mut R, buf: &mut [u8]) -> usize {
+    let len = rng.gen_range(7..=PROBE_MAX_LEN);
     // exclude vowel-heavy syllable collisions by allowing any letters:
     // the syllable decoder rejects odd lengths and unknown pairs, and a
     // random 7-15 letter string virtually never decodes; stale-name
     // callers add a digit to make rejection certain.
-    (0..len)
-        .map(|_| (b'a' + rng.gen_range(0..26u8)) as char)
-        .collect()
+    for b in &mut buf[..len] {
+        *b = b'a' + rng.gen_range(0..26u8);
+    }
+    len
+}
+
+/// A Chromium network-probe label: 7-15 random lowercase letters.
+pub fn chromium_probe_label<R: Rng + ?Sized>(rng: &mut R) -> String {
+    let mut buf = [0u8; PROBE_MAX_LEN];
+    let len = probe_into(rng, &mut buf);
+    String::from_utf8_lossy(&buf[..len]).into_owned()
 }
 
 #[cfg(test)]

@@ -15,62 +15,121 @@ const SYLLABLES: [&str; 64] = [
     "no", "nu", "pa", "pe", "pi", "po", "pu", "ra", "re", "ri", "ro", "ru", "sa", "se", "si", "so",
 ];
 
+/// Longest generated label: a one-letter prefix plus the eleven
+/// syllables that cover `u64`.
+const MAX_GENERATED_LEN: usize = 23;
+
+/// A generated label, held on the stack.
+pub(crate) struct Label {
+    buf: [u8; MAX_GENERATED_LEN],
+    len: usize,
+}
+
+impl Label {
+    fn new() -> Label {
+        Label {
+            buf: [0; MAX_GENERATED_LEN],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    /// Append the syllables of `idx`, most significant digit first.
+    fn push_syllables(&mut self, mut idx: u64) {
+        let mut digits = 1;
+        let mut rest = idx / 64;
+        while rest > 0 {
+            digits += 1;
+            rest /= 64;
+        }
+        let end = self.len + 2 * digits;
+        for syllable in self.buf[self.len..end].chunks_exact_mut(2).rev() {
+            syllable.copy_from_slice(SYLLABLES[(idx % 64) as usize].as_bytes());
+            idx /= 64;
+        }
+        self.len = end;
+    }
+
+    /// The label's octets (lowercase ASCII letters).
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+
+    fn string(&self) -> String {
+        String::from_utf8_lossy(self.as_bytes()).into_owned()
+    }
+}
+
+/// [`encode_label`] without the `String`.
+pub(crate) fn label(idx: u64) -> Label {
+    let mut label = Label::new();
+    label.push_syllables(idx);
+    label
+}
+
 /// Encode an index as a syllable label (most significant digit first).
 ///
 /// ```
 /// assert_eq!(zonedb::names::encode_label(0), "ba");
 /// assert_eq!(zonedb::names::decode_label("ba"), Some(0));
 /// ```
-pub fn encode_label(mut idx: u64) -> String {
-    let mut digits = Vec::new();
-    loop {
-        digits.push((idx % 64) as usize);
-        idx /= 64;
-        if idx == 0 {
-            break;
-        }
-    }
-    let mut out = String::with_capacity(digits.len() * 2);
-    for &d in digits.iter().rev() {
-        out.push_str(SYLLABLES[d]);
-    }
-    out
+pub fn encode_label(idx: u64) -> String {
+    label(idx).string()
 }
 
-/// Decode a syllable label back to its index; `None` if the string is
+/// Decode a syllable label back to its index; `None` if the octets are
 /// not a valid encoding (odd length, unknown syllable, non-canonical
-/// leading zero).
-pub fn decode_label(label: &str) -> Option<u64> {
+/// leading zero). Case is folded as DNS folds it: ASCII letters only
+/// (RFC 4343), so `BA` is `ba` but a Unicode look-alike of `k` is not
+/// `k`. Allocation-free.
+pub fn decode_label(label: impl AsRef<[u8]>) -> Option<u64> {
+    let label = label.as_ref();
     if label.is_empty() || !label.len().is_multiple_of(2) || label.len() > 22 {
         return None;
     }
     let mut idx: u64 = 0;
-    let bytes = label.as_bytes();
-    for chunk in bytes.chunks(2) {
-        let syl = std::str::from_utf8(chunk).ok()?;
-        let d = SYLLABLES.iter().position(|&s| s == syl)? as u64;
-        idx = idx.checked_mul(64)?.checked_add(d)?;
+    for syllable in label.chunks(2) {
+        let d = SYLLABLES
+            .iter()
+            .position(|s| s.as_bytes().eq_ignore_ascii_case(syllable))?;
+        idx = idx.checked_mul(64)?.checked_add(d as u64)?;
     }
-    // reject non-canonical encodings like "baba" for 0 ("ba")
-    if encode_label(idx).len() != label.len() {
+    // reject non-canonical encodings like "baba" for 0 ("ba"): only a
+    // one-syllable label may start with the zero digit
+    if label.len() > 2 && idx < 64u64.pow(label.len() as u32 / 2 - 1) {
         return None;
     }
     Some(idx)
+}
+
+/// The real anchor TLDs of the root-zone model.
+const ANCHOR_TLDS: [&str; 12] = [
+    "nl", "nz", "com", "net", "org", "de", "uk", "fr", "jp", "br", "io", "info",
+];
+
+/// [`tld_label`] without the `String`.
+pub(crate) fn tld(i: usize) -> Label {
+    let mut label = Label::new();
+    match ANCHOR_TLDS.get(i) {
+        Some(anchor) => label.push(anchor.as_bytes()),
+        None => {
+            // 't' prefix keeps synthetic TLDs out of the syllable namespace
+            label.push(b"t");
+            label.push_syllables((i - ANCHOR_TLDS.len()) as u64);
+        }
+    }
+    label
 }
 
 /// The generated TLD inventory for the root-zone model: a handful of
 /// real anchor TLDs (so the ccTLD studies compose) plus synthesized
 /// ones up to `count`.
 pub fn tld_label(i: usize) -> String {
-    const ANCHORS: [&str; 12] = [
-        "nl", "nz", "com", "net", "org", "de", "uk", "fr", "jp", "br", "io", "info",
-    ];
-    if i < ANCHORS.len() {
-        ANCHORS[i].to_string()
-    } else {
-        // 't' prefix keeps synthetic TLDs out of the syllable namespace
-        format!("t{}", encode_label((i - ANCHORS.len()) as u64))
-    }
+    tld(i).string()
 }
 
 #[cfg(test)]
@@ -105,9 +164,20 @@ mod tests {
 
     #[test]
     fn invalid_strings_decode_to_none() {
-        for s in ["", "b", "xx", "ba7", "hello", "qa", "BA", "bax", "ba-"] {
+        for s in ["", "b", "xx", "ba7", "hello", "qa", "bax", "ba-"] {
             assert_eq!(decode_label(s), None, "{s:?}");
         }
+    }
+
+    #[test]
+    fn case_folds_as_dns_does() {
+        // ASCII letters fold (RFC 4343) ...
+        assert_eq!(decode_label("BA"), Some(0));
+        assert_eq!(decode_label("Ka"), decode_label("ka"));
+        // ... and nothing else does: U+212A KELVIN SIGN lower-cases to
+        // `k` under Unicode rules, but its octets are not `k`
+        assert_eq!(decode_label("\u{212a}a"), None);
+        assert_eq!(decode_label([0xe2, 0x84, 0xaa, b'a']), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Authoritative zone models for `.nl`, `.nz` and the root.
 
-use crate::names::{decode_label, encode_label, tld_label};
+use crate::names::{decode_label, label, tld};
 use dns_wire::name::Name;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -109,8 +109,7 @@ impl ZoneModel {
     pub fn root(tlds: usize) -> Self {
         let mut cache = HashMap::with_capacity(tlds);
         for i in 0..tlds {
-            let label = tld_label(i);
-            cache.insert(label.parse().expect("generated TLDs parse"), i as u64);
+            cache.insert(child_of(&Name::root(), tld(i).as_bytes()), i as u64);
         }
         ZoneModel {
             apex: Name::root(),
@@ -143,30 +142,22 @@ impl ZoneModel {
         match &self.kind {
             ZoneKind::SecondLevel { slds } => {
                 assert!(idx < *slds, "index out of zone");
-                self.apex
-                    .child(encode_label(idx).as_bytes())
-                    .expect("generated labels are short")
+                child_of(&self.apex, label(idx).as_bytes())
             }
             ZoneKind::MixedLevel { slds, thirds } => {
                 assert!(idx < slds + thirds, "index out of zone");
                 if idx < *slds {
-                    self.apex
-                        .child(encode_label(idx).as_bytes())
-                        .expect("generated labels are short")
+                    child_of(&self.apex, label(idx).as_bytes())
                 } else {
                     let t = idx - slds;
                     let (sub, local) = third_level_split(t, *thirds);
-                    self.apex
-                        .child(sub.as_bytes())
-                        .and_then(|z| z.child(encode_label(local).as_bytes()))
-                        .expect("generated labels are short")
+                    let subzone = child_of(&self.apex, sub.as_bytes());
+                    child_of(&subzone, label(local).as_bytes())
                 }
             }
             ZoneKind::Root { tlds } => {
                 assert!(idx < *tlds as u64, "index out of zone");
-                tld_label(idx as usize)
-                    .parse()
-                    .expect("generated TLDs parse")
+                child_of(&self.apex, tld(idx as usize).as_bytes())
             }
         }
     }
@@ -203,9 +194,8 @@ impl ZoneModel {
             }
             ZoneKind::MixedLevel { slds, thirds } => {
                 let sld = qname.ancestor(2);
-                let sld_label = label_string(&sld);
                 // structural subzone like co.nz?
-                if let Some(sub_pos) = NZ_SUBZONES.iter().position(|(s, _)| *s == sld_label) {
+                if let Some(sub_pos) = subzone_position(&sld) {
                     if qname.label_count() == 2 {
                         return Lookup::InZone;
                     }
@@ -248,10 +238,7 @@ impl ZoneModel {
         let apex_depth = self.apex.label_count();
         match &self.kind {
             ZoneKind::MixedLevel { .. } => {
-                let sld = full.ancestor(2);
-                if NZ_SUBZONES.iter().any(|(s, _)| *s == label_string(&sld))
-                    && full.label_count() >= 3
-                {
+                if subzone_position(&full.ancestor(2)).is_some() && full.label_count() >= 3 {
                     return full.ancestor(3);
                 }
                 full.ancestor(apex_depth + 1)
@@ -273,8 +260,7 @@ impl ZoneModel {
             ZoneKind::SecondLevel { .. } => leftmost_index(&qname.ancestor(2)),
             ZoneKind::MixedLevel { slds, thirds } => {
                 let sld = qname.ancestor(2);
-                let sld_label = label_string(&sld);
-                match NZ_SUBZONES.iter().position(|(s, _)| *s == sld_label) {
+                match subzone_position(&sld) {
                     Some(sub_pos) => {
                         let local = leftmost_index(&qname.ancestor(3))?;
                         let start: u64 = (0..sub_pos)
@@ -341,20 +327,23 @@ fn third_level_member(sub_pos: usize, local: u64, thirds: u64) -> bool {
     local < share_of(sub_pos, NZ_SUBZONES[sub_pos].1, thirds)
 }
 
-/// The leftmost label as a lowercase string.
-fn label_string(name: &Name) -> String {
-    name.labels()
-        .next()
-        .map(|l| String::from_utf8_lossy(l).to_lowercase())
-        .unwrap_or_default()
+/// `label.parent.`, for the labels this crate generates.
+fn child_of(parent: &Name, label: &[u8]) -> Name {
+    parent.child(label).expect("generated labels are short")
+}
+
+/// Which [`NZ_SUBZONES`] entry the leftmost label of `name` is, folding
+/// case as DNS does (ASCII only).
+fn subzone_position(name: &Name) -> Option<usize> {
+    let leftmost = name.labels().next()?;
+    NZ_SUBZONES
+        .iter()
+        .position(|(s, _)| s.as_bytes().eq_ignore_ascii_case(leftmost))
 }
 
 /// Decode the leftmost label of `name` as a registration index.
 fn leftmost_index(name: &Name) -> Option<u64> {
-    name.labels().next().and_then(|l| {
-        let s = std::str::from_utf8(l).ok()?;
-        decode_label(&s.to_lowercase())
-    })
+    name.labels().next().and_then(decode_label)
 }
 
 #[cfg(test)]
@@ -408,7 +397,7 @@ mod tests {
             assert_eq!(z.classify(&www), Lookup::Delegated, "{www}");
         }
         // index 1000 is out of zone
-        let ghost = z.apex().child(encode_label(1000).as_bytes()).unwrap();
+        let ghost = z.apex().child(label(1000).as_bytes()).unwrap();
         assert_eq!(z.classify(&ghost), Lookup::NxDomain);
         // garbage label
         assert_eq!(z.classify(&n("xyzzy123.nl")), Lookup::NxDomain);
@@ -424,6 +413,26 @@ mod tests {
         let d = z.registered_domain(42);
         let upper: Name = d.to_string().to_uppercase().parse().unwrap();
         assert_eq!(z.classify(&upper), Lookup::Delegated);
+    }
+
+    /// Regression: `str::to_lowercase` folds U+212A KELVIN SIGN to `k`, so
+    /// the label `E2 84 AA 61` used to decode as `ka` (index 30) and a
+    /// name that is not `ka.nl` under DNS case folding got a referral.
+    #[test]
+    fn unicode_lookalikes_are_not_registered() {
+        let z = ZoneModel::nl(1000);
+        assert_eq!(z.classify(&n("ka.nl")), Lookup::Delegated);
+        assert_eq!(z.delegation_index(&n("KA.nl")), Some(30));
+        let kelvin = z.apex().child("\u{212a}a".as_bytes()).unwrap();
+        assert_ne!(kelvin, n("ka.nl"));
+        assert_eq!(z.classify(&kelvin), Lookup::NxDomain);
+        assert_eq!(z.delegation_index(&kelvin), None);
+        assert_eq!(z.classify(&kelvin.child(b"www").unwrap()), Lookup::NxDomain);
+        // the same fold made `gee<KELVIN>.nz` the structural subzone `geek.nz`
+        let nz = ZoneModel::nz(100, 500);
+        assert_eq!(nz.classify(&n("GEEK.nz")), Lookup::InZone);
+        let geek = nz.apex().child("gee\u{212a}".as_bytes()).unwrap();
+        assert_eq!(nz.classify(&geek), Lookup::NxDomain);
     }
 
     #[test]

@@ -9,7 +9,7 @@ proptest! {
     /// Label encoding is a bijection.
     #[test]
     fn label_bijection(idx in 0u64..u64::MAX) {
-        prop_assert_eq!(decode_label(&encode_label(idx)), Some(idx));
+        prop_assert_eq!(decode_label(encode_label(idx)), Some(idx));
     }
 
     /// Every generated registration classifies as Delegated, and any

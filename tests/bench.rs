@@ -577,3 +577,36 @@ fn wire_encode_into_is_allocation_free_and_byte_identical() {
     assert_eq!(stats.allocs, 0, "encode_into allocated in steady state");
     assert_eq!(stats.bytes, 0);
 }
+
+/// The record path's allocation budget: `.nl` 2020 at the tiny scale,
+/// generated into memory on one shard and ingested on this thread, may
+/// allocate at most 20 times per query (the parent of the change that
+/// set this budget made 91).
+#[test]
+fn record_path_stays_within_its_allocation_budget() {
+    use entrada::enrich::Enricher;
+    use entrada::ingest::CaptureIngest;
+    use netbase::capture::CaptureRecord;
+    use simnet::engine::Engine;
+    use simnet::profile::Vantage;
+    use simnet::scenario::{dataset, Scale};
+
+    assert!(obs::alloc::installed(), "counting allocator active");
+    let engine = Engine::new(dataset(Vantage::Nl, 2020), Scale::tiny(), 42);
+    let enricher = Enricher::new(engine.plan().mapper.clone());
+    let ((queries, rows), stats) = obs::alloc::measure(|| {
+        let mut records: Vec<CaptureRecord> = Vec::new();
+        let generated = engine
+            .generate_sharded(&mut records, 1)
+            .expect("generation into memory cannot fail");
+        let rows = CaptureIngest::new(records.into_iter(), enricher).count() as u64;
+        (generated.queries, rows)
+    });
+    assert_eq!(rows, queries, "every query became a row");
+    let per_query = stats.allocs as f64 / queries as f64;
+    assert!(
+        per_query <= 20.0,
+        "generate + ingest made {per_query:.1} allocations per query ({} over {queries})",
+        stats.allocs
+    );
+}

@@ -155,7 +155,7 @@ fn offline_recorder_and_live_responder_emit_identical_udp_responses() {
     use rand::{rngs::StdRng, SeedableRng};
     use simnet::auth::Authoritative;
     use simnet::rrl::{RateLimiter, RrlConfig};
-    use simnet::vantage::{self, Recorded};
+    use simnet::vantage::{self, Recorded, WireScratch};
     use std::net::IpAddr;
 
     let spec = dataset(Vantage::Nl, 2020);
@@ -172,6 +172,7 @@ fn offline_recorder_and_live_responder_emit_identical_udp_responses() {
     let mut scratch = RespondScratch::new();
     let mut rng = StdRng::seed_from_u64(1);
     let mut stats = simnet::DatasetStats::default();
+    let mut wire = WireScratch::default();
     let mut buf = Vec::new();
 
     let sources: [IpAddr; 2] = ["192.0.2.1".parse().unwrap(), "2001:db8::7".parse().unwrap()];
@@ -207,6 +208,7 @@ fn offline_recorder_and_live_responder_emit_identical_udp_responses() {
             },
             &mut rng,
             Some(&mut rrl_offline),
+            &mut wire,
             &mut buf,
             &mut stats,
         );
