@@ -30,11 +30,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use resolver::{CacheStats, Exchange, IterativeResolver, SharedCache, Transport};
 use simnet::emerge::{
-    fleet_resolver, ns_rtt_histograms, root_hints, sample_stimulus, synth_leaf_answer,
-    synth_root_referral, FleetCacheMetrics, ROOT_V4, ROOT_V6,
+    fleet_resolver, ns_rtt_histograms, resolve_stimulus, root_hints, sample_stimulus,
+    synth_leaf_answer, synth_root_referral, tier_of, FleetMetrics, FleetSummary, Tier,
 };
 use simnet::engine::Engine;
-use simnet::fleet::Fleet;
+use simnet::fleet::{cumulative_weights, pick_cumulative, Fleet};
 use std::io;
 use std::net::{IpAddr, SocketAddr};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -118,32 +118,21 @@ impl<'a> LiveTransport<'a> {
 
 impl Transport for LiveTransport<'_> {
     fn exchange(&mut self, server: IpAddr, query: &Message) -> Exchange {
-        if !self.root_zone && (server == ROOT_V4 || server == ROOT_V6) {
-            let (v4, v6) = self.profile().families();
-            let message = synth_root_referral(
-                self.engine.zone(),
-                &self.engine.spec().servers,
-                v4,
-                v6,
-                query,
-            );
-            return Exchange::Answer {
-                message,
-                rtt_us: SYNTH_TIER_RTT_US,
-            };
-        }
-        if let Some(si) = self
-            .engine
-            .spec()
-            .servers
-            .iter()
-            .position(|s| IpAddr::V4(s.v4) == server || IpAddr::V6(s.v6) == server)
-        {
-            return self.vantage_exchange(si, server, query);
-        }
-        let ttl = self.fleet().spec.cache_ttl.as_secs().max(1) as u32;
+        let zone = self.engine.zone();
+        let servers = &self.engine.spec().servers;
+        let message = match tier_of(servers, self.root_zone, server) {
+            Tier::Vantage(si) => return self.vantage_exchange(si, server, query),
+            Tier::Root => {
+                let (v4, v6) = self.profile().families();
+                synth_root_referral(zone, servers, v4, v6, query)
+            }
+            Tier::Leaf => {
+                let ttl = self.fleet().spec.cache_ttl.as_secs().max(1) as u32;
+                synth_leaf_answer(zone, ttl, query)
+            }
+        };
         Exchange::Answer {
-            message: synth_leaf_answer(self.engine.zone(), ttl, query),
+            message,
             rtt_us: SYNTH_TIER_RTT_US,
         }
     }
@@ -195,19 +184,7 @@ pub(crate) fn run(
         "resolver_fleet_inflight",
         "fleet resolver stimuli currently mid-walk at the vantage",
     );
-    let instances_gauge = obs::gauge(
-        "resolver_fleet_instances",
-        "resolver instances materialized across all fleets",
-    );
-    let cache_metrics = FleetCacheMetrics::register();
-    let retries_counter = obs::counter(
-        "resolver_retries_total",
-        "fleet resolver query retransmissions",
-    );
-    let timeouts_counter = obs::counter(
-        "resolver_timeouts_total",
-        "fleet resolver exchanges that timed out",
-    );
+    let metrics = FleetMetrics::register();
 
     // one shared cache per fleet, as offline
     let caches: Vec<SharedCache> = (0..nfleets)
@@ -217,24 +194,10 @@ pub(crate) fn run(
     // assign lanes to fleets proportionally to traffic share: lane i
     // takes the fleet whose cumulative share covers (i + 0.5) / N
     let resolvers = resolvers.max(1);
-    let shares: Vec<f64> = engine
-        .fleets()
-        .iter()
-        .map(|f| f.spec.traffic_share)
-        .collect();
-    let total_share: f64 = shares.iter().sum::<f64>().max(f64::MIN_POSITIVE);
+    let fleet_cum = cumulative_weights(engine.fleets().iter().map(|f| f.spec.traffic_share));
     let mut lanes: Vec<Lane> = (0..resolvers)
         .map(|i| {
-            let point = (i as f64 + 0.5) / resolvers as f64 * total_share;
-            let mut acc = 0.0;
-            let mut fi = nfleets - 1;
-            for (j, s) in shares.iter().enumerate() {
-                acc += s;
-                if point <= acc {
-                    fi = j;
-                    break;
-                }
-            }
+            let fi = pick_cumulative(&fleet_cum, (i as f64 + 0.5) / resolvers as f64);
             let mut rng = StdRng::seed_from_u64(config.seed ^ 0xf1ee_0000 ^ i as u64);
             let fleet = &engine.fleets()[fi];
             let resolver_idx = fleet.pick(&mut rng);
@@ -250,7 +213,7 @@ pub(crate) fn run(
             }
         })
         .collect();
-    instances_gauge.set(resolvers as f64);
+    metrics.observe(&cache_totals(&caches), resolvers as u64);
 
     let start_sim = config.spec.start;
     let deadline = config.duration.map(|d| started + d);
@@ -271,7 +234,7 @@ pub(crate) fn run(
     let inflight_ref = &inflight;
     let stimuli_ref = &stimuli;
     let gauge_ref = &*inflight_gauge;
-    let cache_metrics_ref = &cache_metrics;
+    let metrics_ref = &metrics;
     let caches_ref = &caches[..];
     let mut resolver_retries = 0u64;
     let mut resolver_timeouts = 0u64;
@@ -327,13 +290,12 @@ pub(crate) fn run(
                             if nth.is_multiple_of(128) {
                                 // keep the cache gauges live for
                                 // mid-run /metrics and /flight scrapes
-                                cache_metrics_ref.observe(&cache_totals(caches_ref));
+                                metrics_ref.observe(&cache_totals(caches_ref), resolvers as u64);
                             }
-                            lane.resolver.set_qmin(fleet.spec.qmin_active(now));
-                            lane.resolver.set_now_micros(now.as_micros());
                             tr.fleet = lane.fleet;
                             tr.resolver_idx = lane.resolver_idx;
-                            let _ = lane.resolver.resolve(&mut tr, &stim.qname, stim.qtype);
+                            let qmin = fleet.spec.qmin_active(now);
+                            resolve_stimulus(&mut lane.resolver, &mut tr, qmin, now, &stim);
                         }
                     }
                 })
@@ -348,10 +310,13 @@ pub(crate) fn run(
     .expect("fleetgen threads do not panic");
 
     let cache = cache_totals(&caches);
-    cache_metrics.finish(&cache);
+    metrics.finish(&FleetSummary {
+        cache,
+        retries: resolver_retries,
+        timeouts: resolver_timeouts,
+        instances: resolvers as u64,
+    });
     inflight_gauge.set(0.0);
-    retries_counter.add(resolver_retries);
-    timeouts_counter.add(resolver_timeouts);
 
     Ok(FleetgenReport {
         stimuli: stimuli.load(Ordering::Relaxed),

@@ -303,85 +303,6 @@ impl Cdf {
     }
 }
 
-/// Convenience alias: heaviest-hitters over a counter.
-pub type TopK<K> = Vec<(K, u64)>;
-
-/// The Space-Saving heavy-hitters sketch (Metwally et al. 2005):
-/// bounded-memory top-k over an unbounded stream — what a warehouse
-/// would use for the per-AS volume ranking when the key space (tens of
-/// thousands of ASes, millions of resolvers) exceeds memory comfort.
-///
-/// Guarantee: any key whose true count exceeds `N / capacity` is
-/// present, and each reported count overestimates the true count by at
-/// most the smallest monitored count.
-#[derive(Debug, Clone)]
-pub struct SpaceSaving<K: Eq + Hash + Clone> {
-    capacity: usize,
-    counts: HashMap<K, (u64, u64)>, // key -> (count, overestimation)
-    total: u64,
-}
-
-impl<K: Eq + Hash + Clone> SpaceSaving<K> {
-    /// Monitor at most `capacity` keys.
-    ///
-    /// # Panics
-    /// If `capacity` is 0.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        SpaceSaving {
-            capacity,
-            counts: HashMap::new(),
-            total: 0,
-        }
-    }
-
-    /// Observe one occurrence of `key`.
-    pub fn observe(&mut self, key: K) {
-        self.total += 1;
-        if let Some(entry) = self.counts.get_mut(&key) {
-            entry.0 += 1;
-            return;
-        }
-        if self.counts.len() < self.capacity {
-            self.counts.insert(key, (1, 0));
-            return;
-        }
-        // evict the minimum and inherit its count as overestimation
-        let (victim, min) = self
-            .counts
-            .iter()
-            .min_by_key(|(_, (c, _))| *c)
-            .map(|(k, (c, _))| (k.clone(), *c))
-            .expect("capacity > 0");
-        self.counts.remove(&victim);
-        self.counts.insert(key, (min + 1, min));
-    }
-
-    /// Total stream length observed.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The monitored keys, by estimated count descending. Each entry is
-    /// `(key, estimate, overestimation_bound)`; the true count lies in
-    /// `[estimate - bound, estimate]`.
-    pub fn top(&self, k: usize) -> Vec<(K, u64, u64)> {
-        let mut all: Vec<(K, u64, u64)> = self
-            .counts
-            .iter()
-            .map(|(key, (c, e))| (key.clone(), *c, *e))
-            .collect();
-        all.sort_by_key(|e| std::cmp::Reverse(e.1));
-        all.truncate(k);
-        all
-    }
-
-    /// Memory bound: number of monitored entries.
-    pub fn monitored(&self) -> usize {
-        self.counts.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,71 +416,6 @@ mod tests {
     #[should_panic(expected = "precision mismatch")]
     fn hll_merge_precision_mismatch_panics() {
         HyperLogLog::new(10).merge(&HyperLogLog::new(12));
-    }
-
-    #[test]
-    fn space_saving_exact_when_under_capacity() {
-        let mut ss = SpaceSaving::new(10);
-        for _ in 0..5 {
-            ss.observe("a");
-        }
-        for _ in 0..3 {
-            ss.observe("b");
-        }
-        let top = ss.top(10);
-        assert_eq!(top[0], ("a", 5, 0));
-        assert_eq!(top[1], ("b", 3, 0));
-        assert_eq!(ss.total(), 8);
-    }
-
-    #[test]
-    fn space_saving_finds_heavy_hitters_under_pressure() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let mut ss = SpaceSaving::new(32);
-        let mut truth: HashMap<u32, u64> = HashMap::new();
-        // two heavy keys inside a sea of 10k light ones
-        for _ in 0..100_000 {
-            let key = if rng.gen_bool(0.30) {
-                7
-            } else if rng.gen_bool(0.20) {
-                13
-            } else {
-                1000 + rng.gen_range(0..10_000u32)
-            };
-            ss.observe(key);
-            *truth.entry(key).or_insert(0) += 1;
-        }
-        assert_eq!(ss.monitored(), 32, "memory bounded");
-        let top = ss.top(2);
-        let keys: Vec<u32> = top.iter().map(|(k, _, _)| *k).collect();
-        assert!(keys.contains(&7) && keys.contains(&13), "{keys:?}");
-        // estimates bracket the truth
-        for (k, est, over) in top {
-            let t = truth[&k];
-            assert!(est >= t, "estimate is an upper bound");
-            assert!(est - over <= t, "lower bound holds");
-        }
-    }
-
-    #[test]
-    fn space_saving_guarantee_threshold() {
-        // any key above total/capacity must be monitored
-        let mut ss = SpaceSaving::new(10);
-        for i in 0..1000u32 {
-            ss.observe(i % 100); // uniform: each key = 10 = total/capacity boundary
-        }
-        // now hammer one key well past the threshold
-        for _ in 0..500 {
-            ss.observe(42);
-        }
-        assert!(ss.top(10).iter().any(|(k, _, _)| *k == 42));
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn space_saving_zero_capacity_panics() {
-        SpaceSaving::<u32>::new(0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod ingest;
 pub mod schema;
 pub mod table;
 
-pub use agg::{Cdf, Counter, DistinctCounter, HyperLogLog, SpaceSaving, TopK};
+pub use agg::{Cdf, Counter, DistinctCounter, HyperLogLog};
 pub use enrich::Enricher;
 pub use ingest::{CaptureIngest, IngestStats};
 pub use schema::QueryRow;

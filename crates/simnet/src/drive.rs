@@ -2,31 +2,32 @@
 //!
 //! The offline [`Engine`] *pushes* a whole
 //! dataset into a capture file. A live load generator instead *pulls*
-//! one query at a time and puts it on a real socket. [`Driver`] exposes
-//! the same per-query decision chain the engine uses — fleet choice by
-//! traffic share, Zipf name popularity, per-CP qtype mixes, Q-min,
-//! resolver caches, EDNS parameters, 0x20 mixing, DNSSEC follow-ups,
-//! direct-TCP shares — against the *same* fleet materialization
+//! one query at a time and puts it on a real socket. [`Driver`] is a
+//! pull adapter over the engine's own demand step and query builder —
+//! fleet choice by traffic share, then `Engine::demand` (Zipf name
+//! popularity, per-CP qtype mixes, Q-min, resolver caches, DNSSEC
+//! follow-ups) and `Engine::build_query` (server preference, 0x20
+//! mixing, EDNS parameters) — against the *same* fleet materialization
 //! (addresses, sites, activity weights), so traffic captured live is
-//! attributable by the unchanged offline analysis pipeline.
+//! attributable by the unchanged offline analysis pipeline. Where the
+//! engine answers and records each query inline, the driver queues it
+//! for the caller's socket.
 
-use crate::engine::{
-    choose_server_family, mix_case_0x20, name_key, pick_question_for, CacheKey, Engine,
-    ResolverCache, CACHE_CAP,
-};
+use crate::engine::{Engine, ResolverCache};
+use crate::fleet::{cumulative_weights, pick_cumulative};
+use crate::plan;
 use crate::scenario::{DatasetSpec, Scale};
-use dns_wire::builder::MessageBuilder;
+use crate::vantage::WireScratch;
 use dns_wire::name::Name;
 use dns_wire::types::RType;
-use netbase::flow::IpVersion;
-use netbase::time::{SimDuration, SimTime};
+use netbase::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::net::IpAddr;
 
-/// How many cache-absorbed demand events one [`Driver::sample`] call
-/// skips before giving up and emitting a (possibly cached) query anyway.
+/// How many cache-absorbed demand events in a row one [`Driver::sample`]
+/// call skips before it runs the next one against cold caches.
 const MAX_CACHE_SKIPS: u32 = 50;
 
 /// One query the driver wants on the wire.
@@ -58,11 +59,15 @@ pub struct PlannedQuery {
 pub struct Driver {
     engine: Engine,
     rng: StdRng,
+    /// The encoder every planned query goes through, as a slice's does
+    /// offline.
+    wire: WireScratch,
     fleet_cum: Vec<f64>,
     caches: Vec<HashMap<u32, ResolverCache>>,
+    /// Queries planned so far, per fleet: the junk lattice's position.
     emitted: Vec<u64>,
-    junk_emitted: Vec<u64>,
-    /// DNSSEC follow-up queries waiting to go out.
+    /// What the last demand event put on the wire and `sample` has not
+    /// handed out yet: the query, then its DNSSEC follow-ups.
     pending: VecDeque<PlannedQuery>,
     cache_hits: u64,
 }
@@ -76,30 +81,17 @@ impl Driver {
 
     /// Wrap an already-built engine (shares its fleets and zone).
     pub fn from_engine(engine: Engine, seed: u64) -> Driver {
-        let mut acc = 0.0;
-        let mut fleet_cum: Vec<f64> = engine
-            .fleets
-            .iter()
-            .map(|f| {
-                acc += f.spec.traffic_share.max(0.0);
-                acc
-            })
-            .collect();
-        if acc > 0.0 {
-            for v in &mut fleet_cum {
-                *v /= acc;
-            }
-        }
+        let fleet_cum = cumulative_weights(engine.fleets.iter().map(|f| f.spec.traffic_share));
         let n = engine.fleets.len();
         Driver {
             engine,
             // a distinct stream from the offline generator's, so live
             // runs do not replay the offline capture byte-for-byte
             rng: StdRng::seed_from_u64(seed ^ 0x11fe_d81e),
+            wire: WireScratch::default(),
             fleet_cum,
             caches: (0..n).map(|_| HashMap::new()).collect(),
             emitted: vec![0; n],
-            junk_emitted: vec![0; n],
             pending: VecDeque::new(),
             cache_hits: 0,
         }
@@ -125,148 +117,65 @@ impl Driver {
     /// Cache-absorbed demand is skipped internally (the live stream,
     /// like the real vantage, only sees the cache-miss shadow), and
     /// DNSSEC follow-up queries (DS at the delegation, DNSKEY at the
-    /// apex) are queued and returned on subsequent calls.
+    /// apex) are returned on the calls after the query they follow.
     pub fn sample(&mut self, t: SimTime) -> PlannedQuery {
-        if let Some(q) = self.pending.pop_front() {
-            return q;
-        }
-        for _ in 0..MAX_CACHE_SKIPS {
-            if let Some(q) = self.demand(t, true) {
+        let mut skips = 0;
+        loop {
+            if let Some(q) = self.pending.pop_front() {
                 return q;
             }
+            // hot caches everywhere: the event after the last skip
+            // meets empty ones, so it always emits
+            self.demand(t, skips < MAX_CACHE_SKIPS);
+            skips += 1;
         }
-        // hot caches everywhere: emit the next demand event uncached
-        self.demand(t, false).expect("uncached demand always emits")
     }
 
-    /// One demand event through the engine's qname/qtype decision chain
-    /// (shared code, so live and offline runs cannot drift apart);
-    /// `None` when `use_caches` and a resolver cache absorbed it.
-    fn demand(&mut self, t: SimTime, use_caches: bool) -> Option<PlannedQuery> {
-        let fi = pick_cum(&self.fleet_cum, self.rng.gen());
-        let fleet = &self.engine.fleets[fi];
-        let want_junk =
-            (self.junk_emitted[fi] as f64) < fleet.spec.junk_ratio * (self.emitted[fi] + 1) as f64;
-        let r_idx = fleet.pick(&mut self.rng);
-        let (qname, qtype, signed, cacheable) = pick_question_for(
-            self.engine.zone(),
-            &self.engine.zipf,
-            &self.engine.junk,
-            &fleet.spec,
-            t,
-            want_junk,
-            &mut self.rng,
-        );
-        if cacheable && use_caches {
-            let ckey = CacheKey {
-                domain: name_key(&qname),
-                rtype: qtype.to_u16(),
-            };
-            let cache = self.caches[fi].entry(r_idx as u32).or_default();
-            if cache.lookup(&ckey, t.as_micros()).is_some() {
-                self.cache_hits += 1;
-                return None;
-            }
-            let ttl = fleet.spec.cache_ttl;
-            if ttl != SimDuration::ZERO {
-                cache.put(ckey, (), (t + ttl).as_micros(), CACHE_CAP);
-            }
-        }
-        Some(self.build_query(fi, r_idx, qname, qtype, signed, cacheable))
-    }
-
-    /// Encode the query and queue DNSSEC follow-ups.
-    fn build_query(
-        &mut self,
-        fi: usize,
-        r_idx: usize,
-        qname: Name,
-        qtype: RType,
-        signed: bool,
-        cacheable: bool,
-    ) -> PlannedQuery {
-        self.emitted[fi] += 1;
-        if !cacheable {
-            self.junk_emitted[fi] += 1;
-        }
-        let follow_ups = {
-            let spec = &self.engine.fleets[fi].spec;
-            spec.validates
-                && cacheable
-                && signed
-                && qtype != RType::Ds
-                && self.rng.gen_bool(spec.ds_prob)
-        };
-        let dnskey = {
-            let spec = &self.engine.fleets[fi].spec;
-            spec.validates && self.rng.gen_bool(spec.dnskey_prob)
-        };
-        let planned = self.encode_one(fi, r_idx, &qname, qtype, !cacheable);
-        if follow_ups {
-            let delegation = self.engine.zone().minimized_qname(&qname);
-            let q = self.encode_one(fi, r_idx, &delegation, RType::Ds, false);
-            self.pending.push_back(q);
-        }
-        if dnskey {
-            let apex = self.engine.zone().apex().clone();
-            let q = self.encode_one(fi, r_idx, &apex, RType::Dnskey, false);
-            self.pending.push_back(q);
-        }
-        planned
-    }
-
-    /// Encode one wire query for `(fleet, resolver, qname, qtype)`.
-    fn encode_one(
-        &mut self,
-        fi: usize,
-        r_idx: usize,
-        qname: &Name,
-        qtype: RType,
-        is_junk: bool,
-    ) -> PlannedQuery {
-        let rng = &mut self.rng;
-        let fleet = &self.engine.fleets[fi];
-        let spec = &fleet.spec;
-        let resolver = &fleet.resolvers[r_idx];
-        let server_count = self.engine.spec().servers.len();
-        let (server, family) = choose_server_family(spec, resolver, server_count, rng);
-        let src = resolver.addr_for(family);
-        let server_spec = &self.engine.spec().servers[server];
-        let dst: IpAddr = match IpVersion::of(src) {
-            IpVersion::V4 => IpAddr::V4(server_spec.v4),
-            IpVersion::V6 => IpAddr::V6(server_spec.v6),
-        };
-        let wire_qname = if resolver.mix_case {
-            mix_case_0x20(qname, rng)
-        } else {
-            qname.clone()
-        };
-        let mut builder = MessageBuilder::query(rng.gen(), wire_qname.clone(), qtype);
-        if resolver.edns_size > 0 {
-            builder = builder.with_edns(resolver.edns_size, resolver.do_bit);
-        }
-        let wire = builder.build().encode().expect("generated queries encode");
-        let tcp_extra = spec.tcp_extra_at(resolver.site as usize);
-        let tcp_direct = tcp_extra > 0.0 && rng.gen_bool(tcp_extra);
-        PlannedQuery {
+    /// One demand event through [`Engine::demand`] (shared code, so
+    /// live and offline runs cannot drift apart), its queries queued on
+    /// `pending`; `use_caches` off runs it against empty caches.
+    fn demand(&mut self, t: SimTime, use_caches: bool) {
+        let Driver {
+            engine,
+            rng,
             wire,
-            qname: wire_qname,
-            qtype,
-            src,
-            dst,
-            edns_size: resolver.edns_size,
-            tcp_direct,
-            is_junk,
-            fleet: fi,
+            fleet_cum,
+            caches,
+            emitted,
+            pending,
+            cache_hits,
+        } = self;
+        let fi = pick_cumulative(fleet_cum, rng.gen());
+        let fleet = &engine.fleets[fi];
+        let want_junk = plan::junk_due(fleet.spec.junk_ratio, emitted[fi]);
+        let mut cold = HashMap::new();
+        let caches = if use_caches {
+            &mut caches[fi]
+        } else {
+            &mut cold
+        };
+        let sent = engine.demand(fleet, t, want_junk, caches, rng, |rng, ask| {
+            // the engine's query, and the direct-TCP coin its recorder
+            // tosses when it records the exchange
+            let mut query = engine.build_query(ask, rng);
+            let tcp_extra = fleet.spec.tcp_extra_at(ask.resolver.site as usize);
+            pending.push_back(PlannedQuery {
+                wire: wire.encode(&query.message).to_vec(),
+                qname: query.message.questions.swap_remove(0).qname,
+                qtype: ask.qtype,
+                src: query.src_ip,
+                dst: query.dst_ip,
+                edns_size: ask.resolver.edns_size,
+                tcp_direct: tcp_extra > 0.0 && rng.gen_bool(tcp_extra),
+                is_junk: ask.junk,
+                fleet: fi,
+            });
+            1
+        });
+        if sent == 0 {
+            *cache_hits += 1;
         }
-    }
-}
-
-/// Index into a normalized cumulative-weight table.
-fn pick_cum(cum: &[f64], u: f64) -> usize {
-    match cum.partition_point(|c| *c < u) {
-        i if i >= cum.len() => cum.len() - 1,
-        i => i,
+        emitted[fi] += sent;
     }
 }
 
@@ -276,6 +185,8 @@ mod tests {
     use crate::profile::Vantage;
     use crate::scenario::dataset;
     use dns_wire::message::Message;
+    use netbase::time::SimDuration;
+    use std::collections::HashSet;
 
     fn driver() -> Driver {
         Driver::new(dataset(Vantage::Nl, 2020), Scale::tiny(), 42)
@@ -366,5 +277,35 @@ mod tests {
         };
         assert_eq!(sample_ids(3), sample_ids(3));
         assert_ne!(sample_ids(3), sample_ids(4));
+    }
+
+    /// A validating resolver asks for a delegation's DS once an hour:
+    /// the follow-up consults the resolver cache, as the offline engine's
+    /// does (the driver's own copy of the rule once did not).
+    #[test]
+    fn one_ds_per_delegation_per_resolver_per_hour() {
+        let mut d = driver();
+        let start = d.engine().spec().start;
+        let mut seen = HashSet::new();
+        for i in 0..40_000u64 {
+            // a live-like clock: 50 ms a query, 33 minutes in all
+            let q = d.sample(start + SimDuration::from_millis(50 * i));
+            if q.qtype != RType::Ds {
+                continue;
+            }
+            let resolver = d.engine().fleets()[q.fleet]
+                .resolvers
+                .iter()
+                .position(|r| r.ip == q.src || r.alt_ip == Some(q.src))
+                .expect("the source is a member of its fleet");
+            let delegation = q.qname.to_string().to_ascii_lowercase();
+            assert!(
+                seen.insert((q.fleet, resolver, delegation)),
+                "fleet {} resolver {resolver} asked DS for {} twice inside the hour",
+                q.fleet,
+                q.qname
+            );
+        }
+        assert!(seen.len() > 100, "enough DS follow-ups: {}", seen.len());
     }
 }

@@ -19,10 +19,11 @@
 //! - The Feb-2020 `.nz` cyclic-dependency surge is the vantage handing
 //!   out glueless mutually-dependent referrals inside the incident
 //!   window; resolvers burn their query budget re-walking the cycle.
-//! - Cloud shares stay pinned to Table 4 by the same quota steering the
-//!   calibrated engine uses: a fleet's slot quota counts *recorded
-//!   vantage queries*, so traffic shares match by construction while
-//!   the per-query content is emergent.
+//! - Cloud shares stay pinned to Table 4 by the plan the calibrated
+//!   engine steers by (`crate::plan`: one `SlotPlan`, one steering
+//!   cursor): a fleet's slot quota counts *recorded vantage queries*,
+//!   so traffic shares match by construction while the per-query
+//!   content is emergent.
 //!
 //! ## Documented tolerances vs the calibrated engine
 //!
@@ -44,10 +45,9 @@
 //!   where the calibrated rewrite emits one minimized probe.
 
 use crate::auth::{Answer, Authoritative, ServerSpec, NS_LABELS};
-use crate::engine::{
-    diurnal_weight, mix_case_0x20, name_key, pick_qtype, slice_seed, DatasetStats, Engine,
-};
+use crate::engine::{mix_case_0x20, name_key, pick_qtype, slice_seed, DatasetStats, Engine};
 use crate::fleet::{Fleet, Resolver as FleetResolver};
+use crate::plan::{self, SlotPlan, Steering};
 use crate::profile::FleetSpec;
 use crate::rrl::RateLimiter;
 use crate::scenario::Incident;
@@ -121,12 +121,7 @@ pub fn sample_stimulus(
     rng: &mut StdRng,
 ) -> Stimulus {
     if is_junk {
-        let (qname, _) = junk.sample(rng);
-        let qtype = if rng.gen_bool(0.9) {
-            RType::A
-        } else {
-            RType::Aaaa
-        };
+        let (qname, qtype) = plan::junk_question(junk, rng);
         return Stimulus {
             qname,
             qtype,
@@ -134,14 +129,11 @@ pub fn sample_stimulus(
         };
     }
     let idx = zipf.sample(rng);
-    let base = zone.registered_domain(idx);
+    let mut qname = zone.registered_domain(idx);
     let qtype = pick_qtype(&spec.qtype_mix, rng);
-    let qname = if spec.qmin_frac > 0.0 && rng.gen_bool(spec.qmin_frac) {
-        let sub: &[u8] = [&b"www"[..], b"mail", b"api", b"cdn", b"img"][rng.gen_range(0..5usize)];
-        base.child(sub).unwrap_or(base)
-    } else {
-        base
-    };
+    if spec.qmin_frac > 0.0 && rng.gen_bool(spec.qmin_frac) {
+        qname = plan::deep_name(qname, rng);
+    }
     Stimulus {
         qname,
         qtype,
@@ -547,19 +539,35 @@ fn leaf_soa(cut: &Name) -> RData {
     }
 }
 
+/// The tier of the simulated hierarchy a server address belongs to.
+pub enum Tier {
+    /// The synthetic root above the vantage zone.
+    Root,
+    /// The dataset's vantage server with this index (the recorded tier).
+    Vantage(usize),
+    /// Anything else: a registrant's nameserver below the vantage cut.
+    Leaf,
+}
+
+/// Which tier `server` is. With `root_zone` the vantage *is* the root,
+/// and the synthetic root's addresses are just another leaf.
+pub fn tier_of(servers: &[ServerSpec], root_zone: bool, server: IpAddr) -> Tier {
+    if !root_zone && (server == ROOT_V4 || server == ROOT_V6) {
+        return Tier::Root;
+    }
+    servers
+        .iter()
+        .position(|s| IpAddr::V4(s.v4) == server || IpAddr::V6(s.v6) == server)
+        .map_or(Tier::Leaf, Tier::Vantage)
+}
+
 impl Transport for SimTransport<'_> {
     fn exchange(&mut self, server: IpAddr, query: &Message) -> Exchange {
-        if !self.root_zone && (server == ROOT_V4 || server == ROOT_V6) {
-            return self.root_referral(query);
+        match tier_of(self.servers, self.root_zone, server) {
+            Tier::Root => self.root_referral(query),
+            Tier::Vantage(si) => self.vantage_exchange(si, server, query),
+            Tier::Leaf => self.leaf_exchange(query),
         }
-        if let Some(si) = self
-            .servers
-            .iter()
-            .position(|s| IpAddr::V4(s.v4) == server || IpAddr::V6(s.v6) == server)
-        {
-            return self.vantage_exchange(si, server, query);
-        }
-        self.leaf_exchange(query)
     }
 
     fn root_servers(&self) -> Vec<IpAddr> {
@@ -567,46 +575,41 @@ impl Transport for SimTransport<'_> {
     }
 }
 
-/// One fleet's produced slice of a slot.
+/// One fleet's produced slice of a slot. `stats.queries` is the
+/// steering quota's currency: the vantage query records in `records`.
 struct FleetSlice {
     records: Vec<CaptureRecord>,
     stats: DatasetStats,
-    /// Recorded vantage query records (the steering quota currency).
-    count: u64,
 }
 
-/// End-of-run roll-up from one fleet's stream.
+/// Resolver-level roll-up of a fleet run (or of one fleet's stream).
 #[derive(Debug, Clone, Copy, Default)]
-struct FleetSummary {
-    cache: CacheStats,
-    retries: u64,
-    timeouts: u64,
-    instances: u64,
+pub struct FleetSummary {
+    /// The fleets' shared caches, summed.
+    pub cache: CacheStats,
+    /// Query retransmissions.
+    pub retries: u64,
+    /// Exchanges that timed out.
+    pub timeouts: u64,
+    /// Resolver instances materialized.
+    pub instances: u64,
 }
 
-impl FleetSummary {
-    fn of(shared: &SharedCache, resolvers: &HashMap<usize, IterativeResolver>) -> FleetSummary {
-        FleetSummary {
-            cache: shared.stats(),
-            retries: resolvers.values().map(|r| r.stats.retries).sum(),
-            timeouts: resolvers.values().map(|r| r.stats.timeouts).sum(),
-            instances: resolvers.len() as u64,
-        }
-    }
-}
-
-/// The fleet-cache series both fleet drivers publish (this module
-/// offline, `authd::fleetgen` live), summed over every fleet's cache.
-pub struct FleetCacheMetrics {
+/// The `resolver_*` series both fleet drivers publish (this module
+/// offline, `authd::fleetgen` live).
+pub struct FleetMetrics {
     hit_ratio: Arc<obs::Gauge>,
     entries: Arc<obs::Gauge>,
+    instances: Arc<obs::Gauge>,
     evictions: Arc<obs::Counter>,
+    retries: Arc<obs::Counter>,
+    timeouts: Arc<obs::Counter>,
 }
 
-impl FleetCacheMetrics {
-    /// Register (or look up) the three series.
-    pub fn register() -> FleetCacheMetrics {
-        FleetCacheMetrics {
+impl FleetMetrics {
+    /// Register (or look up) the series.
+    pub fn register() -> FleetMetrics {
+        FleetMetrics {
             hit_ratio: obs::gauge(
                 "resolver_fleet_cache_hit_ratio",
                 "shared-cache hit ratio across all fleet resolvers",
@@ -615,23 +618,38 @@ impl FleetCacheMetrics {
                 "resolver_fleet_cache_entries",
                 "entries held by the fleets' shared caches (addresses + negatives + delegations)",
             ),
+            instances: obs::gauge(
+                "resolver_fleet_instances",
+                "resolver instances materialized across all fleets",
+            ),
             evictions: obs::counter(
                 "resolver_fleet_cache_evictions_total",
                 "entries evicted from full fleet cache maps (added when the run ends)",
+            ),
+            retries: obs::counter(
+                "resolver_retries_total",
+                "fleet resolver query retransmissions",
+            ),
+            timeouts: obs::counter(
+                "resolver_timeouts_total",
+                "fleet resolver exchanges that timed out",
             ),
         }
     }
 
     /// Refresh the gauges; cheap enough for mid-run scrapes.
-    pub fn observe(&self, cache: &CacheStats) {
+    pub fn observe(&self, cache: &CacheStats, instances: u64) {
         self.hit_ratio.set(cache.hit_ratio());
         self.entries.set(cache.entries() as f64);
+        self.instances.set(instances as f64);
     }
 
-    /// End of run: the gauges, and the eviction total onto its counter.
-    pub fn finish(&self, cache: &CacheStats) {
-        self.observe(cache);
-        self.evictions.add(cache.evictions);
+    /// End of run: the gauges, and the run's totals onto the counters.
+    pub fn finish(&self, run: &FleetSummary) {
+        self.observe(&run.cache, run.instances);
+        self.evictions.add(run.cache.evictions);
+        self.retries.add(run.retries);
+        self.timeouts.add(run.timeouts);
     }
 }
 
@@ -654,203 +672,123 @@ pub fn fleet_resolver(
     r
 }
 
+/// Hand one stimulus to a fleet resolver at dataset time `now`, with
+/// Q-min as the provider's rollout schedule has it at that instant.
+/// The one walk entry point of both fleet drivers (this module offline,
+/// `authd::fleetgen` live); how much of the walk reached the vantage is
+/// the transport's to say.
+pub fn resolve_stimulus(
+    resolver: &mut IterativeResolver,
+    transport: &mut impl Transport,
+    qmin: bool,
+    now: SimTime,
+    stimulus: &Stimulus,
+) {
+    resolver.set_qmin(qmin);
+    resolver.set_now_micros(now.as_micros());
+    let _ = resolver.resolve(transport, &stimulus.qname, stimulus.qtype);
+}
+
 /// Persistent per-fleet state: the shared cache and the lazily
 /// materialized resolver instances survive across slots, so TTL decay
 /// and RTT learning are continuous over the dataset's whole window.
+///
+/// The incident flood is one more stream over Google's fleet, with its
+/// own RNG salt and its own shared cache — which never helps, because
+/// cyclic failures are not cacheable.
 struct FleetStream<'a> {
     engine: &'a Engine,
-    fi: usize,
     fleet: &'a Fleet,
+    /// Separates this stream's per-slot RNG seeds from every other's.
+    salt: u64,
     shared: SharedCache,
     resolvers: HashMap<usize, IterativeResolver>,
     rtt_hists: &'a [Arc<Histogram>],
 }
 
 impl<'a> FleetStream<'a> {
-    fn new(engine: &'a Engine, fi: usize, rtt_hists: &'a [Arc<Histogram>]) -> FleetStream<'a> {
+    fn new(
+        engine: &'a Engine,
+        fi: usize,
+        salt: u64,
+        rtt_hists: &'a [Arc<Histogram>],
+    ) -> FleetStream<'a> {
         FleetStream {
             engine,
-            fi,
             fleet: &engine.fleets()[fi],
+            salt,
             shared: SharedCache::with_capacity(resolver::cache::DEFAULT_CAPACITY),
             resolvers: HashMap::new(),
             rtt_hists,
         }
     }
 
-    /// Drive this fleet through one hourly slot: stimuli are resolved
-    /// by real resolver instances until the recorded vantage volume
-    /// meets the slot quota (the same largest-remainder steering as the
-    /// calibrated engine, so Table 4 shares hold by construction).
-    fn produce_slot(&mut self, slot: usize, cum_weights: &[f64], target: u64) -> FleetSlice {
+    /// Drive this fleet through one hourly slot: each cursor's stimuli
+    /// are resolved by real resolver instances until the recorded
+    /// vantage volume meets its quota — so Table 4 shares hold by
+    /// construction while the per-query content is emergent, and a
+    /// flood's walks burn their query budget on the cycle.
+    fn produce_slot(
+        &mut self,
+        slot: usize,
+        plan: &SlotPlan,
+        cursors: impl Iterator<Item = Steering>,
+    ) -> FleetSlice {
         let engine = self.engine;
-        let slot_len = SimDuration::from_hours(1);
-        let slot_start = engine.spec().start + SimDuration::from_hours(slot as u64);
-        let due_now = (target as f64 * cum_weights[slot]).round() as u64;
-        let due_prev = if slot == 0 {
-            0
-        } else {
-            (target as f64 * cum_weights[slot - 1]).round() as u64
-        };
-        let quota = due_now.saturating_sub(due_prev);
-        let rng = StdRng::seed_from_u64(slice_seed(
-            engine.seed() ^ FLEET_SALT ^ self.fi as u64,
-            slot,
-        ));
-        let mut tr = SimTransport::new(
-            engine,
-            self.fleet,
-            self.rtt_hists,
-            rng,
-            engine.spec().rrl.map(RateLimiter::new),
-        );
-        let qmin_on = self.fleet.spec.qmin_active(slot_start);
-        let shared = &self.shared;
         let fleet = self.fleet;
-        let mut done = 0u64;
-        let mut attempts = 0u64;
-        let max_attempts = quota.saturating_mul(60).max(1000);
-        while done < quota && attempts < max_attempts {
-            attempts += 1;
-            let t =
-                slot_start + SimDuration::from_micros(tr.rng.gen_range(0..slot_len.as_micros()));
-            let base = due_prev + done;
-            let want_junk = (fleet.spec.junk_ratio * (base + 1) as f64).floor()
-                > (fleet.spec.junk_ratio * base as f64).floor();
-            let stim = sample_stimulus(
-                engine.zone(),
-                engine.zipf(),
-                engine.junk_gen(),
-                &fleet.spec,
-                want_junk,
-                &mut tr.rng,
-            );
-            let r_idx = fleet.pick(&mut tr.rng);
-            let res = self
-                .resolvers
-                .entry(r_idx)
-                .or_insert_with(|| fleet_resolver(&fleet.resolvers[r_idx], qmin_on, shared));
-            res.set_qmin(qmin_on);
-            res.set_now_micros(t.as_micros());
-            tr.begin(r_idx, t, stim.junk);
-            let _ = res.resolve(&mut tr, &stim.qname, stim.qtype);
-            if tr.emitted == 0 {
-                // the walk never reached the vantage: demand absorbed
-                // by the shared cache (or leaf-only requery)
-                tr.stats.cache_hits += 1;
-            }
-            done += tr.emitted;
-        }
-        FleetSlice {
-            records: std::mem::take(&mut tr.buf),
-            stats: tr.stats,
-            count: done,
-        }
-    }
-
-    fn summary(&self) -> FleetSummary {
-        FleetSummary::of(&self.shared, &self.resolvers)
-    }
-}
-
-/// The incident traffic stream: Google's resolvers hammering the two
-/// cyclically-dependent domains. Runs serially in the merger (it is a
-/// few slots of one fleet), with its own persistent shared cache —
-/// which never helps, because cyclic failures are not cacheable.
-struct IncidentStream<'a> {
-    engine: &'a Engine,
-    fleet: &'a Fleet,
-    shared: SharedCache,
-    resolvers: HashMap<usize, IterativeResolver>,
-    rtt_hists: &'a [Arc<Histogram>],
-}
-
-impl<'a> IncidentStream<'a> {
-    fn new(engine: &'a Engine, rtt_hists: &'a [Arc<Histogram>]) -> IncidentStream<'a> {
-        let fleet = engine
-            .fleets()
-            .iter()
-            .find(|f| f.spec.name == "google-public")
-            .unwrap_or(&engine.fleets()[0]);
-        IncidentStream {
+        // a fresh transport: the slot's own RNG stream and RRL state
+        let mut tr = SimTransport::new(
             engine,
             fleet,
-            shared: SharedCache::with_capacity(resolver::cache::DEFAULT_CAPACITY),
-            resolvers: HashMap::new(),
-            rtt_hists,
-        }
-    }
-
-    fn produce_slot(&mut self, slot: usize) -> FleetSlice {
-        let engine = self.engine;
-        let slot_len = SimDuration::from_hours(1);
-        let slot_start = engine.spec().start + SimDuration::from_hours(slot as u64);
-        let slot_end = slot_start + slot_len;
-        let rng = StdRng::seed_from_u64(slice_seed(engine.seed() ^ INCIDENT_SALT, slot));
-        let mut tr = SimTransport::new(
-            engine,
-            self.fleet,
             self.rtt_hists,
-            rng,
+            StdRng::seed_from_u64(slice_seed(engine.seed() ^ self.salt, slot)),
             engine.spec().rrl.map(RateLimiter::new),
         );
-        let mut count = 0u64;
-        for incident in &engine.spec().incidents {
-            let Incident::CyclicDependency {
-                start,
-                end,
-                total_queries,
-                domain_indices,
-            } = incident;
-            if slot_end <= *start || slot_start >= *end {
-                continue;
-            }
-            let window_slots =
-                ((end.as_micros() - start.as_micros()) / slot_len.as_micros()).max(1);
-            let scaled = (*total_queries as f64 * engine.scale().queries) as u64;
-            let quota = scaled / window_slots;
-            let qmin_on = self.fleet.spec.qmin_active(slot_start);
-            let shared = &self.shared;
-            let fleet = self.fleet;
-            let mut done = 0u64;
-            let mut calls = 0u64;
-            // each resolve call burns several vantage queries on the
-            // cycle, so the call cap never binds before the quota
-            let max_calls = quota.max(100);
-            while done < quota && calls < max_calls {
-                let i = calls;
-                calls += 1;
-                let t = slot_start
-                    + SimDuration::from_micros(tr.rng.gen_range(0..slot_len.as_micros()));
-                let idx = domain_indices[(i % 2) as usize];
-                let qname = engine.zone().registered_domain(idx);
-                let qtype = if i.is_multiple_of(2) {
-                    RType::A
-                } else {
-                    RType::Aaaa
+        let qmin_on = fleet.spec.qmin_active(plan.slot_start(slot));
+        for mut steer in cursors {
+            while let Some((t, want_junk)) = steer.next(&mut tr.rng) {
+                let stim = match steer.flood_target() {
+                    Some((idx, qtype)) => Stimulus {
+                        qname: engine.zone().registered_domain(idx),
+                        qtype,
+                        junk: false,
+                    },
+                    None => sample_stimulus(
+                        engine.zone(),
+                        engine.zipf(),
+                        engine.junk_gen(),
+                        &fleet.spec,
+                        want_junk,
+                        &mut tr.rng,
+                    ),
                 };
                 let r_idx = fleet.pick(&mut tr.rng);
-                let res = self
-                    .resolvers
-                    .entry(r_idx)
-                    .or_insert_with(|| fleet_resolver(&fleet.resolvers[r_idx], qmin_on, shared));
-                res.set_qmin(qmin_on);
-                res.set_now_micros(t.as_micros());
-                tr.begin(r_idx, t, false);
-                let _ = res.resolve(&mut tr, &qname, qtype);
-                done += tr.emitted;
+                let res = self.resolvers.entry(r_idx).or_insert_with(|| {
+                    fleet_resolver(&fleet.resolvers[r_idx], qmin_on, &self.shared)
+                });
+                tr.begin(r_idx, t, stim.junk);
+                resolve_stimulus(res, &mut tr, qmin_on, t, &stim);
+                if tr.emitted == 0 {
+                    // the walk never reached the vantage: demand absorbed
+                    // by the shared cache (or leaf-only requery)
+                    tr.stats.cache_hits += 1;
+                }
+                steer.emitted(tr.emitted);
             }
-            count += done;
         }
         FleetSlice {
-            records: std::mem::take(&mut tr.buf),
+            records: tr.buf,
             stats: tr.stats,
-            count,
         }
     }
 
     fn summary(&self) -> FleetSummary {
-        FleetSummary::of(&self.shared, &self.resolvers)
+        FleetSummary {
+            cache: self.shared.stats(),
+            retries: self.resolvers.values().map(|r| r.stats.retries).sum(),
+            timeouts: self.resolvers.values().map(|r| r.stats.timeouts).sum(),
+            instances: self.resolvers.len() as u64,
+        }
     }
 }
 
@@ -869,34 +807,15 @@ impl Engine {
         out: &mut S,
         workers: usize,
     ) -> std::io::Result<DatasetStats> {
-        let slots = (self.spec().days as usize) * 24;
+        let plan = SlotPlan::new(self);
+        let slots = plan.slots();
         let nfleets = self.fleets().len();
         let workers = workers.clamp(1, nfleets.max(1));
-        let total = self.scaled_total();
         let mut stage = obs::stage("simnet.fleet");
         let mut progress = obs::Progress::new(
             format!("fleet {:?}-{}", self.spec().vantage, self.spec().year),
-            Some(total),
+            Some(self.scaled_total()),
         );
-
-        // identical slot weighting to the calibrated engine
-        let weights: Vec<f64> = (0..slots)
-            .map(|s| diurnal_weight(self.spec().start + SimDuration::from_hours(s as u64)))
-            .collect();
-        let wsum: f64 = weights.iter().sum();
-        let mut cum = 0.0;
-        let cum_weights: Vec<f64> = weights
-            .iter()
-            .map(|w| {
-                cum += w;
-                cum / wsum
-            })
-            .collect();
-        let targets: Vec<u64> = self
-            .fleets()
-            .iter()
-            .map(|f| (f.spec.traffic_share * total as f64).round() as u64)
-            .collect();
 
         // fleet observability: per-nameserver RTT histograms plus
         // cache/retry/timeout roll-ups published at the end
@@ -907,8 +826,7 @@ impl Engine {
         let mut summary = FleetSummary::default();
 
         let engine = self;
-        let cum_ref = &cum_weights;
-        let targets_ref = &targets;
+        let plan = &plan;
         let hists_ref = &rtt_hists;
         crossbeam::thread::scope(|scope| -> std::io::Result<()> {
             let mut slice_rxs: Vec<Option<crossbeam::channel::Receiver<FleetSlice>>> =
@@ -927,11 +845,15 @@ impl Engine {
                 scope.spawn(move |_| {
                     let mut streams: Vec<FleetStream> = lanes
                         .iter()
-                        .map(|(fi, _, _)| FleetStream::new(engine, *fi, hists_ref))
+                        .map(|(fi, _, _)| {
+                            FleetStream::new(engine, *fi, FLEET_SALT ^ *fi as u64, hists_ref)
+                        })
                         .collect();
                     'outer: for slot in 0..slots {
                         for (k, (fi, tx, _)) in lanes.iter().enumerate() {
-                            let slice = streams[k].produce_slot(slot, cum_ref, targets_ref[*fi]);
+                            let ratio = engine.fleets()[*fi].spec.junk_ratio;
+                            let cursor = plan.steer(*fi, slot, ratio);
+                            let slice = streams[k].produce_slot(slot, plan, [cursor].into_iter());
                             if tx.send(slice).is_err() {
                                 break 'outer; // merger gone: stop early
                             }
@@ -943,7 +865,10 @@ impl Engine {
                 });
             }
 
-            let mut incidents = IncidentStream::new(engine, hists_ref);
+            // the incident stream runs serially in the merger: it is a
+            // few slots of one fleet
+            let mut incidents =
+                FleetStream::new(engine, plan::flood_fleet(engine), INCIDENT_SALT, hists_ref);
             let mut merge = || -> std::io::Result<()> {
                 for slot in 0..slots {
                     let mut buf: Vec<CaptureRecord> = Vec::new();
@@ -955,10 +880,10 @@ impl Engine {
                             .map_err(|_| std::io::Error::other("fleet worker disconnected"))?;
                         progress.tick(slice.stats.queries);
                         stats.absorb(&slice.stats);
-                        fleet_counts[fi] += slice.count;
+                        fleet_counts[fi] += slice.stats.queries;
                         buf.extend(slice.records);
                     }
-                    let inc = incidents.produce_slot(slot);
+                    let inc = incidents.produce_slot(slot, plan, plan.floods(engine, slot));
                     stats.absorb(&inc.stats);
                     buf.extend(inc.records);
                     buf.sort_by_key(|r| r.timestamp);
@@ -988,44 +913,9 @@ impl Engine {
         .expect("fleet workers do not panic")?;
 
         stats.cache_hits = stats.cache_hits.max(summary.cache.hits);
-        stats.per_fleet = self
-            .fleets()
-            .iter()
-            .zip(&fleet_counts)
-            .map(|(f, c)| (f.spec.name.clone(), *c))
-            .collect();
+        let stats = self.close_run(stats, &fleet_counts);
         stage.add_items(stats.queries + stats.responses);
-        FleetCacheMetrics::register().finish(&summary.cache);
-        obs::gauge(
-            "resolver_fleet_instances",
-            "resolver instances materialized across all fleets",
-        )
-        .set(summary.instances as f64);
-        obs::counter(
-            "resolver_retries_total",
-            "fleet resolver query retransmissions",
-        )
-        .add(summary.retries);
-        obs::counter(
-            "resolver_timeouts_total",
-            "fleet resolver exchanges that timed out",
-        )
-        .add(summary.timeouts);
-        obs::counter(
-            "simnet_queries_total",
-            "query records generated by the simnet engine",
-        )
-        .add(stats.queries);
-        obs::counter(
-            "simnet_responses_total",
-            "response records generated by the simnet engine",
-        )
-        .add(stats.responses);
-        obs::counter(
-            "simnet_cache_hits_total",
-            "demand events absorbed by simulated resolver caches",
-        )
-        .add(stats.cache_hits);
+        FleetMetrics::register().finish(&summary);
         Ok(stats)
     }
 }

@@ -2,20 +2,23 @@
 //! authoritative model hour by hour, writing `.dnscap` records.
 //!
 //! Volumes are exact: each fleet's emitted query count equals its
-//! `traffic_share` of the scaled dataset total (largest-remainder
-//! apportioning over hourly slots with a diurnal/weekly load shape).
-//! Demand above the emitted count is absorbed by resolver caches, just
-//! as real vantage points only see the cache-miss shadow of user demand.
+//! `traffic_share` of the scaled dataset total, apportioned over hourly
+//! slots by the demand plan (`crate::plan`, which the emergent plane
+//! and the live driver steer by too). Demand above the emitted count is
+//! absorbed by resolver caches, just as real vantage points only see
+//! the cache-miss shadow of user demand.
 
 use crate::auth::Authoritative;
 use crate::fleet::{sample_dist, splitmix, Fleet, Resolver};
+use crate::plan::{self, SlotPlan};
 use crate::profile::FleetSpec;
 use crate::ptr::PtrDb;
 use crate::rrl::RateLimiter;
-use crate::scenario::{DatasetSpec, Incident, Scale};
+use crate::scenario::{DatasetSpec, Scale};
 use crate::vantage::{self, WireScratch};
 use asdb::synth::{InternetPlan, PlanConfig};
 use dns_wire::builder::MessageBuilder;
+use dns_wire::message::Message;
 use dns_wire::name::Name;
 use dns_wire::types::RType;
 use netbase::capture::{CaptureRecord, CaptureWriter, RecordSink};
@@ -32,14 +35,14 @@ use zonedb::popularity::ZipfSampler;
 use zonedb::zone::ZoneModel;
 
 /// Per-resolver cache capacity (entries).
-pub(crate) const CACHE_CAP: usize = 4096;
+const CACHE_CAP: usize = 4096;
 
 /// What a sampled resolver caches under: the domain/qtype pair it
 /// resolved. A [`name_key`] hash (not the qname text) keeps keys small.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
-    pub(crate) domain: u64,
-    pub(crate) rtype: u16,
+    domain: u64,
+    rtype: u16,
 }
 
 /// One sampled resolver's cache. Keys only — a hit absorbs the demand
@@ -111,11 +114,10 @@ struct SliceOut {
     fleet_counts: Vec<u64>,
 }
 
-/// What a slice under generation owns: its RNG stream, RRL state, the
-/// wire encoder every message goes through, and the records and
+/// What a slice under generation owns beside its RNG stream: RRL state,
+/// the wire encoder every message goes through, and the records and
 /// counters produced so far.
 struct SliceState {
-    rng: StdRng,
     rrl: Option<RateLimiter>,
     wire: WireScratch,
     buf: Vec<CaptureRecord>,
@@ -251,49 +253,29 @@ impl Engine {
         out: &mut S,
         shards: usize,
     ) -> std::io::Result<DatasetStats> {
-        let slots = (self.spec.days as usize) * 24;
+        let plan = SlotPlan::new(self);
+        let slots = plan.slots();
         let shards = shards.clamp(1, slots.max(1));
-        let total = self.scaled_total();
         let mut stage = obs::stage("simnet.generate");
         let mut progress = obs::Progress::new(
             format!("simnet {:?}-{}", self.spec.vantage, self.spec.year),
-            Some(total),
+            Some(self.scaled_total()),
         );
-
-        // diurnal/weekly slot weights
-        let weights: Vec<f64> = (0..slots)
-            .map(|s| {
-                let t = self.spec.start + SimDuration::from_hours(s as u64);
-                diurnal_weight(t)
-            })
-            .collect();
-        let wsum: f64 = weights.iter().sum();
-        let mut cum = 0.0;
-        let cum_weights: Vec<f64> = weights
-            .iter()
-            .map(|w| {
-                cum += w;
-                cum / wsum
-            })
-            .collect();
-        let targets: Vec<u64> = self
-            .fleets
-            .iter()
-            .map(|f| (f.spec.traffic_share * total as f64).round() as u64)
-            .collect();
 
         let mut stats = DatasetStats::default();
         let mut fleet_counts: Vec<u64> = vec![0; self.fleets.len()];
+        let mut merge = |slot: usize, slice: SliceOut| {
+            progress.tick(slice.stats.queries);
+            stats.absorb(&slice.stats);
+            for (acc, c) in fleet_counts.iter_mut().zip(&slice.fleet_counts) {
+                *acc += *c;
+            }
+            out.emit_slice(slot as u64, slice.records)
+        };
 
         if shards == 1 {
             for slot in 0..slots {
-                let slice = self.generate_slice(slot, &cum_weights, &targets);
-                progress.tick(slice.stats.queries);
-                stats.absorb(&slice.stats);
-                for (acc, c) in fleet_counts.iter_mut().zip(&slice.fleet_counts) {
-                    *acc += *c;
-                }
-                out.emit_slice(slot as u64, slice.records)?;
+                merge(slot, self.generate_slice(slot, &plan))?;
             }
         } else {
             // Workers stripe the slot range (worker w takes slots w,
@@ -302,8 +284,7 @@ impl Engine {
             // producing while the merge stays strictly ordered and
             // memory stays bounded.
             let engine = self;
-            let cum_ref = &cum_weights;
-            let targets_ref = &targets;
+            let plan = &plan;
             crossbeam::thread::scope(|scope| -> std::io::Result<()> {
                 let mut rxs = Vec::with_capacity(shards);
                 for w in 0..shards {
@@ -313,7 +294,7 @@ impl Engine {
                         let mut shard_stage = obs::stage_owned(format!("simnet.generate.shard{w}"));
                         let mut slot = w;
                         while slot < slots {
-                            let slice = engine.generate_slice(slot, cum_ref, targets_ref);
+                            let slice = engine.generate_slice(slot, plan);
                             shard_stage.add_items(slice.stats.queries + slice.stats.responses);
                             if tx.send(slice).is_err() {
                                 break; // merger gone (sink error): stop early
@@ -322,21 +303,12 @@ impl Engine {
                         }
                     });
                 }
-                let mut merge = || -> std::io::Result<()> {
-                    for slot in 0..slots {
-                        let slice = rxs[slot % shards]
-                            .recv()
-                            .map_err(|_| std::io::Error::other("generator shard disconnected"))?;
-                        progress.tick(slice.stats.queries);
-                        stats.absorb(&slice.stats);
-                        for (acc, c) in fleet_counts.iter_mut().zip(&slice.fleet_counts) {
-                            *acc += *c;
-                        }
-                        out.emit_slice(slot as u64, slice.records)?;
-                    }
-                    Ok(())
-                };
-                let merged = merge();
+                let merged = (0..slots).try_for_each(|slot| {
+                    let slice = rxs[slot % shards]
+                        .recv()
+                        .map_err(|_| std::io::Error::other("generator shard disconnected"))?;
+                    merge(slot, slice)
+                });
                 // dropping the receivers wakes any worker still blocked
                 // on a full channel, so the scope always joins
                 drop(rxs);
@@ -345,13 +317,20 @@ impl Engine {
             .expect("generator shards do not panic")?;
         }
 
+        let stats = self.close_run(stats, &fleet_counts);
+        stage.add_items(stats.queries + stats.responses);
+        Ok(stats)
+    }
+
+    /// End of a run, either plane: attach the fleet names to their
+    /// query counts and publish the `simnet_*` totals.
+    pub(crate) fn close_run(&self, mut stats: DatasetStats, fleet_counts: &[u64]) -> DatasetStats {
         stats.per_fleet = self
             .fleets
             .iter()
             .zip(fleet_counts)
-            .map(|(f, c)| (f.spec.name.clone(), c))
+            .map(|(f, c)| (f.spec.name.clone(), *c))
             .collect();
-        stage.add_items(stats.queries + stats.responses);
         obs::counter(
             "simnet_queries_total",
             "query records generated by the simnet engine",
@@ -367,59 +346,56 @@ impl Engine {
             "demand events absorbed by simulated resolver caches",
         )
         .add(stats.cache_hits);
-        Ok(stats)
+        stats
     }
 
     /// Generate one hourly time slice, self-contained: its own RNG
     /// stream, resolver caches, and RRL state, so slices can run on any
     /// thread in any order and still merge byte-identically.
-    fn generate_slice(&self, slot: usize, cum_weights: &[f64], targets: &[u64]) -> SliceOut {
-        let slot_len = SimDuration::from_hours(1);
-        let slot_start = self.spec.start + SimDuration::from_hours(slot as u64);
-        let prev_cum = if slot == 0 {
-            0.0
-        } else {
-            cum_weights[slot - 1]
-        };
+    fn generate_slice(&self, slot: usize, plan: &SlotPlan) -> SliceOut {
+        let mut rng = StdRng::seed_from_u64(slice_seed(self.seed, slot));
         let mut s = SliceState {
-            rng: StdRng::seed_from_u64(slice_seed(self.seed, slot)),
             rrl: self.spec.rrl.map(RateLimiter::new),
             wire: WireScratch::default(),
             buf: Vec::new(),
             stats: DatasetStats::default(),
         };
-        let mut fleet_counts: Vec<u64> = vec![0; self.fleets.len()];
-        let mut caches: Vec<HashMap<u32, ResolverCache>> =
-            self.fleets.iter().map(|_| HashMap::new()).collect();
-
+        let mut fleet_counts = Vec::with_capacity(self.fleets.len());
         for (fi, fleet) in self.fleets.iter().enumerate() {
-            // this slice's share of the fleet target: the rounded
-            // cumulative quota telescopes exactly to `targets[fi]`
-            // across the slot range
-            let due_now = (targets[fi] as f64 * cum_weights[slot]).round() as u64;
-            let due_prev = (targets[fi] as f64 * prev_cum).round() as u64;
-            let quota = due_now.saturating_sub(due_prev);
-            let mut done = 0u64;
-            let mut attempts = 0u64;
-            let max_attempts = quota.saturating_mul(60).max(1000);
-            while done < quota && attempts < max_attempts {
-                attempts += 1;
-                let t =
-                    slot_start + SimDuration::from_micros(s.rng.gen_range(0..slot_len.as_micros()));
-                // junk_ratio is a *server-side* target (Figure 4 is
-                // measured at the vantage): steer junk onto the exact
-                // integer lattice of the cumulative ratio, anchored at
-                // the slice's quota base, so the mix holds without any
-                // cross-slice state (cache absorption of valid demand
-                // cannot skew it either)
-                let base = due_prev + done;
-                let want_junk = (fleet.spec.junk_ratio * (base + 1) as f64).floor()
-                    > (fleet.spec.junk_ratio * base as f64).floor();
-                done += self.demand(fleet, t, want_junk, &mut caches[fi], &mut s);
+            let mut caches = HashMap::new();
+            let mut steer = plan.steer(fi, slot, fleet.spec.junk_ratio);
+            while let Some((t, want_junk)) = steer.next(&mut rng) {
+                let sent = self.demand(fleet, t, want_junk, &mut caches, &mut rng, |rng, ask| {
+                    self.emit_exchange(ask, rng, &mut s)
+                });
+                if sent == 0 {
+                    s.stats.cache_hits += 1;
+                }
+                steer.emitted(sent);
             }
-            fleet_counts[fi] += done;
+            fleet_counts.push(steer.done());
         }
-        self.emit_incidents(slot_start, slot_len, &mut s);
+        // incident traffic (the Feb-2020 cyclic dependency) rides on
+        // top: one exchange per event, so TCP retries come on top of
+        // the quota as they do for any other exchange
+        for mut flood in plan.floods(self, slot) {
+            let fleet = &self.fleets[plan::flood_fleet(self)];
+            while let Some((at, _)) = flood.next(&mut rng) {
+                let resolver = &fleet.resolvers[fleet.pick(&mut rng)];
+                let (idx, qtype) = flood.flood_target().expect("a flood's cursor");
+                let ask = Ask {
+                    fleet,
+                    resolver,
+                    qname: &self.zone.registered_domain(idx),
+                    qtype,
+                    signed: self.zone.is_signed(idx),
+                    junk: false,
+                    at,
+                };
+                self.emit_exchange(&ask, &mut rng, &mut s);
+                flood.emitted(1);
+            }
+        }
         s.buf.sort_by_key(|r| r.timestamp);
         SliceOut {
             records: s.buf,
@@ -428,23 +404,30 @@ impl Engine {
         }
     }
 
-    /// One demand event; returns the number of query records emitted
-    /// (0 when the resolver cache absorbed it).
-    fn demand(
+    /// One demand event of the calibrated plane: a resolver of `fleet`
+    /// is asked a question at `t`, and whatever its cache does not
+    /// absorb goes to `send` — the query itself, then the DNSSEC
+    /// follow-ups a validating resolver adds. `send` returns the query
+    /// records it put on the wire; their sum is returned, 0 when the
+    /// cache absorbed the event. This is the whole difference between
+    /// the offline engine (`send` answers and records the exchange) and
+    /// the live [`crate::drive::Driver`] (`send` queues the query for a
+    /// real socket).
+    pub(crate) fn demand(
         &self,
         fleet: &Fleet,
         t: SimTime,
         is_junk: bool,
         caches: &mut HashMap<u32, ResolverCache>,
-        s: &mut SliceState,
+        rng: &mut StdRng,
+        mut send: impl FnMut(&mut StdRng, &Ask) -> u64,
     ) -> u64 {
         let spec = &fleet.spec;
-        let r_idx = fleet.pick(&mut s.rng);
+        let r_idx = fleet.pick(rng);
         let resolver = &fleet.resolvers[r_idx];
 
-        let (qname, qtype, signed, cacheable) = pick_question_for(
-            &self.zone, &self.zipf, &self.junk, spec, t, is_junk, &mut s.rng,
-        );
+        let (qname, qtype, signed, cacheable) =
+            pick_question_for(&self.zone, &self.zipf, &self.junk, spec, t, is_junk, rng);
 
         let ckey = CacheKey {
             domain: name_key(&qname),
@@ -452,14 +435,19 @@ impl Engine {
         };
         let cache = caches.entry(r_idx as u32).or_default();
         if cacheable && cache.lookup(&ckey, t.as_micros()).is_some() {
-            s.stats.cache_hits += 1;
             return 0;
         }
 
-        let mut emitted = self.emit_exchange(fleet, resolver, &qname, qtype, signed, t, s);
-        if is_junk {
-            s.stats.junk_queries += emitted;
-        }
+        let ask = Ask {
+            fleet,
+            resolver,
+            qname: &qname,
+            qtype,
+            signed,
+            junk: is_junk,
+            at: t,
+        };
+        let mut emitted = send(rng, &ask);
         if cacheable && spec.cache_ttl != SimDuration::ZERO {
             // the spec's TTL verbatim: entries decay per-record from
             // their own insertion instant (no whole-second rounding)
@@ -467,11 +455,12 @@ impl Engine {
         }
 
         // DNSSEC validation follow-ups
-        if spec.validates
-            && !is_junk
-            && signed
-            && qtype != RType::Ds
-            && s.rng.gen_bool(spec.ds_prob)
+        let follow_up = Ask {
+            signed: true,
+            junk: false,
+            ..ask
+        };
+        if spec.validates && !is_junk && signed && qtype != RType::Ds && rng.gen_bool(spec.ds_prob)
         {
             let delegation = self.zone.minimized_qname(&qname);
             let dkey = CacheKey {
@@ -479,137 +468,118 @@ impl Engine {
                 rtype: RType::Ds.to_u16(),
             };
             if cache.lookup(&dkey, t.as_micros()).is_none() {
-                emitted += self.emit_exchange(
-                    fleet,
-                    resolver,
-                    &delegation,
-                    RType::Ds,
-                    true,
-                    t + SimDuration::from_millis(5),
-                    s,
-                );
+                let ds = Ask {
+                    qname: &delegation,
+                    qtype: RType::Ds,
+                    at: t + SimDuration::from_millis(5),
+                    ..follow_up
+                };
+                emitted += send(rng, &ds);
                 let expiry = t + SimDuration::from_secs(3600);
                 cache.put(dkey, (), expiry.as_micros(), CACHE_CAP);
             }
         }
-        if spec.validates && s.rng.gen_bool(spec.dnskey_prob) {
-            emitted += self.emit_exchange(
-                fleet,
-                resolver,
-                self.zone.apex(),
-                RType::Dnskey,
-                true,
-                t + SimDuration::from_millis(8),
-                s,
-            );
+        if spec.validates && rng.gen_bool(spec.dnskey_prob) {
+            let dnskey = Ask {
+                qname: self.zone.apex(),
+                qtype: RType::Dnskey,
+                at: t + SimDuration::from_millis(8),
+                ..follow_up
+            };
+            emitted += send(rng, &dnskey);
         }
         emitted
     }
 
-    /// Emit one query/response exchange (plus TCP fallback if the UDP
-    /// response truncates). Returns query records written.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_exchange(
-        &self,
-        fleet: &Fleet,
-        resolver: &Resolver,
-        qname: &Name,
-        qtype: RType,
-        signed: bool,
-        t: SimTime,
-        s: &mut SliceState,
-    ) -> u64 {
-        let spec = &fleet.spec;
+    /// Build the wire query for `ask`: server and address family by the
+    /// resolver's RTT preference, 0x20 case randomization (the
+    /// anti-spoofing measure some CPs apply; the analysis side treats
+    /// names case-insensitively), a random id, the resolver's EDNS
+    /// parameters. Draws from `rng` in that order.
+    pub(crate) fn build_query(&self, ask: &Ask, rng: &mut StdRng) -> BuiltQuery {
+        let resolver = ask.resolver;
         let server_count = self.spec.servers.len();
-        let (server, family) = choose_server_family(spec, resolver, server_count, &mut s.rng);
-        let src_ip = resolver.addr_for(family);
+        let (server, family) = choose_server_family(&ask.fleet.spec, resolver, server_count, rng);
         let server_spec = &self.spec.servers[server];
         let dst_ip: IpAddr = match family {
             IpVersion::V4 => IpAddr::V4(server_spec.v4),
             IpVersion::V6 => IpAddr::V6(server_spec.v6),
         };
-
-        // 0x20 case randomization: the anti-spoofing measure some CPs
-        // apply; the analysis side must (and does) treat names
-        // case-insensitively.
         let wire_qname = if resolver.mix_case {
-            mix_case_0x20(qname, &mut s.rng)
+            mix_case_0x20(ask.qname, rng)
         } else {
-            qname.clone()
+            ask.qname.clone()
         };
-        let mut builder = MessageBuilder::query(s.rng.gen(), wire_qname, qtype);
+        let mut builder = MessageBuilder::query(rng.gen(), wire_qname, ask.qtype);
         if resolver.edns_size > 0 {
             builder = builder.with_edns(resolver.edns_size, resolver.do_bit);
         }
-        let query = builder.build();
-        let answer = self.auth.respond(&query, signed);
-        vantage::record(
+        BuiltQuery {
+            message: builder.build(),
+            src_ip: resolver.addr_for(family),
+            dst_ip,
+            server,
+        }
+    }
+
+    /// Answer `ask` at the vantage and record the exchange (plus the
+    /// TCP fallback if the UDP response truncates). Returns query
+    /// records written.
+    fn emit_exchange(&self, ask: &Ask, rng: &mut StdRng, s: &mut SliceState) -> u64 {
+        let query = self.build_query(ask, rng);
+        let answer = self.auth.respond(&query.message, ask.signed);
+        let resolver = ask.resolver;
+        let queries = vantage::record(
             &vantage::Exchange {
-                query: &query,
+                query: &query.message,
                 response: &answer.message,
-                src_ip,
-                dst_ip,
-                rtt_us: resolver.rtt_us(server, IpVersion::of(src_ip)),
-                at: t,
-                tcp_extra: spec.tcp_extra_at(resolver.site as usize),
+                src_ip: query.src_ip,
+                dst_ip: query.dst_ip,
+                rtt_us: resolver.rtt_us(query.server, IpVersion::of(query.src_ip)),
+                at: ask.at,
+                tcp_extra: ask.fleet.spec.tcp_extra_at(resolver.site as usize),
             },
-            &mut s.rng,
+            rng,
             s.rrl.as_mut(),
             &mut s.wire,
             &mut s.buf,
             &mut s.stats,
         )
-        .queries()
-    }
-
-    /// Layer incident traffic (the Feb-2020 cyclic dependency) over a
-    /// slot: cache-defeating A/AAAA floods from Google's resolvers.
-    fn emit_incidents(&self, slot_start: SimTime, slot_len: SimDuration, s: &mut SliceState) {
-        for incident in &self.spec.incidents {
-            let Incident::CyclicDependency {
-                start,
-                end,
-                total_queries,
-                domain_indices,
-            } = incident;
-            let slot_end = slot_start + slot_len;
-            if slot_end <= *start || slot_start >= *end {
-                continue;
-            }
-            // count slots overlapping the incident window; spread evenly
-            let window_slots =
-                ((end.as_micros() - start.as_micros()) / slot_len.as_micros()).max(1);
-            let scaled = (*total_queries as f64 * self.scale.queries) as u64;
-            let quota = scaled / window_slots;
-            let fleet = self
-                .fleets
-                .iter()
-                .find(|f| f.spec.name == "google-public")
-                .unwrap_or(&self.fleets[0]);
-            for i in 0..quota {
-                let t =
-                    slot_start + SimDuration::from_micros(s.rng.gen_range(0..slot_len.as_micros()));
-                let resolver = &fleet.resolvers[fleet.pick(&mut s.rng)];
-                let idx = domain_indices[(i % 2) as usize];
-                let qname = self.zone.registered_domain(idx);
-                let qtype = if i % 2 == 0 { RType::A } else { RType::Aaaa };
-                let signed = self.zone.is_signed(idx);
-                self.emit_exchange(fleet, resolver, &qname, qtype, signed, t, s);
-            }
+        .queries();
+        if ask.junk {
+            s.stats.junk_queries += queries;
         }
+        queries
     }
 }
 
-/// The per-query qname/qtype decision chain, shared between the
-/// offline engine and the live [`crate::drive::Driver`]: junk vs
+/// One query the calibrated demand chain sends to the vantage.
+#[derive(Clone, Copy)]
+pub(crate) struct Ask<'a> {
+    pub(crate) fleet: &'a Fleet,
+    pub(crate) resolver: &'a Resolver,
+    pub(crate) qname: &'a Name,
+    pub(crate) qtype: RType,
+    /// The delegation is signed (the referral carries DS + RRSIG).
+    pub(crate) signed: bool,
+    /// The query itself is junk demand (follow-ups never are).
+    pub(crate) junk: bool,
+    pub(crate) at: SimTime,
+}
+
+/// [`Engine::build_query`]'s result: the message and its logical flow.
+pub(crate) struct BuiltQuery {
+    pub(crate) message: Message,
+    pub(crate) src_ip: IpAddr,
+    pub(crate) dst_ip: IpAddr,
+    /// Index of the chosen server in the dataset's server list.
+    pub(crate) server: usize,
+}
+
+/// The calibrated plane's per-query qname/qtype decision chain: junk vs
 /// Zipf-popular valid names, deep names under the delegation, Q-min
-/// rewriting. Returns `(qname, qtype, signed, cacheable, domain_idx)`.
-///
-/// Deep names matter: hosts under the delegation (and NS lookups
-/// clients ask about arbitrary hostnames) are what make the
-/// minimized-qname evidence informative — without Q-min, a good share
-/// of NS queries target deep names.
-pub(crate) fn pick_question_for(
+/// rewriting. Returns `(qname, qtype, signed, cacheable)`.
+fn pick_question_for(
     zone: &ZoneModel,
     zipf: &ZipfSampler,
     junk: &JunkGenerator,
@@ -619,30 +589,21 @@ pub(crate) fn pick_question_for(
     rng: &mut StdRng,
 ) -> (Name, RType, bool, bool) {
     if is_junk {
-        let (name, _) = junk.sample(rng);
-        let qt = if rng.gen_bool(0.9) {
-            RType::A
-        } else {
-            RType::Aaaa
-        };
-        (name, qt, false, false)
-    } else {
-        let idx = zipf.sample(rng);
-        let base = zone.registered_domain(idx);
-        let mut qt = pick_qtype(&spec.qtype_mix, rng);
-        let mut qn = if matches!(qt, RType::A | RType::Aaaa | RType::Ns) && rng.gen_bool(0.55) {
-            let sub: &[u8] =
-                [&b"www"[..], b"mail", b"api", b"cdn", b"img"][rng.gen_range(0..5usize)];
-            base.child(sub).unwrap_or(base)
-        } else {
-            base
-        };
-        if spec.qmin_active(t) && rng.gen_bool(spec.qmin_frac) {
-            qn = zone.minimized_qname(&qn);
-            qt = RType::Ns;
-        }
-        (qn, qt, zone.is_signed(idx), true)
+        let (name, qt) = plan::junk_question(junk, rng);
+        return (name, qt, false, false);
     }
+    let idx = zipf.sample(rng);
+    let mut qn = zone.registered_domain(idx);
+    let mut qt = pick_qtype(&spec.qtype_mix, rng);
+    // NS lookups clients make about arbitrary hostnames count too
+    if matches!(qt, RType::A | RType::Aaaa | RType::Ns) && rng.gen_bool(0.55) {
+        qn = plan::deep_name(qn, rng);
+    }
+    if spec.qmin_active(t) && rng.gen_bool(spec.qmin_frac) {
+        qn = zone.minimized_qname(&qn);
+        qt = RType::Ns;
+    }
+    (qn, qt, zone.is_signed(idx), true)
 }
 
 /// Server and address-family choice.
@@ -651,7 +612,7 @@ pub(crate) fn pick_question_for(
 /// the paper) — softmax over per-server RTT. Dual-stack resolvers then
 /// pick the family by a logistic in the v4-v6 RTT gap plus the fleet's
 /// v6 bias: the mechanism the paper confirms at Facebook's sites.
-pub(crate) fn choose_server_family(
+fn choose_server_family(
     spec: &FleetSpec,
     resolver: &Resolver,
     server_count: usize,
@@ -707,15 +668,6 @@ fn sigmoid(x: f64) -> f64 {
 /// Sample a qtype from the fleet mix.
 pub(crate) fn pick_qtype(mix: &[(RType, f64)], rng: &mut StdRng) -> RType {
     sample_dist(mix, rng.gen()).unwrap_or(RType::from_u16(0))
-}
-
-/// Diurnal + weekly load shape (cf. "When the Internet Sleeps").
-pub(crate) fn diurnal_weight(t: SimTime) -> f64 {
-    let h = t.hour_of_day_f64();
-    let day = t.weekday();
-    let daily = 1.0 + 0.35 * ((h - 14.0) / 24.0 * std::f64::consts::TAU).cos();
-    let weekly = if day >= 5 { 0.92 } else { 1.0 };
-    daily * weekly
 }
 
 /// Apply 0x20 case randomization to a name's alphabetic octets: the

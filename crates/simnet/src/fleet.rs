@@ -375,7 +375,9 @@ fn pin_sites(spec: &FleetSpec, seed: u64) -> Vec<(u32, u8)> {
         .collect()
 }
 
-fn cumulative_weights(weights: impl Iterator<Item = f64>) -> Vec<f64> {
+/// Running sums of `weights` (negatives count as zero), normalised so
+/// the last entry is 1: the table [`pick_cumulative`] draws from.
+pub fn cumulative_weights(weights: impl Iterator<Item = f64>) -> Vec<f64> {
     let mut acc = 0.0;
     let mut out: Vec<f64> = weights
         .map(|w| {
@@ -393,7 +395,10 @@ fn cumulative_weights(weights: impl Iterator<Item = f64>) -> Vec<f64> {
     out
 }
 
-fn pick_cumulative(cumulative: &[f64], u: f64) -> usize {
+/// The index whose slice of a [`cumulative_weights`] table covers `u`
+/// in `[0, 1)`: how resolvers are picked by activity, sites by weight
+/// and fleets by traffic share.
+pub fn pick_cumulative(cumulative: &[f64], u: f64) -> usize {
     match cumulative.binary_search_by(|c| c.partial_cmp(&u).expect("no NaN weights")) {
         Ok(i) => (i + 1).min(cumulative.len() - 1),
         Err(i) => i.min(cumulative.len() - 1),

@@ -25,9 +25,12 @@
 //! (resolver fleets, Facebook sites, PTR zone),
 //! [`auth`] (the authoritative responder), [`vantage`] (what the
 //! vantage puts on the wire: truncation, RRL, the TC→TCP retry),
-//! [`engine`] (the calibrated generation loop), [`emerge`] (the same
-//! loop fed by resolver walks), [`scenario`] (the nine datasets plus
-//! the monthly series).
+//! `plan` (private: the demand plan every generator steers by — slot
+//! quotas, the junk lattice, incident floods), [`engine`] (the
+//! calibrated generation loop, its demand step and query builder),
+//! [`emerge`] (the same plan answered by resolver walks), [`drive`]
+//! (the engine's demand step pulled one query at a time, for live
+//! sockets), [`scenario`] (the nine datasets plus the monthly series).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,6 +40,7 @@ pub mod drive;
 pub mod emerge;
 pub mod engine;
 pub mod fleet;
+mod plan;
 pub mod profile;
 pub mod ptr;
 pub mod rrl;

@@ -40,13 +40,12 @@
 //! usage line, and `help` — they cannot drift apart.
 
 use dnscentral_core::dualstack::DualStackAnalysis;
-use dnscentral_core::experiments::{
-    analyze_capture_into, generate_capture_sharded, run_monthly_series,
-};
-use dnscentral_core::pipeline::{run_spec_with, PipelineOpts};
+use dnscentral_core::experiments::{analyze_capture_into, run_monthly_series};
+use dnscentral_core::pipeline::{run_spec_with, write_capture, PipelineOpts};
 use dnscentral_core::{ednssize, junk, metrics, qmin, report, store, transport};
 use simnet::profile::Vantage;
 use simnet::scenario::{dataset, Scale};
+use simnet::Engine;
 use std::net::IpAddr;
 use std::path::Path;
 use std::process::ExitCode;
@@ -293,8 +292,8 @@ const BOOL_FLAGS: &[(&str, &str)] = &[
     ),
     (
         "--fleet",
-        "every generating command (dataset, scenario, ingest, report, qmin, \
-         experiments, concentration, junk-overview): generate with the \
+        "every generating command (generate, dataset, scenario, ingest, report, \
+         qmin, experiments, concentration, junk-overview): generate with the \
          algorithmic resolver fleet (emergent signatures) instead of the \
          calibrated sampler",
     ),
@@ -519,8 +518,8 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
         Some("generate") => {
             let (vantage, year, path) = dataset_args(positional)?;
             let spec = dataset(vantage, year);
-            let stats = generate_capture_sharded(&spec, scale, seed, Path::new(path), shards)
-                .expect("capture generation");
+            let engine = Engine::new(spec.clone(), scale, seed);
+            let stats = write_capture(&engine, Path::new(path), &opts).expect("capture generation");
             println!(
                 "{}: {} queries ({} tcp, {} truncated, {} junk) -> {path}",
                 spec.id(),

@@ -405,6 +405,37 @@ fn deterministic_generation_across_invocations() {
     let _ = std::fs::remove_file(&b);
 }
 
+/// `generate` honours `--fleet`: the capture comes from resolver walks
+/// (so it differs from the calibrated one) and is the very file
+/// `dataset --fleet --keep-capture` leaves behind.
+#[test]
+fn generate_honours_the_fleet_flag() {
+    let dir = tmp("gen-fleet");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |args: &[&str]| {
+        let out = bin()
+            .current_dir(&dir)
+            .args(args)
+            .arg("--scale=tiny")
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    run(&["generate", "nz", "2020", "calibrated.dnscap"]);
+    run(&["generate", "nz", "2020", "fleet.dnscap", "--fleet"]);
+    run(&["dataset", "nz", "2020", "--fleet", "--keep-capture"]);
+    let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
+    let fleet = read("fleet.dnscap");
+    assert_ne!(read("calibrated.dnscap"), fleet, "--fleet was ignored");
+    assert_eq!(read("nz-w2020.dnscap"), fleet);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn scenario_template_roundtrip() {
     let out = bin()

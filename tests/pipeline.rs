@@ -6,8 +6,10 @@ use dnscentral_core::experiments::{
 };
 use dnscentral_core::pipeline::{run_spec_with, PipelineOpts};
 use dnscentral_core::store;
+use netbase::capture::CaptureWriter;
 use simnet::profile::Vantage;
-use simnet::scenario::{dataset, Scale};
+use simnet::scenario::{dataset, monthly_google, DatasetSpec, Scale};
+use simnet::Engine;
 use std::fs;
 use std::sync::Arc;
 use warehouse::{AppendConfig, Predicate, Warehouse};
@@ -235,6 +237,68 @@ fn all_nine_datasets_run() {
                 run.id,
                 run.ingest_stats
             );
+        }
+    }
+}
+
+/// Length and CRC-32 of the capture `engine` writes: a golden capture
+/// is two integers.
+fn capture_digest(engine: &Engine, fleet: bool, shards: usize) -> (usize, u32) {
+    let mut w = CaptureWriter::new(Vec::new()).unwrap();
+    if fleet {
+        engine.generate_fleet(&mut w, shards).unwrap();
+    } else {
+        engine.generate_sharded(&mut w, shards).unwrap();
+    }
+    let bytes = w.finish().unwrap();
+    (bytes.len(), warehouse::codec::crc32(&bytes))
+}
+
+/// The `.dnscap` bytes of six reference runs (`Scale::tiny()`, seed 42),
+/// pinned as length + CRC-32 and recorded before the demand plan moved
+/// into `simnet`'s `plan` module: a generator refactor that changes one
+/// RNG draw fails here instead of needing a hand-run `cmp` against the
+/// parent commit. Each run must give the same bytes at 1 and 4 shards.
+#[test]
+fn golden_capture_digests() {
+    let feb = || monthly_google(Vantage::Nz, 2020, 2);
+    let golden: [(&str, DatasetSpec, bool, usize, u32); 6] = [
+        (
+            "nl-2020",
+            dataset(Vantage::Nl, 2020),
+            false,
+            14_456_063,
+            0xe2f2_992d,
+        ),
+        (
+            "nz-2020",
+            dataset(Vantage::Nz, 2020),
+            false,
+            4_487_172,
+            0x8be6_63e1,
+        ),
+        (
+            "broot-2020",
+            dataset(Vantage::BRoot, 2020),
+            false,
+            6_611_347,
+            0x94e3_3a3b,
+        ),
+        (
+            "nl-2020 fleet",
+            dataset(Vantage::Nl, 2020),
+            true,
+            14_345_834,
+            0xa688_8282,
+        ),
+        ("nz-google-feb", feb(), false, 289_634, 0x3e1f_a6ff),
+        ("nz-google-feb fleet", feb(), true, 241_064, 0x4d36_7387),
+    ];
+    for (what, spec, fleet, len, crc) in golden {
+        let engine = Engine::new(spec, Scale::tiny(), 42);
+        for shards in [1, 4] {
+            let got = capture_digest(&engine, fleet, shards);
+            assert_eq!(got, (len, crc), "{what} at {shards} shard(s)");
         }
     }
 }
