@@ -86,7 +86,7 @@ struct CacheEntry {
 pub struct RespondScratch {
     slots: Vec<Option<CacheEntry>>,
     out: Vec<u8>,
-    /// The encoder cache misses go through.
+    /// Where cache misses write their response.
     wire: WireScratch,
     hits: u64,
     misses: u64,
@@ -237,7 +237,7 @@ impl Responder {
     /// [`Responder::handle`] generic over the RRL gate, so the sharded
     /// server passes a [`simnet::rrl::ShardedRateLimiter`] handle where
     /// the serial server passes `&mut RateLimiter`. The response is
-    /// encoded through `wire`.
+    /// written into `wire`.
     pub fn handle_gated<L: RrlGate>(
         &self,
         payload: &[u8],
@@ -258,18 +258,19 @@ impl Responder {
             .and_then(|q| self.zone().delegation_index(&q.qname))
             .map(|idx| self.zone().is_signed(idx))
             .unwrap_or(false);
-        let answer = self.auth.respond(&query, signed);
+        self.auth.respond((&query).into(), signed, wire);
+        let response = wire.response();
 
         if transport == Transport::Tcp {
             return Outcome::Reply {
-                bytes: wire.encode(&answer.message).to_vec(),
+                bytes: response.bytes.to_vec(),
                 truncated: false,
                 slipped: false,
             };
         }
 
         let edns_size = query.edns.as_ref().map_or(0, |e| e.udp_payload_size);
-        match vantage::shape_udp(&answer.message, edns_size, src, now, rrl, wire) {
+        match vantage::shape_udp(response, edns_size, src, now, rrl) {
             Some(reply) => Outcome::Reply {
                 bytes: reply.bytes,
                 truncated: reply.truncated,

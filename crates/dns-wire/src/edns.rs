@@ -106,14 +106,16 @@ impl Edns {
             ttl |= 0x8000;
         }
         out.extend_from_slice(&ttl.to_be_bytes());
-        let mut rdata = Vec::new();
+        // RDLENGTH is patched once the options are written
+        let rdlen_at = out.len();
+        out.extend_from_slice(&[0, 0]);
         for (code, payload) in &self.options {
-            rdata.extend_from_slice(&code.to_be_bytes());
-            rdata.extend_from_slice(&(payload.len() as u16).to_be_bytes());
-            rdata.extend_from_slice(payload);
+            out.extend_from_slice(&code.to_be_bytes());
+            out.extend_from_slice(&(payload.len() as u16).to_be_bytes());
+            out.extend_from_slice(payload);
         }
-        out.extend_from_slice(&(rdata.len() as u16).to_be_bytes());
-        out.extend_from_slice(&rdata);
+        let rdlen = (out.len() - rdlen_at - 2) as u16;
+        out[rdlen_at..rdlen_at + 2].copy_from_slice(&rdlen.to_be_bytes());
     }
 
     /// Encoded size in octets.

@@ -19,6 +19,8 @@
 //! - [`rdata`] — typed RDATA for the record types the pipeline inspects.
 //! - [`edns`] — the OPT pseudo-record: UDP payload size, DO bit, options.
 //! - [`message`] — full messages: parse, encode, truncate.
+//! - [`writer`] — the one place sections become bytes; truncation as a
+//!   cut at a record mark.
 //! - [`builder`] — ergonomic query/response construction.
 //!
 //! # Example
@@ -47,6 +49,7 @@ pub mod name;
 pub mod rdata;
 pub mod tcp;
 pub mod types;
+pub mod writer;
 
 pub use builder::MessageBuilder;
 pub use error::WireError;

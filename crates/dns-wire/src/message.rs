@@ -6,6 +6,7 @@ use crate::header::{Header, HEADER_LEN};
 use crate::name::{Name, ReusableCompressor};
 use crate::rdata::RData;
 use crate::types::{RClass, RType, Rcode};
+use crate::writer::{Marks, MessageWriter, Section};
 
 /// A question-section entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -44,12 +45,6 @@ impl Question {
             p + 4,
         ))
     }
-
-    fn encode(&self, comp: &mut ReusableCompressor, out: &mut Vec<u8>) {
-        comp.encode_name(&self.qname, out);
-        out.extend_from_slice(&self.qtype.to_u16().to_be_bytes());
-        out.extend_from_slice(&self.qclass.to_u16().to_be_bytes());
-    }
 }
 
 /// A resource record in the answer, authority or additional section.
@@ -79,21 +74,6 @@ impl Record {
     /// The record type.
     pub fn rtype(&self) -> RType {
         self.rdata.rtype()
-    }
-
-    fn encode(&self, comp: &mut ReusableCompressor, out: &mut Vec<u8>) -> Result<(), WireError> {
-        comp.encode_name(&self.name, out);
-        out.extend_from_slice(&self.rtype().to_u16().to_be_bytes());
-        out.extend_from_slice(&self.class.to_u16().to_be_bytes());
-        out.extend_from_slice(&self.ttl.to_be_bytes());
-        let rdlen_at = out.len();
-        out.extend_from_slice(&[0, 0]);
-        let rdata_start = out.len();
-        self.rdata.encode(comp, out)?;
-        let rdlen = out.len() - rdata_start;
-        out[rdlen_at] = (rdlen >> 8) as u8;
-        out[rdlen_at + 1] = rdlen as u8;
-        Ok(())
     }
 }
 
@@ -238,36 +218,31 @@ impl Message {
 
     /// [`Message::encode_with_limit`] into caller-owned buffers, as
     /// [`Message::encode_into`] is to [`Message::encode`]. Returns
-    /// whether records were dropped (and TC set).
+    /// whether records were dropped (and TC set). One pass: the writer
+    /// cuts at a record boundary instead of encoding again.
     pub fn encode_with_limit_into(
         &self,
         limit: usize,
         comp: &mut ReusableCompressor,
         out: &mut Vec<u8>,
     ) -> Result<bool, WireError> {
-        self.encode_into(comp, out)?;
-        if out.len() <= limit {
-            return Ok(false);
+        let mut marks = Marks::default();
+        let mut w = MessageWriter::new(&self.header, comp, out, &mut marks);
+        for q in &self.questions {
+            w.question(q);
         }
-        // Drop records from the tail until it fits.
-        let mut an = self.answers.len();
-        let mut ns = self.authorities.len();
-        let mut ar = self.additionals.len();
-        loop {
-            if ar > 0 {
-                ar -= 1;
-            } else if ns > 0 {
-                ns -= 1;
-            } else if an > 0 {
-                an -= 1;
-            } else {
-                return Err(WireError::WontFit { limit });
-            }
-            self.encode_sections(an, ns, ar, true, comp, out)?;
-            if out.len() <= limit {
-                return Ok(true);
+        for (section, records) in [
+            (Section::Answer, &self.answers),
+            (Section::Authority, &self.authorities),
+            (Section::Additional, &self.additionals),
+        ] {
+            for r in records {
+                w.record(section, &r.name, r.rtype(), r.class, r.ttl, |comp, out| {
+                    r.rdata.encode(comp, out)
+                })?;
             }
         }
+        w.finish(self.edns.as_ref(), limit)
     }
 
     /// Encode into caller-owned buffers, reusing their capacity: `out`
@@ -279,59 +254,8 @@ impl Message {
         comp: &mut ReusableCompressor,
         out: &mut Vec<u8>,
     ) -> Result<(), WireError> {
-        self.encode_sections(
-            self.answers.len(),
-            self.authorities.len(),
-            self.additionals.len(),
-            false,
-            comp,
-            out,
-        )
-    }
-
-    /// Encode the first `an`/`ns`/`ar` records of each section into the
-    /// cleared `out`, with the TC bit forced on when `cut`.
-    fn encode_sections(
-        &self,
-        an: usize,
-        ns: usize,
-        ar: usize,
-        cut: bool,
-        comp: &mut ReusableCompressor,
-        out: &mut Vec<u8>,
-    ) -> Result<(), WireError> {
-        out.clear();
-        comp.reset();
-        let opt_count = usize::from(self.edns.is_some());
-        let header = Header {
-            truncated: self.header.truncated || cut,
-            ..self.header
-        };
-        header.encode(
-            [
-                self.questions.len() as u16,
-                an as u16,
-                ns as u16,
-                (ar + opt_count) as u16,
-            ],
-            out,
-        );
-        for q in &self.questions {
-            q.encode(comp, out);
-        }
-        for r in self.answers.iter().take(an) {
-            r.encode(comp, out)?;
-        }
-        for r in self.authorities.iter().take(ns) {
-            r.encode(comp, out)?;
-        }
-        for r in self.additionals.iter().take(ar) {
-            r.encode(comp, out)?;
-        }
-        if let Some(edns) = &self.edns {
-            edns.encode_with_rcode_bits((self.header.rcode.to_u16() >> 4) as u8, out);
-        }
-        Ok(())
+        self.encode_with_limit_into(usize::MAX, comp, out)
+            .map(|_| ())
     }
 
     /// The first question, if any — the common case for queries.
@@ -543,8 +467,8 @@ mod tests {
     fn count_mismatch_detected() {
         let mut raw = Vec::new();
         Header::request(5).encode([2, 0, 0, 0], &mut raw); // claims 2 questions
-        let mut comp = ReusableCompressor::new();
-        Question::new(n("example.nl"), RType::A).encode(&mut comp, &mut raw);
+        n("example.nl").encode_uncompressed(&mut raw);
+        raw.extend_from_slice(&[0, 1, 0, 1]); // A, IN
         assert_eq!(
             Message::parse(&raw),
             Err(WireError::CountMismatch {

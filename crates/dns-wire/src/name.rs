@@ -15,8 +15,9 @@
 
 use crate::error::WireError;
 use core::fmt;
-use core::hash::{Hash, Hasher};
+use core::hash::{BuildHasherDefault, Hash, Hasher};
 use core::str::FromStr;
+use std::collections::HashMap;
 
 /// Maximum length of one label, in octets (RFC 1035 §3.1).
 pub const MAX_LABEL_LEN: usize = 63;
@@ -522,15 +523,34 @@ fn suffix_matches(msg: &[u8], at: usize, suffix: &[u8]) -> bool {
     }
 }
 
+/// A [`Hasher`] for keys that already are hashes: the suffix table's
+/// keys come out of [`fnv_lower`], so hashing them a second time only
+/// costs time. A crafted collision costs one probe chain inside one
+/// message's few dozen suffixes, and the pointer is verified anyway.
+#[derive(Default)]
+struct KeyIsHash(u64);
+
+impl Hasher for KeyIsHash {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the suffix table is keyed by u64");
+    }
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The name compressor (RFC 1035 §4.1.4): remembers, for every name
 /// suffix already emitted, its offset in the message, so later names
 /// can point at it. Offsets beyond 0x3FFF cannot be pointed at.
 ///
 /// Built for reuse across messages without allocating: the suffix
 /// table's keys are 64-bit FNV hashes of the case-folded suffix, not
-/// owned byte strings, so [`ReusableCompressor::reset`] between
-/// messages keeps the map's capacity and steady-state encoding performs
-/// zero heap allocations.
+/// owned byte strings, and serve as their own table hash, so
+/// [`ReusableCompressor::reset`] between messages keeps the map's
+/// capacity and steady-state encoding performs zero heap allocations.
 ///
 /// Hash entries are *verified* against the actual output buffer before
 /// a pointer is emitted (`suffix_matches`); a colliding hash merely
@@ -539,7 +559,7 @@ fn suffix_matches(msg: &[u8], at: usize, suffix: &[u8]) -> bool {
 #[derive(Default)]
 pub struct ReusableCompressor {
     /// FNV of the lowercased suffix -> offset in the message.
-    seen: std::collections::HashMap<u64, u16>,
+    seen: HashMap<u64, u16, BuildHasherDefault<KeyIsHash>>,
 }
 
 impl ReusableCompressor {

@@ -52,6 +52,11 @@ fn recase(name: &Name, flips: u64) -> Name {
     Name::from_labels(labels.iter().map(|l| l.as_slice())).unwrap()
 }
 
+/// Records in the three sections (the OPT is not one).
+fn records(msg: &Message) -> usize {
+    msg.answers.len() + msg.authorities.len() + msg.additionals.len()
+}
+
 fn rdata() -> impl Strategy<Value = RData> {
     prop_oneof![
         any::<[u8; 4]>().prop_map(|o| RData::A(o.into())),
@@ -195,6 +200,32 @@ proptest! {
                 prop_assert!(bare.encode().unwrap().len() > limit);
             }
         }
+    }
+
+    /// At *every* limit from the record-free skeleton up to the full
+    /// length, the one-pass cut equals the definition the old loop
+    /// implemented: records removed from the tail of a clone, one at a
+    /// time, until it fits, TC set.
+    #[test]
+    fn every_limit_cuts_like_dropping_tail_records(msg in message()) {
+        // the oracle's candidates, longest first
+        let mut candidates = vec![(msg.encode().unwrap(), false)];
+        let mut cut = msg.clone();
+        cut.header.truncated = true;
+        while cut.additionals.pop().is_some()
+            || cut.authorities.pop().is_some()
+            || cut.answers.pop().is_some()
+        {
+            candidates.push((cut.encode().unwrap(), true));
+        }
+        let floor = candidates.last().unwrap().0.len();
+        let (mut comp, mut out) = (ReusableCompressor::new(), Vec::new());
+        for limit in floor..=candidates[0].0.len() {
+            let (want, want_tc) = candidates.iter().find(|(b, _)| b.len() <= limit).unwrap();
+            let tc = msg.encode_with_limit_into(limit, &mut comp, &mut out).unwrap();
+            prop_assert_eq!((&out, tc), (want, *want_tc), "limit {}", limit);
+        }
+        prop_assert!(msg.encode_with_limit(floor - 1).is_err());
     }
 
     /// The parser never panics on arbitrary bytes.
@@ -353,4 +384,72 @@ proptest! {
         msg.encode_into(&mut comp, &mut out).unwrap();
         prop_assert_eq!(out, bytes);
     }
+}
+
+/// Nothing about the cut is sized by a record count: a message with
+/// more than 255 records cuts at any of them, in place
+/// (`encode_with_limit_into`) and as a copy of the finished bytes
+/// (`Marks::cut_into`, `Marks::slip_into`), to the same result.
+#[test]
+fn no_cap_on_the_records_a_cut_walks() {
+    use dns_wire::types::RClass;
+    use dns_wire::writer::{Marks, MessageWriter, Section};
+
+    let owner: Name = "example.nl".parse().unwrap();
+    let mut msg = Message::new(Header::request(1));
+    msg.header.response = true;
+    msg.questions.push(Question::new(owner.clone(), RType::A));
+    for i in 0..300u32 {
+        let section = match i {
+            0..=199 => &mut msg.answers,
+            200..=279 => &mut msg.authorities,
+            _ => &mut msg.additionals,
+        };
+        let rdata = RData::A(i.to_be_bytes().into());
+        section.push(Record::new(owner.clone(), i, rdata));
+    }
+    msg.edns = Some(Edns::with_size(1232, true));
+
+    // the same message through the writer, kept whole with its marks
+    let (mut comp, mut full, mut marks) = (ReusableCompressor::new(), Vec::new(), Marks::default());
+    let mut w = MessageWriter::new(&msg.header, &mut comp, &mut full, &mut marks);
+    w.question(&msg.questions[0]);
+    for (i, section) in [
+        (0..200u32, Section::Answer),
+        (200..280, Section::Authority),
+        (280..300, Section::Additional),
+    ]
+    .into_iter()
+    .flat_map(|(range, section)| range.map(move |i| (i, section)))
+    {
+        w.record(section, &owner, RType::A, RClass::In, i, |_, out| {
+            out.extend_from_slice(&i.to_be_bytes());
+            Ok(())
+        })
+        .unwrap();
+    }
+    assert!(!w.finish(msg.edns.as_ref(), usize::MAX).unwrap());
+    assert_eq!(full, msg.encode().unwrap());
+    assert_eq!(marks.records(), 300);
+
+    let (mut out, mut copy) = (Vec::new(), Vec::new());
+    for keep in [300usize, 299, 256, 255, 200, 7, 0] {
+        // each A record is a pointer owner plus 14 octets
+        let limit = full.len() - (300 - keep) * 16;
+        let cut = msg
+            .encode_with_limit_into(limit, &mut comp, &mut out)
+            .unwrap();
+        assert_eq!(cut, keep < 300);
+        assert_eq!(out.len(), limit);
+        assert_eq!(marks.cut_into(&full, limit, &mut copy), Ok(cut));
+        assert_eq!(copy, out);
+        let parsed = Message::parse(&out).unwrap();
+        assert_eq!(parsed.header.truncated, cut);
+        assert!(parsed.edns.is_some());
+        assert_eq!(records(&parsed), keep);
+        assert_eq!(parsed.answers.len(), keep.min(200));
+        assert_eq!(parsed.additionals.len(), keep.saturating_sub(280));
+    }
+    marks.slip_into(&full, &mut copy);
+    assert_eq!(copy, out, "a slip is the cut that keeps nothing");
 }

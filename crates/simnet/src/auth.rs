@@ -3,11 +3,14 @@
 //! that *sizes* — and therefore EDNS-driven truncation and TCP fallback
 //! (§4.4) — emerge mechanistically.
 
-use dns_wire::builder::MessageBuilder;
-use dns_wire::message::Message;
-use dns_wire::name::Name;
-use dns_wire::rdata::RData;
-use dns_wire::types::{RType, Rcode};
+use crate::vantage::WireScratch;
+use dns_wire::edns::Edns;
+use dns_wire::header::Header;
+use dns_wire::message::{Message, Question};
+use dns_wire::name::{Name, ReusableCompressor};
+use dns_wire::types::{RClass, RType, Rcode};
+use dns_wire::writer::{MessageWriter, Section};
+use std::net::{Ipv4Addr, Ipv6Addr};
 use zonedb::zone::{Lookup, ZoneModel};
 
 /// An analyzed authoritative server (one NS of the vantage zone).
@@ -24,6 +27,21 @@ pub struct ServerSpec {
 /// Host labels of a delegation's name servers, in NS-set order.
 pub(crate) const NS_LABELS: [&[u8]; 3] = [b"ns1", b"ns2", b"ns3"];
 
+/// AAAA glue of a delegation's first (dual-stack) name server.
+const GLUE_V6: Ipv6Addr = Ipv6Addr::new(0x2001, 0xdb8, 0x53, 0, 0, 0, 0, 0x10);
+/// The type bitmap of the NSECs in a signed NXDOMAIN (NS SOA RRSIG NSEC DNSKEY).
+const NSEC_APEX_TYPES: [u8; 7] = [0, 6, 0x40, 0x01, 0x00, 0x00, 0x03];
+/// The type bitmap proving a delegation unsigned (NS RRSIG NSEC, no DS).
+const NSEC_UNSIGNED_TYPES: [u8; 7] = [0, 6, 0x00, 0x01, 0x00, 0x00, 0x03];
+
+/// An RRSIG's key tag, signature length and fill octet.
+type Signature = (u16, usize, u8);
+/// An RSA-1024-sized signature, the common case for TLD zones in the
+/// studied window.
+const SIG_ZSK: Signature = (20826, 128, 0x5a);
+/// A KSK-sized signature, for DNSKEY and DS RRsets.
+const SIG_KSK: Signature = (19036, 256, 0xa5);
+
 /// The responder for one zone.
 pub struct Authoritative {
     zone: ZoneModel,
@@ -33,11 +51,122 @@ pub struct Authoritative {
     pub negative_ttl: u32,
 }
 
-/// Outcome of answering one query.
+/// What the responder reads of a query: the header bits it mirrors,
+/// the question section it echoes (answering the first entry), and
+/// whether an OPT came along.
+#[derive(Clone, Copy)]
+pub struct Query<'a> {
+    /// The query's header.
+    pub header: &'a Header,
+    /// The query's question section.
+    pub questions: &'a [Question],
+    /// The DO bit of the query's OPT; `None` without EDNS.
+    pub dnssec_ok: Option<bool>,
+}
+
+impl<'a> From<&'a Message> for Query<'a> {
+    fn from(msg: &'a Message) -> Self {
+        Query {
+            header: &msg.header,
+            questions: &msg.questions,
+            dnssec_ok: msg.edns.as_ref().map(|e| e.dnssec_ok),
+        }
+    }
+}
+
+impl Query<'_> {
+    /// Start the response to this query in `wire`: header mirrored,
+    /// question section copied.
+    pub(crate) fn open<'w>(&self, rcode: Rcode, wire: &'w mut WireScratch) -> Reply<'w> {
+        let mut w = wire.response_writer(&Header::response_to(self.header, rcode));
+        for q in self.questions {
+            w.question(q);
+        }
+        Reply(w)
+    }
+
+    /// Close the response, mirroring the requestor's EDNS presence.
+    pub(crate) fn close(&self, reply: Reply<'_>) {
+        let edns = self.dnssec_ok.map(|d| Edns::with_size(4096, d));
+        reply
+            .0
+            .finish(edns.as_ref(), usize::MAX)
+            .expect("no size limit");
+    }
+}
+
+/// A response being written: [`MessageWriter`] plus the record shapes
+/// the model's answers are made of.
+pub(crate) struct Reply<'w>(MessageWriter<'w>);
+
+impl Reply<'_> {
+    fn put(
+        &mut self,
+        section: Section,
+        owner: &Name,
+        rtype: RType,
+        ttl: u32,
+        rdata: impl FnOnce(&mut ReusableCompressor, &mut Vec<u8>),
+    ) {
+        self.0
+            .record(section, owner, rtype, RClass::In, ttl, |comp, out| {
+                rdata(comp, out);
+                Ok(())
+            })
+            .expect("infallible rdata");
+    }
+
+    pub(crate) fn ns(&mut self, section: Section, owner: &Name, ttl: u32, host: &Name) {
+        self.put(section, owner, RType::Ns, ttl, |comp, out| {
+            comp.encode_name(host, out)
+        });
+    }
+
+    fn rrsig(
+        &mut self,
+        section: Section,
+        owner: &Name,
+        ttl: u32,
+        covered: RType,
+        signer: &Name,
+        (key_tag, len, fill): Signature,
+    ) {
+        self.put(section, owner, RType::Rrsig, ttl, |_, out| {
+            out.extend_from_slice(&covered.to_u16().to_be_bytes());
+            out.extend_from_slice(&[8, signer.label_count() as u8]);
+            for v in [3600u32, 1_600_000_000, 1_598_000_000] {
+                out.extend_from_slice(&v.to_be_bytes());
+            }
+            out.extend_from_slice(&key_tag.to_be_bytes());
+            // RFC 4034 §3.1.7: signer name MUST NOT be compressed.
+            signer.encode_uncompressed(out);
+            out.resize(out.len() + len, fill);
+        });
+    }
+
+    fn nsec(&mut self, owner: &Name, ttl: u32, next: &Name, types: &[u8]) {
+        self.put(Section::Authority, owner, RType::Nsec, ttl, |_, out| {
+            // RFC 4034 §4.1.1: next name MUST NOT be compressed.
+            next.encode_uncompressed(out);
+            out.extend_from_slice(types);
+        });
+    }
+
+    /// A DS record whose digest is spun out of the delegation's hash.
+    fn ds(&mut self, section: Section, owner: &Name, ttl: u32, h: u64, digest: (u8, u8)) {
+        let (digest_type, len) = digest;
+        self.put(section, owner, RType::Ds, ttl, |_, out| {
+            out.extend_from_slice(&(h as u16).to_be_bytes());
+            out.extend_from_slice(&[8, digest_type]);
+            out.extend((0..len).map(|i| (h >> (i % 8)) as u8));
+        });
+    }
+}
+
+/// Outcome of answering one query; the response itself is in the
+/// [`WireScratch`] it was written to, whole.
 pub struct Answer {
-    /// The full (pre-truncation) response message.
-    pub message: Message,
-    /// Response code (also inside the message header).
+    /// Response code (also in the written header).
     pub rcode: Rcode,
     /// TTL the resolver should cache this under.
     pub cache_ttl_secs: u32,
@@ -58,91 +187,77 @@ impl Authoritative {
         &self.zone
     }
 
-    /// Answer `query`. `signed_delegation` tells the responder whether
-    /// the delegation the qname falls under has a DS RRset (decided by
-    /// the caller from the zone model, since junk names have none).
-    pub fn respond(&self, query: &Message, signed_delegation: bool) -> Answer {
-        let Some(question) = query.question() else {
-            let msg = MessageBuilder::response(query, Rcode::FormErr).build();
+    /// Answer `query`, writing the full (pre-truncation) response into
+    /// `wire`. `signed_delegation` tells the responder whether the
+    /// delegation the qname falls under has a DS RRset (decided by the
+    /// caller from the zone model, since junk names have none).
+    pub fn respond(
+        &self,
+        query: Query<'_>,
+        signed_delegation: bool,
+        wire: &mut WireScratch,
+    ) -> Answer {
+        let Some(question) = query.questions.first() else {
+            query.close(query.open(Rcode::FormErr, wire));
             return Answer {
-                message: msg,
                 rcode: Rcode::FormErr,
                 cache_ttl_secs: 0,
             };
         };
-        let dnssec_ok = query.edns.as_ref().map(|e| e.dnssec_ok).unwrap_or(false);
+        let dnssec_ok = query.dnssec_ok.unwrap_or(false);
         let lookup = self.zone.classify(&question.qname);
+        let (rcode, cache_ttl_secs) = match lookup {
+            Lookup::NxDomain => (Rcode::NxDomain, self.negative_ttl),
+            Lookup::InZone => (Rcode::NoError, 3600),
+            Lookup::Delegated if question.qtype == RType::Ds => (Rcode::NoError, 3600),
+            Lookup::Delegated => (Rcode::NoError, self.delegation_ttl),
+        };
+        let mut reply = query.open(rcode, wire);
         match lookup {
-            Lookup::NxDomain => self.nxdomain(query, dnssec_ok),
-            Lookup::InZone => self.in_zone(query, question, dnssec_ok),
+            Lookup::NxDomain => self.nxdomain(&mut reply, dnssec_ok),
+            Lookup::InZone => self.in_zone(&mut reply, question.qtype, dnssec_ok),
             Lookup::Delegated => {
                 let delegation = self.zone.minimized_qname(&question.qname);
                 match question.qtype {
-                    RType::Ds => self.ds_answer(query, &delegation, signed_delegation, dnssec_ok),
-                    _ => self.referral(query, &delegation, signed_delegation, dnssec_ok),
+                    RType::Ds => {
+                        self.ds_answer(&mut reply, &delegation, signed_delegation, dnssec_ok)
+                    }
+                    _ => self.referral(&mut reply, &delegation, signed_delegation, dnssec_ok),
                 }
             }
+        }
+        query.close(reply);
+        Answer {
+            rcode,
+            cache_ttl_secs,
         }
     }
 
     /// NXDOMAIN: SOA in authority; NSEC + RRSIGs when DO is set. Signed
     /// negative answers are large — they push small-EDNS resolvers into
     /// truncation even on junk.
-    fn nxdomain(&self, query: &Message, dnssec_ok: bool) -> Answer {
-        let apex = self.zone.apex().clone();
-        let mut b = MessageBuilder::response(query, Rcode::NxDomain).authority(
-            apex.clone(),
-            self.negative_ttl,
-            self.soa_rdata(),
-        );
+    fn nxdomain(&self, reply: &mut Reply<'_>, dnssec_ok: bool) {
+        let apex = self.zone.apex();
+        let ttl = self.negative_ttl;
+        self.soa(reply, Section::Authority, ttl);
         if dnssec_ok {
             // RFC 4035 §3.1.3.2: a secure NXDOMAIN proves both the
             // nonexistence of the name and of a covering wildcard —
             // two NSECs, each with its RRSIG, plus the signed SOA.
-            let covering = apex.child(b"zzzy").unwrap_or_else(|_| apex.clone());
-            let wildcard = apex.child(b"aaab").unwrap_or_else(|_| apex.clone());
-            b = b
-                .authority(
-                    apex.clone(),
-                    self.negative_ttl,
-                    rrsig_for(RType::Soa, &apex),
-                )
-                .authority(
-                    covering.clone(),
-                    self.negative_ttl,
-                    RData::Nsec {
-                        next: apex.child(b"zzzz").unwrap_or_else(|_| apex.clone()),
-                        type_bitmaps: vec![0, 6, 0x40, 0x01, 0x00, 0x00, 0x03],
-                    },
-                )
-                .authority(covering, self.negative_ttl, rrsig_for(RType::Nsec, &apex))
-                .authority(
-                    wildcard.clone(),
-                    self.negative_ttl,
-                    RData::Nsec {
-                        next: apex.child(b"aaac").unwrap_or_else(|_| apex.clone()),
-                        type_bitmaps: vec![0, 6, 0x40, 0x01, 0x00, 0x00, 0x03],
-                    },
-                )
-                .authority(wildcard, self.negative_ttl, rrsig_for(RType::Nsec, &apex));
-        }
-        Answer {
-            message: b.build(),
-            rcode: Rcode::NxDomain,
-            cache_ttl_secs: self.negative_ttl,
+            reply.rrsig(Section::Authority, apex, ttl, RType::Soa, apex, SIG_ZSK);
+            for (owner, next) in [(b"zzzy", b"zzzz"), (b"aaab", b"aaac")] {
+                let owner = child(apex, owner);
+                reply.nsec(&owner, ttl, &child(apex, next), &NSEC_APEX_TYPES);
+                reply.rrsig(Section::Authority, &owner, ttl, RType::Nsec, apex, SIG_ZSK);
+            }
         }
     }
 
     /// Apex / in-zone answers (SOA, NS, DNSKEY at the apex...).
-    fn in_zone(
-        &self,
-        query: &Message,
-        question: &dns_wire::message::Question,
-        dnssec_ok: bool,
-    ) -> Answer {
-        let apex = self.zone.apex().clone();
-        let mut b = MessageBuilder::response(query, Rcode::NoError);
-        match question.qtype {
+    fn in_zone(&self, reply: &mut Reply<'_>, qtype: RType, dnssec_ok: bool) {
+        let apex = self.zone.apex();
+        let answer = Section::Answer;
+        match qtype {
             RType::Dnskey => {
                 // TLD DNSKEY RRsets in the studied window typically held
                 // a KSK + ZSK plus pre-published rollover keys, ~1.5-1.8
@@ -154,46 +269,34 @@ impl Authoritative {
                     (257, 260, 0x0b),
                     (256, 132, 0x0d),
                 ] {
-                    b = b.answer(
-                        apex.clone(),
-                        3600,
-                        RData::Dnskey {
-                            flags,
-                            protocol: 3,
-                            algorithm: 8,
-                            public_key: vec![fill; keylen],
-                        },
-                    );
+                    reply.put(answer, apex, RType::Dnskey, 3600, |_, out| {
+                        out.extend_from_slice(&flags.to_be_bytes());
+                        out.extend_from_slice(&[3, 8]);
+                        out.resize(out.len() + keylen, fill);
+                    });
                 }
                 if dnssec_ok {
-                    b = b
-                        .answer(apex.clone(), 3600, rrsig_big(RType::Dnskey, &apex))
-                        .answer(apex.clone(), 3600, rrsig_big(RType::Dnskey, &apex));
+                    for _ in 0..2 {
+                        reply.rrsig(answer, apex, 3600, RType::Dnskey, apex, SIG_KSK);
+                    }
                 }
             }
             RType::Soa => {
-                b = b.answer(apex.clone(), 3600, self.soa_rdata());
+                self.soa(reply, answer, 3600);
                 if dnssec_ok {
-                    b = b.answer(apex.clone(), 3600, rrsig_for(RType::Soa, &apex));
+                    reply.rrsig(answer, apex, 3600, RType::Soa, apex, SIG_ZSK);
                 }
             }
             RType::Ns => {
-                for i in 0..3u8 {
-                    b = b.answer(apex.clone(), 3600, RData::Ns(self.ns_name(&apex, i)));
+                for label in NS_LABELS {
+                    reply.ns(answer, apex, 3600, &child(apex, label));
                 }
                 if dnssec_ok {
-                    b = b.answer(apex.clone(), 3600, rrsig_for(RType::Ns, &apex));
+                    reply.rrsig(answer, apex, 3600, RType::Ns, apex, SIG_ZSK);
                 }
             }
-            _ => {
-                // NODATA: NOERROR with SOA in authority
-                b = b.authority(apex.clone(), self.negative_ttl, self.soa_rdata());
-            }
-        }
-        Answer {
-            message: b.build(),
-            rcode: Rcode::NoError,
-            cache_ttl_secs: 3600,
+            // NODATA: NOERROR with SOA in authority
+            _ => self.soa(reply, Section::Authority, self.negative_ttl),
         }
     }
 
@@ -201,187 +304,92 @@ impl Authoritative {
     /// glue in additional, and — for signed delegations under DO — the
     /// DS record plus its RRSIG. This is the answer shape whose size
     /// interacts with Figure 6's EDNS distributions.
-    fn referral(
-        &self,
-        query: &Message,
-        delegation: &Name,
-        signed: bool,
-        dnssec_ok: bool,
-    ) -> Answer {
-        let mut b = MessageBuilder::response(query, Rcode::NoError);
-        let ns_count = 2 + (hash_name(delegation) % 2) as u8; // 2-3 NS records
-        for i in 0..ns_count {
-            let ns = self.ns_name(delegation, i);
-            b = b.authority(
-                delegation.clone(),
+    fn referral(&self, reply: &mut Reply<'_>, delegation: &Name, signed: bool, dnssec_ok: bool) {
+        let apex = self.zone.apex();
+        let authority = Section::Authority;
+        let h = hash_name(delegation);
+        let hosts = NS_LABELS.map(|label| child(delegation, label));
+        let hosts = &hosts[..2 + (h % 2) as usize]; // 2-3 NS records
+        for host in hosts {
+            reply.ns(authority, delegation, self.delegation_ttl, host);
+        }
+        if dnssec_ok && signed {
+            // the common operational DS RRset: SHA-256 + SHA-384
+            // digests plus a 2048-bit signature — what pushes the
+            // signed referral past 512 octets
+            let ttl = self.delegation_ttl;
+            reply.ds(authority, delegation, ttl, h, DS_SHA256);
+            reply.ds(authority, delegation, ttl, h.rotate_left(17), DS_SHA384);
+            reply.rrsig(authority, delegation, ttl, RType::Ds, apex, SIG_KSK);
+        } else if dnssec_ok {
+            // proof of unsigned delegation: NSEC + RRSIG
+            let ttl = self.negative_ttl;
+            reply.nsec(delegation, ttl, delegation, &NSEC_UNSIGNED_TYPES);
+            reply.rrsig(authority, delegation, ttl, RType::Nsec, apex, SIG_ZSK);
+        }
+        // in-bailiwick NS hosts get A glue; the first is dual-stack
+        for (i, host) in hosts.iter().enumerate() {
+            let v4 = Ipv4Addr::new(192, 0, 2, 10 + i as u8);
+            reply.put(
+                Section::Additional,
+                host,
+                RType::A,
                 self.delegation_ttl,
-                RData::Ns(ns.clone()),
-            );
-            // in-bailiwick NS hosts get A glue; the first is dual-stack
-            b = b.additional(
-                ns.clone(),
-                self.delegation_ttl,
-                RData::A(std::net::Ipv4Addr::new(192, 0, 2, 10 + i)),
+                |_, out| out.extend_from_slice(&v4.octets()),
             );
             if i == 0 {
-                b = b.additional(
-                    ns,
+                reply.put(
+                    Section::Additional,
+                    host,
+                    RType::Aaaa,
                     self.delegation_ttl,
-                    RData::Aaaa("2001:db8:53::10".parse().expect("static")),
+                    |_, out| out.extend_from_slice(&GLUE_V6.octets()),
                 );
             }
-        }
-        if dnssec_ok {
-            if signed {
-                // the common operational DS RRset: SHA-256 + SHA-384
-                // digests plus a 2048-bit signature — what pushes the
-                // signed referral past 512 octets
-                b = b
-                    .authority(
-                        delegation.clone(),
-                        self.delegation_ttl,
-                        ds_rdata(delegation),
-                    )
-                    .authority(
-                        delegation.clone(),
-                        self.delegation_ttl,
-                        ds_rdata_sha384(delegation),
-                    )
-                    .authority(
-                        delegation.clone(),
-                        self.delegation_ttl,
-                        rrsig_big(RType::Ds, self.zone.apex()),
-                    );
-            } else {
-                // proof of unsigned delegation: NSEC + RRSIG
-                b = b
-                    .authority(
-                        delegation.clone(),
-                        self.negative_ttl,
-                        RData::Nsec {
-                            next: delegation.clone(),
-                            type_bitmaps: vec![0, 6, 0x00, 0x01, 0x00, 0x00, 0x03],
-                        },
-                    )
-                    .authority(
-                        delegation.clone(),
-                        self.negative_ttl,
-                        rrsig_for(RType::Nsec, self.zone.apex()),
-                    );
-            }
-        }
-        Answer {
-            message: b.build(),
-            rcode: Rcode::NoError,
-            cache_ttl_secs: self.delegation_ttl,
         }
     }
 
     /// An authoritative DS answer (the parent owns DS).
-    fn ds_answer(
-        &self,
-        query: &Message,
-        delegation: &Name,
-        signed: bool,
-        dnssec_ok: bool,
-    ) -> Answer {
-        let mut b = MessageBuilder::response(query, Rcode::NoError);
-        if signed {
-            b = b.answer(delegation.clone(), 3600, ds_rdata(delegation));
-            if dnssec_ok {
-                b = b.answer(
-                    delegation.clone(),
-                    3600,
-                    rrsig_for(RType::Ds, self.zone.apex()),
-                );
-            }
-        } else {
+    fn ds_answer(&self, reply: &mut Reply<'_>, delegation: &Name, signed: bool, dnssec_ok: bool) {
+        if !signed {
             // NODATA + SOA (no DS exists)
-            b = b.authority(
-                self.zone.apex().clone(),
-                self.negative_ttl,
-                self.soa_rdata(),
-            );
+            return self.soa(reply, Section::Authority, self.negative_ttl);
         }
-        Answer {
-            message: b.build(),
-            rcode: Rcode::NoError,
-            cache_ttl_secs: 3600,
-        }
-    }
-
-    fn soa_rdata(&self) -> RData {
         let apex = self.zone.apex();
-        RData::Soa {
-            mname: self.ns_name(apex, 0),
-            rname: apex.child(b"hostmaster").unwrap_or_else(|_| apex.clone()),
-            serial: 2020041101,
-            refresh: 3600,
-            retry: 600,
-            expire: 2_419_200,
-            minimum: self.negative_ttl,
+        reply.ds(
+            Section::Answer,
+            delegation,
+            3600,
+            hash_name(delegation),
+            DS_SHA256,
+        );
+        if dnssec_ok {
+            reply.rrsig(Section::Answer, delegation, 3600, RType::Ds, apex, SIG_ZSK);
         }
     }
 
-    /// Deterministic NS host names for a delegation.
-    fn ns_name(&self, delegation: &Name, i: u8) -> Name {
-        delegation
-            .child(NS_LABELS[i as usize])
-            .unwrap_or_else(|_| delegation.clone())
+    /// The apex SOA.
+    fn soa(&self, reply: &mut Reply<'_>, section: Section, ttl: u32) {
+        let apex = self.zone.apex();
+        let (mname, rname) = (child(apex, NS_LABELS[0]), child(apex, b"hostmaster"));
+        reply.put(section, apex, RType::Soa, ttl, |comp, out| {
+            comp.encode_name(&mname, out);
+            comp.encode_name(&rname, out);
+            for v in [2020041101, 3600, 600, 2_419_200, self.negative_ttl] {
+                out.extend_from_slice(&v.to_be_bytes());
+            }
+        });
     }
 }
 
-/// A DS record with SHA-256-sized digest.
-fn ds_rdata(delegation: &Name) -> RData {
-    let h = hash_name(delegation);
-    RData::Ds {
-        key_tag: (h & 0xffff) as u16,
-        algorithm: 8,
-        digest_type: 2,
-        digest: (0..32).map(|i| ((h >> (i % 8)) & 0xff) as u8).collect(),
-    }
-}
+/// A DS digest type and its length: SHA-256.
+const DS_SHA256: (u8, u8) = (2, 32);
+/// The companion SHA-384 digest registrars commonly publish.
+const DS_SHA384: (u8, u8) = (4, 48);
 
-/// The companion SHA-384 DS record registrars commonly publish.
-fn ds_rdata_sha384(delegation: &Name) -> RData {
-    let h = hash_name(delegation).rotate_left(17);
-    RData::Ds {
-        key_tag: (h & 0xffff) as u16,
-        algorithm: 8,
-        digest_type: 4,
-        digest: (0..48).map(|i| ((h >> (i % 8)) & 0xff) as u8).collect(),
-    }
-}
-
-/// An RSA-1024-sized RRSIG (128-byte signature), the common case for
-/// TLD zones in the studied window.
-fn rrsig_for(covered: RType, signer: &Name) -> RData {
-    RData::Rrsig {
-        type_covered: covered,
-        algorithm: 8,
-        labels: signer.label_count() as u8,
-        original_ttl: 3600,
-        expiration: 1_600_000_000,
-        inception: 1_598_000_000,
-        key_tag: 20826,
-        signer: signer.clone(),
-        signature: vec![0x5a; 128],
-    }
-}
-
-/// A KSK-sized RRSIG (256-byte signature) for DNSKEY answers.
-fn rrsig_big(covered: RType, signer: &Name) -> RData {
-    RData::Rrsig {
-        type_covered: covered,
-        algorithm: 8,
-        labels: signer.label_count() as u8,
-        original_ttl: 3600,
-        expiration: 1_600_000_000,
-        inception: 1_598_000_000,
-        key_tag: 19036,
-        signer: signer.clone(),
-        signature: vec![0xa5; 256],
-    }
+/// `label.parent`, or `parent` itself where that would be too long.
+fn child(parent: &Name, label: &[u8]) -> Name {
+    parent.child(label).unwrap_or_else(|_| parent.clone())
 }
 
 fn hash_name(name: &Name) -> u64 {
@@ -396,6 +404,7 @@ fn hash_name(name: &Name) -> u64 {
 mod tests {
     use super::*;
     use dns_wire::builder::MessageBuilder;
+    use proptest::prelude::*;
 
     fn zone() -> ZoneModel {
         ZoneModel::nl(1000)
@@ -409,19 +418,26 @@ mod tests {
         b.build()
     }
 
+    /// Answer `q` and parse what was written.
+    fn respond(auth: &Authoritative, q: &Message, signed: bool) -> (Answer, Message, Vec<u8>) {
+        let mut wire = WireScratch::default();
+        let a = auth.respond(q.into(), signed, &mut wire);
+        let bytes = wire.response().bytes.to_vec();
+        let message = Message::parse(&bytes).expect("written responses parse");
+        assert_eq!(message.header.rcode, a.rcode);
+        (a, message, bytes)
+    }
+
     #[test]
     fn referral_for_registered_domain() {
         let auth = Authoritative::new(zone());
         let d = auth.zone().registered_domain(7);
         let q = query(&d, RType::A, Some((1232, false)));
-        let a = auth.respond(&q, true);
+        let (a, message, _) = respond(&auth, &q, true);
         assert_eq!(a.rcode, Rcode::NoError);
-        assert!(
-            a.message.answers.is_empty(),
-            "referral has no answer section"
-        );
-        assert!(a.message.authorities.iter().all(|r| r.rtype() == RType::Ns));
-        assert!(a.message.authorities.len() >= 2);
+        assert!(message.answers.is_empty(), "referral has no answer section");
+        assert!(message.authorities.iter().all(|r| r.rtype() == RType::Ns));
+        assert!(message.authorities.len() >= 2);
         assert_eq!(a.cache_ttl_secs, 3600);
     }
 
@@ -430,14 +446,13 @@ mod tests {
         let auth = Authoritative::new(zone());
         let d = auth.zone().registered_domain(7);
         let q = query(&d, RType::A, Some((1232, true)));
-        let a = auth.respond(&q, true);
-        let types: Vec<RType> = a.message.authorities.iter().map(|r| r.rtype()).collect();
+        let (_, message, signed) = respond(&auth, &q, true);
+        let types: Vec<RType> = message.authorities.iter().map(|r| r.rtype()).collect();
         assert!(types.contains(&RType::Ds));
         assert!(types.contains(&RType::Rrsig));
         // and is substantially larger than the unsigned one
-        let plain = auth.respond(&query(&d, RType::A, Some((1232, false))), true);
-        let signed_len = a.message.encode().unwrap().len();
-        let plain_len = plain.message.encode().unwrap().len();
+        let (_, _, plain) = respond(&auth, &query(&d, RType::A, Some((1232, false))), true);
+        let (signed_len, plain_len) = (signed.len(), plain.len());
         assert!(signed_len > plain_len + 150, "{signed_len} vs {plain_len}");
     }
 
@@ -445,8 +460,8 @@ mod tests {
     fn unsigned_delegation_with_do_gets_nsec_proof() {
         let auth = Authoritative::new(zone());
         let d = auth.zone().registered_domain(7);
-        let a = auth.respond(&query(&d, RType::A, Some((4096, true))), false);
-        let types: Vec<RType> = a.message.authorities.iter().map(|r| r.rtype()).collect();
+        let (_, message, _) = respond(&auth, &query(&d, RType::A, Some((4096, true))), false);
+        let types: Vec<RType> = message.authorities.iter().map(|r| r.rtype()).collect();
         assert!(types.contains(&RType::Nsec));
         assert!(!types.contains(&RType::Ds));
     }
@@ -455,10 +470,9 @@ mod tests {
     fn nxdomain_for_junk() {
         let auth = Authoritative::new(zone());
         let junk: Name = "zzz9qqq.nl.".parse().unwrap();
-        let a = auth.respond(&query(&junk, RType::A, Some((512, false))), false);
+        let (a, message, _) = respond(&auth, &query(&junk, RType::A, Some((512, false))), false);
         assert_eq!(a.rcode, Rcode::NxDomain);
-        assert!(a.message.header.rcode == Rcode::NxDomain);
-        assert_eq!(a.message.authorities.len(), 1, "just the SOA");
+        assert_eq!(message.authorities.len(), 1, "just the SOA");
         assert_eq!(a.cache_ttl_secs, 900);
     }
 
@@ -466,10 +480,9 @@ mod tests {
     fn signed_nxdomain_is_large() {
         let auth = Authoritative::new(zone());
         let junk: Name = "zzz9qqq.nl.".parse().unwrap();
-        let plain = auth.respond(&query(&junk, RType::A, Some((4096, false))), false);
-        let signed = auth.respond(&query(&junk, RType::A, Some((4096, true))), false);
-        let p = plain.message.encode().unwrap().len();
-        let s = signed.message.encode().unwrap().len();
+        let (_, _, plain) = respond(&auth, &query(&junk, RType::A, Some((4096, false))), false);
+        let (_, _, signed) = respond(&auth, &query(&junk, RType::A, Some((4096, true))), false);
+        let (p, s) = (plain.len(), signed.len());
         assert!(s > p + 250, "{s} vs {p}");
         assert!(s > 512, "signed NXDOMAIN must not fit 512B");
     }
@@ -478,8 +491,12 @@ mod tests {
     fn dnskey_answer_exceeds_1232() {
         let auth = Authoritative::new(zone());
         let apex = auth.zone().apex().clone();
-        let a = auth.respond(&query(&apex, RType::Dnskey, Some((4096, true))), true);
-        let len = a.message.encode().unwrap().len();
+        let (_, _, bytes) = respond(
+            &auth,
+            &query(&apex, RType::Dnskey, Some((4096, true))),
+            true,
+        );
+        let len = bytes.len();
         assert!(len > 1232, "DNSKEY+RRSIG = {len} must truncate at 1232");
         assert!(len < 4096);
     }
@@ -488,12 +505,12 @@ mod tests {
     fn ds_query_answered_from_parent() {
         let auth = Authoritative::new(zone());
         let d = auth.zone().registered_domain(3);
-        let a = auth.respond(&query(&d, RType::Ds, Some((1232, true))), true);
+        let (a, message, _) = respond(&auth, &query(&d, RType::Ds, Some((1232, true))), true);
         assert_eq!(a.rcode, Rcode::NoError);
-        assert_eq!(a.message.answers[0].rtype(), RType::Ds);
+        assert_eq!(message.answers[0].rtype(), RType::Ds);
         // unsigned delegation: NODATA
-        let a = auth.respond(&query(&d, RType::Ds, Some((1232, true))), false);
-        assert!(a.message.answers.is_empty());
+        let (a, message, _) = respond(&auth, &query(&d, RType::Ds, Some((1232, true))), false);
+        assert!(message.answers.is_empty());
         assert_eq!(a.rcode, Rcode::NoError);
     }
 
@@ -501,10 +518,10 @@ mod tests {
     fn apex_soa_and_ns() {
         let auth = Authoritative::new(zone());
         let apex = auth.zone().apex().clone();
-        let a = auth.respond(&query(&apex, RType::Soa, None), true);
-        assert_eq!(a.message.answers[0].rtype(), RType::Soa);
-        let a = auth.respond(&query(&apex, RType::Ns, None), true);
-        assert_eq!(a.message.answers.len(), 3);
+        let (_, message, _) = respond(&auth, &query(&apex, RType::Soa, None), true);
+        assert_eq!(message.answers[0].rtype(), RType::Soa);
+        let (_, message, _) = respond(&auth, &query(&apex, RType::Ns, None), true);
+        assert_eq!(message.answers.len(), 3);
     }
 
     #[test]
@@ -512,10 +529,8 @@ mod tests {
         let auth = Authoritative::new(zone());
         let d = auth.zone().registered_domain(1);
         for (qt, signed) in [(RType::A, true), (RType::Ds, true), (RType::Mx, false)] {
-            let a = auth.respond(&query(&d, qt, Some((1232, true))), signed);
-            let bytes = a.message.encode().unwrap();
-            let parsed = Message::parse(&bytes).unwrap();
-            assert_eq!(parsed, a.message);
+            let (_, message, bytes) = respond(&auth, &query(&d, qt, Some((1232, true))), signed);
+            assert_eq!(message.encode().unwrap(), bytes);
         }
     }
 
@@ -524,11 +539,23 @@ mod tests {
         let auth = Authoritative::new(zone());
         let d = auth.zone().registered_domain(11);
         let q = query(&d, RType::A, Some((512, true)));
-        let a = auth.respond(&q, true);
-        let full = a.message.encode().unwrap().len();
-        let (bytes, truncated) = a.message.encode_with_limit(512).unwrap();
-        assert!(truncated, "signed referral must exceed 512 (got {full})");
-        let parsed = Message::parse(&bytes).unwrap();
+        let mut wire = WireScratch::default();
+        auth.respond((&q).into(), true, &mut wire);
+        let full = wire.response().bytes.len();
+        let reply = crate::vantage::shape_udp::<crate::rrl::RateLimiter>(
+            wire.response(),
+            512,
+            "192.0.2.1".parse().unwrap(),
+            netbase::time::SimTime(0),
+            None,
+        )
+        .expect("no limiter, no drop");
+        assert!(
+            reply.truncated,
+            "signed referral must exceed 512 (got {full})"
+        );
+        assert!(reply.bytes.len() <= 512);
+        let parsed = Message::parse(&reply.bytes).unwrap();
         assert!(parsed.header.truncated);
     }
 
@@ -537,7 +564,107 @@ mod tests {
         let auth = Authoritative::new(zone());
         let mut q = MessageBuilder::query(1, Name::root(), RType::A).build();
         q.questions.clear();
-        let a = auth.respond(&q, false);
+        let (a, message, _) = respond(&auth, &q, false);
         assert_eq!(a.rcode, Rcode::FormErr);
+        assert!(message.questions.is_empty());
+    }
+
+    /// `name` with the case of its letters flipped where `flips` has a
+    /// bit set: what a 0x20-mixing resolver sends.
+    fn recase(name: &Name, flips: u64) -> Name {
+        let mut wire = name.as_wire().to_vec();
+        let mut pos = 0;
+        while wire[pos] != 0 {
+            let end = pos + 1 + wire[pos] as usize;
+            for (j, b) in wire[pos + 1..end].iter_mut().enumerate() {
+                if b.is_ascii_alphabetic() && flips >> ((pos + j) % 64) & 1 == 1 {
+                    *b ^= 0x20;
+                }
+            }
+            pos = end;
+        }
+        Name::parse(&wire, 0).unwrap().0
+    }
+
+    proptest! {
+        /// Whatever is asked, the written response is a well-formed
+        /// message with the shape the model promises: it parses,
+        /// `Message::encode` lays the parsed form out in the same
+        /// bytes, and the UDP cut of the written bytes is the cut
+        /// `Message::encode_with_limit` makes.
+        #[test]
+        fn written_responses_are_the_messages_they_claim(
+            kind in 0usize..5,
+            idx in 0u64..1000,
+            flips in any::<u64>(),
+            qtype in 0usize..7,
+            edns in 0usize..4,
+            do_bit in any::<bool>(),
+            signed in any::<bool>(),
+        ) {
+            use RType::*;
+            let qtype = [A, Aaaa, Ns, Ds, Dnskey, Soa, Mx][qtype];
+            let edns = [None, Some(512u16), Some(1232), Some(4096)][edns];
+            let auth = Authoritative::new(zone());
+            let apex = auth.zone().apex();
+            let domain = auth.zone().registered_domain(idx);
+            let qname = match kind {
+                0 => apex.clone(),
+                1 => domain.clone(),
+                2 => child(&child(&domain, b"cdn-7"), b"www"),
+                3 => child(apex, format!("zzz9qqq{idx}").as_bytes()),
+                _ => "out.of-zone.example.".parse().unwrap(),
+            };
+            let q = query(&recase(&qname, flips), qtype, edns.map(|size| (size, do_bit)));
+            let dnssec = edns.is_some() && do_bit;
+            let mut wire = WireScratch::default();
+            let a = auth.respond((&q).into(), signed, &mut wire);
+            let full = wire.response().bytes;
+            let message = Message::parse(full).expect("written responses parse");
+            prop_assert_eq!(&message.encode().unwrap(), full);
+            prop_assert_eq!(&message.questions, &q.questions);
+            prop_assert_eq!(
+                message.edns.as_ref().map(|e| e.dnssec_ok),
+                edns.map(|_| do_bit)
+            );
+
+            let d = dnssec as usize;
+            let referral_hosts = message.additionals.len().saturating_sub(1);
+            let (rcode, counts) = match (kind, qtype) {
+                (0, Dnskey) => (Rcode::NoError, [4 + 2 * d, 0, 0]),
+                (0, Soa) => (Rcode::NoError, [1 + d, 0, 0]),
+                (0, Ns) => (Rcode::NoError, [3 + d, 0, 0]),
+                (0, _) => (Rcode::NoError, [0, 1, 0]),
+                (1 | 2, Ds) if signed => (Rcode::NoError, [1 + d, 0, 0]),
+                (1 | 2, Ds) => (Rcode::NoError, [0, 1, 0]),
+                (1 | 2, _) => {
+                    prop_assert!((2..=3).contains(&referral_hosts));
+                    let proof = if signed { 3 } else { 2 };
+                    (Rcode::NoError, [0, referral_hosts + d * proof, referral_hosts + 1])
+                }
+                _ => (Rcode::NxDomain, [0, 1 + 5 * d, 0]),
+            };
+            prop_assert_eq!((a.rcode, message.header.rcode), (rcode, rcode));
+            prop_assert_eq!(
+                [message.answers.len(), message.authorities.len(), message.additionals.len()],
+                counts
+            );
+
+            let limit = edns.unwrap_or(0).max(512) as usize;
+            let reply = crate::vantage::shape_udp::<crate::rrl::RateLimiter>(
+                wire.response(),
+                edns.unwrap_or(0),
+                "192.0.2.1".parse().unwrap(),
+                netbase::time::SimTime(0),
+                None,
+            )
+            .expect("no limiter, no drop");
+            prop_assert!(reply.bytes.len() <= limit);
+            prop_assert_eq!(reply.truncated, full.len() > limit);
+            prop_assert_eq!(
+                (reply.bytes, reply.truncated),
+                message.encode_with_limit(limit).unwrap()
+            );
+        }
     }
 }

@@ -59,8 +59,7 @@ pub struct PlannedQuery {
 pub struct Driver {
     engine: Engine,
     rng: StdRng,
-    /// The encoder every planned query goes through, as a slice's does
-    /// offline.
+    /// Where every planned query is written, as a slice's are offline.
     wire: WireScratch,
     fleet_cum: Vec<f64>,
     caches: Vec<HashMap<u32, ResolverCache>>,
@@ -157,11 +156,11 @@ impl Driver {
         let sent = engine.demand(fleet, t, want_junk, caches, rng, |rng, ask| {
             // the engine's query, and the direct-TCP coin its recorder
             // tosses when it records the exchange
-            let mut query = engine.build_query(ask, rng);
+            let query = engine.build_query(ask, rng, wire);
             let tcp_extra = fleet.spec.tcp_extra_at(ask.resolver.site as usize);
             pending.push_back(PlannedQuery {
-                wire: wire.encode(&query.message).to_vec(),
-                qname: query.message.questions.swap_remove(0).qname,
+                wire: wire.query().to_vec(),
+                qname: query.question.qname,
                 qtype: ask.qtype,
                 src: query.src_ip,
                 dst: query.dst_ip,

@@ -44,7 +44,7 @@
 //! - **`.nz` Q-min walks probe twice** (`co.nz NS` + `label.co.nz NS`)
 //!   where the calibrated rewrite emits one minimized probe.
 
-use crate::auth::{Answer, Authoritative, ServerSpec, NS_LABELS};
+use crate::auth::{Authoritative, Query, ServerSpec, NS_LABELS};
 use crate::engine::{mix_case_0x20, name_key, pick_qtype, slice_seed, DatasetStats, Engine};
 use crate::fleet::{Fleet, Resolver as FleetResolver};
 use crate::plan::{self, SlotPlan, Steering};
@@ -57,6 +57,7 @@ use dns_wire::message::Message;
 use dns_wire::name::Name;
 use dns_wire::rdata::RData;
 use dns_wire::types::{RType, Rcode};
+use dns_wire::writer::Section;
 use netbase::capture::{CaptureRecord, RecordSink};
 use netbase::flow::IpVersion;
 use netbase::time::{SimDuration, SimTime};
@@ -165,7 +166,7 @@ pub struct SimTransport<'a> {
     pub rng: StdRng,
     /// Response rate limiter, when the dataset enables RRL.
     pub rrl: Option<RateLimiter>,
-    /// The encoder every recorded message of the slot goes through.
+    /// Where every recorded message of the slot is written.
     wire: WireScratch,
     /// Records captured at the vantage this slot.
     pub buf: Vec<CaptureRecord>,
@@ -244,18 +245,21 @@ impl<'a> SimTransport<'a> {
     /// During an incident window the vantage answers queries for the
     /// affected domains with a *glueless* referral whose only NS host
     /// lives under the other affected domain — the mutual dependency
-    /// that makes resolution cycle (Pappas et al. 2004).
+    /// that makes resolution cycle (Pappas et al. 2004). Written into
+    /// the transport's wire scratch when it applies.
     fn incident_referral(
-        &self,
+        &mut self,
         qname: &Name,
         qtype: RType,
         t: SimTime,
-        query: &Message,
-    ) -> Option<Answer> {
+        query: Query<'_>,
+    ) -> bool {
         if qtype == RType::Ds {
-            return None;
+            return false;
         }
-        let idx = self.zone.delegation_index(qname)?;
+        let Some(idx) = self.zone.delegation_index(qname) else {
+            return false;
+        };
         for incident in self.incidents {
             let Incident::CyclicDependency {
                 start,
@@ -270,17 +274,18 @@ impl<'a> SimTransport<'a> {
                 let other = self.zone.registered_domain(domain_indices[1 - pos]);
                 let ns = other.child(b"ns").unwrap_or_else(|_| other.clone());
                 let delegation = self.zone.minimized_qname(qname);
-                let message = MessageBuilder::response(query, Rcode::NoError)
-                    .authority(delegation, self.auth.delegation_ttl, RData::Ns(ns))
-                    .build();
-                return Some(Answer {
-                    message,
-                    rcode: Rcode::NoError,
-                    cache_ttl_secs: self.auth.delegation_ttl,
-                });
+                let mut reply = query.open(Rcode::NoError, &mut self.wire);
+                reply.ns(
+                    Section::Authority,
+                    &delegation,
+                    self.auth.delegation_ttl,
+                    &ns,
+                );
+                query.close(reply);
+                return true;
             }
         }
-        None
+        false
     }
 
     /// One recorded exchange at the vantage, driven by the resolver's
@@ -301,40 +306,34 @@ impl<'a> SimTransport<'a> {
         };
         let qname = &question.qname;
         let t = self.now();
-        let signed = self
-            .zone
-            .delegation_index(qname)
-            .map(|i| self.zone.is_signed(i))
-            .unwrap_or(false);
-        let answer = match self.incident_referral(qname, question.qtype, t, query) {
-            Some(a) => a,
-            None => self.auth.respond(query, signed),
-        };
+        self.wire
+            .write_query(&query.header, question, query.edns.as_ref());
+        if !self.incident_referral(qname, question.qtype, t, query.into()) {
+            let signed = self
+                .zone
+                .delegation_index(qname)
+                .map(|i| self.zone.is_signed(i))
+                .unwrap_or(false);
+            self.auth.respond(query.into(), signed, &mut self.wire);
+        }
         if let Some(h) = self.rtt_hists.get(si) {
             h.record(rtt_us as u64);
         }
 
-        // The wire records carry the 0x20-mixed name; the resolver-side
-        // message keeps the clean name so Name equality in the walk is
-        // unaffected (real resolvers compare case-insensitively).
-        let mixed = mix.then(|| {
-            let wire_qname = mix_case_0x20(qname, &mut self.rng);
-            let mut q = query.clone();
-            let mut r = answer.message.clone();
-            q.questions[0].qname = wire_qname.clone();
-            if let Some(rq) = r.questions.first_mut() {
-                rq.qname = wire_qname;
-            }
-            (q, r)
-        });
-        let (wire_query, wire_response) = match &mixed {
-            Some((q, r)) => (q, r),
-            None => (query, &answer.message),
-        };
+        // The resolver is handed what a socket would hand it: the
+        // written bytes, parsed. It keeps the clean name, so Name
+        // equality in the walk is unaffected (real resolvers compare
+        // case-insensitively); the wire records carry the 0x20-mixed one.
+        let message = Message::parse(self.wire.response().bytes).expect("written responses parse");
+        if mix {
+            let mixed = mix_case_0x20(qname, &mut self.rng);
+            self.wire.respell_qname(mixed.as_wire());
+        }
         let recorded = vantage::record(
             &vantage::Exchange {
-                query: wire_query,
-                response: wire_response,
+                query: self.wire.query(),
+                response: self.wire.response(),
+                edns_size: query.edns.as_ref().map_or(0, |e| e.udp_payload_size),
                 src_ip,
                 dst_ip,
                 rtt_us,
@@ -343,7 +342,6 @@ impl<'a> SimTransport<'a> {
             },
             &mut self.rng,
             self.rrl.as_mut(),
-            &mut self.wire,
             &mut self.buf,
             &mut self.stats,
         );
@@ -363,10 +361,7 @@ impl<'a> SimTransport<'a> {
             Recorded::UdpThenTcp => 3 * rtt + TCP_RETRY_GAP_US,
         };
         self.elapsed = self.elapsed + SimDuration::from_micros(walk_cost + HOP_GAP_US);
-        Exchange::Answer {
-            message: answer.message,
-            rtt_us,
-        }
+        Exchange::Answer { message, rtt_us }
     }
 
     /// A leaf (registrant) nameserver's answer: synthetic, unrecorded.

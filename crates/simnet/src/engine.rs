@@ -8,7 +8,7 @@
 //! absorbed by resolver caches, just as real vantage points only see
 //! the cache-miss shadow of user demand.
 
-use crate::auth::Authoritative;
+use crate::auth::{Authoritative, Query};
 use crate::fleet::{sample_dist, splitmix, Fleet, Resolver};
 use crate::plan::{self, SlotPlan};
 use crate::profile::FleetSpec;
@@ -17,8 +17,9 @@ use crate::rrl::RateLimiter;
 use crate::scenario::{DatasetSpec, Scale};
 use crate::vantage::{self, WireScratch};
 use asdb::synth::{InternetPlan, PlanConfig};
-use dns_wire::builder::MessageBuilder;
-use dns_wire::message::Message;
+use dns_wire::edns::Edns;
+use dns_wire::header::Header;
+use dns_wire::message::Question;
 use dns_wire::name::Name;
 use dns_wire::types::RType;
 use netbase::capture::{CaptureRecord, CaptureWriter, RecordSink};
@@ -491,12 +492,17 @@ impl Engine {
         emitted
     }
 
-    /// Build the wire query for `ask`: server and address family by the
-    /// resolver's RTT preference, 0x20 case randomization (the
+    /// Write the query for `ask` into `wire`: server and address family
+    /// by the resolver's RTT preference, 0x20 case randomization (the
     /// anti-spoofing measure some CPs apply; the analysis side treats
     /// names case-insensitively), a random id, the resolver's EDNS
     /// parameters. Draws from `rng` in that order.
-    pub(crate) fn build_query(&self, ask: &Ask, rng: &mut StdRng) -> BuiltQuery {
+    pub(crate) fn build_query(
+        &self,
+        ask: &Ask,
+        rng: &mut StdRng,
+        wire: &mut WireScratch,
+    ) -> BuiltQuery {
         let resolver = ask.resolver;
         let server_count = self.spec.servers.len();
         let (server, family) = choose_server_family(&ask.fleet.spec, resolver, server_count, rng);
@@ -510,29 +516,41 @@ impl Engine {
         } else {
             ask.qname.clone()
         };
-        let mut builder = MessageBuilder::query(rng.gen(), wire_qname, ask.qtype);
-        if resolver.edns_size > 0 {
-            builder = builder.with_edns(resolver.edns_size, resolver.do_bit);
-        }
-        BuiltQuery {
-            message: builder.build(),
+        let built = BuiltQuery {
+            header: Header::request(rng.gen()),
+            question: Question::new(wire_qname, ask.qtype),
+            dnssec_ok: (resolver.edns_size > 0).then_some(resolver.do_bit),
             src_ip: resolver.addr_for(family),
             dst_ip,
             server,
-        }
+        };
+        let edns = built
+            .dnssec_ok
+            .map(|do_bit| Edns::with_size(resolver.edns_size, do_bit));
+        wire.write_query(&built.header, &built.question, edns.as_ref());
+        built
     }
 
     /// Answer `ask` at the vantage and record the exchange (plus the
     /// TCP fallback if the UDP response truncates). Returns query
     /// records written.
     fn emit_exchange(&self, ask: &Ask, rng: &mut StdRng, s: &mut SliceState) -> u64 {
-        let query = self.build_query(ask, rng);
-        let answer = self.auth.respond(&query.message, ask.signed);
+        let query = self.build_query(ask, rng, &mut s.wire);
         let resolver = ask.resolver;
+        self.auth.respond(
+            Query {
+                header: &query.header,
+                questions: std::slice::from_ref(&query.question),
+                dnssec_ok: query.dnssec_ok,
+            },
+            ask.signed,
+            &mut s.wire,
+        );
         let queries = vantage::record(
             &vantage::Exchange {
-                query: &query.message,
-                response: &answer.message,
+                query: s.wire.query(),
+                response: s.wire.response(),
+                edns_size: resolver.edns_size,
                 src_ip: query.src_ip,
                 dst_ip: query.dst_ip,
                 rtt_us: resolver.rtt_us(query.server, IpVersion::of(query.src_ip)),
@@ -541,7 +559,6 @@ impl Engine {
             },
             rng,
             s.rrl.as_mut(),
-            &mut s.wire,
             &mut s.buf,
             &mut s.stats,
         )
@@ -567,9 +584,13 @@ pub(crate) struct Ask<'a> {
     pub(crate) at: SimTime,
 }
 
-/// [`Engine::build_query`]'s result: the message and its logical flow.
+/// [`Engine::build_query`]'s result: what the written query says and
+/// its logical flow.
 pub(crate) struct BuiltQuery {
-    pub(crate) message: Message,
+    pub(crate) header: Header,
+    pub(crate) question: Question,
+    /// The DO bit of its OPT; `None` when the resolver sends no EDNS.
+    pub(crate) dnssec_ok: Option<bool>,
     pub(crate) src_ip: IpAddr,
     pub(crate) dst_ip: IpAddr,
     /// Index of the chosen server in the dataset's server list.

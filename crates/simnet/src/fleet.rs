@@ -29,9 +29,19 @@ pub struct Resolver {
     pub do_bit: bool,
     /// Applies 0x20 case randomization to outgoing qnames.
     pub mix_case: bool,
-    /// Per-server RTTs in microseconds, in one allocation: every server
-    /// over IPv4, then every server over IPv6.
-    rtts_us: Vec<u32>,
+    /// Per-server RTTs in microseconds, held inline.
+    rtts_us: RttTable,
+}
+
+/// Most servers a dataset analyzes (`.nz` lists six).
+const MAX_SERVERS: usize = 6;
+
+/// A resolver's RTT to every server: the first `servers` entries over
+/// IPv4, the next `servers` over IPv6.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RttTable {
+    us: [u32; 2 * MAX_SERVERS],
+    servers: usize,
 }
 
 impl Resolver {
@@ -56,10 +66,10 @@ impl Resolver {
 
     /// RTT to `server` over `version`, in microseconds.
     pub fn rtt_us(&self, server: usize, version: IpVersion) -> u32 {
-        let (v4, v6) = self.rtts_us.split_at(self.rtts_us.len() / 2);
+        let RttTable { us, servers } = &self.rtts_us;
         match version {
-            IpVersion::V4 => v4[server],
-            IpVersion::V6 => v6[server],
+            IpVersion::V4 => us[..*servers][server],
+            IpVersion::V6 => us[*servers..][server],
         }
     }
 }
@@ -312,29 +322,31 @@ fn host_in(pools: &[IpPrefix], i: u64) -> IpAddr {
 /// the site's table for sited fleets, otherwise a lognormal-ish distance
 /// draw shared across families with small skew, one entry per
 /// `server_shape` factor.
-fn rtt_table(site: Option<&SiteSpec>, server_shape: &[f64], rng: &mut StdRng) -> Vec<u32> {
+fn rtt_table(site: Option<&SiteSpec>, server_shape: &[f64], rng: &mut StdRng) -> RttTable {
+    let mut us = [0; 2 * MAX_SERVERS];
+    let servers = site.map_or(server_shape.len(), |s| s.rtt_v4_ms.len());
+    assert!(
+        servers <= MAX_SERVERS,
+        "more servers than an RTT table holds"
+    );
     match site {
         Some(s) => {
             let jitter = 0.9 + rng.gen::<f64>() * 0.2;
-            s.rtt_v4_ms
-                .iter()
-                .chain(&s.rtt_v6_ms)
-                .map(|ms| (ms * jitter * 1000.0) as u32)
-                .collect()
+            for (slot, ms) in us.iter_mut().zip(s.rtt_v4_ms.iter().chain(&s.rtt_v6_ms)) {
+                *slot = (ms * jitter * 1000.0) as u32;
+            }
         }
         None => {
             let base_ms = 5.0 * (1.0 + rng.gen::<f64>() * 8.0).powf(1.6);
-            let servers = server_shape.len();
-            let mut rtts = vec![0; 2 * servers];
             for (s, shape) in server_shape.iter().enumerate() {
                 let per_server = base_ms * shape;
                 let fam_skew = 0.95 + rng.gen::<f64>() * 0.1;
-                rtts[s] = (per_server * 1000.0) as u32;
-                rtts[servers + s] = (per_server * fam_skew * 1000.0) as u32;
+                us[s] = (per_server * 1000.0) as u32;
+                us[servers + s] = (per_server * fam_skew * 1000.0) as u32;
             }
-            rtts
         }
     }
+    RttTable { us, servers }
 }
 
 /// Draw from a `(value, weight)` distribution with a uniform `u` in
@@ -670,7 +682,10 @@ mod tests {
             edns_size: 512,
             do_bit: true,
             mix_case: false,
-            rtts_us: vec![10_000, 12_000],
+            rtts_us: RttTable {
+                us: [10_000, 12_000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                servers: 1,
+            },
         };
         assert!(r.addr_for(IpVersion::V4).is_ipv4());
         assert!(r.addr_for(IpVersion::V6).is_ipv6());

@@ -194,12 +194,14 @@ fn offline_recorder_and_live_responder_emit_identical_udp_responses() {
         let signed = zone
             .delegation_index(&qname)
             .is_some_and(|idx| zone.is_signed(idx));
-        let answer = auth.respond(&query, signed);
+        wire.write_query(&query.header, &query.questions[0], query.edns.as_ref());
+        auth.respond((&query).into(), signed, &mut wire);
         let first = buf.len();
         let recorded = vantage::record(
             &vantage::Exchange {
-                query: &query,
-                response: &answer.message,
+                query: wire.query(),
+                response: wire.response(),
+                edns_size: query.edns.as_ref().map_or(0, |e| e.udp_payload_size),
                 src_ip,
                 dst_ip,
                 rtt_us: 1_000,
@@ -208,7 +210,6 @@ fn offline_recorder_and_live_responder_emit_identical_udp_responses() {
             },
             &mut rng,
             Some(&mut rrl_offline),
-            &mut wire,
             &mut buf,
             &mut stats,
         );
