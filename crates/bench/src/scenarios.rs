@@ -322,30 +322,6 @@ fn pipeline() -> Vec<Scenario> {
                 })
             },
         },
-        Scenario {
-            group: "pipeline",
-            name: "jobs1",
-            setup: || {
-                let e2e = dataset(Vantage::Nz, 2020);
-                Prepared::new(e2e_total(), move || {
-                    run_spec_with(e2e.clone(), Scale::tiny(), 5, &PipelineOpts::with_jobs(1))
-                        .analysis
-                        .total_queries
-                })
-            },
-        },
-        Scenario {
-            group: "pipeline",
-            name: "jobs4",
-            setup: || {
-                let e2e = dataset(Vantage::Nz, 2020);
-                Prepared::new(e2e_total(), move || {
-                    run_spec_with(e2e.clone(), Scale::tiny(), 5, &PipelineOpts::with_jobs(4))
-                        .analysis
-                        .total_queries
-                })
-            },
-        },
     ]
 }
 
@@ -1236,8 +1212,6 @@ mod tests {
             "ingest/ingest_and_enrich",
             "pipeline/streamed_shard1",
             "pipeline/streamed_shard4",
-            "pipeline/jobs1",
-            "pipeline/jobs4",
             "suite/serial",
             "suite/jobs4",
             "analysis/aggregate_rows",

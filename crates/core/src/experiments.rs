@@ -140,8 +140,9 @@ pub fn monthly_sample(
 
 /// Run the Figure 3 longitudinal series for `provider` (the paper dated
 /// Google's Q-min rollout this way; any provider's can be) with up to
-/// `jobs` of the 18 independent months in flight; samples come back in
-/// month order, identical for any job count. Under
+/// `jobs` of the 18 independent months in flight (0: as
+/// [`crate::suite::share_machine`] has it); samples come back in month
+/// order, identical for any job count. Under
 /// [`PipelineOpts::fleet`] every record comes out of a resolver walk,
 /// so the Dec-2019 change point in the samples is emergent — produced
 /// by `IterativeResolver::set_qmin` flipping on the rollout date.
@@ -153,7 +154,9 @@ pub fn run_monthly_series(
     opts: &PipelineOpts,
     jobs: usize,
 ) -> Vec<MonthlySample> {
-    let tasks = figure3_specs(vantage, provider, seed)
+    let months = figure3_specs(vantage, provider, seed);
+    let (jobs, opts) = &crate::suite::share_machine(opts, jobs, months.len());
+    let tasks = months
         .into_iter()
         .map(|(year, month, spec, mseed)| {
             let label = format!("suite.fig3-{provider:?}-{year}-{month:02}").to_lowercase();
@@ -164,7 +167,7 @@ pub fn run_monthly_series(
             (label, task)
         })
         .collect();
-    crate::suite::run_tasks(tasks, jobs, |s: &MonthlySample| s.total)
+    crate::suite::run_tasks(tasks, *jobs, |s: &MonthlySample| s.total)
 }
 
 /// The nine Table 3 dataset specs, in report order.

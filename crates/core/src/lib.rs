@@ -16,7 +16,7 @@
 //! | [`rootstats`] | the RSSAC002-style root junk cross-check of §3 |
 //! | [`report`] | text/JSON rendering of every table and figure |
 //! | [`experiments`] | end-to-end experiment runners (generate → ingest → analyze) |
-//! | [`pipeline`] | the fused, sharded streaming pipeline behind the runners |
+//! | [`pipeline`] | the one records→rows→sinks consumer and the slice-parallel pipeline behind the runners |
 //! | [`sink`] | the mergeable [`sink::RowSink`] trait every consumer implements |
 //! | [`suite`] | the bounded multi-dataset scheduler behind `--jobs` |
 //! | [`store`] | the warehouse bridge: persistent ingest + scan-based reports |

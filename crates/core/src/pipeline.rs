@@ -1,16 +1,20 @@
 //! The one consumer: records become rows become sinks here and nowhere
 //! else.
 //!
-//! [`consume`] is ENTRADA's single pass — join, enrich, aggregate — over
-//! any [`RecordSource`], with the [`Engine`] as the enrichment context.
-//! The default path streams: the (optionally sharded) engine hands each
-//! hourly slice, whole, to a [`SliceRouter`], which routes it over a
-//! bounded channel to one of `jobs` consumers; backpressure is the
-//! channel bound and no intermediate file exists.
-//! [`PipelineOpts::keep_capture`] is the two-pass reference: generate
-//! the `.dnscap`, then one [`consume`] over the file. Both produce
-//! row-identical results, and the same call analyzes a capture that
-//! came from a live tap.
+//! A [`Consumer`] is ENTRADA's single pass — join, enrich, aggregate —
+//! as a [`RecordSink`], with the [`Engine`] as the enrichment context.
+//! The default path streams with no hand-off: every worker generates
+//! its own stripe of hourly slices ([`Engine::generate_striped`]) and
+//! feeds each straight into its own `Consumer` on the same thread, so
+//! no record crosses a thread and no intermediate file exists; the
+//! partials merge in worker order. The resolver fleet keeps its ordered
+//! merge (its streams are stateful across slots) and runs one
+//! `Consumer` on the merging thread. [`consume`] feeds a file or vector
+//! source into that same `Consumer`: [`PipelineOpts::keep_capture`] is
+//! the two-pass reference — generate the `.dnscap`, then one
+//! [`consume`] over the file — and the same call analyzes a capture
+//! that came from a live tap. All of them produce row-identical
+//! results.
 
 use crate::analysis::DatasetAnalysis;
 use crate::dualstack::DualStackAnalysis;
@@ -18,49 +22,53 @@ use crate::experiments::DatasetRun;
 use crate::sink::{DualStackSink, FanoutSink, RowSink};
 use crate::store::{StoreSink, WarehouseTarget};
 use entrada::enrich::Enricher;
-use entrada::ingest::{CaptureIngest, IngestStats};
+use entrada::ingest::{IngestStats, Joiner};
 use entrada::schema::QueryRow;
 use netbase::capture::{
-    CaptureError, CaptureReader, CaptureRecord, CaptureWriter, Direction, RecordSink, RecordSource,
+    CaptureReader, CaptureRecord, CaptureWriter, Direction, RecordSink, RecordSource,
 };
 use simnet::engine::{DatasetStats, Engine};
 use simnet::scenario::{DatasetSpec, Scale};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// How one pipeline run executes.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineOpts {
-    /// Generator worker-thread count (0 and 1 both mean
-    /// single-threaded). Output is byte-identical for any value.
+    /// Worker-thread count, as `--shards` gives it; 0 is unset. A
+    /// streamed run's workers each generate *and* analyze, so this and
+    /// `jobs` size the same pool ([`PipelineOpts::worker_count`]).
+    /// Output is byte-identical for any value.
     pub shards: usize,
-    /// Analysis (ingest→aggregate) worker-thread count (0 and 1 both
-    /// mean single-threaded). Whole time slices are routed to workers,
-    /// each runs join+enrich+push into its own sink, and the partials
-    /// are merged in worker order — output is byte-identical for any
-    /// value because every sink is an order-insensitive function of the
-    /// row multiset and the generator's slices are join-self-contained.
+    /// Worker-thread count, as `--jobs` gives it; 0 is unset. Every
+    /// worker joins and aggregates the slices it generated into its own
+    /// sinks and the partials merge in worker order — output is
+    /// byte-identical for any value because every sink is an
+    /// order-insensitive function of the row multiset and the
+    /// generator's slices are join-self-contained.
     pub jobs: usize,
     /// Write the capture to this path and analyze it from disk (the
     /// two-pass behaviour), keeping the file afterwards.
     pub keep_capture: Option<PathBuf>,
     /// Append every analyzed row to this warehouse source as it streams
-    /// through. Each analysis worker owns its own appender (partials
-    /// merge like any other sink); partitions are staged on completion
-    /// and left for the caller to [`warehouse::Warehouse::commit`].
+    /// through. Each worker owns its own appender (partials merge like
+    /// any other sink); partitions are staged on completion and left
+    /// for the caller to [`warehouse::Warehouse::commit`].
     pub warehouse: Option<crate::store::WarehouseTarget>,
     /// Generate traffic with the *algorithmic resolver fleet*
     /// ([`Engine::generate_fleet`]): every record is produced by an
     /// iterative resolver walking a simulated hierarchy, instead of the
-    /// calibrated per-query sampler. `shards` then stripes fleets (not
-    /// time ranges) across generator threads; the capture boundary and
-    /// everything downstream of it are unchanged.
+    /// calibrated per-query sampler. The workers are then lanes that
+    /// share out fleets (not time ranges) and one consumer analyzes on
+    /// the merging thread; the capture boundary and everything
+    /// downstream of it are unchanged.
     pub fleet: bool,
 }
 
 impl PipelineOpts {
-    /// Streaming pipeline with `shards` generator threads.
+    /// Streaming pipeline with `shards` workers.
     pub fn with_shards(shards: usize) -> PipelineOpts {
         PipelineOpts {
             shards,
@@ -68,7 +76,7 @@ impl PipelineOpts {
         }
     }
 
-    /// Streaming pipeline with `jobs` analysis workers.
+    /// Streaming pipeline with `jobs` workers.
     pub fn with_jobs(jobs: usize) -> PipelineOpts {
         PipelineOpts {
             jobs,
@@ -76,14 +84,13 @@ impl PipelineOpts {
         }
     }
 
-    /// Effective shard count (at least 1).
-    pub fn shard_count(&self) -> usize {
-        self.shards.max(1)
-    }
-
-    /// Effective analysis-worker count (at least 1).
-    pub fn job_count(&self) -> usize {
-        self.jobs.max(1)
+    /// Worker threads of one run: the larger of `shards` and `jobs`,
+    /// or, with both unset, one per available core.
+    pub fn worker_count(&self) -> usize {
+        match self.shards.max(self.jobs) {
+            0 => available_cores(),
+            n => n,
+        }
     }
 
     /// Streaming pipeline over the algorithmic resolver fleet.
@@ -93,6 +100,11 @@ impl PipelineOpts {
             ..PipelineOpts::default()
         }
     }
+}
+
+/// Cores this process may run on (1 when the platform will not say).
+pub fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Flight-recorder hop for a sampled query leaving the generator
@@ -122,116 +134,6 @@ fn note_row_hops(row: &QueryRow) {
     }
 }
 
-/// Slices buffered in flight per analysis worker. A slice is one
-/// generator hour — the unit the join state partitions on — so this
-/// bounds streamed-pipeline memory to `jobs * SLICE_DEPTH` slices and
-/// applies backpressure when analysis lags.
-const SLICE_DEPTH: usize = 2;
-
-/// [`RecordSink`] that routes whole time slices to analysis workers:
-/// the generator hands each slice over as one vector
-/// ([`RecordSink::emit_slice`]) and it goes, untouched, to worker
-/// `slot % jobs`. Because every query/response exchange falls entirely
-/// within one slice, each worker's ingest joins exactly the
-/// transactions it would have joined serially — the
-/// per-slice-partitionable join state the parallel consumer rests on.
-/// A full channel blocks (backpressure); a disconnected one surfaces as
-/// a broken pipe.
-pub struct SliceRouter {
-    txs: Vec<crossbeam::channel::Sender<Vec<CaptureRecord>>>,
-}
-
-impl SliceRouter {
-    /// Route slices round-robin by slot over the given worker channels.
-    pub fn new(txs: Vec<crossbeam::channel::Sender<Vec<CaptureRecord>>>) -> SliceRouter {
-        assert!(!txs.is_empty(), "at least one analysis worker");
-        SliceRouter { txs }
-    }
-}
-
-impl RecordSink for SliceRouter {
-    /// A record outside any slice travels as a slice of its own.
-    fn emit(&mut self, rec: CaptureRecord) -> std::io::Result<()> {
-        self.emit_slice(0, vec![rec])
-    }
-
-    fn emit_slice(&mut self, slot: u64, slice: Vec<CaptureRecord>) -> std::io::Result<()> {
-        if obs::flight::sampling_enabled() {
-            slice.iter().for_each(note_gen_hop);
-        }
-        self.txs[(slot as usize) % self.txs.len()]
-            .send(slice)
-            .map_err(|_| {
-                std::io::Error::new(
-                    std::io::ErrorKind::BrokenPipe,
-                    "pipeline analysis worker disconnected",
-                )
-            })
-    }
-}
-
-/// [`RecordSource`] over the receiving half: sender disconnect (the
-/// generator finished and dropped its router) is the clean
-/// end-of-stream. Busy/idle and queue-depth accounting is updated once
-/// per slice refill (two clock reads per slice), so the per-record path
-/// stays untouched.
-pub struct ChannelSource {
-    rx: crossbeam::channel::Receiver<Vec<CaptureRecord>>,
-    buf: std::vec::IntoIter<CaptureRecord>,
-    util: obs::Utilization,
-    queue: obs::QueueDepth,
-    /// When the last refill handed a slice to the consumer; the gap to
-    /// the next refill is time spent analyzing that slice.
-    last_refill: Option<std::time::Instant>,
-}
-
-impl ChannelSource {
-    /// Wrap the receiving half of a slice channel, registering
-    /// `{prefix}_busy_permille` (consumer busy fraction) and
-    /// `{prefix}_queue_depth`/`_peak` (slices waiting in the channel)
-    /// in the global metrics registry.
-    pub fn new(
-        rx: crossbeam::channel::Receiver<Vec<CaptureRecord>>,
-        prefix: &str,
-    ) -> ChannelSource {
-        ChannelSource {
-            rx,
-            buf: Vec::new().into_iter(),
-            util: obs::Utilization::new(obs::gauge(
-                &format!("{prefix}_busy_permille"),
-                "analysis consumer busy fraction (permille, windowed)",
-            )),
-            queue: obs::QueueDepth::register(
-                prefix,
-                "record slices buffered between generator and ingest",
-            ),
-            last_refill: None,
-        }
-    }
-}
-
-impl RecordSource for ChannelSource {
-    fn next_record(&mut self) -> Result<Option<CaptureRecord>, CaptureError> {
-        loop {
-            if let Some(rec) = self.buf.next() {
-                return Ok(Some(rec));
-            }
-            let now = std::time::Instant::now();
-            if let Some(prev) = self.last_refill.take() {
-                self.util.busy(now.duration_since(prev));
-            }
-            let Ok(slice) = self.rx.recv() else {
-                return Ok(None);
-            };
-            let refilled = std::time::Instant::now();
-            self.util.idle(refilled.duration_since(now));
-            self.queue.record(self.rx.len());
-            self.last_refill = Some(refilled);
-            self.buf = slice.into_iter();
-        }
-    }
-}
-
 /// The in-memory analysis state of one dataset: the single-pass
 /// aggregation plus the Facebook dual-stack joins against the engine's
 /// PTR view. Warehouse scans ([`crate::store::analyze_source`]) fill
@@ -253,37 +155,137 @@ pub fn analysis_sinks(engine: &Engine) -> AnalysisSinks<'_> {
     )
 }
 
-/// The one pass from records to sinks: join and enrich `source` against
-/// `engine`'s address plan, push every row into a fresh set of sinks
-/// (appending to `store` on the way when there is one) and return them
-/// with the ingest accounting. Every path runs this — a streamed slice
-/// channel, a kept or live capture file, `jobs` of them in parallel
-/// whose partials [`RowSink::merge`] — so the analysis is the same code
-/// whatever produced the records. A source cut short by a torn record
-/// is reported here, loudly; progress is reported against the dataset's
-/// total, of which a parallel consumer sees its share.
+/// The one pass from records to sinks, as a [`RecordSink`]: join and
+/// enrich every record against `engine`'s address plan and push every
+/// completed row into its own set of sinks (appending to `store` on the
+/// way when there is one). Every path runs this — a streamed worker's
+/// slices, the fleet's merged slices, a kept or live capture file —
+/// so the analysis is the same code whatever produced the records, and
+/// the partials of parallel consumers [`RowSink::merge`].
+///
+/// Fed by [`RecordSink::emit_slice`] it also keeps the run legible: the
+/// time between slices is its producer's (generation on this thread,
+/// or on the fleet plane the wait for the lanes), the time inside is
+/// analysis, two clock reads a slice.
+pub struct Consumer<'a> {
+    /// The dataset id, for the trace span and the torn-capture warning.
+    id: String,
+    joiner: Joiner,
+    sinks: Sinks<'a>,
+    /// When the last slice was done (or this consumer made).
+    mark: Instant,
+    producing: Duration,
+    analyzing: Duration,
+}
+
+impl<'a> Consumer<'a> {
+    /// An empty consumer for `engine`'s dataset.
+    pub fn new(engine: &'a Engine, store: Option<&'a WarehouseTarget>) -> Consumer<'a> {
+        Consumer {
+            id: engine.spec().id(),
+            joiner: Joiner::new(Enricher::new(engine.plan().mapper.clone())),
+            sinks: FanoutSink::new(
+                analysis_sinks(engine),
+                StoreSink::new(store.map(|t| t.store.appender(&t.source, t.config))),
+            ),
+            mark: Instant::now(),
+            producing: Duration::ZERO,
+            analyzing: Duration::ZERO,
+        }
+    }
+
+    /// Join one record and push the rows it completes; returns how many.
+    fn absorb(&mut self, rec: CaptureRecord) -> u64 {
+        self.joiner.absorb(rec);
+        self.push_ready()
+    }
+
+    fn push_ready(&mut self) -> u64 {
+        let mut rows = 0;
+        while let Some(row) = self.joiner.pop_ready() {
+            note_row_hops(&row);
+            self.sinks.push(&row);
+            rows += 1;
+        }
+        rows
+    }
+
+    /// End of stream: flush the unanswered queries and hand back the
+    /// sinks with the ingest accounting. A stream that ended on a torn
+    /// record is reported here, loudly.
+    pub fn finish(mut self) -> (Sinks<'a>, IngestStats) {
+        self.joiner.finish();
+        self.push_ready();
+        let stats = self.joiner.stats().clone();
+        warn_on_capture_errors(&self.id, &stats);
+        (self.sinks, stats)
+    }
+
+    /// Publish what worker `w` of a streamed run spent where: its
+    /// shares of the `pipeline.generate` and `pipeline.analyze` stages,
+    /// its own `pipeline.worker{w}` row, and the analysis share of its
+    /// time as `pipeline_worker{w}_busy_permille`.
+    fn report(&self, w: usize) {
+        let stats = self.joiner.stats();
+        obs::stage::record("pipeline.generate", self.producing, stats.frames);
+        obs::stage::record("pipeline.analyze", self.analyzing, stats.rows);
+        let total = self.producing + self.analyzing;
+        obs::stage::record(&format!("pipeline.worker{w}"), total, stats.rows);
+        if !total.is_zero() {
+            obs::gauge(
+                &format!("pipeline_worker{w}_busy_permille"),
+                "share of a pipeline worker's time spent analyzing (the rest produced its slices)",
+            )
+            .set((self.analyzing.as_secs_f64() / total.as_secs_f64() * 1000.0).round());
+        }
+    }
+}
+
+impl RecordSink for Consumer<'_> {
+    fn emit(&mut self, rec: CaptureRecord) -> std::io::Result<()> {
+        self.absorb(rec);
+        Ok(())
+    }
+
+    fn emit_slice(&mut self, _slot: u64, slice: &mut Vec<CaptureRecord>) -> std::io::Result<()> {
+        let start = Instant::now();
+        self.producing += start - self.mark;
+        let _span = obs::trace::enabled().then(|| obs::span(format!("analyze {}", self.id)));
+        if obs::flight::sampling_enabled() {
+            slice.iter().for_each(note_gen_hop);
+        }
+        for rec in slice.drain(..) {
+            self.absorb(rec);
+        }
+        self.mark = Instant::now();
+        self.analyzing += self.mark - start;
+        Ok(())
+    }
+}
+
+/// Feed all of `source` into one [`Consumer`] over `engine` and return
+/// its sinks with the ingest accounting.
 pub fn consume<'a>(
-    source: impl RecordSource,
+    mut source: impl RecordSource,
     engine: &'a Engine,
     store: Option<&'a WarehouseTarget>,
 ) -> (Sinks<'a>, IngestStats) {
-    let mut ingest = CaptureIngest::new(source, Enricher::new(engine.plan().mapper.clone()));
-    let mut sinks = FanoutSink::new(
-        analysis_sinks(engine),
-        StoreSink::new(store.map(|t| t.store.appender(&t.source, t.config))),
-    );
-    let mut progress = obs::Progress::new(
+    let mut consumer = Consumer::new(engine, store);
+    let progress = obs::Progress::new(
         format!("analyze {}", engine.spec().id()),
         Some(engine.scaled_total()),
     );
-    for row in ingest.by_ref() {
-        note_row_hops(&row);
-        sinks.push(&row);
-        progress.tick(1);
+    loop {
+        match source.next_record() {
+            Ok(Some(rec)) => progress.tick(consumer.absorb(rec)),
+            Ok(None) => break,
+            Err(_) => {
+                consumer.joiner.torn();
+                break;
+            }
+        }
     }
-    let stats = ingest.stats().clone();
-    warn_on_capture_errors(&engine.spec().id(), &stats);
-    (sinks, stats)
+    consumer.finish()
 }
 
 /// [`consume`] over the capture file at `path`.
@@ -313,86 +315,61 @@ pub fn finish(
     Ok((analysis, dualstack.into_inner()))
 }
 
-/// Drive `engine`'s generator — the calibrated sampler, or the resolver
-/// fleet under [`PipelineOpts::fleet`] — into `out`.
-fn generate<S: RecordSink>(
-    engine: &Engine,
-    out: &mut S,
-    opts: &PipelineOpts,
-) -> std::io::Result<DatasetStats> {
-    let mut stage = obs::stage("pipeline.generate");
-    let _span = obs::span(format!("generate {}", engine.spec().id()));
-    let stats = if opts.fleet {
-        engine.generate_fleet(out, opts.shard_count())
-    } else {
-        engine.generate_sharded(out, opts.shard_count())
-    }?;
-    stage.add_items(stats.queries + stats.responses);
-    Ok(stats)
-}
-
-/// Generate `engine`'s dataset into a `.dnscap` file at `path`; the
-/// file is byte-identical for any shard count.
+/// Generate `engine`'s dataset — the calibrated sampler, or the
+/// resolver fleet under [`PipelineOpts::fleet`] — into a `.dnscap` file
+/// at `path`; the file is byte-identical for any worker count.
 pub fn write_capture(
     engine: &Engine,
     path: &Path,
     opts: &PipelineOpts,
 ) -> std::io::Result<DatasetStats> {
     let mut writer = CaptureWriter::new(BufWriter::new(File::create(path)?))?;
-    let stats = generate(engine, &mut writer, opts)?;
+    let mut stage = obs::stage("pipeline.generate");
+    let _span = obs::span(format!("generate {}", engine.spec().id()));
+    let stats = if opts.fleet {
+        engine.generate_fleet(&mut writer, opts.worker_count())
+    } else {
+        engine.generate_sharded(&mut writer, opts.worker_count())
+    }?;
+    stage.add_items(stats.queries + stats.responses);
     writer.finish()?;
     Ok(stats)
 }
 
-/// The streamed pipeline: one generator thread feeding `jobs` consumers
-/// through a [`SliceRouter`]. Each worker joins and aggregates its own
-/// slice subset (sound because slices are join-self-contained) and the
-/// partials merge in worker order.
+/// The streamed pipeline. Calibrated plane: every worker generates its
+/// own stripe of the hourly slices and joins and aggregates them on the
+/// spot in its own [`Consumer`] (sound because slices are
+/// join-self-contained), so no record crosses a thread. Fleet plane:
+/// the workers are the fleets' lanes and one consumer analyzes on the
+/// merging thread — the incident stream shares google-public's flows,
+/// so per-lane joins would not be row-safe. The partials merge in
+/// worker order.
 fn stream<'a>(
     engine: &'a Engine,
     opts: &'a PipelineOpts,
 ) -> (DatasetStats, Sinks<'a>, IngestStats) {
-    let jobs = opts.job_count();
-    let (txs, rxs): (Vec<_>, Vec<_>) = (0..jobs)
-        .map(|_| crossbeam::channel::bounded::<Vec<CaptureRecord>>(SLICE_DEPTH))
-        .unzip();
-    crossbeam::thread::scope(|scope| {
-        let generator = scope.spawn(move |_| generate(engine, &mut SliceRouter::new(txs), opts));
-        let mut stage = obs::stage("pipeline.analyze");
-        let _span = obs::span(format!("analyze {}", engine.spec().id()));
-        let workers: Vec<_> = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(w, rx)| {
-                scope.spawn(move |_| {
-                    let mut wstage = obs::stage_owned(format!("pipeline.analyze.worker{w}"));
-                    let queue = match jobs {
-                        1 => "pipeline_analyze".to_string(),
-                        _ => format!("pipeline_analyze_worker{w}"),
-                    };
-                    let source = ChannelSource::new(rx, &queue);
-                    let (sinks, stats) = consume(source, engine, opts.warehouse.as_ref());
-                    wstage.add_items(stats.rows);
-                    (sinks, stats)
-                })
-            })
-            .collect();
-        let gen_stats = generator
-            .join()
-            .expect("generator thread")
-            .expect("streamed generation succeeds");
-        let mut parts = workers
-            .into_iter()
-            .map(|h| h.join().expect("analysis worker"));
-        let (mut sinks, mut ingest_stats) = parts.next().expect("at least one worker");
-        for (partial, partial_stats) in parts {
-            sinks.merge(partial);
-            ingest_stats.merge(&partial_stats);
-        }
-        stage.add_items(ingest_stats.rows);
-        (gen_stats, sinks, ingest_stats)
-    })
-    .expect("pipeline scope join")
+    let _span = obs::span(format!("generate {}", engine.spec().id()));
+    let store = opts.warehouse.as_ref();
+    let workers = opts.worker_count();
+    let consumer = || Consumer::new(engine, store);
+    let (gen_stats, consumers) = if opts.fleet {
+        let mut merger = consumer();
+        (engine.generate_fleet(&mut merger, workers), vec![merger])
+    } else {
+        let mut consumers: Vec<_> = (0..workers).map(|_| consumer()).collect();
+        (engine.generate_striped(&mut consumers), consumers)
+    };
+    let gen_stats = gen_stats.expect("streamed generation succeeds");
+    let mut parts = consumers.into_iter().enumerate().map(|(w, consumer)| {
+        consumer.report(w);
+        consumer.finish()
+    });
+    let (mut sinks, mut ingest_stats) = parts.next().expect("at least one worker");
+    for (partial, partial_stats) in parts {
+        sinks.merge(partial);
+        ingest_stats.merge(&partial_stats);
+    }
+    (gen_stats, sinks, ingest_stats)
 }
 
 /// Generate + analyze an arbitrary dataset spec with explicit pipeline
@@ -452,41 +429,39 @@ mod tests {
     use simnet::profile::Vantage;
     use simnet::scenario::dataset;
 
-    /// A `SliceRouter` hands the generator's slices over untouched:
-    /// over one channel the stream is the generator's `Vec` output
-    /// record for record; over three, slot `s` lands on channel
-    /// `s % 3`, each slice keeps its order, and dealing the channels
-    /// back round-robin rebuilds the same vector.
+    /// One consumer, however it is fed: slice by slice as a streamed
+    /// worker or the fleet's merger feeds it, record by record, or by
+    /// [`consume`] over a vector source — the same accounting and the
+    /// same rendered report.
     #[test]
-    fn slice_router_delivers_the_generators_records_in_slice_order() {
+    fn consumer_is_one_pass_however_it_is_fed() {
         let engine = Engine::new(dataset(Vantage::Nz, 2020), Scale::tiny(), 19);
-        let mut reference: Vec<CaptureRecord> = Vec::new();
-        engine.generate_sharded(&mut reference, 1).unwrap();
-        assert!(!reference.is_empty());
-        let slots = engine.spec().days as usize * 24;
-
-        for channels in [1usize, 3] {
-            let (txs, rxs): (Vec<_>, Vec<_>) = (0..channels)
-                .map(|_| crossbeam::channel::unbounded::<Vec<CaptureRecord>>())
-                .unzip();
-            let mut router = SliceRouter::new(txs);
-            engine.generate_sharded(&mut router, 2).unwrap();
-            drop(router);
-            let per_channel: Vec<Vec<Vec<CaptureRecord>>> = rxs
-                .iter()
-                .map(|rx| std::iter::from_fn(|| rx.recv().ok()).collect())
-                .collect();
-            assert_eq!(
-                per_channel.iter().map(Vec::len).sum::<usize>(),
-                slots,
-                "one delivery per slot over {channels} channel(s)"
+        let mut records: Vec<CaptureRecord> = Vec::new();
+        engine.generate_sharded(&mut records, 1).unwrap();
+        let render = |(sinks, stats): (Sinks, IngestStats)| {
+            let (analysis, dualstack) = finish(sinks).unwrap();
+            let spec = engine.spec();
+            let text = crate::report::render_dataset_report(
+                &spec.id(),
+                spec.vantage,
+                &analysis,
+                &dualstack,
+                spec,
             );
-            let mut lanes: Vec<_> = per_channel.into_iter().map(Vec::into_iter).collect();
-            let rebuilt: Vec<CaptureRecord> = (0..slots)
-                .flat_map(|slot| lanes[slot % channels].next().expect("slot delivered"))
-                .collect();
-            assert!(rebuilt == reference, "{channels} channel(s)");
+            (text, stats)
+        };
+        let pulled = render(consume(records.clone().into_iter(), &engine, None));
+        assert!(pulled.1.rows > 0 && pulled.1.balanced(), "{:?}", pulled.1);
+
+        let mut by_slice = Consumer::new(&engine, None);
+        engine.generate_sharded(&mut by_slice, 1).unwrap();
+        assert!(render(by_slice.finish()) == pulled, "fed by slice");
+
+        let mut by_record = Consumer::new(&engine, None);
+        for rec in records {
+            by_record.emit(rec).unwrap();
         }
+        assert!(render(by_record.finish()) == pulled, "fed by record");
     }
 
     /// The tentpole's correctness claim: the in-memory streamed path

@@ -191,6 +191,7 @@ pub fn ingest_monthly(
             Ok((spec, mseed, target))
         })
         .collect::<Result<Vec<_>, String>>()?;
+    let (jobs, opts) = crate::suite::share_machine(opts, jobs, months.len());
     let tasks = months
         .into_iter()
         .map(|(spec, mseed, target)| {

@@ -13,7 +13,7 @@
 //! the suite was scheduled.
 
 use crate::experiments::DatasetRun;
-use crate::pipeline::{run_spec_with, PipelineOpts};
+use crate::pipeline::{available_cores, run_spec_with, PipelineOpts};
 use simnet::scenario::{DatasetSpec, Scale};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -97,9 +97,32 @@ where
         .collect()
 }
 
-/// Generate + analyze each spec, at most `jobs` datasets in flight,
-/// results in spec order. The per-dataset pipeline options (generator
-/// shards, analysis workers) apply to every run.
+/// How a multi-dataset command shares the machine between its `tasks`
+/// datasets: how many run at once, and the pipeline options each runs
+/// under. A given `jobs` is that many in flight; a worker count in
+/// `opts` alone is one dataset at a time on that many workers. With
+/// nothing set the datasets take the cores first — they are
+/// independent, with nothing to merge — and wherever `opts` leaves the
+/// workers open each run gets an equal share of the cores, so datasets
+/// in flight × workers per dataset stays within the core count.
+pub fn share_machine(opts: &PipelineOpts, jobs: usize, tasks: usize) -> (usize, PipelineOpts) {
+    let cores = available_cores();
+    let workers_open = opts.shards == 0 && opts.jobs == 0;
+    let in_flight = match jobs {
+        0 if workers_open => cores,
+        0 => 1,
+        n => n,
+    }
+    .min(tasks.max(1));
+    let mut opts = opts.clone();
+    if workers_open {
+        opts.shards = (cores / in_flight).max(1);
+    }
+    (in_flight, opts)
+}
+
+/// Generate + analyze each spec, `jobs` datasets in flight (0: as
+/// [`share_machine`] has it), results in spec order.
 pub fn run_suite(
     specs: Vec<DatasetSpec>,
     scale: Scale,
@@ -107,12 +130,13 @@ pub fn run_suite(
     opts: &PipelineOpts,
     jobs: usize,
 ) -> Vec<DatasetRun> {
+    let (jobs, opts) = share_machine(opts, jobs, specs.len());
     let tasks = specs
         .into_iter()
         .map(|spec| {
             let label = format!("suite.{}", spec.id());
-            let opts = opts.clone();
-            (label, move || run_spec_with(spec, scale, seed, &opts))
+            let opts = &opts;
+            (label, move || run_spec_with(spec, scale, seed, opts))
         })
         .collect();
     run_tasks(tasks, jobs, |run: &DatasetRun| run.ingest_stats.rows)

@@ -1,8 +1,9 @@
 //! Parallel analysis is a pure parallelization: for any seed and any
 //! worker count, the rendered report is identical to the serial run.
-//! Whole time slices are routed to workers, every sink is an
-//! order-insensitive function of its row multiset, and partials merge
-//! in worker order — so determinism is structural. This property test
+//! Every worker joins and aggregates the whole time slices it
+//! generates, every sink is an order-insensitive function of its row
+//! multiset, and partials merge in worker order — so determinism is
+//! structural. This property test
 //! pins the consumer side the way `shard_determinism` pins the
 //! generator side.
 

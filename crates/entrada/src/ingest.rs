@@ -5,10 +5,10 @@
 //! transaction id. Unmatched responses and malformed frames are counted
 //! in [`IngestStats`], never fatal.
 //!
-//! The ingester is generic over [`RecordSource`], so it consumes a
-//! `.dnscap` file on disk, an in-memory record vector, or a live
-//! channel fed straight from the generator (the streamed pipeline
-//! mode) with identical accounting.
+//! The join is a push machine ([`Joiner`]): the streamed pipeline's
+//! workers feed it the slices they generate, and [`CaptureIngest`]
+//! pulls a [`RecordSource`] — a `.dnscap` file on disk, an in-memory
+//! record vector — through the same one, with identical accounting.
 
 use crate::enrich::Enricher;
 use crate::schema::QueryRow;
@@ -85,43 +85,39 @@ struct TxnKey {
     id: u16,
 }
 
-/// Streaming capture → [`QueryRow`] iterator.
+/// The join itself, in push form: [`Joiner::absorb`] frames as they
+/// come, take completed rows with [`Joiner::pop_ready`], and call
+/// [`Joiner::finish`] once the stream has ended to flush the queries
+/// that never saw a response.
 ///
-/// Rows are emitted when the response arrives (the common case) or at
+/// Rows complete when the response arrives (the common case) or at
 /// end-of-stream for unanswered queries. Emission order therefore
 /// follows response arrival, which is fine for every aggregate in the
 /// paper (nothing downstream requires query order).
-pub struct CaptureIngest<S: RecordSource> {
-    source: S,
+pub struct Joiner {
     enricher: Enricher,
     pending: HashMap<TxnKey, QueryRow>,
     /// Every message is parsed into this one, so its section vectors
     /// are sized by the first few messages and reused from then on.
     scratch: Message,
     stats: IngestStats,
-    /// Rows ready to yield (a TCP frame can produce several at once).
+    /// Rows ready to take (a TCP frame can produce several at once).
     ready: VecDeque<QueryRow>,
-    /// The source reached end-of-stream (clean or via capture error)
-    /// and pending queries were flushed.
-    finished: bool,
     frames_metric: std::sync::Arc<obs::Counter>,
     rows_metric: std::sync::Arc<obs::Counter>,
     malformed_metric: std::sync::Arc<obs::Counter>,
     capture_errors_metric: std::sync::Arc<obs::Counter>,
 }
 
-impl<S: RecordSource> CaptureIngest<S> {
-    /// Start ingesting from a record source (a validated
-    /// `CaptureReader`, an in-memory vector, a pipeline channel, ...).
-    pub fn new(source: S, enricher: Enricher) -> Self {
-        CaptureIngest {
-            source,
+impl Joiner {
+    /// An empty join that enriches its rows with `enricher`.
+    pub fn new(enricher: Enricher) -> Joiner {
+        Joiner {
             enricher,
             pending: HashMap::new(),
             scratch: Message::new(Header::request(0)),
             stats: IngestStats::default(),
             ready: VecDeque::new(),
-            finished: false,
             frames_metric: obs::counter("entrada_frames_total", "capture frames ingested"),
             rows_metric: obs::counter("entrada_rows_total", "query rows emitted by ingest"),
             malformed_metric: obs::counter(
@@ -135,13 +131,18 @@ impl<S: RecordSource> CaptureIngest<S> {
         }
     }
 
-    /// Counters so far (final after the iterator is exhausted).
+    /// Counters so far (final after [`Joiner::finish`]).
     pub fn stats(&self) -> &IngestStats {
         &self.stats
     }
 
+    /// The next completed row, oldest first.
+    pub fn pop_ready(&mut self) -> Option<QueryRow> {
+        self.ready.pop_front()
+    }
+
     /// Absorb one capture frame, queueing any rows it completes.
-    fn absorb(&mut self, rec: CaptureRecord) {
+    pub fn absorb(&mut self, rec: CaptureRecord) {
         self.stats.frames += 1;
         self.frames_metric.inc();
         match rec.flow.transport {
@@ -249,16 +250,50 @@ impl<S: RecordSource> CaptureIngest<S> {
         }
     }
 
+    /// The source tore: a torn or corrupt capture record is NOT a
+    /// clean end-of-stream. Count it so downstream runs can warn; the
+    /// caller then [`Joiner::finish`]es to salvage what was read.
+    pub fn torn(&mut self) {
+        self.stats.capture_errors += 1;
+        self.capture_errors_metric.inc();
+    }
+
     /// End of stream: flush unanswered queries in deterministic (time)
     /// order.
-    fn finish(&mut self) {
+    pub fn finish(&mut self) {
         let mut rest: Vec<QueryRow> = self.pending.drain().map(|(_, v)| v).collect();
         rest.sort_by_key(|r| (r.timestamp, r.src_port));
         self.stats.unanswered_queries += rest.len() as u64;
         self.stats.rows += rest.len() as u64;
         self.rows_metric.add(rest.len() as u64);
         self.ready.extend(rest);
-        self.finished = true;
+    }
+}
+
+/// Streaming capture → [`QueryRow`] iterator: a [`Joiner`] pulled
+/// through a [`RecordSource`].
+pub struct CaptureIngest<S: RecordSource> {
+    source: S,
+    joiner: Joiner,
+    /// The source reached end-of-stream (clean or via capture error)
+    /// and pending queries were flushed.
+    finished: bool,
+}
+
+impl<S: RecordSource> CaptureIngest<S> {
+    /// Start ingesting from a record source (a validated
+    /// `CaptureReader`, an in-memory vector, ...).
+    pub fn new(source: S, enricher: Enricher) -> Self {
+        CaptureIngest {
+            source,
+            joiner: Joiner::new(enricher),
+            finished: false,
+        }
+    }
+
+    /// Counters so far (final after the iterator is exhausted).
+    pub fn stats(&self) -> &IngestStats {
+        self.joiner.stats()
     }
 }
 
@@ -267,22 +302,20 @@ impl<S: RecordSource> Iterator for CaptureIngest<S> {
 
     fn next(&mut self) -> Option<QueryRow> {
         loop {
-            if let Some(row) = self.ready.pop_front() {
+            if let Some(row) = self.joiner.pop_ready() {
                 return Some(row);
             }
             if self.finished {
                 return None;
             }
             match self.source.next_record() {
-                Ok(Some(rec)) => self.absorb(rec),
-                Ok(None) => self.finish(),
-                Err(_) => {
-                    // a torn or corrupt capture record is NOT a clean
-                    // end-of-stream: count it so downstream runs can
-                    // warn, then salvage what was read
-                    self.stats.capture_errors += 1;
-                    self.capture_errors_metric.inc();
-                    self.finish();
+                Ok(Some(rec)) => self.joiner.absorb(rec),
+                end => {
+                    if end.is_err() {
+                        self.joiner.torn();
+                    }
+                    self.joiner.finish();
+                    self.finished = true;
                 }
             }
         }
@@ -298,6 +331,7 @@ mod tests {
     use netbase::capture::{CaptureReader, CaptureWriter};
     use netbase::flow::Transport;
     use netbase::time::SimTime;
+    use proptest::prelude::*;
 
     fn enricher() -> Enricher {
         let plan = InternetPlan::build(&PlanConfig {
@@ -679,5 +713,80 @@ mod tests {
             Some(r1.encode().unwrap().len() as u32),
             "per-message deframed size, not the coalesced payload size"
         );
+    }
+
+    /// A vector source that tears after `intact` records.
+    struct TearingSource {
+        records: std::vec::IntoIter<CaptureRecord>,
+        intact: usize,
+    }
+
+    impl RecordSource for TearingSource {
+        fn next_record(&mut self) -> Result<Option<CaptureRecord>, netbase::capture::CaptureError> {
+            if self.intact == 0 {
+                return Err(netbase::capture::CaptureError::Corrupt("torn"));
+            }
+            self.intact -= 1;
+            Ok(self.records.next())
+        }
+    }
+
+    proptest! {
+        /// The push form is the pull form: absorbing a record sequence
+        /// into a [`Joiner`] yields the rows and the accounting
+        /// [`CaptureIngest`] yields over the same sequence, in the same
+        /// order, whether rows are taken as they complete or all at the
+        /// end. Two sources, two ports and three ids make reused
+        /// `(flow, id)` keys (orphans), unmatched responses and
+        /// unanswered queries common; garbage payloads and a source
+        /// that tears part-way are in the mix.
+        #[test]
+        fn joiner_pushed_equals_ingest_pulled(
+            ops in prop::collection::vec(
+                (0u8..3, 0usize..2, 1000u16..1002, 0u16..3),
+                0..60,
+            ),
+            tear in prop::option::of(0usize..60),
+        ) {
+            let records: Vec<CaptureRecord> = ops
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, src, port, id))| {
+                    let src = ["8.8.8.8", "1.1.1.1"][src];
+                    let t = 10 * i as u64;
+                    match kind {
+                        0 => query_rec(src, port, id, t),
+                        1 => response_rec(src, port, id, t, Rcode::NoError),
+                        _ => CaptureRecord {
+                            payload: vec![0xde, 0xad],
+                            ..query_rec(src, port, id, t)
+                        },
+                    }
+                })
+                .collect();
+            let intact = tear.map_or(usize::MAX, |at| at.min(records.len()));
+            let source = TearingSource { records: records.clone().into_iter(), intact };
+            let mut pulled = CaptureIngest::new(source, enricher());
+            let pulled_rows: Vec<QueryRow> = pulled.by_ref().collect();
+
+            for take_as_completed in [true, false] {
+                let mut joiner = Joiner::new(enricher());
+                let mut pushed_rows = Vec::new();
+                for rec in records.iter().take(intact).cloned() {
+                    joiner.absorb(rec);
+                    if take_as_completed {
+                        pushed_rows.extend(std::iter::from_fn(|| joiner.pop_ready()));
+                    }
+                }
+                if tear.is_some() {
+                    joiner.torn();
+                }
+                joiner.finish();
+                pushed_rows.extend(std::iter::from_fn(|| joiner.pop_ready()));
+                prop_assert_eq!(&pushed_rows, &pulled_rows);
+                prop_assert_eq!(joiner.stats(), pulled.stats());
+                prop_assert!(joiner.stats().balanced(), "{:?}", joiner.stats());
+            }
+        }
     }
 }

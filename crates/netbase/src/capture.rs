@@ -118,23 +118,23 @@ impl From<io::Error> for CaptureError {
 /// The traffic generator is written against this trait so the same
 /// generation code can feed a `.dnscap` file on disk
 /// ([`CaptureWriter`]), an in-memory buffer (`Vec<CaptureRecord>`), or
-/// a channel into a downstream consumer — the streamed pipeline mode
-/// that skips the intermediate capture file entirely.
+/// the analysis consumer directly — the streamed pipeline mode that
+/// skips the intermediate capture file entirely.
 pub trait RecordSink {
     /// Accept the next record of the stream.
     fn emit(&mut self, rec: CaptureRecord) -> io::Result<()>;
 
-    /// Accept all of time slice `slot`, in order.
+    /// Accept all of time slice `slot`, in order, draining `slice`.
     ///
     /// The generator produces traffic in self-contained time slices
     /// (every query/response exchange falls entirely within one slice)
-    /// and hands each over whole, in slice order. Sinks that partition
-    /// downstream work — the analysis pipeline routes whole slices to
-    /// workers — take the vector as is; file/vector sinks keep this
-    /// default, which is [`RecordSink::emit`] record by record.
-    fn emit_slice(&mut self, slot: u64, slice: Vec<CaptureRecord>) -> io::Result<()> {
+    /// and hands each over whole. The vector stays the caller's, so a
+    /// generator that feeds its sink on its own thread fills the same
+    /// buffer again for its next slice. The default is
+    /// [`RecordSink::emit`] record by record.
+    fn emit_slice(&mut self, slot: u64, slice: &mut Vec<CaptureRecord>) -> io::Result<()> {
         let _ = slot;
-        slice.into_iter().try_for_each(|rec| self.emit(rec))
+        slice.drain(..).try_for_each(|rec| self.emit(rec))
     }
 }
 
@@ -154,8 +154,8 @@ impl RecordSink for Vec<CaptureRecord> {
 /// Anything that yields a stream of [`CaptureRecord`]s in order.
 ///
 /// The analysis side (entrada's `CaptureIngest`) is written against
-/// this trait so it consumes a capture file ([`CaptureReader`]), an
-/// in-memory record vector, or a live channel identically.
+/// this trait so it consumes a capture file ([`CaptureReader`]) or an
+/// in-memory record vector identically.
 pub trait RecordSource {
     /// The next record; `Ok(None)` at clean end-of-stream, `Err` on a
     /// torn or corrupt record (the stream cannot continue past it).
@@ -459,8 +459,10 @@ mod tests {
                     by_record.emit(r.clone()).unwrap();
                     w_record.emit(r.clone()).unwrap();
                 }
-                by_slice.emit_slice(slot as u64, slice.clone()).unwrap();
-                w_slice.emit_slice(slot as u64, slice.clone()).unwrap();
+                by_slice
+                    .emit_slice(slot as u64, &mut slice.clone())
+                    .unwrap();
+                w_slice.emit_slice(slot as u64, &mut slice.clone()).unwrap();
             }
             w_record.finish().unwrap();
             w_slice.finish().unwrap();

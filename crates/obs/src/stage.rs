@@ -11,7 +11,7 @@
 //! called (the CLI ties it to `--stats`).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -66,16 +66,21 @@ impl StageTimer {
 
 impl Drop for StageTimer {
     fn drop(&mut self) {
-        let elapsed = self.started.elapsed();
-        let mut table = table().lock().expect("stage table lock");
-        let agg = table.entry(self.name.clone().into_owned()).or_default();
-        agg.calls += 1;
-        agg.total += elapsed;
-        agg.items += self.items;
-        drop(table);
+        record(&self.name, self.started.elapsed(), self.items);
         // the trace span closes here too, covering the same interval
         let _ = &self.span;
     }
+}
+
+/// Add one invocation of `elapsed` over `items` to stage `name`'s row,
+/// for work timed in pieces that no single guard brackets (a pipeline
+/// worker's generate and analyze shares alternate slice by slice).
+pub fn record(name: &str, elapsed: Duration, items: u64) {
+    let mut table = table().lock().expect("stage table lock");
+    let agg = table.entry(name.to_string()).or_default();
+    agg.calls += 1;
+    agg.total += elapsed;
+    agg.items += items;
 }
 
 /// Human-scaled count (`975`, `12.3k`, `4.56M`).
@@ -166,13 +171,15 @@ pub fn progress_enabled() -> bool {
 
 /// Throttled progress reporter: call [`Progress::tick`] as often as you
 /// like; at most one line per second reaches stderr, carrying counts,
-/// rate, and (when a total is known) percent complete and ETA.
+/// rate, and (when a total is known) percent complete and ETA. Ticks
+/// take `&self`, so the workers of one run share one reporter and
+/// stderr shows one bar against the run's total.
 pub struct Progress {
     label: String,
     total: Option<u64>,
-    done: u64,
+    done: AtomicU64,
     started: Instant,
-    last_print: Instant,
+    last_print: Mutex<Instant>,
 }
 
 impl Progress {
@@ -182,19 +189,23 @@ impl Progress {
         Progress {
             label: label.into(),
             total,
-            done: 0,
+            done: AtomicU64::new(0),
             started: now,
-            last_print: now,
+            last_print: Mutex::new(now),
         }
     }
 
     /// Record `n` more items; maybe emit a line.
-    pub fn tick(&mut self, n: u64) {
-        self.done += n;
-        if !progress_enabled() || self.last_print.elapsed() < Duration::from_secs(1) {
+    pub fn tick(&self, n: u64) {
+        self.done.fetch_add(n, Ordering::Relaxed);
+        if !progress_enabled() {
             return;
         }
-        self.last_print = Instant::now();
+        let mut last_print = self.last_print.lock().expect("progress lock");
+        if last_print.elapsed() < Duration::from_secs(1) {
+            return;
+        }
+        *last_print = Instant::now();
         eprintln!("{}", self.line(self.started.elapsed().as_secs_f64()));
     }
 
@@ -202,34 +213,35 @@ impl Progress {
     /// pathological) durations degrade to a rate-less line — never
     /// `inf` or `NaN` in the output.
     pub fn line(&self, elapsed_secs: f64) -> String {
+        let done = self.done();
         let rate = if elapsed_secs > 0.0 && elapsed_secs.is_finite() {
-            self.done as f64 / elapsed_secs
+            done as f64 / elapsed_secs
         } else {
             0.0
         };
         match self.total {
             Some(total) if total > 0 && rate > 0.0 && rate.is_finite() => {
-                let pct = 100.0 * self.done as f64 / total as f64;
-                let eta = (total.saturating_sub(self.done)) as f64 / rate;
+                let pct = 100.0 * done as f64 / total as f64;
+                let eta = (total.saturating_sub(done)) as f64 / rate;
                 format!(
                     "[{}] {}/{} ({pct:.0}%) {}/s eta {}",
                     self.label,
-                    self.done,
+                    done,
                     total,
                     human(rate),
                     human_duration(Duration::from_secs_f64(eta)),
                 )
             }
             _ if rate > 0.0 && rate.is_finite() => {
-                format!("[{}] {} done, {}/s", self.label, self.done, human(rate))
+                format!("[{}] {done} done, {}/s", self.label, human(rate))
             }
-            _ => format!("[{}] {} done", self.label, self.done),
+            _ => format!("[{}] {done} done", self.label),
         }
     }
 
     /// Items recorded so far.
     pub fn done(&self) -> u64 {
-        self.done
+        self.done.load(Ordering::Relaxed)
     }
 }
 
@@ -269,7 +281,7 @@ mod tests {
 
     #[test]
     fn progress_is_silent_by_default_and_counts() {
-        let mut p = Progress::new("test", Some(100));
+        let p = Progress::new("test", Some(100));
         p.tick(10);
         p.tick(20);
         assert_eq!(p.done(), 30);
@@ -277,7 +289,7 @@ mod tests {
 
     #[test]
     fn progress_line_never_prints_inf_or_nan() {
-        let mut p = Progress::new("zero", Some(1000));
+        let p = Progress::new("zero", Some(1000));
         p.tick(0);
         // zero elapsed, zero done: no rate, no ETA, no inf/NaN
         for line in [p.line(0.0), p.line(f64::NAN), p.line(f64::INFINITY)] {
@@ -295,7 +307,7 @@ mod tests {
         assert!(line.contains("eta"), "{line}");
         assert!(!line.contains("inf") && !line.contains("NaN"), "{line}");
         // unknown total, healthy rate
-        let mut open = Progress::new("open", None);
+        let open = Progress::new("open", None);
         open.tick(250);
         assert_eq!(open.line(1.0), "[open] 250 done, 250/s");
     }

@@ -590,6 +590,15 @@ pub struct FleetSummary {
     pub instances: u64,
 }
 
+impl FleetSummary {
+    fn absorb(&mut self, other: &FleetSummary) {
+        self.cache.absorb(&other.cache);
+        self.retries += other.retries;
+        self.timeouts += other.timeouts;
+        self.instances += other.instances;
+    }
+}
+
 /// The `resolver_*` series both fleet drivers publish (this module
 /// offline, `authd::fleetgen` live).
 pub struct FleetMetrics {
@@ -792,127 +801,130 @@ impl Engine {
     /// record is produced by an [`IterativeResolver`] walking the
     /// three-tier [`SimTransport`], with only the vantage tier recorded.
     ///
-    /// `workers` stripes *fleets* (not slots) across threads: a fleet's
+    /// `lanes` threads share the *fleets* (not the slots): a fleet's
     /// stream is stateful across slots (shared cache, RTT learning), so
-    /// each fleet runs sequentially on one worker while the merger
-    /// reassembles slots in order. Output is byte-identical for any
-    /// worker count.
+    /// each fleet runs sequentially on one lane (`assign_lanes`) while
+    /// the calling thread reassembles every slot in fleet order and
+    /// feeds `out` — a consumer passed here analyzes inline, on the
+    /// merging thread. Output is byte-identical for any lane count.
     pub fn generate_fleet<S: RecordSink>(
         &self,
         out: &mut S,
-        workers: usize,
+        lanes: usize,
     ) -> std::io::Result<DatasetStats> {
-        let plan = SlotPlan::new(self);
+        let plan = &SlotPlan::new(self);
         let slots = plan.slots();
-        let nfleets = self.fleets().len();
-        let workers = workers.clamp(1, nfleets.max(1));
+        let shares: Vec<f64> = self.fleets().iter().map(|f| f.spec.traffic_share).collect();
         let mut stage = obs::stage("simnet.fleet");
-        let mut progress = obs::Progress::new(
-            format!("fleet {:?}-{}", self.spec().vantage, self.spec().year),
-            Some(self.scaled_total()),
-        );
-
+        let progress = self.progress("fleet");
         // fleet observability: per-nameserver RTT histograms plus
         // cache/retry/timeout roll-ups published at the end
-        let rtt_hists = ns_rtt_histograms(&self.spec().servers);
-
-        let mut stats = DatasetStats::default();
-        let mut fleet_counts: Vec<u64> = vec![0u64; nfleets];
-        let mut summary = FleetSummary::default();
+        let rtt_hists = &ns_rtt_histograms(&self.spec().servers);
+        let mut stats = self.zeroed_stats();
 
         let engine = self;
-        let plan = &plan;
-        let hists_ref = &rtt_hists;
-        crossbeam::thread::scope(|scope| -> std::io::Result<()> {
-            let mut slice_rxs: Vec<Option<crossbeam::channel::Receiver<FleetSlice>>> =
-                (0..nfleets).map(|_| None).collect();
-            let mut sum_rxs: Vec<Option<crossbeam::channel::Receiver<FleetSummary>>> =
-                (0..nfleets).map(|_| None).collect();
-            for w in 0..workers {
-                let mut lanes = Vec::new();
-                for fi in (0..nfleets).filter(|fi| fi % workers == w) {
-                    let (tx, rx) = crossbeam::channel::bounded::<FleetSlice>(2);
-                    let (stx, srx) = crossbeam::channel::bounded::<FleetSummary>(1);
-                    slice_rxs[fi] = Some(rx);
-                    sum_rxs[fi] = Some(srx);
-                    lanes.push((fi, tx, stx));
-                }
-                scope.spawn(move |_| {
-                    let mut streams: Vec<FleetStream> = lanes
-                        .iter()
-                        .map(|(fi, _, _)| {
-                            FleetStream::new(engine, *fi, FLEET_SALT ^ *fi as u64, hists_ref)
-                        })
-                        .collect();
-                    'outer: for slot in 0..slots {
-                        for (k, (fi, tx, _)) in lanes.iter().enumerate() {
-                            let ratio = engine.fleets()[*fi].spec.junk_ratio;
-                            let cursor = plan.steer(*fi, slot, ratio);
-                            let slice = streams[k].produce_slot(slot, plan, [cursor].into_iter());
-                            if tx.send(slice).is_err() {
-                                break 'outer; // merger gone: stop early
+        let summary = crossbeam::thread::scope(|scope| -> std::io::Result<FleetSummary> {
+            // one bounded channel per fleet: its lane sends a slice a
+            // slot, the merger takes them in fleet order
+            let (txs, rxs): (Vec<_>, Vec<_>) = shares
+                .iter()
+                .map(|_| crossbeam::channel::bounded::<FleetSlice>(2))
+                .unzip();
+            let lanes: Vec<_> = assign_lanes(&shares, lanes)
+                .into_iter()
+                .map(|fleets| {
+                    let txs: Vec<_> = fleets.iter().map(|&fi| txs[fi].clone()).collect();
+                    scope.spawn(move |_| {
+                        let mut streams: Vec<FleetStream> = fleets
+                            .iter()
+                            .map(|&fi| {
+                                FleetStream::new(engine, fi, FLEET_SALT ^ fi as u64, rtt_hists)
+                            })
+                            .collect();
+                        'outer: for slot in 0..slots {
+                            for ((stream, &fi), tx) in streams.iter_mut().zip(&fleets).zip(&txs) {
+                                let ratio = engine.fleets()[fi].spec.junk_ratio;
+                                let cursor = plan.steer(fi, slot, ratio);
+                                let slice = stream.produce_slot(slot, plan, [cursor].into_iter());
+                                if tx.send(slice).is_err() {
+                                    break 'outer; // merger gone: stop early
+                                }
                             }
                         }
-                    }
-                    for (k, (_, _, stx)) in lanes.iter().enumerate() {
-                        let _ = stx.send(streams[k].summary());
-                    }
-                });
-            }
+                        let mut summary = FleetSummary::default();
+                        streams.iter().for_each(|s| summary.absorb(&s.summary()));
+                        summary
+                    })
+                })
+                .collect();
+            drop(txs);
 
             // the incident stream runs serially in the merger: it is a
             // few slots of one fleet
             let mut incidents =
-                FleetStream::new(engine, plan::flood_fleet(engine), INCIDENT_SALT, hists_ref);
-            let mut merge = || -> std::io::Result<()> {
-                for slot in 0..slots {
-                    let mut buf: Vec<CaptureRecord> = Vec::new();
-                    for fi in 0..nfleets {
-                        let slice = slice_rxs[fi]
-                            .as_ref()
-                            .expect("lane wired")
-                            .recv()
-                            .map_err(|_| std::io::Error::other("fleet worker disconnected"))?;
-                        progress.tick(slice.stats.queries);
-                        stats.absorb(&slice.stats);
-                        fleet_counts[fi] += slice.stats.queries;
-                        buf.extend(slice.records);
-                    }
-                    let inc = incidents.produce_slot(slot, plan, plan.floods(engine, slot));
-                    stats.absorb(&inc.stats);
-                    buf.extend(inc.records);
-                    buf.sort_by_key(|r| r.timestamp);
-                    out.emit_slice(slot as u64, buf)?;
+                FleetStream::new(engine, plan::flood_fleet(engine), INCIDENT_SALT, rtt_hists);
+            let mut buf: Vec<CaptureRecord> = Vec::new();
+            let merged = (0..slots).try_for_each(|slot| {
+                for (fi, rx) in rxs.iter().enumerate() {
+                    let slice = rx
+                        .recv()
+                        .map_err(|_| std::io::Error::other("fleet lane disconnected"))?;
+                    progress.tick(slice.stats.queries);
+                    stats.absorb(&slice.stats);
+                    stats.per_fleet[fi].1 += slice.stats.queries;
+                    buf.extend(slice.records);
                 }
+                let inc = incidents.produce_slot(slot, plan, plan.floods(engine, slot));
+                stats.absorb(&inc.stats);
+                buf.extend(inc.records);
+                buf.sort_by_key(|r| r.timestamp);
+                out.emit_slice(slot as u64, &mut buf)?;
+                buf.clear();
                 Ok(())
+            });
+            // dropping the receivers wakes lanes blocked on full channels
+            drop(rxs);
+            // the incident stream's cache never helps (cyclic failures
+            // are not cacheable) and stays out of the roll-up
+            let mut summary = FleetSummary {
+                cache: CacheStats::default(),
+                ..incidents.summary()
             };
-            let merged = merge();
-            // dropping the receivers wakes workers blocked on full lanes
-            drop(slice_rxs);
-            if merged.is_ok() {
-                for srx in sum_rxs.iter().flatten() {
-                    if let Ok(s) = srx.recv() {
-                        summary.cache.absorb(&s.cache);
-                        summary.retries += s.retries;
-                        summary.timeouts += s.timeouts;
-                        summary.instances += s.instances;
-                    }
-                }
-                let inc = incidents.summary();
-                summary.retries += inc.retries;
-                summary.timeouts += inc.timeouts;
-                summary.instances += inc.instances;
+            for lane in lanes {
+                summary.absorb(&lane.join().expect("fleet lanes do not panic"));
             }
-            merged
+            merged.map(|()| summary)
         })
-        .expect("fleet workers do not panic")?;
+        .expect("fleet scope joins")?;
 
         stats.cache_hits = stats.cache_hits.max(summary.cache.hits);
-        let stats = self.close_run(stats, &fleet_counts);
+        let stats = self.close_run([stats]);
         stage.add_items(stats.queries + stats.responses);
         FleetMetrics::register().finish(&summary);
         Ok(stats)
     }
+}
+
+/// Which fleets each of (at most) `lanes` threads runs: longest first —
+/// fleets by falling `traffic_share`, each to the lane carrying the
+/// least so far — so one heavy fleet does not share a thread while
+/// another lane idles. Every fleet lands on exactly one lane; the merger
+/// reassembles by fleet index, so the assignment never reaches the
+/// output.
+fn assign_lanes(shares: &[f64], lanes: usize) -> Vec<Vec<usize>> {
+    let lanes = lanes.clamp(1, shares.len().max(1));
+    let mut order: Vec<usize> = (0..shares.len()).collect();
+    order.sort_by(|&a, &b| shares[b].total_cmp(&shares[a]).then(a.cmp(&b)));
+    let mut assigned = vec![(0.0f64, Vec::new()); lanes];
+    for fi in order {
+        let lightest = assigned
+            .iter_mut()
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+            .expect("at least one lane");
+        lightest.0 += shares[fi];
+        lightest.1.push(fi);
+    }
+    assigned.into_iter().map(|(_, fleets)| fleets).collect()
 }
 
 #[cfg(test)]
@@ -998,17 +1010,36 @@ mod tests {
 
     #[test]
     fn fleet_deterministic_for_any_worker_count() {
-        let run = |workers: usize| {
-            let engine = Engine::new(dataset(Vantage::Nl, 2020), Scale::tiny(), 7);
+        let engine = Engine::new(dataset(Vantage::Nl, 2020), Scale::tiny(), 7);
+        let run = |lanes: usize| {
             let mut buf = Vec::new();
             let mut w = CaptureWriter::new(&mut buf).unwrap();
-            engine.generate_fleet(&mut w, workers).unwrap();
+            let stats = engine.generate_fleet(&mut w, lanes).unwrap();
             w.finish().unwrap();
-            buf
+            (buf, stats)
         };
         let one = run(1);
-        assert_eq!(one, run(3), "worker count must not change output");
-        assert_eq!(one, run(8));
+        // every lane count the longest-first assignment can tell
+        // apart, and one past it
+        for lanes in 2..=engine.fleets().len() + 1 {
+            assert!(one == run(lanes), "{lanes} lanes must not change output");
+        }
+    }
+
+    /// Longest-first: the heaviest fleets land on different lanes, the
+    /// light ones fill in behind them, every fleet on exactly one lane.
+    #[test]
+    fn lanes_are_assigned_longest_first() {
+        let shares = [0.05, 0.4, 0.1, 0.3, 0.15];
+        assert_eq!(assign_lanes(&shares, 1), vec![vec![1, 3, 4, 2, 0]]);
+        assert_eq!(assign_lanes(&shares, 2), vec![vec![1, 2], vec![3, 4, 0]]);
+        // more lanes than fleets: one fleet each
+        let lanes = assign_lanes(&shares, 9);
+        assert_eq!(lanes.len(), shares.len());
+        let mut all: Vec<usize> = lanes.into_iter().flatten().collect();
+        all.sort_unstable();
+        assert_eq!(all, vec![0, 1, 2, 3, 4]);
+        assert_eq!(assign_lanes(&[], 3), vec![Vec::<usize>::new()]);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub fn plan_config_for(spec: &DatasetSpec, scale: Scale, seed: u64) -> PlanConfi
 }
 
 /// Counters the engine reports after generating a dataset.
-#[derive(Debug, Clone, Default, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
 pub struct DatasetStats {
     /// Query-direction records written.
     pub queries: u64,
@@ -93,10 +93,12 @@ pub struct DatasetStats {
 }
 
 impl DatasetStats {
-    /// Fold a time slice's counters into this block. `per_fleet` is
-    /// left untouched: slice merging tracks fleet counts positionally
-    /// and attaches names once at the end.
+    /// Fold another (disjoint) part of the run in; `per_fleet` adds up
+    /// by position ([`Engine::zeroed_stats`] lays the names out).
     pub(crate) fn absorb(&mut self, other: &DatasetStats) {
+        for (acc, part) in self.per_fleet.iter_mut().zip(&other.per_fleet) {
+            acc.1 += part.1;
+        }
         self.queries += other.queries;
         self.responses += other.responses;
         self.truncated_udp += other.truncated_udp;
@@ -108,17 +110,11 @@ impl DatasetStats {
     }
 }
 
-/// One generated time slice (an hourly slot), ready to merge.
-struct SliceOut {
-    records: Vec<CaptureRecord>,
-    stats: DatasetStats,
-    fleet_counts: Vec<u64>,
-}
-
-/// What a slice under generation owns beside its RNG stream: RRL state,
-/// the wire encoder every message goes through, and the records and
-/// counters produced so far.
-struct SliceState {
+/// What one stripe of the slot range owns: the wire encoder every
+/// message goes through, the record buffer each slice fills and its
+/// sink drains, the current slice's RRL state, and the counters of the
+/// slices generated so far.
+struct StripeState {
     rrl: Option<RateLimiter>,
     wire: WireScratch,
     buf: Vec<CaptureRecord>,
@@ -237,101 +233,165 @@ impl Engine {
     }
 
     /// Generate the dataset into a capture writer (single-threaded).
-    pub fn generate<W: Write>(&self, out: &mut CaptureWriter<W>) -> std::io::Result<DatasetStats> {
+    pub fn generate<W: Write + Send>(
+        &self,
+        out: &mut CaptureWriter<W>,
+    ) -> std::io::Result<DatasetStats> {
         self.generate_sharded(out, 1)
     }
 
-    /// Generate the dataset into any record sink, spread over `shards`
-    /// crossbeam scoped worker threads.
+    /// Generate the dataset into one record sink, in slot order, spread
+    /// over `shards` scoped worker threads.
     ///
     /// Time is sliced by hourly slot — each slice is a contiguous time
     /// range driven by its own `StdRng` split from the dataset seed via
     /// [`splitmix`] stable hashing, with fresh per-slice resolver
     /// caches and RRL state — and slices merge in slot order. The
     /// output is therefore byte-identical for any shard count.
-    pub fn generate_sharded<S: RecordSink>(
+    pub fn generate_sharded<S: RecordSink + Send>(
         &self,
         out: &mut S,
         shards: usize,
     ) -> std::io::Result<DatasetStats> {
-        let plan = SlotPlan::new(self);
+        let plan = &SlotPlan::new(self);
         let slots = plan.slots();
         let shards = shards.clamp(1, slots.max(1));
-        let mut stage = obs::stage("simnet.generate");
-        let mut progress = obs::Progress::new(
-            format!("simnet {:?}-{}", self.spec.vantage, self.spec.year),
-            Some(self.scaled_total()),
-        );
-
-        let mut stats = DatasetStats::default();
-        let mut fleet_counts: Vec<u64> = vec![0; self.fleets.len()];
-        let mut merge = |slot: usize, slice: SliceOut| {
-            progress.tick(slice.stats.queries);
-            stats.absorb(&slice.stats);
-            for (acc, c) in fleet_counts.iter_mut().zip(&slice.fleet_counts) {
-                *acc += *c;
-            }
-            out.emit_slice(slot as u64, slice.records)
-        };
-
         if shards == 1 {
-            for slot in 0..slots {
-                merge(slot, self.generate_slice(slot, &plan))?;
-            }
-        } else {
-            // Workers stripe the slot range (worker w takes slots w,
-            // w+shards, ...); the merger pulls slices back in slot
-            // order over small bounded channels, so every shard keeps
-            // producing while the merge stays strictly ordered and
-            // memory stays bounded.
-            let engine = self;
-            let plan = &plan;
-            crossbeam::thread::scope(|scope| -> std::io::Result<()> {
-                let mut rxs = Vec::with_capacity(shards);
-                for w in 0..shards {
-                    let (tx, rx) = crossbeam::channel::bounded::<SliceOut>(2);
-                    rxs.push(rx);
-                    scope.spawn(move |_| {
-                        let mut shard_stage = obs::stage_owned(format!("simnet.generate.shard{w}"));
-                        let mut slot = w;
-                        while slot < slots {
-                            let slice = engine.generate_slice(slot, plan);
-                            shard_stage.add_items(slice.stats.queries + slice.stats.responses);
-                            if tx.send(slice).is_err() {
-                                break; // merger gone (sink error): stop early
-                            }
-                            slot += shards;
-                        }
-                    });
-                }
-                let merged = (0..slots).try_for_each(|slot| {
-                    let slice = rxs[slot % shards]
-                        .recv()
-                        .map_err(|_| std::io::Error::other("generator shard disconnected"))?;
-                    merge(slot, slice)
-                });
-                // dropping the receivers wakes any worker still blocked
-                // on a full channel, so the scope always joins
-                drop(rxs);
-                merged
-            })
-            .expect("generator shards do not panic")?;
+            return self.generate_striped(std::slice::from_mut(out));
         }
-
-        let stats = self.close_run(stats, &fleet_counts);
-        stage.add_items(stats.queries + stats.responses);
-        Ok(stats)
+        // Every shard runs its stripe of the slot range; the merger
+        // pulls slices back in slot order over small bounded channels,
+        // so every shard keeps producing while the merge stays strictly
+        // ordered and memory stays bounded.
+        let progress = &self.progress("simnet");
+        let parts = crossbeam::thread::scope(|scope| {
+            let (rxs, handles): (Vec<_>, Vec<_>) = (0..shards)
+                .map(|w| {
+                    let (tx, rx) = crossbeam::channel::bounded::<Vec<CaptureRecord>>(2);
+                    let shard = scope.spawn(move |_| {
+                        self.stripe(plan, progress, (w, shards), |_, slice| {
+                            // a closed channel is the merger gone (sink
+                            // error): stop early
+                            tx.send(std::mem::take(slice))
+                                .map_err(|_| std::io::Error::other("slice merger disconnected"))
+                        })
+                    });
+                    (rx, shard)
+                })
+                .unzip();
+            let merged = (0..slots).try_for_each(|slot| {
+                let mut slice = rxs[slot % shards]
+                    .recv()
+                    .map_err(|_| std::io::Error::other("generator shard disconnected"))?;
+                out.emit_slice(slot as u64, &mut slice)
+            });
+            // dropping the receivers wakes any shard still blocked on a
+            // full channel, so the scope always joins
+            drop(rxs);
+            let parts: Vec<_> = handles
+                .into_iter()
+                .map(|h| h.join().expect("generator shards do not panic"))
+                .collect();
+            merged?;
+            parts.into_iter().collect::<Result<Vec<_>, _>>()
+        })
+        .expect("generator scope joins")?;
+        Ok(self.close_run(parts))
     }
 
-    /// End of a run, either plane: attach the fleet names to their
-    /// query counts and publish the `simnet_*` totals.
-    pub(crate) fn close_run(&self, mut stats: DatasetStats, fleet_counts: &[u64]) -> DatasetStats {
-        stats.per_fleet = self
-            .fleets
-            .iter()
-            .zip(fleet_counts)
-            .map(|(f, c)| (f.spec.name.clone(), *c))
-            .collect();
+    /// Generate the dataset with no merge at all: one worker per sink,
+    /// worker `w` running its stripe of the slot range into `sinks[w]`
+    /// — records never leave the thread that made them. Worker 0 is the
+    /// calling thread, so one sink spawns nothing. The union of what
+    /// the sinks see is exactly [`Engine::generate_sharded`]'s stream,
+    /// slice by slice, for any number of sinks.
+    pub fn generate_striped<S: RecordSink + Send>(
+        &self,
+        sinks: &mut [S],
+    ) -> std::io::Result<DatasetStats> {
+        let plan = &SlotPlan::new(self);
+        let progress = &self.progress("simnet");
+        let workers = sinks.len();
+        let work = &|(w, out): (usize, &mut S)| {
+            self.stripe(plan, progress, (w, workers), |slot, slice| {
+                out.emit_slice(slot as u64, slice)
+            })
+        };
+        let parts = crossbeam::thread::scope(|scope| {
+            let mut sinks = sinks.iter_mut().enumerate();
+            let here = sinks.next().expect("at least one sink");
+            let spawned: Vec<_> = sinks
+                .map(|there| scope.spawn(move |_| work(there)))
+                .collect();
+            let mut parts = vec![work(here)];
+            parts.extend(
+                spawned
+                    .into_iter()
+                    .map(|h| h.join().expect("generator workers do not panic")),
+            );
+            parts
+        })
+        .expect("generator scope joins");
+        let parts = parts.into_iter().collect::<Result<Vec<_>, _>>()?;
+        Ok(self.close_run(parts))
+    }
+
+    /// The progress line of one run of `plane`, shared by its workers.
+    pub(crate) fn progress(&self, plane: &str) -> obs::Progress {
+        obs::Progress::new(
+            format!("{plane} {:?}-{}", self.spec.vantage, self.spec.year),
+            Some(self.scaled_total()),
+        )
+    }
+
+    /// Counters at zero, the fleets' names laid out for `per_fleet`.
+    pub(crate) fn zeroed_stats(&self) -> DatasetStats {
+        DatasetStats {
+            per_fleet: (self.fleets.iter())
+                .map(|f| (f.spec.name.clone(), 0))
+                .collect(),
+            ..DatasetStats::default()
+        }
+    }
+
+    /// The one slot loop: stripe `w` of `of` — slots `w, w + of, …` —
+    /// on the calling thread. One [`StripeState`] serves every slice of
+    /// the stripe; each finished slice goes to `each`, which drains it.
+    /// The `simnet.generate` stage brackets generation alone, so the
+    /// row holds no sink time whatever the stripe feeds.
+    fn stripe(
+        &self,
+        plan: &SlotPlan,
+        progress: &obs::Progress,
+        (w, of): (usize, usize),
+        mut each: impl FnMut(usize, &mut Vec<CaptureRecord>) -> std::io::Result<()>,
+    ) -> std::io::Result<DatasetStats> {
+        let mut s = StripeState {
+            rrl: None,
+            wire: WireScratch::default(),
+            buf: Vec::new(),
+            stats: self.zeroed_stats(),
+        };
+        for slot in (w..plan.slots()).step_by(of) {
+            let mut stage = obs::stage("simnet.generate");
+            let before = s.stats.queries;
+            self.generate_slice(slot, plan, &mut s);
+            stage.add_items(s.buf.len() as u64);
+            drop(stage);
+            progress.tick(s.stats.queries - before);
+            each(slot, &mut s.buf)?;
+            s.buf.clear();
+        }
+        Ok(s.stats)
+    }
+
+    /// End of a run, either plane: sum the workers' counters and publish
+    /// the `simnet_*` totals.
+    pub(crate) fn close_run(&self, parts: impl IntoIterator<Item = DatasetStats>) -> DatasetStats {
+        let mut stats = self.zeroed_stats();
+        for part in parts {
+            stats.absorb(&part);
+        }
         obs::counter(
             "simnet_queries_total",
             "query records generated by the simnet engine",
@@ -350,31 +410,25 @@ impl Engine {
         stats
     }
 
-    /// Generate one hourly time slice, self-contained: its own RNG
-    /// stream, resolver caches, and RRL state, so slices can run on any
-    /// thread in any order and still merge byte-identically.
-    fn generate_slice(&self, slot: usize, plan: &SlotPlan) -> SliceOut {
+    /// Generate one hourly time slice into `s.buf`, self-contained: its
+    /// own RNG stream, resolver caches, and RRL state, so slices can run
+    /// on any thread in any order and still merge byte-identically.
+    fn generate_slice(&self, slot: usize, plan: &SlotPlan, s: &mut StripeState) {
         let mut rng = StdRng::seed_from_u64(slice_seed(self.seed, slot));
-        let mut s = SliceState {
-            rrl: self.spec.rrl.map(RateLimiter::new),
-            wire: WireScratch::default(),
-            buf: Vec::new(),
-            stats: DatasetStats::default(),
-        };
-        let mut fleet_counts = Vec::with_capacity(self.fleets.len());
+        s.rrl = self.spec.rrl.map(RateLimiter::new);
         for (fi, fleet) in self.fleets.iter().enumerate() {
             let mut caches = HashMap::new();
             let mut steer = plan.steer(fi, slot, fleet.spec.junk_ratio);
             while let Some((t, want_junk)) = steer.next(&mut rng) {
                 let sent = self.demand(fleet, t, want_junk, &mut caches, &mut rng, |rng, ask| {
-                    self.emit_exchange(ask, rng, &mut s)
+                    self.emit_exchange(ask, rng, s)
                 });
                 if sent == 0 {
                     s.stats.cache_hits += 1;
                 }
                 steer.emitted(sent);
             }
-            fleet_counts.push(steer.done());
+            s.stats.per_fleet[fi].1 += steer.done();
         }
         // incident traffic (the Feb-2020 cyclic dependency) rides on
         // top: one exchange per event, so TCP retries come on top of
@@ -393,16 +447,11 @@ impl Engine {
                     junk: false,
                     at,
                 };
-                self.emit_exchange(&ask, &mut rng, &mut s);
+                self.emit_exchange(&ask, &mut rng, s);
                 flood.emitted(1);
             }
         }
         s.buf.sort_by_key(|r| r.timestamp);
-        SliceOut {
-            records: s.buf,
-            stats: s.stats,
-            fleet_counts,
-        }
     }
 
     /// One demand event of the calibrated plane: a resolver of `fleet`
@@ -534,7 +583,7 @@ impl Engine {
     /// Answer `ask` at the vantage and record the exchange (plus the
     /// TCP fallback if the UDP response truncates). Returns query
     /// records written.
-    fn emit_exchange(&self, ask: &Ask, rng: &mut StdRng, s: &mut SliceState) -> u64 {
+    fn emit_exchange(&self, ask: &Ask, rng: &mut StdRng, s: &mut StripeState) -> u64 {
         let query = self.build_query(ask, rng, &mut s.wire);
         let resolver = ask.resolver;
         self.auth.respond(
@@ -852,6 +901,51 @@ mod tests {
             let hour = rec.timestamp.as_micros() / 3_600_000_000;
             assert!(hour >= last_hour, "slot order violated");
             last_hour = hour;
+        }
+    }
+
+    /// Striped workers see exactly the sharded stream: worker `w` of
+    /// `W` gets slots `w, w + W, …` in order, and dealing the workers'
+    /// slices back by slot rebuilds the ordered generator's vector and
+    /// counters.
+    #[test]
+    fn striped_workers_cover_the_sharded_stream_slice_by_slice() {
+        struct Slices(Vec<(usize, Vec<CaptureRecord>)>);
+        impl RecordSink for Slices {
+            fn emit(&mut self, _: CaptureRecord) -> std::io::Result<()> {
+                unreachable!("the generator hands over whole slices")
+            }
+            fn emit_slice(
+                &mut self,
+                slot: u64,
+                slice: &mut Vec<CaptureRecord>,
+            ) -> std::io::Result<()> {
+                self.0.push((slot as usize, std::mem::take(slice)));
+                Ok(())
+            }
+        }
+        let engine = Engine::new(dataset(Vantage::Nz, 2020), Scale::tiny(), 19);
+        let mut reference: Vec<CaptureRecord> = Vec::new();
+        let reference_stats = engine.generate_sharded(&mut reference, 2).unwrap();
+        assert!(!reference.is_empty());
+        let slots = engine.spec().days as usize * 24;
+        for workers in [1usize, 3] {
+            let mut sinks: Vec<Slices> = (0..workers).map(|_| Slices(Vec::new())).collect();
+            let stats = engine.generate_striped(&mut sinks).unwrap();
+            assert_eq!(stats, reference_stats, "{workers} worker(s)");
+            for (w, sink) in sinks.iter().enumerate() {
+                assert!(
+                    sink.0
+                        .iter()
+                        .map(|(slot, _)| *slot)
+                        .eq((w..slots).step_by(workers)),
+                    "worker {w} of {workers} runs its own stripe, in order"
+                );
+            }
+            let mut slices: Vec<_> = sinks.into_iter().flat_map(|s| s.0).collect();
+            slices.sort_by_key(|(slot, _)| *slot);
+            let rebuilt: Vec<CaptureRecord> = slices.into_iter().flat_map(|(_, s)| s).collect();
+            assert!(rebuilt == reference, "{workers} worker(s)");
         }
     }
 

@@ -18,10 +18,11 @@
 //! ```
 //!
 //! Common flags: `--scale=tiny|small|report` (default small),
-//! `--seed=N` (default 42), `--shards=N` (generator threads), and
-//! `--jobs=N` (analysis workers per dataset, and datasets in flight for
-//! the multi-dataset commands — output is byte-identical for any
-//! value). Value-taking flags accept both `--flag=value` and
+//! `--seed=N` (default 42), `--shards=N` (worker threads per dataset;
+//! each generates and analyzes its own slices) and `--jobs=N` (the same
+//! workers, and datasets in flight for the multi-dataset commands).
+//! Unset, a run uses the machine's cores; output is byte-identical for
+//! any value. Value-taking flags accept both `--flag=value` and
 //! `--flag value`.
 //!
 //! Observability flags (any command): `--stats` prints a per-stage
@@ -159,12 +160,12 @@ const VALUE_FLAGS: &[(&str, &str, &str)] = &[
     (
         "--shards",
         "N",
-        "generator/pipeline worker threads (default 1)",
+        "pipeline worker threads per dataset (default: one per core)",
     ),
     (
         "--jobs",
         "N",
-        "analysis workers per dataset and datasets in flight (default 1)",
+        "the same, plus datasets in flight (default: the cores, shared out) and warehouse scan threads (default 1)",
     ),
     (
         "--zone",
@@ -491,14 +492,13 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
         }
     };
     let seed: u64 = parsed_flag(flags, "--seed", "an integer")?.unwrap_or(42);
-    let shards: usize = parsed_flag(flags, "--shards", "a worker-thread count")?.unwrap_or(1);
-    if shards == 0 {
-        return Err("--shards must be at least 1".to_string());
-    }
-    let jobs: usize = parsed_flag(flags, "--jobs", "a worker-thread count")?.unwrap_or(1);
-    if jobs == 0 {
-        return Err("--jobs must be at least 1".to_string());
-    }
+    // an absent count is unset (0 from here on): the pipeline then
+    // sizes itself to the machine
+    let count = |flag: &str| match parsed_flag(flags, flag, "a worker-thread count")? {
+        Some(0usize) => Err(format!("{flag} must be at least 1")),
+        given => Ok(given.unwrap_or(0)),
+    };
+    let (shards, jobs) = (count("--shards")?, count("--jobs")?);
     // the one pipeline description every generating command runs under
     let opts = PipelineOpts {
         shards,

@@ -42,10 +42,20 @@ fn stats_flag_prints_stage_table() {
     }
 }
 
+/// A streamed run has no channel to report, so its legibility is the
+/// per-worker rows: one `pipeline.worker{w}` per worker, whose records
+/// add up to the `pipeline.analyze` row's.
 #[test]
-fn stats_flag_prints_queue_block() {
+fn stats_flag_prints_worker_rows() {
     let out = bin()
-        .args(["dataset", "nl", "2018", "--scale=tiny", "--stats"])
+        .args([
+            "dataset",
+            "nl",
+            "2018",
+            "--scale=tiny",
+            "--stats",
+            "--shards=2",
+        ])
         .output()
         .expect("runs");
     assert!(
@@ -54,18 +64,23 @@ fn stats_flag_prints_queue_block() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("== queues =="), "{text}");
-    // the bounded generator→analyzer channel registers a QueueDepth;
-    // the row shows last-observed depth and the high-water mark
-    let row = text
-        .lines()
-        .find(|l| l.starts_with("pipeline_analyze"))
-        .unwrap_or_else(|| panic!("no pipeline_analyze queue row:\n{text}"));
-    let cols: Vec<&str> = row.split_whitespace().collect();
-    assert_eq!(cols.len(), 3, "{row}");
-    let depth: u64 = cols[1].parse().expect("depth number");
-    let peak: u64 = cols[2].parse().expect("peak number");
-    assert!(peak >= depth, "{row}");
+    assert!(!text.contains("== queues =="), "no queue exists:\n{text}");
+    // stage | calls | time | records | records/s
+    let records = |stage: &str| -> u64 {
+        let row = text
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(stage))
+            .unwrap_or_else(|| panic!("no {stage} row:\n{text}"));
+        row.split_whitespace().nth(3).unwrap().parse().expect(row)
+    };
+    let analyzed = records("pipeline.analyze");
+    assert!(analyzed > 0, "{text}");
+    assert_eq!(
+        records("pipeline.worker0") + records("pipeline.worker1"),
+        analyzed,
+        "{text}"
+    );
+    assert!(!text.contains("pipeline.worker2"), "{text}");
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //! accounting, and robustness against damaged captures.
 
 use dnscentral_core::experiments::{
-    analyze_capture, generate_capture, generate_capture_sharded, temp_capture_path,
+    analyze_capture, generate_capture, generate_capture_sharded, temp_capture_path, DatasetRun,
 };
 use dnscentral_core::pipeline::{run_spec_with, PipelineOpts};
+use dnscentral_core::report;
 use dnscentral_core::store;
 use netbase::capture::CaptureWriter;
 use simnet::profile::Vantage;
@@ -46,40 +47,54 @@ fn sharded_generation_matches_on_disk() {
     assert_eq!(a, b, "4-shard capture diverged from single-threaded");
 }
 
-/// The streamed (no intermediate file) path — sharded generator, four
-/// analysis workers — and the kept-capture disk path agree on every
-/// ingest counter and analysis aggregate; and a kept-capture run that
-/// also feeds a warehouse commits rows that render the same report as a
-/// streamed warehouse-only run.
+/// The streamed pipeline and the on-disk path agree end to end, on both
+/// planes and for any worker count — one worker, two, more workers
+/// than this box has cores, and the unset default: the same generator
+/// and ingest counters, the same rendered report, the same `--json`
+/// document as the two-pass `--keep-capture` run. And a streamed
+/// `--warehouse` run scans back to the kept run's report whatever its
+/// worker count (each worker appends through its own appender).
 #[test]
 fn streamed_and_disk_paths_agree_end_to_end() {
     let spec = dataset(Vantage::Nl, 2020);
-    let streamed = run_spec_with(
-        spec.clone(),
-        Scale::tiny(),
-        17,
-        &PipelineOpts {
-            shards: 2,
-            jobs: 4,
-            ..Default::default()
-        },
-    );
-    let path = temp_capture_path("streamed-vs-disk", 17);
-    let disk_opts = PipelineOpts {
-        shards: 2,
-        keep_capture: Some(path.clone()),
-        ..Default::default()
+    let comparable = |run: &DatasetRun| {
+        let text = report::render_dataset_report(
+            &run.id,
+            run.spec.vantage,
+            &run.analysis,
+            &run.dualstack,
+            &run.spec,
+        );
+        let json = serde_json::to_string(&report::dataset_json(&run.id, &run.analysis)).unwrap();
+        (run.gen_stats.clone(), run.ingest_stats.clone(), text, json)
     };
-    let disk = run_spec_with(spec.clone(), Scale::tiny(), 17, &disk_opts);
-    assert!(path.exists());
-    assert_eq!(streamed.ingest_stats, disk.ingest_stats);
-    assert_eq!(streamed.analysis.total_queries, disk.analysis.total_queries);
-    assert_eq!(streamed.analysis.valid_queries, disk.analysis.valid_queries);
-    assert_eq!(streamed.analysis.cloud_share(), disk.analysis.cloud_share());
-    assert_eq!(
-        streamed.analysis.diurnal_peak_trough(),
-        disk.analysis.diurnal_peak_trough()
-    );
+    for fleet in [false, true] {
+        let path = temp_capture_path("streamed-vs-disk", 17 + fleet as u64);
+        let disk_opts = PipelineOpts {
+            fleet,
+            shards: 2,
+            keep_capture: Some(path.clone()),
+            ..Default::default()
+        };
+        let disk = run_spec_with(spec.clone(), Scale::tiny(), 17, &disk_opts);
+        assert!(path.exists(), "--keep-capture leaves the file behind");
+        let _ = fs::remove_file(&path);
+        let disk = comparable(&disk);
+        assert!(disk.1.rows > 0 && !disk.0.per_fleet.is_empty());
+        // 0 is unset: as many workers as the machine has cores
+        for workers in [1usize, 2, 3, 7, 0] {
+            let opts = PipelineOpts {
+                fleet,
+                shards: workers,
+                ..Default::default()
+            };
+            let streamed = run_spec_with(spec.clone(), Scale::tiny(), 17, &opts);
+            assert!(
+                comparable(&streamed) == disk,
+                "fleet={fleet} workers={workers} diverged from the kept-capture run"
+            );
+        }
+    }
 
     // keep_capture + warehouse: the one pass over the file also appends
     let report_of = |name: &str, opts: &PipelineOpts| {
@@ -94,10 +109,18 @@ fn streamed_and_disk_paths_agree_end_to_end() {
         let _ = fs::remove_dir_all(&dir);
         text
     };
-    let kept = report_of("kept", &disk_opts);
+    let path = temp_capture_path("streamed-vs-disk-wh", 17);
+    let kept = report_of(
+        "kept",
+        &PipelineOpts {
+            keep_capture: Some(path.clone()),
+            ..Default::default()
+        },
+    );
     let _ = fs::remove_file(&path);
     assert!(kept.contains("nl-w2020"), "{kept}");
-    assert_eq!(kept, report_of("streamed", &PipelineOpts::with_jobs(4)));
+    assert_eq!(kept, report_of("streamed-1", &PipelineOpts::with_jobs(1)));
+    assert_eq!(kept, report_of("streamed-3", &PipelineOpts::with_jobs(3)));
 }
 
 /// Generator counters equal analyzer counters across the file boundary.
