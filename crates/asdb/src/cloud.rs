@@ -35,17 +35,34 @@ pub const ALL_PROVIDERS: [Provider; 5] = [
 impl Provider {
     /// The provider's AS numbers, exactly as the paper's Table 1 lists
     /// them (Microsoft's "8068-8075" range expanded).
-    pub fn asns(self) -> Vec<Asn> {
-        let list: &[u32] = match self {
-            Provider::Google => &[15169],
-            Provider::Amazon => &[7224, 8987, 9059, 14168, 16509],
+    pub fn asns(self) -> &'static [Asn] {
+        match self {
+            Provider::Google => &[Asn(15169)],
+            Provider::Amazon => &[Asn(7224), Asn(8987), Asn(9059), Asn(14168), Asn(16509)],
             Provider::Microsoft => &[
-                3598, 6584, 8068, 8069, 8070, 8071, 8072, 8073, 8074, 8075, 12076, 23468,
+                Asn(3598),
+                Asn(6584),
+                Asn(8068),
+                Asn(8069),
+                Asn(8070),
+                Asn(8071),
+                Asn(8072),
+                Asn(8073),
+                Asn(8074),
+                Asn(8075),
+                Asn(12076),
+                Asn(23468),
             ],
-            Provider::Facebook => &[32934],
-            Provider::Cloudflare => &[13335],
-        };
-        list.iter().map(|&n| Asn(n)).collect()
+            Provider::Facebook => &[Asn(32934)],
+            Provider::Cloudflare => &[Asn(13335)],
+        }
+    }
+
+    /// The provider owning `asn`, if it is one of the 20 Table 1 ASes:
+    /// the one ASN → provider table, read for every warehouse row
+    /// rebuilt and every zone map written. Allocation-free.
+    pub fn of_asn(asn: Asn) -> Option<Provider> {
+        ALL_PROVIDERS.into_iter().find(|p| p.asns().contains(&asn))
     }
 
     /// Whether the provider runs a public DNS resolver service
@@ -186,7 +203,7 @@ mod tests {
     fn asns_are_disjoint_across_providers() {
         let mut seen = HashSet::new();
         for p in ALL_PROVIDERS {
-            for asn in p.asns() {
+            for &asn in p.asns() {
                 assert!(seen.insert(asn), "{asn:?} appears twice");
             }
         }
@@ -194,12 +211,24 @@ mod tests {
 
     #[test]
     fn table_1_membership_spot_checks() {
-        assert_eq!(Provider::Google.asns(), vec![Asn(15169)]);
+        assert_eq!(Provider::Google.asns(), [Asn(15169)]);
         assert!(Provider::Amazon.asns().contains(&Asn(16509)));
         assert_eq!(Provider::Microsoft.asns().len(), 12);
         assert!(Provider::Microsoft.asns().contains(&Asn(8071)));
-        assert_eq!(Provider::Facebook.asns(), vec![Asn(32934)]);
-        assert_eq!(Provider::Cloudflare.asns(), vec![Asn(13335)]);
+        assert_eq!(Provider::Facebook.asns(), [Asn(32934)]);
+        assert_eq!(Provider::Cloudflare.asns(), [Asn(13335)]);
+    }
+
+    #[test]
+    fn of_asn_inverts_asns() {
+        for p in ALL_PROVIDERS {
+            for &asn in p.asns() {
+                assert_eq!(Provider::of_asn(asn), Some(p), "{asn}");
+            }
+        }
+        for unmapped in [0, 1, 15168, 15170, 64512, u32::MAX] {
+            assert_eq!(Provider::of_asn(Asn(unmapped)), None, "AS{unmapped}");
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl AsRegistry {
     pub fn with_cloud_providers() -> Self {
         let mut reg = Self::new();
         for provider in crate::cloud::ALL_PROVIDERS {
-            for asn in provider.asns() {
+            for &asn in provider.asns() {
                 reg.register(AsInfo {
                     asn,
                     name: format!("{} ({})", provider.name(), asn),

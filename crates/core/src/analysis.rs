@@ -364,15 +364,10 @@ impl DatasetAnalysis {
     /// The rank of the first cloud-provider AS in the by-volume AS
     /// ranking (the paper: 5th at B-Root 2020, behind four ISPs).
     pub fn first_cloud_as_rank(&self) -> Option<usize> {
-        let cloud_asns: std::collections::HashSet<u32> = ALL_PROVIDERS
-            .iter()
-            .flat_map(|p| p.asns())
-            .map(|a| a.0)
-            .collect();
         self.as_volume
             .top_k(self.as_volume.keys())
             .iter()
-            .position(|(asn, _)| cloud_asns.contains(&asn.0))
+            .position(|&(asn, _)| Provider::of_asn(asn).is_some())
             .map(|i| i + 1)
     }
 }

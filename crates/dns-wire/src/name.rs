@@ -157,6 +157,15 @@ impl Name {
         self.as_wire().len()
     }
 
+    /// Heap octets this name owns beyond `size_of::<Name>()`: 0 when
+    /// the wire form is stored inline, its length when it is boxed.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::Inline { .. } => 0,
+            Repr::Heap(wire) => wire.len(),
+        }
+    }
+
     /// True if this is the root name.
     pub fn is_root(&self) -> bool {
         self.wire_len() == 1
@@ -1147,8 +1156,10 @@ mod tests {
         let at_cap = Name::from_labels([&[b'a'; INLINE_CAP - 2][..]]).unwrap();
         assert_eq!(at_cap.wire_len(), INLINE_CAP);
         assert!(matches!(at_cap.repr, Repr::Inline { .. }));
+        assert_eq!(at_cap.heap_bytes(), 0);
         let over = Name::from_labels([&[b'a'; INLINE_CAP - 1][..]]).unwrap();
         assert!(matches!(over.repr, Repr::Heap(_)));
+        assert_eq!(over.heap_bytes(), INLINE_CAP + 1);
         // slicing a boxed name back under the capacity moves it inline
         let long = n("a-label-long-enough-to-spill.example.nl");
         assert!(matches!(long.repr, Repr::Heap(_)));

@@ -3,10 +3,12 @@
 //! ENTRADA stores joined query rows in columnar form (Parquet); this is
 //! the same idea at library scale. A [`ColumnarBatch`] holds each field
 //! of [`QueryRow`] in its own dense column, with qnames
-//! dictionary-encoded into a shared arena — repeated names (the Zipf
-//! head, minimized Q-min names) are stored once. Multi-pass analyses
-//! can hold tens of millions of rows this way at a fraction of the
-//! row-struct footprint.
+//! dictionary-encoded — repeated names (the Zipf head, minimized Q-min
+//! names) are stored once, as a [`Name`], and a row holds its id.
+//! Multi-pass analyses can hold tens of millions of rows this way at a
+//! fraction of the row-struct footprint. Pushing, decoding and
+//! rebuilding a row allocate nothing per row: dictionary names up to
+//! 30 octets live inline, and the intern index holds ids, not copies.
 
 use crate::schema::QueryRow;
 use asdb::cloud::Provider;
@@ -15,13 +17,14 @@ use dns_wire::name::Name;
 use dns_wire::types::{RType, Rcode};
 use netbase::flow::Transport;
 use netbase::time::SimTime;
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::net::IpAddr;
 
-/// Provider tag stored per row (one byte): 0 = rest of the Internet,
-/// 1..=5 the five paper providers in [`asdb::cloud::ALL_PROVIDERS`]
-/// order. Shared with the warehouse's zone maps, which prune
-/// partitions on the same tags.
+/// Provider tag of a row (one byte, derived from its ASN, never
+/// stored): 0 = rest of the Internet, 1..=5 the five paper providers
+/// in [`asdb::cloud::ALL_PROVIDERS`] order. Shared with the
+/// warehouse's zone maps, which prune partitions on the same tags.
 pub fn provider_tag(p: Option<Provider>) -> u8 {
     match p {
         None => 0,
@@ -33,24 +36,61 @@ pub fn provider_tag(p: Option<Provider>) -> u8 {
     }
 }
 
-/// Inverse of [`provider_tag`] (unknown tags map to `None`).
-pub fn tag_provider(t: u8) -> Option<Provider> {
-    match t {
-        1 => Some(Provider::Google),
-        2 => Some(Provider::Amazon),
-        3 => Some(Provider::Microsoft),
-        4 => Some(Provider::Facebook),
-        5 => Some(Provider::Cloudflare),
-        _ => None,
-    }
-}
-
 /// A dictionary-encoded columnar batch of query rows: the raw
-/// [`Columns`] plus a lookup index over the qname dictionary.
+/// [`Columns`] plus an intern index over the qname dictionary.
 #[derive(Default)]
 pub struct ColumnarBatch {
     cols: Columns,
-    dict_index: HashMap<Vec<u8>, u32>,
+    index: NameIndex,
+    /// Heap octets of the dictionary's boxed (longer than inline) names.
+    dict_heap: usize,
+}
+
+/// The intern index: open addressing over the dictionary's *exact*
+/// wire bytes. `Name`'s own `Eq`/`Hash` fold ASCII case, which would
+/// merge `Example.nl.` into `example.nl.` and rebuild rows with the
+/// wrong octets; this index tells them apart. Slots hold `id + 1` (0 =
+/// empty) and point into the dictionary, so a name is stored once and
+/// never copied to key a map. The hasher is randomly keyed SipHash:
+/// qnames come from untrusted captures, and a fixed hash would let
+/// crafted names collide until interning went quadratic.
+#[derive(Default)]
+struct NameIndex {
+    hasher: RandomState,
+    /// A power of two in length (or empty), at most half full.
+    slots: Vec<u32>,
+}
+
+impl NameIndex {
+    /// The id of `wire` in `dict`, or the empty slot it would take.
+    /// Needs at least one empty slot ([`NameIndex::reserve`]).
+    fn find(&self, dict: &[Name], wire: &[u8]) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(wire) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                id if dict[id as usize - 1].as_wire() == wire => return Ok(id - 1),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Make room for a dictionary of `entries` names, rehashing
+    /// `dict` (whose names are distinct) when the table has to grow.
+    fn reserve(&mut self, dict: &[Name], entries: usize) {
+        if entries * 2 <= self.slots.len() {
+            return;
+        }
+        let len = (entries * 2).next_power_of_two().max(16);
+        self.slots = vec![0; len];
+        for (id, name) in dict.iter().enumerate() {
+            let Err(slot) = self.find(dict, name.as_wire()) else {
+                unreachable!("dictionary entries are distinct");
+            };
+            self.slots[slot] = id as u32 + 1;
+        }
+    }
 }
 
 impl ColumnarBatch {
@@ -61,7 +101,7 @@ impl ColumnarBatch {
 
     /// Append one row.
     pub fn push(&mut self, row: &QueryRow) {
-        let qname_id = self.intern(row.qname.as_wire());
+        let qname_id = self.intern(&row.qname);
         let c = &mut self.cols;
         c.timestamps.push(row.timestamp.as_micros());
         c.srcs.push(row.src);
@@ -94,16 +134,19 @@ impl ColumnarBatch {
         c.asns.push(row.asn.map(|a| a.0).unwrap_or(0));
     }
 
-    fn intern(&mut self, wire: &[u8]) -> u32 {
-        if let Some(&id) = self.dict_index.get(wire) {
-            return id;
+    fn intern(&mut self, name: &Name) -> u32 {
+        let dict = &mut self.cols.dict;
+        self.index.reserve(dict, dict.len() + 1);
+        match self.index.find(dict, name.as_wire()) {
+            Ok(id) => id,
+            Err(slot) => {
+                let id = dict.len() as u32;
+                self.index.slots[slot] = id + 1;
+                self.dict_heap += name.heap_bytes();
+                dict.push(name.clone());
+                id
+            }
         }
-        let id = self.cols.dict_offsets.len() as u32;
-        let start = self.cols.dict_arena.len() as u32;
-        self.cols.dict_arena.extend_from_slice(wire);
-        self.cols.dict_offsets.push((start, wire.len() as u32));
-        self.dict_index.insert(wire.to_vec(), id);
-        id
     }
 
     /// Number of rows.
@@ -118,18 +161,20 @@ impl ColumnarBatch {
 
     /// Distinct qnames in the dictionary.
     pub fn dictionary_size(&self) -> usize {
-        self.cols.dict_offsets.len()
+        self.cols.dict.len()
     }
 
-    /// Reconstruct row `i`.
+    /// Reconstruct row `i`. Allocation-free unless its qname is longer
+    /// than a `Name` holds inline.
     ///
     /// # Panics
     /// If `i >= len()`.
     pub fn get(&self, i: usize) -> QueryRow {
         let c = &self.cols;
-        let (start, len) = c.dict_offsets[c.qname_ids[i] as usize];
-        let wire = &c.dict_arena[start as usize..(start + len) as usize];
-        let (qname, _) = Name::parse(wire, 0).expect("dictionary holds valid names");
+        let asn = match c.asns[i] {
+            0 => None,
+            v => Some(Asn(v)),
+        };
         let flags = c.flags[i];
         QueryRow {
             timestamp: SimTime(c.timestamps[i]),
@@ -141,7 +186,7 @@ impl ColumnarBatch {
             } else {
                 Transport::Tcp
             },
-            qname,
+            qname: c.dict[c.qname_ids[i] as usize].clone(),
             qtype: RType::from_u16(c.qtypes[i]),
             edns_size: match c.edns_sizes[i] {
                 u16::MAX => None,
@@ -159,11 +204,8 @@ impl ColumnarBatch {
             },
             response_truncated: flags & 2 != 0,
             tcp_rtt_us: c.tcp_rtts[i],
-            asn: match c.asns[i] {
-                0 => None,
-                v => Some(Asn(v)),
-            },
-            provider: tag_provider(asn_provider_tag(c.asns[i])),
+            asn,
+            provider: asn.and_then(Provider::of_asn),
             public_dns: flags & 4 != 0,
         }
     }
@@ -187,7 +229,10 @@ impl ColumnarBatch {
     /// Per-row provider tags (see [`provider_tag`]), derived from the
     /// ASN column — providers are not stored per row.
     pub fn provider_tags(&self) -> impl Iterator<Item = u8> + '_ {
-        self.cols.asns.iter().copied().map(asn_provider_tag)
+        self.cols
+            .asns
+            .iter()
+            .map(|&asn| provider_tag(Provider::of_asn(Asn(asn))))
     }
 
     /// Merge another batch in: columns are appended, the other batch's
@@ -196,13 +241,7 @@ impl ColumnarBatch {
     /// batch's rows in order, without reconstructing them.
     pub fn merge(&mut self, other: ColumnarBatch) {
         let other = other.cols;
-        let remap: Vec<u32> = other
-            .dict_offsets
-            .iter()
-            .map(|&(start, len)| {
-                self.intern(&other.dict_arena[start as usize..(start + len) as usize])
-            })
-            .collect();
+        let remap: Vec<u32> = other.dict.iter().map(|name| self.intern(name)).collect();
         let c = &mut self.cols;
         c.qname_ids
             .extend(other.qname_ids.iter().map(|&id| remap[id as usize]));
@@ -221,12 +260,10 @@ impl ColumnarBatch {
     }
 
     /// Heap footprint estimate of the batch, bytes: every column at
-    /// `len * size_of::<elem>()` plus the dictionary arena, offsets,
-    /// and an estimate for the dictionary hash index. The warehouse
-    /// appender flushes partitions when this crosses its byte budget.
-    ///
-    /// (This supersedes an earlier formula that under-counted by one
-    /// `u16` column per row — `rcodes` was missed.)
+    /// `len * size_of::<elem>()`, one `Name` per dictionary entry plus
+    /// the heap octets of the boxed ones, and the intern index's slots.
+    /// The warehouse appender flushes partitions when this crosses its
+    /// byte budget.
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
         self.cols.timestamps.len()
@@ -235,9 +272,9 @@ impl ColumnarBatch {
                 + size_of::<u16>() * 4          // src_ports, qtypes, edns_sizes, rcodes
                 + size_of::<u8>() * 2           // transports, flags
                 + size_of::<u32>() * 4)         // qname_ids, response_sizes, tcp_rtts, asns
-            + self.cols.dict_arena.len()
-            + self.cols.dict_offsets.len() * size_of::<(u32, u32)>()
-            + self.dict_index.len() * 48
+            + self.cols.dict.len() * size_of::<Name>()
+            + self.dict_heap
+            + self.index.slots.len() * size_of::<u32>()
     }
 
     /// The raw columns, for serialization (the `warehouse` crate
@@ -248,8 +285,11 @@ impl ColumnarBatch {
 
     /// Rebuild a batch from raw columns (the inverse of [`columns`]
     /// after a serialization round trip). Validates column lengths,
-    /// dictionary offsets, and qname ids so a decoder bug or corrupt
+    /// qname ids and dictionary uniqueness so a decoder bug or corrupt
     /// file surfaces as an error here rather than a panic later.
+    /// Building the intern index is the uniqueness check: entries must
+    /// differ in their exact octets, so `Example.nl.` may sit beside
+    /// `example.nl.` but not beside itself.
     ///
     /// [`columns`]: ColumnarBatch::columns
     pub fn from_columns(c: Columns) -> Result<ColumnarBatch, &'static str> {
@@ -273,29 +313,24 @@ impl ColumnarBatch {
         {
             return Err("column lengths disagree");
         }
-        for &(start, len) in &c.dict_offsets {
-            let end = (start as usize).checked_add(len as usize);
-            if end.is_none_or(|e| e > c.dict_arena.len()) {
-                return Err("dictionary offset out of arena bounds");
-            }
-        }
-        let dict_len = c.dict_offsets.len() as u32;
+        let dict_len = u32::try_from(c.dict.len()).map_err(|_| "dictionary too large")?;
         if c.qname_ids.iter().any(|&id| id >= dict_len) {
             return Err("qname id out of dictionary bounds");
         }
-        let mut dict_index = HashMap::with_capacity(c.dict_offsets.len());
-        for (id, &(start, len)) in c.dict_offsets.iter().enumerate() {
-            let wire = c.dict_arena[start as usize..(start + len) as usize].to_vec();
-            if Name::parse(&wire, 0).is_err() {
-                return Err("dictionary entry is not a valid wire-form name");
-            }
-            if dict_index.insert(wire, id as u32).is_some() {
+        let mut index = NameIndex::default();
+        index.reserve(&[], c.dict.len());
+        let mut dict_heap = 0;
+        for (id, name) in c.dict.iter().enumerate() {
+            let Err(slot) = index.find(&c.dict, name.as_wire()) else {
                 return Err("duplicate dictionary entry");
-            }
+            };
+            index.slots[slot] = id as u32 + 1;
+            dict_heap += name.heap_bytes();
         }
         Ok(ColumnarBatch {
             cols: c,
-            dict_index,
+            index,
+            dict_heap,
         })
     }
 }
@@ -318,7 +353,7 @@ pub struct Columns {
     pub servers: Vec<IpAddr>,
     /// 0 = UDP, 1 = TCP.
     pub transports: Vec<u8>,
-    /// Indexes into `dict_offsets`.
+    /// Indexes into `dict`.
     pub qname_ids: Vec<u32>,
     /// Query types as raw u16.
     pub qtypes: Vec<u16>,
@@ -334,24 +369,9 @@ pub struct Columns {
     pub tcp_rtts: Vec<u32>,
     /// Origin AS numbers (0 = unattributed).
     pub asns: Vec<u32>,
-    /// `(start, len)` spans into `dict_arena`, one per dictionary id.
-    pub dict_offsets: Vec<(u32, u32)>,
-    /// Wire-form qname bytes, concatenated.
-    pub dict_arena: Vec<u8>,
-}
-
-/// The provider tag of an ASN-column value (0 = unmapped): providers
-/// are not stored per row, they derive from the 20 known cloud ASes.
-fn asn_provider_tag(asn: u32) -> u8 {
-    if asn == 0 {
-        return 0;
-    }
-    for p in asdb::cloud::ALL_PROVIDERS {
-        if p.asns().iter().any(|a| a.0 == asn) {
-            return provider_tag(Some(p));
-        }
-    }
-    0
+    /// The qname dictionary, indexed by `qname_ids`: distinct exact
+    /// wire forms in first-seen order.
+    pub dict: Vec<Name>,
 }
 
 #[cfg(test)]
@@ -549,6 +569,83 @@ mod tests {
         assert!(
             ColumnarBatch::from_columns(bad_ids).is_err(),
             "qname id out of range"
+        );
+    }
+
+    #[test]
+    fn dictionary_keeps_exact_octets() {
+        let mut batch = ColumnarBatch::new();
+        let spellings = [
+            "example.nl.",
+            "Example.nl.",
+            "EXAMPLE.NL.",
+            "example.nl.",
+            // longer than a `Name` holds inline: boxed
+            "a-label-long-enough-to-spill.example.nl.",
+            "A-label-long-enough-to-spill.example.nl.",
+        ];
+        for (i, s) in spellings.iter().enumerate() {
+            let mut r = row(i as u64);
+            r.qname = s.parse().unwrap();
+            batch.push(&r);
+        }
+        assert_eq!(batch.dictionary_size(), 5, "only the exact repeat folds");
+        for (i, s) in spellings.iter().enumerate() {
+            let want: Name = s.parse().unwrap();
+            assert_eq!(batch.get(i).qname.as_wire(), want.as_wire(), "{s}");
+        }
+        let boxed: usize = batch.columns().dict.iter().map(Name::heap_bytes).sum();
+        assert!(boxed > 0);
+        let rebuilt = ColumnarBatch::from_columns(batch.columns().clone()).unwrap();
+        assert_eq!(
+            rebuilt.bytes(),
+            batch.bytes(),
+            "boxed names counted both ways"
+        );
+    }
+
+    #[test]
+    fn intern_index_grows_past_many_distinct_names() {
+        let mut batch = ColumnarBatch::new();
+        for i in 0..5_000u64 {
+            let mut r = row(i);
+            r.qname = format!("junk{}.nl.", i % 3_000).parse().unwrap();
+            batch.push(&r);
+        }
+        assert_eq!(batch.dictionary_size(), 3_000);
+        for i in 0..5_000u64 {
+            let want: Name = format!("junk{}.nl.", i % 3_000).parse().unwrap();
+            assert_eq!(batch.get(i as usize).qname.as_wire(), want.as_wire());
+        }
+        // at most half full, and counted in the flush budget with the
+        // dictionary's names
+        let slots = batch.index.slots.len();
+        assert!(slots >= 2 * 3_000 && slots.is_power_of_two());
+        let mut columns_only = ColumnarBatch::new();
+        for i in 0..5_000u64 {
+            columns_only.push(&row(i));
+        }
+        let dict_and_index = 3_000 * size_of::<Name>() + slots * size_of::<u32>();
+        assert_eq!(
+            batch.bytes() - dict_and_index,
+            columns_only.bytes() - 7 * size_of::<Name>() - 16 * size_of::<u32>()
+        );
+    }
+
+    #[test]
+    fn from_columns_rejects_exact_duplicates_only() {
+        let mut batch = ColumnarBatch::new();
+        batch.push(&row(1));
+        let mut cols = batch.columns().clone();
+        let mut variant = cols.dict[0].to_string();
+        variant.make_ascii_uppercase();
+        cols.dict.push(variant.parse().unwrap());
+        let ok = ColumnarBatch::from_columns(cols.clone()).expect("case variant is distinct");
+        assert_eq!(ok.dictionary_size(), 2);
+        cols.dict.push(cols.dict[0].clone());
+        assert_eq!(
+            ColumnarBatch::from_columns(cols).err(),
+            Some("duplicate dictionary entry")
         );
     }
 

@@ -31,10 +31,13 @@ impl std::fmt::Display for DecodeError {
 
 // ---------------------------------------------------------------- crc32
 
-/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial) lookup table, built at
-/// compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial) slicing-by-8 tables,
+/// built at compile time. `CRC_TABLES[0]` is the classic bytewise
+/// table; `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k`
+/// zero bytes, so eight input bytes fold into the register with eight
+/// independent lookups instead of a chain of eight dependent ones.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut n = 0;
     while n < 256 {
         let mut c = n as u32;
@@ -47,17 +50,42 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[n] = c;
+        tables[0][n] = c;
         n += 1;
     }
-    table
+    let mut n = 0;
+    while n < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][n];
+            tables[k][n] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            k += 1;
+        }
+        n += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of `data`.
+/// CRC-32 (IEEE) of `data`: slicing-by-8 over whole 8-byte words, then
+/// bytewise over the tail. Same values as the bytewise loop.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -170,6 +198,17 @@ impl<'a> Reader<'a> {
         }
         Ok(v as usize)
     }
+
+    /// A column's declared value count, which must be exactly `rows`
+    /// (the partition's row count): checked before anything is
+    /// reserved for the column, so an untrusted count never sizes an
+    /// allocation.
+    pub fn count(&mut self, rows: usize) -> Result<(), DecodeError> {
+        if self.varint()? != rows as u64 {
+            return Err(DecodeError::Invalid("column length"));
+        }
+        Ok(())
+    }
 }
 
 // ------------------------------------------------------ column codecs
@@ -186,9 +225,10 @@ pub fn put_deltas(out: &mut Vec<u8>, values: &[u64]) {
     }
 }
 
-/// Inverse of [`put_deltas`].
-pub fn get_deltas(r: &mut Reader<'_>, max_len: usize) -> Result<Vec<u64>, DecodeError> {
-    let n = r.varint_len(max_len)?;
+/// Inverse of [`put_deltas`]. The declared count may not exceed the
+/// bytes left, since every delta takes at least one.
+pub fn get_deltas(r: &mut Reader<'_>) -> Result<Vec<u64>, DecodeError> {
+    let n = r.varint_len(r.remaining())?;
     let mut out = Vec::with_capacity(n);
     let mut prev = 0u64;
     for _ in 0..n {
@@ -206,14 +246,31 @@ pub fn put_varints(out: &mut Vec<u8>, values: impl ExactSizeIterator<Item = u64>
     }
 }
 
-/// Inverse of [`put_varints`].
-pub fn get_varints(r: &mut Reader<'_>, max_len: usize) -> Result<Vec<u64>, DecodeError> {
-    let n = r.varint_len(max_len)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.varint()?);
+/// A column of exactly `rows` values, each read by `f` straight into
+/// its typed slot (raw addresses and ports, or varints through
+/// [`get_varints`]).
+pub fn get_column<'a, T, E: From<DecodeError>>(
+    r: &mut Reader<'a>,
+    rows: usize,
+    mut f: impl FnMut(&mut Reader<'a>) -> Result<T, E>,
+) -> Result<Vec<T>, E> {
+    r.count(rows)?;
+    let mut out = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        out.push(f(r)?);
     }
     Ok(out)
+}
+
+/// Inverse of [`put_varints`] for a column of exactly `rows` values,
+/// in one pass: each varint goes through `f` (a narrowing conversion
+/// that names the column in its error) into the typed column.
+pub fn get_varints<T, E: From<DecodeError>>(
+    r: &mut Reader<'_>,
+    rows: usize,
+    mut f: impl FnMut(u64) -> Result<T, E>,
+) -> Result<Vec<T>, E> {
+    get_column(r, rows, |r| f(r.varint()?))
 }
 
 /// Run-length encode a low-cardinality column as (run, value) varint
@@ -240,19 +297,24 @@ pub fn put_rle(out: &mut Vec<u8>, values: impl ExactSizeIterator<Item = u64>) {
     }
 }
 
-/// Inverse of [`put_rle`].
-pub fn get_rle(r: &mut Reader<'_>, max_len: usize) -> Result<Vec<u64>, DecodeError> {
-    let n = r.varint_len(max_len)?;
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
+/// Inverse of [`put_rle`] for a column of exactly `rows` values, in one
+/// pass: each run's value goes through `f` once (a narrowing
+/// conversion, or a lookup in a per-partition dictionary) and is
+/// repeated straight into the typed column.
+pub fn get_rle<T: Copy, E: From<DecodeError>>(
+    r: &mut Reader<'_>,
+    rows: usize,
+    mut f: impl FnMut(u64) -> Result<T, E>,
+) -> Result<Vec<T>, E> {
+    r.count(rows)?;
+    let mut out = Vec::with_capacity(rows);
+    while out.len() < rows {
         let count = r.varint()?;
         let val = r.varint()?;
-        if count == 0 || count > (n - out.len()) as u64 {
-            return Err(DecodeError::Invalid("run length"));
+        if count == 0 || count > (rows - out.len()) as u64 {
+            return Err(DecodeError::Invalid("run length").into());
         }
-        for _ in 0..count {
-            out.push(val);
-        }
+        out.resize(out.len() + count as usize, f(val)?);
     }
     Ok(out)
 }
@@ -275,16 +337,21 @@ pub fn put_bits(out: &mut Vec<u8>, values: &[u8]) {
     }
 }
 
-/// Inverse of [`put_bits`].
-pub fn get_bits(r: &mut Reader<'_>, max_len: usize) -> Result<Vec<u8>, DecodeError> {
-    let n = r.varint_len(max_len)?;
-    let packed = r.bytes(n.div_ceil(8))?;
-    Ok((0..n).map(|i| (packed[i / 8] >> (i % 8)) & 1).collect())
+/// Inverse of [`put_bits`] for a column of exactly `rows` values.
+pub fn get_bits(r: &mut Reader<'_>, rows: usize) -> Result<Vec<u8>, DecodeError> {
+    r.count(rows)?;
+    let packed = r.bytes(rows.div_ceil(8))?;
+    Ok((0..rows).map(|i| (packed[i / 8] >> (i % 8)) & 1).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The identity conversion, for decoding a `u64` column.
+    fn same(v: u64) -> Result<u64, DecodeError> {
+        Ok(v)
+    }
 
     #[test]
     fn crc32_known_vectors() {
@@ -326,8 +393,19 @@ mod tests {
         let vals = vec![100, 90, 95, 1_000_000, 0, u64::MAX, 3];
         let mut buf = Vec::new();
         put_deltas(&mut buf, &vals);
-        let got = get_deltas(&mut Reader::new(&buf), vals.len()).unwrap();
+        let got = get_deltas(&mut Reader::new(&buf)).unwrap();
         assert_eq!(got, vals);
+    }
+
+    #[test]
+    fn deltas_count_is_bounded_by_the_bytes_left() {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, 1 << 40); // a count no segment can hold
+        buf.push(0);
+        assert_eq!(
+            get_deltas(&mut Reader::new(&buf)),
+            Err(DecodeError::Invalid("length"))
+        );
     }
 
     #[test]
@@ -339,7 +417,7 @@ mod tests {
         let mut buf = Vec::new();
         put_rle(&mut buf, vals.iter().copied());
         assert!(buf.len() < 32, "RLE output {}B for 1503 values", buf.len());
-        let got = get_rle(&mut Reader::new(&buf), vals.len()).unwrap();
+        let got = get_rle(&mut Reader::new(&buf), vals.len(), same).unwrap();
         assert_eq!(got, vals);
     }
 
@@ -349,7 +427,29 @@ mod tests {
         put_varint(&mut buf, 3); // claim 3 values
         put_varint(&mut buf, 5); // but a run of 5
         put_varint(&mut buf, 9);
-        assert!(get_rle(&mut Reader::new(&buf), 10).is_err());
+        assert_eq!(
+            get_rle(&mut Reader::new(&buf), 3, same),
+            Err(DecodeError::Invalid("run length"))
+        );
+    }
+
+    #[test]
+    fn declared_counts_must_match_the_row_count() {
+        let mut buf = Vec::new();
+        put_varints(&mut buf, [1u64, 2, 3].into_iter());
+        for rows in [2, 4, usize::MAX] {
+            assert_eq!(
+                get_varints(&mut Reader::new(&buf), rows, same),
+                Err(DecodeError::Invalid("column length"))
+            );
+        }
+        assert_eq!(
+            get_varints(&mut Reader::new(&buf), 3, same),
+            Ok(vec![1, 2, 3])
+        );
+        let mut bits = Vec::new();
+        put_bits(&mut bits, &[1, 0, 1]);
+        assert!(get_bits(&mut Reader::new(&bits), 4).is_err());
     }
 
     #[test]
@@ -369,7 +469,7 @@ mod tests {
         put_deltas(&mut buf, &[1, 2, 3]);
         buf.truncate(buf.len() - 1);
         assert_eq!(
-            get_deltas(&mut Reader::new(&buf), 3),
+            get_deltas(&mut Reader::new(&buf)),
             Err(DecodeError::Truncated)
         );
     }

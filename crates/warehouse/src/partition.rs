@@ -21,9 +21,10 @@
 //! stored raw or as plain varints.
 
 use crate::codec::{
-    crc32, get_bits, get_deltas, get_rle, get_varints, put_bits, put_deltas, put_rle, put_varint,
-    put_varints, DecodeError, Reader,
+    crc32, get_bits, get_column, get_deltas, get_rle, get_varints, put_bits, put_deltas, put_rle,
+    put_varint, put_varints, DecodeError, Reader,
 };
+use dns_wire::name::Name;
 use entrada::table::{ColumnarBatch, Columns};
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
@@ -280,10 +281,10 @@ pub fn encode(batch: &ColumnarBatch) -> (Vec<u8>, ZoneMap) {
     seg.clear();
 
     // 14: qname dictionary — length-prefixed wire-form names in id order
-    put_varint(&mut seg, c.dict_offsets.len() as u64);
-    for &(start, len) in &c.dict_offsets {
-        put_varint(&mut seg, len as u64);
-        seg.extend_from_slice(&c.dict_arena[start as usize..(start + len) as usize]);
+    put_varint(&mut seg, c.dict.len() as u64);
+    for name in &c.dict {
+        put_varint(&mut seg, name.wire_len() as u64);
+        seg.extend_from_slice(name.as_wire());
     }
     put_column(&mut out, 14, &seg);
 
@@ -317,11 +318,10 @@ fn column_payload<'a>(
     Ok(Reader::new(r.bytes(len)?))
 }
 
-fn narrow<T: TryFrom<u64>>(values: Vec<u64>, what: &'static str) -> Result<Vec<T>, PartitionError> {
-    values
-        .into_iter()
-        .map(|v| T::try_from(v).map_err(|_| PartitionError::Invalid(what)))
-        .collect()
+/// The per-value conversion of a column stored wider than its type:
+/// a value that does not fit is `Invalid(what)`.
+fn fits<T: TryFrom<u64>>(what: &'static str) -> impl Fn(u64) -> Result<T, PartitionError> {
+    move |v| T::try_from(v).map_err(|_| PartitionError::Invalid(what))
 }
 
 /// Decode partition-file bytes back into a batch + its footer zone
@@ -361,71 +361,75 @@ pub fn decode_profiled(
         return Err(PartitionError::Invalid("column count"));
     }
 
-    let max = body.len(); // no column can hold more values than file bytes
-
+    // Every column decodes in one pass straight into its typed Vec. The
+    // timestamp column fixes the row count; every other column must
+    // declare exactly that many values before anything is reserved.
     let mut cols = Columns::default();
 
     let mut seg = column_payload(&mut r, &mut colbytes, 1)?;
-    cols.timestamps = get_deltas(&mut seg, max)?;
+    cols.timestamps = get_deltas(&mut seg)?;
     let rows = cols.timestamps.len();
 
     let mut seg = column_payload(&mut r, &mut colbytes, 2)?;
-    let n = seg.varint_len(max)?;
-    cols.srcs = (0..n).map(|_| get_ip(&mut seg)).collect::<Result<_, _>>()?;
+    cols.srcs = get_column(&mut seg, rows, get_ip)?;
 
     let mut seg = column_payload(&mut r, &mut colbytes, 3)?;
-    let n = seg.varint_len(max)?;
-    cols.src_ports = (0..n).map(|_| seg.u16_le()).collect::<Result<_, _>>()?;
+    cols.src_ports = get_column(&mut seg, rows, Reader::u16_le)?;
 
     let mut seg = column_payload(&mut r, &mut colbytes, 4)?;
-    let n = seg.varint_len(max)?;
-    let server_dict: Vec<IpAddr> = (0..n).map(|_| get_ip(&mut seg)).collect::<Result<_, _>>()?;
-    let indexes = get_rle(&mut seg, max)?;
-    cols.servers = indexes
-        .into_iter()
-        .map(|i| {
-            server_dict
-                .get(i as usize)
-                .copied()
-                .ok_or(PartitionError::Invalid("server index"))
-        })
-        .collect::<Result<_, _>>()?;
+    let n = seg.varint_len(seg.remaining() / 5)?; // an address takes 5 bytes or more
+    let mut server_dict: Vec<IpAddr> = Vec::with_capacity(n);
+    for _ in 0..n {
+        server_dict.push(get_ip(&mut seg)?);
+    }
+    cols.servers = get_rle(&mut seg, rows, |i| {
+        server_dict
+            .get(i as usize)
+            .copied()
+            .ok_or(PartitionError::Invalid("server index"))
+    })?;
 
     let mut seg = column_payload(&mut r, &mut colbytes, 5)?;
-    cols.transports = get_bits(&mut seg, max)?;
+    cols.transports = get_bits(&mut seg, rows)?;
 
     let mut seg = column_payload(&mut r, &mut colbytes, 6)?;
-    cols.qname_ids = narrow(get_varints(&mut seg, max)?, "qname id")?;
+    cols.qname_ids = get_varints(&mut seg, rows, fits("qname id"))?;
 
     let mut seg = column_payload(&mut r, &mut colbytes, 7)?;
-    cols.qtypes = narrow(get_rle(&mut seg, max)?, "qtype")?;
+    cols.qtypes = get_rle(&mut seg, rows, fits("qtype"))?;
 
     let mut seg = column_payload(&mut r, &mut colbytes, 8)?;
-    cols.edns_sizes = narrow(get_rle(&mut seg, max)?, "edns size")?;
+    cols.edns_sizes = get_rle(&mut seg, rows, fits("edns size"))?;
 
     let mut seg = column_payload(&mut r, &mut colbytes, 9)?;
-    let n = seg.varint_len(max)?;
-    cols.flags = seg.bytes(n)?.to_vec();
+    seg.count(rows)?;
+    cols.flags = seg.bytes(rows)?.to_vec();
 
     let mut seg = column_payload(&mut r, &mut colbytes, 10)?;
-    cols.rcodes = narrow(get_rle(&mut seg, max)?, "rcode")?;
+    cols.rcodes = get_rle(&mut seg, rows, fits("rcode"))?;
 
     let mut seg = column_payload(&mut r, &mut colbytes, 11)?;
-    cols.response_sizes = narrow(get_varints(&mut seg, max)?, "response size")?;
+    cols.response_sizes = get_varints(&mut seg, rows, fits("response size"))?;
 
     let mut seg = column_payload(&mut r, &mut colbytes, 12)?;
-    cols.tcp_rtts = narrow(get_varints(&mut seg, max)?, "tcp rtt")?;
+    cols.tcp_rtts = get_varints(&mut seg, rows, fits("tcp rtt"))?;
 
     let mut seg = column_payload(&mut r, &mut colbytes, 13)?;
-    cols.asns = narrow(get_varints(&mut seg, max)?, "asn")?;
+    cols.asns = get_varints(&mut seg, rows, fits("asn"))?;
 
+    // 14: each entry must be exactly one uncompressed wire-form name —
+    // `\x03abc\x00junk` is not `abc.` — parsed once, into the `Name`
+    // the batch keeps
     let mut seg = column_payload(&mut r, &mut colbytes, 14)?;
-    let n = seg.varint_len(max)?;
+    let n = seg.varint_len(seg.remaining() / 2)?; // an entry takes 2 bytes or more
+    cols.dict.reserve_exact(n);
     for _ in 0..n {
-        let len = seg.varint_len(max)?;
-        let start = cols.dict_arena.len() as u32;
-        cols.dict_arena.extend_from_slice(seg.bytes(len)?);
-        cols.dict_offsets.push((start, len as u32));
+        let len = seg.varint_len(seg.remaining())?;
+        let wire = seg.bytes(len)?;
+        match Name::parse(wire, 0) {
+            Ok((name, end)) if end == len => cols.dict.push(name),
+            _ => return Err(PartitionError::Invalid("dictionary entry")),
+        }
     }
 
     // footer
@@ -439,7 +443,7 @@ pub fn decode_profiled(
     let min_ts = r.u64_le()?;
     let max_ts = r.u64_le()?;
     let providers = r.u8()?;
-    let qn = r.varint_len(max)?;
+    let qn = r.varint_len(r.remaining() / 2)?;
     let mut qtypes = Vec::with_capacity(qn);
     for _ in 0..qn {
         qtypes.push(r.u16_le()?);
@@ -594,6 +598,130 @@ mod tests {
             Err(other) => panic!("expected CrcMismatch, got {other:?}"),
             Ok(_) => panic!("expected CrcMismatch, got Ok"),
         }
+    }
+
+    /// `bytes` with column `id`'s payload replaced by `payload` and the
+    /// CRC re-sealed, so the structural decoder is what judges it.
+    fn with_column(bytes: &[u8], id: u8, payload: &[u8]) -> Vec<u8> {
+        let mut out = bytes[..7].to_vec();
+        let mut pos = 7;
+        for col in 1..=COLUMN_COUNT {
+            let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap()) as usize;
+            if col == id {
+                put_column(&mut out, id, payload);
+            } else {
+                out.extend_from_slice(&bytes[pos..pos + 5 + len]);
+            }
+            pos += 5 + len;
+        }
+        out.extend_from_slice(&bytes[pos..bytes.len() - 4]);
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    fn decode_err(bytes: &[u8]) -> PartitionError {
+        match decode(bytes) {
+            Err(e) => e,
+            Ok(_) => panic!("decoded"),
+        }
+    }
+
+    #[test]
+    fn dictionary_entries_must_be_exactly_one_name() {
+        // rows alternate between two names: `abc.` and `abd.`
+        let mut batch = ColumnarBatch::new();
+        for i in 0..4 {
+            let mut row = sample_row(i);
+            row.qname = if i % 2 == 0 { "abc." } else { "abd." }.parse().unwrap();
+            batch.push(&row);
+        }
+        let (bytes, _) = encode(&batch);
+        let dict = |entries: &[&[u8]]| {
+            let mut seg = Vec::new();
+            put_varint(&mut seg, entries.len() as u64);
+            for e in entries {
+                put_varint(&mut seg, e.len() as u64);
+                seg.extend_from_slice(e);
+            }
+            seg
+        };
+        let good = with_column(&bytes, 14, &dict(&[b"\x03abc\x00", b"\x03abd\x00"]));
+        assert_eq!(
+            good, bytes,
+            "the helper re-seals an unchanged file unchanged"
+        );
+        // a name that ends before its entry does, beside the real `abc.`
+        let junk = with_column(&bytes, 14, &dict(&[b"\x03abc\x00", b"\x03abc\x00junk"]));
+        assert_eq!(
+            decode_err(&junk),
+            PartitionError::Invalid("dictionary entry")
+        );
+        // a compression pointer has nothing to point back to
+        let pointer = with_column(&bytes, 14, &dict(&[b"\x03abc\x00", b"\xc0\x00"]));
+        assert_eq!(
+            decode_err(&pointer),
+            PartitionError::Invalid("dictionary entry")
+        );
+        // an exact duplicate is caught by the intern index
+        let dup = with_column(&bytes, 14, &dict(&[b"\x03abc\x00", b"\x03abc\x00"]));
+        assert_eq!(
+            decode_err(&dup),
+            PartitionError::Invalid("duplicate dictionary entry")
+        );
+        // a case variant is a distinct entry, and rebuilds with its own octets
+        let case = with_column(&bytes, 14, &dict(&[b"\x03abc\x00", b"\x03ABC\x00"]));
+        let (got, _) = decode(&case).expect("case variants are distinct entries");
+        assert_eq!(got.get(0).qname.as_wire(), b"\x03abc\x00");
+        assert_eq!(got.get(1).qname.as_wire(), b"\x03ABC\x00");
+    }
+
+    #[test]
+    fn column_counts_must_match_the_row_count_before_reserving() {
+        let (bytes, _) = encode(&sample_batch(10));
+        for id in [2u8, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13] {
+            for declared in [9u64, 11, u64::MAX >> 1] {
+                // a count that would reserve petabytes if it were trusted
+                let mut seg = Vec::new();
+                put_varint(&mut seg, declared);
+                seg.extend_from_slice(&[0; 16]);
+                assert_eq!(
+                    decode_err(&with_column(&bytes, id, &seg)),
+                    PartitionError::Decode(DecodeError::Invalid("column length")),
+                    "column {id} declaring {declared} of 10 rows"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn typed_decoders_reject_what_does_not_fit() {
+        let (bytes, _) = encode(&sample_batch(10));
+        // a qtype over 65,535
+        let mut seg = Vec::new();
+        put_rle(&mut seg, std::iter::repeat_n(65_536u64, 10));
+        assert_eq!(
+            decode_err(&with_column(&bytes, 7, &seg)),
+            PartitionError::Invalid("qtype")
+        );
+        // a server index past its per-partition dictionary
+        let mut seg = Vec::new();
+        put_varint(&mut seg, 1);
+        put_ip(&mut seg, &"194.0.28.53".parse().unwrap());
+        put_rle(&mut seg, [0u64, 0, 0, 0, 0, 0, 0, 0, 0, 1].into_iter());
+        assert_eq!(
+            decode_err(&with_column(&bytes, 4, &seg)),
+            PartitionError::Invalid("server index")
+        );
+        // a run longer than its column
+        let mut seg = Vec::new();
+        put_varint(&mut seg, 10);
+        put_varint(&mut seg, 11);
+        put_varint(&mut seg, 1);
+        assert_eq!(
+            decode_err(&with_column(&bytes, 10, &seg)),
+            PartitionError::Decode(DecodeError::Invalid("run length"))
+        );
     }
 
     #[test]

@@ -698,3 +698,88 @@ fn record_path_stays_within_its_allocation_budget() {
         stats.allocs
     );
 }
+
+/// The warehouse row path's allocation budget, in both directions:
+/// `.nl` and B-Root 2020 rows at the tiny scale appended into a fresh
+/// warehouse at the default budgets (commit included), then read back
+/// by `render_report`. Counted with process-wide `obs::alloc::totals()`
+/// deltas, so whatever a scan does on other threads counts too; the
+/// other tests in this binary run concurrently and can only add to a
+/// delta, so each side keeps its smallest of three attempts. Measured
+/// on these 51,209 rows: append 0.54 and scan 0.40 allocations per row,
+/// mostly per-partition costs of 336 hourly partitions (5.85 and 6.00
+/// when every row rebuilt a `Vec` of ASNs per provider and the
+/// dictionary copied every name to the heap; the repo benchmark's
+/// `wh-append`/`wh-scan` read 5.17 and 5.41 then). The bounds are about
+/// twice the measured values.
+#[test]
+fn warehouse_rows_stay_within_their_allocation_budget() {
+    use dnscentral_core::store::{ensure_source, render_report, SourceInfo};
+    use entrada::enrich::Enricher;
+    use entrada::ingest::CaptureIngest;
+    use entrada::schema::QueryRow;
+    use netbase::capture::CaptureRecord;
+    use simnet::engine::Engine;
+    use simnet::profile::Vantage;
+    use simnet::scenario::{dataset, Scale};
+    use warehouse::{AppendConfig, Predicate, Warehouse};
+
+    assert!(obs::alloc::installed(), "counting allocator active");
+    let sources: Vec<(SourceInfo, Vec<QueryRow>)> = [Vantage::Nl, Vantage::BRoot]
+        .into_iter()
+        .map(|vantage| {
+            let spec = dataset(vantage, 2020);
+            let engine = Engine::new(spec.clone(), Scale::tiny(), 42);
+            let mut records: Vec<CaptureRecord> = Vec::new();
+            engine
+                .generate_sharded(&mut records, 1)
+                .expect("generation into memory cannot fail");
+            let enricher = Enricher::new(engine.plan().mapper.clone());
+            let rows = CaptureIngest::new(records.into_iter(), enricher).collect();
+            let info = SourceInfo {
+                spec,
+                scale: Scale::tiny(),
+                seed: 42,
+            };
+            (info, rows)
+        })
+        .collect();
+    let rows: u64 = sources.iter().map(|(_, r)| r.len() as u64).sum();
+
+    let (mut append, mut scan) = (u64::MAX, u64::MAX);
+    for attempt in 0..3 {
+        let dir = tmp(&format!("wh-budget-{attempt}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let start = obs::alloc::totals().0;
+        let wh = Warehouse::open(&dir).expect("open");
+        for (info, source_rows) in &sources {
+            let id = info.spec.id();
+            ensure_source(&wh, &id, info).expect("register source");
+            let mut app = wh.appender(&id, AppendConfig::default());
+            for row in source_rows {
+                app.push(row);
+            }
+            app.finish().expect("flush");
+        }
+        wh.commit().expect("commit");
+        let appended = obs::alloc::totals().0;
+        let (text, stats) = render_report(&wh, &Predicate::all(), 1).expect("report");
+        let scanned = obs::alloc::totals().0;
+        assert_eq!(stats.rows, rows, "every row scanned back");
+        assert_eq!(stats.corrupt, 0);
+        assert!(!text.is_empty());
+        append = append.min(appended - start);
+        scan = scan.min(scanned - appended);
+        drop(wh);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let (append, scan) = (append as f64 / rows as f64, scan as f64 / rows as f64);
+    assert!(
+        append <= 1.1,
+        "append made {append:.2} allocations per row over {rows} rows"
+    );
+    assert!(
+        scan <= 0.8,
+        "render_report made {scan:.2} allocations per row over {rows} rows"
+    );
+}
