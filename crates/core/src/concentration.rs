@@ -38,8 +38,11 @@ pub struct ConcentrationReport {
 pub fn concentration(id: &str, a: &DatasetAnalysis) -> ConcentrationReport {
     let mut stage = obs::stage("analysis.concentration");
     stage.add_items(a.total_queries);
-    let mut volumes: Vec<u64> = a.as_volume.iter().map(|(_, c)| c).collect();
-    volumes.sort_unstable_by(|x, y| y.cmp(x));
+    let volumes: Vec<u64> = a
+        .as_volume_top_k(usize::MAX)
+        .into_iter()
+        .map(|(_, c)| c)
+        .collect();
     let total: u64 = volumes.iter().sum();
     let share_of_top = |k: usize| -> f64 {
         if total == 0 {

@@ -135,7 +135,7 @@ pub fn monthly_sample(
     analysis: &DatasetAnalysis,
 ) -> MonthlySample {
     let agg = analysis.provider(Some(provider));
-    MonthlySample::from_counters(year, month, &agg.qtype, agg.minimized_ns)
+    MonthlySample::from_counters(year, month, agg.qtype(), agg.minimized_ns)
 }
 
 /// Run the Figure 3 longitudinal series for `provider` (the paper dated

@@ -26,6 +26,7 @@
 
 pub mod analysis;
 pub mod concentration;
+mod dense;
 pub mod dualstack;
 pub mod ednssize;
 pub mod experiments;

@@ -68,8 +68,8 @@ pub fn dataset_summary(id: &str, a: &DatasetAnalysis) -> DatasetSummary {
         id: id.to_string(),
         queries_total: a.total_queries,
         queries_valid: a.valid_queries,
-        resolvers: a.resolvers.count(),
-        ases: a.ases.count(),
+        resolvers: a.resolvers(),
+        ases: a.ases(),
     }
 }
 
@@ -88,14 +88,14 @@ pub fn cloud_share(id: &str, a: &DatasetAnalysis) -> CloudShare {
 
 /// Build the Table 4/7 split.
 pub fn google_split(id: &str, a: &DatasetAnalysis) -> GoogleSplit {
-    let g = &a.google_public;
+    let g = a.google_public();
     GoogleSplit {
         id: id.to_string(),
         total_queries: g.public_queries + g.rest_queries,
         public_queries: g.public_queries,
         rest_queries: g.rest_queries,
-        total_resolvers: g.public_resolvers.count() + g.rest_resolvers.count(),
-        public_resolvers: g.public_resolvers.count(),
+        total_resolvers: g.public_resolvers() + g.rest_resolvers(),
+        public_resolvers: g.public_resolvers(),
         public_query_ratio: g.public_query_ratio(),
         public_resolver_ratio: g.public_resolver_ratio(),
     }
@@ -105,7 +105,7 @@ pub fn google_split(id: &str, a: &DatasetAnalysis) -> GoogleSplit {
 pub fn qtype_mix(id: &str, a: &DatasetAnalysis, provider: Option<Provider>) -> QtypeMix {
     let agg = a.provider(provider);
     let mut shares: Vec<(String, f64)> = agg
-        .qtype
+        .qtype()
         .iter()
         .map(|(t, c)| (t.mnemonic(), c as f64 / agg.queries.max(1) as f64))
         .collect();

@@ -520,10 +520,7 @@ mod tests {
         assert_eq!(one.analysis.total_queries, four.analysis.total_queries);
         assert_eq!(one.analysis.valid_queries, four.analysis.valid_queries);
         assert_eq!(one.analysis.cloud_share(), four.analysis.cloud_share());
-        assert_eq!(
-            one.analysis.resolvers.count(),
-            four.analysis.resolvers.count()
-        );
+        assert_eq!(one.analysis.resolvers(), four.analysis.resolvers());
         assert_eq!(
             one.dualstack.dual_stack_resolvers(),
             four.dualstack.dual_stack_resolvers()

@@ -3,8 +3,8 @@
 //! Q-min (the paper found Dec 2019 for Google and confirmed it with
 //! Google's operators).
 
+use crate::analysis::QtypeCounts;
 use dns_wire::types::RType;
-use entrada::agg::Counter;
 use serde::Serialize;
 
 /// One month of a provider's query stream, summarized.
@@ -32,12 +32,12 @@ impl MonthlySample {
     pub fn from_counters(
         year: i32,
         month: u32,
-        qtypes: &Counter<RType>,
+        qtypes: &QtypeCounts,
         minimized_ns: u64,
     ) -> MonthlySample {
         let total = qtypes.total();
-        let ns = qtypes.get(&RType::Ns);
-        let a = qtypes.get(&RType::A) + qtypes.get(&RType::Aaaa);
+        let ns = qtypes.get(RType::Ns);
+        let a = qtypes.get(RType::A) + qtypes.get(RType::Aaaa);
         let mut qtype_counts: Vec<(String, u64)> =
             qtypes.iter().map(|(t, c)| (t.mnemonic(), c)).collect();
         qtype_counts.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
@@ -257,7 +257,7 @@ mod tests {
 
     #[test]
     fn monthly_sample_from_counters() {
-        let mut c = Counter::new();
+        let mut c = QtypeCounts::default();
         c.add(RType::A, 40);
         c.add(RType::Aaaa, 10);
         c.add(RType::Ns, 50);

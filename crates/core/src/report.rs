@@ -423,6 +423,91 @@ pub fn render_dataset_report(
     out
 }
 
+/// Everything the `report` command prints: the nine datasets, then the
+/// Figure 3 series. The datasets come back from the suite scheduler (at
+/// most `jobs` in flight) in spec order and every exhibit renders from
+/// them in that order, so the text is byte-identical for any
+/// `jobs`/`shards` value.
+pub fn render_full_report(
+    scale: simnet::scenario::Scale,
+    seed: u64,
+    opts: &crate::pipeline::PipelineOpts,
+    jobs: usize,
+) -> String {
+    use crate::{ednssize, experiments, junk, metrics, qmin, transport};
+    use asdb::cloud::Provider;
+    use simnet::profile::Vantage;
+    let mut out = String::new();
+    // every exhibit is followed by one blank line
+    let mut block = |text: &str| {
+        out.push_str(text);
+        out.push('\n');
+    };
+    let (mut summaries, mut shares, mut splits) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut junks, mut transports, mut t6) = (Vec::new(), Vec::new(), Vec::new());
+    let mut broot_valid = Vec::new();
+    block(&render_table1());
+    block(&render_table2());
+    let runs = crate::run_suite(experiments::table3_specs(), scale, seed, opts, jobs);
+    for run in &runs {
+        let (vantage, year) = (run.spec.vantage, run.spec.year);
+        let (id, analysis) = (run.id.as_str(), &run.analysis);
+        summaries.push(metrics::dataset_summary(id, analysis));
+        shares.push(metrics::cloud_share(id, analysis));
+        if year >= 2019 && vantage != Vantage::BRoot {
+            splits.push(metrics::google_split(id, analysis));
+        }
+        junks.push(junk::junk_report(id, analysis));
+        transports.push(transport::transport_report(id, analysis));
+        if year == 2020 && vantage != Vantage::BRoot {
+            for p in [Provider::Amazon, Provider::Microsoft] {
+                t6.push((id.to_string(), transport::resolver_families(analysis, p)));
+            }
+        }
+        let mixes = || -> Vec<QtypeMix> {
+            ALL_PROVIDERS
+                .iter()
+                .map(|&p| metrics::qtype_mix(id, analysis, Some(p)))
+                .collect()
+        };
+        if vantage == Vantage::Nl && year == 2020 {
+            // the .nl w2020 exhibits: Figure 2 panel, Figure 6, Figure 5/8
+            block(&render_fig2(&mixes()));
+            block(&render_fig6(&ednssize::edns_report(analysis)));
+            for server in &run.spec.servers {
+                let sites = run
+                    .dualstack
+                    .report_for_server(std::net::IpAddr::V4(server.v4));
+                block(&render_fig5(&server.name, &sites));
+            }
+        }
+        if vantage == Vantage::Nl && year == 2019 {
+            // Appendix B, Figure 7: the 2019 qtype panels
+            block(&render_fig2(&mixes()).replace("Figure 2", "Figure 7"));
+        }
+        if vantage == Vantage::BRoot {
+            broot_valid.push((year, analysis.valid_fraction()));
+            if year == 2020 {
+                block(&render_as_ranking(analysis, 8));
+            }
+        }
+    }
+    block(&render_table3(&summaries));
+    block(&render_fig1(&shares));
+    block(&render_table4(&splits));
+    block(&render_fig4(&junks));
+    block(&render_table5(&transports));
+    block(&render_table6(&t6));
+    block(&render_junk_overview(&broot_valid));
+    for vantage in [Vantage::Nl, Vantage::Nz] {
+        let series =
+            experiments::run_monthly_series(vantage, Provider::Google, scale, seed, opts, jobs);
+        let detected = qmin::detect_cusum(&series, 0.05, 0.3);
+        block(&render_fig3(vantage.label(), &series, detected));
+    }
+    out
+}
+
 /// Machine-readable export of every per-dataset exhibit, for plotting
 /// pipelines and EXPERIMENTS.md generation.
 pub fn dataset_json(id: &str, analysis: &DatasetAnalysis) -> serde_json::Value {
@@ -514,7 +599,7 @@ pub fn render_junk_overview(measured_broot_valid: &[(u16, f64)]) -> String {
 /// The B-Root ranking remark of §4.1.
 pub fn render_as_ranking(a: &DatasetAnalysis, k: usize) -> String {
     let mut t = TextTable::new(vec!["Rank", "AS", "Queries"]);
-    for (i, (asn, count)) in a.as_volume.top_k(k).into_iter().enumerate() {
+    for (i, (asn, count)) in a.as_volume_top_k(k).into_iter().enumerate() {
         t.row(vec![
             (i + 1).to_string(),
             asn.to_string(),

@@ -206,8 +206,8 @@ mod tests {
             split_and_merge(|| DatasetAnalysis::new(ZoneModel::nl(100)), 4, 1000);
         assert_eq!(merged.total_queries, serial.total_queries);
         assert_eq!(merged.valid_queries, serial.valid_queries);
-        assert_eq!(merged.resolvers.count(), serial.resolvers.count());
-        assert_eq!(merged.ases.count(), serial.ases.count());
+        assert_eq!(merged.resolvers(), serial.resolvers());
+        assert_eq!(merged.ases(), serial.ases());
         assert_eq!(merged.cloud_share(), serial.cloud_share());
         for p in [None, Some(Provider::Google)] {
             let (m, s) = (merged.provider(p), serial.provider(p));
@@ -217,11 +217,11 @@ mod tests {
             assert_eq!(m.minimized_ns, s.minimized_ns);
             assert_eq!(m.edns_sizes.len(), s.edns_sizes.len());
             assert_eq!(m.response_sizes.median(), s.response_sizes.median());
-            assert_eq!(m.resolvers_v4.count(), s.resolvers_v4.count());
+            assert_eq!(m.resolvers_v4(), s.resolvers_v4());
         }
         assert_eq!(
-            merged.google_public.public_query_ratio(),
-            serial.google_public.public_query_ratio()
+            merged.google_public().public_query_ratio(),
+            serial.google_public().public_query_ratio()
         );
         assert_eq!(merged.first_cloud_as_rank(), serial.first_cloud_as_rank());
     }

@@ -72,8 +72,8 @@ pub fn transport_report(id: &str, a: &DatasetAnalysis) -> TransportReport {
 /// Build one Table 6 block.
 pub fn resolver_families(a: &DatasetAnalysis, provider: Provider) -> ResolverFamilyRow {
     let agg = a.provider(Some(provider));
-    let v4 = agg.resolvers_v4.count();
-    let v6 = agg.resolvers_v6.count();
+    let v4 = agg.resolvers_v4();
+    let v6 = agg.resolvers_v6();
     ResolverFamilyRow {
         provider: provider.name().to_string(),
         total: v4 + v6,

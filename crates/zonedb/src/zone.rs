@@ -247,6 +247,27 @@ impl ZoneModel {
         }
     }
 
+    /// Is `qname` itself a minimized name, as the paper's Q-min signal
+    /// counts it: inside the zone and exactly one label below the cut —
+    /// `example.nl.` at `.nl`, `com.` at the root. Under a `.nz`
+    /// structural subzone the cut is the subzone, so `shop.co.nz.` is
+    /// minimized too (and so is `co.nz.`, a first-pass resolver's ask).
+    /// The apex (`. NS` priming, `nl. NS`) and out-of-zone names are not.
+    /// Allocation-free.
+    pub fn is_minimized(&self, qname: &Name) -> bool {
+        if !qname.is_subdomain_of(&self.apex) {
+            return false;
+        }
+        let below = qname.label_count() - self.apex.label_count();
+        match &self.kind {
+            ZoneKind::MixedLevel { .. } if below == 2 => qname
+                .labels()
+                .nth(1)
+                .is_some_and(|l| subzone_label_position(l).is_some()),
+            _ => below == 1,
+        }
+    }
+
     /// The registration index of the delegation `qname` equals or falls
     /// under — the inverse of [`ZoneModel::registered_domain`]. `None`
     /// for junk, in-zone, and out-of-bailiwick names. This is what lets
@@ -335,10 +356,14 @@ fn child_of(parent: &Name, label: &[u8]) -> Name {
 /// Which [`NZ_SUBZONES`] entry the leftmost label of `name` is, folding
 /// case as DNS does (ASCII only).
 fn subzone_position(name: &Name) -> Option<usize> {
-    let leftmost = name.labels().next()?;
+    subzone_label_position(name.labels().next()?)
+}
+
+/// Which [`NZ_SUBZONES`] entry `label` names, folding ASCII case.
+fn subzone_label_position(label: &[u8]) -> Option<usize> {
     NZ_SUBZONES
         .iter()
-        .position(|(s, _)| s.as_bytes().eq_ignore_ascii_case(leftmost))
+        .position(|(s, _)| s.as_bytes().eq_ignore_ascii_case(label))
 }
 
 /// Decode the leftmost label of `name` as a registration index.
@@ -506,6 +531,40 @@ mod tests {
 
         let root = ZoneModel::root(20);
         assert_eq!(root.minimized_qname(&n("www.example.com")), n("com"));
+    }
+
+    #[test]
+    fn is_minimized_counts_one_label_below_the_cut_inside_the_zone() {
+        let (nl, nz, root) = (
+            ZoneModel::nl(100),
+            ZoneModel::nz(10, 10),
+            ZoneModel::root(20),
+        );
+        for (zone, qname, minimized) in [
+            (&nl, "example.nl.", true),
+            (&nl, "EXAMPLE.NL.", true),
+            (&nl, "www.example.nl.", false),
+            (&nl, "nl.", false),
+            (&nl, ".", false),
+            (&nl, "example.com.", false),
+            (&nz, "direct.nz.", true),
+            (&nz, "co.nz.", true),
+            (&nz, "shop.co.nz.", true),
+            (&nz, "www.shop.co.nz.", false),
+            (&nz, "www.direct.nz.", false),
+            (&nz, "nz.", false),
+            (&nz, "shop.co.uk.", false),
+            (&root, "com.", true),
+            (&root, "example.com.", false),
+            (&root, ".", false),
+        ] {
+            assert_eq!(
+                zone.is_minimized(&n(qname)),
+                minimized,
+                "{qname} at {}",
+                zone.apex()
+            );
+        }
     }
 
     #[test]

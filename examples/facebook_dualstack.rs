@@ -21,8 +21,8 @@ fn main() {
          embedded IPv4, {} addresses without PTR, {} unjoinable",
         run.dualstack.site_count(),
         run.dualstack.dual_stack_resolvers(),
-        run.dualstack.no_ptr.len(),
-        run.dualstack.unjoinable.len()
+        run.dualstack.no_ptr().count(),
+        run.dualstack.unjoinable().count()
     );
     println!();
 

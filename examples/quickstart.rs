@@ -22,8 +22,8 @@ fn main() {
         "valid (NOERROR): {:.1}%",
         run.analysis.valid_fraction() * 100.0
     );
-    println!("resolvers      : {}", run.analysis.resolvers.count());
-    println!("source ASes    : {}", run.analysis.ases.count());
+    println!("resolvers      : {}", run.analysis.resolvers());
+    println!("source ASes    : {}", run.analysis.ases());
     println!();
 
     // The paper's headline (Figure 1): how much of the traffic do five

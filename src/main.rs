@@ -635,7 +635,7 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
                     eprintln!("[warehouse: {}]", stats.summary());
                 }
             }
-            None => full_report(scale, seed, &opts, jobs),
+            None => print!("{}", report::render_full_report(scale, seed, &opts, jobs)),
         },
         Some("inspect") => {
             let path = positional
@@ -1420,112 +1420,6 @@ fn print_dataset_report(
         "{}",
         report::render_dataset_report(id, vantage, analysis, dualstack, spec)
     );
-}
-
-/// Run everything: the nine datasets, then the Figure 3 series.
-///
-/// The datasets come back from the suite scheduler (at most `jobs` in
-/// flight) in spec order, and every exhibit renders from the collected
-/// results in the same sequence a serial run printed — the report is
-/// byte-identical for any `jobs`/`shards` value.
-fn full_report(scale: Scale, seed: u64, opts: &PipelineOpts, jobs: usize) {
-    let mut summaries = Vec::new();
-    let mut shares = Vec::new();
-    let mut splits = Vec::new();
-    let mut junks = Vec::new();
-    let mut transports = Vec::new();
-    let mut t6 = Vec::new();
-    print!("{}", report::render_table1());
-    println!();
-    print!("{}", report::render_table2());
-    println!();
-    let mut broot_valid = Vec::new();
-    let runs = dnscentral_core::run_suite(
-        dnscentral_core::experiments::table3_specs(),
-        scale,
-        seed,
-        opts,
-        jobs,
-    );
-    for run in &runs {
-        let (vantage, year) = (run.spec.vantage, run.spec.year);
-        let id = run.id.clone();
-        let analysis = &run.analysis;
-        summaries.push(metrics::dataset_summary(&id, analysis));
-        shares.push(metrics::cloud_share(&id, analysis));
-        if year >= 2019 && vantage != Vantage::BRoot {
-            splits.push(metrics::google_split(&id, analysis));
-        }
-        junks.push(junk::junk_report(&id, analysis));
-        transports.push(transport::transport_report(&id, analysis));
-        if year == 2020 && vantage != Vantage::BRoot {
-            for p in [
-                asdb::cloud::Provider::Amazon,
-                asdb::cloud::Provider::Microsoft,
-            ] {
-                t6.push((id.clone(), transport::resolver_families(analysis, p)));
-            }
-        }
-        if vantage == Vantage::Nl && year == 2020 {
-            // the .nl w2020 exhibits: Figure 2 panel, Figure 6, Figure 5/8
-            let mixes: Vec<_> = asdb::cloud::ALL_PROVIDERS
-                .iter()
-                .map(|&p| metrics::qtype_mix(&id, analysis, Some(p)))
-                .collect();
-            print!("{}", report::render_fig2(&mixes));
-            println!();
-            print!("{}", report::render_fig6(&ednssize::edns_report(analysis)));
-            println!();
-            for server in &run.spec.servers {
-                let sites = run.dualstack.report_for_server(IpAddr::V4(server.v4));
-                print!("{}", report::render_fig5(&server.name, &sites));
-                println!();
-            }
-        }
-        if vantage == Vantage::Nl && year == 2019 {
-            // Appendix B, Figure 7: the 2019 qtype panels
-            let mixes: Vec<_> = asdb::cloud::ALL_PROVIDERS
-                .iter()
-                .map(|&p| metrics::qtype_mix(&id, analysis, Some(p)))
-                .collect();
-            print!(
-                "{}",
-                report::render_fig2(&mixes).replace("Figure 2", "Figure 7")
-            );
-            println!();
-        }
-        if vantage == Vantage::BRoot {
-            broot_valid.push((year, analysis.valid_fraction()));
-            if year == 2020 {
-                print!("{}", report::render_as_ranking(analysis, 8));
-                println!();
-            }
-        }
-    }
-    print!("{}", report::render_table3(&summaries));
-    println!();
-    print!("{}", report::render_fig1(&shares));
-    println!();
-    print!("{}", report::render_table4(&splits));
-    println!();
-    print!("{}", report::render_fig4(&junks));
-    println!();
-    print!("{}", report::render_table5(&transports));
-    println!();
-    print!("{}", report::render_table6(&t6));
-    println!();
-    print!("{}", report::render_junk_overview(&broot_valid));
-    println!();
-    for vantage in [Vantage::Nl, Vantage::Nz] {
-        let provider = asdb::cloud::Provider::Google;
-        let series = run_monthly_series(vantage, provider, scale, seed, opts, jobs);
-        let detected = qmin::detect_cusum(&series, 0.05, 0.3);
-        print!(
-            "{}",
-            report::render_fig3(vantage.label(), &series, detected)
-        );
-        println!();
-    }
 }
 
 /// Convert a `.dnscap` into a classic libpcap file (Ethernet/IP/UDP/TCP

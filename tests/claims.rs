@@ -52,11 +52,7 @@ fn claim1_cloud_concentration() {
 #[test]
 fn claim1b_many_ases_few_winners() {
     let a = &nl2020().analysis;
-    assert!(
-        a.ases.count() > 500,
-        "AS diversity (scaled): {}",
-        a.ases.count()
-    );
+    assert!(a.ases() > 500, "AS diversity (scaled): {}", a.ases());
     // at the root, the first cloud AS is NOT the top source
     let rank = broot2020()
         .analysis
@@ -162,18 +158,18 @@ fn claim4_dnssec_validation() {
         Provider::Cloudflare,
     ] {
         assert!(
-            a.provider(Some(p)).qtype.get(&RType::Ds) > 0,
+            a.provider(Some(p)).qtype().get(RType::Ds) > 0,
             "{p} validates (sends DS)"
         );
     }
     assert_eq!(
-        a.provider(Some(Provider::Microsoft)).qtype.get(&RType::Ds),
+        a.provider(Some(Provider::Microsoft)).qtype().get(RType::Ds),
         0,
         "the one non-validating CP"
     );
     let cf = a.provider(Some(Provider::Cloudflare));
     assert!(
-        cf.qtype.get(&RType::Ds) > 10 * cf.qtype.get(&RType::Dnskey).max(1),
+        cf.qtype().get(RType::Ds) > 10 * cf.qtype().get(RType::Dnskey).max(1),
         "Cloudflare DS >> DNSKEY"
     );
     let g_ds = a.provider(Some(Provider::Google)).qtype_ratio(RType::Ds);
@@ -294,7 +290,10 @@ fn claim7_facebook_sites() {
         dual.dual_stack_resolvers() > 50,
         "join found dual-stack resolvers"
     );
-    assert!(!dual.no_ptr.is_empty(), "a few addresses lack PTR records");
+    assert!(
+        dual.no_ptr().next().is_some(),
+        "a few addresses lack PTR records"
+    );
 
     let server_a: IpAddr = run.spec.servers[0].v4.into();
     let report = run.dualstack.report_for_server(server_a);

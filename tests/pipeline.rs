@@ -239,8 +239,8 @@ fn diurnal_shape_is_visible() {
         "peak/trough {ratio} (cos-shaped load, +-35%)"
     );
     // all 24 hours carry traffic in a week-long window
-    for h in 0..24u32 {
-        assert!(run.analysis.hourly.get(&h) > 0, "hour {h} empty");
+    for (h, &queries) in run.analysis.hourly().iter().enumerate() {
+        assert!(queries > 0, "hour {h} empty");
     }
 }
 

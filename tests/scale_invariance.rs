@@ -57,8 +57,8 @@ fn ratios_stable_across_scales() {
     assert!((stcp - btcp).abs() < 0.02, "tcp {stcp} vs {btcp}");
     // Table 4: the Google public split
     assert!(
-        (small.analysis.google_public.public_query_ratio()
-            - big.analysis.google_public.public_query_ratio())
+        (small.analysis.google_public().public_query_ratio()
+            - big.analysis.google_public().public_query_ratio())
         .abs()
             < 0.05
     );
@@ -76,12 +76,12 @@ fn resolver_and_as_counts_scale_with_resolver_knob() {
         },
         13,
     );
-    let r_ratio = bigger.analysis.resolvers.count() as f64 / base.analysis.resolvers.count() as f64;
+    let r_ratio = bigger.analysis.resolvers() as f64 / base.analysis.resolvers() as f64;
     assert!(
         (2.0..6.5).contains(&r_ratio),
         "resolver population tracks the knob: {r_ratio}"
     );
-    let as_ratio = bigger.analysis.ases.count() as f64 / base.analysis.ases.count() as f64;
+    let as_ratio = bigger.analysis.ases() as f64 / base.analysis.ases() as f64;
     assert!(
         (1.5..6.5).contains(&as_ratio),
         "AS count tracks the knob: {as_ratio}"
