@@ -5,22 +5,29 @@
 //! [`Preamble`], waits for the reply *with the query's id* (anything
 //! else is a straggler from an exchange that already timed out),
 //! retries a TC=1 answer over a fresh TCP connection exactly like a
-//! real resolver, and keeps the client-side [`Stats`].
+//! real resolver, and keeps the client-side [`Stats`]. A reply is
+//! checked where it was received ([`Reader`]) and handed back as those
+//! bytes: nothing is parsed into a message.
 
 use crate::loadgen::LoadgenConfig;
 use crate::proxy::Preamble;
 use crate::stats::Stats;
-use dns_wire::message::Message;
+use dns_wire::reader::Reader;
 use dns_wire::tcp::frame;
 use obs::Histogram;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, UdpSocket};
 use std::time::{Duration, Instant};
 
+/// Header octet 2's TC bit.
+const TC: u8 = 0x02;
+
 /// The answer that completed an exchange.
-pub struct Reply {
-    /// The parsed response (the TCP one after a TC=1 fallback).
-    pub message: Message,
+pub struct Reply<'a> {
+    /// The response as received (the TCP one after a TC=1 fallback),
+    /// a well-formed message, in the client's buffer until its next
+    /// exchange.
+    pub bytes: &'a [u8],
     /// Send→receive time of that response, microseconds.
     pub rtt_us: u64,
 }
@@ -66,15 +73,20 @@ impl<'a> Client<'a> {
         dst: SocketAddr,
         tcp_direct: bool,
         ns_rtt: Option<&Histogram>,
-    ) -> Option<Reply> {
+    ) -> Option<Reply<'_>> {
         if !tcp_direct {
             self.stats.bump(&self.stats.sent);
             match self.udp(wire, src, dst, ns_rtt) {
-                Some(reply) if reply.message.header.truncated => {
+                Some((len, _)) if self.buf[..len][2] & TC != 0 => {
                     // the TCP proof-of-path: same question, fresh connection
                     self.stats.bump(&self.stats.tcp_fallbacks);
                 }
-                Some(reply) => return Some(reply),
+                Some((len, rtt_us)) => {
+                    return Some(Reply {
+                        bytes: &self.buf[..len],
+                        rtt_us,
+                    })
+                }
                 None => {
                     self.stats.bump(&self.stats.timeouts);
                     return None;
@@ -82,20 +94,24 @@ impl<'a> Client<'a> {
             }
         }
         self.stats.bump(&self.stats.sent);
-        let reply = self.tcp(wire, src, dst, ns_rtt);
-        if reply.is_none() {
+        let Some((len, rtt_us)) = self.tcp(wire, src, dst, ns_rtt) else {
             self.stats.bump(&self.stats.timeouts);
-        }
-        reply
+            return None;
+        };
+        Some(Reply {
+            bytes: &self.buf[..len],
+            rtt_us,
+        })
     }
 
+    /// One UDP query; the answer's length in `buf` and its RTT.
     fn udp(
         &mut self,
         wire: &[u8],
         src: SocketAddr,
         dst: SocketAddr,
         ns_rtt: Option<&Histogram>,
-    ) -> Option<Reply> {
+    ) -> Option<(usize, u64)> {
         self.out.clear();
         Preamble {
             src,
@@ -108,28 +124,28 @@ impl<'a> Client<'a> {
         self.sock.send_to(&self.out, self.server_udp).ok()?;
         loop {
             let n = self.sock.recv(&mut self.buf).ok()?;
-            let Ok(message) = Message::parse(&self.buf[..n]) else {
+            let Ok(reply) = Reader::new(&self.buf[..n]) else {
                 self.stats.bump(&self.stats.malformed);
                 continue;
             };
-            if wire.get(..2) != Some(&message.header.id.to_be_bytes()[..]) {
+            if wire.get(..2) != Some(&reply.header().id.to_be_bytes()[..]) {
                 // a straggler from a timed-out earlier exchange
                 continue;
             }
-            let rtt_us = self.observe(sent_at, ns_rtt);
-            return Some(Reply { message, rtt_us });
+            return Some((n, self.observe(sent_at, ns_rtt)));
         }
     }
 
     /// One query/response over a fresh TCP connection; the preamble
-    /// donates the measured connect time as the handshake RTT.
+    /// donates the measured connect time as the handshake RTT. The
+    /// answer's length in `buf` and its RTT.
     fn tcp(
         &mut self,
         wire: &[u8],
         src: SocketAddr,
         dst: SocketAddr,
         ns_rtt: Option<&Histogram>,
-    ) -> Option<Reply> {
+    ) -> Option<(usize, u64)> {
         let connect_at = Instant::now();
         let mut stream = TcpStream::connect_timeout(&self.server_tcp, self.timeout).ok()?;
         let rtt_us = connect_at.elapsed().as_micros().max(1) as u32;
@@ -145,8 +161,8 @@ impl<'a> Client<'a> {
         let len = u16::from_be_bytes(len) as usize;
         stream.read_exact(&mut self.buf[..len]).ok()?;
         let rtt_us = self.observe(sent_at, ns_rtt);
-        let message = Message::parse(&self.buf[..len]).ok()?;
-        Some(Reply { message, rtt_us })
+        Reader::new(&self.buf[..len]).ok()?;
+        Some((len, rtt_us))
     }
 
     /// Count one response and its latency.
@@ -165,6 +181,7 @@ impl<'a> Client<'a> {
 mod tests {
     use super::*;
     use dns_wire::builder::MessageBuilder;
+    use dns_wire::message::Message;
     use dns_wire::types::{RType, Rcode};
     use simnet::profile::Vantage;
     use simnet::scenario::{dataset, Scale};
@@ -210,7 +227,7 @@ mod tests {
         let reply = client
             .exchange(&wire(0x2222), src, dst, false, None)
             .expect("second query is answered promptly");
-        assert_eq!(reply.message.header.id, 0x2222);
+        assert_eq!(Reader::new(reply.bytes).unwrap().header().id, 0x2222);
         assert_eq!(stats.timeouts.get(), 1);
         assert_eq!(stats.responses.get(), 1);
         stub.join().unwrap();

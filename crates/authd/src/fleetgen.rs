@@ -35,6 +35,7 @@ use simnet::emerge::{
 };
 use simnet::engine::Engine;
 use simnet::fleet::{cumulative_weights, pick_cumulative, Fleet};
+use simnet::vantage::WireScratch;
 use std::io;
 use std::net::{IpAddr, SocketAddr};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -64,7 +65,9 @@ pub struct FleetgenReport {
 
 /// The live three-tier transport: in-process root/leaf, real sockets
 /// at the vantage. One per worker thread; `lane` re-arms it for the
-/// resolver instance whose walk is being driven.
+/// resolver instance whose walk is being driven. Replies are lent as
+/// bytes: the synthetic tiers' from `wire`, the vantage's from the
+/// client's receive buffer.
 struct LiveTransport<'a> {
     engine: &'a Engine,
     client: Client<'a>,
@@ -76,6 +79,8 @@ struct LiveTransport<'a> {
     resolver_idx: usize,
     inflight: &'a AtomicI64,
     inflight_gauge: &'a obs::Gauge,
+    /// Where the query and the synthetic tiers' replies are written.
+    wire: WireScratch,
 }
 
 impl<'a> LiveTransport<'a> {
@@ -91,24 +96,30 @@ impl<'a> LiveTransport<'a> {
     /// the logical resolver/server flow so the tap records
     /// offline-shaped addresses, and the measured RTTs feed both the
     /// resolver's selector and the per-nameserver histogram.
-    fn vantage_exchange(&mut self, si: usize, dst: IpAddr, query: &Message) -> Exchange {
+    fn vantage_exchange(&mut self, si: usize, dst: IpAddr, query: &Message) -> Exchange<'_> {
         let src_ip = self.profile().addr_for(IpVersion::of(dst));
         let src = SocketAddr::new(src_ip, self.rng.gen_range(1024..u16::MAX));
-        let Ok(wire) = query.encode() else {
+        let Some(question) = query.question() else {
             return Exchange::Timeout;
         };
+        self.wire
+            .write_query(&query.header, question, query.edns.as_ref());
 
         let gauge_val = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
         self.inflight_gauge.set(gauge_val as f64);
         let ns_rtt = self.rtt_hists.get(si).map(|h| &**h);
-        let reply = self
-            .client
-            .exchange(&wire, src, SocketAddr::new(dst, 53), false, ns_rtt);
+        let reply = self.client.exchange(
+            self.wire.query(),
+            src,
+            SocketAddr::new(dst, 53),
+            false,
+            ns_rtt,
+        );
         let gauge_val = self.inflight.fetch_sub(1, Ordering::Relaxed) - 1;
         self.inflight_gauge.set(gauge_val as f64);
         match reply {
             Some(reply) => Exchange::Answer {
-                message: reply.message,
+                reply: reply.bytes,
                 rtt_us: reply.rtt_us.min(u32::MAX as u64) as u32,
             },
             None => Exchange::Timeout,
@@ -117,22 +128,22 @@ impl<'a> LiveTransport<'a> {
 }
 
 impl Transport for LiveTransport<'_> {
-    fn exchange(&mut self, server: IpAddr, query: &Message) -> Exchange {
+    fn exchange(&mut self, server: IpAddr, query: &Message) -> Exchange<'_> {
         let zone = self.engine.zone();
         let servers = &self.engine.spec().servers;
-        let message = match tier_of(servers, self.root_zone, server) {
+        match tier_of(servers, self.root_zone, server) {
             Tier::Vantage(si) => return self.vantage_exchange(si, server, query),
             Tier::Root => {
                 let (v4, v6) = self.profile().families();
-                synth_root_referral(zone, servers, v4, v6, query)
+                synth_root_referral(zone, servers, v4, v6, query.into(), &mut self.wire);
             }
             Tier::Leaf => {
                 let ttl = self.fleet().spec.cache_ttl.as_secs().max(1) as u32;
-                synth_leaf_answer(zone, ttl, query)
+                synth_leaf_answer(zone, ttl, query.into(), &mut self.wire);
             }
-        };
+        }
         Exchange::Answer {
-            message,
+            reply: self.wire.response().bytes,
             rtt_us: SYNTH_TIER_RTT_US,
         }
     }
@@ -257,6 +268,7 @@ pub(crate) fn run(
                         resolver_idx: 0,
                         inflight: inflight_ref,
                         inflight_gauge: gauge_ref,
+                        wire: WireScratch::default(),
                     };
                     loop {
                         for lane in &mut my_lanes {

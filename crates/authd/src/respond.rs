@@ -253,12 +253,13 @@ impl Responder {
         if query.header.response {
             return Outcome::Malformed;
         }
-        let signed = query
-            .question()
-            .and_then(|q| self.zone().delegation_index(&q.qname))
-            .map(|idx| self.zone().is_signed(idx))
-            .unwrap_or(false);
-        self.auth.respond((&query).into(), signed, wire);
+        match query.question() {
+            Some(q) => {
+                let located = self.zone().locate(&q.qname);
+                self.auth.respond_located((&query).into(), located, wire)
+            }
+            None => self.auth.respond((&query).into(), false, wire),
+        };
         let response = wire.response();
 
         if transport == Transport::Tcp {

@@ -67,18 +67,9 @@ impl Edns {
         rdata: &[u8],
     ) -> Result<Edns, WireError> {
         let mut options = Vec::new();
-        let mut pos = 0usize;
-        while pos < rdata.len() {
-            if pos + 4 > rdata.len() {
-                return Err(WireError::Truncated { offset: pos });
-            }
-            let code = u16::from_be_bytes([rdata[pos], rdata[pos + 1]]);
-            let len = u16::from_be_bytes([rdata[pos + 2], rdata[pos + 3]]) as usize;
-            if pos + 4 + len > rdata.len() {
-                return Err(WireError::Truncated { offset: pos + 4 });
-            }
-            options.push((code, rdata[pos + 4..pos + 4 + len].to_vec()));
-            pos += 4 + len;
+        for option in (Options { rdata, pos: 0 }) {
+            let (code, payload) = option?;
+            options.push((code, payload.to_vec()));
         }
         Ok(Edns {
             udp_payload_size: class_field,
@@ -87,6 +78,12 @@ impl Edns {
             dnssec_ok: ttl_field & 0x8000 != 0,
             options,
         })
+    }
+
+    /// Check an OPT's RDATA as [`Edns::from_record_fields`] does, to the
+    /// same error, without copying its options out.
+    pub(crate) fn check_options(rdata: &[u8]) -> Result<(), WireError> {
+        Options { rdata, pos: 0 }.try_for_each(|option| option.map(drop))
     }
 
     /// Encode as a full additional-section record (owner = root).
@@ -121,6 +118,36 @@ impl Edns {
     /// Encoded size in octets.
     pub fn encoded_len(&self) -> usize {
         11 + self.options.iter().map(|(_, p)| 4 + p.len()).sum::<usize>()
+    }
+}
+
+/// The `(code, payload)` options of an OPT's RDATA, in order; an
+/// option that runs past the end is an error, and the last item.
+struct Options<'a> {
+    rdata: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Iterator for Options<'a> {
+    type Item = Result<(u16, &'a [u8]), WireError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (rdata, pos) = (self.rdata, self.pos);
+        if pos >= rdata.len() {
+            return None;
+        }
+        // an error ends the walk
+        self.pos = rdata.len();
+        if pos + 4 > rdata.len() {
+            return Some(Err(WireError::Truncated { offset: pos }));
+        }
+        let code = u16::from_be_bytes([rdata[pos], rdata[pos + 1]]);
+        let len = u16::from_be_bytes([rdata[pos + 2], rdata[pos + 3]]) as usize;
+        let Some(payload) = rdata.get(pos + 4..pos + 4 + len) else {
+            return Some(Err(WireError::Truncated { offset: pos + 4 }));
+        };
+        self.pos = pos + 4 + len;
+        Some(Ok((code, payload)))
     }
 }
 

@@ -19,6 +19,8 @@
 //! - [`rdata`] — typed RDATA for the record types the pipeline inspects.
 //! - [`edns`] — the OPT pseudo-record: UDP payload size, DO bit, options.
 //! - [`message`] — full messages: parse, encode, truncate.
+//! - [`reader`] — the one place bytes become sections: a checked
+//!   message read in place, without allocating.
 //! - [`writer`] — the one place sections become bytes; truncation as a
 //!   cut at a record mark.
 //! - [`builder`] — ergonomic query/response construction.
@@ -47,6 +49,7 @@ pub mod header;
 pub mod message;
 pub mod name;
 pub mod rdata;
+pub mod reader;
 pub mod tcp;
 pub mod types;
 pub mod writer;
@@ -56,4 +59,5 @@ pub use error::WireError;
 pub use header::Header;
 pub use message::{Message, Question, Record};
 pub use name::Name;
+pub use reader::Reader;
 pub use types::{Opcode, RClass, RType, Rcode};

@@ -2,10 +2,11 @@
 
 use crate::edns::Edns;
 use crate::error::WireError;
-use crate::header::{Header, HEADER_LEN};
+use crate::header::Header;
 use crate::name::{Name, ReusableCompressor};
 use crate::rdata::RData;
-use crate::types::{RClass, RType, Rcode};
+use crate::reader::{Entry, Reader};
+use crate::types::{RClass, RType};
 use crate::writer::{Marks, MessageWriter, Section};
 
 /// A question-section entry.
@@ -27,23 +28,6 @@ impl Question {
             qtype,
             qclass: RClass::In,
         }
-    }
-
-    fn parse(msg: &[u8], pos: usize) -> Result<(Question, usize), WireError> {
-        let (qname, p) = Name::parse(msg, pos)?;
-        if p + 4 > msg.len() {
-            return Err(WireError::Truncated { offset: msg.len() });
-        }
-        let qtype = RType::from_u16(u16::from_be_bytes([msg[p], msg[p + 1]]));
-        let qclass = RClass::from_u16(u16::from_be_bytes([msg[p + 2], msg[p + 3]]));
-        Ok((
-            Question {
-                qname,
-                qtype,
-                qclass,
-            },
-            p + 4,
-        ))
     }
 }
 
@@ -122,74 +106,44 @@ impl Message {
     /// Parse `msg` into this message, replacing whatever it held and
     /// keeping the section vectors' capacity, so a caller that parses
     /// many messages through one scratch `Message` stops allocating for
-    /// the sections. After an error the contents are unspecified (the
-    /// sections parsed before the fault); the next call starts clean.
+    /// the sections. The checks are [`Reader::new`]'s, in the same one
+    /// walk that copies each entry out. After an error the contents are
+    /// unspecified (the entries read before the fault); the next call
+    /// starts clean.
     pub fn parse_into(&mut self, msg: &[u8]) -> Result<(), WireError> {
         self.questions.clear();
         self.answers.clear();
         self.authorities.clear();
         self.additionals.clear();
         self.edns = None;
-        let (header, counts) = Header::parse(msg)?;
-        self.header = header;
-        let mut pos = HEADER_LEN;
-
-        for _ in 0..counts[0] {
-            let (q, p) = Question::parse(msg, pos).map_err(|e| section_err(e, "question"))?;
-            self.questions.push(q);
-            pos = p;
-        }
-
-        for (si, count) in counts[1..].iter().enumerate() {
-            let section_name = ["answer", "authority", "additional"][si];
-            for _ in 0..*count {
-                let (name, p) = Name::parse(msg, pos).map_err(|e| section_err(e, section_name))?;
-                if p + 10 > msg.len() {
-                    return Err(WireError::Truncated { offset: msg.len() });
-                }
-                let rtype = RType::from_u16(u16::from_be_bytes([msg[p], msg[p + 1]]));
-                let class_field = u16::from_be_bytes([msg[p + 2], msg[p + 3]]);
-                let ttl_field =
-                    u32::from_be_bytes([msg[p + 4], msg[p + 5], msg[p + 6], msg[p + 7]]);
-                let rdlen = u16::from_be_bytes([msg[p + 8], msg[p + 9]]) as usize;
-                let rdata_start = p + 10;
-                if rdata_start + rdlen > msg.len() {
-                    return Err(WireError::Truncated { offset: msg.len() });
-                }
-                if rtype == RType::Opt {
-                    if si != 2 || self.edns.is_some() || !name.is_root() {
-                        return Err(WireError::MalformedEdns);
-                    }
-                    let e = Edns::from_record_fields(
-                        class_field,
-                        ttl_field,
-                        &msg[rdata_start..rdata_start + rdlen],
-                    )?;
-                    // Merge extended rcode: high 8 bits from OPT, low 4
-                    // from the header (RFC 6891 §6.1.3).
-                    if e.extended_rcode_bits != 0 {
-                        let low = self.header.rcode.to_u16() & 0x0f;
-                        self.header.rcode =
-                            Rcode::from_u16(((e.extended_rcode_bits as u16) << 4) | low);
-                    }
-                    self.edns = Some(e);
-                } else {
-                    let rdata = RData::parse(rtype, msg, rdata_start, rdlen)?;
-                    let section = match si {
-                        0 => &mut self.answers,
-                        1 => &mut self.authorities,
-                        _ => &mut self.additionals,
-                    };
-                    section.push(Record {
-                        name,
-                        class: RClass::from_u16(class_field),
-                        ttl: ttl_field,
-                        rdata,
-                    });
-                }
-                pos = rdata_start + rdlen;
+        let build = |msg, pos| {
+            Name::parse(msg, pos).map(|(name, end)| {
+                let len = name.wire_len();
+                (name, end, len)
+            })
+        };
+        let reader = Reader::walk(msg, build, |entry| match entry {
+            Entry::Question(qname, qtype, qclass) => self.questions.push(Question {
+                qname,
+                qtype: RType::from_u16(qtype),
+                qclass: RClass::from_u16(qclass),
+            }),
+            Entry::Record(section, name, class, ttl, rdata) => {
+                let records = match section {
+                    Section::Answer => &mut self.answers,
+                    Section::Authority => &mut self.authorities,
+                    Section::Additional => &mut self.additionals,
+                };
+                records.push(Record {
+                    name,
+                    class: RClass::from_u16(class),
+                    ttl,
+                    rdata: rdata.into_rdata(),
+                });
             }
-        }
+        })?;
+        self.header = reader.header();
+        self.edns = reader.edns();
         Ok(())
     }
 
@@ -264,17 +218,11 @@ impl Message {
     }
 }
 
-fn section_err(e: WireError, section: &'static str) -> WireError {
-    match e {
-        WireError::Truncated { .. } => WireError::CountMismatch { section },
-        other => other,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::header::Header;
+    use crate::header::{Header, HEADER_LEN};
+    use crate::types::Rcode;
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()

@@ -180,246 +180,7 @@ impl RData {
     /// `msg` is the whole message because several types embed names which
     /// may use compression pointers into earlier parts of the message.
     pub fn parse(rtype: RType, msg: &[u8], start: usize, rdlen: usize) -> Result<RData, WireError> {
-        let end = start
-            .checked_add(rdlen)
-            .ok_or(WireError::Truncated { offset: start })?;
-        if end > msg.len() {
-            return Err(WireError::Truncated { offset: msg.len() });
-        }
-        let slice = &msg[start..end];
-        let exact = |need: usize| -> Result<(), WireError> {
-            if rdlen == need {
-                Ok(())
-            } else {
-                Err(WireError::BadRdataLength {
-                    declared: rdlen,
-                    consumed: need,
-                })
-            }
-        };
-        match rtype {
-            RType::A => {
-                exact(4)?;
-                Ok(RData::A(Ipv4Addr::new(
-                    slice[0], slice[1], slice[2], slice[3],
-                )))
-            }
-            RType::Aaaa => {
-                exact(16)?;
-                let mut o = [0u8; 16];
-                o.copy_from_slice(slice);
-                Ok(RData::Aaaa(Ipv6Addr::from(o)))
-            }
-            RType::Ns | RType::Cname | RType::Ptr => {
-                let (name, consumed_to) = Name::parse(msg, start)?;
-                if consumed_to != end {
-                    return Err(WireError::BadRdataLength {
-                        declared: rdlen,
-                        consumed: consumed_to - start,
-                    });
-                }
-                Ok(match rtype {
-                    RType::Ns => RData::Ns(name),
-                    RType::Cname => RData::Cname(name),
-                    _ => RData::Ptr(name),
-                })
-            }
-            RType::Mx => {
-                if rdlen < 3 {
-                    return Err(WireError::Truncated { offset: end });
-                }
-                let preference = u16::from_be_bytes([slice[0], slice[1]]);
-                let (exchange, consumed_to) = Name::parse(msg, start + 2)?;
-                if consumed_to != end {
-                    return Err(WireError::BadRdataLength {
-                        declared: rdlen,
-                        consumed: consumed_to - start,
-                    });
-                }
-                Ok(RData::Mx {
-                    preference,
-                    exchange,
-                })
-            }
-            RType::Soa => {
-                let (mname, p1) = Name::parse(msg, start)?;
-                let (rname, p2) = Name::parse(msg, p1)?;
-                if p2 + 20 != end {
-                    return Err(WireError::BadRdataLength {
-                        declared: rdlen,
-                        consumed: p2 + 20 - start,
-                    });
-                }
-                let g = |i: usize| {
-                    u32::from_be_bytes([
-                        msg[p2 + i],
-                        msg[p2 + i + 1],
-                        msg[p2 + i + 2],
-                        msg[p2 + i + 3],
-                    ])
-                };
-                Ok(RData::Soa {
-                    mname,
-                    rname,
-                    serial: g(0),
-                    refresh: g(4),
-                    retry: g(8),
-                    expire: g(12),
-                    minimum: g(16),
-                })
-            }
-            RType::Txt => {
-                let mut strings = Vec::new();
-                let mut pos = 0usize;
-                while pos < slice.len() {
-                    let len = slice[pos] as usize;
-                    if pos + 1 + len > slice.len() {
-                        return Err(WireError::Truncated {
-                            offset: start + pos,
-                        });
-                    }
-                    strings.push(slice[pos + 1..pos + 1 + len].to_vec());
-                    pos += 1 + len;
-                }
-                if strings.is_empty() {
-                    // RFC 1035: TXT must contain at least one string.
-                    strings.push(Vec::new());
-                }
-                Ok(RData::Txt(strings))
-            }
-            RType::Ds => {
-                if rdlen < 4 {
-                    return Err(WireError::Truncated { offset: end });
-                }
-                Ok(RData::Ds {
-                    key_tag: u16::from_be_bytes([slice[0], slice[1]]),
-                    algorithm: slice[2],
-                    digest_type: slice[3],
-                    digest: slice[4..].to_vec(),
-                })
-            }
-            RType::Dnskey => {
-                if rdlen < 4 {
-                    return Err(WireError::Truncated { offset: end });
-                }
-                Ok(RData::Dnskey {
-                    flags: u16::from_be_bytes([slice[0], slice[1]]),
-                    protocol: slice[2],
-                    algorithm: slice[3],
-                    public_key: slice[4..].to_vec(),
-                })
-            }
-            RType::Rrsig => {
-                if rdlen < 18 {
-                    return Err(WireError::Truncated { offset: end });
-                }
-                let type_covered = RType::from_u16(u16::from_be_bytes([slice[0], slice[1]]));
-                let (signer, p) = Name::parse(msg, start + 18)?;
-                if p > end {
-                    return Err(WireError::BadRdataLength {
-                        declared: rdlen,
-                        consumed: p - start,
-                    });
-                }
-                Ok(RData::Rrsig {
-                    type_covered,
-                    algorithm: slice[2],
-                    labels: slice[3],
-                    original_ttl: u32::from_be_bytes([slice[4], slice[5], slice[6], slice[7]]),
-                    expiration: u32::from_be_bytes([slice[8], slice[9], slice[10], slice[11]]),
-                    inception: u32::from_be_bytes([slice[12], slice[13], slice[14], slice[15]]),
-                    key_tag: u16::from_be_bytes([slice[16], slice[17]]),
-                    signer,
-                    signature: msg[p..end].to_vec(),
-                })
-            }
-            RType::Nsec => {
-                let (next, p) = Name::parse(msg, start)?;
-                if p > end {
-                    return Err(WireError::BadRdataLength {
-                        declared: rdlen,
-                        consumed: p - start,
-                    });
-                }
-                Ok(RData::Nsec {
-                    next,
-                    type_bitmaps: msg[p..end].to_vec(),
-                })
-            }
-            RType::Nsec3 => {
-                if rdlen < 5 {
-                    return Err(WireError::Truncated { offset: end });
-                }
-                let salt_len = slice[4] as usize;
-                if 5 + salt_len + 1 > rdlen {
-                    return Err(WireError::Truncated { offset: end });
-                }
-                let hash_len = slice[5 + salt_len] as usize;
-                if 5 + salt_len + 1 + hash_len > rdlen {
-                    return Err(WireError::Truncated { offset: end });
-                }
-                Ok(RData::Nsec3 {
-                    hash_algorithm: slice[0],
-                    flags: slice[1],
-                    iterations: u16::from_be_bytes([slice[2], slice[3]]),
-                    salt: slice[5..5 + salt_len].to_vec(),
-                    next_hashed: slice[6 + salt_len..6 + salt_len + hash_len].to_vec(),
-                    type_bitmaps: slice[6 + salt_len + hash_len..].to_vec(),
-                })
-            }
-            RType::Caa => {
-                if rdlen < 2 {
-                    return Err(WireError::Truncated { offset: end });
-                }
-                let tag_len = slice[1] as usize;
-                if 2 + tag_len > rdlen {
-                    return Err(WireError::Truncated { offset: end });
-                }
-                Ok(RData::Caa {
-                    flags: slice[0],
-                    tag: slice[2..2 + tag_len].to_vec(),
-                    value: slice[2 + tag_len..].to_vec(),
-                })
-            }
-            RType::Svcb | RType::Https => {
-                if rdlen < 3 {
-                    return Err(WireError::Truncated { offset: end });
-                }
-                let priority = u16::from_be_bytes([slice[0], slice[1]]);
-                let (target, p) = Name::parse(msg, start + 2)?;
-                let mut params = Vec::new();
-                let mut pos = p;
-                while pos < end {
-                    if pos + 4 > end {
-                        return Err(WireError::Truncated { offset: pos });
-                    }
-                    let key = u16::from_be_bytes([msg[pos], msg[pos + 1]]);
-                    let len = u16::from_be_bytes([msg[pos + 2], msg[pos + 3]]) as usize;
-                    if pos + 4 + len > end {
-                        return Err(WireError::Truncated { offset: pos + 4 });
-                    }
-                    params.push((key, msg[pos + 4..pos + 4 + len].to_vec()));
-                    pos += 4 + len;
-                }
-                Ok(if rtype == RType::Svcb {
-                    RData::Svcb {
-                        priority,
-                        target,
-                        params,
-                    }
-                } else {
-                    RData::Https {
-                        priority,
-                        target,
-                        params,
-                    }
-                })
-            }
-            other => Ok(RData::Unknown {
-                rtype: other,
-                data: slice.to_vec(),
-            }),
-        }
+        RDataRef::parse(rtype, msg, start, rdlen, Name::parse).map(RDataRef::into_rdata)
     }
 
     /// Append the wire encoding to `out`, compressing embedded names where
@@ -568,6 +329,419 @@ impl RData {
             RData::Unknown { data, .. } => out.extend_from_slice(data),
         }
         Ok(())
+    }
+}
+
+/// RDATA as it sits in the message: every check [`RData::parse`]
+/// makes, with the fields located but nothing copied, so a reader that
+/// only validates allocates nothing. Embedded names are `N`: whatever
+/// the caller's name reader makes of them — `()` when it only checks
+/// them, a [`Name`] when [`RDataRef::into_rdata`] is to build the owned
+/// form.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RDataRef<'a, N> {
+    A(Ipv4Addr),
+    Aaaa(Ipv6Addr),
+    Ns(N),
+    Cname(N),
+    Ptr(N),
+    Mx {
+        preference: u16,
+        exchange: N,
+    },
+    Soa {
+        mname: N,
+        rname: N,
+        /// serial, refresh, retry, expire, minimum.
+        fields: &'a [u8],
+    },
+    /// The character-strings, each length-prefixed.
+    Txt(&'a [u8]),
+    Ds {
+        key_tag: u16,
+        algorithm: u8,
+        digest_type: u8,
+        digest: &'a [u8],
+    },
+    Dnskey {
+        flags: u16,
+        protocol: u8,
+        algorithm: u8,
+        public_key: &'a [u8],
+    },
+    Rrsig {
+        /// Type covered through key tag, the 18 fixed octets.
+        fixed: &'a [u8],
+        signer: N,
+        signature: &'a [u8],
+    },
+    Nsec {
+        next: N,
+        type_bitmaps: &'a [u8],
+    },
+    Nsec3 {
+        hash_algorithm: u8,
+        flags: u8,
+        iterations: u16,
+        salt: &'a [u8],
+        next_hashed: &'a [u8],
+        type_bitmaps: &'a [u8],
+    },
+    Caa {
+        flags: u8,
+        tag: &'a [u8],
+        value: &'a [u8],
+    },
+    /// SVCB or HTTPS (`rtype`), parameters as their key-length-value
+    /// octets.
+    Svcb {
+        rtype: RType,
+        priority: u16,
+        target: N,
+        params: &'a [u8],
+    },
+    Unknown {
+        rtype: RType,
+        data: &'a [u8],
+    },
+}
+
+impl<'a, N> RDataRef<'a, N> {
+    /// Read RDATA of type `rtype` at `msg[start..start+rdlen]`, checking
+    /// it exactly as [`RData::parse`] does, in the same order, to the
+    /// same errors; `read_name` reads an embedded name and returns the
+    /// position past it.
+    #[inline]
+    pub(crate) fn parse(
+        rtype: RType,
+        msg: &'a [u8],
+        start: usize,
+        rdlen: usize,
+        read_name: impl Fn(&'a [u8], usize) -> Result<(N, usize), WireError>,
+    ) -> Result<RDataRef<'a, N>, WireError> {
+        let end = start
+            .checked_add(rdlen)
+            .ok_or(WireError::Truncated { offset: start })?;
+        if end > msg.len() {
+            return Err(WireError::Truncated { offset: msg.len() });
+        }
+        let slice = &msg[start..end];
+        let exact = |need: usize| -> Result<(), WireError> {
+            if rdlen == need {
+                Ok(())
+            } else {
+                Err(WireError::BadRdataLength {
+                    declared: rdlen,
+                    consumed: need,
+                })
+            }
+        };
+        let at_least = |need: usize| {
+            if rdlen < need {
+                Err(WireError::Truncated { offset: end })
+            } else {
+                Ok(())
+            }
+        };
+        // a name that must end the RDATA, or at least not overrun it
+        let ends_at = |to: usize| {
+            if to == end {
+                Ok(())
+            } else {
+                Err(WireError::BadRdataLength {
+                    declared: rdlen,
+                    consumed: to - start,
+                })
+            }
+        };
+        let within = |to: usize| if to > end { ends_at(to) } else { Ok(()) };
+        Ok(match rtype {
+            RType::A => {
+                exact(4)?;
+                RDataRef::A(Ipv4Addr::new(slice[0], slice[1], slice[2], slice[3]))
+            }
+            RType::Aaaa => {
+                exact(16)?;
+                let mut o = [0u8; 16];
+                o.copy_from_slice(slice);
+                RDataRef::Aaaa(Ipv6Addr::from(o))
+            }
+            RType::Ns | RType::Cname | RType::Ptr => {
+                let (name, to) = read_name(msg, start)?;
+                ends_at(to)?;
+                match rtype {
+                    RType::Ns => RDataRef::Ns(name),
+                    RType::Cname => RDataRef::Cname(name),
+                    _ => RDataRef::Ptr(name),
+                }
+            }
+            RType::Mx => {
+                at_least(3)?;
+                let (exchange, to) = read_name(msg, start + 2)?;
+                ends_at(to)?;
+                RDataRef::Mx {
+                    preference: u16::from_be_bytes([slice[0], slice[1]]),
+                    exchange,
+                }
+            }
+            RType::Soa => {
+                let (mname, p1) = read_name(msg, start)?;
+                let (rname, p2) = read_name(msg, p1)?;
+                ends_at(p2 + 20)?;
+                RDataRef::Soa {
+                    mname,
+                    rname,
+                    fields: &msg[p2..end],
+                }
+            }
+            RType::Txt => {
+                let mut pos = 0usize;
+                while pos < slice.len() {
+                    let len = slice[pos] as usize;
+                    if pos + 1 + len > slice.len() {
+                        return Err(WireError::Truncated {
+                            offset: start + pos,
+                        });
+                    }
+                    pos += 1 + len;
+                }
+                RDataRef::Txt(slice)
+            }
+            RType::Ds => {
+                at_least(4)?;
+                RDataRef::Ds {
+                    key_tag: u16::from_be_bytes([slice[0], slice[1]]),
+                    algorithm: slice[2],
+                    digest_type: slice[3],
+                    digest: &slice[4..],
+                }
+            }
+            RType::Dnskey => {
+                at_least(4)?;
+                RDataRef::Dnskey {
+                    flags: u16::from_be_bytes([slice[0], slice[1]]),
+                    protocol: slice[2],
+                    algorithm: slice[3],
+                    public_key: &slice[4..],
+                }
+            }
+            RType::Rrsig => {
+                at_least(18)?;
+                let (signer, p) = read_name(msg, start + 18)?;
+                within(p)?;
+                RDataRef::Rrsig {
+                    fixed: &slice[..18],
+                    signer,
+                    signature: &msg[p..end],
+                }
+            }
+            RType::Nsec => {
+                let (next, p) = read_name(msg, start)?;
+                within(p)?;
+                RDataRef::Nsec {
+                    next,
+                    type_bitmaps: &msg[p..end],
+                }
+            }
+            RType::Nsec3 => {
+                at_least(5)?;
+                let salt_len = slice[4] as usize;
+                if 5 + salt_len + 1 > rdlen {
+                    return Err(WireError::Truncated { offset: end });
+                }
+                let hash_len = slice[5 + salt_len] as usize;
+                if 5 + salt_len + 1 + hash_len > rdlen {
+                    return Err(WireError::Truncated { offset: end });
+                }
+                RDataRef::Nsec3 {
+                    hash_algorithm: slice[0],
+                    flags: slice[1],
+                    iterations: u16::from_be_bytes([slice[2], slice[3]]),
+                    salt: &slice[5..5 + salt_len],
+                    next_hashed: &slice[6 + salt_len..6 + salt_len + hash_len],
+                    type_bitmaps: &slice[6 + salt_len + hash_len..],
+                }
+            }
+            RType::Caa => {
+                at_least(2)?;
+                let tag_len = slice[1] as usize;
+                if 2 + tag_len > rdlen {
+                    return Err(WireError::Truncated { offset: end });
+                }
+                RDataRef::Caa {
+                    flags: slice[0],
+                    tag: &slice[2..2 + tag_len],
+                    value: &slice[2 + tag_len..],
+                }
+            }
+            RType::Svcb | RType::Https => {
+                at_least(3)?;
+                let (target, p) = read_name(msg, start + 2)?;
+                let mut pos = p;
+                while pos < end {
+                    if pos + 4 > end {
+                        return Err(WireError::Truncated { offset: pos });
+                    }
+                    let len = u16::from_be_bytes([msg[pos + 2], msg[pos + 3]]) as usize;
+                    if pos + 4 + len > end {
+                        return Err(WireError::Truncated { offset: pos + 4 });
+                    }
+                    pos += 4 + len;
+                }
+                RDataRef::Svcb {
+                    rtype,
+                    priority: u16::from_be_bytes([slice[0], slice[1]]),
+                    target,
+                    params: &msg[p.min(end)..end],
+                }
+            }
+            other => RDataRef::Unknown {
+                rtype: other,
+                data: slice,
+            },
+        })
+    }
+}
+
+impl RDataRef<'_, Name> {
+    /// The owned form, as [`RData::parse`] returns it.
+    #[inline]
+    pub(crate) fn into_rdata(self) -> RData {
+        let u32_at = |b: &[u8], i: usize| u32::from_be_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
+        match self {
+            RDataRef::A(a) => RData::A(a),
+            RDataRef::Aaaa(a) => RData::Aaaa(a),
+            RDataRef::Ns(n) => RData::Ns(n),
+            RDataRef::Cname(n) => RData::Cname(n),
+            RDataRef::Ptr(n) => RData::Ptr(n),
+            RDataRef::Mx {
+                preference,
+                exchange,
+            } => RData::Mx {
+                preference,
+                exchange,
+            },
+            RDataRef::Soa {
+                mname,
+                rname,
+                fields,
+            } => RData::Soa {
+                mname,
+                rname,
+                serial: u32_at(fields, 0),
+                refresh: u32_at(fields, 4),
+                retry: u32_at(fields, 8),
+                expire: u32_at(fields, 12),
+                minimum: u32_at(fields, 16),
+            },
+            RDataRef::Txt(strings) => {
+                let mut out = Vec::new();
+                let mut pos = 0;
+                while pos < strings.len() {
+                    let len = strings[pos] as usize;
+                    out.push(strings[pos + 1..pos + 1 + len].to_vec());
+                    pos += 1 + len;
+                }
+                if out.is_empty() {
+                    // RFC 1035: TXT must contain at least one string.
+                    out.push(Vec::new());
+                }
+                RData::Txt(out)
+            }
+            RDataRef::Ds {
+                key_tag,
+                algorithm,
+                digest_type,
+                digest,
+            } => RData::Ds {
+                key_tag,
+                algorithm,
+                digest_type,
+                digest: digest.to_vec(),
+            },
+            RDataRef::Dnskey {
+                flags,
+                protocol,
+                algorithm,
+                public_key,
+            } => RData::Dnskey {
+                flags,
+                protocol,
+                algorithm,
+                public_key: public_key.to_vec(),
+            },
+            RDataRef::Rrsig {
+                fixed,
+                signer,
+                signature,
+            } => RData::Rrsig {
+                type_covered: RType::from_u16(u16::from_be_bytes([fixed[0], fixed[1]])),
+                algorithm: fixed[2],
+                labels: fixed[3],
+                original_ttl: u32_at(fixed, 4),
+                expiration: u32_at(fixed, 8),
+                inception: u32_at(fixed, 12),
+                key_tag: u16::from_be_bytes([fixed[16], fixed[17]]),
+                signer,
+                signature: signature.to_vec(),
+            },
+            RDataRef::Nsec { next, type_bitmaps } => RData::Nsec {
+                next,
+                type_bitmaps: type_bitmaps.to_vec(),
+            },
+            RDataRef::Nsec3 {
+                hash_algorithm,
+                flags,
+                iterations,
+                salt,
+                next_hashed,
+                type_bitmaps,
+            } => RData::Nsec3 {
+                hash_algorithm,
+                flags,
+                iterations,
+                salt: salt.to_vec(),
+                next_hashed: next_hashed.to_vec(),
+                type_bitmaps: type_bitmaps.to_vec(),
+            },
+            RDataRef::Caa { flags, tag, value } => RData::Caa {
+                flags,
+                tag: tag.to_vec(),
+                value: value.to_vec(),
+            },
+            RDataRef::Svcb {
+                rtype,
+                priority,
+                target,
+                params,
+            } => {
+                let mut pairs = Vec::new();
+                let mut pos = 0;
+                while pos < params.len() {
+                    let key = u16::from_be_bytes([params[pos], params[pos + 1]]);
+                    let len = u16::from_be_bytes([params[pos + 2], params[pos + 3]]) as usize;
+                    pairs.push((key, params[pos + 4..pos + 4 + len].to_vec()));
+                    pos += 4 + len;
+                }
+                if rtype == RType::Svcb {
+                    RData::Svcb {
+                        priority,
+                        target,
+                        params: pairs,
+                    }
+                } else {
+                    RData::Https {
+                        priority,
+                        target,
+                        params: pairs,
+                    }
+                }
+            }
+            RDataRef::Unknown { rtype, data } => RData::Unknown {
+                rtype,
+                data: data.to_vec(),
+            },
+        }
     }
 }
 

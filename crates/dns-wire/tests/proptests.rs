@@ -1,12 +1,15 @@
 //! Property-based tests for the wire format: round-trips, parser
-//! robustness against arbitrary and mutated input.
+//! robustness against arbitrary and mutated input, and the in-place
+//! reader against the parse.
 
 use dns_wire::edns::Edns;
 use dns_wire::header::Header;
 use dns_wire::message::{Message, Question, Record};
 use dns_wire::name::{Name, ReusableCompressor};
 use dns_wire::rdata::RData;
+use dns_wire::reader::Reader;
 use dns_wire::types::{RType, Rcode};
+use dns_wire::writer::Section;
 use proptest::prelude::*;
 
 /// Strategy for a random label: 1..=63 arbitrary octets.
@@ -383,6 +386,185 @@ proptest! {
         let (mut comp, mut out) = (ReusableCompressor::new(), Vec::new());
         msg.encode_into(&mut comp, &mut out).unwrap();
         prop_assert_eq!(out, bytes);
+    }
+}
+
+/// What a resolver reads out of a reply, taken from a parsed `Message`
+/// (the oracle) or from a `Reader` over the same bytes: the rcode, the
+/// addresses and CNAME targets owned by `owner` in the answer section,
+/// and a referral's cut, NS hosts, glue and cut TTL (the last NS record
+/// names the cut).
+#[derive(Debug, PartialEq)]
+struct WalkView {
+    rcode: Rcode,
+    addrs: Vec<std::net::IpAddr>,
+    cnames: Vec<Name>,
+    cut: Option<(Name, u32)>,
+    hosts: Vec<Name>,
+    glue: Vec<std::net::IpAddr>,
+}
+
+fn addr_of(rdata: &RData) -> Option<std::net::IpAddr> {
+    match rdata {
+        RData::A(a) => Some((*a).into()),
+        RData::Aaaa(a) => Some((*a).into()),
+        _ => None,
+    }
+}
+
+fn view_of_message(msg: &Message, owner: &Name) -> WalkView {
+    let owned = || msg.answers.iter().filter(|r| r.name == *owner);
+    let ns = || {
+        msg.authorities.iter().filter_map(|r| match &r.rdata {
+            RData::Ns(host) => Some((r, host)),
+            _ => None,
+        })
+    };
+    WalkView {
+        rcode: msg.header.rcode,
+        addrs: owned().filter_map(|r| addr_of(&r.rdata)).collect(),
+        cnames: owned()
+            .filter_map(|r| match &r.rdata {
+                RData::Cname(t) => Some(t.clone()),
+                _ => None,
+            })
+            .collect(),
+        cut: ns().next_back().map(|(r, _)| (r.name.clone(), r.ttl)),
+        hosts: ns().map(|(_, host)| host.clone()).collect(),
+        glue: msg
+            .additionals
+            .iter()
+            .filter_map(|r| addr_of(&r.rdata))
+            .collect(),
+    }
+}
+
+fn view_of_reader(reader: &Reader<'_>, owner: &Name) -> WalkView {
+    let owned = || {
+        reader
+            .records(Section::Answer)
+            .filter(|r| r.owner_is(owner))
+    };
+    let ns = || {
+        reader
+            .records(Section::Authority)
+            .filter(|r| r.rtype == RType::Ns)
+    };
+    WalkView {
+        rcode: reader.rcode(),
+        addrs: owned().filter_map(|r| r.addr()).collect(),
+        cnames: owned().filter_map(|r| r.cname()).collect(),
+        cut: ns().last().map(|r| (r.owner(), r.ttl)),
+        hosts: ns().filter_map(|r| r.ns()).collect(),
+        glue: reader
+            .records(Section::Additional)
+            .filter_map(|r| r.addr())
+            .collect(),
+    }
+}
+
+/// A message shaped like the replies a resolver walks: a referral (NS
+/// set, glue) or an answer (addresses, a CNAME), names sharing suffixes
+/// with the question so they compress, in any case mix.
+fn walk_reply() -> impl Strategy<Value = Message> {
+    (
+        any::<u16>(),
+        hostname(),
+        any::<u64>(),
+        0u16..=16,
+        prop::collection::vec((0u8..5, any::<[u8; 16]>(), any::<u32>()), 0..=8),
+        prop::option::of((512u16..=4096, any::<bool>(), 0u8..=2)),
+    )
+        .prop_map(|(id, qname, flips, rcode, parts, edns)| {
+            let mut header = Header::request(id);
+            header.response = true;
+            header.rcode = Rcode::from_u16(rcode & 0x0f);
+            let mut msg = Message::new(header);
+            msg.questions
+                .push(Question::new(recase(&qname, flips), RType::A));
+            let cut = qname.parent();
+            for (kind, octets, ttl) in parts {
+                let host = cut
+                    .child(&octets[..1 + octets[0] as usize % 3])
+                    .unwrap_or(cut.clone());
+                let v4 = RData::A([octets[1], octets[2], octets[3], octets[4]].into());
+                match kind {
+                    0 => msg
+                        .authorities
+                        .push(Record::new(cut.clone(), ttl, RData::Ns(host))),
+                    1 => msg.additionals.push(Record::new(host, ttl, v4)),
+                    2 => msg
+                        .additionals
+                        .push(Record::new(host, ttl, RData::Aaaa(octets.into()))),
+                    3 => msg
+                        .answers
+                        .push(Record::new(recase(&qname, !flips), ttl, v4)),
+                    _ => msg
+                        .answers
+                        .push(Record::new(qname.clone(), ttl, RData::Cname(host))),
+                }
+            }
+            msg.edns = edns.map(|(size, dnssec_ok, ext)| Edns {
+                extended_rcode_bits: ext,
+                ..Edns::with_size(size, dnssec_ok)
+            });
+            msg
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The reader under hostile bytes — resolver-shaped replies and
+    /// arbitrary messages, whole, cut short, byte-flipped, or noise —
+    /// with `Message::parse` as the oracle: it accepts exactly what the
+    /// parse accepts, failing the same way; reads the same rcode, the
+    /// same answers for the question's name and for each answer's
+    /// owner, and the same referral; and never panics.
+    #[test]
+    fn reader_agrees_with_parse_under_hostile_bytes(
+        shaped in walk_reply(),
+        general in message(),
+        pick in 0usize..2,
+        damage in 0usize..4,
+        cut in 0usize..4096,
+        flips in prop::collection::vec((0usize..4096, any::<u8>()), 1..=6),
+        noise in prop::collection::vec(any::<u8>(), 0..=300),
+    ) {
+        let msg = if pick == 0 { shaped } else { general };
+        let mut bytes = msg.encode().unwrap();
+        match damage {
+            0 => {}
+            1 => bytes.truncate(cut % (bytes.len() + 1)),
+            2 => {
+                for (pos, val) in flips {
+                    let len = bytes.len();
+                    bytes[pos % len] ^= val;
+                }
+            }
+            _ => bytes = noise,
+        }
+        match (Reader::new(&bytes), Message::parse(&bytes)) {
+            (Ok(reader), Ok(parsed)) => {
+                prop_assert_eq!(reader.header(), parsed.header);
+                prop_assert_eq!(reader.questions().collect::<Vec<_>>(), parsed.questions.clone());
+                prop_assert_eq!(reader.edns(), parsed.edns.clone());
+                let owners = parsed.questions.iter().map(|q| q.qname.clone())
+                    .chain(parsed.answers.iter().map(|r| r.name.clone()));
+                for owner in owners {
+                    prop_assert_eq!(view_of_reader(&reader, &owner), view_of_message(&parsed, &owner));
+                }
+                for (section, records) in [
+                    (Section::Answer, &parsed.answers),
+                    (Section::Authority, &parsed.authorities),
+                    (Section::Additional, &parsed.additionals),
+                ] {
+                    prop_assert_eq!(reader.count(section), records.len());
+                }
+            }
+            (Err(read), Err(parse)) => prop_assert_eq!(read, parse),
+            (read, parse) => prop_assert!(false, "reader {:?}, parse {:?}", read.map(|_| ()), parse.map(|_| ())),
+        }
     }
 }
 

@@ -13,13 +13,15 @@
 //!
 //! Each of the three maps is a hash map plus an ordered index over the
 //! same entries keyed by `(expiry, stable hash of the key)` — the order
-//! in which entries are evicted. With `n` entries in a map:
+//! in which entries are evicted. Address and server sets are shared
+//! slices ([`Addrs`]): a hit hands out another reference to the cached
+//! set, and a put stores the caller's. With `n` entries in a map:
 //!
 //! | operation | cost |
 //! |---|---|
-//! | [`FleetCache::consult`], [`FleetCache::addresses`], [`FleetCache::negative`] | O(1) hash probes, no allocation on a miss, one `Vec` clone on an address hit; O(log n) more when the probe removes a dead entry |
-//! | [`FleetCache::deepest_cut`] | at most `labels + 1` hash probes, deepest ancestor first; the first live hit wins |
-//! | `put_*` below capacity | O(log n): one hash insert, one index insert |
+//! | [`FleetCache::consult`], [`FleetCache::addresses`], [`FleetCache::negative`] | O(1) hash probes, no allocation, hit or miss; O(log n) more when the probe removes a dead entry |
+//! | [`FleetCache::deepest_cut`] | at most `labels + 1` hash probes, deepest ancestor first; the first live hit wins; no allocation |
+//! | `put_*` below capacity | O(log n): one hash insert, one index insert; the set is not copied ([`FleetCache::put_addresses`] takes a `Vec`, which becomes one shared slice) |
 //! | `put_*` at capacity | O(log n): pop the index's first entry, then as above |
 //! | [`FleetCache::stats`], [`FleetCache::len`] | O(1) |
 //!
@@ -44,6 +46,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::net::IpAddr;
 use std::sync::{Arc, Mutex};
+
+/// A cached address or server set, shared between the cache, the walk
+/// that learned it and every resolver that hits it.
+pub type Addrs = Arc<[IpAddr]>;
 
 /// What a cached negative answer asserts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,11 +291,11 @@ impl CacheStats {
 #[derive(Debug, Clone, Default)]
 pub struct FleetCache {
     /// (qname, qtype) -> addresses.
-    addresses: TtlMap<(Name, RType), Vec<IpAddr>>,
+    addresses: TtlMap<(Name, RType), Addrs>,
     /// (qname, qtype) -> cached denial.
     negatives: TtlMap<(Name, RType), Negative>,
     /// zone cut -> authoritative server addresses.
-    delegations: TtlMap<Name, Vec<IpAddr>>,
+    delegations: TtlMap<Name, Addrs>,
     capacity: usize,
     hits: u64,
     misses: u64,
@@ -321,7 +327,7 @@ impl FleetCache {
         qname: &Name,
         qtype: RType,
         now_us: u64,
-    ) -> Option<Result<Vec<IpAddr>, Negative>> {
+    ) -> Option<Result<Addrs, Negative>> {
         let key: &dyn AnswerKey = &(qname, qtype);
         let found = match self.negatives.lookup(key, now_us) {
             Some(kind) => Some(Err(kind)),
@@ -333,7 +339,7 @@ impl FleetCache {
 
     /// Cached addresses for `(qname, qtype)`, honoring per-entry TTL.
     /// Counts one hit or one miss.
-    pub fn addresses(&mut self, qname: &Name, qtype: RType, now_us: u64) -> Option<Vec<IpAddr>> {
+    pub fn addresses(&mut self, qname: &Name, qtype: RType, now_us: u64) -> Option<Addrs> {
         let key: &dyn AnswerKey = &(qname, qtype);
         let found = self.addresses.lookup(key, now_us);
         self.count(found.is_some());
@@ -346,6 +352,19 @@ impl FleetCache {
         qname: &Name,
         qtype: RType,
         addrs: Vec<IpAddr>,
+        now_us: u64,
+        ttl_secs: u32,
+    ) {
+        self.put_answer(qname, qtype, addrs.into(), now_us, ttl_secs);
+    }
+
+    /// [`FleetCache::put_addresses`] for a set that is already shared:
+    /// the cache keeps another reference to it.
+    pub fn put_answer(
+        &mut self,
+        qname: &Name,
+        qtype: RType,
+        addrs: Addrs,
         now_us: u64,
         ttl_secs: u32,
     ) {
@@ -390,7 +409,7 @@ impl FleetCache {
     /// The deepest live delegation covering `name`: its ancestors are
     /// probed deepest first (there is one per depth, so the first live
     /// hit is the deepest).
-    pub fn deepest_cut(&self, name: &Name, now_us: u64) -> Option<(Name, Vec<IpAddr>)> {
+    pub fn deepest_cut(&self, name: &Name, now_us: u64) -> Option<(Name, Addrs)> {
         (0..=name.label_count()).rev().find_map(|depth| {
             self.delegations
                 .peek(&name.ancestor(depth), now_us)
@@ -399,13 +418,19 @@ impl FleetCache {
     }
 
     /// Cache a learned zone cut.
-    pub fn put_delegation(&mut self, cut: &Name, servers: Vec<IpAddr>, now_us: u64, ttl_secs: u32) {
+    pub fn put_delegation(
+        &mut self,
+        cut: &Name,
+        servers: impl Into<Addrs>,
+        now_us: u64,
+        ttl_secs: u32,
+    ) {
         if ttl_secs == 0 {
             return;
         }
         let evicted = self.delegations.put(
             cut.clone(),
-            servers,
+            servers.into(),
             expiry(now_us, ttl_secs),
             self.capacity,
         );
@@ -546,7 +571,7 @@ mod tests {
         c.put_addresses(&n("a.nl."), RType::A, vec![addr("192.0.2.1")], 0, 60);
         assert_eq!(
             c.consult(&n("A.NL."), RType::A, 1),
-            Some(Ok(vec![addr("192.0.2.1")])),
+            Some(Ok(vec![addr("192.0.2.1")].into())),
             "keys fold case"
         );
         assert_eq!(c.consult(&n("a.nl."), RType::Aaaa, 1), None, "other qtype");
@@ -558,7 +583,7 @@ mod tests {
         // the denial dies first; the addresses under it are still live
         assert_eq!(
             c.consult(&n("a.nl."), RType::A, 11_000_000),
-            Some(Ok(vec![addr("192.0.2.1")]))
+            Some(Ok(vec![addr("192.0.2.1")].into()))
         );
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (3, 2), "one count per consult");
@@ -645,7 +670,7 @@ mod tests {
         );
         assert_eq!(
             c.addresses(&n("b.nl."), RType::A, 1),
-            Some(vec![addr("192.0.2.3")]),
+            Some(vec![addr("192.0.2.3")].into()),
             "refreshed in place"
         );
         // same for the other two maps

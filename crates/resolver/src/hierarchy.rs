@@ -9,7 +9,7 @@
 
 use dns_wire::builder::MessageBuilder;
 use dns_wire::message::{Message, Question};
-use dns_wire::name::Name;
+use dns_wire::name::{Name, ReusableCompressor};
 use dns_wire::rdata::RData;
 use dns_wire::types::{RType, Rcode};
 use std::collections::HashMap;
@@ -141,6 +141,9 @@ pub struct Network {
     servers: HashMap<IpAddr, Vec<usize>>,
     /// Queries each server has answered (the vantage-point view).
     pub server_log: HashMap<IpAddr, Vec<Question>>,
+    /// Where [`Network::query_wire`] encodes its replies.
+    comp: ReusableCompressor,
+    reply: Vec<u8>,
 }
 
 impl Network {
@@ -203,6 +206,14 @@ impl Network {
             .filter(|z| question.qname.is_subdomain_of(&z.apex))
             .max_by_key(|z| z.apex.label_count())?;
         Some(answer(zone, query, &question))
+    }
+
+    /// [`Network::query`], the reply encoded: the bytes a socket would
+    /// deliver, valid until the next query.
+    pub fn query_wire(&mut self, server: IpAddr, query: &Message) -> Option<&[u8]> {
+        let reply = self.query(server, query)?;
+        reply.encode_into(&mut self.comp, &mut self.reply).ok()?;
+        Some(&self.reply)
     }
 }
 

@@ -9,15 +9,22 @@
 //! its own until a fleet attaches the one its resolvers share — and
 //! gets per-host RTT ordering plus a bounded retry/timeout state
 //! machine per in-flight query.
+//!
+//! A hop allocates nothing of its own: the query is one message the
+//! resolver re-addresses, servers are ranked in a kept buffer, and each
+//! reply is read in place ([`Reader`]) down to what the walk keeps — an
+//! answer's addresses or a referral's glue, as one shared slice that
+//! the cache holds too.
 
-use crate::cache::{Negative, SharedCache, DEFAULT_CAPACITY};
+use crate::cache::{Addrs, Negative, SharedCache, DEFAULT_CAPACITY};
 use crate::selector::HostSelector;
 use crate::transport::{Exchange, Transport};
 use dns_wire::builder::MessageBuilder;
-use dns_wire::message::Message;
+use dns_wire::message::{Message, Question};
 use dns_wire::name::Name;
-use dns_wire::rdata::RData;
+use dns_wire::reader::Reader;
 use dns_wire::types::{RType, Rcode};
+use dns_wire::writer::Section;
 use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
 
@@ -159,11 +166,22 @@ pub struct IterativeResolver {
     /// expiry.
     now_us: u64,
     selector: HostSelector,
+    /// The one query every ask re-addresses: its id and question change
+    /// per send, the EDNS and CD bits the configuration fixes do not.
+    query: Message,
+    /// The servers of the ask in hand, best first, with their scores.
+    ranked: Vec<(f64, IpAddr)>,
+    /// Addresses being read out of a reply.
+    found: Vec<IpAddr>,
 }
 
 impl IterativeResolver {
     /// Build with the given configuration.
     pub fn new(config: ResolverConfig) -> Self {
+        let mut query = MessageBuilder::query(0, Name::root(), RType::A);
+        if config.edns_size > 0 {
+            query = query.with_edns(config.edns_size, config.do_bit);
+        }
         IterativeResolver {
             config,
             log: Vec::new(),
@@ -177,6 +195,9 @@ impl IterativeResolver {
             cache: SharedCache::with_capacity(DEFAULT_CAPACITY),
             now_us: 0,
             selector: HostSelector::new(),
+            query: query.checking_disabled(config.cd_bit).build(),
+            ranked: Vec::new(),
+            found: Vec::new(),
         }
     }
 
@@ -235,14 +256,13 @@ impl IterativeResolver {
     ) -> Result<Vec<IpAddr>, ResolveError> {
         self.queries_this_call = 0;
         self.resolving.clear();
-        let before = self.queries_this_call;
         let result = self.resolve_inner(net, name, rtype, 0);
-        if self.queries_this_call == before {
+        if self.queries_this_call == 0 {
             self.stats.cache_hits += 1;
         } else {
             self.stats.cache_misses += 1;
         }
-        result
+        result.map(|addrs| addrs.to_vec())
     }
 
     fn resolve_inner<T: Transport>(
@@ -251,7 +271,7 @@ impl IterativeResolver {
         name: &Name,
         rtype: RType,
         cname_depth: u32,
-    ) -> Result<Vec<IpAddr>, ResolveError> {
+    ) -> Result<Addrs, ResolveError> {
         if cname_depth > self.config.max_cnames {
             return Err(ResolveError::CnameLoop);
         }
@@ -268,7 +288,7 @@ impl IterativeResolver {
         let result = self.walk(net, name, rtype, cname_depth);
         self.resolving.remove(name);
         self.cache.with(|c| match &result {
-            Ok((addrs, ttl)) => c.put_addresses(name, rtype, addrs.clone(), now, *ttl),
+            Ok((addrs, ttl)) => c.put_answer(name, rtype, addrs.clone(), now, *ttl),
             Err(ResolveError::NxDomain) => {
                 c.put_negative(name, rtype, Negative::NxDomain, now, DEFAULT_NEGATIVE_TTL)
             }
@@ -288,7 +308,7 @@ impl IterativeResolver {
         name: &Name,
         rtype: RType,
         cname_depth: u32,
-    ) -> Result<(Vec<IpAddr>, u32), ResolveError> {
+    ) -> Result<(Addrs, u32), ResolveError> {
         // start from the deepest cached cut covering the name
         let (cut, mut servers) = self.best_cut(net, name);
         // depth we know to be inside `servers`' bailiwick (for Q-min's
@@ -307,101 +327,66 @@ impl IterativeResolver {
             } else {
                 (name.clone(), rtype)
             };
+            let terminal = &send_qname == name && send_qtype == rtype;
 
-            let resp = self.ask(net, &servers, &send_qname, send_qtype)?;
-
-            // terminal outcomes -------------------------------------------------
-            if resp.header.rcode == Rcode::NxDomain {
-                return Err(ResolveError::NxDomain);
-            }
-            // direct answer for the real question?
-            if &send_qname == name && send_qtype == rtype {
-                let addrs: Vec<IpAddr> = resp
-                    .answers
-                    .iter()
-                    .filter(|r| r.name == *name)
-                    .filter_map(|r| match &r.rdata {
-                        RData::A(a) => Some(IpAddr::V4(*a)),
-                        RData::Aaaa(a) => Some(IpAddr::V6(*a)),
-                        _ => None,
-                    })
-                    .collect();
-                if !addrs.is_empty() {
-                    let ttl = answer_ttl(&resp, name);
-                    return Ok((addrs, ttl));
-                }
-                // CNAME?
-                if let Some(target) = resp.answers.iter().find_map(|r| match &r.rdata {
-                    RData::Cname(t) if r.name == *name => Some(t.clone()),
-                    _ => None,
-                }) {
-                    // chased answers may ride along
-                    let chased: Vec<IpAddr> = resp
-                        .answers
-                        .iter()
-                        .filter(|r| r.name == target)
-                        .filter_map(|r| match &r.rdata {
-                            RData::A(a) => Some(IpAddr::V4(*a)),
-                            RData::Aaaa(a) => Some(IpAddr::V6(*a)),
-                            _ => None,
-                        })
-                        .collect();
-                    if !chased.is_empty() {
-                        let ttl = answer_ttl(&resp, &target);
-                        return Ok((chased, ttl));
-                    }
+            let hop = self.ask(net, &servers, &send_qname, send_qtype, |reply, found| {
+                read_hop(reply, found, name, terminal)
+            })?;
+            match hop {
+                Hop::NxDomain => return Err(ResolveError::NxDomain),
+                Hop::Answer(addrs, ttl) => return Ok((addrs, ttl)),
+                Hop::Cname(target) => {
                     return self
                         .resolve_inner(net, &target, rtype, cname_depth + 1)
                         .map(|addrs| (addrs, DEFAULT_ANSWER_TTL));
                 }
-                if resp.answers.is_empty() && !is_referral(&resp) {
+                Hop::NoData => return Err(ResolveError::NoData),
+                Hop::Referral {
+                    cut: new_cut,
+                    ttl: cut_ttl,
+                    next,
+                } => {
+                    let new_servers = match next {
+                        NextServers::Glue(glue) => glue,
+                        NextServers::Hosts(hosts) => {
+                            // no glue: resolve the NS hosts (cycle-guarded)
+                            let mut found = Vec::new();
+                            let mut cycle: Option<ResolveError> = None;
+                            for host in &hosts {
+                                match self.resolve_inner(net, host, RType::A, 0) {
+                                    Ok(addrs) => found.extend_from_slice(&addrs),
+                                    Err(e @ ResolveError::CyclicDependency { .. }) => {
+                                        cycle = Some(e);
+                                    }
+                                    Err(_) => {}
+                                }
+                            }
+                            if found.is_empty() {
+                                return Err(cycle.unwrap_or(ResolveError::Unreachable));
+                            }
+                            Addrs::from(found)
+                        }
+                    };
+                    if self.config.validate {
+                        self.validate_delegation(net, &servers, &new_cut, &new_servers)?;
+                    }
+                    let now = self.now_us;
+                    self.cache
+                        .with(|c| c.put_delegation(&new_cut, new_servers.clone(), now, cut_ttl));
+                    known_depth = new_cut.label_count();
+                    servers = new_servers;
+                }
+                Hop::Other => {
+                    if self.config.qmin && &send_qname != name {
+                        // NODATA at an empty non-terminal, or an
+                        // authoritative NS answer (same-server child
+                        // zone): step one label deeper
+                        known_depth += 1;
+                        continue;
+                    }
                     return Err(ResolveError::NoData);
                 }
             }
-
-            // referral ----------------------------------------------------------
-            if is_referral(&resp) {
-                let (new_cut, ns_hosts, glue, cut_ttl) = parse_referral(&resp);
-                let new_servers = if glue.is_empty() {
-                    // no glue: resolve the NS hosts (cycle-guarded)
-                    let mut found = Vec::new();
-                    let mut cycle: Option<ResolveError> = None;
-                    for host in &ns_hosts {
-                        match self.resolve_inner(net, host, RType::A, 0) {
-                            Ok(addrs) => found.extend(addrs),
-                            Err(e @ ResolveError::CyclicDependency { .. }) => {
-                                cycle = Some(e);
-                            }
-                            Err(_) => {}
-                        }
-                    }
-                    if found.is_empty() {
-                        return Err(cycle.unwrap_or(ResolveError::Unreachable));
-                    }
-                    found
-                } else {
-                    glue
-                };
-                if self.config.validate {
-                    self.validate_delegation(net, &servers, &new_cut, &new_servers)?;
-                }
-                let now = self.now_us;
-                self.cache
-                    .with(|c| c.put_delegation(&new_cut, new_servers.clone(), now, cut_ttl));
-                known_depth = new_cut.label_count();
-                servers = new_servers;
-                continue;
-            }
-
-            // Q-min probe outcomes ------------------------------------------------
-            if self.config.qmin && &send_qname != name {
-                // NODATA at an empty non-terminal, or an authoritative NS
-                // answer (same-server child zone): step one label deeper
-                known_depth += 1;
-                continue;
-            }
-
-            return Err(ResolveError::NoData);
         }
         Err(ResolveError::BudgetExhausted {
             queries: self.queries_this_call,
@@ -422,11 +407,9 @@ impl IterativeResolver {
         let ds = match self.ds_cache.get(cut) {
             Some(cached) => cached.clone(),
             None => {
-                let resp = self.ask(net, parent_servers, cut, RType::Ds)?;
-                let digest = resp.answers.iter().find_map(|r| match &r.rdata {
-                    RData::Ds { digest, .. } if r.name == *cut => Some(digest.clone()),
-                    _ => None,
-                });
+                let digest = self.ask(net, parent_servers, cut, RType::Ds, |reply, _| {
+                    first_answer_for(reply, cut, |r| r.ds_digest())
+                })?;
                 self.ds_cache.insert(cut.clone(), digest.clone());
                 digest
             }
@@ -437,16 +420,10 @@ impl IterativeResolver {
         let key = match self.dnskey_cache.get(cut) {
             Some(k) => k.clone(),
             None => {
-                let resp = self.ask(net, child_servers, cut, RType::Dnskey)?;
-                let key = resp
-                    .answers
-                    .iter()
-                    .find_map(|r| match &r.rdata {
-                        RData::Dnskey { public_key, .. } if r.name == *cut => {
-                            Some(public_key.clone())
-                        }
-                        _ => None,
-                    })
+                let key = self
+                    .ask(net, child_servers, cut, RType::Dnskey, |reply, _| {
+                        first_answer_for(reply, cut, |r| r.dnskey_key())
+                    })?
                     .ok_or_else(|| ResolveError::Bogus { zone: cut.clone() })?;
                 self.dnskey_cache.insert(cut.clone(), key.clone());
                 key
@@ -461,28 +438,34 @@ impl IterativeResolver {
 
     /// The deepest cached delegation covering `name` (falling back to
     /// the root servers).
-    fn best_cut<T: Transport>(&self, net: &T, name: &Name) -> (Name, Vec<IpAddr>) {
+    fn best_cut<T: Transport>(&self, net: &T, name: &Name) -> (Name, Addrs) {
         self.cache
             .with(|c| c.deepest_cut(name, self.now_us))
-            .unwrap_or_else(|| (Name::root(), net.root_servers()))
+            .unwrap_or_else(|| (Name::root(), net.root_servers().into()))
     }
 
-    /// Send one question: servers ordered best-first by the RTT
-    /// selector, each tried up to `attempts_per_server` times, with
-    /// timeouts demoting a server between passes — the bounded
-    /// retry/timeout state machine of one in-flight query.
-    fn ask<T: Transport>(
+    /// Send one question and `read` the reply: servers ordered
+    /// best-first by the RTT selector, each tried up to
+    /// `attempts_per_server` times, with timeouts demoting a server
+    /// between passes — the bounded retry/timeout state machine of one
+    /// in-flight query. The reply is read where the transport holds it;
+    /// `read` takes what the walk keeps, with a scratch vector for
+    /// addresses.
+    fn ask<T: Transport, R>(
         &mut self,
         net: &mut T,
         servers: &[IpAddr],
         qname: &Name,
         qtype: RType,
-    ) -> Result<Message, ResolveError> {
+        read: impl FnOnce(&Reader<'_>, &mut Vec<IpAddr>) -> R,
+    ) -> Result<R, ResolveError> {
+        self.query.questions[0] = Question::new(qname.clone(), qtype);
         for attempt in 0..self.config.attempts_per_server.max(1) {
             // re-rank every pass: a timeout in the previous pass moves
             // that server to the back
-            let ordered = self.selector.order(servers);
-            for server in ordered {
+            self.selector.rank(servers, &mut self.ranked);
+            for i in 0..self.ranked.len() {
+                let server = self.ranked[i].1;
                 if self.queries_this_call >= self.config.max_queries {
                     return Err(ResolveError::BudgetExhausted {
                         queries: self.queries_this_call,
@@ -492,16 +475,8 @@ impl IterativeResolver {
                 if attempt > 0 {
                     self.stats.retries += 1;
                 }
-                let id = (self.sent_total as u16).wrapping_mul(31).wrapping_add(7);
+                self.query.header.id = (self.sent_total as u16).wrapping_mul(31).wrapping_add(7);
                 self.sent_total += 1;
-                let mut qb = MessageBuilder::query(id, qname.clone(), qtype);
-                if self.config.edns_size > 0 {
-                    qb = qb.with_edns(self.config.edns_size, self.config.do_bit);
-                }
-                if self.config.cd_bit {
-                    qb = qb.checking_disabled(true);
-                }
-                let query = qb.build();
                 if self.log_enabled {
                     self.log.push(QueryLogEntry {
                         server,
@@ -512,12 +487,20 @@ impl IterativeResolver {
                         cd_bit: self.config.cd_bit,
                     });
                 }
-                match net.exchange(server, &query) {
-                    Exchange::Answer { message, rtt_us } => {
-                        self.selector.observe_rtt(server, rtt_us);
-                        return Ok(message);
+                let reply = match net.exchange(server, &self.query) {
+                    Exchange::Answer { reply, rtt_us } => {
+                        Reader::new(reply).ok().map(|reply| (reply, rtt_us))
                     }
-                    Exchange::Timeout => {
+                    Exchange::Timeout => None,
+                };
+                match reply {
+                    Some((reply, rtt_us)) => {
+                        self.selector.observe_rtt(server, rtt_us);
+                        return Ok(read(&reply, &mut self.found));
+                    }
+                    // silence, or bytes that are no DNS message: no
+                    // answer from this server either way
+                    None => {
                         self.stats.timeouts += 1;
                         self.selector.observe_timeout(server);
                     }
@@ -528,50 +511,125 @@ impl IterativeResolver {
     }
 }
 
-/// NOERROR, empty answer, NS records in authority = a referral.
-fn is_referral(resp: &Message) -> bool {
-    resp.header.rcode == Rcode::NoError
-        && resp.answers.is_empty()
-        && resp
-            .authorities
-            .iter()
-            .any(|r| matches!(r.rdata, RData::Ns(_)))
-        && !resp
-            .authorities
-            .iter()
-            .any(|r| matches!(r.rdata, RData::Soa { .. }))
+/// What one reply tells the walk, read out of its bytes by [`read_hop`].
+enum Hop {
+    NxDomain,
+    /// Addresses for the name asked — or for its CNAME target, when
+    /// they rode along — and the TTL to cache them under.
+    Answer(Addrs, u32),
+    /// A CNAME whose target has to be resolved.
+    Cname(Name),
+    NoData,
+    /// A referral: the new cut, its NS TTL, and where its servers are.
+    Referral {
+        cut: Name,
+        ttl: u32,
+        next: NextServers,
+    },
+    /// Neither an answer nor a referral: what a Q-min probe gets at an
+    /// empty non-terminal or from a same-server child zone.
+    Other,
 }
 
-/// Extract (cut, ns hosts, glue addresses, NS TTL) from a referral.
-fn parse_referral(resp: &Message) -> (Name, Vec<Name>, Vec<IpAddr>, u32) {
-    let mut cut = Name::root();
-    let mut hosts = Vec::new();
-    let mut ttl = DEFAULT_ANSWER_TTL;
-    for r in &resp.authorities {
-        if let RData::Ns(host) = &r.rdata {
-            cut = r.name.clone();
-            hosts.push(host.clone());
-            ttl = r.ttl;
+/// Where a referral's servers are.
+enum NextServers {
+    /// In the glue.
+    Glue(Addrs),
+    /// Behind these NS hosts, which have to be resolved first.
+    Hosts(Vec<Name>),
+}
+
+/// Read a reply to the question the walk sent: the real one
+/// (`terminal`) about `name`, or a Q-min probe.
+fn read_hop(reply: &Reader<'_>, found: &mut Vec<IpAddr>, name: &Name, terminal: bool) -> Hop {
+    if reply.rcode() == Rcode::NxDomain {
+        return Hop::NxDomain;
+    }
+    if terminal {
+        if let Some(addrs) = answer_addrs(reply, name, found) {
+            return Hop::Answer(addrs, answer_ttl(reply, name));
+        }
+        let cname = reply
+            .records(Section::Answer)
+            .find(|r| r.rtype == RType::Cname && r.owner_is(name))
+            .and_then(|r| r.cname());
+        if let Some(target) = cname {
+            // chased answers may ride along
+            return match answer_addrs(reply, &target, found) {
+                Some(addrs) => Hop::Answer(addrs, answer_ttl(reply, &target)),
+                None => Hop::Cname(target),
+            };
+        }
+        if reply.count(Section::Answer) == 0 && !is_referral(reply) {
+            return Hop::NoData;
         }
     }
-    let glue: Vec<IpAddr> = resp
-        .additionals
-        .iter()
-        .filter_map(|r| match &r.rdata {
-            RData::A(a) => Some(IpAddr::V4(*a)),
-            RData::Aaaa(a) => Some(IpAddr::V6(*a)),
-            _ => None,
-        })
-        .collect();
-    (cut, hosts, glue, ttl)
+    if is_referral(reply) {
+        return read_referral(reply, found);
+    }
+    Hop::Other
+}
+
+/// The A/AAAA addresses the answer section holds for `owner`, in order,
+/// as one shared slice; `None` when there are none.
+fn answer_addrs(reply: &Reader<'_>, owner: &Name, found: &mut Vec<IpAddr>) -> Option<Addrs> {
+    found.clear();
+    found.extend(
+        reply
+            .records(Section::Answer)
+            .filter_map(|r| r.addr().filter(|_| r.owner_is(owner))),
+    );
+    (!found.is_empty()).then(|| Addrs::from(&found[..]))
+}
+
+/// What `pick` reads from the first answer record owned by `owner` that
+/// it reads anything from, copied out.
+fn first_answer_for<'a>(
+    reply: &Reader<'a>,
+    owner: &Name,
+    pick: impl Fn(&dns_wire::reader::RecordRef<'a>) -> Option<&'a [u8]>,
+) -> Option<Vec<u8>> {
+    reply
+        .records(Section::Answer)
+        .find_map(|r| pick(&r).filter(|_| r.owner_is(owner)).map(<[u8]>::to_vec))
+}
+
+/// NOERROR, empty answer, NS records in authority = a referral.
+fn is_referral(reply: &Reader<'_>) -> bool {
+    let authority = || reply.records(Section::Authority);
+    reply.rcode() == Rcode::NoError
+        && reply.count(Section::Answer) == 0
+        && authority().any(|r| r.rtype == RType::Ns)
+        && !authority().any(|r| r.rtype == RType::Soa)
+}
+
+/// A referral's cut and NS TTL (the last NS record's), and its servers:
+/// the glue's addresses, or without glue the NS hosts.
+fn read_referral(reply: &Reader<'_>, found: &mut Vec<IpAddr>) -> Hop {
+    let ns = || {
+        reply
+            .records(Section::Authority)
+            .filter(|r| r.rtype == RType::Ns)
+    };
+    let (cut, ttl) = ns()
+        .last()
+        .map_or((Name::root(), DEFAULT_ANSWER_TTL), |r| (r.owner(), r.ttl));
+    found.clear();
+    found.extend(reply.records(Section::Additional).filter_map(|r| r.addr()));
+    let next = if found.is_empty() {
+        NextServers::Hosts(ns().filter_map(|r| r.ns()).collect())
+    } else {
+        NextServers::Glue(Addrs::from(&found[..]))
+    };
+    Hop::Referral { cut, ttl, next }
 }
 
 /// Minimum TTL over the answer records for `owner` (the value a cache
 /// must honor), with a default when none match.
-fn answer_ttl(resp: &Message, owner: &Name) -> u32 {
-    resp.answers
-        .iter()
-        .filter(|r| r.name == *owner)
+fn answer_ttl(reply: &Reader<'_>, owner: &Name) -> u32 {
+    reply
+        .records(Section::Answer)
+        .filter(|r| r.owner_is(owner))
         .map(|r| r.ttl)
         .min()
         .unwrap_or(DEFAULT_ANSWER_TTL)

@@ -78,16 +78,14 @@ impl HostSelector {
             .unwrap_or(UNPROBED_SCORE)
     }
 
-    /// `candidates` sorted best-first by score. The sort is stable, so
-    /// unobserved hosts keep their input (priming/glue) order.
-    pub fn order(&self, candidates: &[IpAddr]) -> Vec<IpAddr> {
-        let mut out = candidates.to_vec();
-        out.sort_by(|a, b| {
-            self.score(*a)
-                .partial_cmp(&self.score(*b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        out
+    /// `candidates` best-first into `out` (cleared first, so a caller
+    /// that keeps it allocates nothing), each with its score, which is
+    /// looked up once. The sort is stable, so unobserved hosts keep
+    /// their input (priming/glue) order.
+    pub fn rank(&self, candidates: &[IpAddr], out: &mut Vec<(f64, IpAddr)>) {
+        out.clear();
+        out.extend(candidates.iter().map(|&host| (self.score(host), host)));
+        out.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
     }
 
     /// Measured state for `host`, if any query was ever sent to it.
@@ -109,12 +107,19 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// The hosts of `candidates` best-first.
+    fn order(s: &HostSelector, candidates: &[IpAddr]) -> Vec<IpAddr> {
+        let mut ranked = Vec::new();
+        s.rank(candidates, &mut ranked);
+        ranked.into_iter().map(|(_, host)| host).collect()
+    }
+
     #[test]
     fn fast_host_ordered_first() {
         let mut s = HostSelector::new();
         s.observe_rtt(ip("192.0.2.1"), 50_000);
         s.observe_rtt(ip("192.0.2.2"), 5_000);
-        let order = s.order(&[ip("192.0.2.1"), ip("192.0.2.2")]);
+        let order = order(&s, &[ip("192.0.2.1"), ip("192.0.2.2")]);
         assert_eq!(order[0], ip("192.0.2.2"));
     }
 
@@ -122,7 +127,7 @@ mod tests {
     fn unprobed_hosts_rank_ahead_of_measured_ones() {
         let mut s = HostSelector::new();
         s.observe_rtt(ip("192.0.2.1"), 30_000);
-        let order = s.order(&[ip("192.0.2.1"), ip("192.0.2.9")]);
+        let order = order(&s, &[ip("192.0.2.1"), ip("192.0.2.9")]);
         assert_eq!(order[0], ip("192.0.2.9"), "new server gets probed");
     }
 
@@ -134,7 +139,7 @@ mod tests {
         for _ in 0..4 {
             s.observe_timeout(ip("192.0.2.1"));
         }
-        let order = s.order(&[ip("192.0.2.1"), ip("192.0.2.2")]);
+        let order = order(&s, &[ip("192.0.2.1"), ip("192.0.2.2")]);
         assert_eq!(order[0], ip("192.0.2.2"));
         let st = s.stats(ip("192.0.2.1")).unwrap();
         assert_eq!(st.timeouts, 4);
@@ -155,6 +160,21 @@ mod tests {
     fn stable_order_without_observations() {
         let s = HostSelector::new();
         let input = [ip("192.0.2.3"), ip("192.0.2.1"), ip("192.0.2.2")];
-        assert_eq!(s.order(&input), input.to_vec());
+        assert_eq!(order(&s, &input), input.to_vec());
+    }
+
+    #[test]
+    fn ranking_reuses_the_buffer_and_reports_scores() {
+        let mut s = HostSelector::new();
+        s.observe_rtt(ip("192.0.2.1"), 9_000);
+        let mut ranked = vec![(0.0, ip("10.0.0.1")); 8];
+        s.rank(&[ip("192.0.2.1"), ip("192.0.2.2")], &mut ranked);
+        assert_eq!(
+            ranked,
+            vec![
+                (UNPROBED_SCORE, ip("192.0.2.2")),
+                (9_000.0, ip("192.0.2.1"))
+            ]
+        );
     }
 }

@@ -10,7 +10,7 @@ use dns_wire::types::RType;
 use proptest::prelude::*;
 use proptest::strategy::Just;
 use resolver::hierarchy::{Network, ZoneBuilder};
-use resolver::{FleetCache, IterativeResolver, Negative, ResolveError, ResolverConfig};
+use resolver::{Addrs, FleetCache, IterativeResolver, Negative, ResolveError, ResolverConfig};
 use std::net::IpAddr;
 
 /// Build a random world: a root, one TLD, and `n` leaf domains whose NS
@@ -164,9 +164,9 @@ mod scan_model {
 
     #[derive(Default)]
     pub struct ScanCache {
-        pub addresses: HashMap<(Name, RType), Entry<Vec<IpAddr>>>,
+        pub addresses: HashMap<(Name, RType), Entry<Addrs>>,
         pub negatives: HashMap<(Name, RType), Entry<Negative>>,
-        pub delegations: HashMap<Name, Entry<Vec<IpAddr>>>,
+        pub delegations: HashMap<Name, Entry<Addrs>>,
         pub capacity: usize,
         pub evictions: u64,
     }
@@ -216,7 +216,7 @@ mod scan_model {
     }
 
     impl ScanCache {
-        pub fn addresses(&mut self, q: &Name, t: RType, now_us: u64) -> Option<Vec<IpAddr>> {
+        pub fn addresses(&mut self, q: &Name, t: RType, now_us: u64) -> Option<Addrs> {
             lookup(&mut self.addresses, &(q.clone(), t), now_us)
         }
 
@@ -229,14 +229,14 @@ mod scan_model {
             q: &Name,
             t: RType,
             now_us: u64,
-        ) -> Option<Result<Vec<IpAddr>, Negative>> {
+        ) -> Option<Result<Addrs, Negative>> {
             match self.negative(q, t, now_us) {
                 Some(kind) => Some(Err(kind)),
                 None => self.addresses(q, t, now_us).map(Ok),
             }
         }
 
-        pub fn deepest_cut(&self, name: &Name, now_us: u64) -> Option<(Name, Vec<IpAddr>)> {
+        pub fn deepest_cut(&self, name: &Name, now_us: u64) -> Option<(Name, Addrs)> {
             self.delegations
                 .iter()
                 .filter(|(cut, e)| e.live_at(now_us) && name.is_subdomain_of(cut))
@@ -245,7 +245,7 @@ mod scan_model {
         }
 
         pub fn put_addresses(&mut self, q: &Name, t: RType, v: Vec<IpAddr>, now: u64, ttl: u32) {
-            let entry = Entry::new(v, now, ttl);
+            let entry = Entry::new(v.into(), now, ttl);
             self.evictions += u64::from(put(
                 &mut self.addresses,
                 (q.clone(), t),
@@ -265,7 +265,7 @@ mod scan_model {
         }
 
         pub fn put_delegation(&mut self, cut: &Name, v: Vec<IpAddr>, now: u64, ttl: u32) {
-            let entry = Entry::new(v, now, ttl);
+            let entry = Entry::new(v.into(), now, ttl);
             self.evictions += u64::from(put(
                 &mut self.delegations,
                 cut.clone(),
@@ -322,9 +322,9 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
 fn survivors(
     cache: &FleetCache,
 ) -> (
-    Vec<(usize, RType, Vec<IpAddr>)>,
+    Vec<(usize, RType, Addrs)>,
     Vec<(usize, RType, Negative)>,
-    Vec<(usize, Name, Vec<IpAddr>)>,
+    Vec<(usize, Name, Addrs)>,
 ) {
     let mut sweep = cache.clone();
     let mut addresses = Vec::new();

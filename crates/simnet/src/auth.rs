@@ -10,8 +10,8 @@ use dns_wire::message::{Message, Question};
 use dns_wire::name::{Name, ReusableCompressor};
 use dns_wire::types::{RClass, RType, Rcode};
 use dns_wire::writer::{MessageWriter, Section};
-use std::net::{Ipv4Addr, Ipv6Addr};
-use zonedb::zone::{Lookup, ZoneModel};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use zonedb::zone::{Located, Lookup, ZoneModel};
 
 /// An analyzed authoritative server (one NS of the vantage zone).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -100,7 +100,7 @@ impl Query<'_> {
 pub(crate) struct Reply<'w>(MessageWriter<'w>);
 
 impl Reply<'_> {
-    fn put(
+    pub(crate) fn put(
         &mut self,
         section: Section,
         owner: &Name,
@@ -120,6 +120,18 @@ impl Reply<'_> {
         self.put(section, owner, RType::Ns, ttl, |comp, out| {
             comp.encode_name(host, out)
         });
+    }
+
+    /// An A or AAAA record, by the address's family.
+    pub(crate) fn addr(&mut self, section: Section, owner: &Name, ttl: u32, addr: IpAddr) {
+        match addr {
+            IpAddr::V4(v4) => self.put(section, owner, RType::A, ttl, |_, out| {
+                out.extend_from_slice(&v4.octets())
+            }),
+            IpAddr::V6(v6) => self.put(section, owner, RType::Aaaa, ttl, |_, out| {
+                out.extend_from_slice(&v6.octets())
+            }),
+        }
     }
 
     fn rrsig(
@@ -204,8 +216,36 @@ impl Authoritative {
                 cache_ttl_secs: 0,
             };
         };
-        let dnssec_ok = query.dnssec_ok.unwrap_or(false);
         let lookup = self.zone.classify(&question.qname);
+        self.answer(query, question, lookup, signed_delegation, wire)
+    }
+
+    /// [`Authoritative::respond`] to a one-question `query` whose qname
+    /// the caller has already [located](ZoneModel::locate) in this
+    /// zone: whether the delegation is signed follows from the
+    /// registration it falls under, so the name is classified once.
+    pub fn respond_located(
+        &self,
+        query: Query<'_>,
+        located: Located,
+        wire: &mut WireScratch,
+    ) -> Answer {
+        let Some(question) = query.questions.first() else {
+            return self.respond(query, false, wire);
+        };
+        let signed = located.delegation.is_some_and(|i| self.zone.is_signed(i));
+        self.answer(query, question, located.lookup, signed, wire)
+    }
+
+    fn answer(
+        &self,
+        query: Query<'_>,
+        question: &Question,
+        lookup: Lookup,
+        signed_delegation: bool,
+        wire: &mut WireScratch,
+    ) -> Answer {
+        let dnssec_ok = query.dnssec_ok.unwrap_or(false);
         let (rcode, cache_ttl_secs) = match lookup {
             Lookup::NxDomain => (Rcode::NxDomain, self.negative_ttl),
             Lookup::InZone => (Rcode::NoError, 3600),
@@ -328,23 +368,12 @@ impl Authoritative {
             reply.rrsig(authority, delegation, ttl, RType::Nsec, apex, SIG_ZSK);
         }
         // in-bailiwick NS hosts get A glue; the first is dual-stack
+        let ttl = self.delegation_ttl;
         for (i, host) in hosts.iter().enumerate() {
             let v4 = Ipv4Addr::new(192, 0, 2, 10 + i as u8);
-            reply.put(
-                Section::Additional,
-                host,
-                RType::A,
-                self.delegation_ttl,
-                |_, out| out.extend_from_slice(&v4.octets()),
-            );
+            reply.addr(Section::Additional, host, ttl, v4.into());
             if i == 0 {
-                reply.put(
-                    Section::Additional,
-                    host,
-                    RType::Aaaa,
-                    self.delegation_ttl,
-                    |_, out| out.extend_from_slice(&GLUE_V6.octets()),
-                );
+                reply.addr(Section::Additional, host, ttl, GLUE_V6.into());
             }
         }
     }

@@ -44,7 +44,7 @@
 //! - **`.nz` Q-min walks probe twice** (`co.nz NS` + `label.co.nz NS`)
 //!   where the calibrated rewrite emits one minimized probe.
 
-use crate::auth::{Authoritative, Query, ServerSpec, NS_LABELS};
+use crate::auth::{Authoritative, Query, Reply, ServerSpec, NS_LABELS};
 use crate::engine::{mix_case_0x20, name_key, pick_qtype, slice_seed, DatasetStats, Engine};
 use crate::fleet::{Fleet, Resolver as FleetResolver};
 use crate::plan::{self, SlotPlan, Steering};
@@ -52,10 +52,8 @@ use crate::profile::FleetSpec;
 use crate::rrl::RateLimiter;
 use crate::scenario::Incident;
 use crate::vantage::{self, Recorded, WireScratch, TCP_RETRY_GAP_US};
-use dns_wire::builder::MessageBuilder;
 use dns_wire::message::Message;
 use dns_wire::name::Name;
-use dns_wire::rdata::RData;
 use dns_wire::types::{RType, Rcode};
 use dns_wire::writer::Section;
 use netbase::capture::{CaptureRecord, RecordSink};
@@ -70,7 +68,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 use zonedb::junk::JunkGenerator;
 use zonedb::popularity::ZipfSampler;
-use zonedb::zone::{Lookup, ZoneModel};
+use zonedb::zone::{Located, Lookup, ZoneModel};
 
 /// Synthetic root server addresses (the unrecorded tier above the
 /// vantage zone; datasets whose vantage *is* the root skip this tier).
@@ -232,12 +230,19 @@ impl<'a> SimTransport<'a> {
     /// The synthetic root's referral into the vantage zone. Glue is
     /// family-filtered: a v6-only resolver only learns v6 vantage
     /// addresses, so dual-stack preference stays emergent downstream.
-    fn root_referral(&mut self, query: &Message) -> Exchange {
+    fn root_referral(&mut self, query: &Message) -> Exchange<'_> {
         let (v4, v6) = self.profile().families();
-        let message = synth_root_referral(self.zone, self.servers, v4, v6, query);
+        synth_root_referral(
+            self.zone,
+            self.servers,
+            v4,
+            v6,
+            query.into(),
+            &mut self.wire,
+        );
         self.elapsed = self.elapsed + SimDuration::from_micros(ROOT_RTT_US + HOP_GAP_US);
         Exchange::Answer {
-            message,
+            reply: self.wire.response().bytes,
             rtt_us: ROOT_RTT_US as u32,
         }
     }
@@ -251,13 +256,14 @@ impl<'a> SimTransport<'a> {
         &mut self,
         qname: &Name,
         qtype: RType,
+        located: Located,
         t: SimTime,
         query: Query<'_>,
     ) -> bool {
         if qtype == RType::Ds {
             return false;
         }
-        let Some(idx) = self.zone.delegation_index(qname) else {
+        let Some(idx) = located.delegation else {
             return false;
         };
         for incident in self.incidents {
@@ -289,8 +295,9 @@ impl<'a> SimTransport<'a> {
     }
 
     /// One recorded exchange at the vantage, driven by the resolver's
-    /// actual wire query.
-    fn vantage_exchange(&mut self, si: usize, dst_ip: IpAddr, query: &Message) -> Exchange {
+    /// actual wire query. The resolver is handed what a socket would
+    /// hand it: the response bytes as written.
+    fn vantage_exchange(&mut self, si: usize, dst_ip: IpAddr, query: &Message) -> Exchange<'_> {
         let family = IpVersion::of(dst_ip);
         let r = self.profile();
         let src_ip = r.addr_for(family);
@@ -299,8 +306,9 @@ impl<'a> SimTransport<'a> {
         let tcp_extra = self.fleet.spec.tcp_extra_at(r.site as usize);
 
         let Some(question) = query.question() else {
+            self.auth.respond(query.into(), false, &mut self.wire);
             return Exchange::Answer {
-                message: MessageBuilder::response(query, Rcode::FormErr).build(),
+                reply: self.wire.response().bytes,
                 rtt_us,
             };
         };
@@ -308,25 +316,21 @@ impl<'a> SimTransport<'a> {
         let t = self.now();
         self.wire
             .write_query(&query.header, question, query.edns.as_ref());
-        if !self.incident_referral(qname, question.qtype, t, query.into()) {
-            let signed = self
-                .zone
-                .delegation_index(qname)
-                .map(|i| self.zone.is_signed(i))
-                .unwrap_or(false);
-            self.auth.respond(query.into(), signed, &mut self.wire);
+        // the one classification of the exchange
+        let located = self.zone.locate(qname);
+        if !self.incident_referral(qname, question.qtype, located, t, query.into()) {
+            self.auth
+                .respond_located(query.into(), located, &mut self.wire);
         }
         if let Some(h) = self.rtt_hists.get(si) {
             h.record(rtt_us as u64);
         }
 
-        // The resolver is handed what a socket would hand it: the
-        // written bytes, parsed. It keeps the clean name, so Name
-        // equality in the walk is unaffected (real resolvers compare
-        // case-insensitively); the wire records carry the 0x20-mixed one.
-        let message = Message::parse(self.wire.response().bytes).expect("written responses parse");
-        if mix {
-            let mixed = mix_case_0x20(qname, &mut self.rng);
+        // the capture carries the 0x20-mixed spelling; the resolver reads
+        // the clean one back (real resolvers compare case-insensitively,
+        // and a name it learns from the reply is spelled as it asked)
+        let mixed = mix.then(|| mix_case_0x20(qname, &mut self.rng));
+        if let Some(mixed) = &mixed {
             self.wire.respell_qname(mixed.as_wire());
         }
         let recorded = vantage::record(
@@ -345,6 +349,9 @@ impl<'a> SimTransport<'a> {
             &mut self.buf,
             &mut self.stats,
         );
+        if mixed.is_some() {
+            self.wire.respell_qname(qname.as_wire());
+        }
         self.emitted += recorded.queries();
         if self.junk_stimulus {
             self.stats.junk_queries += recorded.queries();
@@ -361,17 +368,20 @@ impl<'a> SimTransport<'a> {
             Recorded::UdpThenTcp => 3 * rtt + TCP_RETRY_GAP_US,
         };
         self.elapsed = self.elapsed + SimDuration::from_micros(walk_cost + HOP_GAP_US);
-        Exchange::Answer { message, rtt_us }
+        Exchange::Answer {
+            reply: self.wire.response().bytes,
+            rtt_us,
+        }
     }
 
     /// A leaf (registrant) nameserver's answer: synthetic, unrecorded.
     /// Positive answers carry the fleet's cache TTL so the shared
     /// cache absorbs repeat demand on the calibrated schedule.
-    fn leaf_exchange(&mut self, query: &Message) -> Exchange {
-        let message = synth_leaf_answer(self.zone, self.cache_ttl_secs, query);
+    fn leaf_exchange(&mut self, query: &Message) -> Exchange<'_> {
+        synth_leaf_answer(self.zone, self.cache_ttl_secs, query.into(), &mut self.wire);
         self.elapsed = self.elapsed + SimDuration::from_micros(LEAF_RTT_US + HOP_GAP_US);
         Exchange::Answer {
-            message,
+            reply: self.wire.response().bytes,
             rtt_us: LEAF_RTT_US as u32,
         }
     }
@@ -396,100 +406,87 @@ pub fn root_hints(servers: &[ServerSpec], root_zone: bool, (v4, v6): (bool, bool
         .collect()
 }
 
-/// Build the synthetic root's referral into the vantage zone: one NS
-/// per dataset server, glue filtered to the resolver's address
-/// families. Shared by the offline [`SimTransport`] and the live
-/// loadgen transport (`authd`), so priming behaves identically on both
-/// paths.
+/// Write the synthetic root's referral into the vantage zone as the
+/// response in `wire`: one NS per dataset server, glue filtered to the
+/// resolver's address families. Shared by the offline [`SimTransport`]
+/// and the live loadgen transport (`authd`), so priming behaves
+/// identically on both paths.
 pub fn synth_root_referral(
     zone: &ZoneModel,
     servers: &[ServerSpec],
     v4: bool,
     v6: bool,
-    query: &Message,
-) -> Message {
-    let apex = zone.apex().clone();
-    let mut b = MessageBuilder::response(query, Rcode::NoError);
-    for (i, s) in servers.iter().enumerate() {
-        let ns = apex
-            .child(format!("ns{}", i + 1).as_bytes())
-            .unwrap_or_else(|_| apex.clone());
-        b = b.authority(apex.clone(), ROOT_NS_TTL, RData::Ns(ns.clone()));
+    query: Query<'_>,
+    wire: &mut WireScratch,
+) {
+    let apex = zone.apex();
+    let hosts: Vec<Name> = (1..=servers.len())
+        .map(|i| {
+            apex.child(format!("ns{i}").as_bytes())
+                .unwrap_or_else(|_| apex.clone())
+        })
+        .collect();
+    let mut reply = query.open(Rcode::NoError, wire);
+    for ns in &hosts {
+        reply.ns(Section::Authority, apex, ROOT_NS_TTL, ns);
+    }
+    for (ns, s) in hosts.iter().zip(servers) {
         if v4 {
-            b = b.additional(ns.clone(), ROOT_NS_TTL, RData::A(s.v4));
+            reply.addr(Section::Additional, ns, ROOT_NS_TTL, s.v4.into());
         }
         if v6 {
-            b = b.additional(ns, ROOT_NS_TTL, RData::Aaaa(s.v6));
+            reply.addr(Section::Additional, ns, ROOT_NS_TTL, s.v6.into());
         }
     }
-    b.build()
+    query.close(reply);
 }
 
-/// Build a leaf (registrant) nameserver's answer below the vantage
-/// cut: deterministic addresses hashed from the qname, NS sets at the
-/// delegation, NODATA/NXDOMAIN with a synthetic SOA otherwise.
-/// Positive answers carry `cache_ttl_secs` so resolver caches absorb
-/// repeat demand on the fleet's calibrated TTL. Shared by the offline
-/// [`SimTransport`] and the live loadgen transport.
-pub fn synth_leaf_answer(zone: &ZoneModel, cache_ttl_secs: u32, query: &Message) -> Message {
-    let question = match query.question() {
-        Some(q) => q.clone(),
-        None => return MessageBuilder::response(query, Rcode::FormErr).build(),
+/// Write a leaf (registrant) nameserver's answer below the vantage cut
+/// as the response in `wire`: deterministic addresses hashed from the
+/// qname, NS sets at the delegation, NODATA/NXDOMAIN with a synthetic
+/// SOA otherwise. Positive answers carry `cache_ttl_secs` so resolver
+/// caches absorb repeat demand on the fleet's calibrated TTL. Shared by
+/// the offline [`SimTransport`] and the live loadgen transport.
+pub fn synth_leaf_answer(
+    zone: &ZoneModel,
+    cache_ttl_secs: u32,
+    query: Query<'_>,
+    wire: &mut WireScratch,
+) {
+    let Some(question) = query.questions.first() else {
+        query.close(query.open(Rcode::FormErr, wire));
+        return;
     };
+    let qname = &question.qname;
     let ttl = cache_ttl_secs;
-    let leaf_nodata = |qname: &Name| {
-        let cut = zone.minimized_qname(qname);
-        MessageBuilder::response(query, Rcode::NoError)
-            .authority(cut.clone(), 900, leaf_soa(&cut))
-            .build()
+    let lookup = zone.classify(qname);
+    let rcode = match lookup {
+        Lookup::NxDomain => Rcode::NxDomain,
+        _ => Rcode::NoError,
     };
-    match zone.classify(&question.qname) {
-        Lookup::Delegated => {
-            let h = name_key(&question.qname);
-            match question.qtype {
-                RType::A => MessageBuilder::response(query, Rcode::NoError)
-                    .answer(
-                        question.qname.clone(),
-                        ttl,
-                        RData::A(Ipv4Addr::new(203, 0, 113, (h % 254 + 1) as u8)),
-                    )
-                    .build(),
-                RType::Aaaa => MessageBuilder::response(query, Rcode::NoError)
-                    .answer(
-                        question.qname.clone(),
-                        ttl,
-                        RData::Aaaa(Ipv6Addr::new(
-                            0x2001,
-                            0xdb8,
-                            0x100,
-                            0,
-                            0,
-                            0,
-                            0,
-                            (h % 65_535 + 1) as u16,
-                        )),
-                    )
-                    .build(),
-                RType::Ns => {
-                    let cut = zone.minimized_qname(&question.qname);
-                    let mut b = MessageBuilder::response(query, Rcode::NoError);
-                    for label in &NS_LABELS[..2] {
-                        let ns = cut.child(label).unwrap_or_else(|_| cut.clone());
-                        b = b.answer(question.qname.clone(), ttl, RData::Ns(ns));
-                    }
-                    b.build()
-                }
-                _ => leaf_nodata(&question.qname),
+    let mut reply = query.open(rcode, wire);
+    match (lookup, question.qtype) {
+        (Lookup::Delegated, RType::A) => {
+            let h = name_key(qname);
+            let a = Ipv4Addr::new(203, 0, 113, (h % 254 + 1) as u8);
+            reply.addr(Section::Answer, qname, ttl, a.into());
+        }
+        (Lookup::Delegated, RType::Aaaa) => {
+            let h = name_key(qname);
+            let aaaa = Ipv6Addr::new(0x2001, 0xdb8, 0x100, 0, 0, 0, 0, (h % 65_535 + 1) as u16);
+            reply.addr(Section::Answer, qname, ttl, aaaa.into());
+        }
+        (Lookup::Delegated, RType::Ns) => {
+            let cut = zone.minimized_qname(qname);
+            for label in &NS_LABELS[..2] {
+                let ns = cut.child(label).unwrap_or_else(|_| cut.clone());
+                reply.ns(Section::Answer, qname, ttl, &ns);
             }
         }
-        Lookup::InZone => leaf_nodata(&question.qname),
-        Lookup::NxDomain => {
-            let cut = zone.minimized_qname(&question.qname);
-            MessageBuilder::response(query, Rcode::NxDomain)
-                .authority(cut.clone(), 900, leaf_soa(&cut))
-                .build()
-        }
+        // NODATA, or NXDOMAIN: the cut's SOA
+        _ => leaf_soa(&mut reply, &zone.minimized_qname(qname)),
     }
+    query.close(reply);
 }
 
 /// Per-nameserver RTT histograms (`resolver_ns_rtt_us_<server>`) in the
@@ -521,17 +518,17 @@ fn metric_label(name: &str) -> String {
         .collect()
 }
 
-/// A minimal SOA for leaf-tier negative answers.
-fn leaf_soa(cut: &Name) -> RData {
-    RData::Soa {
-        mname: cut.child(b"ns1").unwrap_or_else(|_| cut.clone()),
-        rname: cut.child(b"hostmaster").unwrap_or_else(|_| cut.clone()),
-        serial: 2020020801,
-        refresh: 3600,
-        retry: 600,
-        expire: 2_419_200,
-        minimum: 900,
-    }
+/// A minimal SOA for leaf-tier negative answers, in authority.
+fn leaf_soa(reply: &mut Reply<'_>, cut: &Name) {
+    let mname = cut.child(b"ns1").unwrap_or_else(|_| cut.clone());
+    let rname = cut.child(b"hostmaster").unwrap_or_else(|_| cut.clone());
+    reply.put(Section::Authority, cut, RType::Soa, 900, |comp, out| {
+        comp.encode_name(&mname, out);
+        comp.encode_name(&rname, out);
+        for v in [2020020801u32, 3600, 600, 2_419_200, 900] {
+            out.extend_from_slice(&v.to_be_bytes());
+        }
+    });
 }
 
 /// The tier of the simulated hierarchy a server address belongs to.
@@ -557,7 +554,7 @@ pub fn tier_of(servers: &[ServerSpec], root_zone: bool, server: IpAddr) -> Tier 
 }
 
 impl Transport for SimTransport<'_> {
-    fn exchange(&mut self, server: IpAddr, query: &Message) -> Exchange {
+    fn exchange(&mut self, server: IpAddr, query: &Message) -> Exchange<'_> {
         match tier_of(self.servers, self.root_zone, server) {
             Tier::Root => self.root_referral(query),
             Tier::Vantage(si) => self.vantage_exchange(si, server, query),
@@ -771,12 +768,11 @@ impl<'a> FleetStream<'a> {
                     fleet_resolver(&fleet.resolvers[r_idx], qmin_on, &self.shared)
                 });
                 tr.begin(r_idx, t, stim.junk);
+                let absorbed = res.stats.cache_hits;
                 resolve_stimulus(res, &mut tr, qmin_on, t, &stim);
-                if tr.emitted == 0 {
-                    // the walk never reached the vantage: demand absorbed
-                    // by the shared cache (or leaf-only requery)
-                    tr.stats.cache_hits += 1;
-                }
+                // demand the cache absorbed: the walk sent no query at
+                // all, as the calibrated plane counts it
+                tr.stats.cache_hits += res.stats.cache_hits - absorbed;
                 steer.emitted(tr.emitted);
             }
         }
@@ -897,7 +893,6 @@ impl Engine {
         })
         .expect("fleet scope joins")?;
 
-        stats.cache_hits = stats.cache_hits.max(summary.cache.hits);
         let stats = self.close_run([stats]);
         stage.add_items(stats.queries + stats.responses);
         FleetMetrics::register().finish(&summary);
@@ -1109,5 +1104,45 @@ mod tests {
     fn absorption_comes_from_shared_caches() {
         let (_, _, stats) = generate_fleet_capture(dataset(Vantage::Nl, 2020), 42, 2);
         assert!(stats.cache_hits > 0, "hot names must be absorbed");
+    }
+
+    /// `cache_hits` counts the stimuli whose walk sent no query, as the
+    /// calibrated plane counts absorbed demand — not the larger of the
+    /// walks that never reached the vantage and the shared caches'
+    /// lookup hits. Recounted here by replaying every stream slot by
+    /// slot: the slices' counts, and the per-walk tallies each
+    /// resolver instance kept, must both give the run's figure.
+    #[test]
+    fn cache_hits_count_the_walks_that_sent_no_query() {
+        let engine = Engine::new(dataset(Vantage::Nl, 2020), Scale::tiny(), 42);
+        let stats = engine
+            .generate_fleet(&mut Vec::<CaptureRecord>::new(), 2)
+            .unwrap();
+        let plan = SlotPlan::new(&engine);
+        let hists = ns_rtt_histograms(&engine.spec().servers);
+        let mut streams: Vec<FleetStream> = (0..engine.fleets().len())
+            .map(|fi| FleetStream::new(&engine, fi, FLEET_SALT ^ fi as u64, &hists))
+            .collect();
+        let flood_fleet = plan::flood_fleet(&engine);
+        let mut incidents = FleetStream::new(&engine, flood_fleet, INCIDENT_SALT, &hists);
+        let mut sliced = 0;
+        for slot in 0..plan.slots() {
+            for (fi, stream) in streams.iter_mut().enumerate() {
+                let cursor = plan.steer(fi, slot, engine.fleets()[fi].spec.junk_ratio);
+                let slice = stream.produce_slot(slot, &plan, [cursor].into_iter());
+                sliced += slice.stats.cache_hits;
+            }
+            let floods = plan.floods(&engine, slot);
+            sliced += incidents.produce_slot(slot, &plan, floods).stats.cache_hits;
+        }
+        let walked_without_a_query: u64 = streams
+            .iter()
+            .chain([&incidents])
+            .flat_map(|s| s.resolvers.values())
+            .map(|r| r.stats.cache_hits)
+            .sum();
+        assert!(walked_without_a_query > 0);
+        assert_eq!(sliced, walked_without_a_query);
+        assert_eq!(stats.cache_hits, walked_without_a_query);
     }
 }

@@ -15,6 +15,50 @@ const SYLLABLES: [&str; 64] = [
     "no", "nu", "pa", "pe", "pi", "po", "pu", "ra", "re", "ri", "ro", "ru", "sa", "se", "si", "so",
 ];
 
+/// The syllables' consonants and vowels: syllable `c * 5 + v` is
+/// consonant `c` then vowel `v` ("so", 63, is the last; "su" is no
+/// digit).
+const CONSONANTS: &[u8; 13] = b"bdfghjklmnprs";
+const VOWELS: &[u8; 5] = b"aeiou";
+
+/// Marks a [`SYLLABLE_PART`] entry as a consonant or a vowel; the low
+/// bits are its index.
+const CONSONANT: u8 = 0x80;
+const VOWEL: u8 = 0x40;
+
+/// What each octet is in a syllable: `CONSONANT | c`, `VOWEL | v`, or 0.
+/// Both cases of an ASCII letter map alike and nothing else folds, so a
+/// syllable decodes in two lookups, as DNS compares names (RFC 4343).
+const SYLLABLE_PART: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut i = 0;
+    while i < CONSONANTS.len() {
+        table[CONSONANTS[i] as usize] = CONSONANT | i as u8;
+        table[CONSONANTS[i].to_ascii_uppercase() as usize] = CONSONANT | i as u8;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < VOWELS.len() {
+        table[VOWELS[i] as usize] = VOWEL | i as u8;
+        table[VOWELS[i].to_ascii_uppercase() as usize] = VOWEL | i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// The digit a two-octet syllable stands for.
+fn syllable_digit(syllable: &[u8]) -> Option<u64> {
+    let (c, v) = (
+        SYLLABLE_PART[syllable[0] as usize],
+        SYLLABLE_PART[syllable[1] as usize],
+    );
+    if c & !0x3f != CONSONANT || v & !0x3f != VOWEL {
+        return None;
+    }
+    let digit = (c & 0x3f) as u64 * VOWELS.len() as u64 + (v & 0x3f) as u64;
+    (digit < SYLLABLES.len() as u64).then_some(digit)
+}
+
 /// Longest generated label: a one-letter prefix plus the eleven
 /// syllables that cover `u64`.
 const MAX_GENERATED_LEN: usize = 23;
@@ -85,18 +129,17 @@ pub fn encode_label(idx: u64) -> String {
 /// not a valid encoding (odd length, unknown syllable, non-canonical
 /// leading zero). Case is folded as DNS folds it: ASCII letters only
 /// (RFC 4343), so `BA` is `ba` but a Unicode look-alike of `k` is not
-/// `k`. Allocation-free.
+/// `k`. Allocation-free: two table lookups a syllable.
 pub fn decode_label(label: impl AsRef<[u8]>) -> Option<u64> {
     let label = label.as_ref();
     if label.is_empty() || !label.len().is_multiple_of(2) || label.len() > 22 {
         return None;
     }
     let mut idx: u64 = 0;
-    for syllable in label.chunks(2) {
-        let d = SYLLABLES
-            .iter()
-            .position(|s| s.as_bytes().eq_ignore_ascii_case(syllable))?;
-        idx = idx.checked_mul(64)?.checked_add(d as u64)?;
+    for syllable in label.chunks_exact(2) {
+        idx = idx
+            .checked_mul(64)?
+            .checked_add(syllable_digit(syllable)?)?;
     }
     // reject non-canonical encodings like "baba" for 0 ("ba"): only a
     // one-syllable label may start with the zero digit
@@ -135,6 +178,7 @@ pub fn tld_label(i: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn bijection_small() {
@@ -178,6 +222,73 @@ mod tests {
         // `k` under Unicode rules, but its octets are not `k`
         assert_eq!(decode_label("\u{212a}a"), None);
         assert_eq!(decode_label([0xe2, 0x84, 0xaa, b'a']), None);
+    }
+
+    /// `decode_label` as it was: a linear, case-folding search of the
+    /// syllable table per syllable.
+    fn decode_by_search(label: &[u8]) -> Option<u64> {
+        if label.is_empty() || !label.len().is_multiple_of(2) || label.len() > 22 {
+            return None;
+        }
+        let mut idx: u64 = 0;
+        for syllable in label.chunks(2) {
+            let d = SYLLABLES
+                .iter()
+                .position(|s| s.as_bytes().eq_ignore_ascii_case(syllable))?;
+            idx = idx.checked_mul(64)?.checked_add(d as u64)?;
+        }
+        if label.len() > 2 && idx < 64u64.pow(label.len() as u32 / 2 - 1) {
+            return None;
+        }
+        Some(idx)
+    }
+
+    #[test]
+    fn table_agrees_with_the_search_on_every_two_octets() {
+        for a in 0..=255u8 {
+            for b in 0..=255u8 {
+                assert_eq!(
+                    decode_label([a, b]),
+                    decode_by_search(&[a, b]),
+                    "{a:#04x} {b:#04x}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        /// Labels of up to 24 octets built from syllables, near misses
+        /// ("su", odd letters, digits) and the KELVIN SIGN's octets, in
+        /// any case mix: the table decodes what the search decoded.
+        #[test]
+        fn table_agrees_with_the_search_on_random_labels(
+            pieces in prop::collection::vec(0usize..72, 1..=12),
+            case in any::<u64>(),
+            cut in 0usize..=24,
+        ) {
+            let mut label: Vec<u8> = Vec::new();
+            for p in pieces {
+                let piece: &[u8] = match p {
+                    0..=63 => SYLLABLES[p].as_bytes(),
+                    64 => b"su",
+                    65 => "\u{212a}".as_bytes(),
+                    66 => b"k",
+                    67 => b"q",
+                    68 => b"7",
+                    69 => b"-",
+                    70 => b"BA",
+                    _ => &[0xe2, 0x84],
+                };
+                label.extend_from_slice(piece);
+            }
+            for (i, b) in label.iter_mut().enumerate() {
+                if case >> (i % 64) & 1 == 1 {
+                    *b = b.to_ascii_uppercase();
+                }
+            }
+            label.truncate(cut.max(1));
+            prop_assert_eq!(decode_label(&label), decode_by_search(&label), "{:?}", label);
+        }
     }
 
     #[test]

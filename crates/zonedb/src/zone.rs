@@ -41,6 +41,17 @@ impl Lookup {
     }
 }
 
+/// A qname located in a zone ([`ZoneModel::locate`]): the answer class,
+/// and the registration a delegated name falls under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Located {
+    /// What the zone's servers answer.
+    pub lookup: Lookup,
+    /// The registration index, exactly when `lookup` is
+    /// [`Lookup::Delegated`].
+    pub delegation: Option<u64>,
+}
+
 /// The kind of zone, fixing its registration structure.
 #[derive(Debug, Clone, PartialEq)]
 enum ZoneKind {
@@ -175,51 +186,70 @@ impl ZoneModel {
 
     /// Resolve a qname the way this zone's authoritative servers would.
     pub fn classify(&self, qname: &Name) -> Lookup {
+        self.locate(qname).lookup
+    }
+
+    /// [`ZoneModel::classify`] and, from the same walk of the name, the
+    /// registration index of the delegation a delegated `qname` equals
+    /// or falls under — the inverse of [`ZoneModel::registered_domain`].
+    /// That is what lets an authoritative server decide, from the qname
+    /// alone, whether the delegation is DNSSEC-signed (`is_signed`).
+    pub fn locate(&self, qname: &Name) -> Located {
+        const NXDOMAIN: Located = Located {
+            lookup: Lookup::NxDomain,
+            delegation: None,
+        };
+        let delegated = |idx| Located {
+            lookup: Lookup::Delegated,
+            delegation: Some(idx),
+        };
         if qname == &self.apex {
-            return Lookup::InZone;
+            return Located {
+                lookup: Lookup::InZone,
+                delegation: None,
+            };
         }
         if !qname.is_subdomain_of(&self.apex) {
             // A query for an out-of-bailiwick name: the real servers
             // answer REFUSED, but for rcode accounting it is junk
             // either way; callers treat it as NxDomain-class.
-            return Lookup::NxDomain;
+            return NXDOMAIN;
         }
         match &self.kind {
-            ZoneKind::SecondLevel { slds } => {
-                let sld = qname.ancestor(2);
-                match leftmost_index(&sld) {
-                    Some(idx) if idx < *slds => Lookup::Delegated,
-                    _ => Lookup::NxDomain,
-                }
-            }
+            ZoneKind::SecondLevel { slds } => match label_index(qname, 2) {
+                Some(idx) if idx < *slds => delegated(idx),
+                _ => NXDOMAIN,
+            },
             ZoneKind::MixedLevel { slds, thirds } => {
-                let sld = qname.ancestor(2);
                 // structural subzone like co.nz?
-                if let Some(sub_pos) = subzone_position(&sld) {
-                    if qname.label_count() == 2 {
-                        return Lookup::InZone;
+                let subzone = label_at(qname, 2).and_then(subzone_label_position);
+                let Some(sub_pos) = subzone else {
+                    return match label_index(qname, 2) {
+                        Some(idx) if idx < *slds => delegated(idx),
+                        _ => NXDOMAIN,
+                    };
+                };
+                if qname.label_count() == 2 {
+                    return Located {
+                        lookup: Lookup::InZone,
+                        delegation: None,
+                    };
+                }
+                match label_index(qname, 3) {
+                    Some(local) if third_level_member(sub_pos, local, *thirds) => {
+                        let start: u64 = (0..sub_pos)
+                            .map(|j| share_of(j, NZ_SUBZONES[j].1, *thirds))
+                            .sum();
+                        delegated(slds + start + local)
                     }
-                    let third = qname.ancestor(3);
-                    match leftmost_index(&third) {
-                        Some(local) if third_level_member(sub_pos, local, *thirds) => {
-                            Lookup::Delegated
-                        }
-                        _ => Lookup::NxDomain,
-                    }
-                } else {
-                    match leftmost_index(&sld) {
-                        Some(idx) if idx < *slds => Lookup::Delegated,
-                        _ => Lookup::NxDomain,
-                    }
+                    _ => NXDOMAIN,
                 }
             }
             ZoneKind::Root { .. } => {
-                let tld = qname.ancestor(1);
                 let cache = self.tld_cache.as_ref().expect("root model has cache");
-                if cache.contains_key(&tld) {
-                    Lookup::Delegated
-                } else {
-                    Lookup::NxDomain
+                match cache.get(&qname.ancestor(1)) {
+                    Some(&idx) => delegated(idx),
+                    None => NXDOMAIN,
                 }
             }
         }
@@ -265,37 +295,6 @@ impl ZoneModel {
                 .nth(1)
                 .is_some_and(|l| subzone_label_position(l).is_some()),
             _ => below == 1,
-        }
-    }
-
-    /// The registration index of the delegation `qname` equals or falls
-    /// under — the inverse of [`ZoneModel::registered_domain`]. `None`
-    /// for junk, in-zone, and out-of-bailiwick names. This is what lets
-    /// an authoritative server decide, from the qname alone, whether the
-    /// delegation is DNSSEC-signed (`delegation_index` → `is_signed`).
-    pub fn delegation_index(&self, qname: &Name) -> Option<u64> {
-        if self.classify(qname) != Lookup::Delegated {
-            return None;
-        }
-        match &self.kind {
-            ZoneKind::SecondLevel { .. } => leftmost_index(&qname.ancestor(2)),
-            ZoneKind::MixedLevel { slds, thirds } => {
-                let sld = qname.ancestor(2);
-                match subzone_position(&sld) {
-                    Some(sub_pos) => {
-                        let local = leftmost_index(&qname.ancestor(3))?;
-                        let start: u64 = (0..sub_pos)
-                            .map(|j| share_of(j, NZ_SUBZONES[j].1, *thirds))
-                            .sum();
-                        Some(slds + start + local)
-                    }
-                    None => leftmost_index(&sld),
-                }
-            }
-            ZoneKind::Root { .. } => {
-                let tld = qname.ancestor(1);
-                self.tld_cache.as_ref().and_then(|c| c.get(&tld).copied())
-            }
         }
     }
 
@@ -366,9 +365,16 @@ fn subzone_label_position(label: &[u8]) -> Option<usize> {
         .position(|(s, _)| s.as_bytes().eq_ignore_ascii_case(label))
 }
 
-/// Decode the leftmost label of `name` as a registration index.
-fn leftmost_index(name: &Name) -> Option<u64> {
-    name.labels().next().and_then(decode_label)
+/// The label of `name` `depth` labels below the root (1 is its
+/// top-level label), if it has that many.
+fn label_at(name: &Name, depth: usize) -> Option<&[u8]> {
+    let above = name.label_count().checked_sub(depth)?;
+    name.labels().nth(above)
+}
+
+/// The label at `depth` decoded as a registration index.
+fn label_index(name: &Name, depth: usize) -> Option<u64> {
+    label_at(name, depth).and_then(decode_label)
 }
 
 #[cfg(test)]
@@ -389,7 +395,7 @@ mod tests {
             for idx in 0..zone.domain_count() {
                 let name = zone.registered_domain(idx);
                 assert_eq!(
-                    zone.delegation_index(&name),
+                    zone.locate(&name).delegation,
                     Some(idx),
                     "{name} in {}",
                     zone.apex()
@@ -397,15 +403,15 @@ mod tests {
                 // deep names under the delegation resolve to the same index
                 if !zone.is_root_zone() {
                     let www = name.child(b"www").unwrap();
-                    assert_eq!(zone.delegation_index(&www), Some(idx), "{www}");
+                    assert_eq!(zone.locate(&www).delegation, Some(idx), "{www}");
                 }
             }
             // junk and apex names have no index
-            assert_eq!(zone.delegation_index(zone.apex()), None);
+            assert_eq!(zone.locate(zone.apex()).delegation, None);
         }
         let nl = ZoneModel::nl(50);
-        assert_eq!(nl.delegation_index(&n("not-registered-x.nl")), None);
-        assert_eq!(nl.delegation_index(&n("example.com")), None);
+        assert_eq!(nl.locate(&n("not-registered-x.nl")).delegation, None);
+        assert_eq!(nl.locate(&n("example.com")).delegation, None);
     }
 
     #[test]
@@ -447,11 +453,11 @@ mod tests {
     fn unicode_lookalikes_are_not_registered() {
         let z = ZoneModel::nl(1000);
         assert_eq!(z.classify(&n("ka.nl")), Lookup::Delegated);
-        assert_eq!(z.delegation_index(&n("KA.nl")), Some(30));
+        assert_eq!(z.locate(&n("KA.nl")).delegation, Some(30));
         let kelvin = z.apex().child("\u{212a}a".as_bytes()).unwrap();
         assert_ne!(kelvin, n("ka.nl"));
         assert_eq!(z.classify(&kelvin), Lookup::NxDomain);
-        assert_eq!(z.delegation_index(&kelvin), None);
+        assert_eq!(z.locate(&kelvin).delegation, None);
         assert_eq!(z.classify(&kelvin.child(b"www").unwrap()), Lookup::NxDomain);
         // the same fold made `gee<KELVIN>.nz` the structural subzone `geek.nz`
         let nz = ZoneModel::nz(100, 500);

@@ -699,6 +699,68 @@ fn record_path_stays_within_its_allocation_budget() {
     );
 }
 
+/// The fleet plane's walk budget: one `.nl` 2020 fleet resolver (Q-min
+/// on, fleet-shared cache) resolves 2,000 sampled stimuli over the
+/// offline `SimTransport` to warm its cache and buffers, then 2,000
+/// more are measured (1,481 vantage queries). Those cost 12.89
+/// allocations per stimulus when every reply was parsed into a
+/// `Message`, every ask built one and ranked its servers into a fresh
+/// `Vec`, and every hit cloned a `Vec`; they measure 3.70 now: the
+/// capture's own payload copies, one shared address set per answer or
+/// referral, and the `Vec` that `resolve` returns. The bound is about
+/// twice the measured value.
+#[test]
+fn fleet_walk_stays_within_its_allocation_budget() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use resolver::cache::DEFAULT_CAPACITY;
+    use resolver::{IterativeResolver, ResolverConfig, SharedCache};
+    use simnet::emerge::{ns_rtt_histograms, sample_stimulus, SimTransport, Stimulus};
+    use simnet::engine::Engine;
+    use simnet::profile::Vantage;
+    use simnet::scenario::{dataset, Scale};
+
+    assert!(obs::alloc::installed(), "counting allocator active");
+    let engine = Engine::new(dataset(Vantage::Nl, 2020), Scale::tiny(), 42);
+    let fleet = &engine.fleets()[0];
+    let mut rng = StdRng::seed_from_u64(42);
+    let stimuli: Vec<Stimulus> = (0..4_000)
+        .map(|_| {
+            let junk = rng.gen_bool(fleet.spec.junk_ratio);
+            let (zone, zipf, junk_gen) = (engine.zone(), engine.zipf(), engine.junk_gen());
+            sample_stimulus(zone, zipf, junk_gen, &fleet.spec, junk, &mut rng)
+        })
+        .collect();
+    let hists = ns_rtt_histograms(&engine.spec().servers);
+    let mut tr = SimTransport::new(&engine, fleet, &hists, StdRng::seed_from_u64(7), None);
+    let mut resolver = IterativeResolver::new(ResolverConfig {
+        qmin: true,
+        ..Default::default()
+    });
+    resolver.attach_shared_cache(SharedCache::with_capacity(DEFAULT_CAPACITY));
+    resolver.set_log_enabled(false);
+    let start = engine.spec().start;
+    let mut walk = |batch: &[Stimulus]| {
+        let mut vantage = 0;
+        for s in batch {
+            resolver.set_now_micros(start.as_micros());
+            tr.begin(0, start, s.junk);
+            let _ = resolver.resolve(&mut tr, &s.qname, s.qtype);
+            vantage += tr.emitted;
+        }
+        vantage
+    };
+    let (warm, measured) = stimuli.split_at(2_000);
+    walk(warm);
+    let (vantage, stats) = obs::alloc::measure(|| walk(measured));
+    assert!(vantage > 0, "the measured walks reached the vantage");
+    let per_stimulus = stats.allocs as f64 / measured.len() as f64;
+    assert!(
+        per_stimulus <= 7.5,
+        "the fleet walk made {per_stimulus:.2} allocations per stimulus"
+    );
+}
+
 /// `.nl` and B-Root 2020 rows at the tiny scale, generated and ingested
 /// on one shard (the rows themselves are not counted).
 fn tiny_rows() -> Vec<(simnet::engine::Engine, Vec<entrada::schema::QueryRow>)> {

@@ -98,6 +98,15 @@ fn dataset_nl_fleet_json() {
     );
 }
 
+#[test]
+fn dataset_nz_fleet_json() {
+    assert_row(
+        "dataset nz 2020 --scale=tiny --json --fleet",
+        (9_934, 0xb290_6f81),
+        |w| dataset_json(Vantage::Nz, true, w),
+    );
+}
+
 /// `dnscentral ingest nz 2020 --scale=tiny --warehouse=DIR
 /// --partition-rows=4096`, then `report --warehouse=DIR` as text and as
 /// `--json`: both digests for each worker count, which the ingest and

@@ -191,11 +191,8 @@ fn offline_recorder_and_live_responder_emit_identical_udp_responses() {
         let src_ip = sources[(i % 2) as usize];
         let at = spec.start + SimDuration::from_millis(i * 10);
 
-        let signed = zone
-            .delegation_index(&qname)
-            .is_some_and(|idx| zone.is_signed(idx));
         wire.write_query(&query.header, &query.questions[0], query.edns.as_ref());
-        auth.respond((&query).into(), signed, &mut wire);
+        auth.respond_located((&query).into(), zone.locate(&qname), &mut wire);
         let first = buf.len();
         let recorded = vantage::record(
             &vantage::Exchange {

@@ -264,28 +264,73 @@ fn all_nine_datasets_run() {
     }
 }
 
+/// Length and CRC-32 (IEEE, as `warehouse::codec::crc32`) of the bytes
+/// written through it, so a capture is digested without being held.
+struct Digest {
+    table: [u32; 256],
+    len: usize,
+    crc: u32,
+}
+
+impl Digest {
+    fn new() -> Digest {
+        let mut table = [0u32; 256];
+        for (i, slot) in table.iter_mut().enumerate() {
+            *slot = (0..8).fold(i as u32, |c, _| {
+                (c >> 1) ^ if c & 1 == 1 { 0xedb8_8320 } else { 0 }
+            });
+        }
+        Digest {
+            table,
+            len: 0,
+            crc: !0,
+        }
+    }
+}
+
+impl std::io::Write for Digest {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        for &b in buf {
+            self.crc = self.table[((self.crc ^ b as u32) & 0xff) as usize] ^ (self.crc >> 8);
+        }
+        self.len += buf.len();
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 /// Length and CRC-32 of the capture `engine` writes: a golden capture
 /// is two integers.
 fn capture_digest(engine: &Engine, fleet: bool, shards: usize) -> (usize, u32) {
-    let mut w = CaptureWriter::new(Vec::new()).unwrap();
+    let mut w = CaptureWriter::new(Digest::new()).unwrap();
     if fleet {
         engine.generate_fleet(&mut w, shards).unwrap();
     } else {
         engine.generate_sharded(&mut w, shards).unwrap();
     }
-    let bytes = w.finish().unwrap();
-    (bytes.len(), warehouse::codec::crc32(&bytes))
+    let digest = w.finish().unwrap();
+    (digest.len, !digest.crc)
 }
 
-/// The `.dnscap` bytes of six reference runs (`Scale::tiny()`, seed 42),
-/// pinned as length + CRC-32 and recorded before the demand plan moved
-/// into `simnet`'s `plan` module: a generator refactor that changes one
-/// RNG draw fails here instead of needing a hand-run `cmp` against the
-/// parent commit. Each run must give the same bytes at 1 and 4 shards.
+/// The `.dnscap` bytes of seven reference runs (`Scale::tiny()`, seed
+/// 42), pinned as length + CRC-32; the first six were recorded before
+/// the demand plan moved into `simnet`'s `plan` module: a generator
+/// refactor that changes one RNG draw fails here instead of needing a
+/// hand-run `cmp` against the parent commit. Each run must give the
+/// same bytes at 1 and 4 shards.
+///
+/// At the tiny scale no fleet cache ever fills, so one more row runs
+/// the `.nl` fleet at the repo benchmark's `batch-fleet` scale, where
+/// the fleets' name set outgrows `resolver::cache::DEFAULT_CAPACITY`:
+/// it pins the eviction order, and the test checks that the run did
+/// evict.
 #[test]
 fn golden_capture_digests() {
     let feb = || monthly_google(Vantage::Nz, 2020, 2);
-    let golden: [(&str, DatasetSpec, bool, usize, u32); 6] = [
+    let golden: [(&str, DatasetSpec, bool, usize, u32); 7] = [
         (
             "nl-2020",
             dataset(Vantage::Nl, 2020),
@@ -316,12 +361,49 @@ fn golden_capture_digests() {
         ),
         ("nz-google-feb", feb(), false, 289_634, 0x3e1f_a6ff),
         ("nz-google-feb fleet", feb(), true, 241_064, 0x4d36_7387),
+        (
+            "nz-2020 fleet",
+            dataset(Vantage::Nz, 2020),
+            true,
+            4_408_442,
+            0x4620_745d,
+        ),
     ];
     for (what, spec, fleet, len, crc) in golden {
         let engine = Engine::new(spec, Scale::tiny(), 42);
         for shards in [1, 4] {
             let got = capture_digest(&engine, fleet, shards);
             assert_eq!(got, (len, crc), "{what} at {shards} shard(s)");
+        }
+    }
+
+    // the `.nl` fleet at `batch-fleet`'s scale, whose caches stay
+    // below capacity, and at the smallest round scale whose largest
+    // fleet cache fills; the eviction counter only ever grows, and the
+    // tiny runs around these never evict
+    let evictions = obs::counter("resolver_fleet_cache_evictions_total", "");
+    for (what, queries, evicts, len, crc) in [
+        ("batch-fleet", 250_000.0, false, 23_081_500, 0xa69f_2c63),
+        ("eviction", 50_000.0, true, 115_022_891, 0x78a7_6c10),
+    ] {
+        let scale = Scale {
+            queries: 1.0 / queries,
+            resolvers: 1.0 / 1_000.0,
+        };
+        let engine = Engine::new(dataset(Vantage::Nl, 2020), scale, 42);
+        for shards in [1, 4] {
+            let before = evictions.get();
+            let got = capture_digest(&engine, true, shards);
+            assert_eq!(
+                got,
+                (len, crc),
+                "nl-2020 fleet, {what} scale, {shards} shard(s)"
+            );
+            assert_eq!(
+                evictions.get() > before,
+                evicts,
+                "nl-2020 fleet, {what} scale: evictions"
+            );
         }
     }
 }
