@@ -14,7 +14,6 @@ use crate::tap::Tap;
 use simnet::scenario::{DatasetSpec, Scale};
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Parameters for a live loopback run.
@@ -93,7 +92,8 @@ pub fn run_live(config: &LiveConfig) -> io::Result<LiveReport> {
 
     let client_stats = Stats::new();
     let started = Instant::now();
-    let done = AtomicBool::new(false);
+    // dropped when the load generator returns: the monitor wakes at once
+    let (done, done_rx) = crossbeam::channel::bounded::<()>(0);
     let loadgen = crossbeam::thread::scope(|s| {
         // The monitor always runs: it keeps the qps gauges fresh for
         // `--metrics-addr` scrapes, and additionally prints stats lines
@@ -101,17 +101,17 @@ pub fn run_live(config: &LiveConfig) -> io::Result<LiveReport> {
         {
             let server = &server;
             let client_stats = &client_stats;
-            let done = &done;
             let interval = config.stats_interval;
             let server_qps = obs::gauge("authd_server_qps", "server-side queries per second");
             let loadgen_qps = obs::gauge("authd_loadgen_qps", "load generator queries per second");
             s.spawn(move |_| {
-                // sleep in short steps so `done` stays responsive even
-                // with a long stats interval
+                // refresh in short steps; the load generator's end cuts
+                // a step short
                 let step = Duration::from_millis(50);
                 let mut since_print = Duration::ZERO;
-                while !done.load(Ordering::SeqCst) {
-                    std::thread::sleep(step);
+                while let Err(crossbeam::channel::RecvTimeoutError::Timeout) =
+                    done_rx.recv_timeout(step)
+                {
                     let elapsed = started.elapsed().as_secs_f64();
                     let server_snap = server.stats().snapshot(elapsed);
                     let client_snap = client_stats.snapshot(elapsed);
@@ -138,7 +138,7 @@ pub fn run_live(config: &LiveConfig) -> io::Result<LiveReport> {
         lg.duration = config.duration;
         lg.resolvers = config.resolvers;
         let report = run_loadgen(&lg, &client_stats);
-        done.store(true, Ordering::SeqCst);
+        drop(done);
         report
     })
     .expect("live threads do not panic")?;
@@ -229,6 +229,49 @@ mod tests {
             n + 1
         });
         assert_eq!(records, report.records);
+        fs::remove_file(&capture).ok();
+    }
+
+    /// The reactor keeps walks in flight and drains them: 16 resolvers
+    /// on one load-generator thread have several vantage exchanges
+    /// outstanding at once, and when the run returns every query sent
+    /// was answered or timed out, and the tap joins with none
+    /// unanswered.
+    #[test]
+    fn fleet_walks_overlap_and_drain() {
+        use entrada::enrich::Enricher;
+        use entrada::ingest::CaptureIngest;
+        use simnet::engine::Engine;
+
+        let _guard = crate::signal::TEST_GUARD.lock().unwrap();
+        let dir = std::env::temp_dir().join("authd-fleet-overlap-test");
+        fs::create_dir_all(&dir).unwrap();
+        let capture = dir.join("overlap.dnscap");
+        let spec = dataset(Vantage::Nl, 2020);
+        let mut config = LiveConfig::new(spec.clone(), Scale::tiny(), 7, capture.clone());
+        config.max_queries = Some(600);
+        config.resolvers = Some(16);
+        config.loadgen_workers = 1;
+        config.udp_workers = 1;
+        config.tcp_workers = 1;
+        let report = run_live(&config).unwrap();
+        let fleet = report.fleet.expect("fleet mode reports fleet extras");
+        assert!(
+            fleet.inflight_peak >= 2,
+            "walks never overlapped: {fleet:?}"
+        );
+        let lg = report.loadgen;
+        assert!(lg.sent >= 600, "sent {}", lg.sent);
+        assert_eq!(lg.sent, lg.received + lg.timeouts, "{lg:?}");
+
+        let engine = Engine::new(spec, Scale::tiny(), 7);
+        let reader = CaptureReader::new(fs::File::open(&capture).unwrap()).unwrap();
+        let mut ingest = CaptureIngest::new(reader, Enricher::new(engine.plan().mapper.clone()));
+        let rows = ingest.by_ref().count() as u64;
+        let stats = ingest.stats();
+        assert!(stats.balanced(), "{stats:?}");
+        assert_eq!(stats.unanswered_queries, 0, "{stats:?}");
+        assert_eq!(rows, report.server.queries());
         fs::remove_file(&capture).ok();
     }
 }

@@ -5,16 +5,17 @@
 //! [`simnet::drive::Driver`] — the same fleet materialization, qtype
 //! mixes, Q-min schedule, EDNS sizes, and cache model the offline
 //! engine uses — into a bounded channel, and N worker threads each run
-//! one [`Client`] exchange per query (UDP, or TCP for the direct-TCP
-//! share, with TCP fallback on TC=1). With
-//! [`LoadgenConfig::resolvers`] set, the same workers instead drive
-//! resolver walks ([`crate::fleetgen`]) over the same [`Client`].
+//! one [`Reactor`] of [`REPLAY_SLOTS`] slots, every slot taking the next
+//! planned query as soon as its last one is answered or timed out (UDP,
+//! or TCP for the direct-TCP share, with TCP fallback on TC=1). With
+//! [`LoadgenConfig::resolvers`] set, the same threads' reactors instead
+//! carry resolver walks ([`crate::fleetgen`]), one slot per resolver.
 //!
 //! Every query carries a [`crate::proxy::Preamble`] with the logical
 //! resolver/server addresses so the server's capture tap attributes
 //! traffic the way the offline analyzer expects.
 
-use crate::client::Client;
+use crate::client::{Outcome, Query, Reactor, Work};
 use crate::fleetgen::{self, FleetgenReport};
 use crate::signal;
 use crate::stats::Stats;
@@ -29,6 +30,9 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+/// Planned queries each replay thread keeps in flight.
+pub const REPLAY_SLOTS: usize = 32;
+
 /// Load generator parameters.
 pub struct LoadgenConfig {
     /// Dataset whose fleets drive the traffic.
@@ -41,7 +45,7 @@ pub struct LoadgenConfig {
     pub server_udp: SocketAddr,
     /// Server's TCP endpoint.
     pub server_tcp: SocketAddr,
-    /// Closed-loop worker threads.
+    /// Closed-loop worker threads, one [`Reactor`] each.
     pub workers: usize,
     /// Stop after this many queries — planned queries on the replay
     /// path, vantage queries sent (TCP retries included) on the fleet
@@ -105,8 +109,9 @@ struct Job {
 }
 
 /// Run the closed loop until a stop condition (count, duration, or
-/// SIGINT via [`signal::triggered`]) is hit; workers drain in-flight
-/// queries before returning.
+/// SIGINT via [`signal::triggered`]) is hit; no new query or stimulus
+/// starts after it, and every query in flight is answered or timed out
+/// before this returns.
 pub fn run_loadgen(config: &LoadgenConfig, stats: &Stats) -> io::Result<LoadgenReport> {
     stats.publish("authd_loadgen");
     let engine = Engine::new(config.spec.clone(), config.scale, config.seed);
@@ -134,7 +139,7 @@ pub fn run_loadgen(config: &LoadgenConfig, stats: &Stats) -> io::Result<LoadgenR
 }
 
 /// Replay the calibrated driver's queries through `config.workers`
-/// closed-loop clients.
+/// reactors.
 fn replay(config: &LoadgenConfig, mut driver: Driver, started: Instant, stats: &Stats) {
     let start_sim = config.spec.start;
     let deadline = config.duration.map(|d| started + d);
@@ -144,7 +149,16 @@ fn replay(config: &LoadgenConfig, mut driver: Driver, started: Instant, stats: &
         for _ in 0..config.workers.max(1) {
             let rx = rx.clone();
             let stop = &stop;
-            s.spawn(move |_| worker_loop(&rx, config, stats, stop));
+            s.spawn(move |_| {
+                let Ok(mut reactor) = Reactor::new(config, REPLAY_SLOTS, stats) else {
+                    stop.store(true, Ordering::SeqCst);
+                    return;
+                };
+                reactor.run(&mut Planned {
+                    rx,
+                    jobs: (0..REPLAY_SLOTS).map(|_| None).collect(),
+                });
+            });
         }
         drop(rx);
 
@@ -192,32 +206,37 @@ fn replay(config: &LoadgenConfig, mut driver: Driver, started: Instant, stats: &
             }
             scheduled += 1;
         }
-        drop(tx); // workers drain the queue and exit
+        drop(tx); // the reactors send what is queued and return
     })
     .expect("loadgen threads do not panic");
 }
 
-fn worker_loop(
-    rx: &crossbeam::channel::Receiver<Job>,
-    config: &LoadgenConfig,
-    stats: &Stats,
-    stop: &AtomicBool,
-) {
-    let Ok(mut client) = Client::new(config, stats) else {
-        stop.store(true, Ordering::SeqCst);
-        return;
-    };
-    while let Ok(job) = rx.recv() {
-        let src = SocketAddr::new(job.q.src, job.src_port);
-        let dst = SocketAddr::new(job.q.dst, 53);
-        client.exchange(&job.q.wire, src, dst, job.q.tcp_direct, None);
+/// One replay thread's slots: each takes the next planned query from
+/// the producer's channel as soon as its last one ended — waiting for
+/// one only while nothing else is in flight. On SIGINT they stop taking
+/// any.
+struct Planned {
+    rx: crossbeam::channel::Receiver<Job>,
+    /// The query each slot has in flight.
+    jobs: Vec<Option<Job>>,
+}
+
+impl Work for Planned {
+    fn next(&mut self, slot: usize, _last: Outcome<'_>, idle: bool) -> Option<Query<'_>> {
         if signal::triggered() {
-            // drain fast: keep consuming jobs so the producer's channel
-            // never wedges, but stop doing network work
-            stop.store(true, Ordering::SeqCst);
+            return None;
         }
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
+        let job = if idle {
+            self.rx.recv().ok()?
+        } else {
+            self.rx.try_recv().ok()?
+        };
+        let job = self.jobs[slot].insert(job);
+        Some(Query {
+            wire: &job.q.wire,
+            src: SocketAddr::new(job.q.src, job.src_port),
+            dst: SocketAddr::new(job.q.dst, 53),
+            tcp_direct: job.q.tcp_direct,
+        })
     }
 }

@@ -49,7 +49,9 @@ use zonedb::zone::ZoneModel;
 
 /// Per-connection cap on buffered-but-unframed bytes.
 pub const PENDING_CAP: usize = 64 * 1024;
-/// How often blocked workers poll the shutdown flag.
+/// How often a worker in the middle of a TCP connection polls the
+/// shutdown flag; workers waiting for traffic are woken at once
+/// ([`Server::request_shutdown`]).
 const POLL: Duration = Duration::from_millis(50);
 /// RRL shards per UDP worker: enough that hash collisions between
 /// distinct hot buckets are rare (collisions cost lock latency, never
@@ -388,6 +390,10 @@ pub struct Server {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
     conn_rx: crossbeam::channel::Receiver<TcpStream>,
+    /// Clones of the UDP shards and the listener: shutting their read
+    /// side down wakes the workers blocked on them.
+    wake_udp: Vec<std::net::UdpSocket>,
+    wake_tcp: TcpListener,
 }
 
 impl Server {
@@ -414,9 +420,15 @@ impl Server {
             engine,
             shutdown: AtomicBool::new(false),
         });
+        let shards = shard_set.into_shards();
+        let wake_udp = shards
+            .iter()
+            .map(|s| s.socket().try_clone())
+            .collect::<io::Result<_>>()?;
+        let wake_tcp = listener.try_clone()?;
 
         let mut threads = Vec::new();
-        for (i, shard) in shard_set.into_shards().into_iter().enumerate() {
+        for (i, shard) in shards.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
             threads.push(
                 thread::Builder::new()
@@ -454,6 +466,8 @@ impl Server {
             shared,
             threads,
             conn_rx,
+            wake_udp,
+            wake_tcp,
         })
     }
 
@@ -482,9 +496,17 @@ impl Server {
         self.shared.engine.clock.epoch.elapsed().as_secs_f64()
     }
 
-    /// Ask the workers to stop (returns immediately).
+    /// Ask the workers to stop (returns immediately). Workers blocked
+    /// waiting for traffic are woken rather than left to their read
+    /// timeouts: each UDP shard's and the listener's read side is shut
+    /// down, and the accept loop's exit disconnects the TCP workers'
+    /// channel. Nothing a wake reads is counted or tapped.
     pub fn request_shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        for sock in &self.wake_udp {
+            sockets::wake_readers(sock);
+        }
+        sockets::wake_readers(&self.wake_tcp);
     }
 
     /// Drain: stop workers, join them, account for connections still
@@ -533,6 +555,9 @@ fn udp_worker(shard: UdpShard, shared: &Shared, index: usize) {
                 util.idle(wait.elapsed()); // timeout: poll the shutdown flag
                 continue;
             }
+            // a batch that lands after shutdown is left unserved: it may
+            // be the wake itself
+            Ok(_) if shared.shutdown.load(Ordering::SeqCst) => break,
             Ok(n) => n,
             Err(e) => {
                 if e.kind() == io::ErrorKind::ConnectionRefused {
@@ -578,8 +603,8 @@ fn accept_loop(
         "connections accepted but not yet picked up by a TCP worker",
     );
     while !shared.shutdown.load(Ordering::SeqCst) {
-        // block in the kernel until a connection is pending (or the
-        // poll timeout lets us check the shutdown flag)
+        // block in the kernel until a connection is pending, or the
+        // shutdown wake (or the poll timeout) sends us to the flag
         match sockets::wait_readable(listener, POLL) {
             Ok(false) => continue,
             Ok(true) => {}
@@ -947,5 +972,41 @@ mod tests {
             dropped.get()
         );
         assert!(dropped.get() >= 1, "queued connections counted as dropped");
+    }
+
+    /// Shutdown wakes the idle workers instead of waiting out their
+    /// read timeouts, and the wake is never served: no query, no
+    /// malformed datagram, no TCP connection is counted for it.
+    #[test]
+    fn idle_shutdown_wakes_the_workers() {
+        let spec = dataset(Vantage::Nl, 2020);
+        // the fastest of three: a loaded test box may deschedule one
+        let fastest = (0..3)
+            .map(|_| {
+                let server = Server::start(ServerConfig::for_spec(&spec)).unwrap();
+                // let every worker reach its blocking wait
+                thread::sleep(Duration::from_millis(20));
+                let stats = [
+                    &server.stats().udp_queries,
+                    &server.stats().malformed,
+                    &server.stats().tcp_accepted,
+                    &server.stats().tcp_served,
+                    &server.stats().tcp_dropped,
+                ]
+                .map(Arc::clone);
+                let t0 = Instant::now();
+                server.shutdown().unwrap();
+                let took = t0.elapsed();
+                let [udp, malformed, accepted, served, dropped] = stats.map(|c| c.get());
+                assert_eq!((udp, malformed), (0, 0), "the wake was counted");
+                assert_eq!(accepted, served + dropped);
+                took
+            })
+            .min()
+            .unwrap();
+        assert!(
+            fastest < POLL / 5,
+            "shutdown took {fastest:?}; the workers' poll interval is {POLL:?}"
+        );
     }
 }

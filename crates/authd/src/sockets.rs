@@ -22,9 +22,14 @@
 //! `MSG_WAITFORONE`) return `EAGAIN` when idle, which is how worker
 //! loops poll their shutdown flag without spinning.
 //!
-//! For TCP, [`wait_readable`] wraps `poll(2)` on the listener fd so the
-//! accept loop blocks in the kernel until a connection is pending
-//! instead of sleeping a fixed 50 ms between `accept` attempts.
+//! [`PollSet`] wraps `poll(2)` over a slice of sockets: the load
+//! generator's reactor waits on all of its slots' sockets at once, and
+//! [`wait_readable`] is the same call on one TCP listener, so the accept
+//! loop blocks in the kernel until a connection is pending instead of
+//! sleeping between `accept` attempts. [`wake_readers`] shuts a
+//! socket's read side down, which returns every thread blocked reading
+//! it at once — how the server stops its workers without waiting out a
+//! read timeout.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -319,6 +324,64 @@ pub fn set_rcvbuf(sock: &UdpSocket, bytes: usize) {
     let _ = (sock, bytes);
 }
 
+/// Sockets waited on together, in a fixed order: one `poll(2)` over
+/// all of them per [`PollSet::wait`].
+pub struct PollSet {
+    #[cfg(unix)]
+    fds: Vec<unix::PollFd>,
+}
+
+impl PollSet {
+    /// Watch `socks` for readability, in this order.
+    pub fn new<'s>(socks: impl IntoIterator<Item = &'s UdpSocket>) -> PollSet {
+        #[cfg(unix)]
+        {
+            use std::os::fd::AsRawFd;
+            PollSet {
+                fds: socks
+                    .into_iter()
+                    .map(|s| unix::PollFd::readable(s.as_raw_fd()))
+                    .collect(),
+            }
+        }
+        #[cfg(not(unix))]
+        {
+            let _ = socks;
+            PollSet {}
+        }
+    }
+
+    /// Block until at least one socket is readable or `timeout`
+    /// elapses; [`PollSet::readable`] then says which. On non-unix
+    /// platforms this degrades to a sleep of `timeout`, after which
+    /// every socket counts as readable (the caller's nonblocking reads
+    /// report `WouldBlock` themselves).
+    pub fn wait(&mut self, timeout: Duration) -> io::Result<()> {
+        #[cfg(unix)]
+        {
+            unix::poll_fds(&mut self.fds, timeout).map(|_| ())
+        }
+        #[cfg(not(unix))]
+        {
+            std::thread::sleep(timeout);
+            Ok(())
+        }
+    }
+
+    /// Whether the `i`-th socket was readable at the last wait.
+    pub fn readable(&self, i: usize) -> bool {
+        #[cfg(unix)]
+        {
+            self.fds[i].ready()
+        }
+        #[cfg(not(unix))]
+        {
+            let _ = i;
+            true
+        }
+    }
+}
+
 /// Block until `listener` has a pending connection or `timeout`
 /// elapses; `Ok(true)` means accept will not block. On non-unix
 /// platforms this degrades to a fixed sleep + `true` (the caller's
@@ -326,7 +389,9 @@ pub fn set_rcvbuf(sock: &UdpSocket, bytes: usize) {
 pub fn wait_readable(listener: &std::net::TcpListener, timeout: Duration) -> io::Result<bool> {
     #[cfg(unix)]
     {
-        unix::poll_readable(listener, timeout)
+        use std::os::fd::AsRawFd;
+        let mut fds = [unix::PollFd::readable(listener.as_raw_fd())];
+        unix::poll_fds(&mut fds, timeout).map(|_| fds[0].ready())
     }
     #[cfg(not(unix))]
     {
@@ -335,48 +400,87 @@ pub fn wait_readable(listener: &std::net::TcpListener, timeout: Duration) -> io:
     }
 }
 
+/// Shut `sock`'s read side down: every thread blocked reading it — in
+/// `recv`, `recvmmsg`, `accept` or `poll` — returns at once, and later
+/// reads return nothing. A server stopping its workers calls this on a
+/// clone of each socket they read. A no-op off unix, where readers
+/// notice on their next read timeout instead.
+#[cfg(unix)]
+pub fn wake_readers(sock: &impl std::os::fd::AsRawFd) {
+    unix::shutdown_read(sock.as_raw_fd());
+}
+
+/// See the unix [`wake_readers`].
+#[cfg(not(unix))]
+pub fn wake_readers<S>(sock: &S) {
+    let _ = sock;
+}
+
 #[cfg(unix)]
 mod unix {
+    use std::ffi::c_int;
     use std::io;
-    use std::net::TcpListener;
-    use std::os::fd::AsRawFd;
+    use std::os::fd::RawFd;
     use std::time::Duration;
 
-    use std::ffi::c_int;
-
     #[repr(C)]
-    struct PollFd {
+    pub struct PollFd {
         fd: c_int,
         events: i16,
         revents: i16,
     }
 
+    impl PollFd {
+        pub fn readable(fd: RawFd) -> PollFd {
+            PollFd {
+                fd,
+                events: POLLIN,
+                revents: 0,
+            }
+        }
+
+        pub fn ready(&self) -> bool {
+            self.revents & POLLIN != 0
+        }
+    }
+
     const POLLIN: i16 = 0x001;
+    const SHUT_RD: c_int = 0;
 
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
+        fn shutdown(fd: c_int, how: c_int) -> c_int;
     }
 
-    pub fn poll_readable(listener: &TcpListener, timeout: Duration) -> io::Result<bool> {
-        let mut pfd = PollFd {
-            fd: listener.as_raw_fd(),
-            events: POLLIN,
-            revents: 0,
-        };
-        let ms = timeout.as_millis().min(i32::MAX as u128) as c_int;
-        // SAFETY: pfd is a valid pollfd for the lifetime of the call.
-        let rc = unsafe { poll(&mut pfd, 1, ms) };
-        match rc {
-            0 => Ok(false),
-            n if n > 0 => Ok(pfd.revents & POLLIN != 0),
-            _ => {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    Ok(false)
-                } else {
-                    Err(e)
-                }
-            }
+    /// One `poll(2)` over `fds`, the timeout rounded up to whole
+    /// milliseconds (so a deadline under a millisecond away waits
+    /// instead of spinning); how many are ready, 0 on a timeout or a
+    /// signal.
+    pub fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
+        for pfd in fds.iter_mut() {
+            pfd.revents = 0;
+        }
+        let ms = timeout.as_micros().div_ceil(1000).min(i32::MAX as u128) as c_int;
+        // SAFETY: `fds` is a valid pollfd array for the whole call.
+        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, ms) };
+        if rc >= 0 {
+            return Ok(rc as usize);
+        }
+        let e = io::Error::last_os_error();
+        if e.kind() == io::ErrorKind::Interrupted {
+            Ok(0)
+        } else {
+            Err(e)
+        }
+    }
+
+    /// `shutdown(fd, SHUT_RD)`, best-effort: an unconnected UDP socket
+    /// reports `ENOTCONN` but is shut down and its readers woken all
+    /// the same.
+    pub fn shutdown_read(fd: RawFd) {
+        // SAFETY: shutdown on a descriptor the caller keeps open.
+        unsafe {
+            let _ = shutdown(fd, SHUT_RD);
         }
     }
 }

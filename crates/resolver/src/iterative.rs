@@ -2,13 +2,24 @@
 //! optional QNAME minimization, delegation/address caching, and cycle
 //! detection.
 //!
-//! The resolver is generic over [`Transport`], so the same walk runs
-//! against the in-process test [`Network`](crate::hierarchy::Network),
-//! simnet's zone-model answerer, or real sockets toward `authd`. Every
-//! resolver caches through a [`SharedCache`] (per-entry TTL decay) —
-//! its own until a fleet attaches the one its resolvers share — and
-//! gets per-host RTT ordering plus a bounded retry/timeout state
-//! machine per in-flight query.
+//! The walk is a sans-io step machine: [`IterativeResolver::start`]
+//! and [`IterativeResolver::step`] say what the walk needs next — a
+//! query sent to a server ([`Step::Send`]), the root hints
+//! ([`Step::Prime`]) or nothing more ([`Step::Done`]). There is no
+//! clock and no socket inside, so one driver can keep many walks in
+//! flight (`authd`'s reactor), and [`IterativeResolver::resolve`] is
+//! the blocking driver over any [`Transport`]: the in-process test
+//! [`Network`](crate::hierarchy::Network), simnet's zone-model
+//! answerer, or anything else that answers one query at a time.
+//!
+//! What a recursive walk keeps on the call stack — the name being
+//! resolved, its CNAME targets and glueless NS hosts, and the DS/DNSKEY
+//! asks of a validated delegation — lives on a stack of frames the
+//! resolver keeps and reuses across walks. Every resolver caches
+//! through a [`SharedCache`] (per-entry TTL decay) — its own until a
+//! fleet attaches the one its resolvers share — and gets per-host RTT
+//! ordering plus a bounded retry/timeout state machine per in-flight
+//! query.
 //!
 //! A hop allocates nothing of its own: the query is one message the
 //! resolver re-addresses, servers are ranked in a kept buffer, and each
@@ -25,13 +36,16 @@ use dns_wire::name::Name;
 use dns_wire::reader::Reader;
 use dns_wire::types::{RType, Rcode};
 use dns_wire::writer::Section;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr};
 
 /// Fallback TTL when an answer carries no usable records (seconds).
 const DEFAULT_ANSWER_TTL: u32 = 300;
 /// Fallback negative TTL when no SOA is present (RFC 2308 default).
 const DEFAULT_NEGATIVE_TTL: u32 = 900;
+/// Hops one walk may take before it gives up.
+const MAX_HOPS: u32 = 64;
 
 /// Resolver behaviour knobs.
 #[derive(Debug, Clone, Copy)]
@@ -43,8 +57,9 @@ pub struct ResolverConfig {
     /// DNSKEY once per child zone, and compare (§4.2.2 — the traffic
     /// signature that separates Cloudflare/Google from Microsoft).
     pub validate: bool,
-    /// Hard budget of queries per [`IterativeResolver::resolve`] call —
-    /// what stops a cyclic dependency from looping forever.
+    /// Hard budget of queries per walk (one [`IterativeResolver::start`]
+    /// to its [`Step::Done`]) — what stops a cyclic dependency from
+    /// looping forever.
     pub max_queries: u32,
     /// Maximum CNAME chain length.
     pub max_cnames: u32,
@@ -131,7 +146,7 @@ pub enum ResolveError {
 /// Per-resolver counters for the retry/timeout state machine and the
 /// shared-cache interaction. Plain totals; a fleet harness aggregates
 /// them into its metrics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResolverStats {
     /// Query sends beyond each hop's first attempt.
     pub retries: u64,
@@ -173,11 +188,92 @@ pub struct IterativeResolver {
     ranked: Vec<(f64, IpAddr)>,
     /// Addresses being read out of a reply.
     found: Vec<IpAddr>,
+    /// The walk in hand: the top-level name at the bottom, the CNAME
+    /// target or NS host being resolved for the frame below on top.
+    frames: Vec<Frame>,
+    /// A name whose walk waits for the root hints ([`Step::Prime`]).
+    pending: Option<(Name, RType, u32)>,
+    /// The ask in flight for the top frame.
+    ask: Ask,
+}
+
+/// What a walk needs next from whoever drives it.
+#[derive(Debug)]
+pub enum Step {
+    /// Send [`IterativeResolver::query`] to `server`, and hand what came
+    /// back to [`IterativeResolver::step`].
+    Send {
+        /// The server to ask.
+        server: IpAddr,
+    },
+    /// No cached cut covers the name being walked: hand the root hints
+    /// ([`Transport::root_servers`]) to [`IterativeResolver::prime`].
+    Prime,
+    /// The walk is over: the addresses, or why there are none.
+    Done(Result<Addrs, ResolveError>),
+}
+
+/// One name being resolved: what `resolve_inner` and `walk` kept on the
+/// call stack when the walk was recursive.
+struct Frame {
+    name: Name,
+    rtype: RType,
+    cname_depth: u32,
+    /// Servers of the deepest cut reached so far.
+    servers: Addrs,
+    /// Depth known to be inside `servers`' bailiwick (for Q-min's
+    /// empty-non-terminal traversal).
+    known_depth: usize,
+    /// Hops asked so far, bounded by [`MAX_HOPS`].
+    hops: u32,
+    wait: Wait,
+}
+
+/// What a frame waits for.
+enum Wait {
+    /// The reply to its hop: the real question (`terminal`) or a Q-min
+    /// probe.
+    Hop { terminal: bool },
+    /// Its CNAME target's resolution, on the frame above.
+    Cname,
+    /// A glueless referral's NS hosts, resolved one at a time on the
+    /// frame above.
+    Hosts {
+        cut: Name,
+        ttl: u32,
+        hosts: Vec<Name>,
+        next: usize,
+        found: Vec<IpAddr>,
+        cycle: Option<ResolveError>,
+    },
+    /// A referral to `cut` being validated: the parent's DS for it
+    /// while `digest` is `None`, then the child's DNSKEY to compare
+    /// with that digest.
+    Validate {
+        cut: Name,
+        ttl: u32,
+        child: Addrs,
+        digest: Option<Vec<u8>>,
+    },
+}
+
+/// The ask in flight: its retry pass, the next ranked server to try,
+/// and the server the query went to.
+struct Ask {
+    attempt: u32,
+    next: usize,
+    server: IpAddr,
 }
 
 impl IterativeResolver {
-    /// Build with the given configuration.
+    /// Build with the given configuration, caching privately.
     pub fn new(config: ResolverConfig) -> Self {
+        Self::sharing(config, SharedCache::with_capacity(DEFAULT_CAPACITY))
+    }
+
+    /// Build with the given configuration, caching in `cache`: a
+    /// fleet's, shared with its other resolvers.
+    pub fn sharing(config: ResolverConfig, cache: SharedCache) -> Self {
         let mut query = MessageBuilder::query(0, Name::root(), RType::A);
         if config.edns_size > 0 {
             query = query.with_edns(config.edns_size, config.do_bit);
@@ -192,12 +288,19 @@ impl IterativeResolver {
             resolving: HashSet::new(),
             ds_cache: HashMap::new(),
             dnskey_cache: HashMap::new(),
-            cache: SharedCache::with_capacity(DEFAULT_CAPACITY),
+            cache,
             now_us: 0,
             selector: HostSelector::new(),
             query: query.checking_disabled(config.cd_bit).build(),
             ranked: Vec::new(),
             found: Vec::new(),
+            frames: Vec::new(),
+            pending: None,
+            ask: Ask {
+                attempt: 0,
+                next: 0,
+                server: IpAddr::V4(Ipv4Addr::UNSPECIFIED),
+            },
         }
     }
 
@@ -246,47 +349,437 @@ impl IterativeResolver {
         self.cache.stats().delegations
     }
 
+    /// The query every [`Step::Send`] asks for: one message, re-addressed
+    /// per send (id and question), valid until the next call into the
+    /// walk.
+    pub fn query(&self) -> &Message {
+        &self.query
+    }
+
     /// Resolve `name`/`rtype` to addresses, walking `net` from its
-    /// root servers.
+    /// root servers: the blocking driver of the walk machine
+    /// ([`IterativeResolver::start`], then each [`Step`] answered from
+    /// `net` until [`Step::Done`]).
     pub fn resolve<T: Transport>(
         &mut self,
         net: &mut T,
         name: &Name,
         rtype: RType,
     ) -> Result<Vec<IpAddr>, ResolveError> {
-        self.queries_this_call = 0;
-        self.resolving.clear();
-        let result = self.resolve_inner(net, name, rtype, 0);
-        if self.queries_this_call == 0 {
-            self.stats.cache_hits += 1;
-        } else {
-            self.stats.cache_misses += 1;
+        let mut step = self.start(name, rtype);
+        loop {
+            step = match step {
+                Step::Send { server } => {
+                    let exchange = net.exchange(server, &self.query);
+                    self.step(exchange)
+                }
+                Step::Prime => self.prime(net.root_servers()),
+                Step::Done(result) => return result.map(|addrs| addrs.to_vec()),
+            };
         }
-        result.map(|addrs| addrs.to_vec())
     }
 
-    fn resolve_inner<T: Transport>(
-        &mut self,
-        net: &mut T,
-        name: &Name,
-        rtype: RType,
-        cname_depth: u32,
-    ) -> Result<Addrs, ResolveError> {
+    /// Begin a walk for `name`/`rtype`; any walk in hand is abandoned.
+    /// A cached answer or denial comes back as [`Step::Done`] at once.
+    pub fn start(&mut self, name: &Name, rtype: RType) -> Step {
+        self.queries_this_call = 0;
+        self.resolving.clear();
+        self.frames.clear();
+        self.pending = None;
+        let step = self.enter(Cow::Borrowed(name), rtype, 0);
+        self.run(step)
+    }
+
+    /// Hand the walk the outcome of the exchange its last
+    /// [`Step::Send`] asked for.
+    pub fn step(&mut self, exchange: Exchange<'_>) -> Step {
+        let server = self.ask.server;
+        let reply = match exchange {
+            Exchange::Answer { reply, rtt_us } => {
+                Reader::new(reply).ok().map(|reply| (reply, rtt_us))
+            }
+            Exchange::Timeout => None,
+        };
+        let step = match reply {
+            Some((reply, rtt_us)) => {
+                self.selector.observe_rtt(server, rtt_us);
+                self.answered(&reply)
+            }
+            // silence, or bytes that are no DNS message: no answer from
+            // this server either way
+            None => {
+                self.stats.timeouts += 1;
+                self.selector.observe_timeout(server);
+                self.send_next()
+            }
+        };
+        self.run(step)
+    }
+
+    /// Hand the walk the root hints its [`Step::Prime`] asked for.
+    pub fn prime(&mut self, hints: Vec<IpAddr>) -> Step {
+        let (name, rtype, cname_depth) = self.pending.take().expect("prime answers a Step::Prime");
+        let step = self.walk(name, rtype, cname_depth, 0, hints.into());
+        self.run(step)
+    }
+
+    /// Hand each finished resolution to the frame below it, until the
+    /// walk needs the driver again or is over. Inside the machine a
+    /// [`Step::Done`] ends the top frame's resolution only.
+    fn run(&mut self, mut step: Step) -> Step {
+        loop {
+            step = match step {
+                Step::Done(result) => match self.frames.last_mut() {
+                    None => {
+                        if self.queries_this_call == 0 {
+                            self.stats.cache_hits += 1;
+                        } else {
+                            self.stats.cache_misses += 1;
+                        }
+                        return Step::Done(result);
+                    }
+                    Some(frame) => match &mut frame.wait {
+                        Wait::Cname => self.finish(result.map(|addrs| (addrs, DEFAULT_ANSWER_TTL))),
+                        Wait::Hosts { found, cycle, .. } => {
+                            match result {
+                                Ok(addrs) => found.extend_from_slice(&addrs),
+                                Err(e @ ResolveError::CyclicDependency { .. }) => {
+                                    *cycle = Some(e);
+                                }
+                                Err(_) => {}
+                            }
+                            self.next_host()
+                        }
+                        _ => unreachable!("only a CNAME or an NS host resolves above a walk"),
+                    },
+                },
+                _ => return step,
+            };
+        }
+    }
+
+    /// Resolve one name (the top-level one, a CNAME target or an NS
+    /// host): the cache first, then the cycle guard, then a walk from
+    /// the deepest cached cut covering the name.
+    fn enter(&mut self, name: Cow<'_, Name>, rtype: RType, cname_depth: u32) -> Step {
         if cname_depth > self.config.max_cnames {
-            return Err(ResolveError::CnameLoop);
+            return Step::Done(Err(ResolveError::CnameLoop));
         }
         let now = self.now_us;
-        if let Some(cached) = self.cache.with(|c| c.consult(name, rtype, now)) {
-            return cached.map_err(|kind| match kind {
+        if let Some(cached) = self.cache.with(|c| c.consult(&name, rtype, now)) {
+            return Step::Done(cached.map_err(|kind| match kind {
                 Negative::NxDomain => ResolveError::NxDomain,
                 Negative::NoData => ResolveError::NoData,
+            }));
+        }
+        if !self.resolving.insert(name.as_ref().clone()) {
+            return Step::Done(Err(ResolveError::CyclicDependency {
+                name: name.into_owned(),
+            }));
+        }
+        match self.cache.with(|c| c.deepest_cut(&name, now)) {
+            Some((cut, servers)) => self.walk(
+                name.into_owned(),
+                rtype,
+                cname_depth,
+                cut.label_count(),
+                servers,
+            ),
+            None => {
+                self.pending = Some((name.into_owned(), rtype, cname_depth));
+                Step::Prime
+            }
+        }
+    }
+
+    /// Push the referral walk for `name`, starting at a cut
+    /// `known_depth` labels deep.
+    fn walk(
+        &mut self,
+        name: Name,
+        rtype: RType,
+        cname_depth: u32,
+        known_depth: usize,
+        servers: Addrs,
+    ) -> Step {
+        self.frames.push(Frame {
+            name,
+            rtype,
+            cname_depth,
+            servers,
+            known_depth,
+            hops: 0,
+            wait: Wait::Hop { terminal: true },
+        });
+        self.next_hop()
+    }
+
+    /// Ask the top walk's next question: the name itself, or under
+    /// Q-min one label below what is known to lie in the servers'
+    /// bailiwick.
+    fn next_hop(&mut self) -> Step {
+        let qmin = self.config.qmin;
+        let frame = self.frames.last_mut().expect("a walk is in hand");
+        if frame.hops == MAX_HOPS {
+            return self.finish(Err(ResolveError::BudgetExhausted {
+                queries: self.queries_this_call,
+            }));
+        }
+        frame.hops += 1;
+        let (qname, qtype) = if qmin {
+            let child = frame.name.ancestor(frame.known_depth + 1);
+            if child == frame.name {
+                (child, frame.rtype)
+            } else {
+                (child, RType::Ns)
+            }
+        } else {
+            (frame.name.clone(), frame.rtype)
+        };
+        let terminal = qname == frame.name && qtype == frame.rtype;
+        frame.wait = Wait::Hop { terminal };
+        self.begin_ask(qname, qtype)
+    }
+
+    /// Put one question to the servers the top frame waits on, best
+    /// first by the RTT selector.
+    fn begin_ask(&mut self, qname: Name, qtype: RType) -> Step {
+        self.query.questions[0] = Question::new(qname, qtype);
+        self.ask.attempt = 0;
+        self.ask.next = 0;
+        self.rank();
+        self.send_next()
+    }
+
+    /// Rank the servers of the ask in hand: the child's for a DNSKEY,
+    /// the walk's own otherwise.
+    fn rank(&mut self) {
+        let frame = self.frames.last().expect("a walk is in hand");
+        let servers = match &frame.wait {
+            Wait::Validate {
+                child,
+                digest: Some(_),
+                ..
+            } => child,
+            _ => &frame.servers,
+        };
+        self.selector.rank(servers, &mut self.ranked);
+    }
+
+    /// Send the ask in hand to its next server: each of the ranked
+    /// servers in turn, `attempts_per_server` passes, re-ranked per pass
+    /// so that a timeout in one pass moves that server to the back —
+    /// the bounded retry/timeout state machine of one in-flight query.
+    fn send_next(&mut self) -> Step {
+        while self.ask.next == self.ranked.len() {
+            self.ask.attempt += 1;
+            if self.ask.attempt >= self.config.attempts_per_server.max(1) {
+                return self.finish(Err(ResolveError::Unreachable));
+            }
+            self.ask.next = 0;
+            self.rank();
+        }
+        if self.queries_this_call >= self.config.max_queries {
+            return self.finish(Err(ResolveError::BudgetExhausted {
+                queries: self.queries_this_call,
+            }));
+        }
+        let server = self.ranked[self.ask.next].1;
+        self.ask.next += 1;
+        self.ask.server = server;
+        self.queries_this_call += 1;
+        if self.ask.attempt > 0 {
+            self.stats.retries += 1;
+        }
+        self.query.header.id = (self.sent_total as u16).wrapping_mul(31).wrapping_add(7);
+        self.sent_total += 1;
+        if self.log_enabled {
+            self.log.push(QueryLogEntry {
+                server,
+                qname: self.query.questions[0].qname.clone(),
+                qtype: self.query.questions[0].qtype,
+                edns_size: self.config.edns_size,
+                do_bit: self.config.do_bit,
+                cd_bit: self.config.cd_bit,
             });
         }
-        if !self.resolving.insert(name.clone()) {
-            return Err(ResolveError::CyclicDependency { name: name.clone() });
+        Step::Send { server }
+    }
+
+    /// Act on the reply to the ask in hand: a hop, or the DS or DNSKEY
+    /// material of the cut being validated.
+    fn answered(&mut self, reply: &Reader<'_>) -> Step {
+        let frame = self.frames.last_mut().expect("a walk is in hand");
+        if let Wait::Validate { cut, digest, .. } = &mut frame.wait {
+            return match digest.take() {
+                None => {
+                    let ds = first_answer_for(reply, cut, |r| r.ds_digest());
+                    self.ds_cache.insert(cut.clone(), ds.clone());
+                    self.after_ds(ds)
+                }
+                Some(digest) => match first_answer_for(reply, cut, |r| r.dnskey_key()) {
+                    None => {
+                        let zone = cut.clone();
+                        self.finish(Err(ResolveError::Bogus { zone }))
+                    }
+                    Some(key) => {
+                        self.dnskey_cache.insert(cut.clone(), key.clone());
+                        self.validated(key == digest)
+                    }
+                },
+            };
         }
-        let result = self.walk(net, name, rtype, cname_depth);
-        self.resolving.remove(name);
+        let Wait::Hop { terminal } = frame.wait else {
+            unreachable!("a reply answers the hop or the validation in flight")
+        };
+        match read_hop(reply, &mut self.found, &frame.name, terminal) {
+            Hop::NxDomain => self.finish(Err(ResolveError::NxDomain)),
+            Hop::Answer(addrs, ttl) => self.finish(Ok((addrs, ttl))),
+            Hop::Cname(target) => {
+                frame.wait = Wait::Cname;
+                let (rtype, depth) = (frame.rtype, frame.cname_depth + 1);
+                self.enter(Cow::Owned(target), rtype, depth)
+            }
+            Hop::NoData => self.finish(Err(ResolveError::NoData)),
+            Hop::Referral { cut, ttl, next } => match next {
+                NextServers::Glue(glue) => self.delegate(cut, ttl, glue),
+                // no glue: resolve the NS hosts (cycle-guarded)
+                NextServers::Hosts(hosts) => {
+                    frame.wait = Wait::Hosts {
+                        cut,
+                        ttl,
+                        hosts,
+                        next: 0,
+                        found: Vec::new(),
+                        cycle: None,
+                    };
+                    self.next_host()
+                }
+            },
+            Hop::Other if self.config.qmin && !terminal => {
+                // NODATA at an empty non-terminal, or an authoritative
+                // NS answer (same-server child zone): step one label
+                // deeper
+                frame.known_depth += 1;
+                self.next_hop()
+            }
+            Hop::Other => self.finish(Err(ResolveError::NoData)),
+        }
+    }
+
+    /// Resolve the next NS host of a glueless referral, or — when every
+    /// host is done — follow the referral to the addresses found.
+    fn next_host(&mut self) -> Step {
+        let frame = self.frames.last_mut().expect("a walk is in hand");
+        let Wait::Hosts { hosts, next, .. } = &mut frame.wait else {
+            unreachable!("NS hosts resolve for a glueless referral")
+        };
+        if let Some(host) = hosts.get_mut(*next) {
+            let host = std::mem::replace(host, Name::root());
+            *next += 1;
+            return self.enter(Cow::Owned(host), RType::A, 0);
+        }
+        let Wait::Hosts {
+            cut,
+            ttl,
+            found,
+            cycle,
+            ..
+        } = self.take_wait()
+        else {
+            unreachable!()
+        };
+        if found.is_empty() {
+            return self.finish(Err(cycle.unwrap_or(ResolveError::Unreachable)));
+        }
+        self.delegate(cut, ttl, Addrs::from(found))
+    }
+
+    /// Follow a referral to `cut`, served by `servers` — after
+    /// DNSSEC-style validation when configured: DS at the parent,
+    /// DNSKEY once per child zone, compared. Mirrors the §4.2.2 traffic
+    /// pattern: a validator emits one DS query per (uncached)
+    /// delegation but only one DNSKEY query per zone.
+    fn delegate(&mut self, cut: Name, ttl: u32, servers: Addrs) -> Step {
+        if !self.config.validate {
+            return self.adopt(cut, ttl, servers);
+        }
+        let cached = self.ds_cache.get(&cut).cloned();
+        let qname = cached.is_none().then(|| cut.clone());
+        self.frames.last_mut().expect("a walk is in hand").wait = Wait::Validate {
+            cut,
+            ttl,
+            child: servers,
+            digest: None,
+        };
+        match (cached, qname) {
+            (Some(ds), _) => self.after_ds(ds),
+            (None, qname) => self.begin_ask(qname.expect("asked when not cached"), RType::Ds),
+        }
+    }
+
+    /// The parent's DS for the cut in hand is known: an insecure
+    /// delegation is followed as is, a secure one needs the child's
+    /// DNSKEY.
+    fn after_ds(&mut self, ds: Option<Vec<u8>>) -> Step {
+        let Some(ds) = ds else {
+            // insecure delegation: nothing to validate
+            return self.validated(true);
+        };
+        let frame = self.frames.last_mut().expect("a walk is in hand");
+        let Wait::Validate { cut, digest, .. } = &mut frame.wait else {
+            unreachable!("DS is asked for a cut in hand")
+        };
+        if let Some(key) = self.dnskey_cache.get(cut).cloned() {
+            return self.validated(key == ds);
+        }
+        let qname = cut.clone();
+        *digest = Some(ds);
+        self.begin_ask(qname, RType::Dnskey)
+    }
+
+    /// End the validation in hand: the referral is followed when it
+    /// held (an insecure cut, or the child's key matching the parent's
+    /// digest), the walk is bogus when not.
+    fn validated(&mut self, valid: bool) -> Step {
+        let Wait::Validate {
+            cut, ttl, child, ..
+        } = self.take_wait()
+        else {
+            unreachable!("a validation ends for a cut in hand")
+        };
+        if valid {
+            self.adopt(cut, ttl, child)
+        } else {
+            self.finish(Err(ResolveError::Bogus { zone: cut }))
+        }
+    }
+
+    /// Take what the top frame waited for out of it; its next hop (or
+    /// its end) replaces it.
+    fn take_wait(&mut self) -> Wait {
+        let frame = self.frames.last_mut().expect("a walk is in hand");
+        std::mem::replace(&mut frame.wait, Wait::Cname)
+    }
+
+    /// Cache the cut and walk on from it.
+    fn adopt(&mut self, cut: Name, ttl: u32, servers: Addrs) -> Step {
+        let now = self.now_us;
+        self.cache
+            .with(|c| c.put_delegation(&cut, servers.clone(), now, ttl));
+        let frame = self.frames.last_mut().expect("a walk is in hand");
+        frame.known_depth = cut.label_count();
+        frame.servers = servers;
+        self.next_hop()
+    }
+
+    /// End the top walk: release its cycle guard, cache what it found
+    /// (answers and denials; not failures), and return the addresses to
+    /// the frame below.
+    fn finish(&mut self, result: Result<(Addrs, u32), ResolveError>) -> Step {
+        let frame = self.frames.pop().expect("a walk is in hand");
+        self.resolving.remove(&frame.name);
+        let (name, rtype, now) = (&frame.name, frame.rtype, self.now_us);
         self.cache.with(|c| match &result {
             Ok((addrs, ttl)) => c.put_answer(name, rtype, addrs.clone(), now, *ttl),
             Err(ResolveError::NxDomain) => {
@@ -297,217 +790,7 @@ impl IterativeResolver {
             }
             Err(_) => {}
         });
-        result.map(|(addrs, _)| addrs)
-    }
-
-    /// The referral walk itself. Returns the addresses plus the TTL to
-    /// cache them under.
-    fn walk<T: Transport>(
-        &mut self,
-        net: &mut T,
-        name: &Name,
-        rtype: RType,
-        cname_depth: u32,
-    ) -> Result<(Addrs, u32), ResolveError> {
-        // start from the deepest cached cut covering the name
-        let (cut, mut servers) = self.best_cut(net, name);
-        // depth we know to be inside `servers`' bailiwick (for Q-min's
-        // empty-non-terminal traversal)
-        let mut known_depth = cut.label_count();
-
-        for _ in 0..64 {
-            // pick the wire question
-            let (send_qname, send_qtype) = if self.config.qmin {
-                let child = name.ancestor(known_depth + 1);
-                if &child == name {
-                    (name.clone(), rtype)
-                } else {
-                    (child, RType::Ns)
-                }
-            } else {
-                (name.clone(), rtype)
-            };
-            let terminal = &send_qname == name && send_qtype == rtype;
-
-            let hop = self.ask(net, &servers, &send_qname, send_qtype, |reply, found| {
-                read_hop(reply, found, name, terminal)
-            })?;
-            match hop {
-                Hop::NxDomain => return Err(ResolveError::NxDomain),
-                Hop::Answer(addrs, ttl) => return Ok((addrs, ttl)),
-                Hop::Cname(target) => {
-                    return self
-                        .resolve_inner(net, &target, rtype, cname_depth + 1)
-                        .map(|addrs| (addrs, DEFAULT_ANSWER_TTL));
-                }
-                Hop::NoData => return Err(ResolveError::NoData),
-                Hop::Referral {
-                    cut: new_cut,
-                    ttl: cut_ttl,
-                    next,
-                } => {
-                    let new_servers = match next {
-                        NextServers::Glue(glue) => glue,
-                        NextServers::Hosts(hosts) => {
-                            // no glue: resolve the NS hosts (cycle-guarded)
-                            let mut found = Vec::new();
-                            let mut cycle: Option<ResolveError> = None;
-                            for host in &hosts {
-                                match self.resolve_inner(net, host, RType::A, 0) {
-                                    Ok(addrs) => found.extend_from_slice(&addrs),
-                                    Err(e @ ResolveError::CyclicDependency { .. }) => {
-                                        cycle = Some(e);
-                                    }
-                                    Err(_) => {}
-                                }
-                            }
-                            if found.is_empty() {
-                                return Err(cycle.unwrap_or(ResolveError::Unreachable));
-                            }
-                            Addrs::from(found)
-                        }
-                    };
-                    if self.config.validate {
-                        self.validate_delegation(net, &servers, &new_cut, &new_servers)?;
-                    }
-                    let now = self.now_us;
-                    self.cache
-                        .with(|c| c.put_delegation(&new_cut, new_servers.clone(), now, cut_ttl));
-                    known_depth = new_cut.label_count();
-                    servers = new_servers;
-                }
-                Hop::Other => {
-                    if self.config.qmin && &send_qname != name {
-                        // NODATA at an empty non-terminal, or an
-                        // authoritative NS answer (same-server child
-                        // zone): step one label deeper
-                        known_depth += 1;
-                        continue;
-                    }
-                    return Err(ResolveError::NoData);
-                }
-            }
-        }
-        Err(ResolveError::BudgetExhausted {
-            queries: self.queries_this_call,
-        })
-    }
-
-    /// DNSSEC-style delegation check: DS at the parent, DNSKEY once per
-    /// child zone, compared. Mirrors the §4.2.2 traffic pattern: a
-    /// validator emits one DS query per (uncached) delegation but only
-    /// one DNSKEY query per zone.
-    fn validate_delegation<T: Transport>(
-        &mut self,
-        net: &mut T,
-        parent_servers: &[IpAddr],
-        cut: &Name,
-        child_servers: &[IpAddr],
-    ) -> Result<(), ResolveError> {
-        let ds = match self.ds_cache.get(cut) {
-            Some(cached) => cached.clone(),
-            None => {
-                let digest = self.ask(net, parent_servers, cut, RType::Ds, |reply, _| {
-                    first_answer_for(reply, cut, |r| r.ds_digest())
-                })?;
-                self.ds_cache.insert(cut.clone(), digest.clone());
-                digest
-            }
-        };
-        let Some(digest) = ds else {
-            return Ok(()); // insecure delegation: nothing to validate
-        };
-        let key = match self.dnskey_cache.get(cut) {
-            Some(k) => k.clone(),
-            None => {
-                let key = self
-                    .ask(net, child_servers, cut, RType::Dnskey, |reply, _| {
-                        first_answer_for(reply, cut, |r| r.dnskey_key())
-                    })?
-                    .ok_or_else(|| ResolveError::Bogus { zone: cut.clone() })?;
-                self.dnskey_cache.insert(cut.clone(), key.clone());
-                key
-            }
-        };
-        if key == digest {
-            Ok(())
-        } else {
-            Err(ResolveError::Bogus { zone: cut.clone() })
-        }
-    }
-
-    /// The deepest cached delegation covering `name` (falling back to
-    /// the root servers).
-    fn best_cut<T: Transport>(&self, net: &T, name: &Name) -> (Name, Addrs) {
-        self.cache
-            .with(|c| c.deepest_cut(name, self.now_us))
-            .unwrap_or_else(|| (Name::root(), net.root_servers().into()))
-    }
-
-    /// Send one question and `read` the reply: servers ordered
-    /// best-first by the RTT selector, each tried up to
-    /// `attempts_per_server` times, with timeouts demoting a server
-    /// between passes — the bounded retry/timeout state machine of one
-    /// in-flight query. The reply is read where the transport holds it;
-    /// `read` takes what the walk keeps, with a scratch vector for
-    /// addresses.
-    fn ask<T: Transport, R>(
-        &mut self,
-        net: &mut T,
-        servers: &[IpAddr],
-        qname: &Name,
-        qtype: RType,
-        read: impl FnOnce(&Reader<'_>, &mut Vec<IpAddr>) -> R,
-    ) -> Result<R, ResolveError> {
-        self.query.questions[0] = Question::new(qname.clone(), qtype);
-        for attempt in 0..self.config.attempts_per_server.max(1) {
-            // re-rank every pass: a timeout in the previous pass moves
-            // that server to the back
-            self.selector.rank(servers, &mut self.ranked);
-            for i in 0..self.ranked.len() {
-                let server = self.ranked[i].1;
-                if self.queries_this_call >= self.config.max_queries {
-                    return Err(ResolveError::BudgetExhausted {
-                        queries: self.queries_this_call,
-                    });
-                }
-                self.queries_this_call += 1;
-                if attempt > 0 {
-                    self.stats.retries += 1;
-                }
-                self.query.header.id = (self.sent_total as u16).wrapping_mul(31).wrapping_add(7);
-                self.sent_total += 1;
-                if self.log_enabled {
-                    self.log.push(QueryLogEntry {
-                        server,
-                        qname: qname.clone(),
-                        qtype,
-                        edns_size: self.config.edns_size,
-                        do_bit: self.config.do_bit,
-                        cd_bit: self.config.cd_bit,
-                    });
-                }
-                let reply = match net.exchange(server, &self.query) {
-                    Exchange::Answer { reply, rtt_us } => {
-                        Reader::new(reply).ok().map(|reply| (reply, rtt_us))
-                    }
-                    Exchange::Timeout => None,
-                };
-                match reply {
-                    Some((reply, rtt_us)) => {
-                        self.selector.observe_rtt(server, rtt_us);
-                        return Ok(read(&reply, &mut self.found));
-                    }
-                    // silence, or bytes that are no DNS message: no
-                    // answer from this server either way
-                    None => {
-                        self.stats.timeouts += 1;
-                        self.selector.observe_timeout(server);
-                    }
-                }
-            }
-        }
-        Err(ResolveError::Unreachable)
+        Step::Done(result.map(|(addrs, _)| addrs))
     }
 }
 
@@ -638,7 +921,7 @@ fn answer_ttl(reply: &Reader<'_>, owner: &Name) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::{sample_world, Network, ZoneBuilder};
+    use super::{cyclic_world, sample_world};
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()
@@ -766,27 +1049,6 @@ mod tests {
         assert_eq!(addrs, vec!["192.0.2.80".parse::<IpAddr>().unwrap()]);
     }
 
-    /// Two domains whose NS sets point at each other, with no glue: the
-    /// Feb-2020 `.nz` configuration. Resolution must terminate with a
-    /// cycle error — and the TLD absorbs the repeated queries.
-    fn cyclic_world() -> Network {
-        let mut net = Network::new();
-        net.add(
-            ZoneBuilder::new(".")
-                .server("a.root-servers.example.", "198.41.0.4")
-                .delegate("nz.", &["ns1.dns.net.nz."])
-                .address("ns1.dns.net.nz.", "202.46.190.10"),
-        );
-        net.add(
-            ZoneBuilder::new("nz.")
-                .server("ns1.dns.net.nz.", "202.46.190.10")
-                // the broken pair: each NS lives under the *other* domain
-                .delegate("alpha.nz.", &["ns.beta.nz."])
-                .delegate("beta.nz.", &["ns.alpha.nz."]),
-        );
-        net
-    }
-
     #[test]
     fn cyclic_dependency_detected_not_looped() {
         let mut net = cyclic_world();
@@ -850,13 +1112,7 @@ mod tests {
 
     #[test]
     fn unreachable_server_is_an_error() {
-        let mut net = Network::new();
-        net.add(
-            ZoneBuilder::new(".")
-                .server("a.root-servers.example.", "198.41.0.4")
-                .delegate("dead.", &["ns.dead."])
-                .address("ns.dead.", "10.255.255.1"), // nobody listens
-        );
+        let mut net = super::dead_world();
         let mut r = IterativeResolver::new(ResolverConfig::default());
         assert_eq!(
             r.resolve(&mut net, &n("www.dead."), RType::A),
@@ -989,21 +1245,7 @@ mod validate_tests {
 
     #[test]
     fn bogus_chain_is_rejected() {
-        // parent publishes DS, child is NOT signed (no DNSKEY): bogus
-        let mut net = Network::new();
-        net.add(
-            ZoneBuilder::new(".")
-                .server("a.root.zz.", "198.41.0.4")
-                .delegate("zz.", &["ns1.tld.zz."])
-                .secure_delegation("zz.")
-                .address("ns1.tld.zz.", "203.0.113.1"),
-        );
-        net.add(
-            ZoneBuilder::new("zz.") // not .signed()
-                .server("ns1.tld.zz.", "203.0.113.1")
-                .delegate("d0.zz.", &["ns.d0.zz."])
-                .address("ns.d0.zz.", "198.51.100.1"),
-        );
+        let mut net = super::bogus_world();
         let mut r = IterativeResolver::new(ResolverConfig {
             validate: true,
             ..Default::default()
@@ -1287,4 +1529,266 @@ fn validate_tests_world() -> crate::hierarchy::Network {
     }
     net.add(tld);
     net
+}
+
+/// Two domains whose NS sets point at each other, with no glue: the
+/// Feb-2020 `.nz` configuration. Resolution must terminate with a cycle
+/// error — and the TLD absorbs the repeated queries.
+#[cfg(test)]
+fn cyclic_world() -> crate::hierarchy::Network {
+    use crate::hierarchy::{Network, ZoneBuilder};
+    let mut net = Network::new();
+    net.add(
+        ZoneBuilder::new(".")
+            .server("a.root-servers.example.", "198.41.0.4")
+            .delegate("nz.", &["ns1.dns.net.nz."])
+            .address("ns1.dns.net.nz.", "202.46.190.10"),
+    );
+    net.add(
+        ZoneBuilder::new("nz.")
+            .server("ns1.dns.net.nz.", "202.46.190.10")
+            // the broken pair: each NS lives under the *other* domain
+            .delegate("alpha.nz.", &["ns.beta.nz."])
+            .delegate("beta.nz.", &["ns.alpha.nz."]),
+    );
+    net
+}
+
+/// The parent publishes DS, the child is not signed (no DNSKEY): every
+/// validating walk below `zz.` is bogus.
+#[cfg(test)]
+fn bogus_world() -> crate::hierarchy::Network {
+    use crate::hierarchy::{Network, ZoneBuilder};
+    let mut net = Network::new();
+    net.add(
+        ZoneBuilder::new(".")
+            .server("a.root.zz.", "198.41.0.4")
+            .delegate("zz.", &["ns1.tld.zz."])
+            .secure_delegation("zz.")
+            .address("ns1.tld.zz.", "203.0.113.1"),
+    );
+    net.add(
+        ZoneBuilder::new("zz.") // not .signed()
+            .server("ns1.tld.zz.", "203.0.113.1")
+            .delegate("d0.zz.", &["ns.d0.zz."])
+            .address("ns.d0.zz.", "198.51.100.1"),
+    );
+    net
+}
+
+/// A delegation to a server nobody answers for.
+#[cfg(test)]
+fn dead_world() -> crate::hierarchy::Network {
+    use crate::hierarchy::{Network, ZoneBuilder};
+    let mut net = Network::new();
+    net.add(
+        ZoneBuilder::new(".")
+            .server("a.root-servers.example.", "198.41.0.4")
+            .delegate("dead.", &["ns.dead."])
+            .address("ns.dead.", "10.255.255.1"), // nobody listens
+    );
+    net
+}
+
+#[cfg(test)]
+use crate::hierarchy::sample_world;
+
+/// The walk as a step machine: walks driven together, one step at a
+/// time, are the walks `resolve` runs alone.
+#[cfg(test)]
+mod machine_tests {
+    use super::*;
+    use crate::hierarchy::Network;
+
+    fn n(s: &str) -> Name {
+        s.parse().unwrap()
+    }
+
+    /// One resolver's part: its world, its configuration, and the walks
+    /// it makes in order (later ones meet what the earlier ones cached).
+    struct Case {
+        world: fn() -> Network,
+        config: ResolverConfig,
+        walks: Vec<(Name, RType)>,
+    }
+
+    fn cases() -> Vec<Case> {
+        let plain = ResolverConfig::default();
+        let qmin = ResolverConfig {
+            qmin: true,
+            ..plain
+        };
+        let validating = ResolverConfig {
+            validate: true,
+            ..qmin
+        };
+        let case = |world, config, walks: &[(&str, RType)]| Case {
+            world,
+            config,
+            walks: walks.iter().map(|(name, t)| (n(name), *t)).collect(),
+        };
+        vec![
+            case(
+                sample_world,
+                plain,
+                &[
+                    ("www.example.nl.", RType::A),
+                    ("www.example.nl.", RType::Aaaa),
+                ],
+            ),
+            case(
+                sample_world,
+                qmin,
+                &[
+                    ("a.b.www.example.nl.", RType::A),
+                    ("www.example.nl.", RType::A),
+                ],
+            ),
+            case(sample_world, plain, &[("cdn.example.nl.", RType::A)]),
+            case(sample_world, qmin, &[("www.hosted.nl.", RType::A)]),
+            case(
+                sample_world,
+                plain,
+                &[
+                    ("nosuch.example.nl.", RType::A),
+                    ("www.example.nl.", RType::Mx),
+                ],
+            ),
+            case(cyclic_world, plain, &[("www.alpha.nz.", RType::A)]),
+            case(
+                cyclic_world,
+                ResolverConfig {
+                    max_queries: 5,
+                    ..plain
+                },
+                &[("www.alpha.nz.", RType::A)],
+            ),
+            case(
+                validate_tests_world,
+                validating,
+                &[
+                    ("www.d0.zz.", RType::A),
+                    ("www.d1.zz.", RType::A),
+                    ("www.d2.zz.", RType::A),
+                ],
+            ),
+            case(
+                sample_world,
+                ResolverConfig {
+                    max_queries: 2,
+                    ..qmin
+                },
+                &[("www.example.nl.", RType::A)],
+            ),
+            case(bogus_world, validating, &[("www.d0.zz.", RType::A)]),
+            case(dead_world, plain, &[("www.dead.", RType::A)]),
+        ]
+    }
+
+    type Outcome = (
+        Vec<QueryLogEntry>,
+        ResolverStats,
+        Vec<Result<Vec<IpAddr>, ResolveError>>,
+    );
+
+    #[test]
+    fn interleaved_walks_equal_sequential_walks() {
+        let cases = cases();
+        // a world's root hints come in its own order: both runs use the
+        // same instance
+        let mut worlds: Vec<Network> = cases.iter().map(|c| (c.world)()).collect();
+        // each resolver alone, through the blocking driver
+        let alone: Vec<Outcome> = cases
+            .iter()
+            .zip(&mut worlds)
+            .map(|(case, net)| {
+                let mut r = IterativeResolver::new(case.config);
+                let results = case
+                    .walks
+                    .iter()
+                    .map(|(name, rtype)| r.resolve(net, name, *rtype))
+                    .collect();
+                (r.log, r.stats, results)
+            })
+            .collect();
+
+        // all of them at once, one step each in turn
+        let mut resolvers: Vec<IterativeResolver> = cases
+            .iter()
+            .map(|c| IterativeResolver::new(c.config))
+            .collect();
+        let mut results: Vec<Vec<Result<Vec<IpAddr>, ResolveError>>> =
+            cases.iter().map(|_| Vec::new()).collect();
+        let mut steps: Vec<Option<Step>> = cases
+            .iter()
+            .zip(&mut resolvers)
+            .map(|(c, r)| Some(r.start(&c.walks[0].0, c.walks[0].1)))
+            .collect();
+        let mut sends = vec![0u32; cases.len()];
+        let mut interleaved = false;
+        while steps.iter().any(Option::is_some) {
+            let live = steps.iter().filter(|s| s.is_some()).count();
+            interleaved |= live > 1;
+            for k in 0..cases.len() {
+                let r = &mut resolvers[k];
+                let next = match steps[k].take() {
+                    None => continue,
+                    Some(Step::Send { server }) => {
+                        sends[k] += 1;
+                        let exchange = worlds[k].exchange(server, r.query());
+                        r.step(exchange)
+                    }
+                    Some(Step::Prime) => r.prime(worlds[k].root_servers()),
+                    Some(Step::Done(result)) => {
+                        assert!(
+                            sends[k] <= cases[k].config.max_queries,
+                            "walk {k} sent {} queries",
+                            sends[k]
+                        );
+                        sends[k] = 0;
+                        results[k].push(result.map(|addrs| addrs.to_vec()));
+                        match cases[k].walks.get(results[k].len()) {
+                            Some((name, rtype)) => r.start(name, *rtype),
+                            None => continue,
+                        }
+                    }
+                };
+                steps[k] = Some(next);
+            }
+        }
+        assert!(interleaved);
+        for (k, (r, results)) in resolvers.into_iter().zip(results).enumerate() {
+            let (log, stats, alone_results) = &alone[k];
+            assert_eq!(&r.log, log, "case {k}: the queries sent");
+            assert_eq!(&r.stats, stats, "case {k}: the counters");
+            assert_eq!(&results, alone_results, "case {k}: the answers");
+        }
+        // every kind of ending came up
+        let endings: Vec<String> = alone
+            .iter()
+            .flat_map(|(_, _, results)| results)
+            .map(|r| match r {
+                Ok(_) => "answer".to_string(),
+                Err(e) => format!("{e:?}")
+                    .split([' ', '{', '('])
+                    .next()
+                    .unwrap()
+                    .to_string(),
+            })
+            .collect();
+        for want in [
+            "answer",
+            "NxDomain",
+            "NoData",
+            "CyclicDependency",
+            "BudgetExhausted",
+            "Bogus",
+            "Unreachable",
+        ] {
+            assert!(
+                endings.iter().any(|e| e == want),
+                "no {want} in {endings:?}"
+            );
+        }
+    }
 }

@@ -32,7 +32,7 @@ pub mod transport;
 pub use cache::{Addrs, CacheStats, FleetCache, Negative, SharedCache};
 pub use hierarchy::{Network, ZoneBuilder};
 pub use iterative::{
-    IterativeResolver, QueryLogEntry, ResolveError, ResolverConfig, ResolverStats,
+    IterativeResolver, QueryLogEntry, ResolveError, ResolverConfig, ResolverStats, Step,
 };
 pub use selector::{HostSelector, HostStats};
 pub use transport::{Exchange, Transport};

@@ -1,16 +1,21 @@
-//! The transport seam: how a resolver exchanges messages with servers.
+//! The transport seam: how a resolver's walk meets the servers it asks.
 //!
-//! [`crate::iterative::IterativeResolver`] is generic over this trait,
-//! so the same walk/cache/retry logic runs against an in-process zone
-//! world (the test [`Network`], simnet's `ZoneModel` answerer) or real
-//! UDP/TCP sockets toward `authd` in live mode. The transport owns
-//! everything below the message layer — timeouts, truncation + TCP
-//! fallback, capture taps — and hands the resolver either a complete
+//! The walk itself is a step machine
+//! ([`crate::iterative::IterativeResolver::start`] and
+//! [`step`](crate::iterative::IterativeResolver::step)) that is handed
+//! one [`Exchange`] per query it asked to send, from whatever drives it:
+//! `authd`'s reactor keeps many walks in flight over real sockets. A
+//! [`Transport`] is what the *blocking* driver,
+//! [`crate::iterative::IterativeResolver::resolve`], runs over — an
+//! in-process zone world (the test [`Network`], simnet's `ZoneModel`
+//! answerer) that answers one query at a time. Either way the driver
+//! owns everything below the message layer — timeouts, truncation +
+//! TCP fallback, capture taps — and hands the walk either a complete
 //! response with its measured round-trip time or a timeout.
 //!
-//! A response crosses the seam as the bytes the transport already has —
+//! A response crosses the seam as the bytes the driver already has —
 //! the reply it wrote, or the datagram it received — lent from its own
-//! buffer until the next exchange; the resolver reads them in place
+//! buffer for the one step; the resolver reads them in place
 //! ([`dns_wire::reader::Reader`]) and copies out only what it keeps.
 
 use crate::hierarchy::Network;
@@ -34,7 +39,7 @@ pub enum Exchange<'a> {
     Timeout,
 }
 
-/// A pluggable resolver transport.
+/// A transport the blocking driver walks over.
 pub trait Transport {
     /// Exchange `query` with `server`, blocking until a response
     /// arrives or the transport's deadline passes.

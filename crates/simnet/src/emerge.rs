@@ -62,7 +62,9 @@ use netbase::time::{SimDuration, SimTime};
 use obs::Histogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use resolver::{CacheStats, Exchange, IterativeResolver, ResolverConfig, SharedCache, Transport};
+use resolver::{
+    CacheStats, Exchange, IterativeResolver, ResolverConfig, SharedCache, Step, Transport,
+};
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
@@ -662,22 +664,23 @@ pub fn fleet_resolver(
     qmin: bool,
     shared: &SharedCache,
 ) -> IterativeResolver {
-    let mut r = IterativeResolver::new(ResolverConfig {
-        qmin,
-        edns_size: profile.edns_size,
-        do_bit: profile.do_bit,
-        ..Default::default()
-    });
-    r.attach_shared_cache(shared.clone());
+    let mut r = IterativeResolver::sharing(
+        ResolverConfig {
+            qmin,
+            edns_size: profile.edns_size,
+            do_bit: profile.do_bit,
+            ..Default::default()
+        },
+        shared.clone(),
+    );
     r.set_log_enabled(false);
     r
 }
 
 /// Hand one stimulus to a fleet resolver at dataset time `now`, with
-/// Q-min as the provider's rollout schedule has it at that instant.
-/// The one walk entry point of both fleet drivers (this module offline,
-/// `authd::fleetgen` live); how much of the walk reached the vantage is
-/// the transport's to say.
+/// Q-min as the provider's rollout schedule has it at that instant, and
+/// walk it to the end over `transport` (the blocking driver). How much
+/// of the walk reached the vantage is the transport's to say.
 pub fn resolve_stimulus(
     resolver: &mut IterativeResolver,
     transport: &mut impl Transport,
@@ -685,9 +688,27 @@ pub fn resolve_stimulus(
     now: SimTime,
     stimulus: &Stimulus,
 ) {
+    arm(resolver, qmin, now);
+    let _ = resolver.resolve(transport, &stimulus.qname, stimulus.qtype);
+}
+
+/// [`resolve_stimulus`]'s first step only, for a driver that steps the
+/// walk itself (`authd::fleetgen`'s reactor): both fleet drivers arm a
+/// resolver for a stimulus the same way.
+pub fn start_stimulus(
+    resolver: &mut IterativeResolver,
+    qmin: bool,
+    now: SimTime,
+    stimulus: &Stimulus,
+) -> Step {
+    arm(resolver, qmin, now);
+    resolver.start(&stimulus.qname, stimulus.qtype)
+}
+
+/// Q-min as scheduled and the clock at `now`, for the next walk.
+fn arm(resolver: &mut IterativeResolver, qmin: bool, now: SimTime) {
     resolver.set_qmin(qmin);
     resolver.set_now_micros(now.as_micros());
-    let _ = resolver.resolve(transport, &stimulus.qname, stimulus.qtype);
 }
 
 /// Persistent per-fleet state: the shared cache and the lazily

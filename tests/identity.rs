@@ -1,6 +1,7 @@
 //! Byte identity as a table: each row is one CLI output, produced
 //! through the library entry point the CLI calls and pinned as (length,
-//! CRC-32) of exactly the bytes the command writes to stdout. Every row
+//! CRC-32) of exactly the bytes the command writes to stdout, or to the
+//! file it leaves behind. Every row
 //! runs at 1, 2 and 5 workers — one, as many as a small box has cores,
 //! and more than it has — and must give the recorded bytes each time, so
 //! an aggregation or scheduling change that moves one digit of one
@@ -12,11 +13,13 @@
 //! python3 -c 'import sys, zlib; d = sys.stdin.buffer.read();
 //! print(len(d), hex(zlib.crc32(d)))'`) and say why in the change.
 
-use dnscentral_core::pipeline::{run_spec_with, PipelineOpts};
+use dnscentral_core::experiments::analyze_capture;
+use dnscentral_core::pipeline::{run_spec_with, write_capture, PipelineOpts};
 use dnscentral_core::report;
 use dnscentral_core::store;
 use simnet::profile::Vantage;
 use simnet::scenario::{dataset, Scale};
+use simnet::Engine;
 use std::sync::Arc;
 use warehouse::{AppendConfig, Predicate, Warehouse};
 
@@ -153,5 +156,53 @@ fn warehouse_report_text_and_json() {
             (10_129, 0xcbb3_f374),
             "`report --warehouse --json` after a {workers}-worker ingest"
         );
+    }
+}
+
+/// `dnscentral dataset nl 2020 --scale=tiny --fleet --keep-capture`
+/// leaves the very file `generate nl 2020 FILE --scale=tiny --fleet`
+/// writes, and ingesting it leaves no query unanswered: every TC→TCP
+/// retry the fleet records pairs with its response. The digest is the
+/// kept file's, taken from the CLI before the resolver walk became a
+/// step machine.
+#[test]
+fn fleet_capture_kept_is_the_capture_generated() {
+    let spec = dataset(Vantage::Nl, 2020);
+    for workers in WORKERS {
+        let path = |what: &str| {
+            std::env::temp_dir().join(format!(
+                "dnscentral-identity-{what}{workers}-{}.dnscap",
+                std::process::id()
+            ))
+        };
+        let (kept, generated) = (path("kept"), path("generated"));
+        let opts = PipelineOpts {
+            jobs: workers,
+            fleet: true,
+            ..PipelineOpts::default()
+        };
+        let keep = PipelineOpts {
+            keep_capture: Some(kept.clone()),
+            ..opts.clone()
+        };
+        run_spec_with(spec.clone(), Scale::tiny(), SEED, &keep);
+        write_capture(
+            &Engine::new(spec.clone(), Scale::tiny(), SEED),
+            &generated,
+            &opts,
+        )
+        .expect("generate");
+        let bytes = |p: &std::path::Path| std::fs::read(p).expect("capture written");
+        let what = format!("the kept fleet capture at {workers} worker(s)");
+        assert_eq!(digest(&bytes(&kept)), (14_345_834, 0xa688_8282), "{what}");
+        assert!(
+            bytes(&kept) == bytes(&generated),
+            "{what} is not the generated one"
+        );
+        let (_, _, ingest) = analyze_capture(&spec, Scale::tiny(), SEED, &kept).expect("ingest");
+        assert!(ingest.balanced(), "{what}: {ingest:?}");
+        assert_eq!(ingest.unanswered_queries, 0, "{what}: {ingest:?}");
+        let _ = std::fs::remove_file(&kept);
+        let _ = std::fs::remove_file(&generated);
     }
 }
