@@ -96,26 +96,10 @@ impl Message {
         }
     }
 
-    /// Parse a message from wire bytes.
+    /// Parse a message from wire bytes. The checks are
+    /// [`Reader::new`]'s, in the same one walk that copies each entry out.
     pub fn parse(msg: &[u8]) -> Result<Message, WireError> {
         let mut parsed = Message::new(Header::request(0));
-        parsed.parse_into(msg)?;
-        Ok(parsed)
-    }
-
-    /// Parse `msg` into this message, replacing whatever it held and
-    /// keeping the section vectors' capacity, so a caller that parses
-    /// many messages through one scratch `Message` stops allocating for
-    /// the sections. The checks are [`Reader::new`]'s, in the same one
-    /// walk that copies each entry out. After an error the contents are
-    /// unspecified (the entries read before the fault); the next call
-    /// starts clean.
-    pub fn parse_into(&mut self, msg: &[u8]) -> Result<(), WireError> {
-        self.questions.clear();
-        self.answers.clear();
-        self.authorities.clear();
-        self.additionals.clear();
-        self.edns = None;
         let build = |msg, pos| {
             Name::parse(msg, pos).map(|(name, end)| {
                 let len = name.wire_len();
@@ -123,16 +107,16 @@ impl Message {
             })
         };
         let reader = Reader::walk(msg, build, |entry| match entry {
-            Entry::Question(qname, qtype, qclass) => self.questions.push(Question {
+            Entry::Question(qname, qtype, qclass) => parsed.questions.push(Question {
                 qname,
                 qtype: RType::from_u16(qtype),
                 qclass: RClass::from_u16(qclass),
             }),
             Entry::Record(section, name, class, ttl, rdata) => {
                 let records = match section {
-                    Section::Answer => &mut self.answers,
-                    Section::Authority => &mut self.authorities,
-                    Section::Additional => &mut self.additionals,
+                    Section::Answer => &mut parsed.answers,
+                    Section::Authority => &mut parsed.authorities,
+                    Section::Additional => &mut parsed.additionals,
                 };
                 records.push(Record {
                     name,
@@ -142,9 +126,9 @@ impl Message {
                 });
             }
         })?;
-        self.header = reader.header();
-        self.edns = reader.edns();
-        Ok(())
+        parsed.header = reader.header();
+        parsed.edns = reader.edns();
+        Ok(parsed)
     }
 
     /// Encode to wire bytes with name compression. No size limit — for

@@ -61,7 +61,7 @@ impl<'a> Reader<'a> {
     /// passed. Every name — questions', owners', those inside RDATA —
     /// goes through `read_name`, which returns its result, the position
     /// past the name and the name's uncompressed length: a caller that
-    /// copies the message out (`Message::parse_into`) builds each name
+    /// copies the message out (`Message::parse`) builds each name
     /// where the checks would only skip it, in the same single pass.
     pub(crate) fn walk<N>(
         msg: &'a [u8],

@@ -1,9 +1,11 @@
 //! DNS-over-TCP framing (RFC 1035 §4.2.2 / RFC 7766): each message on a
 //! TCP stream is preceded by a two-octet, big-endian length field.
 //!
-//! The simulator frames TCP payloads with [`frame`]; the warehouse's
-//! ingest deframes with [`Deframer`], which is an incremental decoder —
-//! segments may split anywhere, including inside the length prefix.
+//! The simulator frames TCP payloads with [`frame`]. A captured payload
+//! is whole, so ingest checks its framing and walks its messages in
+//! place with [`deframe`]; a server reading a live stream feeds
+//! [`Deframer`], an incremental decoder — segments may split anywhere,
+//! including inside the length prefix.
 
 use crate::error::WireError;
 
@@ -83,20 +85,47 @@ impl Deframer {
     }
 }
 
-/// One-shot deframe of a whole stream; errors on trailing garbage.
-pub fn deframe_all(stream: &[u8]) -> Result<Vec<Vec<u8>>, WireError> {
-    let mut d = Deframer::new();
-    d.push(stream);
-    let mut out = Vec::new();
-    while let Some(m) = d.next_message() {
-        out.push(m);
+/// The messages of a whole stream, each borrowed where it lies, once the
+/// stream's framing has been checked: it must hold at least one frame
+/// and end exactly where its last frame does.
+///
+/// # Errors
+/// [`WireError::Truncated`] at the start of the frame that is cut short,
+/// or at 0 for an empty stream.
+pub fn deframe(stream: &[u8]) -> Result<Frames<'_>, WireError> {
+    if stream.is_empty() {
+        return Err(WireError::Truncated { offset: 0 });
     }
-    if d.pending() != 0 {
-        return Err(WireError::Truncated {
-            offset: stream.len() - d.pending(),
-        });
+    let mut pos = 0;
+    while pos < stream.len() {
+        let len = match stream.get(pos..pos + 2) {
+            Some(prefix) => u16::from_be_bytes([prefix[0], prefix[1]]) as usize,
+            None => return Err(WireError::Truncated { offset: pos }),
+        };
+        if stream.len() < pos + 2 + len {
+            return Err(WireError::Truncated { offset: pos });
+        }
+        pos += 2 + len;
     }
-    Ok(out)
+    Ok(Frames { rest: stream })
+}
+
+/// The messages of a stream [`deframe`] has checked, in order.
+#[derive(Debug, Clone)]
+pub struct Frames<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let prefix = self.rest.get(..2)?;
+        let len = u16::from_be_bytes([prefix[0], prefix[1]]) as usize;
+        let (message, rest) = self.rest[2..].split_at(len);
+        self.rest = rest;
+        Some(message)
+    }
 }
 
 #[cfg(test)]
@@ -108,21 +137,21 @@ mod tests {
         let msg = b"\x12\x34hello dns".to_vec();
         let framed = frame(&msg).unwrap();
         assert_eq!(framed.len(), msg.len() + 2);
-        assert_eq!(deframe_all(&framed).unwrap(), vec![msg]);
+        assert_eq!(deframe(&framed).unwrap().collect::<Vec<_>>(), [&msg[..]]);
     }
 
     #[test]
     fn roundtrip_stream_of_messages() {
         let msgs: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; i as usize * 7 + 1]).collect();
         let stream = frame_all(msgs.iter().map(|m| m.as_slice())).unwrap();
-        assert_eq!(deframe_all(&stream).unwrap(), msgs);
+        assert!(deframe(&stream).unwrap().eq(msgs.iter().map(|m| &m[..])));
     }
 
     #[test]
     fn empty_message_is_legal() {
         let framed = frame(b"").unwrap();
         assert_eq!(framed, vec![0, 0]);
-        assert_eq!(deframe_all(&framed).unwrap(), vec![Vec::<u8>::new()]);
+        assert_eq!(deframe(&framed).unwrap().collect::<Vec<_>>(), [&[][..]]);
     }
 
     #[test]
@@ -166,10 +195,17 @@ mod tests {
     fn trailing_garbage_detected() {
         let mut stream = frame(b"ok").unwrap();
         stream.push(0xff); // half a length prefix
-        assert!(matches!(
-            deframe_all(&stream),
-            Err(WireError::Truncated { .. })
-        ));
+        assert_eq!(
+            deframe(&stream).err(),
+            Some(WireError::Truncated { offset: 4 })
+        );
+        // a length that promises more than the stream holds
+        let stream = [&frame(b"ok").unwrap()[..], &[0, 9, 1, 2]].concat();
+        assert_eq!(
+            deframe(&stream).err(),
+            Some(WireError::Truncated { offset: 4 })
+        );
+        assert_eq!(deframe(&[]).err(), Some(WireError::Truncated { offset: 0 }));
     }
 
     #[test]
@@ -194,7 +230,7 @@ mod tests {
             .build();
         let wire = q.encode().unwrap();
         let framed = frame(&wire).unwrap();
-        let messages = deframe_all(&framed).unwrap();
-        assert_eq!(Message::parse(&messages[0]).unwrap(), q);
+        let message = deframe(&framed).unwrap().next().unwrap();
+        assert_eq!(Message::parse(message).unwrap(), q);
     }
 }

@@ -169,6 +169,12 @@ fn tcp_deframer_hostile_lengths() {
     d.push(&[0, 0, 0, 1, b'x']);
     assert_eq!(d.next_message(), Some(vec![]));
     assert_eq!(d.next_message(), Some(vec![b'x']));
+    // the whole-stream walk agrees on both
+    assert!(dns_wire::tcp::deframe(&[0xff, 0xff, 1, 2, 3]).is_err());
+    let frames: Vec<&[u8]> = dns_wire::tcp::deframe(&[0, 0, 0, 1, b'x'])
+        .unwrap()
+        .collect();
+    assert_eq!(frames, [&[][..], &[b'x'][..]]);
 }
 
 #[test]
@@ -180,6 +186,9 @@ fn fuzz_smoke_random_blobs() {
         let blob: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
         let _ = Message::parse(&blob);
         let _ = Name::parse(&blob, 0);
-        let _ = dns_wire::tcp::deframe_all(&blob);
+        if let Ok(frames) = dns_wire::tcp::deframe(&blob) {
+            // a checked stream is its frames, prefixes included, exactly
+            assert_eq!(frames.map(|m| 2 + m.len()).sum::<usize>(), blob.len());
+        }
     }
 }

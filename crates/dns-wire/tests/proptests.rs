@@ -254,41 +254,6 @@ proptest! {
         }
     }
 
-    /// `parse_into` on a scratch message that has seen other traffic
-    /// is `parse`: same verdict, same error, same contents. The batch
-    /// mixes valid messages with cut and byte-flipped ones, so a parse
-    /// that fails halfway through a section is followed by more parses.
-    #[test]
-    fn parse_into_a_dirty_scratch_equals_parse(
-        batch in prop::collection::vec(
-            (
-                message(),
-                prop::option::of(0usize..4096),
-                prop::collection::vec((0usize..4096, any::<u8>()), 0..=3),
-            ),
-            1..=6,
-        )
-    ) {
-        let mut scratch = Message::new(Header::request(0));
-        for (msg, cut, flips) in batch {
-            let mut bytes = msg.encode().unwrap();
-            if let Some(cut) = cut {
-                bytes.truncate(cut % (bytes.len() + 1));
-            }
-            for (pos, val) in flips {
-                if !bytes.is_empty() {
-                    let len = bytes.len();
-                    bytes[pos % len] ^= val;
-                }
-            }
-            match (scratch.parse_into(&bytes), Message::parse(&bytes)) {
-                (Ok(()), Ok(fresh)) => prop_assert_eq!(&scratch, &fresh),
-                (Err(into), Err(fresh)) => prop_assert_eq!(into, fresh),
-                (into, fresh) => prop_assert!(false, "parse_into {into:?}, parse {fresh:?}"),
-            }
-        }
-    }
-
     /// Compression: two-name messages always decode back to the same
     /// names even when suffixes are shared.
     #[test]

@@ -1,4 +1,11 @@
-//! Capture ingestion: parse, join queries with responses, enrich.
+//! Capture ingestion: read each message in place, join queries with
+//! responses, enrich.
+//!
+//! Each DNS message is checked whole by [`Reader::new`] — the rules
+//! `Message::parse` applies, to its errors — and then read where it lies
+//! in the captured payload: a row takes a query's header id, first
+//! question and OPT size and DO bit, and a response's id, rcode and TC
+//! bit. No section is copied out; TCP payloads are deframed in place.
 //!
 //! Joining follows real passive-DNS practice: a response matches the
 //! pending query with the same (reversed) flow 5-tuple and DNS
@@ -12,8 +19,7 @@
 
 use crate::enrich::Enricher;
 use crate::schema::QueryRow;
-use dns_wire::header::Header;
-use dns_wire::message::Message;
+use dns_wire::reader::Reader;
 use netbase::capture::{CaptureRecord, Direction, RecordSource};
 use netbase::flow::FlowKey;
 use std::collections::{HashMap, VecDeque};
@@ -97,9 +103,6 @@ struct TxnKey {
 pub struct Joiner {
     enricher: Enricher,
     pending: HashMap<TxnKey, QueryRow>,
-    /// Every message is parsed into this one, so its section vectors
-    /// are sized by the first few messages and reused from then on.
-    scratch: Message,
     stats: IngestStats,
     /// Rows ready to take (a TCP frame can produce several at once).
     ready: VecDeque<QueryRow>,
@@ -115,7 +118,6 @@ impl Joiner {
         Joiner {
             enricher,
             pending: HashMap::new(),
-            scratch: Message::new(Header::request(0)),
             stats: IngestStats::default(),
             ready: VecDeque::new(),
             frames_metric: obs::counter("entrada_frames_total", "capture frames ingested"),
@@ -149,15 +151,15 @@ impl Joiner {
             // TCP payloads carry RFC 1035 two-octet length prefixes and
             // may coalesce several DNS messages per captured segment
             // (real pcap imports do); absorb each message.
-            netbase::flow::Transport::Tcp => match dns_wire::tcp::deframe_all(&rec.payload) {
-                Ok(messages) if !messages.is_empty() => {
-                    for wire in &messages {
+            netbase::flow::Transport::Tcp => match dns_wire::tcp::deframe(&rec.payload) {
+                Ok(messages) => {
+                    for wire in messages {
                         self.absorb_message(&rec, wire);
                     }
                 }
-                _ => {
-                    // an unframed/truncated TCP payload (or one with no
-                    // messages at all): one malformed message unit
+                Err(_) => {
+                    // an empty or cut-short TCP payload: one malformed
+                    // message unit, and none of its frames absorbed
                     self.stats.messages += 1;
                     self.stats.malformed += 1;
                     self.malformed_metric.inc();
@@ -170,25 +172,23 @@ impl Joiner {
     /// Absorb one deframed DNS message from frame `rec`.
     fn absorb_message(&mut self, rec: &CaptureRecord, wire: &[u8]) {
         self.stats.messages += 1;
-        let msg = &mut self.scratch;
-        if msg.parse_into(wire).is_err() {
+        let Ok(msg) = Reader::new(wire) else {
             self.stats.malformed += 1;
             self.malformed_metric.inc();
             return;
-        }
+        };
+        let header = msg.header();
         match rec.direction {
             Direction::Query => {
-                if msg.questions.is_empty() {
+                let Some(question) = msg.questions().next() else {
                     // a query with an empty question section joins
                     // nothing and aggregates nowhere: malformed, so
                     // the message accounting stays exact
                     self.stats.malformed += 1;
                     self.malformed_metric.inc();
                     return;
-                }
-                // the row takes the first question; the scratch message
-                // is overwritten by the next parse anyway
-                let question = msg.questions.swap_remove(0);
+                };
+                let edns = msg.edns();
                 let (asn, provider, public_dns) = self.enricher.enrich(rec.flow.src);
                 let row = QueryRow {
                     timestamp: rec.timestamp,
@@ -198,8 +198,8 @@ impl Joiner {
                     transport: rec.flow.transport,
                     qname: question.qname,
                     qtype: question.qtype,
-                    edns_size: msg.edns.as_ref().map(|e| e.udp_payload_size),
-                    do_bit: msg.edns.as_ref().map(|e| e.dnssec_ok).unwrap_or(false),
+                    edns_size: edns.as_ref().map(|e| e.udp_payload_size),
+                    do_bit: edns.is_some_and(|e| e.dnssec_ok),
                     rcode: None,
                     response_size: None,
                     response_truncated: false,
@@ -210,7 +210,7 @@ impl Joiner {
                 };
                 let key = TxnKey {
                     flow: rec.flow,
-                    id: msg.header.id,
+                    id: header.id,
                 };
                 if let Some(orphan) = self.pending.insert(key, row) {
                     // same flow+id reused before the first was answered:
@@ -224,17 +224,17 @@ impl Joiner {
             Direction::Response => {
                 let key = TxnKey {
                     flow: rec.flow.reversed(),
-                    id: msg.header.id,
+                    id: header.id,
                 };
                 match self.pending.remove(&key) {
                     Some(mut row) => {
-                        row.rcode = Some(msg.header.rcode);
+                        row.rcode = Some(header.rcode);
                         // the deframed DNS message length for both
                         // transports — a raw TCP payload length would
                         // inflate every TCP response by the 2-byte
                         // RFC 1035 length prefix relative to UDP
                         row.response_size = Some(wire.len() as u32);
-                        row.response_truncated = msg.header.truncated;
+                        row.response_truncated = header.truncated;
                         if rec.tcp_rtt_us != 0 {
                             row.tcp_rtt_us = rec.tcp_rtt_us;
                         }
@@ -258,15 +258,19 @@ impl Joiner {
         self.capture_errors_metric.inc();
     }
 
-    /// End of stream: flush unanswered queries in deterministic (time)
-    /// order.
+    /// End of stream: flush unanswered queries in time order, ties
+    /// broken by the rest of the transaction key, so the order never
+    /// depends on the map's.
     pub fn finish(&mut self) {
-        let mut rest: Vec<QueryRow> = self.pending.drain().map(|(_, v)| v).collect();
-        rest.sort_by_key(|r| (r.timestamp, r.src_port));
+        let mut rest: Vec<(TxnKey, QueryRow)> = self.pending.drain().collect();
+        rest.sort_unstable_by_key(|(k, r)| {
+            let f = &k.flow;
+            (r.timestamp, f.src_port, f.src, f.dst, f.dst_port, f.transport, k.id)
+        });
         self.stats.unanswered_queries += rest.len() as u64;
         self.stats.rows += rest.len() as u64;
         self.rows_metric.add(rest.len() as u64);
-        self.ready.extend(rest);
+        self.ready.extend(rest.into_iter().map(|(_, row)| row));
     }
 }
 

@@ -1004,13 +1004,14 @@ mod tests {
         for rec in &records {
             let wire = match rec.flow.transport {
                 FlowTransport::Tcp => {
-                    let mut msgs = dns_wire::tcp::deframe_all(&rec.payload).expect("framed");
-                    assert_eq!(msgs.len(), 1);
-                    msgs.remove(0)
+                    let mut msgs = dns_wire::tcp::deframe(&rec.payload).expect("framed");
+                    let msg = msgs.next().expect("one message");
+                    assert_eq!(msgs.next(), None);
+                    msg
                 }
-                FlowTransport::Udp => rec.payload.clone(),
+                FlowTransport::Udp => &rec.payload[..],
             };
-            let msg = Message::parse(&wire).expect("wire-valid payloads");
+            let msg = Message::parse(wire).expect("wire-valid payloads");
             match rec.direction {
                 Direction::Query => {
                     assert!(!msg.header.response);
@@ -1087,11 +1088,11 @@ mod tests {
             for rec in records.iter().filter(|r| r.direction == Direction::Query) {
                 let wire = match rec.flow.transport {
                     FlowTransport::Tcp => {
-                        dns_wire::tcp::deframe_all(&rec.payload).unwrap().remove(0)
+                        dns_wire::tcp::deframe(&rec.payload).unwrap().next().unwrap()
                     }
-                    FlowTransport::Udp => rec.payload.clone(),
+                    FlowTransport::Udp => &rec.payload[..],
                 };
-                let msg = Message::parse(&wire).unwrap();
+                let msg = Message::parse(wire).unwrap();
                 total += 1;
                 if msg.question().unwrap().qtype == RType::Ns {
                     ns += 1;

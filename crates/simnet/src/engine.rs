@@ -826,13 +826,14 @@ mod tests {
             // TCP payloads carry the RFC 1035 length prefix
             let wire = match rec.flow.transport {
                 Transport::Tcp => {
-                    let mut msgs = dns_wire::tcp::deframe_all(&rec.payload).expect("framed");
-                    assert_eq!(msgs.len(), 1);
-                    msgs.remove(0)
+                    let mut msgs = dns_wire::tcp::deframe(&rec.payload).expect("framed");
+                    let msg = msgs.next().expect("one message");
+                    assert_eq!(msgs.next(), None);
+                    msg
                 }
-                Transport::Udp => rec.payload.clone(),
+                Transport::Udp => &rec.payload[..],
             };
-            let msg = Message::parse(&wire).expect("wire-valid payloads");
+            let msg = Message::parse(wire).expect("wire-valid payloads");
             match rec.direction {
                 Direction::Query => assert!(!msg.header.response),
                 Direction::Response => assert!(msg.header.response),
@@ -1075,10 +1076,10 @@ mod tests {
         for rec in records.iter().filter(|r| r.direction == Direction::Query) {
             if plan.mapper.is_public_dns(rec.flow.src) {
                 let wire = match rec.flow.transport {
-                    Transport::Tcp => dns_wire::tcp::deframe_all(&rec.payload).unwrap().remove(0),
-                    Transport::Udp => rec.payload.clone(),
+                    Transport::Tcp => dns_wire::tcp::deframe(&rec.payload).unwrap().next().unwrap(),
+                    Transport::Udp => &rec.payload[..],
                 };
-                let msg = Message::parse(&wire).unwrap();
+                let msg = Message::parse(wire).unwrap();
                 let qname = msg.question().unwrap().qname.to_string();
                 google_queries += 1;
                 let has_upper = qname.bytes().any(|b| b.is_ascii_uppercase());

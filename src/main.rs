@@ -1535,21 +1535,22 @@ fn import_pcap_cli(input: &Path, output: &Path) {
 }
 
 /// Capture forensics: walk any `.dnscap` without needing the scenario
-/// that produced it.
+/// that produced it. Messages are counted as ingest counts them: each is
+/// read in place, and a TCP payload may coalesce several.
 fn inspect_capture(path: &Path) {
-    use dns_wire::message::Message;
+    use dns_wire::reader::Reader;
     use netbase::capture::{CaptureReader, Direction};
     use netbase::flow::Transport;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
 
     let file = std::fs::File::open(path).expect("capture opens");
     let reader = CaptureReader::new(std::io::BufReader::new(file)).expect("valid header");
-    let (mut frames, mut queries, mut responses, mut tcp, mut malformed) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
+    let (mut frames, mut queries, mut responses, mut tcp) = (0u64, 0u64, 0u64, 0u64);
+    let (mut messages, mut malformed) = (0u64, 0u64);
     let mut first: Option<netbase::time::SimTime> = None;
     let mut last: Option<netbase::time::SimTime> = None;
-    let mut qtypes: HashMap<String, u64> = HashMap::new();
-    let mut sources: HashMap<IpAddr, u64> = HashMap::new();
+    let mut qtypes: HashMap<dns_wire::types::RType, u64> = HashMap::new();
+    let mut sources: HashSet<IpAddr> = HashSet::new();
     for item in reader {
         let rec = match item {
             Ok(r) => r,
@@ -1561,45 +1562,55 @@ fn inspect_capture(path: &Path) {
         frames += 1;
         first.get_or_insert(rec.timestamp);
         last = Some(rec.timestamp);
-        if rec.flow.transport == Transport::Tcp {
-            tcp += 1;
-        }
         match rec.direction {
             Direction::Query => {
                 queries += 1;
-                *sources.entry(rec.flow.src).or_insert(0) += 1;
-                // TCP payloads carry the RFC 1035 length prefix
-                let wire: Vec<u8> = match rec.flow.transport {
-                    Transport::Tcp => match dns_wire::tcp::deframe_all(&rec.payload) {
-                        Ok(mut m) if m.len() == 1 => m.remove(0),
-                        _ => {
-                            malformed += 1;
-                            continue;
-                        }
-                    },
-                    Transport::Udp => rec.payload.clone(),
-                };
-                match Message::parse(&wire) {
-                    Ok(msg) => {
-                        if let Some(q) = msg.question() {
-                            *qtypes.entry(q.qtype.mnemonic()).or_insert(0) += 1;
-                        }
-                    }
-                    Err(_) => malformed += 1,
-                }
+                sources.insert(rec.flow.src);
             }
             Direction::Response => responses += 1,
+        }
+        // TCP payloads carry the RFC 1035 length prefix; one that is
+        // empty or cut short is one malformed message
+        let (udp, tcp_frames) = match rec.flow.transport {
+            Transport::Udp => (Some(&rec.payload[..]), None),
+            Transport::Tcp => {
+                tcp += 1;
+                match dns_wire::tcp::deframe(&rec.payload) {
+                    Ok(frames) => (None, Some(frames)),
+                    Err(_) => {
+                        messages += 1;
+                        malformed += 1;
+                        continue;
+                    }
+                }
+            }
+        };
+        for wire in udp.into_iter().chain(tcp_frames.into_iter().flatten()) {
+            messages += 1;
+            match Reader::new(wire) {
+                Ok(msg) if rec.direction == Direction::Query => {
+                    if let Some(q) = msg.questions().next() {
+                        *qtypes.entry(q.qtype).or_insert(0) += 1;
+                    }
+                }
+                Ok(_) => {}
+                Err(_) => malformed += 1,
+            }
         }
     }
     println!("frames     : {frames} ({queries} queries, {responses} responses)");
     println!("tcp frames : {tcp}");
+    println!("messages   : {messages}");
     println!("malformed  : {malformed}");
     if let (Some(a), Some(b)) = (first, last) {
         println!("time span  : {a} .. {b}");
     }
     println!("resolvers  : {}", sources.len());
-    let mut top: Vec<(String, u64)> = qtypes.into_iter().collect();
-    top.sort_by_key(|e| std::cmp::Reverse(e.1));
+    let mut top: Vec<(String, u64)> = qtypes
+        .into_iter()
+        .map(|(t, n)| (t.mnemonic(), n))
+        .collect();
+    top.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     println!("qtypes     :");
     for (t, n) in top.iter().take(8) {
         println!("  {t:<8} {n}");
