@@ -510,6 +510,34 @@ mod tests {
         );
     }
 
+    /// A query asking more than one question gets a header-only FORMERR
+    /// (RFC 9619) on both transports, its OPT mirrored.
+    #[test]
+    fn multi_question_query_is_formerr() {
+        let r = responder();
+        let src = "192.0.2.1".parse().unwrap();
+        let mut q = MessageBuilder::query(9, r.zone().registered_domain(0), RType::A)
+            .with_edns(1232, true)
+            .build();
+        q.questions.push(dns_wire::message::Question::new(
+            r.zone().apex().clone(),
+            RType::Soa,
+        ));
+        let wire = q.encode().unwrap();
+        for transport in [Transport::Udp, Transport::Tcp] {
+            let out = r.handle(&wire, transport, src, SimTime(0), None);
+            let Outcome::Reply { bytes, .. } = out else {
+                panic!("expected a reply, got {out:?}");
+            };
+            let msg = Message::parse(&bytes).unwrap();
+            assert_eq!((msg.header.id, msg.header.rcode), (9, Rcode::FormErr));
+            assert!(msg.questions.is_empty(), "header only");
+            let records = [&msg.answers, &msg.authorities, &msg.additionals];
+            assert!(records.iter().all(|s| s.is_empty()));
+            assert_eq!(msg.edns.map(|e| e.dnssec_ok), Some(true));
+        }
+    }
+
     #[test]
     fn udp_truncates_to_advertised_size_tcp_does_not() {
         let r = responder();

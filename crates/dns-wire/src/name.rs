@@ -206,6 +206,12 @@ impl Name {
     /// 2 of `www.example.nl.` is `example.nl.` — or the name itself when
     /// it has no more than `depth` labels. One slice of the wire form.
     pub fn ancestor(&self, depth: usize) -> Name {
+        Name::from_wire(self.ancestor_wire(depth))
+    }
+
+    /// The wire form of [`Name::ancestor`]: the slice of this name's own
+    /// wire form it starts at, with no name built.
+    pub fn ancestor_wire(&self, depth: usize) -> &[u8] {
         let wire = self.as_wire();
         let mut skip = self.label_count().saturating_sub(depth);
         let mut pos = 0;
@@ -213,7 +219,7 @@ impl Name {
             pos += 1 + wire[pos] as usize;
             skip -= 1;
         }
-        Name::from_wire(&wire[pos..])
+        &wire[pos..]
     }
 
     /// True if `self` equals `zone` or is underneath it (case-insensitive).

@@ -143,7 +143,8 @@ impl Marks {
 ///
 /// Call order is wire order: [`question`](Self::question) entries, then
 /// [`record`](Self::record)s section by section, then
-/// [`finish`](Self::finish).
+/// [`finish`](Self::finish); [`literal_question`](Self::literal_question)
+/// and [`literal_records`](Self::literal_records) append them laid out.
 pub struct MessageWriter<'a> {
     comp: &'a mut ReusableCompressor,
     out: &'a mut Vec<u8>,
@@ -189,6 +190,38 @@ impl<'a> MessageWriter<'a> {
         self.marks.body = self.out.len();
     }
 
+    /// Append a question entry with its name as it is, not offered to
+    /// the compressor: nothing precedes a message's first name anyway.
+    pub fn literal_question(&mut self, q: &Question) {
+        assert_eq!(self.marks.records(), 0, "questions precede records");
+        self.out.extend_from_slice(q.qname.as_wire());
+        self.out.extend_from_slice(&q.qtype.to_u16().to_be_bytes());
+        self.out.extend_from_slice(&q.qclass.to_u16().to_be_bytes());
+        self.marks.questions += 1;
+        self.marks.body = self.out.len();
+    }
+
+    /// Append to `section` the records `lay_out` writes, already
+    /// compressed, returning how many: each an owner, the fixed fields
+    /// and its RDATA framed by a true RDLENGTH, which a later cut walks
+    /// by. Nothing in them is offered to the compressor.
+    pub fn literal_records(
+        &mut self,
+        section: Section,
+        lay_out: impl FnOnce(&mut Vec<u8>) -> usize,
+    ) {
+        self.enter(section);
+        self.marks.sections[section as usize] += lay_out(self.out);
+    }
+
+    fn enter(&mut self, section: Section) {
+        assert!(
+            section >= self.section,
+            "sections are written in wire order"
+        );
+        self.section = section;
+    }
+
     /// Append a record to `section`: the owner (compressed), the fixed
     /// fields, and whatever `rdata` writes, framed by its RDLENGTH.
     pub fn record(
@@ -200,11 +233,7 @@ impl<'a> MessageWriter<'a> {
         ttl: u32,
         rdata: impl FnOnce(&mut ReusableCompressor, &mut Vec<u8>) -> Result<(), WireError>,
     ) -> Result<(), WireError> {
-        assert!(
-            section >= self.section,
-            "sections are written in wire order"
-        );
-        self.section = section;
+        self.enter(section);
         self.comp.encode_name(owner, self.out);
         self.out.extend_from_slice(&rtype.to_u16().to_be_bytes());
         self.out.extend_from_slice(&class.to_u16().to_be_bytes());

@@ -719,6 +719,38 @@ mod tests {
         );
     }
 
+    /// Unanswered queries flush in one order whatever the pending map's
+    /// hash state: sixteen fresh joiners, each `HashMap` seeded with its
+    /// own random keys, flush the same queries — all at one timestamp,
+    /// so only the rest of the transaction key orders them — alike.
+    #[test]
+    fn unanswered_ties_flush_in_one_order_under_any_hash_state() {
+        let records: Vec<CaptureRecord> = (0..48u16)
+            .map(|i| {
+                let src = ["8.8.8.8", "1.1.1.1", "9.9.9.9"][i as usize % 3];
+                let qname = format!("q{i}.example.nl.").parse().unwrap();
+                let query = MessageBuilder::query(i % 4, qname, RType::A).build();
+                CaptureRecord {
+                    payload: query.encode().unwrap(),
+                    ..query_rec(src, 1000 + i % 5, 0, 77)
+                }
+            })
+            .collect();
+        let flush = || {
+            let mut joiner = Joiner::new(enricher());
+            for rec in records.iter().cloned() {
+                joiner.absorb(rec);
+            }
+            joiner.finish();
+            std::iter::from_fn(|| joiner.pop_ready()).collect::<Vec<QueryRow>>()
+        };
+        let first = flush();
+        assert_eq!(first.len(), records.len(), "every query flushed unanswered");
+        for joiner in 1..16 {
+            assert!(flush() == first, "joiner {joiner} flushed in another order");
+        }
+    }
+
     /// A vector source that tears after `intact` records.
     struct TearingSource {
         records: std::vec::IntoIter<CaptureRecord>,
@@ -791,6 +823,57 @@ mod tests {
                 prop_assert_eq!(joiner.stats(), pulled.stats());
                 prop_assert!(joiner.stats().balanced(), "{:?}", joiner.stats());
             }
+        }
+
+        /// Hostile frames never panic the ingest and never unbalance it:
+        /// random bytes, TCP payloads whose length prefix is cut short or
+        /// runs past the payload, and valid messages with a byte flipped
+        /// each count as one frame, and every message they carry lands in
+        /// exactly one bucket of [`IngestStats`].
+        #[test]
+        fn hostile_frames_keep_the_accounting_balanced(
+            frames in prop::collection::vec(
+                (0u8..5, any::<bool>(), any::<bool>(), 0u16..3, any::<usize>(), any::<u8>()),
+                0..40,
+            ),
+            noise in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let records: Vec<CaptureRecord> = frames
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, tcp, response, id, at, flip))| {
+                    let t = 10 * i as u64;
+                    let mut rec = if response {
+                        response_rec("8.8.8.8", 1000, id, t, Rcode::NoError)
+                    } else {
+                        query_rec("8.8.8.8", 1000, id, t)
+                    };
+                    if tcp {
+                        rec.flow.transport = Transport::Tcp;
+                        rec.payload = dns_wire::tcp::frame(&rec.payload).unwrap();
+                    }
+                    let len = rec.payload.len();
+                    match kind {
+                        // random bytes
+                        0 => rec.payload = noise[..at % (noise.len() + 1)].to_vec(),
+                        // a TCP length prefix short of or past the end, or
+                        // a payload cut short
+                        1 => rec.payload[1] ^= flip | 1,
+                        2 => rec.payload.truncate(at % len),
+                        // a valid message with one byte flipped
+                        3 => rec.payload[at % len] ^= flip | 1,
+                        _ => {}
+                    }
+                    rec
+                })
+                .collect();
+            let mut ingest = CaptureIngest::new(records.clone().into_iter(), enricher());
+            let rows = ingest.by_ref().count() as u64;
+            let stats = ingest.stats();
+            prop_assert!(stats.balanced(), "{:?}", stats);
+            prop_assert_eq!(stats.frames, records.len() as u64);
+            prop_assert!(stats.messages >= stats.frames, "{:?}", stats);
+            prop_assert_eq!(stats.rows, rows);
         }
     }
 }

@@ -2,15 +2,21 @@
 //! a TLD/root name server would send, with realistic record contents so
 //! that *sizes* — and therefore EDNS-driven truncation and TCP fallback
 //! (§4.4) — emerge mechanistically.
+//!
+//! Answers are laid out by shape, without the name compressor: each name
+//! in one is its base — the apex or the question's cut — or a fixed label
+//! under the base, so every compression pointer targets a suffix of the
+//! question or the first earlier `label.base`, which may be in the
+//! question itself (`ns2.example.nl`).
 
 use crate::vantage::WireScratch;
 use dns_wire::edns::Edns;
-use dns_wire::header::Header;
+use dns_wire::header::{Header, HEADER_LEN};
 use dns_wire::message::{Message, Question};
-use dns_wire::name::{Name, ReusableCompressor};
+use dns_wire::name::{Name, MAX_NAME_LEN};
 use dns_wire::types::{RClass, RType, Rcode};
 use dns_wire::writer::{MessageWriter, Section};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::net::Ipv6Addr;
 use zonedb::zone::{Located, Lookup, ZoneModel};
 
 /// An analyzed authoritative server (one NS of the vantage zone).
@@ -24,8 +30,22 @@ pub struct ServerSpec {
     pub v6: std::net::Ipv6Addr,
 }
 
-/// Host labels of a delegation's name servers, in NS-set order.
-pub(crate) const NS_LABELS: [&[u8]; 3] = [b"ns1", b"ns2", b"ns3"];
+/// The labels answers put under their base: the NS hosts, the SOA's
+/// mailbox, and each signed-NXDOMAIN NSEC's owner, then its next name.
+const LABELS: [&[u8]; 8] = [
+    b"ns1",
+    b"ns2",
+    b"ns3",
+    b"hostmaster",
+    b"zzzy",
+    b"zzzz",
+    b"aaab",
+    b"aaac",
+];
+/// Indices into [`LABELS`].
+const HOSTMASTER: usize = 3;
+const ZZZY: usize = 4;
+const AAAB: usize = 6;
 
 /// AAAA glue of a delegation's first (dual-stack) name server.
 const GLUE_V6: Ipv6Addr = Ipv6Addr::new(0x2001, 0xdb8, 0x53, 0, 0, 0, 0, 0x10);
@@ -52,8 +72,8 @@ pub struct Authoritative {
 }
 
 /// What the responder reads of a query: the header bits it mirrors,
-/// the question section it echoes (answering the first entry), and
-/// whether an OPT came along.
+/// the question section it echoes (it answers exactly one question),
+/// and whether an OPT came along.
 #[derive(Clone, Copy)]
 pub struct Query<'a> {
     /// The query's header.
@@ -75,103 +95,25 @@ impl<'a> From<&'a Message> for Query<'a> {
 }
 
 impl Query<'_> {
-    /// Start the response to this query in `wire`: header mirrored,
-    /// question section copied.
-    pub(crate) fn open<'w>(&self, rcode: Rcode, wire: &'w mut WireScratch) -> Reply<'w> {
-        let mut w = wire.response_writer(&Header::response_to(self.header, rcode));
-        for q in self.questions {
-            w.question(q);
-        }
-        Reply(w)
+    /// Start the response to this query in `wire`, header only.
+    pub(crate) fn open<'w>(&self, rcode: Rcode, wire: &'w mut WireScratch) -> MessageWriter<'w> {
+        wire.response_writer(&Header::response_to(self.header, rcode))
     }
 
     /// Close the response, mirroring the requestor's EDNS presence.
-    pub(crate) fn close(&self, reply: Reply<'_>) {
+    pub(crate) fn close(&self, w: MessageWriter<'_>) {
         let edns = self.dnssec_ok.map(|d| Edns::with_size(4096, d));
-        reply
-            .0
-            .finish(edns.as_ref(), usize::MAX)
-            .expect("no size limit");
-    }
-}
-
-/// A response being written: [`MessageWriter`] plus the record shapes
-/// the model's answers are made of.
-pub(crate) struct Reply<'w>(MessageWriter<'w>);
-
-impl Reply<'_> {
-    pub(crate) fn put(
-        &mut self,
-        section: Section,
-        owner: &Name,
-        rtype: RType,
-        ttl: u32,
-        rdata: impl FnOnce(&mut ReusableCompressor, &mut Vec<u8>),
-    ) {
-        self.0
-            .record(section, owner, rtype, RClass::In, ttl, |comp, out| {
-                rdata(comp, out);
-                Ok(())
-            })
-            .expect("infallible rdata");
+        w.finish(edns.as_ref(), usize::MAX).expect("no size limit");
     }
 
-    pub(crate) fn ns(&mut self, section: Section, owner: &Name, ttl: u32, host: &Name) {
-        self.put(section, owner, RType::Ns, ttl, |comp, out| {
-            comp.encode_name(host, out)
-        });
-    }
-
-    /// An A or AAAA record, by the address's family.
-    pub(crate) fn addr(&mut self, section: Section, owner: &Name, ttl: u32, addr: IpAddr) {
-        match addr {
-            IpAddr::V4(v4) => self.put(section, owner, RType::A, ttl, |_, out| {
-                out.extend_from_slice(&v4.octets())
-            }),
-            IpAddr::V6(v6) => self.put(section, owner, RType::Aaaa, ttl, |_, out| {
-                out.extend_from_slice(&v6.octets())
-            }),
+    /// Answer with a header-only FORMERR: a query must ask exactly one
+    /// question (RFC 9619).
+    pub(crate) fn formerr(&self, wire: &mut WireScratch) -> Answer {
+        self.close(self.open(Rcode::FormErr, wire));
+        Answer {
+            rcode: Rcode::FormErr,
+            cache_ttl_secs: 0,
         }
-    }
-
-    fn rrsig(
-        &mut self,
-        section: Section,
-        owner: &Name,
-        ttl: u32,
-        covered: RType,
-        signer: &Name,
-        (key_tag, len, fill): Signature,
-    ) {
-        self.put(section, owner, RType::Rrsig, ttl, |_, out| {
-            out.extend_from_slice(&covered.to_u16().to_be_bytes());
-            out.extend_from_slice(&[8, signer.label_count() as u8]);
-            for v in [3600u32, 1_600_000_000, 1_598_000_000] {
-                out.extend_from_slice(&v.to_be_bytes());
-            }
-            out.extend_from_slice(&key_tag.to_be_bytes());
-            // RFC 4034 §3.1.7: signer name MUST NOT be compressed.
-            signer.encode_uncompressed(out);
-            out.resize(out.len() + len, fill);
-        });
-    }
-
-    fn nsec(&mut self, owner: &Name, ttl: u32, next: &Name, types: &[u8]) {
-        self.put(Section::Authority, owner, RType::Nsec, ttl, |_, out| {
-            // RFC 4034 §4.1.1: next name MUST NOT be compressed.
-            next.encode_uncompressed(out);
-            out.extend_from_slice(types);
-        });
-    }
-
-    /// A DS record whose digest is spun out of the delegation's hash.
-    fn ds(&mut self, section: Section, owner: &Name, ttl: u32, h: u64, digest: (u8, u8)) {
-        let (digest_type, len) = digest;
-        self.put(section, owner, RType::Ds, ttl, |_, out| {
-            out.extend_from_slice(&(h as u16).to_be_bytes());
-            out.extend_from_slice(&[8, digest_type]);
-            out.extend((0..len).map(|i| (h >> (i % 8)) as u8));
-        });
     }
 }
 
@@ -202,39 +144,52 @@ impl Authoritative {
     /// Answer `query`, writing the full (pre-truncation) response into
     /// `wire`. `signed_delegation` tells the responder whether the
     /// delegation the qname falls under has a DS RRset (decided by the
-    /// caller from the zone model, since junk names have none).
+    /// caller from the zone model, since junk names have none). A query
+    /// without exactly one question gets a header-only FORMERR.
     pub fn respond(
         &self,
         query: Query<'_>,
         signed_delegation: bool,
         wire: &mut WireScratch,
     ) -> Answer {
-        let Some(question) = query.questions.first() else {
-            query.close(query.open(Rcode::FormErr, wire));
-            return Answer {
-                rcode: Rcode::FormErr,
-                cache_ttl_secs: 0,
-            };
+        let [question] = query.questions else {
+            return query.formerr(wire);
         };
         let lookup = self.zone.classify(&question.qname);
         self.answer(query, question, lookup, signed_delegation, wire)
     }
 
-    /// [`Authoritative::respond`] to a one-question `query` whose qname
-    /// the caller has already [located](ZoneModel::locate) in this
-    /// zone: whether the delegation is signed follows from the
-    /// registration it falls under, so the name is classified once.
+    /// [`Authoritative::respond`] to a query whose qname the caller has
+    /// already [located](ZoneModel::locate) in this zone: whether the
+    /// delegation is signed follows from the registration it falls
+    /// under, so the name is classified once.
     pub fn respond_located(
         &self,
         query: Query<'_>,
         located: Located,
         wire: &mut WireScratch,
     ) -> Answer {
-        let Some(question) = query.questions.first() else {
-            return self.respond(query, false, wire);
+        let [question] = query.questions else {
+            return query.formerr(wire);
         };
         let signed = located.delegation.is_some_and(|i| self.zone.is_signed(i));
         self.answer(query, question, located.lookup, signed, wire)
+    }
+
+    /// The glueless referral of a cyclic-dependency incident: the
+    /// question's cut delegated to `host` alone.
+    pub fn respond_glueless(&self, query: Query<'_>, host: &Name, wire: &mut WireScratch) {
+        let [question] = query.questions else {
+            query.formerr(wire);
+            return;
+        };
+        let cut = self.zone.cut_of(&question.qname);
+        let mut l = Layout::open(query, question, Rcode::NoError, cut, wire);
+        let ttl = self.delegation_ttl;
+        l.record(Section::Authority, Nm::Base, RType::Ns, ttl, |n, out| {
+            put_against(out, n.qname, host.as_wire())
+        });
+        l.close(query);
     }
 
     fn answer(
@@ -252,21 +207,23 @@ impl Authoritative {
             Lookup::Delegated if question.qtype == RType::Ds => (Rcode::NoError, 3600),
             Lookup::Delegated => (Rcode::NoError, self.delegation_ttl),
         };
-        let mut reply = query.open(rcode, wire);
+        // the parent owns DS: an answer at the cut, else NODATA
+        let nodata_ds = question.qtype == RType::Ds && !signed_delegation;
+        let base = match lookup {
+            Lookup::Delegated if !nodata_ds => self.zone.cut_of(&question.qname),
+            _ => self.zone.apex().as_wire(),
+        };
+        let mut l = Layout::open(query, question, rcode, base, wire);
         match lookup {
-            Lookup::NxDomain => self.nxdomain(&mut reply, dnssec_ok),
-            Lookup::InZone => self.in_zone(&mut reply, question.qtype, dnssec_ok),
-            Lookup::Delegated => {
-                let delegation = self.zone.minimized_qname(&question.qname);
-                match question.qtype {
-                    RType::Ds => {
-                        self.ds_answer(&mut reply, &delegation, signed_delegation, dnssec_ok)
-                    }
-                    _ => self.referral(&mut reply, &delegation, signed_delegation, dnssec_ok),
-                }
+            Lookup::NxDomain => self.nxdomain(&mut l, dnssec_ok),
+            Lookup::InZone => self.in_zone(&mut l, question.qtype, dnssec_ok),
+            Lookup::Delegated if nodata_ds => {
+                self.soa(&mut l, Section::Authority, self.negative_ttl)
             }
+            Lookup::Delegated if question.qtype == RType::Ds => self.ds_answer(&mut l, dnssec_ok),
+            Lookup::Delegated => self.referral(&mut l, signed_delegation, dnssec_ok),
         }
-        query.close(reply);
+        l.close(query);
         Answer {
             rcode,
             cache_ttl_secs,
@@ -276,25 +233,26 @@ impl Authoritative {
     /// NXDOMAIN: SOA in authority; NSEC + RRSIGs when DO is set. Signed
     /// negative answers are large — they push small-EDNS resolvers into
     /// truncation even on junk.
-    fn nxdomain(&self, reply: &mut Reply<'_>, dnssec_ok: bool) {
+    fn nxdomain(&self, l: &mut Layout<'_>, dnssec_ok: bool) {
         let apex = self.zone.apex();
-        let ttl = self.negative_ttl;
-        self.soa(reply, Section::Authority, ttl);
+        let (authority, ttl) = (Section::Authority, self.negative_ttl);
+        self.soa(l, authority, ttl);
         if dnssec_ok {
             // RFC 4035 §3.1.3.2: a secure NXDOMAIN proves both the
             // nonexistence of the name and of a covering wildcard —
-            // two NSECs, each with its RRSIG, plus the signed SOA.
-            reply.rrsig(Section::Authority, apex, ttl, RType::Soa, apex, SIG_ZSK);
-            for (owner, next) in [(b"zzzy", b"zzzz"), (b"aaab", b"aaac")] {
-                let owner = child(apex, owner);
-                reply.nsec(&owner, ttl, &child(apex, next), &NSEC_APEX_TYPES);
-                reply.rrsig(Section::Authority, &owner, ttl, RType::Nsec, apex, SIG_ZSK);
+            // two NSECs (zzzy → zzzz, aaab → aaac), each with its
+            // RRSIG, plus the signed SOA.
+            l.rrsig(authority, Nm::Base, ttl, RType::Soa, apex, SIG_ZSK);
+            for i in [ZZZY, AAAB] {
+                let (owner, next) = (Nm::Child(i), Nm::Child(i + 1));
+                l.nsec(owner, ttl, next, &NSEC_APEX_TYPES);
+                l.rrsig(authority, owner, ttl, RType::Nsec, apex, SIG_ZSK);
             }
         }
     }
 
     /// Apex / in-zone answers (SOA, NS, DNSKEY at the apex...).
-    fn in_zone(&self, reply: &mut Reply<'_>, qtype: RType, dnssec_ok: bool) {
+    fn in_zone(&self, l: &mut Layout<'_>, qtype: RType, dnssec_ok: bool) {
         let apex = self.zone.apex();
         let answer = Section::Answer;
         match qtype {
@@ -309,7 +267,7 @@ impl Authoritative {
                     (257, 260, 0x0b),
                     (256, 132, 0x0d),
                 ] {
-                    reply.put(answer, apex, RType::Dnskey, 3600, |_, out| {
+                    l.record(answer, Nm::Base, RType::Dnskey, 3600, |_, out| {
                         out.extend_from_slice(&flags.to_be_bytes());
                         out.extend_from_slice(&[3, 8]);
                         out.resize(out.len() + keylen, fill);
@@ -317,26 +275,26 @@ impl Authoritative {
                 }
                 if dnssec_ok {
                     for _ in 0..2 {
-                        reply.rrsig(answer, apex, 3600, RType::Dnskey, apex, SIG_KSK);
+                        l.rrsig(answer, Nm::Base, 3600, RType::Dnskey, apex, SIG_KSK);
                     }
                 }
             }
             RType::Soa => {
-                self.soa(reply, answer, 3600);
+                self.soa(l, answer, 3600);
                 if dnssec_ok {
-                    reply.rrsig(answer, apex, 3600, RType::Soa, apex, SIG_ZSK);
+                    l.rrsig(answer, Nm::Base, 3600, RType::Soa, apex, SIG_ZSK);
                 }
             }
             RType::Ns => {
-                for label in NS_LABELS {
-                    reply.ns(answer, apex, 3600, &child(apex, label));
+                for host in 0..3 {
+                    l.ns(answer, Nm::Base, 3600, Nm::Child(host));
                 }
                 if dnssec_ok {
-                    reply.rrsig(answer, apex, 3600, RType::Ns, apex, SIG_ZSK);
+                    l.rrsig(answer, Nm::Base, 3600, RType::Ns, apex, SIG_ZSK);
                 }
             }
             // NODATA: NOERROR with SOA in authority
-            _ => self.soa(reply, Section::Authority, self.negative_ttl),
+            _ => self.soa(l, Section::Authority, self.negative_ttl),
         }
     }
 
@@ -344,70 +302,54 @@ impl Authoritative {
     /// glue in additional, and — for signed delegations under DO — the
     /// DS record plus its RRSIG. This is the answer shape whose size
     /// interacts with Figure 6's EDNS distributions.
-    fn referral(&self, reply: &mut Reply<'_>, delegation: &Name, signed: bool, dnssec_ok: bool) {
+    fn referral(&self, l: &mut Layout<'_>, signed: bool, dnssec_ok: bool) {
         let apex = self.zone.apex();
-        let authority = Section::Authority;
-        let h = hash_name(delegation);
-        let hosts = NS_LABELS.map(|label| child(delegation, label));
-        let hosts = &hosts[..2 + (h % 2) as usize]; // 2-3 NS records
-        for host in hosts {
-            reply.ns(authority, delegation, self.delegation_ttl, host);
+        let (authority, ttl) = (Section::Authority, self.delegation_ttl);
+        let h = hash_wire(l.names.base);
+        let hosts = 2 + (h % 2) as usize; // 2-3 NS records
+        for host in 0..hosts {
+            l.ns(authority, Nm::Base, ttl, Nm::Child(host));
         }
         if dnssec_ok && signed {
             // the common operational DS RRset: SHA-256 + SHA-384
             // digests plus a 2048-bit signature — what pushes the
             // signed referral past 512 octets
-            let ttl = self.delegation_ttl;
-            reply.ds(authority, delegation, ttl, h, DS_SHA256);
-            reply.ds(authority, delegation, ttl, h.rotate_left(17), DS_SHA384);
-            reply.rrsig(authority, delegation, ttl, RType::Ds, apex, SIG_KSK);
+            l.ds(authority, ttl, h, DS_SHA256);
+            l.ds(authority, ttl, h.rotate_left(17), DS_SHA384);
+            l.rrsig(authority, Nm::Base, ttl, RType::Ds, apex, SIG_KSK);
         } else if dnssec_ok {
             // proof of unsigned delegation: NSEC + RRSIG
             let ttl = self.negative_ttl;
-            reply.nsec(delegation, ttl, delegation, &NSEC_UNSIGNED_TYPES);
-            reply.rrsig(authority, delegation, ttl, RType::Nsec, apex, SIG_ZSK);
+            l.nsec(Nm::Base, ttl, Nm::Base, &NSEC_UNSIGNED_TYPES);
+            l.rrsig(authority, Nm::Base, ttl, RType::Nsec, apex, SIG_ZSK);
         }
         // in-bailiwick NS hosts get A glue; the first is dual-stack
-        let ttl = self.delegation_ttl;
-        for (i, host) in hosts.iter().enumerate() {
-            let v4 = Ipv4Addr::new(192, 0, 2, 10 + i as u8);
-            reply.addr(Section::Additional, host, ttl, v4.into());
-            if i == 0 {
-                reply.addr(Section::Additional, host, ttl, GLUE_V6.into());
+        for host in 0..hosts {
+            let glue = Nm::Child(host);
+            l.record(Section::Additional, glue, RType::A, ttl, |_, out| {
+                out.extend_from_slice(&[192, 0, 2, 10 + host as u8])
+            });
+            if host == 0 {
+                l.record(Section::Additional, glue, RType::Aaaa, ttl, |_, out| {
+                    out.extend_from_slice(&GLUE_V6.octets())
+                });
             }
         }
     }
 
-    /// An authoritative DS answer (the parent owns DS).
-    fn ds_answer(&self, reply: &mut Reply<'_>, delegation: &Name, signed: bool, dnssec_ok: bool) {
-        if !signed {
-            // NODATA + SOA (no DS exists)
-            return self.soa(reply, Section::Authority, self.negative_ttl);
-        }
+    /// An authoritative DS answer for a signed delegation.
+    fn ds_answer(&self, l: &mut Layout<'_>, dnssec_ok: bool) {
         let apex = self.zone.apex();
-        reply.ds(
-            Section::Answer,
-            delegation,
-            3600,
-            hash_name(delegation),
-            DS_SHA256,
-        );
+        l.ds(Section::Answer, 3600, hash_wire(l.names.base), DS_SHA256);
         if dnssec_ok {
-            reply.rrsig(Section::Answer, delegation, 3600, RType::Ds, apex, SIG_ZSK);
+            l.rrsig(Section::Answer, Nm::Base, 3600, RType::Ds, apex, SIG_ZSK);
         }
     }
 
-    /// The apex SOA.
-    fn soa(&self, reply: &mut Reply<'_>, section: Section, ttl: u32) {
-        let apex = self.zone.apex();
-        let (mname, rname) = (child(apex, NS_LABELS[0]), child(apex, b"hostmaster"));
-        reply.put(section, apex, RType::Soa, ttl, |comp, out| {
-            comp.encode_name(&mname, out);
-            comp.encode_name(&rname, out);
-            for v in [2020041101, 3600, 600, 2_419_200, self.negative_ttl] {
-                out.extend_from_slice(&v.to_be_bytes());
-            }
-        });
+    /// The apex SOA; `l` lays out under the apex.
+    fn soa(&self, l: &mut Layout<'_>, section: Section, ttl: u32) {
+        let fields = [2020041101, 3600, 600, 2_419_200, self.negative_ttl];
+        l.soa(section, ttl, fields);
     }
 }
 
@@ -416,14 +358,231 @@ const DS_SHA256: (u8, u8) = (2, 32);
 /// The companion SHA-384 digest registrars commonly publish.
 const DS_SHA384: (u8, u8) = (4, 48);
 
-/// `label.parent`, or `parent` itself where that would be too long.
-fn child(parent: &Name, label: &[u8]) -> Name {
-    parent.child(label).unwrap_or_else(|_| parent.clone())
+/// A name in an answer laid out by shape: the question's, the base, or
+/// `LABELS[i]` under the base.
+#[derive(Clone, Copy)]
+pub(crate) enum Nm {
+    Question,
+    Base,
+    Child(usize),
 }
 
-fn hash_name(name: &Name) -> u64 {
+/// Where the names of one answer first occur: the offsets the name
+/// compressor would find, known from the question's layout.
+pub(crate) struct Names<'a> {
+    /// The question's name as asked; it starts at offset 12.
+    qname: &'a [u8],
+    /// The apex, or the cut: a suffix of `qname`, spelled as asked.
+    base: &'a [u8],
+    /// Where the base and each `LABELS[i].base` first occur, once they do.
+    base_at: Option<usize>,
+    first: [Option<usize>; LABELS.len()],
+}
+
+impl<'a> Names<'a> {
+    /// When `qname` ends in `base`, the base — and the label above it
+    /// there, if one of [`LABELS`] — first occur in the question.
+    fn new(qname: &'a [u8], base: &'a [u8]) -> Self {
+        let mut first = [None; LABELS.len()];
+        let found = find_suffix(qname, base);
+        if let Some((at, Some(above))) = found {
+            let label = &qname[above + 1..at];
+            if let Some(i) = LABELS.iter().position(|l| l.eq_ignore_ascii_case(label)) {
+                first[i] = Some(HEADER_LEN + above);
+            }
+        }
+        let base_at = found.map(|(at, _)| HEADER_LEN + at);
+        Names {
+            qname,
+            base,
+            base_at,
+            first,
+        }
+    }
+
+    /// Write `name` as the compressor would: a pointer to where it first
+    /// occurs, or else its label and the base. Nothing points at the root.
+    fn put(&mut self, out: &mut Vec<u8>, name: Nm) {
+        let i = match name {
+            Nm::Question if self.qname != [0] => return pointer(out, HEADER_LEN),
+            Nm::Question => return out.push(0),
+            // a child past 255 octets is the base itself
+            Nm::Child(i) if self.base.len() + 1 + LABELS[i].len() <= MAX_NAME_LEN => i,
+            _ => return self.put_base(out),
+        };
+        if let Some(at) = self.first[i] {
+            return pointer(out, at);
+        }
+        self.first[i] = Some(out.len());
+        out.push(LABELS[i].len() as u8);
+        out.extend_from_slice(LABELS[i]);
+        self.put_base(out);
+    }
+
+    fn put_base(&mut self, out: &mut Vec<u8>) {
+        match self.base_at {
+            _ if self.base == [0] => out.push(0),
+            Some(at) => pointer(out, at),
+            None => {
+                self.base_at = Some(out.len());
+                put_against(out, self.qname, self.base);
+            }
+        }
+    }
+}
+
+/// One answer being laid out: the response's writer and its names.
+pub(crate) struct Layout<'a> {
+    w: MessageWriter<'a>,
+    names: Names<'a>,
+}
+
+impl<'a> Layout<'a> {
+    /// Start the answer to `query`'s one `question` in `wire`, its names
+    /// under `base`, with the question written as asked.
+    pub(crate) fn open(
+        query: Query<'_>,
+        question: &'a Question,
+        rcode: Rcode,
+        base: &'a [u8],
+        wire: &'a mut WireScratch,
+    ) -> Self {
+        let mut w = query.open(rcode, wire);
+        w.literal_question(question);
+        let names = Names::new(question.qname.as_wire(), base);
+        Layout { w, names }
+    }
+
+    /// Close the answer, mirroring the requestor's EDNS presence.
+    pub(crate) fn close(self, query: Query<'_>) {
+        query.close(self.w);
+    }
+
+    /// One class-IN record in `section`: its owner, type and TTL, and
+    /// the RDATA `rdata` writes, framed by its RDLENGTH.
+    pub(crate) fn record(
+        &mut self,
+        section: Section,
+        owner: Nm,
+        rtype: RType,
+        ttl: u32,
+        rdata: impl FnOnce(&mut Names<'a>, &mut Vec<u8>),
+    ) {
+        let names = &mut self.names;
+        self.w.literal_records(section, |out| {
+            names.put(out, owner);
+            out.extend_from_slice(&rtype.to_u16().to_be_bytes());
+            out.extend_from_slice(&RClass::In.to_u16().to_be_bytes());
+            out.extend_from_slice(&ttl.to_be_bytes());
+            let rdlen_at = out.len();
+            out.extend_from_slice(&[0, 0]);
+            rdata(names, out);
+            let rdlen = (out.len() - rdlen_at - 2) as u16;
+            out[rdlen_at..rdlen_at + 2].copy_from_slice(&rdlen.to_be_bytes());
+            1
+        });
+    }
+
+    pub(crate) fn ns(&mut self, section: Section, owner: Nm, ttl: u32, host: Nm) {
+        self.record(section, owner, RType::Ns, ttl, |n, out| n.put(out, host));
+    }
+
+    /// A SOA at the base: `LABELS[0]` and the hostmaster under it, and
+    /// serial, refresh, retry, expire and minimum.
+    pub(crate) fn soa(&mut self, section: Section, ttl: u32, fields: [u32; 5]) {
+        self.record(section, Nm::Base, RType::Soa, ttl, |n, out| {
+            n.put(out, Nm::Child(0));
+            n.put(out, Nm::Child(HOSTMASTER));
+            for v in fields {
+                out.extend_from_slice(&v.to_be_bytes());
+            }
+        });
+    }
+
+    fn rrsig(
+        &mut self,
+        section: Section,
+        owner: Nm,
+        ttl: u32,
+        covered: RType,
+        signer: &Name,
+        (key_tag, len, fill): Signature,
+    ) {
+        self.record(section, owner, RType::Rrsig, ttl, |_, out| {
+            out.extend_from_slice(&covered.to_u16().to_be_bytes());
+            out.extend_from_slice(&[8, signer.label_count() as u8]);
+            for v in [3600u32, 1_600_000_000, 1_598_000_000] {
+                out.extend_from_slice(&v.to_be_bytes());
+            }
+            out.extend_from_slice(&key_tag.to_be_bytes());
+            // RFC 4034 §3.1.7: signer name MUST NOT be compressed.
+            out.extend_from_slice(signer.as_wire());
+            out.resize(out.len() + len, fill);
+        });
+    }
+
+    /// An NSEC whose next name is the base or, under the apex, a child.
+    fn nsec(&mut self, owner: Nm, ttl: u32, next: Nm, types: &[u8]) {
+        self.record(Section::Authority, owner, RType::Nsec, ttl, |n, out| {
+            // RFC 4034 §4.1.1: next name MUST NOT be compressed.
+            if let Nm::Child(i) = next {
+                out.push(LABELS[i].len() as u8);
+                out.extend_from_slice(LABELS[i]);
+            }
+            out.extend_from_slice(n.base);
+            out.extend_from_slice(types);
+        });
+    }
+
+    /// A DS record at the base whose digest is spun out of the
+    /// delegation's hash.
+    fn ds(&mut self, section: Section, ttl: u32, h: u64, (digest_type, len): (u8, u8)) {
+        self.record(section, Nm::Base, RType::Ds, ttl, |_, out| {
+            out.extend_from_slice(&(h as u16).to_be_bytes());
+            out.extend_from_slice(&[8, digest_type]);
+            out.extend((0..len).map(|i| (h >> (i % 8)) as u8));
+        });
+    }
+}
+
+/// Write `name` as the compressor does where only the question `qname`
+/// precedes it: its labels up to the longest suffix the two share, then
+/// a pointer there.
+fn put_against(out: &mut Vec<u8>, qname: &[u8], name: &[u8]) {
+    let mut at = 0;
+    while name[at] != 0 {
+        if let Some((suffix, _)) = find_suffix(qname, &name[at..]) {
+            return pointer(out, HEADER_LEN + suffix);
+        }
+        let end = at + 1 + name[at] as usize;
+        out.extend_from_slice(&name[at..end]);
+        at = end;
+    }
+    out.push(0);
+}
+
+/// Where `suffix` starts in `qname` when it is a whole-label suffix of
+/// it, ASCII case folded as the compressor matches, and where the label
+/// above it starts.
+fn find_suffix(qname: &[u8], suffix: &[u8]) -> Option<(usize, Option<usize>)> {
+    let tail = qname.len().checked_sub(suffix.len())?;
+    let (mut at, mut above) = (0, None);
+    while at < tail {
+        above = Some(at);
+        at += 1 + qname[at] as usize;
+    }
+    (at == tail && qname[at..].eq_ignore_ascii_case(suffix)).then_some((at, above))
+}
+
+/// A compression pointer to offset `at`.
+fn pointer(out: &mut Vec<u8>, at: usize) {
+    debug_assert!(at <= 0x3fff, "pointer past 16 KiB");
+    out.extend_from_slice(&(0xc000 | at as u16).to_be_bytes());
+}
+
+fn hash_wire(wire: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in name.as_wire() {
+    for &b in wire {
         h = (h ^ b.to_ascii_lowercase() as u64).wrapping_mul(0x100_0000_01b3);
     }
     h
@@ -437,6 +596,11 @@ mod tests {
 
     fn zone() -> ZoneModel {
         ZoneModel::nl(1000)
+    }
+
+    /// `label.parent`, or `parent` itself where that would be too long.
+    fn child(parent: &Name, label: &[u8]) -> Name {
+        parent.child(label).unwrap_or_else(|_| parent.clone())
     }
 
     fn query(qname: &Name, qtype: RType, edns: Option<(u16, bool)>) -> Message {
@@ -694,6 +858,130 @@ mod tests {
                 (reply.bytes, reply.truncated),
                 message.encode_with_limit(limit).unwrap()
             );
+        }
+    }
+
+    /// A name of labels drawn from `pool`, `picks` in order under the
+    /// root, skipping any that would pass 255 octets.
+    fn grown(picks: &[(usize, usize)], top: &Name) -> Name {
+        let pool: [&[u8]; 9] = [
+            b"ns1",
+            b"NS2",
+            b"ns3",
+            b"hostmaster",
+            b"zzzy",
+            b"aaab",
+            b"nz",
+            b"co",
+            b"Nl",
+        ];
+        let long = [b'x'; 63];
+        picks.iter().fold(top.clone(), |name, &(pick, len)| {
+            let label = pool.get(pick).copied().unwrap_or(&long[..1 + len % 63]);
+            name.child(label).unwrap_or(name)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// [`Names`] writes what the compressor would: after a question
+        /// grown toward 255 octets, any sequence of the base and its
+        /// fixed children — under a suffix of the question (where a
+        /// child past 255 octets falls back to the base) or under a
+        /// name the question may share only a tail with — is written in
+        /// the compressor's bytes.
+        #[test]
+        fn layout_names_are_the_compressors(
+            picks in prop::collection::vec((0usize..12, any::<usize>()), 0..12),
+            flips in any::<u64>(),
+            base in 0usize..14,
+            written in prop::collection::vec(prop::option::of(0usize..LABELS.len()), 1..12),
+        ) {
+            let qname = recase(&grown(&picks, &Name::root()), flips);
+            let other: [&str; 4] = ["nz.", "co.nz.", "example.com.", "."];
+            let base = match base.checked_sub(other.len()) {
+                Some(depth) => qname.ancestor(depth),
+                None => other[base].parse().unwrap(),
+            };
+            let mut comp = dns_wire::name::ReusableCompressor::new();
+            let mut expected = vec![0; HEADER_LEN];
+            comp.encode_name(&qname, &mut expected);
+            let mut out = expected.clone();
+            let mut names = Names::new(qname.as_wire(), base.as_wire());
+            for name in written {
+                match name {
+                    Some(i) => {
+                        comp.encode_name(&child(&base, LABELS[i]), &mut expected);
+                        names.put(&mut out, Nm::Child(i));
+                    }
+                    None => {
+                        comp.encode_name(&base, &mut expected);
+                        names.put(&mut out, Nm::Base);
+                    }
+                }
+                prop_assert_eq!(&out, &expected);
+            }
+        }
+
+        /// Every answer laid out by shape is, byte for byte, the message
+        /// the compressor writes: `Message::parse(..).encode()` is the
+        /// oracle. The qnames cover `.nl`, `.nz` (structural `co.nz`
+        /// names too) and the root; a fixed label (`ns1`, `NS2`, `ns3`,
+        /// `hostmaster`, `zzzy`, `aaab`) just above the cut or the
+        /// apex; names grown toward 255 octets; out-of-zone names; 0x20
+        /// case mixes; and the incident's glueless referral.
+        #[test]
+        fn answers_laid_out_by_shape_are_the_compressors_bytes(
+            zone in 0usize..3,
+            idx in any::<u64>(),
+            under in 0usize..3,
+            above in prop::option::of(0usize..9),
+            picks in prop::collection::vec((0usize..12, any::<usize>()), 0..10),
+            out_of_zone in 0u8..7,
+            flips in any::<u64>(),
+            qtype in 0usize..7,
+            edns in 0usize..3,
+            do_bit in any::<bool>(),
+            signed in any::<bool>(),
+            glueless in prop::option::of(0usize..3),
+        ) {
+            use RType::*;
+            let mut zone_models = vec![ZoneModel::nl(1000), ZoneModel::nz(300, 300), ZoneModel::root(40)];
+            let auth = Authoritative::new(zone_models.swap_remove(zone));
+            let apex = auth.zone().apex().clone();
+            let domain = auth.zone().registered_domain(idx % auth.zone().domain_count());
+            let base = [apex.clone(), domain.clone(), child(&apex, b"co")][under].clone();
+            let labels: [&[u8]; 9] =
+                [b"ns1", b"NS2", b"ns3", b"hostmaster", b"zzzy", b"aaab", b"Ns1", b"www", b"co"];
+            let top = match above {
+                Some(i) => child(&base, labels[i]),
+                None => base,
+            };
+            // out of zone: the same labels under another top-level name
+            let top = match out_of_zone {
+                0 => Name::from_labels(top.labels().chain([&b"example"[..]])).unwrap_or(top),
+                _ => top,
+            };
+            let qname = recase(&grown(&picks, &top), flips);
+            let qtype = [A, Aaaa, Ns, Ds, Dnskey, Soa, Mx][qtype];
+            let edns = [None, Some(512u16), Some(4096)][edns];
+            let q = query(&qname, qtype, edns.map(|size| (size, do_bit)));
+            let mut wire = WireScratch::default();
+            match glueless {
+                Some(host) => {
+                    let other = auth.zone().registered_domain((idx / 3) % auth.zone().domain_count());
+                    let host = child(&[other, domain, apex][host], b"ns");
+                    auth.respond_glueless((&q).into(), &host, &mut wire);
+                }
+                None => {
+                    auth.respond((&q).into(), signed, &mut wire);
+                }
+            }
+            let full = wire.response().bytes;
+            let message = Message::parse(full).expect("written answers parse");
+            prop_assert_eq!(&message.encode().unwrap(), full);
+            prop_assert_eq!(&message.questions, &q.questions);
         }
     }
 }

@@ -44,7 +44,7 @@
 //! - **`.nz` Q-min walks probe twice** (`co.nz NS` + `label.co.nz NS`)
 //!   where the calibrated rewrite emits one minimized probe.
 
-use crate::auth::{Authoritative, Query, Reply, ServerSpec, NS_LABELS};
+use crate::auth::{Authoritative, Layout, Nm, Query, ServerSpec};
 use crate::engine::{mix_case_0x20, name_key, pick_qtype, slice_seed, DatasetStats, Engine};
 use crate::fleet::{Fleet, Resolver as FleetResolver};
 use crate::plan::{self, SlotPlan, Steering};
@@ -54,7 +54,7 @@ use crate::scenario::Incident;
 use crate::vantage::{self, Recorded, WireScratch, TCP_RETRY_GAP_US};
 use dns_wire::message::Message;
 use dns_wire::name::Name;
-use dns_wire::types::{RType, Rcode};
+use dns_wire::types::{RClass, RType, Rcode};
 use dns_wire::writer::Section;
 use netbase::capture::{CaptureRecord, RecordSink};
 use netbase::flow::IpVersion;
@@ -256,7 +256,6 @@ impl<'a> SimTransport<'a> {
     /// the transport's wire scratch when it applies.
     fn incident_referral(
         &mut self,
-        qname: &Name,
         qtype: RType,
         located: Located,
         t: SimTime,
@@ -281,15 +280,7 @@ impl<'a> SimTransport<'a> {
             if let Some(pos) = domain_indices.iter().position(|d| *d == idx) {
                 let other = self.zone.registered_domain(domain_indices[1 - pos]);
                 let ns = other.child(b"ns").unwrap_or_else(|_| other.clone());
-                let delegation = self.zone.minimized_qname(qname);
-                let mut reply = query.open(Rcode::NoError, &mut self.wire);
-                reply.ns(
-                    Section::Authority,
-                    &delegation,
-                    self.auth.delegation_ttl,
-                    &ns,
-                );
-                query.close(reply);
+                self.auth.respond_glueless(query, &ns, &mut self.wire);
                 return true;
             }
         }
@@ -320,7 +311,7 @@ impl<'a> SimTransport<'a> {
             .write_query(&query.header, question, query.edns.as_ref());
         // the one classification of the exchange
         let located = self.zone.locate(qname);
-        if !self.incident_referral(qname, question.qtype, located, t, query.into()) {
+        if !self.incident_referral(question.qtype, located, t, query.into()) {
             self.auth
                 .respond_located(query.into(), located, &mut self.wire);
         }
@@ -428,19 +419,45 @@ pub fn synth_root_referral(
                 .unwrap_or_else(|_| apex.clone())
         })
         .collect();
-    let mut reply = query.open(Rcode::NoError, wire);
+    let mut w = query.open(Rcode::NoError, wire);
+    for q in query.questions {
+        w.question(q);
+    }
     for ns in &hosts {
-        reply.ns(Section::Authority, apex, ROOT_NS_TTL, ns);
+        w.record(
+            Section::Authority,
+            apex,
+            RType::Ns,
+            RClass::In,
+            ROOT_NS_TTL,
+            |c, out| {
+                c.encode_name(ns, out);
+                Ok(())
+            },
+        )
+        .expect("infallible rdata");
     }
     for (ns, s) in hosts.iter().zip(servers) {
-        if v4 {
-            reply.addr(Section::Additional, ns, ROOT_NS_TTL, s.v4.into());
-        }
-        if v6 {
-            reply.addr(Section::Additional, ns, ROOT_NS_TTL, s.v6.into());
+        let glue = [
+            (v4, RType::A, &s.v4.octets()[..]),
+            (v6, RType::Aaaa, &s.v6.octets()),
+        ];
+        for (_, rtype, addr) in glue.into_iter().filter(|(has, ..)| *has) {
+            w.record(
+                Section::Additional,
+                ns,
+                rtype,
+                RClass::In,
+                ROOT_NS_TTL,
+                |_, out| {
+                    out.extend_from_slice(addr);
+                    Ok(())
+                },
+            )
+            .expect("infallible rdata");
         }
     }
-    query.close(reply);
+    query.close(w);
 }
 
 /// Write a leaf (registrant) nameserver's answer below the vantage cut
@@ -455,8 +472,8 @@ pub fn synth_leaf_answer(
     query: Query<'_>,
     wire: &mut WireScratch,
 ) {
-    let Some(question) = query.questions.first() else {
-        query.close(query.open(Rcode::FormErr, wire));
+    let [question] = query.questions else {
+        query.formerr(wire);
         return;
     };
     let qname = &question.qname;
@@ -466,30 +483,35 @@ pub fn synth_leaf_answer(
         Lookup::NxDomain => Rcode::NxDomain,
         _ => Rcode::NoError,
     };
-    let mut reply = query.open(rcode, wire);
+    let mut l = Layout::open(query, question, rcode, zone.cut_of(qname), wire);
+    let answer = Section::Answer;
     match (lookup, question.qtype) {
         (Lookup::Delegated, RType::A) => {
             let h = name_key(qname);
-            let a = Ipv4Addr::new(203, 0, 113, (h % 254 + 1) as u8);
-            reply.addr(Section::Answer, qname, ttl, a.into());
+            l.record(answer, Nm::Question, RType::A, ttl, |_, out| {
+                out.extend_from_slice(&[203, 0, 113, (h % 254 + 1) as u8])
+            });
         }
         (Lookup::Delegated, RType::Aaaa) => {
             let h = name_key(qname);
             let aaaa = Ipv6Addr::new(0x2001, 0xdb8, 0x100, 0, 0, 0, 0, (h % 65_535 + 1) as u16);
-            reply.addr(Section::Answer, qname, ttl, aaaa.into());
+            l.record(answer, Nm::Question, RType::Aaaa, ttl, |_, out| {
+                out.extend_from_slice(&aaaa.octets())
+            });
         }
         (Lookup::Delegated, RType::Ns) => {
-            let cut = zone.minimized_qname(qname);
-            for label in &NS_LABELS[..2] {
-                let ns = cut.child(label).unwrap_or_else(|_| cut.clone());
-                reply.ns(Section::Answer, qname, ttl, &ns);
+            for host in 0..2 {
+                l.ns(answer, Nm::Question, ttl, Nm::Child(host));
             }
         }
         // NODATA, or NXDOMAIN: the cut's SOA
-        _ => leaf_soa(&mut reply, &zone.minimized_qname(qname)),
+        _ => l.soa(Section::Authority, 900, LEAF_SOA),
     }
-    query.close(reply);
+    l.close(query);
 }
+
+/// The leaf tier's SOA serial, refresh, retry, expire and minimum.
+const LEAF_SOA: [u32; 5] = [2020020801, 3600, 600, 2_419_200, 900];
 
 /// Per-nameserver RTT histograms (`resolver_ns_rtt_us_<server>`) in the
 /// global metrics registry, one per dataset server in spec order. Both
@@ -518,19 +540,6 @@ fn metric_label(name: &str) -> String {
             }
         })
         .collect()
-}
-
-/// A minimal SOA for leaf-tier negative answers, in authority.
-fn leaf_soa(reply: &mut Reply<'_>, cut: &Name) {
-    let mname = cut.child(b"ns1").unwrap_or_else(|_| cut.clone());
-    let rname = cut.child(b"hostmaster").unwrap_or_else(|_| cut.clone());
-    reply.put(Section::Authority, cut, RType::Soa, 900, |comp, out| {
-        comp.encode_name(&mname, out);
-        comp.encode_name(&rname, out);
-        for v in [2020020801u32, 3600, 600, 2_419_200, 900] {
-            out.extend_from_slice(&v.to_be_bytes());
-        }
-    });
 }
 
 /// The tier of the simulated hierarchy a server address belongs to.

@@ -36,11 +36,11 @@ pub fn response_class(rcode: Rcode, qname_wire: &[u8]) -> ResponseClass {
     }
 }
 
-/// Where a slice of generated traffic writes its messages: one name
-/// compressor and one buffer each for the query and the response of
-/// the exchange in hand, reused for every exchange, so a payload costs
-/// the one allocation that holds its bytes in the capture. Empty until
-/// the first message sizes it.
+/// Where a slice of generated traffic writes its messages: one buffer
+/// each for the query and the response of the exchange in hand, and a
+/// name compressor for the fleet's synthetic root, reused for every
+/// exchange, so a payload costs the one allocation that holds its bytes
+/// in the capture. Empty until the first message sizes it.
 #[derive(Default)]
 pub struct WireScratch {
     comp: ReusableCompressor,
@@ -51,11 +51,12 @@ pub struct WireScratch {
 }
 
 impl WireScratch {
-    /// Write a one-question query as the exchange's query.
+    /// Write a one-question query as the exchange's query, its name as
+    /// it is: nothing precedes a message's first name to point at.
     pub fn write_query(&mut self, header: &Header, q: &Question, edns: Option<&Edns>) {
         let mut marks = Marks::default();
         let mut w = MessageWriter::new(header, &mut self.comp, &mut self.query, &mut marks);
-        w.question(q);
+        w.literal_question(q);
         w.finish(edns, usize::MAX).expect("no size limit");
     }
 

@@ -265,15 +265,25 @@ impl ZoneModel {
     /// resolver asks for `co.nz` itself; both appear in real minimized
     /// streams. This returns the deepest minimized form.
     pub fn minimized_qname(&self, full: &Name) -> Name {
-        let apex_depth = self.apex.label_count();
+        full.ancestor(self.cut_depth(full))
+    }
+
+    /// [`ZoneModel::minimized_qname`] in place: the wire form of the cut
+    /// a referral for `full` delegates, as a suffix of `full`'s own.
+    pub fn cut_of<'n>(&self, full: &'n Name) -> &'n [u8] {
+        full.ancestor_wire(self.cut_depth(full))
+    }
+
+    /// How many labels of `full` [`ZoneModel::minimized_qname`] keeps.
+    fn cut_depth(&self, full: &Name) -> usize {
         match &self.kind {
-            ZoneKind::MixedLevel { .. } => {
-                if subzone_position(&full.ancestor(2)).is_some() && full.label_count() >= 3 {
-                    return full.ancestor(3);
-                }
-                full.ancestor(apex_depth + 1)
+            ZoneKind::MixedLevel { .. }
+                if full.label_count() >= 3
+                    && label_at(full, 2).and_then(subzone_label_position).is_some() =>
+            {
+                3
             }
-            _ => full.ancestor(apex_depth + 1),
+            _ => self.apex.label_count() + 1,
         }
     }
 
@@ -350,12 +360,6 @@ fn third_level_member(sub_pos: usize, local: u64, thirds: u64) -> bool {
 /// `label.parent.`, for the labels this crate generates.
 fn child_of(parent: &Name, label: &[u8]) -> Name {
     parent.child(label).expect("generated labels are short")
-}
-
-/// Which [`NZ_SUBZONES`] entry the leftmost label of `name` is, folding
-/// case as DNS does (ASCII only).
-fn subzone_position(name: &Name) -> Option<usize> {
-    subzone_label_position(name.labels().next()?)
 }
 
 /// Which [`NZ_SUBZONES`] entry `label` names, folding ASCII case.

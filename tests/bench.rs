@@ -665,11 +665,15 @@ fn wire_encode_into_is_allocation_free_and_byte_identical() {
     assert_eq!(stats.allocs, 0, "an OPT with options allocated");
 }
 
-/// The record path's allocation budget: `.nl` 2020 at the tiny scale,
-/// generated into memory on one shard and ingested on this thread, may
-/// allocate at most 8 times per query (it measures about 6: the
-/// payloads themselves, the rows, the sort; 91 before the inline `Name`,
-/// 10.5 before responses were written straight into the slice's buffer).
+/// The record path's allocation budget, stage by stage: `.nl` 2020 at
+/// the tiny scale, generated into memory on one shard, then ingested on
+/// this thread. Generating measures 3.114 allocations per query (the
+/// payload copies, `TtlMap::put`, the growth of the record `Vec`) and
+/// ingesting 0.00073 (25 in all: the join's map and queues and the
+/// end-of-stream sort); each is bounded at 1.25 times that. The two
+/// shared one bound of 8 per query before, when together they measured
+/// about 6 (91 before the inline `Name`, 10.5 before responses were
+/// written straight into the slice's buffer).
 #[test]
 fn record_path_stays_within_its_allocation_budget() {
     use entrada::enrich::Enricher;
@@ -682,21 +686,24 @@ fn record_path_stays_within_its_allocation_budget() {
     assert!(obs::alloc::installed(), "counting allocator active");
     let engine = Engine::new(dataset(Vantage::Nl, 2020), Scale::tiny(), 42);
     let enricher = Enricher::new(engine.plan().mapper.clone());
-    let ((queries, rows), stats) = obs::alloc::measure(|| {
-        let mut records: Vec<CaptureRecord> = Vec::new();
-        let generated = engine
+    let mut records: Vec<CaptureRecord> = Vec::new();
+    let (generated, generate) = obs::alloc::measure(|| {
+        engine
             .generate_sharded(&mut records, 1)
-            .expect("generation into memory cannot fail");
-        let rows = CaptureIngest::new(records.into_iter(), enricher).count() as u64;
-        (generated.queries, rows)
+            .expect("generation into memory cannot fail")
     });
+    let (rows, ingest) =
+        obs::alloc::measure(|| CaptureIngest::new(records.into_iter(), enricher).count() as u64);
+    let queries = generated.queries;
     assert_eq!(rows, queries, "every query became a row");
-    let per_query = stats.allocs as f64 / queries as f64;
-    assert!(
-        per_query <= 8.0,
-        "generate + ingest made {per_query:.1} allocations per query ({} over {queries})",
-        stats.allocs
-    );
+    for (stage, stats, measured) in [("generate", generate, 3.114), ("ingest", ingest, 0.00073)] {
+        let per_query = stats.allocs as f64 / queries as f64;
+        assert!(
+            per_query <= 1.25 * measured,
+            "{stage} made {per_query:.5} allocations per query ({} over {queries})",
+            stats.allocs
+        );
+    }
 }
 
 /// The fleet plane's walk budget: one `.nl` 2020 fleet resolver (Q-min

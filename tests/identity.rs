@@ -110,6 +110,53 @@ fn dataset_nz_fleet_json() {
     );
 }
 
+/// `dnscentral dataset nl 2020 --scale=tiny --keep-capture` prints the
+/// report the streamed run prints — at one worker per core, at
+/// `--jobs=4`, and at every worker count of the table — since keeping
+/// the capture is generating it and then one pass over the file; and the
+/// file it keeps is the one `generate nl 2020 FILE --scale=tiny` writes.
+#[test]
+fn kept_capture_reports_as_streamed_and_is_the_capture_generated() {
+    let spec = dataset(Vantage::Nl, 2020);
+    let path = |what: &str| {
+        std::env::temp_dir().join(format!(
+            "dnscentral-identity-{what}-{}.dnscap",
+            std::process::id()
+        ))
+    };
+    let (kept, generated) = (path("kept-calibrated"), path("generated-calibrated"));
+    let report = |opts: &PipelineOpts| {
+        let run = run_spec_with(spec.clone(), Scale::tiny(), SEED, opts);
+        report::render_dataset_report(
+            &run.id,
+            Vantage::Nl,
+            &run.analysis,
+            &run.dualstack,
+            &run.spec,
+        )
+    };
+    let keep = PipelineOpts {
+        keep_capture: Some(kept.clone()),
+        ..PipelineOpts::default()
+    };
+    let kept_report = report(&keep);
+    for jobs in [0, 4].into_iter().chain(WORKERS) {
+        assert!(
+            report(&PipelineOpts::with_jobs(jobs)) == kept_report,
+            "the --keep-capture report differs from the streamed one at --jobs={jobs}"
+        );
+    }
+    let engine = Engine::new(spec.clone(), Scale::tiny(), SEED);
+    write_capture(&engine, &generated, &PipelineOpts::default()).expect("generate");
+    let bytes = |p: &std::path::Path| std::fs::read(p).expect("capture written");
+    assert!(
+        bytes(&kept) == bytes(&generated),
+        "the kept capture is not the file generate writes"
+    );
+    let _ = std::fs::remove_file(&kept);
+    let _ = std::fs::remove_file(&generated);
+}
+
 /// `dnscentral ingest nz 2020 --scale=tiny --warehouse=DIR
 /// --partition-rows=4096`, then `report --warehouse=DIR` as text and as
 /// `--json`: both digests for each worker count, which the ingest and
