@@ -628,9 +628,8 @@ impl Hasher for KeyIsHash {
 /// can point at it. Offsets beyond 0x3FFF cannot be pointed at.
 ///
 /// Built for reuse across messages without allocating: the suffix
-/// table's keys are 64-bit FNV hashes of the case-folded suffix (see
-/// [`suffix_key`]), not owned byte strings, and serve as their own
-/// table hash, so
+/// table's keys are 64-bit FNV hashes of the case-folded suffix, not
+/// owned byte strings, and serve as their own table hash, so
 /// [`ReusableCompressor::reset`] between messages keeps the map's
 /// capacity and steady-state encoding performs zero heap allocations.
 ///
@@ -658,7 +657,8 @@ impl ReusableCompressor {
 
     /// Encode `name` at the current end of `out`, compressing against
     /// earlier names, and record its suffixes for future reuse. Linear
-    /// in the name's length (see [`suffix_key`]).
+    /// in the name's length: the key of each suffix is the longer
+    /// suffix's key with its first label unstepped, not a fresh hash.
     pub fn encode_name(&mut self, name: &Name, out: &mut Vec<u8>) {
         let wire = name.as_wire();
         let mut key = suffix_key(wire, 0);

@@ -265,7 +265,15 @@ impl Joiner {
         let mut rest: Vec<(TxnKey, QueryRow)> = self.pending.drain().collect();
         rest.sort_unstable_by_key(|(k, r)| {
             let f = &k.flow;
-            (r.timestamp, f.src_port, f.src, f.dst, f.dst_port, f.transport, k.id)
+            (
+                r.timestamp,
+                f.src_port,
+                f.src,
+                f.dst,
+                f.dst_port,
+                f.transport,
+                k.id,
+            )
         });
         self.stats.unanswered_queries += rest.len() as u64;
         self.stats.rows += rest.len() as u64;

@@ -6,8 +6,8 @@
 //! query/response **join** (transaction matching on flow + DNS id) →
 //! **enrichment** (AS, cloud provider, public-DNS classification,
 //! address family, EDNS attributes) → a stream of [`QueryRow`]s that
-//! analyses aggregate with the primitives in [`agg`] (counters,
-//! distinct counting both exact and sketched, CDFs, top-k).
+//! the report sinks aggregate exactly; [`agg`] holds the empirical
+//! [`Cdf`] they share.
 //!
 //! Malformed frames are counted and skipped, never fatal — a passive
 //! pipeline must survive anything the network throws at it.
@@ -21,7 +21,7 @@ pub mod ingest;
 pub mod schema;
 pub mod table;
 
-pub use agg::{Cdf, Counter, DistinctCounter, HyperLogLog};
+pub use agg::Cdf;
 pub use enrich::Enricher;
 pub use ingest::{CaptureIngest, IngestStats};
 pub use schema::QueryRow;

@@ -1,125 +1,9 @@
-//! Property tests for the aggregation primitives.
+//! Property tests for the empirical CDF.
 
-use entrada::agg::{Cdf, Counter, DistinctCounter, HyperLogLog};
+use entrada::agg::Cdf;
 use proptest::prelude::*;
 
 proptest! {
-    /// Counter totals equal the sum over keys; merge is additive.
-    #[test]
-    fn counter_total_law(pairs in prop::collection::vec((0u32..50, 1u64..100), 0..100)) {
-        let mut c = Counter::new();
-        for (k, n) in &pairs {
-            c.add(*k, *n);
-        }
-        let expected: u64 = pairs.iter().map(|(_, n)| n).sum();
-        prop_assert_eq!(c.total(), expected);
-        let sum_keys: u64 = c.iter().map(|(_, v)| v).sum();
-        prop_assert_eq!(sum_keys, expected);
-        // ratios sum to 1 when non-empty
-        if expected > 0 {
-            let rsum: f64 = c
-                .iter()
-                .map(|(k, _)| c.ratio(k))
-                .sum();
-            prop_assert!((rsum - 1.0).abs() < 1e-9);
-        }
-    }
-
-    /// Merging two counters equals counting the concatenation.
-    #[test]
-    fn counter_merge_law(
-        a in prop::collection::vec((0u32..20, 1u64..50), 0..50),
-        b in prop::collection::vec((0u32..20, 1u64..50), 0..50),
-    ) {
-        let mut ca = Counter::new();
-        for (k, n) in &a {
-            ca.add(*k, *n);
-        }
-        let mut cb = Counter::new();
-        for (k, n) in &b {
-            cb.add(*k, *n);
-        }
-        let mut combined = Counter::new();
-        for (k, n) in a.iter().chain(b.iter()) {
-            combined.add(*k, *n);
-        }
-        ca.merge(cb);
-        prop_assert_eq!(ca.total(), combined.total());
-        for key in 0u32..20 {
-            prop_assert_eq!(ca.get(&key), combined.get(&key));
-        }
-    }
-
-    /// top_k is sorted descending and contains the true maximum.
-    #[test]
-    fn topk_law(pairs in prop::collection::vec((0u32..30, 1u64..100), 1..60)) {
-        let mut c = Counter::new();
-        for (k, n) in &pairs {
-            c.add(*k, *n);
-        }
-        let top = c.top_k(5);
-        for w in top.windows(2) {
-            prop_assert!(w[0].1 >= w[1].1);
-        }
-        let max = c.iter().map(|(_, v)| v).max().unwrap();
-        prop_assert_eq!(top[0].1, max);
-    }
-
-    /// Exact distinct count equals the set size of the input.
-    #[test]
-    fn distinct_exact_law(values in prop::collection::vec(0u32..1000, 0..500)) {
-        let mut d = DistinctCounter::new();
-        for v in &values {
-            d.observe(*v);
-        }
-        let truth: std::collections::HashSet<u32> = values.iter().copied().collect();
-        prop_assert_eq!(d.count(), truth.len() as u64);
-    }
-
-    /// HLL never decreases as more values are observed, and duplicates
-    /// never change the estimate.
-    #[test]
-    fn hll_monotone(values in prop::collection::vec(0u64..100_000, 1..400)) {
-        let mut h = HyperLogLog::new(10);
-        let mut last = 0.0f64;
-        for v in &values {
-            h.observe(v);
-            let now = h.estimate();
-            prop_assert!(now + 1e-9 >= last, "estimate decreased: {last} -> {now}");
-            last = now;
-        }
-        let before = h.estimate();
-        for v in &values {
-            h.observe(v); // re-observe everything
-        }
-        prop_assert_eq!(h.estimate(), before);
-    }
-
-    /// HLL merge is commutative and equals the union stream.
-    #[test]
-    fn hll_merge_law(
-        a in prop::collection::vec(0u64..50_000, 0..300),
-        b in prop::collection::vec(0u64..50_000, 0..300),
-    ) {
-        let mut ha = HyperLogLog::new(10);
-        let mut hb = HyperLogLog::new(10);
-        let mut hu = HyperLogLog::new(10);
-        for v in &a {
-            ha.observe(v);
-            hu.observe(v);
-        }
-        for v in &b {
-            hb.observe(v);
-            hu.observe(v);
-        }
-        let mut ab = ha.clone();
-        ab.merge(&hb);
-        let mut ba = hb.clone();
-        ba.merge(&ha);
-        prop_assert_eq!(ab.estimate(), ba.estimate());
-        prop_assert_eq!(ab.estimate(), hu.estimate());
-    }
-
     /// CDF: monotone, bounded by [0,1], and quantiles are actual samples.
     #[test]
     fn cdf_laws(samples in prop::collection::vec(0u64..10_000, 1..300)) {

@@ -1,23 +1,17 @@
-//! The perf-observability core: a micro/macro benchmark runner and the
-//! machine-readable `BENCH_*.json` report it feeds.
+//! The micro-bench runner and the machine-readable `BENCH_*.json`
+//! report it feeds.
 //!
-//! ENTRADA-scale analytics live or die on pipeline throughput, so the
-//! workspace records a performance *trajectory*: every `dnscentral
-//! bench` run produces a [`BenchReport`] — per scenario: warmed-up,
-//! outlier-trimmed ns/op (mean/p50/p99 plus the raw min/max envelope),
-//! derived records/s, and allocs/op when the counting allocator is
-//! installed (see [`crate::alloc`]). Reports serialize to
-//! `BENCH_<gitsha-or-date>.json` and diff against a checked-in
-//! baseline with noise-aware thresholds: a scenario regresses only
-//! when its trimmed mean exceeds the baseline mean by more than the
-//! threshold *and* the min/max envelopes do not overlap, so ordinary
-//! machine jitter cannot fail a build.
+//! Every `dnscentral bench` run produces a [`BenchReport`] — per
+//! scenario: warmed-up, outlier-trimmed ns/op (mean/p50/p99 plus the
+//! raw min/max envelope), derived records/s, and allocs/op when the
+//! counting allocator is installed (see [`crate::alloc`]). Reports
+//! serialize to `BENCH_<gitsha-or-date>.json`.
 //!
 //! The runner is std-only; serialization uses the vendored serde shims
 //! the rest of the workspace already depends on.
 
 use crate::alloc as alloctrack;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -26,13 +20,12 @@ pub const SCHEMA_VERSION: u32 = 1;
 
 /// One benchmarked scenario's measurements. Times are nanoseconds per
 /// operation; the mean is outlier-trimmed (top/bottom decile of sample
-/// means dropped), min/max are the untrimmed envelope used by the
-/// noise-aware regression test.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// means dropped), min/max are the untrimmed envelope.
+#[derive(Debug, Clone, Serialize)]
 pub struct ScenarioReport {
-    /// Full scenario name, e.g. `wire/message_encode`.
+    /// Full scenario name, e.g. `ablation/lpm_trie`.
     pub name: String,
-    /// Scenario group, e.g. `wire`.
+    /// Scenario group, e.g. `ablation`.
     pub group: String,
     /// Total timed iterations across all samples.
     pub iters: u64,
@@ -56,13 +49,12 @@ pub struct ScenarioReport {
     /// Mean allocated bytes per op; `None` without the allocator.
     pub alloc_bytes_per_op: Option<f64>,
     /// Hottest frames from a per-scenario CPU profile; `None` unless
-    /// the run was invoked with `--profile` (absent in old baselines —
-    /// missing `Option` fields deserialize to `None`).
+    /// the run was invoked with `--profile`.
     pub hot_frames: Option<Vec<crate::prof::HotFrame>>,
 }
 
 /// A full benchmark run, as serialized to `BENCH_<label>.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BenchReport {
     /// Schema version ([`SCHEMA_VERSION`]).
     pub schema_version: u32,
@@ -70,24 +62,11 @@ pub struct BenchReport {
     pub label: String,
     /// True when the run used the reduced `--quick` settings.
     pub quick: bool,
-    /// Cores available to the run (`None` in reports that predate the
-    /// field): rows taken at different core counts do not compare.
+    /// Cores available to the run (`None` when the platform cannot
+    /// tell): rows taken at different core counts do not compare.
     pub cores: Option<usize>,
     /// Per-scenario measurements, in run order.
     pub scenarios: Vec<ScenarioReport>,
-}
-
-/// One scenario that got slower than the baseline beyond noise.
-#[derive(Debug, Clone)]
-pub struct Regression {
-    /// Scenario name.
-    pub name: String,
-    /// Baseline trimmed-mean ns/op.
-    pub baseline_ns: f64,
-    /// Current trimmed-mean ns/op.
-    pub current_ns: f64,
-    /// `current / baseline`.
-    pub ratio: f64,
 }
 
 impl BenchReport {
@@ -107,57 +86,9 @@ impl BenchReport {
         serde_json::to_string_pretty(self).expect("report serializes")
     }
 
-    /// Parse a report back from JSON text.
-    pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let report: BenchReport =
-            serde_json::from_str(text).map_err(|e| format!("invalid BENCH json: {e}"))?;
-        if report.schema_version > SCHEMA_VERSION {
-            return Err(format!(
-                "BENCH schema v{} is newer than this binary (v{SCHEMA_VERSION})",
-                report.schema_version
-            ));
-        }
-        Ok(report)
-    }
-
-    /// Load a report from a file.
-    pub fn load(path: &Path) -> Result<BenchReport, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        BenchReport::from_json(&text)
-    }
-
     /// Write the report as pretty JSON to `path`.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
-    }
-
-    /// Scenarios slower than `baseline` beyond noise: trimmed mean more
-    /// than `threshold` above the baseline mean (0.15 = +15%) *and*
-    /// non-overlapping min/max envelopes (our fastest sample is slower
-    /// than their slowest). Scenarios missing from either side are
-    /// skipped — adding or retiring a scenario is not a regression.
-    pub fn diff(&self, baseline: &BenchReport, threshold: f64) -> Vec<Regression> {
-        let mut out = Vec::new();
-        for cur in &self.scenarios {
-            let Some(base) = baseline.scenarios.iter().find(|s| s.name == cur.name) else {
-                continue;
-            };
-            if base.ns_per_op <= 0.0 {
-                continue;
-            }
-            let beyond_threshold = cur.ns_per_op > base.ns_per_op * (1.0 + threshold);
-            let envelopes_disjoint = cur.min_ns > base.max_ns;
-            if beyond_threshold && envelopes_disjoint {
-                out.push(Regression {
-                    name: cur.name.clone(),
-                    baseline_ns: base.ns_per_op,
-                    current_ns: cur.ns_per_op,
-                    ratio: cur.ns_per_op / base.ns_per_op,
-                });
-            }
-        }
-        out
     }
 
     /// Human-readable results table.
@@ -230,8 +161,8 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// CI-friendly settings: the full scenario registry finishes in
-    /// well under two minutes.
+    /// Reduced settings: the whole scenario registry finishes in well
+    /// under a minute.
     pub fn quick() -> Runner {
         Runner {
             warmup: Duration::from_millis(100),
@@ -438,44 +369,6 @@ mod tests {
         // 10ms/iter under a 30ms budget: 3 samples of batch 1
         assert_eq!(r.iters, 3, "{r:?}");
         assert_eq!(r.records_per_sec, None);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let r = report_with(vec![scenario("wire/x", 100.0, 90.0, 110.0)]);
-        let text = r.to_json();
-        let back = BenchReport::from_json(&text).expect("parses");
-        assert_eq!(back.label, "test");
-        assert_eq!(back.scenarios.len(), 1);
-        assert_eq!(back.scenarios[0].name, "wire/x");
-        assert!((back.scenarios[0].ns_per_op - 100.0).abs() < 1e-9);
-        assert!(BenchReport::from_json("{").is_err());
-    }
-
-    #[test]
-    fn diff_flags_only_non_overlapping_regressions() {
-        let base = report_with(vec![
-            scenario("a", 100.0, 90.0, 110.0),
-            scenario("b", 100.0, 90.0, 110.0),
-            scenario("c", 100.0, 90.0, 110.0),
-            scenario("gone", 100.0, 90.0, 110.0),
-        ]);
-        let cur = report_with(vec![
-            // +100% and disjoint envelope: regression
-            scenario("a", 200.0, 180.0, 220.0),
-            // +30% but envelopes overlap (noisy baseline): not flagged
-            scenario("b", 130.0, 105.0, 150.0),
-            // within threshold: not flagged
-            scenario("c", 110.0, 100.0, 120.0),
-            // new scenario with no baseline: not flagged
-            scenario("fresh", 500.0, 450.0, 550.0),
-        ]);
-        let regs = cur.diff(&base, 0.15);
-        assert_eq!(regs.len(), 1, "{regs:?}");
-        assert_eq!(regs[0].name, "a");
-        assert!((regs[0].ratio - 2.0).abs() < 1e-9);
-        // the baseline compared against itself is quiet
-        assert!(base.diff(&base, 0.15).is_empty());
     }
 
     #[test]

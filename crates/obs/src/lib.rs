@@ -22,9 +22,8 @@
 //! - [`prom`] — Prometheus text-format exposition of the registry,
 //!   served by a tiny built-in HTTP listener (`--metrics-addr`); also
 //!   answers `/flight.json` with the recorder's retained window.
-//! - [`mod@bench`] — the perf-observability core: a warmup/trimmed-stats
-//!   benchmark runner and the `BENCH_*.json` report model with
-//!   noise-aware baseline diffing (the CI regression gate).
+//! - [`mod@bench`] — a warmup/trimmed-stats micro-bench runner and the
+//!   `BENCH_*.json` report it writes (`dnscentral bench`).
 //! - [`alloc`] — an optional counting `#[global_allocator]` so bench
 //!   rows report allocs/op and zero-alloc hot paths are asserted.
 //! - [`prof`] — a dependency-free sampling CPU profiler: SIGPROF +

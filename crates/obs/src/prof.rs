@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Default sampling rate for long-running commands (`--profile`).
 pub const DEFAULT_HZ: u32 = 99;
@@ -48,7 +48,7 @@ pub const BENCH_HZ: u32 = 499;
 /// One frame's aggregate weight in a [`Profile`]: `self_samples` counts
 /// samples where the frame was the leaf, `total_samples` counts samples
 /// where it appeared anywhere on the stack.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct HotFrame {
     /// Demangled frame name.
     pub name: String,

@@ -56,7 +56,7 @@ impl HostSelector {
     }
 
     /// Penalize a host that failed to answer: doubles its score so the
-    /// next [`HostSelector::order`] deprioritizes it, while leaving it
+    /// next [`HostSelector::rank`] deprioritizes it, while leaving it
     /// reachable for recovery probes.
     pub fn observe_timeout(&mut self, host: IpAddr) {
         let e = self.hosts.entry(host).or_insert(HostStats {

@@ -1096,9 +1096,10 @@ mod tests {
             let mut total = 0usize;
             for rec in records.iter().filter(|r| r.direction == Direction::Query) {
                 let wire = match rec.flow.transport {
-                    FlowTransport::Tcp => {
-                        dns_wire::tcp::deframe(&rec.payload).unwrap().next().unwrap()
-                    }
+                    FlowTransport::Tcp => dns_wire::tcp::deframe(&rec.payload)
+                        .unwrap()
+                        .next()
+                        .unwrap(),
                     FlowTransport::Udp => &rec.payload[..],
                 };
                 let msg = Message::parse(wire).unwrap();

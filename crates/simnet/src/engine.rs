@@ -1076,7 +1076,10 @@ mod tests {
         for rec in records.iter().filter(|r| r.direction == Direction::Query) {
             if plan.mapper.is_public_dns(rec.flow.src) {
                 let wire = match rec.flow.transport {
-                    Transport::Tcp => dns_wire::tcp::deframe(&rec.payload).unwrap().next().unwrap(),
+                    Transport::Tcp => dns_wire::tcp::deframe(&rec.payload)
+                        .unwrap()
+                        .next()
+                        .unwrap(),
                     Transport::Udp => &rec.payload[..],
                 };
                 let msg = Message::parse(wire).unwrap();

@@ -13,7 +13,7 @@
 //! dnscentral loadgen  nl 2020 --udp A --tcp B  # profile-driven load
 //! dnscentral live     nl 2020 out.dnscap # serve+loadgen over loopback,
 //!                                        # then analyze the live tap
-//! dnscentral bench    --quick --json     # perf scenarios -> BENCH_*.json
+//! dnscentral bench    --quick --json     # micro-benches -> BENCH_*.json
 //! dnscentral help                        # full command and flag list
 //! ```
 //!
@@ -141,8 +141,8 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ),
     (
         "bench",
-        "[--quick] [--filter=S] [--json[=path]] [--baseline=B]",
-        "run the perf scenarios; write BENCH_*.json; gate on a baseline",
+        "[--quick] [--filter=S] [--json[=path]]",
+        "run the micro-benches (design-choice pairs, saturation); write BENCH_*.json",
     ),
     ("help", "", "print this command and flag reference"),
 ];
@@ -251,16 +251,6 @@ const VALUE_FLAGS: &[(&str, &str, &str)] = &[
         "bench: only scenarios whose id contains substr",
     ),
     (
-        "--baseline",
-        "bench/baseline.json",
-        "bench: exit nonzero on regressions vs this report",
-    ),
-    (
-        "--threshold",
-        "0.15",
-        "bench: regression threshold as a fraction (default 0.15)",
-    ),
-    (
         "--flight",
         "flight.jsonl",
         "flight recorder: dump the retained telemetry window as JSONL on exit",
@@ -303,7 +293,7 @@ const BOOL_FLAGS: &[(&str, &str)] = &[
         "--json",
         "dataset: JSON output; bench: write BENCH_<label>.json (or --json=path)",
     ),
-    ("--quick", "bench: reduced samples for CI"),
+    ("--quick", "bench: reduced samples"),
     ("--list", "bench: list scenario ids and exit"),
     (
         "--monthly",
@@ -1157,9 +1147,8 @@ fn render_help() -> String {
 }
 
 /// `dnscentral bench`: run the scenario registry under
-/// `obs::bench::Runner`, print the results table, optionally write a
-/// `BENCH_<label>.json` report, and optionally gate against a baseline
-/// report.
+/// `obs::bench::Runner`, print the results table, and optionally write
+/// a `BENCH_<label>.json` report.
 fn bench_cli(flags: &[&String]) -> Result<ExitCode, String> {
     use obs::bench::{default_label, BenchReport, Runner};
 
@@ -1247,39 +1236,6 @@ fn bench_cli(flags: &[&String]) -> Result<ExitCode, String> {
         eprintln!("bench: report -> {}", path.display());
     }
 
-    if let Some(base_path) = flag_value(flags, "--baseline") {
-        let baseline = BenchReport::load(Path::new(base_path))?;
-        if baseline.cores.is_none() || baseline.cores != report.cores {
-            let cores =
-                |c: Option<usize>| c.map_or("an unrecorded number of".into(), |n| n.to_string());
-            eprintln!(
-                "bench: warning: {base_path} was recorded on {} cores and this run on {}; \
-                 rows taken at different core counts do not compare",
-                cores(baseline.cores),
-                cores(report.cores)
-            );
-        }
-        let threshold: f64 =
-            parsed_flag(flags, "--threshold", "a fraction like 0.15")?.unwrap_or(0.15);
-        let regressions = report.diff(&baseline, threshold);
-        if !regressions.is_empty() {
-            for r in &regressions {
-                println!(
-                    "REGRESSION {}: {:.0} -> {:.0} ns/op ({:+.1}%)",
-                    r.name,
-                    r.baseline_ns,
-                    r.current_ns,
-                    (r.ratio - 1.0) * 100.0
-                );
-            }
-            return Ok(ExitCode::FAILURE);
-        }
-        println!(
-            "no regressions vs {base_path} (label {}, threshold +{:.0}%)",
-            baseline.label,
-            threshold * 100.0
-        );
-    }
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1606,10 +1562,7 @@ fn inspect_capture(path: &Path) {
         println!("time span  : {a} .. {b}");
     }
     println!("resolvers  : {}", sources.len());
-    let mut top: Vec<(String, u64)> = qtypes
-        .into_iter()
-        .map(|(t, n)| (t.mnemonic(), n))
-        .collect();
+    let mut top: Vec<(String, u64)> = qtypes.into_iter().map(|(t, n)| (t.mnemonic(), n)).collect();
     top.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     println!("qtypes     :");
     for (t, n) in top.iter().take(8) {

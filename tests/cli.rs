@@ -88,8 +88,6 @@ fn help_covers_every_command_and_flag() {
         "--trace",
         "--metrics-addr",
         "--filter",
-        "--baseline",
-        "--threshold",
         "--warehouse",
         "--from",
         "--to",
