@@ -25,7 +25,8 @@ use entrada::enrich::Enricher;
 use entrada::ingest::{IngestStats, Joiner};
 use entrada::schema::QueryRow;
 use netbase::capture::{
-    CaptureReader, CaptureRecord, CaptureWriter, Direction, RecordSink, RecordSource,
+    CaptureReader, CaptureRecord, CaptureWriter, Direction, RecordRef, RecordSink, RecordSlice,
+    RecordSource,
 };
 use simnet::engine::{DatasetStats, Engine};
 use simnet::scenario::{DatasetSpec, Scale};
@@ -109,7 +110,7 @@ pub fn available_cores() -> usize {
 
 /// Flight-recorder hop for a sampled query leaving the generator
 /// (responses never sample).
-fn note_gen_hop(rec: &CaptureRecord) {
+fn note_gen_hop(rec: RecordRef<'_>) {
     if rec.direction == Direction::Query {
         let key =
             obs::flight::query_key(rec.timestamp.as_micros(), &rec.flow.src, rec.flow.src_port);
@@ -195,7 +196,7 @@ impl<'a> Consumer<'a> {
     }
 
     /// Join one record and push the rows it completes; returns how many.
-    fn absorb(&mut self, rec: CaptureRecord) -> u64 {
+    fn absorb(&mut self, rec: RecordRef<'_>) -> u64 {
         self.joiner.absorb(rec);
         self.push_ready()
     }
@@ -243,18 +244,18 @@ impl<'a> Consumer<'a> {
 
 impl RecordSink for Consumer<'_> {
     fn emit(&mut self, rec: CaptureRecord) -> std::io::Result<()> {
-        self.absorb(rec);
+        self.absorb(rec.as_ref());
         Ok(())
     }
 
-    fn emit_slice(&mut self, _slot: u64, slice: &mut Vec<CaptureRecord>) -> std::io::Result<()> {
+    fn emit_slice(&mut self, _slot: u64, slice: &RecordSlice) -> std::io::Result<()> {
         let start = Instant::now();
         self.producing += start - self.mark;
         let _span = obs::trace::enabled().then(|| obs::span(format!("analyze {}", self.id)));
         if obs::flight::sampling_enabled() {
             slice.iter().for_each(note_gen_hop);
         }
-        for rec in slice.drain(..) {
+        for rec in slice.iter() {
             self.absorb(rec);
         }
         self.mark = Instant::now();
@@ -277,7 +278,7 @@ pub fn consume<'a>(
     );
     loop {
         match source.next_record() {
-            Ok(Some(rec)) => progress.tick(consumer.absorb(rec)),
+            Ok(Some(rec)) => progress.tick(consumer.absorb(rec.as_ref())),
             Ok(None) => break,
             Err(_) => {
                 consumer.joiner.torn();

@@ -1,7 +1,7 @@
 //! DNS-over-TCP framing (RFC 1035 §4.2.2 / RFC 7766): each message on a
 //! TCP stream is preceded by a two-octet, big-endian length field.
 //!
-//! The simulator frames TCP payloads with [`frame`]. A captured payload
+//! The simulator frames TCP payloads with [`frame_onto`]. A captured payload
 //! is whole, so ingest checks its framing and walks its messages in
 //! place with [`deframe`]; a server reading a live stream feeds
 //! [`Deframer`], an incremental decoder — segments may split anywhere,
@@ -17,22 +17,28 @@ pub const MAX_TCP_MESSAGE: usize = 65_535;
 /// # Errors
 /// [`WireError::WontFit`] if the message exceeds 65 535 octets.
 pub fn frame(message: &[u8]) -> Result<Vec<u8>, WireError> {
+    let mut out = Vec::with_capacity(2 + message.len());
+    frame_onto(message, &mut out)?;
+    Ok(out)
+}
+
+/// [`frame`], appending the framed message to `out`.
+pub fn frame_onto(message: &[u8], out: &mut Vec<u8>) -> Result<(), WireError> {
     if message.len() > MAX_TCP_MESSAGE {
         return Err(WireError::WontFit {
             limit: MAX_TCP_MESSAGE,
         });
     }
-    let mut out = Vec::with_capacity(2 + message.len());
     out.extend_from_slice(&(message.len() as u16).to_be_bytes());
     out.extend_from_slice(message);
-    Ok(out)
+    Ok(())
 }
 
 /// Frame several messages back-to-back (a persistent RFC 7766 stream).
 pub fn frame_all<'a>(messages: impl IntoIterator<Item = &'a [u8]>) -> Result<Vec<u8>, WireError> {
     let mut out = Vec::new();
     for m in messages {
-        out.extend_from_slice(&frame(m)?);
+        frame_onto(m, &mut out)?;
     }
     Ok(out)
 }

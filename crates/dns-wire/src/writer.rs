@@ -102,23 +102,24 @@ impl Marks {
         kept
     }
 
-    /// `full` (the finished message these marks came with) without the
-    /// records from offset `end` on, as an exact-length `dst`; with
-    /// `cut`, TC set.
+    /// Append `full` (the finished message these marks came with)
+    /// without the records from offset `end` on to `dst`; with `cut`,
+    /// TC set.
     fn copy_cut(&self, full: &[u8], (keep, end): (usize, usize), cut: bool, dst: &mut Vec<u8>) {
         let opt = &full[self.opt_at..];
-        dst.clear();
-        dst.reserve_exact(end + opt.len());
+        let at = dst.len();
+        dst.reserve(end + opt.len());
         dst.extend_from_slice(&full[..end]);
         dst.extend_from_slice(opt);
-        self.set_counts(dst, keep, !opt.is_empty());
-        dst[2] |= if cut { TC } else { 0 };
+        let msg = &mut dst[at..];
+        self.set_counts(msg, keep, !opt.is_empty());
+        msg[2] |= if cut { TC } else { 0 };
     }
 
-    /// Copy `full` into `dst` shaped for a UDP payload of `limit`
+    /// Append `full` to `dst` shaped for a UDP payload of `limit`
     /// octets: whole if it fits, otherwise with records cut from the
     /// tail until it does, and TC set. Returns whether records were cut.
-    pub fn cut_into(
+    pub fn cut_onto(
         &self,
         full: &[u8],
         limit: usize,
@@ -130,9 +131,9 @@ impl Marks {
         Ok(cut)
     }
 
-    /// Copy `full` into `dst` as the empty TC=1 slip a rate limiter
+    /// Append `full` to `dst` as the empty TC=1 slip a rate limiter
     /// sends in its place: header, question and OPT, no records.
-    pub fn slip_into(&self, full: &[u8], dst: &mut Vec<u8>) {
+    pub fn slip_onto(&self, full: &[u8], dst: &mut Vec<u8>) {
         self.copy_cut(full, (0, self.body), true, dst);
     }
 }

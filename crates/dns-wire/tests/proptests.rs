@@ -536,7 +536,7 @@ proptest! {
 /// Nothing about the cut is sized by a record count: a message with
 /// more than 255 records cuts at any of them, in place
 /// (`encode_with_limit_into`) and as a copy of the finished bytes
-/// (`Marks::cut_into`, `Marks::slip_into`), to the same result.
+/// (`Marks::cut_onto`, `Marks::slip_onto`), to the same result.
 #[test]
 fn no_cap_on_the_records_a_cut_walks() {
     use dns_wire::types::RClass;
@@ -588,7 +588,8 @@ fn no_cap_on_the_records_a_cut_walks() {
             .unwrap();
         assert_eq!(cut, keep < 300);
         assert_eq!(out.len(), limit);
-        assert_eq!(marks.cut_into(&full, limit, &mut copy), Ok(cut));
+        copy.clear();
+        assert_eq!(marks.cut_onto(&full, limit, &mut copy), Ok(cut));
         assert_eq!(copy, out);
         let parsed = Message::parse(&out).unwrap();
         assert_eq!(parsed.header.truncated, cut);
@@ -597,6 +598,7 @@ fn no_cap_on_the_records_a_cut_walks() {
         assert_eq!(parsed.answers.len(), keep.min(200));
         assert_eq!(parsed.additionals.len(), keep.saturating_sub(280));
     }
-    marks.slip_into(&full, &mut copy);
+    copy.clear();
+    marks.slip_onto(&full, &mut copy);
     assert_eq!(copy, out, "a slip is the cut that keeps nothing");
 }

@@ -20,7 +20,7 @@
 use crate::enrich::Enricher;
 use crate::schema::QueryRow;
 use dns_wire::reader::Reader;
-use netbase::capture::{CaptureRecord, Direction, RecordSource};
+use netbase::capture::{Direction, RecordRef, RecordSource};
 use netbase::flow::FlowKey;
 use std::collections::{HashMap, VecDeque};
 
@@ -143,15 +143,15 @@ impl Joiner {
         self.ready.pop_front()
     }
 
-    /// Absorb one capture frame, queueing any rows it completes.
-    pub fn absorb(&mut self, rec: CaptureRecord) {
+    /// Absorb one capture frame, read in place, queueing the rows it completes.
+    pub fn absorb(&mut self, rec: RecordRef<'_>) {
         self.stats.frames += 1;
         self.frames_metric.inc();
         match rec.flow.transport {
             // TCP payloads carry RFC 1035 two-octet length prefixes and
             // may coalesce several DNS messages per captured segment
             // (real pcap imports do); absorb each message.
-            netbase::flow::Transport::Tcp => match dns_wire::tcp::deframe(&rec.payload) {
+            netbase::flow::Transport::Tcp => match dns_wire::tcp::deframe(rec.payload) {
                 Ok(messages) => {
                     for wire in messages {
                         self.absorb_message(&rec, wire);
@@ -165,12 +165,12 @@ impl Joiner {
                     self.malformed_metric.inc();
                 }
             },
-            netbase::flow::Transport::Udp => self.absorb_message(&rec, &rec.payload),
+            netbase::flow::Transport::Udp => self.absorb_message(&rec, rec.payload),
         }
     }
 
     /// Absorb one deframed DNS message from frame `rec`.
-    fn absorb_message(&mut self, rec: &CaptureRecord, wire: &[u8]) {
+    fn absorb_message(&mut self, rec: &RecordRef<'_>, wire: &[u8]) {
         self.stats.messages += 1;
         let Ok(msg) = Reader::new(wire) else {
             self.stats.malformed += 1;
@@ -321,7 +321,7 @@ impl<S: RecordSource> Iterator for CaptureIngest<S> {
                 return None;
             }
             match self.source.next_record() {
-                Ok(Some(rec)) => self.joiner.absorb(rec),
+                Ok(Some(rec)) => self.joiner.absorb(rec.as_ref()),
                 end => {
                     if end.is_err() {
                         self.joiner.torn();
@@ -340,7 +340,7 @@ mod tests {
     use asdb::synth::{InternetPlan, PlanConfig};
     use dns_wire::builder::MessageBuilder;
     use dns_wire::types::{RType, Rcode};
-    use netbase::capture::{CaptureReader, CaptureWriter};
+    use netbase::capture::{CaptureReader, CaptureRecord, CaptureWriter};
     use netbase::flow::Transport;
     use netbase::time::SimTime;
     use proptest::prelude::*;
@@ -746,8 +746,8 @@ mod tests {
             .collect();
         let flush = || {
             let mut joiner = Joiner::new(enricher());
-            for rec in records.iter().cloned() {
-                joiner.absorb(rec);
+            for rec in &records {
+                joiner.absorb(rec.as_ref());
             }
             joiner.finish();
             std::iter::from_fn(|| joiner.pop_ready()).collect::<Vec<QueryRow>>()
@@ -816,8 +816,8 @@ mod tests {
             for take_as_completed in [true, false] {
                 let mut joiner = Joiner::new(enricher());
                 let mut pushed_rows = Vec::new();
-                for rec in records.iter().take(intact).cloned() {
-                    joiner.absorb(rec);
+                for rec in records.iter().take(intact) {
+                    joiner.absorb(rec.as_ref());
                     if take_as_completed {
                         pushed_rows.extend(std::iter::from_fn(|| joiner.pop_ready()));
                     }

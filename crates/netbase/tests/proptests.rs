@@ -1,6 +1,8 @@
 //! Property tests for the networking substrate.
 
-use netbase::capture::{CaptureReader, CaptureRecord, CaptureWriter, Direction};
+use netbase::capture::{
+    CaptureReader, CaptureRecord, CaptureWriter, Direction, RecordSink, RecordSlice,
+};
 use netbase::flow::{FlowKey, Transport};
 use netbase::prefix::IpPrefix;
 use netbase::time::{civil_from_days, days_from_civil, SimDuration, SimTime};
@@ -58,6 +60,31 @@ fn capture_record() -> impl Strategy<Value = CaptureRecord> {
                 payload,
             },
         )
+}
+
+/// A record as the generator writes them: an empty payload, a UDP
+/// message, or a framed TCP one, at one of few timestamps so that sorts
+/// meet ties.
+fn slice_record() -> impl Strategy<Value = CaptureRecord> {
+    (capture_record(), 0u8..3, 0u64..40).prop_map(|(mut rec, kind, ts)| {
+        rec.timestamp = SimTime(ts);
+        match kind {
+            0 => rec.payload.clear(),
+            1 => rec.flow.transport = Transport::Udp,
+            _ => {
+                let len = (rec.payload.len() as u16).to_be_bytes();
+                rec.payload.splice(0..0, len);
+                rec.flow.transport = Transport::Tcp;
+            }
+        }
+        rec
+    })
+}
+
+/// Write `rec` into `slice` in place, as the generator writes payloads.
+fn write_in_place(slice: &mut RecordSlice, rec: &CaptureRecord) {
+    slice.payload().extend_from_slice(&rec.payload);
+    slice.seal(rec.timestamp, rec.direction, rec.flow, rec.tcp_rtt_us);
 }
 
 proptest! {
@@ -155,6 +182,72 @@ proptest! {
         }
         let got: Result<Vec<_>, _> = CaptureReader::new(&buf[..]).unwrap().collect();
         prop_assert_eq!(got.unwrap(), records);
+    }
+
+    /// A `RecordSlice` is the owned record vector it replaces: records
+    /// pushed (copied or written in place), appended from another slice
+    /// or pushed after a clear iterate as the vector holds them, sort
+    /// as `sort_by_key(timestamp)` does (ties stay in order), reach a
+    /// capture file as the owned records' bytes, and reach the vector
+    /// sink as those records.
+    #[test]
+    fn record_slice_is_the_owned_record_vector(
+        ops in prop::collection::vec(
+            (0u8..3, any::<bool>(), prop::collection::vec(slice_record(), 0..8)),
+            0..12,
+        ),
+    ) {
+        let (mut slice, mut other) = (RecordSlice::default(), RecordSlice::default());
+        let mut oracle: Vec<CaptureRecord> = Vec::new();
+        for (op, in_place, records) in &ops {
+            // 0 pushes onto the slice, 1 fills the other slice (emptied
+            // by its last append, its buffers kept) and appends it, 2
+            // clears the slice and refills it
+            let target = match op {
+                0 => &mut slice,
+                1 => &mut other,
+                _ => {
+                    slice.clear();
+                    oracle.clear();
+                    &mut slice
+                }
+            };
+            for r in records {
+                if *in_place {
+                    write_in_place(target, r);
+                } else {
+                    target.push(r.as_ref());
+                }
+            }
+            if *op == 1 {
+                slice.append(&mut other);
+                prop_assert_eq!(other.iter().len(), 0);
+            }
+            oracle.extend(records.iter().cloned());
+        }
+        let lends = |slice: &RecordSlice, oracle: &[CaptureRecord]| {
+            slice.iter().eq(oracle.iter().map(CaptureRecord::as_ref))
+        };
+        prop_assert_eq!(slice.iter().len(), oracle.len());
+        prop_assert!(lends(&slice, &oracle));
+        slice.sort_by_time();
+        oracle.sort_by_key(|r| r.timestamp);
+        prop_assert!(lends(&slice, &oracle));
+
+        let (mut by_slice, mut by_record) = (Vec::new(), Vec::new());
+        let mut w = CaptureWriter::new(&mut by_slice).unwrap();
+        w.emit_slice(7, &slice).unwrap();
+        w.finish().unwrap();
+        let mut w = CaptureWriter::new(&mut by_record).unwrap();
+        for r in &oracle {
+            w.emit(r.clone()).unwrap();
+        }
+        w.finish().unwrap();
+        prop_assert_eq!(by_slice, by_record);
+
+        let mut vector: Vec<CaptureRecord> = Vec::new();
+        vector.emit_slice(7, &slice).unwrap();
+        prop_assert_eq!(vector, oracle);
     }
 
     /// The capture reader never panics on arbitrary bytes.

@@ -139,6 +139,12 @@ impl<K: Hash + Eq + Clone, V> TtlMap<K, V> {
         None
     }
 
+    /// Drop every entry: the map is as empty as a new one.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.order.clear();
+    }
+
     /// Insert or refresh `key`. An insert that would grow a map already
     /// at `capacity` first evicts the earliest-expiring entry; a refresh
     /// grows nothing and evicts nothing. Returns whether it evicted.

@@ -56,7 +56,7 @@ use dns_wire::message::Message;
 use dns_wire::name::Name;
 use dns_wire::types::{RClass, RType, Rcode};
 use dns_wire::writer::Section;
-use netbase::capture::{CaptureRecord, RecordSink};
+use netbase::capture::{RecordSink, RecordSlice};
 use netbase::flow::IpVersion;
 use netbase::time::{SimDuration, SimTime};
 use obs::Histogram;
@@ -169,7 +169,7 @@ pub struct SimTransport<'a> {
     /// Where every recorded message of the slot is written.
     wire: WireScratch,
     /// Records captured at the vantage this slot.
-    pub buf: Vec<CaptureRecord>,
+    pub buf: RecordSlice,
     /// Counters for the slot.
     pub stats: DatasetStats,
     /// Vantage query records emitted by the current stimulus.
@@ -201,7 +201,7 @@ impl<'a> SimTransport<'a> {
             rng,
             rrl,
             wire: WireScratch::default(),
-            buf: Vec::new(),
+            buf: RecordSlice::default(),
             stats: DatasetStats::default(),
             emitted: 0,
             resolver_idx: 0,
@@ -581,7 +581,7 @@ impl Transport for SimTransport<'_> {
 /// One fleet's produced slice of a slot. `stats.queries` is the
 /// steering quota's currency: the vantage query records in `records`.
 struct FleetSlice {
-    records: Vec<CaptureRecord>,
+    records: RecordSlice,
     stats: DatasetStats,
 }
 
@@ -758,12 +758,14 @@ impl<'a> FleetStream<'a> {
     /// are resolved by real resolver instances until the recorded
     /// vantage volume meets its quota — so Table 4 shares hold by
     /// construction while the per-query content is emergent, and a
-    /// flood's walks burn their query budget on the cycle.
+    /// flood's walks burn their query budget on the cycle. `records`
+    /// is an emptied slice to reuse.
     fn produce_slot(
         &mut self,
         slot: usize,
         plan: &SlotPlan,
         cursors: impl Iterator<Item = Steering>,
+        records: RecordSlice,
     ) -> FleetSlice {
         let engine = self.engine;
         let fleet = self.fleet;
@@ -775,6 +777,7 @@ impl<'a> FleetStream<'a> {
             StdRng::seed_from_u64(slice_seed(engine.seed() ^ self.salt, slot)),
             engine.spec().rrl.map(RateLimiter::new),
         );
+        tr.buf = records;
         let qmin_on = fleet.spec.qmin_active(plan.slot_start(slot));
         for mut steer in cursors {
             while let Some((t, want_junk)) = steer.next(&mut tr.rng) {
@@ -851,15 +854,18 @@ impl Engine {
         let engine = self;
         let summary = crossbeam::thread::scope(|scope| -> std::io::Result<FleetSummary> {
             // one bounded channel per fleet: its lane sends a slice a
-            // slot, the merger takes them in fleet order
+            // slot, the merger takes them in fleet order; emptied slices
+            // come back to any stream over one return channel
             let (txs, rxs): (Vec<_>, Vec<_>) = shares
                 .iter()
                 .map(|_| crossbeam::channel::bounded::<FleetSlice>(2))
                 .unzip();
+            let (back, spares) = crossbeam::channel::bounded::<RecordSlice>(2 * shares.len());
             let lanes: Vec<_> = assign_lanes(&shares, lanes)
                 .into_iter()
                 .map(|fleets| {
                     let txs: Vec<_> = fleets.iter().map(|&fi| txs[fi].clone()).collect();
+                    let spares = spares.clone();
                     scope.spawn(move |_| {
                         let mut streams: Vec<FleetStream> = fleets
                             .iter()
@@ -870,8 +876,9 @@ impl Engine {
                         'outer: for slot in 0..slots {
                             for ((stream, &fi), tx) in streams.iter_mut().zip(&fleets).zip(&txs) {
                                 let ratio = engine.fleets()[fi].spec.junk_ratio;
-                                let cursor = plan.steer(fi, slot, ratio);
-                                let slice = stream.produce_slot(slot, plan, [cursor].into_iter());
+                                let cursor = [plan.steer(fi, slot, ratio)].into_iter();
+                                let records = spares.try_recv().unwrap_or_default();
+                                let slice = stream.produce_slot(slot, plan, cursor, records);
                                 if tx.send(slice).is_err() {
                                     break 'outer; // merger gone: stop early
                                 }
@@ -889,22 +896,27 @@ impl Engine {
             // few slots of one fleet
             let mut incidents =
                 FleetStream::new(engine, plan::flood_fleet(engine), INCIDENT_SALT, rtt_hists);
-            let mut buf: Vec<CaptureRecord> = Vec::new();
+            let mut buf = RecordSlice::default();
             let merged = (0..slots).try_for_each(|slot| {
                 for (fi, rx) in rxs.iter().enumerate() {
-                    let slice = rx
+                    let mut slice = rx
                         .recv()
                         .map_err(|_| std::io::Error::other("fleet lane disconnected"))?;
                     progress.tick(slice.stats.queries);
                     stats.absorb(&slice.stats);
                     stats.per_fleet[fi].1 += slice.stats.queries;
-                    buf.extend(slice.records);
+                    buf.append(&mut slice.records);
+                    // a full return channel: the streams have spares enough
+                    let _ = back.try_send(slice.records);
                 }
-                let inc = incidents.produce_slot(slot, plan, plan.floods(engine, slot));
+                let records = spares.try_recv().unwrap_or_default();
+                let mut inc =
+                    incidents.produce_slot(slot, plan, plan.floods(engine, slot), records);
                 stats.absorb(&inc.stats);
-                buf.extend(inc.records);
-                buf.sort_by_key(|r| r.timestamp);
-                out.emit_slice(slot as u64, &mut buf)?;
+                buf.append(&mut inc.records);
+                let _ = back.try_send(inc.records);
+                buf.sort_by_time();
+                out.emit_slice(slot as u64, &buf)?;
                 buf.clear();
                 Ok(())
             });
@@ -957,7 +969,7 @@ mod tests {
     use super::*;
     use crate::profile::Vantage;
     use crate::scenario::{dataset, monthly_google, Scale};
-    use netbase::capture::{CaptureReader, CaptureWriter, Direction};
+    use netbase::capture::{CaptureReader, CaptureRecord, CaptureWriter, Direction};
     use netbase::flow::Transport as FlowTransport;
 
     fn generate_fleet_capture(
@@ -1161,11 +1173,15 @@ mod tests {
         for slot in 0..plan.slots() {
             for (fi, stream) in streams.iter_mut().enumerate() {
                 let cursor = plan.steer(fi, slot, engine.fleets()[fi].spec.junk_ratio);
-                let slice = stream.produce_slot(slot, &plan, [cursor].into_iter());
+                let records = RecordSlice::default();
+                let slice = stream.produce_slot(slot, &plan, [cursor].into_iter(), records);
                 sliced += slice.stats.cache_hits;
             }
             let floods = plan.floods(&engine, slot);
-            sliced += incidents.produce_slot(slot, &plan, floods).stats.cache_hits;
+            let records = RecordSlice::default();
+            sliced += (incidents.produce_slot(slot, &plan, floods, records))
+                .stats
+                .cache_hits;
         }
         let walked_without_a_query: u64 = streams
             .iter()

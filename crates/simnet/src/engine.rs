@@ -22,7 +22,7 @@ use dns_wire::header::Header;
 use dns_wire::message::Question;
 use dns_wire::name::Name;
 use dns_wire::types::RType;
-use netbase::capture::{CaptureRecord, CaptureWriter, RecordSink};
+use netbase::capture::{CaptureWriter, RecordSink, RecordSlice};
 use netbase::flow::IpVersion;
 use netbase::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -111,13 +111,14 @@ impl DatasetStats {
 }
 
 /// What one stripe of the slot range owns: the wire encoder every
-/// message goes through, the record buffer each slice fills and its
-/// sink drains, the current slice's RRL state, and the counters of the
-/// slices generated so far.
+/// message goes through, the record slice each slice fills and its
+/// sink reads, the current slice's RRL state and per-fleet resolver
+/// caches (emptied, not freed), and the counters so far.
 struct StripeState {
     rrl: Option<RateLimiter>,
     wire: WireScratch,
-    buf: Vec<CaptureRecord>,
+    buf: RecordSlice,
+    caches: Vec<HashMap<u32, ResolverCache>>,
     stats: DatasetStats,
 }
 
@@ -265,25 +266,32 @@ impl Engine {
         // ordered and memory stays bounded.
         let progress = &self.progress("simnet");
         let parts = crossbeam::thread::scope(|scope| {
+            // lent slices come back to the shards over one return channel
+            let (back, spares) = crossbeam::channel::bounded::<RecordSlice>(2 * shards);
             let (rxs, handles): (Vec<_>, Vec<_>) = (0..shards)
                 .map(|w| {
-                    let (tx, rx) = crossbeam::channel::bounded::<Vec<CaptureRecord>>(2);
+                    let (tx, rx) = crossbeam::channel::bounded::<RecordSlice>(2);
+                    let spares = spares.clone();
                     let shard = scope.spawn(move |_| {
                         self.stripe(plan, progress, (w, shards), |_, slice| {
+                            let next = spares.try_recv().unwrap_or_default();
                             // a closed channel is the merger gone (sink
                             // error): stop early
-                            tx.send(std::mem::take(slice))
+                            tx.send(std::mem::replace(slice, next))
                                 .map_err(|_| std::io::Error::other("slice merger disconnected"))
                         })
                     });
                     (rx, shard)
                 })
                 .unzip();
-            let merged = (0..slots).try_for_each(|slot| {
-                let mut slice = rxs[slot % shards]
+            let merged: std::io::Result<()> = (0..slots).try_for_each(|slot| {
+                let slice = rxs[slot % shards]
                     .recv()
                     .map_err(|_| std::io::Error::other("generator shard disconnected"))?;
-                out.emit_slice(slot as u64, &mut slice)
+                out.emit_slice(slot as u64, &slice)?;
+                // a full return channel: the shards have spares enough
+                let _ = back.try_send(slice);
+                Ok(())
             });
             // dropping the receivers wakes any shard still blocked on a
             // full channel, so the scope always joins
@@ -356,7 +364,7 @@ impl Engine {
 
     /// The one slot loop: stripe `w` of `of` — slots `w, w + of, …` —
     /// on the calling thread. One [`StripeState`] serves every slice of
-    /// the stripe; each finished slice goes to `each`, which drains it.
+    /// the stripe; each finished slice goes to `each`, then is cleared.
     /// The `simnet.generate` stage brackets generation alone, so the
     /// row holds no sink time whatever the stripe feeds.
     fn stripe(
@@ -364,19 +372,20 @@ impl Engine {
         plan: &SlotPlan,
         progress: &obs::Progress,
         (w, of): (usize, usize),
-        mut each: impl FnMut(usize, &mut Vec<CaptureRecord>) -> std::io::Result<()>,
+        mut each: impl FnMut(usize, &mut RecordSlice) -> std::io::Result<()>,
     ) -> std::io::Result<DatasetStats> {
         let mut s = StripeState {
             rrl: None,
             wire: WireScratch::default(),
-            buf: Vec::new(),
+            buf: RecordSlice::default(),
+            caches: self.fleets.iter().map(|_| HashMap::new()).collect(),
             stats: self.zeroed_stats(),
         };
         for slot in (w..plan.slots()).step_by(of) {
             let mut stage = obs::stage("simnet.generate");
             let before = s.stats.queries;
             self.generate_slice(slot, plan, &mut s);
-            stage.add_items(s.buf.len() as u64);
+            stage.add_items(s.buf.iter().len() as u64);
             drop(stage);
             progress.tick(s.stats.queries - before);
             each(slot, &mut s.buf)?;
@@ -417,7 +426,8 @@ impl Engine {
         let mut rng = StdRng::seed_from_u64(slice_seed(self.seed, slot));
         s.rrl = self.spec.rrl.map(RateLimiter::new);
         for (fi, fleet) in self.fleets.iter().enumerate() {
-            let mut caches = HashMap::new();
+            let mut caches = std::mem::take(&mut s.caches[fi]);
+            caches.values_mut().for_each(TtlMap::clear);
             let mut steer = plan.steer(fi, slot, fleet.spec.junk_ratio);
             while let Some((t, want_junk)) = steer.next(&mut rng) {
                 let sent = self.demand(fleet, t, want_junk, &mut caches, &mut rng, |rng, ask| {
@@ -429,6 +439,7 @@ impl Engine {
                 steer.emitted(sent);
             }
             s.stats.per_fleet[fi].1 += steer.done();
+            s.caches[fi] = caches;
         }
         // incident traffic (the Feb-2020 cyclic dependency) rides on
         // top: one exchange per event, so TCP retries come on top of
@@ -451,7 +462,7 @@ impl Engine {
                 flood.emitted(1);
             }
         }
-        s.buf.sort_by_key(|r| r.timestamp);
+        s.buf.sort_by_time();
     }
 
     /// One demand event of the calibrated plane: a resolver of `fleet`
@@ -786,7 +797,7 @@ mod tests {
     use crate::profile::Vantage;
     use crate::scenario::{dataset, monthly_google, Scale};
     use dns_wire::message::Message;
-    use netbase::capture::{CaptureReader, Direction};
+    use netbase::capture::{CaptureReader, CaptureRecord, Direction};
     use netbase::flow::Transport;
 
     fn generate(vantage: Vantage, year: u16) -> (Engine, Vec<CaptureRecord>, DatasetStats) {
@@ -916,12 +927,10 @@ mod tests {
             fn emit(&mut self, _: CaptureRecord) -> std::io::Result<()> {
                 unreachable!("the generator hands over whole slices")
             }
-            fn emit_slice(
-                &mut self,
-                slot: u64,
-                slice: &mut Vec<CaptureRecord>,
-            ) -> std::io::Result<()> {
-                self.0.push((slot as usize, std::mem::take(slice)));
+            fn emit_slice(&mut self, slot: u64, slice: &RecordSlice) -> std::io::Result<()> {
+                let mut records = Vec::new();
+                records.emit_slice(slot, slice)?;
+                self.0.push((slot as usize, records));
                 Ok(())
             }
         }

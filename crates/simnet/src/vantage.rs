@@ -7,6 +7,8 @@
 //! [`crate::emerge::SimTransport`] and the live `authd` responder all
 //! go through this module, so an offline capture and a live tap cannot
 //! disagree about any of them.
+//! Offline, [`record`] writes every payload straight into the slice's
+//! [`RecordSlice`] buffer: a generated payload allocates nothing.
 
 use crate::engine::{name_key_wire, DatasetStats};
 use crate::rrl::{ResponseClass, RrlAction, RrlGate};
@@ -16,7 +18,7 @@ use dns_wire::message::Question;
 use dns_wire::name::ReusableCompressor;
 use dns_wire::types::Rcode;
 use dns_wire::writer::{Marks, MessageWriter};
-use netbase::capture::{CaptureRecord, Direction};
+use netbase::capture::{Direction, RecordRef, RecordSlice};
 use netbase::flow::{FlowKey, Transport};
 use netbase::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -39,8 +41,8 @@ pub fn response_class(rcode: Rcode, qname_wire: &[u8]) -> ResponseClass {
 /// Where a slice of generated traffic writes its messages: one buffer
 /// each for the query and the response of the exchange in hand, and a
 /// name compressor for the fleet's synthetic root, reused for every
-/// exchange, so a payload costs the one allocation that holds its bytes
-/// in the capture. Empty until the first message sizes it.
+/// exchange; [`record`] copies them into the capture. Empty until the
+/// first message sizes it.
 #[derive(Default)]
 pub struct WireScratch {
     comp: ReusableCompressor,
@@ -140,31 +142,41 @@ pub fn shape_udp<L: RrlGate>(
     now: SimTime,
     rrl: Option<&mut L>,
 ) -> Option<UdpReply> {
-    let action = match rrl {
-        Some(limiter) => limiter.gate(src, response.class(), now),
-        None => RrlAction::Respond,
-    };
-    let Written { bytes: full, marks } = response;
     let mut bytes = Vec::new();
-    let (truncated, slipped) = match action {
-        RrlAction::Respond => {
-            let limit = edns_size.max(512) as usize;
-            let cut = marks
-                .cut_into(full, limit, &mut bytes)
-                .expect("responses always fit after truncation");
-            (cut, false)
-        }
-        RrlAction::Slip => {
-            marks.slip_into(full, &mut bytes);
-            (true, true)
-        }
-        RrlAction::Drop => return None,
-    };
+    let (truncated, slipped) = shape_onto(response, edns_size, src, now, rrl, &mut bytes)?;
     Some(UdpReply {
         bytes,
         truncated,
         slipped,
     })
+}
+
+/// [`shape_udp`], appending the reply to `out` (nothing when RRL drops
+/// it) and returning whether it is truncated and whether it slipped.
+fn shape_onto<L: RrlGate>(
+    response: Written<'_>,
+    edns_size: u16,
+    src: IpAddr,
+    now: SimTime,
+    rrl: Option<&mut L>,
+    out: &mut Vec<u8>,
+) -> Option<(bool, bool)> {
+    let action = match rrl {
+        Some(limiter) => limiter.gate(src, response.class(), now),
+        None => RrlAction::Respond,
+    };
+    let Written { bytes: full, marks } = response;
+    match action {
+        RrlAction::Respond => {
+            let cut = marks.cut_onto(full, edns_size.max(512) as usize, out);
+            Some((cut.expect("responses always fit after truncation"), false))
+        }
+        RrlAction::Slip => {
+            marks.slip_onto(full, out);
+            Some((true, true))
+        }
+        RrlAction::Drop => None,
+    }
 }
 
 /// One resolver→vantage exchange, as the capture box will see it.
@@ -213,34 +225,24 @@ impl Recorded {
     }
 }
 
-/// Append one exchange to the capture: the direct-TCP pair, or the UDP
-/// pair shaped by [`shape_udp`] plus, after a TC=1 answer, the TCP
-/// retry with a fresh transaction id. Draws from `rng` in a fixed
-/// order (direct-TCP coin; UDP source port; retry id; then per TCP
-/// pair handshake jitter, source port) — captures are byte-stable
+/// Append one exchange to `slice`: the direct-TCP pair, or the UDP
+/// pair shaped as [`shape_udp`] shapes it plus, after a TC=1 answer,
+/// the TCP retry with a fresh transaction id. Draws from `rng` in a
+/// fixed order (direct-TCP coin; UDP source port; retry id; then per
+/// TCP pair handshake jitter, source port) — captures are byte-stable
 /// across callers and releases.
 pub fn record<L: RrlGate>(
     x: &Exchange<'_>,
     rng: &mut StdRng,
     rrl: Option<&mut L>,
-    buf: &mut Vec<CaptureRecord>,
+    slice: &mut RecordSlice,
     stats: &mut DatasetStats,
 ) -> Recorded {
-    let frame = |msg: &[u8]| dns_wire::tcp::frame(msg).expect("generated messages fit TCP");
     if x.tcp_extra > 0.0 && rng.gen_bool(x.tcp_extra) {
-        record_tcp_pair(
-            x,
-            x.at,
-            frame(x.query),
-            frame(x.response.bytes),
-            rng,
-            buf,
-            stats,
-        );
+        record_tcp_pair(x, x.at, None, rng, slice, stats);
         return Recorded::Tcp;
     }
 
-    let reply = shape_udp(x.response, x.edns_size, x.src_ip, x.at, rrl);
     let flow = FlowKey {
         src: x.src_ip,
         src_port: rng.gen_range(1024..u16::MAX),
@@ -248,53 +250,47 @@ pub fn record<L: RrlGate>(
         dst_port: 53,
         transport: Transport::Udp,
     };
-    buf.push(CaptureRecord {
+    slice.push(RecordRef {
         timestamp: x.at,
         direction: Direction::Query,
         flow,
         tcp_rtt_us: 0,
-        payload: x.query.to_vec(),
+        payload: x.query,
     });
     stats.queries += 1;
-    let Some(reply) = reply else {
+    let out = slice.payload();
+    let shaped = shape_onto(x.response, x.edns_size, x.src_ip, x.at, rrl, out);
+    let Some((truncated, slipped)) = shaped else {
         stats.rrl_drops += 1;
         return Recorded::Dropped;
     };
-    buf.push(CaptureRecord {
-        timestamp: x.at + SimDuration::from_micros(x.rtt_us as u64),
-        direction: Direction::Response,
-        flow: flow.reversed(),
-        tcp_rtt_us: 0,
-        payload: reply.bytes,
-    });
+    let answered = x.at + SimDuration::from_micros(x.rtt_us as u64);
+    slice.seal(answered, Direction::Response, flow.reversed(), 0);
     stats.responses += 1;
-    stats.rrl_slips += reply.slipped as u64;
-    if !reply.truncated {
+    stats.rrl_slips += slipped as u64;
+    if !truncated {
         return Recorded::Udp;
     }
 
     stats.truncated_udp += 1;
     // the retry is the same question under a fresh id, and so is its
-    // answer, whole this time: re-stamp the bytes already written
+    // answer, whole this time: re-stamp the bytes as they are framed
     let id = rng.gen::<u16>().to_be_bytes();
-    let (mut query, mut response) = (frame(x.query), frame(x.response.bytes));
-    query[2..4].copy_from_slice(&id);
-    response[2..4].copy_from_slice(&id);
     let retry_at = x.at + SimDuration::from_micros(x.rtt_us as u64 + TCP_RETRY_GAP_US);
-    record_tcp_pair(x, retry_at, query, response, rng, buf, stats);
+    record_tcp_pair(x, retry_at, Some(id), rng, slice, stats);
     Recorded::UdpThenTcp
 }
 
 /// A TCP query/response pair opening at `t`, carrying the handshake RTT
 /// the capture box measures (what Figure 5 derives its medians from).
-/// Both payloads come framed (RFC 1035 two-octet length prefix).
+/// Both payloads are framed (RFC 1035 two-octet length prefix), under
+/// transaction id `id` when one is given.
 fn record_tcp_pair(
     x: &Exchange<'_>,
     t: SimTime,
-    query: Vec<u8>,
-    response: Vec<u8>,
+    id: Option<[u8; 2]>,
     rng: &mut StdRng,
-    buf: &mut Vec<CaptureRecord>,
+    slice: &mut RecordSlice,
     stats: &mut DatasetStats,
 ) {
     // SYN->SYNACK as measured, with small kernel jitter
@@ -306,21 +302,26 @@ fn record_tcp_pair(
         dst_port: 53,
         transport: Transport::Tcp,
     };
-    let after_handshake = t + SimDuration::from_micros(x.rtt_us as u64);
-    buf.push(CaptureRecord {
-        timestamp: after_handshake,
-        direction: Direction::Query,
-        flow,
-        tcp_rtt_us: measured,
-        payload: query,
-    });
-    buf.push(CaptureRecord {
-        timestamp: after_handshake + SimDuration::from_micros(x.rtt_us as u64),
-        direction: Direction::Response,
-        flow: flow.reversed(),
-        tcp_rtt_us: measured,
-        payload: response,
-    });
+    let rtt = SimDuration::from_micros(x.rtt_us as u64);
+    let (asked, answered) = (t + rtt, t + rtt + rtt);
+    for (msg, direction, at, flow) in [
+        (x.query, Direction::Query, asked, flow),
+        (
+            x.response.bytes,
+            Direction::Response,
+            answered,
+            flow.reversed(),
+        ),
+    ] {
+        let out = slice.payload();
+        let start = out.len();
+        dns_wire::tcp::frame_onto(msg, out).expect("generated messages fit TCP");
+        if let Some(id) = id {
+            // the id opens the message, after the length prefix
+            out[start + 2..start + 4].copy_from_slice(&id);
+        }
+        slice.seal(at, direction, flow, measured);
+    }
     stats.queries += 1;
     stats.responses += 1;
     stats.tcp_queries += 1;

@@ -150,6 +150,7 @@ fn offline_recorder_and_live_responder_emit_identical_udp_responses() {
     use authd::Responder;
     use dns_wire::builder::MessageBuilder;
     use dns_wire::types::RType;
+    use netbase::capture::RecordSlice;
     use netbase::flow::Transport;
     use netbase::time::SimDuration;
     use rand::{rngs::StdRng, SeedableRng};
@@ -173,7 +174,7 @@ fn offline_recorder_and_live_responder_emit_identical_udp_responses() {
     let mut rng = StdRng::seed_from_u64(1);
     let mut stats = simnet::DatasetStats::default();
     let mut wire = WireScratch::default();
-    let mut buf = Vec::new();
+    let mut buf = RecordSlice::default();
 
     let sources: [IpAddr; 2] = ["192.0.2.1".parse().unwrap(), "2001:db8::7".parse().unwrap()];
     let dst_ip: IpAddr = IpAddr::V4(spec.servers[0].v4);
@@ -193,7 +194,7 @@ fn offline_recorder_and_live_responder_emit_identical_udp_responses() {
 
         wire.write_query(&query.header, &query.questions[0], query.edns.as_ref());
         auth.respond_located((&query).into(), zone.locate(&qname), &mut wire);
-        let first = buf.len();
+        let first = buf.iter().len();
         let recorded = vantage::record(
             &vantage::Exchange {
                 query: wire.query(),
@@ -210,7 +211,8 @@ fn offline_recorder_and_live_responder_emit_identical_udp_responses() {
             &mut buf,
             &mut stats,
         );
-        let offline = (recorded != Recorded::Dropped).then(|| buf[first + 1].payload.clone());
+        let offline = (recorded != Recorded::Dropped)
+            .then(|| buf.iter().nth(first + 1).unwrap().payload.to_vec());
 
         let live = match responder.handle_into(
             &query.encode().unwrap(),

@@ -320,7 +320,9 @@ fn capture_digest(engine: &Engine, fleet: bool, shards: usize) -> (usize, u32) {
 /// the demand plan moved into `simnet`'s `plan` module: a generator
 /// refactor that changes one RNG draw fails here instead of needing a
 /// hand-run `cmp` against the parent commit. Each run must give the
-/// same bytes at 1 and 4 shards.
+/// same bytes at 1 and 4 shards, and so must the `.nl` run at
+/// `Scale::small()`, pinned from the `generate nl 2020 --scale=small`
+/// file as it was before slices were lent to their sinks.
 ///
 /// At the tiny scale no fleet cache ever fills, so one more row runs
 /// the `.nl` fleet at the repo benchmark's `batch-fleet` scale, where
@@ -375,6 +377,18 @@ fn golden_capture_digests() {
             let got = capture_digest(&engine, fleet, shards);
             assert_eq!(got, (len, crc), "{what} at {shards} shard(s)");
         }
+    }
+
+    // the calibrated `.nl` at the small scale (147 MB) reaches record
+    // counts and truncation mixes tiny does not
+    let engine = Engine::new(dataset(Vantage::Nl, 2020), Scale::small(), 42);
+    for shards in [1, 4] {
+        let got = capture_digest(&engine, false, shards);
+        assert_eq!(
+            got,
+            (146_944_175, 0xcad0_a2e0),
+            "nl-2020 small at {shards} shard(s)"
+        );
     }
 
     // the `.nl` fleet at `batch-fleet`'s scale, whose caches stay
