@@ -101,14 +101,11 @@ struct Head {
 /// One time slice of capture: every payload in one byte buffer, each
 /// record fixed-size metadata holding its range. Filling a slice
 /// allocates only while its buffers grow; [`RecordSlice::clear`] keeps
-/// them. Write a payload in place by appending to
-/// [`RecordSlice::payload`] and then [`RecordSlice::seal`]ing it.
+/// them. [`RecordSlice::push_with`] writes a payload in place.
 #[derive(Debug, Clone, Default)]
 pub struct RecordSlice {
     heads: Vec<Head>,
     bytes: Vec<u8>,
-    /// End of the last sealed payload; what follows is being written.
-    sealed: usize,
 }
 
 impl RecordSlice {
@@ -123,31 +120,32 @@ impl RecordSlice {
         })
     }
 
-    /// Append a copy of `rec`.
-    pub fn push(&mut self, rec: RecordRef<'_>) {
-        self.bytes.extend_from_slice(rec.payload);
-        self.seal(rec.timestamp, rec.direction, rec.flow, rec.tcp_rtt_us);
-    }
-
-    /// The buffer to append the next record's payload to (the bytes
-    /// already there are sealed records' and stay as they are).
-    pub fn payload(&mut self) -> &mut Vec<u8> {
-        &mut self.bytes
-    }
-
-    /// Make the bytes appended to [`RecordSlice::payload`] since the last
-    /// record the payload of a new one (`rtt_us` is its `tcp_rtt_us`).
-    pub fn seal(&mut self, at: SimTime, dir: Direction, flow: FlowKey, rtt_us: u32) {
-        let (start, end) = (self.sealed, self.bytes.len());
-        self.heads.push(Head {
-            at,
-            dir,
-            flow,
-            rtt_us,
-            start,
-            end,
-        });
-        self.sealed = end;
+    /// Append a record whose payload `write` appends to the buffer,
+    /// leaving earlier records' bytes as they are (`rtt_us` is its
+    /// `tcp_rtt_us`). When `write` returns `None`, nothing is added.
+    pub fn push_with<R>(
+        &mut self,
+        at: SimTime,
+        dir: Direction,
+        flow: FlowKey,
+        rtt_us: u32,
+        write: impl FnOnce(&mut Vec<u8>) -> Option<R>,
+    ) -> Option<R> {
+        let start = self.bytes.len();
+        let written = write(&mut self.bytes);
+        assert!(self.bytes.len() >= start, "a payload write only appends");
+        match written {
+            Some(_) => self.heads.push(Head {
+                at,
+                dir,
+                flow,
+                rtt_us,
+                start,
+                end: self.bytes.len(),
+            }),
+            None => self.bytes.truncate(start),
+        }
+        written
     }
 
     /// Order the records by timestamp, stably, moving metadata only.
@@ -159,13 +157,12 @@ impl RecordSlice {
     /// empty with its buffers kept.
     pub fn append(&mut self, other: &mut RecordSlice) {
         let base = self.bytes.len();
-        self.bytes.extend_from_slice(&other.bytes[..other.sealed]);
+        self.bytes.extend_from_slice(&other.bytes);
         self.heads.extend(other.heads.iter().map(|h| Head {
             start: h.start + base,
             end: h.end + base,
             ..*h
         }));
-        self.sealed = self.bytes.len();
         other.clear();
     }
 
@@ -173,7 +170,6 @@ impl RecordSlice {
     pub fn clear(&mut self) {
         self.heads.clear();
         self.bytes.clear();
-        self.sealed = 0;
     }
 }
 
@@ -498,6 +494,23 @@ mod tests {
             tcp_rtt_us: if tcp { 23_500 } else { 0 },
             payload: vec![ts as u8; (ts % 64) as usize + 12],
         }
+    }
+
+    /// A payload write that cuts into earlier records' bytes is
+    /// refused, rather than leaving them lending the wrong payload.
+    #[test]
+    #[should_panic(expected = "a payload write only appends")]
+    fn record_slice_refuses_a_write_that_truncates() {
+        let mut slice = RecordSlice::default();
+        let r = rec(3, false);
+        slice.push_with(r.timestamp, r.direction, r.flow, 0, |out| {
+            out.extend_from_slice(&r.payload);
+            Some(())
+        });
+        slice.push_with(r.timestamp, r.direction, r.flow, 0, |out| {
+            out.truncate(1);
+            Some(())
+        });
     }
 
     #[test]

@@ -81,10 +81,25 @@ fn slice_record() -> impl Strategy<Value = CaptureRecord> {
     })
 }
 
-/// Write `rec` into `slice` in place, as the generator writes payloads.
-fn write_in_place(slice: &mut RecordSlice, rec: &CaptureRecord) {
-    slice.payload().extend_from_slice(&rec.payload);
-    slice.seal(rec.timestamp, rec.direction, rec.flow, rec.tcp_rtt_us);
+/// Write `rec` into `slice` in place, as the generator writes payloads:
+/// in one piece, or in two after a write that is turned down (as an RRL
+/// drop is) and must leave no trace.
+fn write_in_place(slice: &mut RecordSlice, rec: &CaptureRecord, in_pieces: bool) {
+    let (at, dir, flow, rtt) = (rec.timestamp, rec.direction, rec.flow, rec.tcp_rtt_us);
+    if in_pieces {
+        let dropped = slice.push_with(at, dir, flow, rtt, |out| {
+            out.extend_from_slice(&rec.payload);
+            None::<()>
+        });
+        assert!(dropped.is_none());
+    }
+    let half = if in_pieces { rec.payload.len() / 2 } else { 0 };
+    let (head, tail) = rec.payload.split_at(half);
+    slice.push_with(at, dir, flow, rtt, |out| {
+        out.extend_from_slice(head);
+        out.extend_from_slice(tail);
+        Some(())
+    });
 }
 
 proptest! {
@@ -185,11 +200,11 @@ proptest! {
     }
 
     /// A `RecordSlice` is the owned record vector it replaces: records
-    /// pushed (copied or written in place), appended from another slice
-    /// or pushed after a clear iterate as the vector holds them, sort
-    /// as `sort_by_key(timestamp)` does (ties stay in order), reach a
-    /// capture file as the owned records' bytes, and reach the vector
-    /// sink as those records.
+    /// written in place (in one piece, or in two after a turned-down
+    /// write), appended from another slice or written after a clear
+    /// iterate as the vector holds them, sort as `sort_by_key(timestamp)` does
+    /// (ties stay in order), reach a capture file as the owned records'
+    /// bytes, and reach the vector sink as those records.
     #[test]
     fn record_slice_is_the_owned_record_vector(
         ops in prop::collection::vec(
@@ -199,8 +214,8 @@ proptest! {
     ) {
         let (mut slice, mut other) = (RecordSlice::default(), RecordSlice::default());
         let mut oracle: Vec<CaptureRecord> = Vec::new();
-        for (op, in_place, records) in &ops {
-            // 0 pushes onto the slice, 1 fills the other slice (emptied
+        for (op, in_pieces, records) in &ops {
+            // 0 writes onto the slice, 1 fills the other slice (emptied
             // by its last append, its buffers kept) and appends it, 2
             // clears the slice and refills it
             let target = match op {
@@ -213,11 +228,7 @@ proptest! {
                 }
             };
             for r in records {
-                if *in_place {
-                    write_in_place(target, r);
-                } else {
-                    target.push(r.as_ref());
-                }
+                write_in_place(target, r, *in_pieces);
             }
             if *op == 1 {
                 slice.append(&mut other);

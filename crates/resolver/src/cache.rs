@@ -139,6 +139,11 @@ impl<K: Hash + Eq + Clone, V> TtlMap<K, V> {
         None
     }
 
+    /// Entries the map holds room for without growing.
+    pub fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
     /// Drop every entry: the map is as empty as a new one.
     pub fn clear(&mut self) {
         self.entries.clear();

@@ -13,7 +13,7 @@
 //! engine answers and records each query inline, the driver queues it
 //! for the caller's socket.
 
-use crate::engine::{Engine, ResolverCache};
+use crate::engine::{Caches, Engine};
 use crate::fleet::{cumulative_weights, pick_cumulative};
 use crate::plan;
 use crate::scenario::{DatasetSpec, Scale};
@@ -23,7 +23,7 @@ use dns_wire::types::RType;
 use netbase::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::IpAddr;
 
 /// How many cache-absorbed demand events in a row one [`Driver::sample`]
@@ -62,7 +62,7 @@ pub struct Driver {
     /// Where every planned query is written, as a slice's are offline.
     wire: WireScratch,
     fleet_cum: Vec<f64>,
-    caches: Vec<HashMap<u32, ResolverCache>>,
+    caches: Vec<Caches>,
     /// Queries planned so far, per fleet: the junk lattice's position.
     emitted: Vec<u64>,
     /// What the last demand event put on the wire and `sample` has not
@@ -89,7 +89,7 @@ impl Driver {
             rng: StdRng::seed_from_u64(seed ^ 0x11fe_d81e),
             wire: WireScratch::default(),
             fleet_cum,
-            caches: (0..n).map(|_| HashMap::new()).collect(),
+            caches: (0..n).map(|_| Caches::default()).collect(),
             emitted: vec![0; n],
             pending: VecDeque::new(),
             cache_hits: 0,
@@ -147,7 +147,7 @@ impl Driver {
         let fi = pick_cumulative(fleet_cum, rng.gen());
         let fleet = &engine.fleets[fi];
         let want_junk = plan::junk_due(fleet.spec.junk_ratio, emitted[fi]);
-        let mut cold = HashMap::new();
+        let mut cold = Caches::default();
         let caches = if use_caches {
             &mut caches[fi]
         } else {

@@ -37,6 +37,8 @@ use zonedb::zone::ZoneModel;
 
 /// Per-resolver cache capacity (entries).
 const CACHE_CAP: usize = 4096;
+/// The largest emptied cache (in entries it has room for) kept as a spare.
+const SPARE_CAP: usize = 14;
 
 /// What a sampled resolver caches under: the domain/qtype pair it
 /// resolved. A [`name_key`] hash (not the qname text) keeps keys small.
@@ -52,6 +54,33 @@ pub(crate) struct CacheKey {
 /// the vantage only sees the cache-miss shadow of user demand (§2 of
 /// the paper).
 pub(crate) type ResolverCache = TtlMap<CacheKey, ()>;
+
+/// One fleet's resolver caches by resolver, and emptied ones (those
+/// small enough) kept as spares, each as cold as a new cache: a stripe
+/// holds about one slice's caches, and most of them are reused.
+#[derive(Default)]
+pub(crate) struct Caches {
+    by_resolver: HashMap<u32, ResolverCache>,
+    spare: Vec<ResolverCache>,
+}
+
+impl Caches {
+    /// The cache of `resolver`: a spare, or a new one, on first use.
+    fn of(&mut self, resolver: u32) -> &mut ResolverCache {
+        let spare = &mut self.spare;
+        (self.by_resolver.entry(resolver)).or_insert_with(|| spare.pop().unwrap_or_default())
+    }
+
+    /// Empty every cache into the spares.
+    fn empty(&mut self) {
+        for (_, mut cache) in self.by_resolver.drain() {
+            cache.clear();
+            if cache.capacity() <= SPARE_CAP {
+                self.spare.push(cache);
+            }
+        }
+    }
+}
 
 /// Softmax temperature for server preference, microseconds.
 const SERVER_TAU_US: f64 = 30_000.0;
@@ -113,12 +142,12 @@ impl DatasetStats {
 /// What one stripe of the slot range owns: the wire encoder every
 /// message goes through, the record slice each slice fills and its
 /// sink reads, the current slice's RRL state and per-fleet resolver
-/// caches (emptied, not freed), and the counters so far.
+/// caches (with their spares), and the counters so far.
 struct StripeState {
     rrl: Option<RateLimiter>,
     wire: WireScratch,
     buf: RecordSlice,
-    caches: Vec<HashMap<u32, ResolverCache>>,
+    caches: Vec<Caches>,
     stats: DatasetStats,
 }
 
@@ -266,32 +295,25 @@ impl Engine {
         // ordered and memory stays bounded.
         let progress = &self.progress("simnet");
         let parts = crossbeam::thread::scope(|scope| {
-            // lent slices come back to the shards over one return channel
-            let (back, spares) = crossbeam::channel::bounded::<RecordSlice>(2 * shards);
             let (rxs, handles): (Vec<_>, Vec<_>) = (0..shards)
                 .map(|w| {
                     let (tx, rx) = crossbeam::channel::bounded::<RecordSlice>(2);
-                    let spares = spares.clone();
                     let shard = scope.spawn(move |_| {
                         self.stripe(plan, progress, (w, shards), |_, slice| {
-                            let next = spares.try_recv().unwrap_or_default();
                             // a closed channel is the merger gone (sink
                             // error): stop early
-                            tx.send(std::mem::replace(slice, next))
+                            tx.send(std::mem::take(slice))
                                 .map_err(|_| std::io::Error::other("slice merger disconnected"))
                         })
                     });
                     (rx, shard)
                 })
                 .unzip();
-            let merged: std::io::Result<()> = (0..slots).try_for_each(|slot| {
+            let merged = (0..slots).try_for_each(|slot| {
                 let slice = rxs[slot % shards]
                     .recv()
                     .map_err(|_| std::io::Error::other("generator shard disconnected"))?;
-                out.emit_slice(slot as u64, &slice)?;
-                // a full return channel: the shards have spares enough
-                let _ = back.try_send(slice);
-                Ok(())
+                out.emit_slice(slot as u64, &slice)
             });
             // dropping the receivers wakes any shard still blocked on a
             // full channel, so the scope always joins
@@ -378,7 +400,7 @@ impl Engine {
             rrl: None,
             wire: WireScratch::default(),
             buf: RecordSlice::default(),
-            caches: self.fleets.iter().map(|_| HashMap::new()).collect(),
+            caches: self.fleets.iter().map(|_| Caches::default()).collect(),
             stats: self.zeroed_stats(),
         };
         for slot in (w..plan.slots()).step_by(of) {
@@ -427,7 +449,7 @@ impl Engine {
         s.rrl = self.spec.rrl.map(RateLimiter::new);
         for (fi, fleet) in self.fleets.iter().enumerate() {
             let mut caches = std::mem::take(&mut s.caches[fi]);
-            caches.values_mut().for_each(TtlMap::clear);
+            caches.empty();
             let mut steer = plan.steer(fi, slot, fleet.spec.junk_ratio);
             while let Some((t, want_junk)) = steer.next(&mut rng) {
                 let sent = self.demand(fleet, t, want_junk, &mut caches, &mut rng, |rng, ask| {
@@ -479,7 +501,7 @@ impl Engine {
         fleet: &Fleet,
         t: SimTime,
         is_junk: bool,
-        caches: &mut HashMap<u32, ResolverCache>,
+        caches: &mut Caches,
         rng: &mut StdRng,
         mut send: impl FnMut(&mut StdRng, &Ask) -> u64,
     ) -> u64 {
@@ -494,7 +516,7 @@ impl Engine {
             domain: name_key(&qname),
             rtype: qtype.to_u16(),
         };
-        let cache = caches.entry(r_idx as u32).or_default();
+        let cache = caches.of(r_idx as u32);
         if cacheable && cache.lookup(&ckey, t.as_micros()).is_some() {
             return 0;
         }

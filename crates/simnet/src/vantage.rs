@@ -18,7 +18,7 @@ use dns_wire::message::Question;
 use dns_wire::name::ReusableCompressor;
 use dns_wire::types::Rcode;
 use dns_wire::writer::{Marks, MessageWriter};
-use netbase::capture::{Direction, RecordRef, RecordSlice};
+use netbase::capture::{Direction, RecordSlice};
 use netbase::flow::{FlowKey, Transport};
 use netbase::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -250,22 +250,19 @@ pub fn record<L: RrlGate>(
         dst_port: 53,
         transport: Transport::Udp,
     };
-    slice.push(RecordRef {
-        timestamp: x.at,
-        direction: Direction::Query,
-        flow,
-        tcp_rtt_us: 0,
-        payload: x.query,
+    slice.push_with(x.at, Direction::Query, flow, 0, |out| {
+        out.extend_from_slice(x.query);
+        Some(())
     });
     stats.queries += 1;
-    let out = slice.payload();
-    let shaped = shape_onto(x.response, x.edns_size, x.src_ip, x.at, rrl, out);
+    let answered = x.at + SimDuration::from_micros(x.rtt_us as u64);
+    let shaped = slice.push_with(answered, Direction::Response, flow.reversed(), 0, |out| {
+        shape_onto(x.response, x.edns_size, x.src_ip, x.at, rrl, out)
+    });
     let Some((truncated, slipped)) = shaped else {
         stats.rrl_drops += 1;
         return Recorded::Dropped;
     };
-    let answered = x.at + SimDuration::from_micros(x.rtt_us as u64);
-    slice.seal(answered, Direction::Response, flow.reversed(), 0);
     stats.responses += 1;
     stats.rrl_slips += slipped as u64;
     if !truncated {
@@ -313,14 +310,15 @@ fn record_tcp_pair(
             flow.reversed(),
         ),
     ] {
-        let out = slice.payload();
-        let start = out.len();
-        dns_wire::tcp::frame_onto(msg, out).expect("generated messages fit TCP");
-        if let Some(id) = id {
-            // the id opens the message, after the length prefix
-            out[start + 2..start + 4].copy_from_slice(&id);
-        }
-        slice.seal(at, direction, flow, measured);
+        slice.push_with(at, direction, flow, measured, |out| {
+            let start = out.len();
+            dns_wire::tcp::frame_onto(msg, out).expect("generated messages fit TCP");
+            if let Some(id) = id {
+                // the id opens the message, after the length prefix
+                out[start + 2..start + 4].copy_from_slice(&id);
+            }
+            Some(())
+        });
     }
     stats.queries += 1;
     stats.responses += 1;

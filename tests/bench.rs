@@ -615,15 +615,10 @@ fn wire_encode_into_is_allocation_free_and_byte_identical() {
 /// The record path's allocation budget, stage by stage: `.nl` 2020 at
 /// the tiny scale, generated on one shard into a capture writer that
 /// reads every slice where it lies, then generated again into owned
-/// records and ingested on this thread. Generating measures 0.537
+/// records and ingested on this thread. Generating measures 0.510
 /// allocations per query and ingesting 0.00073 (25 in all: the join's
 /// map and queues and the end-of-stream sort); each is bounded at 1.25
-/// times that. Generating measured 3.114 while every record owned its
-/// payload (two payload copies per exchange, the growth of the record
-/// `Vec`), and generating and ingesting together about 6 under one
-/// shared bound of 8 before that (91 before the inline `Name`, 10.5
-/// before responses were written straight into the slice's wire
-/// buffer).
+/// times that.
 #[test]
 fn record_path_stays_within_its_allocation_budget() {
     use entrada::enrich::Enricher;
@@ -649,7 +644,7 @@ fn record_path_stays_within_its_allocation_budget() {
         obs::alloc::measure(|| CaptureIngest::new(records.into_iter(), enricher).count() as u64);
     let queries = generated.queries;
     assert_eq!(rows, queries, "every query became a row");
-    for (stage, stats, measured) in [("generate", generate, 0.537), ("ingest", ingest, 0.00073)] {
+    for (stage, stats, measured) in [("generate", generate, 0.510), ("ingest", ingest, 0.00073)] {
         let per_query = stats.allocs as f64 / queries as f64;
         assert!(
             per_query <= 1.25 * measured,
@@ -662,15 +657,10 @@ fn record_path_stays_within_its_allocation_budget() {
 /// The fleet plane's walk budget: one `.nl` 2020 fleet resolver (Q-min
 /// on, fleet-shared cache) resolves 2,000 sampled stimuli over the
 /// offline `SimTransport` to warm its cache and buffers, then 2,000
-/// more are measured (1,481 vantage queries). Those cost 12.89
-/// allocations per stimulus when every reply was parsed into a
-/// `Message`, every ask built one and ranked its servers into a fresh
-/// `Vec`, and every hit cloned a `Vec`, and 3.70 while every captured
-/// record owned its payload; they measure 2.22 now that payloads are
-/// written into the transport's record slice: one shared address set
-/// per answer or referral, the `Vec` that `resolve` returns, and the
-/// slice's buffers growing. The bound is about twice the measured
-/// value.
+/// more are measured (1,481 vantage queries). Those measure 2.22
+/// allocations per stimulus: one shared address set per answer or
+/// referral, the `Vec` that `resolve` returns, and the record slice's
+/// buffers growing. The bound is about twice the measured value.
 #[test]
 fn fleet_walk_stays_within_its_allocation_budget() {
     use rand::rngs::StdRng;
