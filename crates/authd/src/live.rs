@@ -163,18 +163,20 @@ mod tests {
     use simnet::scenario::dataset;
     use std::fs;
 
+    /// Replay mode: the tap reads back whole and ingests cleanly, one
+    /// row per query the server counted.
     #[test]
     fn small_live_run_produces_consumable_capture() {
+        use entrada::enrich::Enricher;
+        use entrada::ingest::CaptureIngest;
+        use simnet::engine::Engine;
+
         let _guard = crate::signal::TEST_GUARD.lock().unwrap();
         let dir = std::env::temp_dir().join("authd-live-test");
         fs::create_dir_all(&dir).unwrap();
         let capture = dir.join("small.dnscap");
-        let mut config = LiveConfig::new(
-            dataset(Vantage::Nl, 2020),
-            Scale::tiny(),
-            7,
-            capture.clone(),
-        );
+        let spec = dataset(Vantage::Nl, 2020);
+        let mut config = LiveConfig::new(spec.clone(), Scale::tiny(), 7, capture.clone());
         config.max_queries = Some(300);
         config.loadgen_workers = 2;
         config.udp_workers = 2;
@@ -191,6 +193,15 @@ mod tests {
             n + 1
         });
         assert_eq!(records, report.records);
+
+        let engine = Engine::new(spec, Scale::tiny(), 7);
+        let reader = CaptureReader::new(&bytes[..]).unwrap();
+        let mut ingest = CaptureIngest::new(reader, Enricher::new(engine.plan().mapper.clone()));
+        let rows = ingest.by_ref().count() as u64;
+        let stats = ingest.stats();
+        assert!(stats.balanced(), "{stats:?}");
+        assert_eq!((stats.malformed, stats.capture_errors), (0, 0), "{stats:?}");
+        assert_eq!(rows, report.server.queries());
         fs::remove_file(&capture).ok();
     }
 

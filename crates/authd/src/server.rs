@@ -11,12 +11,16 @@
 //! (optionally) one capture [`Tap`].
 //!
 //! The full per-query cycle — receive, respond, mirror into the tap —
-//! is allocation-free in steady state on both transports: the respond
-//! path reuses a per-worker [`RespondScratch`], TCP framing reuses
+//! allocates nothing on either transport once a worker's buffers are
+//! warm, for any query whose qname a [`dns_wire::name::Name`] holds
+//! inline (a longer one costs one allocation): every query is answered
+//! in full into a per-worker [`RespondScratch`], TCP framing reuses
 //! per-worker buffers, and tap records are written through
-//! [`netbase::capture::RecordRef`] borrows. The workspace's allocation
-//! tests pin this by driving [`Engine::process_udp`] and
-//! [`Engine::process_tcp`] directly.
+//! [`netbase::capture::RecordRef`] borrows. Only the RRL limiter's
+//! bucket tables grow, as new (source network, name) buckets arrive.
+//! The workspace's allocation tests pin this by driving
+//! [`Engine::process_udp`] and [`Engine::process_tcp`] directly with
+//! queries the worker has never seen.
 //!
 //! TCP robustness: messages arrive through [`dns_wire::tcp::Deframer`]
 //! fed from chunked reads, so RFC 1035 length frames split across
@@ -110,34 +114,20 @@ impl Clock {
 }
 
 /// Reusable per-worker buffers for the transport-independent
-/// processing core: the respond scratch (response cache + output
-/// buffer) plus the TCP framing buffers. One per worker thread; the
-/// saturation bench and the allocation tests hold one directly.
+/// processing core: the respond scratch plus the TCP framing buffers.
+/// One per worker thread; the saturation bench and the allocation
+/// tests hold one directly.
+#[derive(Default)]
 pub struct WorkerState {
     scratch: RespondScratch,
     frame_out: Vec<u8>,
     frame_query: Vec<u8>,
 }
 
-impl Default for WorkerState {
-    fn default() -> Self {
-        WorkerState::new()
-    }
-}
-
 impl WorkerState {
-    /// Fresh state with a cold response cache.
+    /// Fresh state, its buffers sized by the first queries.
     pub fn new() -> WorkerState {
-        WorkerState {
-            scratch: RespondScratch::new(),
-            frame_out: Vec::new(),
-            frame_query: Vec::new(),
-        }
-    }
-
-    /// The respond scratch (cache hit/miss counters live here).
-    pub fn scratch(&self) -> &RespondScratch {
-        &self.scratch
+        WorkerState::default()
     }
 }
 
@@ -201,7 +191,7 @@ impl Engine {
     /// to `local`; returns the reply payload to send back to `peer`
     /// (None: malformed or RRL-dropped — counted, nothing to send).
     /// Counts, rate-limits, and mirrors into the tap; allocation-free
-    /// in steady state (warm cache, stable mix).
+    /// once `state` is warm (see the module docs).
     pub fn process_udp<'w>(
         &self,
         datagram: &[u8],

@@ -92,7 +92,7 @@ fn sample_queries(n: usize) -> Vec<(Vec<u8>, std::net::IpAddr)> {
     (0..n)
         .map(|_| {
             let q = driver.sample(t);
-            (q.wire, q.src)
+            (q.wire.to_vec(), q.src)
         })
         .collect()
 }
@@ -145,10 +145,11 @@ fn saturation_scenario(sharded: bool) -> Prepared {
     let server = authd::Server::start(config).expect("server starts");
     let addr = server.udp_addr();
 
-    // a small repeated query set keeps steady-state responds on the
-    // per-worker scratch-cache hit path, so the scenario measures the
-    // socket plane rather than response building; source ports still
-    // vary per datagram so reuseport spreads the flows over the shards
+    // every datagram is answered in full (read in place, answered,
+    // cut), so a burst measures the socket plane plus the whole respond
+    // step; 64 sampled queries repeat to fill it, their source ports
+    // varying per datagram so reuseport spreads the flows over the
+    // shards
     let base = sample_queries(DISTINCT);
     let datagrams: Vec<Vec<u8>> = (0..QUERIES)
         .map(|i| {

@@ -735,20 +735,19 @@ mod tests {
         let mut wire = WireScratch::default();
         auth.respond((&q).into(), true, &mut wire);
         let full = wire.response().bytes.len();
-        let reply = crate::vantage::shape_udp::<crate::rrl::RateLimiter>(
+        let mut bytes = Vec::new();
+        let (truncated, _) = crate::vantage::shape_onto::<crate::rrl::RateLimiter>(
             wire.response(),
             512,
             "192.0.2.1".parse().unwrap(),
             netbase::time::SimTime(0),
             None,
+            &mut bytes,
         )
         .expect("no limiter, no drop");
-        assert!(
-            reply.truncated,
-            "signed referral must exceed 512 (got {full})"
-        );
-        assert!(reply.bytes.len() <= 512);
-        let parsed = Message::parse(&reply.bytes).unwrap();
+        assert!(truncated, "signed referral must exceed 512 (got {full})");
+        assert!(bytes.len() <= 512);
+        let parsed = Message::parse(&bytes).unwrap();
         assert!(parsed.header.truncated);
     }
 
@@ -844,18 +843,20 @@ mod tests {
             );
 
             let limit = edns.unwrap_or(0).max(512) as usize;
-            let reply = crate::vantage::shape_udp::<crate::rrl::RateLimiter>(
+            let mut bytes = Vec::new();
+            let (truncated, _) = crate::vantage::shape_onto::<crate::rrl::RateLimiter>(
                 wire.response(),
                 edns.unwrap_or(0),
                 "192.0.2.1".parse().unwrap(),
                 netbase::time::SimTime(0),
                 None,
+                &mut bytes,
             )
             .expect("no limiter, no drop");
-            prop_assert!(reply.bytes.len() <= limit);
-            prop_assert_eq!(reply.truncated, full.len() > limit);
+            prop_assert!(bytes.len() <= limit);
+            prop_assert_eq!(truncated, full.len() > limit);
             prop_assert_eq!(
-                (reply.bytes, reply.truncated),
+                (bytes, truncated),
                 message.encode_with_limit(limit).unwrap()
             );
         }

@@ -18,23 +18,63 @@ use crate::fleet::{cumulative_weights, pick_cumulative};
 use crate::plan;
 use crate::scenario::{DatasetSpec, Scale};
 use crate::vantage::WireScratch;
+use dns_wire::header::HEADER_LEN;
 use dns_wire::name::Name;
 use dns_wire::types::RType;
 use netbase::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::fmt;
 use std::net::IpAddr;
+use std::ops::Deref;
 
 /// How many cache-absorbed demand events in a row one [`Driver::sample`]
 /// call skips before it runs the next one against cold caches.
 const MAX_CACHE_SKIPS: u32 = 50;
 
+/// The longest query the driver writes: a header, one question with a
+/// qname of up to 255 octets, and an option-less OPT.
+const MAX_QUERY: usize = HEADER_LEN + 255 + 4 + 11;
+
+/// A planned query's encoded message, held inline so that planning a
+/// query allocates nothing; it derefs to the message's bytes.
+#[derive(Clone)]
+pub struct QueryWire {
+    len: u16,
+    buf: [u8; MAX_QUERY],
+}
+
+impl QueryWire {
+    fn new(msg: &[u8]) -> QueryWire {
+        let mut buf = [0; MAX_QUERY];
+        buf[..msg.len()].copy_from_slice(msg);
+        QueryWire {
+            len: msg.len() as u16,
+            buf,
+        }
+    }
+}
+
+impl Deref for QueryWire {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[..self.len as usize]
+    }
+}
+
+impl fmt::Debug for QueryWire {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// One query the driver wants on the wire.
 #[derive(Debug, Clone)]
 pub struct PlannedQuery {
     /// The encoded DNS query message (UDP payload / TCP pre-framing).
-    pub wire: Vec<u8>,
+    pub wire: QueryWire,
     /// Query name as sent (0x20 mixing already applied).
     pub qname: Name,
     /// Query type.
@@ -159,7 +199,7 @@ impl Driver {
             let query = engine.build_query(ask, rng, wire);
             let tcp_extra = fleet.spec.tcp_extra_at(ask.resolver.site as usize);
             pending.push_back(PlannedQuery {
-                wire: wire.query().to_vec(),
+                wire: QueryWire::new(wire.query()),
                 qname: query.question.qname,
                 qtype: ask.qtype,
                 src: query.src_ip,
@@ -272,7 +312,7 @@ mod tests {
         let sample_ids = |seed: u64| -> Vec<Vec<u8>> {
             let mut d = Driver::new(dataset(Vantage::Nz, 2020), Scale::tiny(), seed);
             let t = d.engine().spec().start;
-            (0..50).map(|_| d.sample(t).wire).collect()
+            (0..50).map(|_| d.sample(t).wire.to_vec()).collect()
         };
         assert_eq!(sample_ids(3), sample_ids(3));
         assert_ne!(sample_ids(3), sample_ids(4));

@@ -119,41 +119,13 @@ impl Written<'_> {
     }
 }
 
-/// A UDP response as it leaves the vantage.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UdpReply {
-    /// Encoded response message.
-    pub bytes: Vec<u8>,
-    /// The TC bit is set: cut to the advertised size, or a slip.
-    pub truncated: bool,
-    /// RRL replaced the answer with an empty TC=1 slip.
-    pub slipped: bool,
-}
-
-/// Shape `response` for UDP towards `src`: cut it to the size the
-/// query's EDNS advertised (`edns_size` 0 = no EDNS; never below 512)
-/// and, with a limiter, let RRL pass it, replace it by an empty TC=1
-/// slip (forcing the TCP proof-of-path, §4.4), or drop it (`None`).
-/// The reply's bytes are an exact-length copy; `response` stays whole.
-pub fn shape_udp<L: RrlGate>(
-    response: Written<'_>,
-    edns_size: u16,
-    src: IpAddr,
-    now: SimTime,
-    rrl: Option<&mut L>,
-) -> Option<UdpReply> {
-    let mut bytes = Vec::new();
-    let (truncated, slipped) = shape_onto(response, edns_size, src, now, rrl, &mut bytes)?;
-    Some(UdpReply {
-        bytes,
-        truncated,
-        slipped,
-    })
-}
-
-/// [`shape_udp`], appending the reply to `out` (nothing when RRL drops
-/// it) and returning whether it is truncated and whether it slipped.
-fn shape_onto<L: RrlGate>(
+/// Shape `response` for UDP towards `src`, appending the reply to
+/// `out`: cut it to the size the query's EDNS advertised (`edns_size`
+/// 0 = no EDNS; never below 512) and, with a limiter, let RRL pass it,
+/// replace it by an empty TC=1 slip (forcing the TCP proof-of-path,
+/// §4.4), or drop it (`None`, nothing appended). Returns whether the
+/// reply is truncated and whether it slipped; `response` stays whole.
+pub fn shape_onto<L: RrlGate>(
     response: Written<'_>,
     edns_size: u16,
     src: IpAddr,
@@ -226,7 +198,7 @@ impl Recorded {
 }
 
 /// Append one exchange to `slice`: the direct-TCP pair, or the UDP
-/// pair shaped as [`shape_udp`] shapes it plus, after a TC=1 answer,
+/// pair shaped as [`shape_onto`] shapes it plus, after a TC=1 answer,
 /// the TCP retry with a fresh transaction id. Draws from `rng` in a
 /// fixed order (direct-TCP coin; UDP source port; retry id; then per
 /// TCP pair handshake jitter, source port) — captures are byte-stable

@@ -169,17 +169,63 @@ fn bench_profile_writes_parseable_folded_stacks_and_hot_frames() {
     }
 }
 
-/// ISSUE satellite: a profiler that has run once ("armed": handler
-/// installed, ring allocated, timer disarmed) must not disturb the
-/// respond path's zero-allocation steady state.
+/// `.nl` 2020 queries sampled at the tiny scale (seed 42), in order:
+/// a test warms a worker on the first `warm` and measures on the rest,
+/// which its responder has never seen.
+fn sampled_queries(warm: usize, fresh: usize) -> Vec<simnet::drive::PlannedQuery> {
+    use simnet::drive::Driver;
+    use simnet::profile::Vantage;
+    use simnet::scenario::{dataset, Scale};
+
+    let spec = dataset(Vantage::Nl, 2020);
+    let t = spec.start;
+    let mut driver = Driver::new(spec, Scale::tiny(), 42);
+    (0..warm + fresh).map(|_| driver.sample(t)).collect()
+}
+
+/// Run `answer` once per query in `fresh`, each measured on its own;
+/// every call must reply. A query may allocate only when its qname is
+/// too long for a `Name` to hold inline, and then exactly once (the
+/// parsed qname): returns the queries off that budget, as (index, long
+/// qname, allocations).
+fn fresh_queries_off_budget<Q>(
+    what: &str,
+    fresh: &[(Q, bool)],
+    mut answer: impl FnMut(&Q) -> bool,
+) -> Vec<(usize, bool, u64)> {
+    let mut wrong = Vec::new();
+    for (i, (q, long)) in fresh.iter().enumerate() {
+        let (replied, stats) = obs::alloc::measure(|| answer(q));
+        assert!(replied, "{what}: fresh query {i} got no reply");
+        if stats.allocs != *long as u64 {
+            wrong.push((i, *long, stats.allocs));
+        }
+    }
+    wrong
+}
+
+/// [`fresh_queries_off_budget`], asserting that no query is.
+fn assert_fresh_queries_allocate_only_long_names<Q>(
+    what: &str,
+    fresh: &[(Q, bool)],
+    answer: impl FnMut(&Q) -> bool,
+) {
+    let wrong = fresh_queries_off_budget(what, fresh, answer);
+    assert!(
+        wrong.is_empty(),
+        "{what}: (query, long qname, allocations) off budget: {wrong:?}"
+    );
+}
+
+/// A profiler that has run once ("armed": handler installed, ring
+/// allocated, timer disarmed) must not make the respond path allocate.
 #[test]
 fn armed_but_idle_profiler_keeps_respond_path_allocation_free() {
     use authd::respond::{OutcomeRef, RespondScratch, Responder};
     use netbase::flow::Transport;
     use netbase::time::SimTime;
-    use simnet::drive::Driver;
     use simnet::profile::Vantage;
-    use simnet::scenario::{dataset, Scale};
+    use simnet::scenario::dataset;
 
     assert!(obs::alloc::installed(), "counting allocator active");
     // arm then stop: SIGPROF handler stays installed and the sample
@@ -192,117 +238,73 @@ fn armed_but_idle_profiler_keeps_respond_path_allocation_free() {
         assert_eq!(profile.hz, obs::prof::DEFAULT_HZ);
     }
 
-    let spec = dataset(Vantage::Nl, 2020);
-    let t = spec.start;
-    let responder = Responder::for_spec(&spec);
-    let mut driver = Driver::new(spec, Scale::tiny(), 42);
-    let queries: Vec<(Vec<u8>, std::net::IpAddr)> = (0..64)
-        .map(|_| {
-            let q = driver.sample(t);
-            (q.wire, q.src)
-        })
-        .collect();
+    let responder = Responder::for_spec(&dataset(Vantage::Nl, 2020));
+    let queries = sampled_queries(512, 512);
+    let (warm, fresh) = queries.split_at(512);
     let now = SimTime(0);
     let mut scratch = RespondScratch::new();
-    for _ in 0..2 {
-        for (wire, src) in &queries {
-            let _ = responder.handle_into(wire, Transport::Udp, *src, now, None, &mut scratch);
-        }
+    for q in warm {
+        let _ = responder.handle_into(&q.wire, Transport::Udp, q.src, now, None, &mut scratch);
     }
-    let steady: Vec<(Vec<u8>, std::net::IpAddr)> = queries
-        .into_iter()
-        .filter(|(wire, src)| {
-            let misses = scratch.misses();
-            let _ = responder.handle_into(wire, Transport::Udp, *src, now, None, &mut scratch);
-            scratch.misses() == misses
-        })
+    let fresh: Vec<_> = fresh
+        .iter()
+        .map(|q| (q, q.qname.heap_bytes() > 0))
         .collect();
-    assert!(steady.len() >= 32, "mix should mostly cache");
-
-    let (_, stats) = obs::alloc::measure(|| {
-        for _ in 0..50 {
-            for (wire, src) in &steady {
-                match responder.handle_into(wire, Transport::Udp, *src, now, None, &mut scratch) {
-                    OutcomeRef::Reply { .. } | OutcomeRef::RrlDrop | OutcomeRef::Malformed => {}
-                }
-            }
-        }
+    assert_fresh_queries_allocate_only_long_names("respond (armed profiler)", &fresh, |q| {
+        matches!(
+            responder.handle_into(&q.wire, Transport::Udp, q.src, now, None, &mut scratch),
+            OutcomeRef::Reply { .. }
+        )
     });
-    assert_eq!(stats.allocs, 0, "armed-but-idle profiler broke 0 allocs/op");
-    assert_eq!(stats.bytes, 0);
 }
 
+/// Every query is answered in full, in place: warmed on 512 sampled
+/// queries, a worker's respond step allocates nothing for 1,024 it has
+/// never seen, but one allocation per qname too long for `Name`'s
+/// inline form.
 #[test]
 fn respond_hot_path_is_allocation_free_in_steady_state() {
     use authd::respond::{OutcomeRef, RespondScratch, Responder};
     use netbase::flow::Transport;
     use netbase::time::SimTime;
-    use simnet::drive::Driver;
     use simnet::profile::Vantage;
-    use simnet::scenario::{dataset, Scale};
+    use simnet::scenario::dataset;
 
     assert!(obs::alloc::installed(), "counting allocator active");
-    // flight recorder + query sampler on: the cached respond path must
-    // stay allocation-free with full observability enabled (flight hops
-    // live in the socket servers, not in `handle_into`)
+    // flight recorder + query sampler on: the respond path must stay
+    // allocation-free with full observability enabled (flight hops live
+    // in the socket servers, not in `handle_into`)
     obs::flight::start(std::time::Duration::from_millis(100));
     obs::flight::enable_sampling(7, 42);
-    let spec = dataset(Vantage::Nl, 2020);
-    let t = spec.start;
-    let responder = Responder::for_spec(&spec);
-    let mut driver = Driver::new(spec, Scale::tiny(), 42);
-    let queries: Vec<(Vec<u8>, std::net::IpAddr)> = (0..64)
-        .map(|_| {
-            let q = driver.sample(t);
-            (q.wire, q.src)
-        })
-        .collect();
+    let responder = Responder::for_spec(&dataset(Vantage::Nl, 2020));
+    let queries = sampled_queries(512, 1024);
+    let (warm, fresh) = queries.split_at(512);
     let now = SimTime(0);
     let mut scratch = RespondScratch::new();
-    // warm passes populate the per-worker response cache
-    for _ in 0..2 {
-        for (wire, src) in &queries {
-            let _ = responder.handle_into(wire, Transport::Udp, *src, now, None, &mut scratch);
+    for q in warm {
+        for transport in [Transport::Udp, Transport::Tcp] {
+            let _ = responder.handle_into(&q.wire, transport, q.src, now, None, &mut scratch);
         }
     }
-    // keep only steady-state cache hits: uncacheable queries and
-    // direct-mapped slot collisions legitimately take the slow path
-    let steady: Vec<(Vec<u8>, std::net::IpAddr)> = queries
-        .into_iter()
-        .filter(|(wire, src)| {
-            let misses = scratch.misses();
-            let _ = responder.handle_into(wire, Transport::Udp, *src, now, None, &mut scratch);
-            scratch.misses() == misses
-        })
-        .collect();
-    assert!(
-        steady.len() >= 32,
-        "most of the sampled mix should cache ({} of 64)",
-        steady.len()
-    );
-
-    let (replies, stats) = obs::alloc::measure(|| {
-        let mut replies = 0u64;
-        for _ in 0..50 {
-            for (wire, src) in &steady {
-                match responder.handle_into(wire, Transport::Udp, *src, now, None, &mut scratch) {
-                    OutcomeRef::Reply { .. } => replies += 1,
-                    OutcomeRef::RrlDrop | OutcomeRef::Malformed => {}
-                }
-            }
-        }
-        replies
-    });
-    assert_eq!(replies, 50 * steady.len() as u64);
-    assert_eq!(stats.allocs, 0, "respond hot path allocated");
-    assert_eq!(stats.bytes, 0);
+    for transport in [Transport::Udp, Transport::Tcp] {
+        let fresh: Vec<_> = fresh
+            .iter()
+            .map(|q| (q, q.qname.heap_bytes() > 0))
+            .collect();
+        assert_fresh_queries_allocate_only_long_names("respond", &fresh, |q| {
+            matches!(
+                responder.handle_into(&q.wire, transport, q.src, now, None, &mut scratch),
+                OutcomeRef::Reply { .. }
+            )
+        });
+    }
 }
 
-/// The miss path under it: `Authoritative::respond` writes its answer
-/// straight into a warm `WireScratch` and allocates nothing, whatever
-/// the shape — a signed referral, a signed NXDOMAIN, a DNSKEY answer
-/// too big for 1,232 octets. Cutting that one for UDP costs the single
-/// allocation that holds the reply's bytes.
+/// The answer under it: `Authoritative::respond` writes straight into a
+/// warm `WireScratch` and allocates nothing, whatever the shape — a
+/// signed referral, a signed NXDOMAIN, a DNSKEY answer too big for
+/// 1,232 octets — and cutting that one for UDP into a warm buffer
+/// allocates nothing either.
 #[test]
 fn authoritative_respond_is_allocation_free_into_a_warm_scratch() {
     use dns_wire::builder::MessageBuilder;
@@ -313,7 +315,7 @@ fn authoritative_respond_is_allocation_free_into_a_warm_scratch() {
     use simnet::profile::Vantage;
     use simnet::rrl::RateLimiter;
     use simnet::scenario::dataset;
-    use simnet::vantage::{shape_udp, WireScratch};
+    use simnet::vantage::{shape_onto, WireScratch};
 
     assert!(obs::alloc::installed(), "counting allocator active");
     let auth = Authoritative::new(dataset(Vantage::Nl, 2020).zone.build());
@@ -358,113 +360,96 @@ fn authoritative_respond_is_allocation_free_into_a_warm_scratch() {
     assert_eq!(stats.allocs, 0, "respond allocated into a warm scratch");
     assert_eq!(stats.bytes, 0);
 
-    // the DNSKEY answer is the message last written
-    let (reply, stats) = obs::alloc::measure(|| {
-        shape_udp::<RateLimiter>(wire.response(), 1232, src, SimTime(0), None)
-    });
-    let reply = reply.expect("no limiter, no drop");
-    assert!(reply.truncated && reply.bytes.len() <= 1232);
-    assert_eq!(stats.allocs, 1, "the cut is one exact-length copy");
-    assert_eq!(stats.bytes, reply.bytes.len() as u64);
-    let cut = Message::parse(&reply.bytes).expect("the cut parses");
+    // the DNSKEY answer is the message last written; the first cut
+    // sizes the reply buffer
+    let mut reply = Vec::new();
+    let cut = |reply: &mut Vec<u8>| {
+        reply.clear();
+        shape_onto::<RateLimiter>(wire.response(), 1232, src, SimTime(0), None, reply)
+    };
+    cut(&mut reply);
+    let (shaped, stats) = obs::alloc::measure(|| cut(&mut reply));
+    assert_eq!(shaped, Some((true, false)), "cut, not slipped");
+    assert!(reply.len() <= 1232);
+    assert_eq!(stats.allocs, 0, "the cut allocated into a warm buffer");
+    let cut = Message::parse(&reply).expect("the cut parses");
     assert!(cut.header.truncated && !cut.answers.is_empty() && cut.edns.is_some());
 }
 
-/// Sampled queries plus a fixed logical flow for the full-cycle tests.
-fn engine_fixture() -> (
-    authd::Engine,
-    Vec<(Vec<u8>, std::net::SocketAddr)>,
-    std::path::PathBuf,
-) {
+/// A serving core with a tap (and RRL, when `rrl`), plus sampled
+/// queries as preamble-framed datagrams, each with whether its qname is
+/// too long to be held inline: 512 to warm a worker on, then 512 fresh
+/// ones.
+fn engine_fixture(rrl: bool) -> (authd::Engine, Vec<(Vec<u8>, bool)>, std::path::PathBuf) {
     use authd::proxy::Preamble;
-    use simnet::drive::Driver;
     use simnet::profile::Vantage;
     use simnet::rrl::RrlConfig;
-    use simnet::scenario::{dataset, Scale};
+    use simnet::scenario::dataset;
 
     let spec = dataset(Vantage::Nl, 2020);
-    let t = spec.start;
-    let tap_path = tmp("full-cycle.dnscap");
+    let tap_path = tmp(&format!("full-cycle-{rrl}.dnscap"));
     let tap = authd::Tap::create(&tap_path).expect("tap creates");
-    // RRL on — the gate (sharded limiter lock + bucket update) is part
-    // of the measured cycle — but generous enough never to limit, so
-    // every query deterministically produces a reply
-    let rrl = RrlConfig {
+    // with RRL on, the gate (sharded limiter lock + bucket update) is
+    // part of the measured cycle, but generous enough never to limit,
+    // so every query deterministically produces a reply
+    let rrl = rrl.then(|| RrlConfig {
         responses_per_second: u32::MAX,
         burst: u32::MAX,
         ..spec.rrl.unwrap_or_default()
-    };
-    let engine = authd::Engine::new(spec.zone.build(), Some(rrl), 8, spec.start, Some(tap));
-    let mut driver = Driver::new(spec, Scale::tiny(), 42);
-    let queries: Vec<(Vec<u8>, std::net::SocketAddr)> = (0..64)
-        .map(|i| {
-            let q = driver.sample(t);
-            let src = std::net::SocketAddr::new(q.src, 40_000 + i as u16);
+    });
+    let engine = authd::Engine::new(spec.zone.build(), rrl, 8, spec.start, Some(tap));
+    let queries = sampled_queries(512, 512)
+        .into_iter()
+        .enumerate()
+        .map(|(i, q)| {
             let preamble = Preamble {
-                src,
+                src: std::net::SocketAddr::new(q.src, 40_000 + i as u16),
                 dst: "198.51.100.53:53".parse().unwrap(),
                 rtt_us: 120,
             };
             let mut datagram = preamble.encode();
             datagram.extend_from_slice(&q.wire);
-            (datagram, src)
+            (datagram, q.qname.heap_bytes() > 0)
         })
         .collect();
     (engine, queries, tap_path)
 }
 
+/// Receive, respond and tap a UDP datagram: nothing allocates but a
+/// long qname. The rate limiter keeps a bucket per source network and
+/// name, so with RRL on its shard tables grow as fresh buckets arrive:
+/// 9 doublings over these 512 queries across the 8 shards, each one
+/// allocation on the query that triggers it, bounded here at 16.
 #[test]
 fn full_udp_cycle_is_allocation_free_in_steady_state() {
     assert!(obs::alloc::installed(), "counting allocator active");
     obs::flight::start(std::time::Duration::from_millis(100));
     obs::flight::enable_sampling(7, 42);
-    let (engine, queries, tap_path) = engine_fixture();
     let peer: std::net::SocketAddr = "127.0.0.1:55555".parse().unwrap();
     let local: std::net::SocketAddr = "127.0.0.1:53".parse().unwrap();
-    let mut state = authd::WorkerState::new();
-    for _ in 0..2 {
-        for (datagram, _) in &queries {
+    for rrl in [false, true] {
+        let (engine, queries, tap_path) = engine_fixture(rrl);
+        let (warm, fresh) = queries.split_at(512);
+        let mut state = authd::WorkerState::new();
+        for (datagram, _) in warm {
             let _ = engine.process_udp(datagram, peer, local, &mut state);
         }
+        let what = format!("recv→respond→tap cycle (udp, rrl {rrl})");
+        let wrong = fresh_queries_off_budget(&what, fresh, |datagram| {
+            engine
+                .process_udp(datagram, peer, local, &mut state)
+                .is_some()
+        });
+        let growths = wrong
+            .iter()
+            .filter(|&&(_, long, allocs)| allocs == long as u64 + 1)
+            .count();
+        assert!(
+            (rrl || wrong.is_empty()) && growths == wrong.len() && growths <= 16,
+            "{what}: (query, long qname, allocations) off budget: {wrong:?}"
+        );
+        let _ = std::fs::remove_file(&tap_path);
     }
-    // keep only steady-state cache hits (collisions and uncacheable
-    // shapes legitimately take the allocating slow path)
-    let steady: Vec<&(Vec<u8>, std::net::SocketAddr)> = queries
-        .iter()
-        .filter(|(datagram, _)| {
-            let misses = state.scratch().misses();
-            let _ = engine.process_udp(datagram, peer, local, &mut state);
-            state.scratch().misses() == misses
-        })
-        .collect();
-    assert!(
-        steady.len() >= 32,
-        "mix should mostly cache: {}",
-        steady.len()
-    );
-
-    let (replies, stats) = obs::alloc::measure(|| {
-        let mut replies = 0u64;
-        for _ in 0..50 {
-            for (datagram, _) in &steady {
-                if engine
-                    .process_udp(datagram, peer, local, &mut state)
-                    .is_some()
-                {
-                    replies += 1;
-                }
-            }
-        }
-        replies
-    });
-    assert_eq!(
-        replies,
-        50 * steady.len() as u64,
-        "every steady query replied"
-    );
-    assert_eq!(stats.allocs, 0, "recv→respond→tap cycle allocated (udp)");
-    assert_eq!(stats.bytes, 0);
-    let _ = std::fs::remove_file(&tap_path);
 }
 
 #[test]
@@ -474,59 +459,33 @@ fn full_tcp_cycle_is_allocation_free_in_steady_state() {
     assert!(obs::alloc::installed(), "counting allocator active");
     obs::flight::start(std::time::Duration::from_millis(100));
     obs::flight::enable_sampling(7, 42);
-    let (engine, queries, tap_path) = engine_fixture();
+    // TCP answers bypass RRL
+    let (engine, queries, tap_path) = engine_fixture(true);
     let peer: std::net::SocketAddr = "127.0.0.1:55556".parse().unwrap();
     let local: std::net::SocketAddr = "127.0.0.1:53".parse().unwrap();
     // the TCP path sees deframed messages (no preamble prefix) plus the
     // connection's preamble, so strip the prefixes built by the fixture
-    let messages: Vec<(Vec<u8>, Preamble)> = queries
+    let messages: Vec<((Vec<u8>, Preamble), bool)> = queries
         .iter()
-        .map(|(datagram, _)| {
+        .map(|(datagram, long)| {
             let (p, used) = Preamble::parse(datagram).expect("fixture has preambles");
-            (datagram[used..].to_vec(), p)
+            ((datagram[used..].to_vec(), p), *long)
         })
         .collect();
+    let (warm, fresh) = messages.split_at(512);
     let mut state = authd::WorkerState::new();
-    for _ in 0..2 {
-        for (msg, p) in &messages {
-            let _ = engine.process_tcp(msg, peer, local, Some(*p), &mut state);
-        }
+    for ((msg, p), _) in warm {
+        let _ = engine.process_tcp(msg, peer, local, Some(*p), &mut state);
     }
-    let steady: Vec<&(Vec<u8>, Preamble)> = messages
-        .iter()
-        .filter(|(msg, p)| {
-            let misses = state.scratch().misses();
-            let _ = engine.process_tcp(msg, peer, local, Some(*p), &mut state);
-            state.scratch().misses() == misses
-        })
-        .collect();
-    assert!(
-        steady.len() >= 32,
-        "mix should mostly cache: {}",
-        steady.len()
+    assert_fresh_queries_allocate_only_long_names(
+        "recv→respond→tap cycle (tcp)",
+        fresh,
+        |(msg, p)| {
+            engine
+                .process_tcp(msg, peer, local, Some(*p), &mut state)
+                .is_some()
+        },
     );
-
-    let (replies, stats) = obs::alloc::measure(|| {
-        let mut replies = 0u64;
-        for _ in 0..50 {
-            for (msg, p) in &steady {
-                if engine
-                    .process_tcp(msg, peer, local, Some(*p), &mut state)
-                    .is_some()
-                {
-                    replies += 1;
-                }
-            }
-        }
-        replies
-    });
-    assert_eq!(
-        replies,
-        50 * steady.len() as u64,
-        "every steady query replied"
-    );
-    assert_eq!(stats.allocs, 0, "recv→respond→tap cycle allocated (tcp)");
-    assert_eq!(stats.bytes, 0);
     let _ = std::fs::remove_file(&tap_path);
 }
 
@@ -652,6 +611,37 @@ fn record_path_stays_within_its_allocation_budget() {
             stats.allocs
         );
     }
+}
+
+/// The replay driver's allocation budget: `Driver::sample` plans
+/// 20,000 `.nl` 2020 queries at the tiny scale (seed 42), the driver
+/// built beforehand. Measured: 0.287 allocations per query (5,733 in
+/// all), the simulated resolver caches growing and the rare qname too
+/// long for `Name`'s inline form; each planned query's bytes are held
+/// inline. The bound is 1.25 times that.
+#[test]
+fn driver_sample_stays_within_its_allocation_budget() {
+    use simnet::drive::Driver;
+    use simnet::profile::Vantage;
+    use simnet::scenario::{dataset, Scale};
+
+    assert!(obs::alloc::installed(), "counting allocator active");
+    let spec = dataset(Vantage::Nl, 2020);
+    let t = spec.start;
+    let mut driver = Driver::new(spec, Scale::tiny(), 42);
+    let queries = 20_000;
+    let (bytes, stats) = obs::alloc::measure(|| {
+        (0..queries)
+            .map(|_| driver.sample(t).wire.len() as u64)
+            .sum::<u64>()
+    });
+    assert!(bytes > 12 * queries, "every planned query has a message");
+    let per_query = stats.allocs as f64 / queries as f64;
+    assert!(
+        per_query <= 1.25 * 0.287,
+        "sampling made {per_query:.5} allocations per query ({} over {queries})",
+        stats.allocs
+    );
 }
 
 /// The fleet plane's walk budget: one `.nl` 2020 fleet resolver (Q-min

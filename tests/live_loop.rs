@@ -142,7 +142,7 @@ fn rrl_dropped_queries_surface_as_unanswered_in_ingest() {
 
 /// Live/offline parity at the byte level: one fixed (query, source,
 /// time) trace with RRL on goes through the offline recorder and
-/// through the live responder's cached path, and every UDP response —
+/// through the live responder, and every UDP response —
 /// truncations, slips and drops included — comes out identical.
 #[test]
 fn offline_recorder_and_live_responder_emit_identical_udp_responses() {
@@ -247,5 +247,4 @@ fn offline_recorder_and_live_responder_emit_identical_udp_responses() {
         (stats.rrl_slips, stats.rrl_drops),
         (slipped as u64, dropped as u64)
     );
-    assert!(scratch.hits() > 0, "the cached respond path was exercised");
 }
