@@ -24,8 +24,9 @@
 //! A hop allocates nothing of its own: the query is one message the
 //! resolver re-addresses, servers are ranked in a kept buffer, and each
 //! reply is read in place ([`Reader`]) down to what the walk keeps — an
-//! answer's addresses or a referral's glue, as one shared slice that
-//! the cache holds too.
+//! answer's addresses or a referral's glue, read into a kept buffer
+//! and handed to the cache, which returns its interned copy of the set
+//! under the lock the hop takes anyway.
 
 use crate::cache::{Addrs, Negative, SharedCache, DEFAULT_CAPACITY};
 use crate::selector::HostSelector;
@@ -186,7 +187,8 @@ pub struct IterativeResolver {
     query: Message,
     /// The servers of the ask in hand, best first, with their scores.
     ranked: Vec<(f64, IpAddr)>,
-    /// Addresses being read out of a reply.
+    /// The set in hand: addresses read out of a reply, or the servers
+    /// of a referral about to be followed.
     found: Vec<IpAddr>,
     /// The walk in hand: the top-level name at the bottom, the CNAME
     /// target or NS host being resolved for the frame below on top.
@@ -359,13 +361,14 @@ impl IterativeResolver {
     /// Resolve `name`/`rtype` to addresses, walking `net` from its
     /// root servers: the blocking driver of the walk machine
     /// ([`IterativeResolver::start`], then each [`Step`] answered from
-    /// `net` until [`Step::Done`]).
+    /// `net` until [`Step::Done`]). The addresses are the cache's
+    /// shared copy.
     pub fn resolve<T: Transport>(
         &mut self,
         net: &mut T,
         name: &Name,
         rtype: RType,
-    ) -> Result<Vec<IpAddr>, ResolveError> {
+    ) -> Result<Addrs, ResolveError> {
         let mut step = self.start(name, rtype);
         loop {
             step = match step {
@@ -374,7 +377,7 @@ impl IterativeResolver {
                     self.step(exchange)
                 }
                 Step::Prime => self.prime(net.root_servers()),
-                Step::Done(result) => return result.map(|addrs| addrs.to_vec()),
+                Step::Done(result) => return result,
             };
         }
     }
@@ -439,7 +442,14 @@ impl IterativeResolver {
                         return Step::Done(result);
                     }
                     Some(frame) => match &mut frame.wait {
-                        Wait::Cname => self.finish(result.map(|addrs| (addrs, DEFAULT_ANSWER_TTL))),
+                        Wait::Cname => {
+                            let result = result.map(|addrs| {
+                                self.found.clear();
+                                self.found.extend_from_slice(&addrs);
+                                DEFAULT_ANSWER_TTL
+                            });
+                            self.finish(result)
+                        }
                         Wait::Hosts { found, cycle, .. } => {
                             match result {
                                 Ok(addrs) => found.extend_from_slice(&addrs),
@@ -634,7 +644,7 @@ impl IterativeResolver {
         };
         match read_hop(reply, &mut self.found, &frame.name, terminal) {
             Hop::NxDomain => self.finish(Err(ResolveError::NxDomain)),
-            Hop::Answer(addrs, ttl) => self.finish(Ok((addrs, ttl))),
+            Hop::Answer(ttl) => self.finish(Ok(ttl)),
             Hop::Cname(target) => {
                 frame.wait = Wait::Cname;
                 let (rtype, depth) = (frame.rtype, frame.cname_depth + 1);
@@ -642,7 +652,7 @@ impl IterativeResolver {
             }
             Hop::NoData => self.finish(Err(ResolveError::NoData)),
             Hop::Referral { cut, ttl, next } => match next {
-                NextServers::Glue(glue) => self.delegate(cut, ttl, glue),
+                NextServers::Glue => self.delegate(cut, ttl),
                 // no glue: resolve the NS hosts (cycle-guarded)
                 NextServers::Hosts(hosts) => {
                     frame.wait = Wait::Hosts {
@@ -692,18 +702,21 @@ impl IterativeResolver {
         if found.is_empty() {
             return self.finish(Err(cycle.unwrap_or(ResolveError::Unreachable)));
         }
-        self.delegate(cut, ttl, Addrs::from(found))
+        self.found.clear();
+        self.found.extend_from_slice(&found);
+        self.delegate(cut, ttl)
     }
 
-    /// Follow a referral to `cut`, served by `servers` — after
+    /// Follow a referral to `cut`, served by the set in hand — after
     /// DNSSEC-style validation when configured: DS at the parent,
     /// DNSKEY once per child zone, compared. Mirrors the §4.2.2 traffic
     /// pattern: a validator emits one DS query per (uncached)
     /// delegation but only one DNSKEY query per zone.
-    fn delegate(&mut self, cut: Name, ttl: u32, servers: Addrs) -> Step {
+    fn delegate(&mut self, cut: Name, ttl: u32) -> Step {
         if !self.config.validate {
-            return self.adopt(cut, ttl, servers);
+            return self.adopt(cut, ttl);
         }
+        let servers = self.cache.with(|c| c.intern(&self.found));
         let cached = self.ds_cache.get(&cut).cloned();
         let qname = cached.is_none().then(|| cut.clone());
         self.frames.last_mut().expect("a walk is in hand").wait = Wait::Validate {
@@ -749,7 +762,9 @@ impl IterativeResolver {
             unreachable!("a validation ends for a cut in hand")
         };
         if valid {
-            self.adopt(cut, ttl, child)
+            self.found.clear();
+            self.found.extend_from_slice(&child);
+            self.adopt(cut, ttl)
         } else {
             self.finish(Err(ResolveError::Bogus { zone: cut }))
         }
@@ -762,11 +777,10 @@ impl IterativeResolver {
         std::mem::replace(&mut frame.wait, Wait::Cname)
     }
 
-    /// Cache the cut and walk on from it.
-    fn adopt(&mut self, cut: Name, ttl: u32, servers: Addrs) -> Step {
-        let now = self.now_us;
-        self.cache
-            .with(|c| c.put_delegation(&cut, servers.clone(), now, ttl));
+    /// Cache the cut, served by the set in hand, and walk on from it.
+    fn adopt(&mut self, cut: Name, ttl: u32) -> Step {
+        let (now, found) = (self.now_us, &self.found);
+        let servers = self.cache.with(|c| c.put_delegation(&cut, found, now, ttl));
         let frame = self.frames.last_mut().expect("a walk is in hand");
         frame.known_depth = cut.label_count();
         frame.servers = servers;
@@ -774,23 +788,28 @@ impl IterativeResolver {
     }
 
     /// End the top walk: release its cycle guard, cache what it found
-    /// (answers and denials; not failures), and return the addresses to
-    /// the frame below.
-    fn finish(&mut self, result: Result<(Addrs, u32), ResolveError>) -> Step {
+    /// (answers — the set in hand, to cache for `ttl` seconds — and
+    /// denials; not failures), and return the addresses to the frame
+    /// below.
+    fn finish(&mut self, result: Result<u32, ResolveError>) -> Step {
         let frame = self.frames.pop().expect("a walk is in hand");
         self.resolving.remove(&frame.name);
-        let (name, rtype, now) = (&frame.name, frame.rtype, self.now_us);
-        self.cache.with(|c| match &result {
-            Ok((addrs, ttl)) => c.put_answer(name, rtype, addrs.clone(), now, *ttl),
-            Err(ResolveError::NxDomain) => {
-                c.put_negative(name, rtype, Negative::NxDomain, now, DEFAULT_NEGATIVE_TTL)
+        let (name, rtype, now, found) = (&frame.name, frame.rtype, self.now_us, &self.found);
+        let result = self.cache.with(|c| match result {
+            Ok(ttl) => Ok(c.put_answer(name, rtype, found, now, ttl)),
+            Err(e) => {
+                let denial = match e {
+                    ResolveError::NxDomain => Some(Negative::NxDomain),
+                    ResolveError::NoData => Some(Negative::NoData),
+                    _ => None,
+                };
+                if let Some(kind) = denial {
+                    c.put_negative(name, rtype, kind, now, DEFAULT_NEGATIVE_TTL);
+                }
+                Err(e)
             }
-            Err(ResolveError::NoData) => {
-                c.put_negative(name, rtype, Negative::NoData, now, DEFAULT_NEGATIVE_TTL)
-            }
-            Err(_) => {}
         });
-        Step::Done(result.map(|(addrs, _)| addrs))
+        Step::Done(result)
     }
 }
 
@@ -798,8 +817,9 @@ impl IterativeResolver {
 enum Hop {
     NxDomain,
     /// Addresses for the name asked — or for its CNAME target, when
-    /// they rode along — and the TTL to cache them under.
-    Answer(Addrs, u32),
+    /// they rode along — read into the set in hand, and the TTL to
+    /// cache them under.
+    Answer(u32),
     /// A CNAME whose target has to be resolved.
     Cname(Name),
     NoData,
@@ -816,8 +836,8 @@ enum Hop {
 
 /// Where a referral's servers are.
 enum NextServers {
-    /// In the glue.
-    Glue(Addrs),
+    /// In the glue, read into the set in hand.
+    Glue,
     /// Behind these NS hosts, which have to be resolved first.
     Hosts(Vec<Name>),
 }
@@ -829,8 +849,8 @@ fn read_hop(reply: &Reader<'_>, found: &mut Vec<IpAddr>, name: &Name, terminal: 
         return Hop::NxDomain;
     }
     if terminal {
-        if let Some(addrs) = answer_addrs(reply, name, found) {
-            return Hop::Answer(addrs, answer_ttl(reply, name));
+        if answer_addrs(reply, name, found) {
+            return Hop::Answer(answer_ttl(reply, name));
         }
         let cname = reply
             .records(Section::Answer)
@@ -839,8 +859,8 @@ fn read_hop(reply: &Reader<'_>, found: &mut Vec<IpAddr>, name: &Name, terminal: 
         if let Some(target) = cname {
             // chased answers may ride along
             return match answer_addrs(reply, &target, found) {
-                Some(addrs) => Hop::Answer(addrs, answer_ttl(reply, &target)),
-                None => Hop::Cname(target),
+                true => Hop::Answer(answer_ttl(reply, &target)),
+                false => Hop::Cname(target),
             };
         }
         if reply.count(Section::Answer) == 0 && !is_referral(reply) {
@@ -853,16 +873,16 @@ fn read_hop(reply: &Reader<'_>, found: &mut Vec<IpAddr>, name: &Name, terminal: 
     Hop::Other
 }
 
-/// The A/AAAA addresses the answer section holds for `owner`, in order,
-/// as one shared slice; `None` when there are none.
-fn answer_addrs(reply: &Reader<'_>, owner: &Name, found: &mut Vec<IpAddr>) -> Option<Addrs> {
+/// Read the A/AAAA addresses the answer section holds for `owner` into
+/// `found`, in order; false when there are none.
+fn answer_addrs(reply: &Reader<'_>, owner: &Name, found: &mut Vec<IpAddr>) -> bool {
     found.clear();
     found.extend(
         reply
             .records(Section::Answer)
             .filter_map(|r| r.addr().filter(|_| r.owner_is(owner))),
     );
-    (!found.is_empty()).then(|| Addrs::from(&found[..]))
+    !found.is_empty()
 }
 
 /// What `pick` reads from the first answer record owned by `owner` that
@@ -887,7 +907,8 @@ fn is_referral(reply: &Reader<'_>) -> bool {
 }
 
 /// A referral's cut and NS TTL (the last NS record's), and its servers:
-/// the glue's addresses, or without glue the NS hosts.
+/// the glue's addresses (read into `found`), or without glue the NS
+/// hosts.
 fn read_referral(reply: &Reader<'_>, found: &mut Vec<IpAddr>) -> Hop {
     let ns = || {
         reply
@@ -902,7 +923,7 @@ fn read_referral(reply: &Reader<'_>, found: &mut Vec<IpAddr>) -> Hop {
     let next = if found.is_empty() {
         NextServers::Hosts(ns().filter_map(|r| r.ns()).collect())
     } else {
-        NextServers::Glue(Addrs::from(&found[..]))
+        NextServers::Glue
     };
     Hop::Referral { cut, ttl, next }
 }
@@ -934,7 +955,7 @@ mod tests {
         let addrs = r
             .resolve(&mut net, &n("www.example.nl."), RType::A)
             .unwrap();
-        assert_eq!(addrs, vec!["192.0.2.80".parse::<IpAddr>().unwrap()]);
+        assert_eq!(&addrs[..], ["192.0.2.80".parse::<IpAddr>().unwrap()]);
         // walked root -> nl -> example.nl
         assert_eq!(r.queries_sent(), 3);
         assert_eq!(r.cached_cuts(), 2, "nl. and example.nl. learned");
@@ -955,7 +976,7 @@ mod tests {
         let aaaa = r
             .resolve(&mut net, &n("www.example.nl."), RType::Aaaa)
             .unwrap();
-        assert_eq!(aaaa, vec!["2001:db8::80".parse::<IpAddr>().unwrap()]);
+        assert_eq!(&aaaa[..], ["2001:db8::80".parse::<IpAddr>().unwrap()]);
         assert_eq!(r.queries_sent(), before + 1);
     }
 
@@ -1010,7 +1031,7 @@ mod tests {
         let addrs = r
             .resolve(&mut net, &n("www.example.nl."), RType::A)
             .unwrap();
-        assert_eq!(addrs, vec!["192.0.2.80".parse::<IpAddr>().unwrap()]);
+        assert_eq!(&addrs[..], ["192.0.2.80".parse::<IpAddr>().unwrap()]);
     }
 
     #[test]
@@ -1020,7 +1041,7 @@ mod tests {
         // hosted.nl is served by ns.provider.nz: the resolver must first
         // resolve that host through .nz
         let addrs = r.resolve(&mut net, &n("www.hosted.nl."), RType::A).unwrap();
-        assert_eq!(addrs, vec!["203.0.113.81".parse::<IpAddr>().unwrap()]);
+        assert_eq!(&addrs[..], ["203.0.113.81".parse::<IpAddr>().unwrap()]);
         // the .nz TLD server must have been consulted on the way
         assert!(!net.queries_at("202.46.190.10".parse().unwrap()).is_empty());
     }
@@ -1046,7 +1067,7 @@ mod tests {
         let addrs = r
             .resolve(&mut net, &n("cdn.example.nl."), RType::A)
             .unwrap();
-        assert_eq!(addrs, vec!["192.0.2.80".parse::<IpAddr>().unwrap()]);
+        assert_eq!(&addrs[..], ["192.0.2.80".parse::<IpAddr>().unwrap()]);
     }
 
     #[test]
@@ -1194,7 +1215,7 @@ mod validate_tests {
             ..Default::default()
         });
         let addrs = r.resolve(&mut net, &n("www.d0.zz."), RType::A).unwrap();
-        assert_eq!(addrs, vec!["192.0.2.1".parse::<IpAddr>().unwrap()]);
+        assert_eq!(&addrs[..], ["192.0.2.1".parse::<IpAddr>().unwrap()]);
         // the walk contains DS queries at parents and DNSKEYs at children
         let ds = r.log.iter().filter(|e| e.qtype == RType::Ds).count();
         let dnskey = r.log.iter().filter(|e| e.qtype == RType::Dnskey).count();
@@ -1231,7 +1252,7 @@ mod validate_tests {
             ..Default::default()
         });
         let addrs = r.resolve(&mut net, &n("www.d2.zz."), RType::A).unwrap();
-        assert_eq!(addrs, vec!["192.0.2.3".parse::<IpAddr>().unwrap()]);
+        assert_eq!(&addrs[..], ["192.0.2.3".parse::<IpAddr>().unwrap()]);
         // DS asked for d2.zz. (answer: NODATA) but no DNSKEY at d2.zz.
         assert!(r
             .log
@@ -1688,7 +1709,7 @@ mod machine_tests {
     type Outcome = (
         Vec<QueryLogEntry>,
         ResolverStats,
-        Vec<Result<Vec<IpAddr>, ResolveError>>,
+        Vec<Result<Addrs, ResolveError>>,
     );
 
     #[test]
@@ -1717,7 +1738,7 @@ mod machine_tests {
             .iter()
             .map(|c| IterativeResolver::new(c.config))
             .collect();
-        let mut results: Vec<Vec<Result<Vec<IpAddr>, ResolveError>>> =
+        let mut results: Vec<Vec<Result<Addrs, ResolveError>>> =
             cases.iter().map(|_| Vec::new()).collect();
         let mut steps: Vec<Option<Step>> = cases
             .iter()
@@ -1746,7 +1767,7 @@ mod machine_tests {
                             sends[k]
                         );
                         sends[k] = 0;
-                        results[k].push(result.map(|addrs| addrs.to_vec()));
+                        results[k].push(result);
                         match cases[k].walks.get(results[k].len()) {
                             Some((name, rtype)) => r.start(name, *rtype),
                             None => continue,

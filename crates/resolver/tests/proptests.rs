@@ -412,7 +412,7 @@ proptest! {
                     model.put_negative(&name, t, kind, now, ttl);
                 }
                 CacheOp::PutDelegation(tag) => {
-                    real.put_delegation(&name, servers(tag), now, ttl);
+                    real.put_delegation(&name, &servers(tag), now, ttl);
                     model.put_delegation(&name, servers(tag), now, ttl);
                 }
             }

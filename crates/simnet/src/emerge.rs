@@ -735,6 +735,9 @@ struct FleetStream<'a> {
     shared: SharedCache,
     resolvers: HashMap<usize, IterativeResolver>,
     rtt_hists: &'a [Arc<Histogram>],
+    /// The wire scratch each slot's transport borrows and gives back,
+    /// so its buffers are grown once per stream, not once per slot.
+    wire: WireScratch,
 }
 
 impl<'a> FleetStream<'a> {
@@ -751,6 +754,7 @@ impl<'a> FleetStream<'a> {
             shared: SharedCache::with_capacity(resolver::cache::DEFAULT_CAPACITY),
             resolvers: HashMap::new(),
             rtt_hists,
+            wire: WireScratch::default(),
         }
     }
 
@@ -759,7 +763,8 @@ impl<'a> FleetStream<'a> {
     /// vantage volume meets its quota — so Table 4 shares hold by
     /// construction while the per-query content is emergent, and a
     /// flood's walks burn their query budget on the cycle. `records`
-    /// is an emptied slice to reuse.
+    /// is an emptied slice to reuse; the stream's wire scratch is lent
+    /// to the slot's transport the same way.
     fn produce_slot(
         &mut self,
         slot: usize,
@@ -778,6 +783,7 @@ impl<'a> FleetStream<'a> {
             engine.spec().rrl.map(RateLimiter::new),
         );
         tr.buf = records;
+        tr.wire = std::mem::take(&mut self.wire);
         let qmin_on = fleet.spec.qmin_active(plan.slot_start(slot));
         for mut steer in cursors {
             while let Some((t, want_junk)) = steer.next(&mut tr.rng) {
@@ -809,6 +815,7 @@ impl<'a> FleetStream<'a> {
                 steer.emitted(tr.emitted);
             }
         }
+        self.wire = tr.wire;
         FleetSlice {
             records: tr.buf,
             stats: tr.stats,

@@ -38,7 +38,7 @@ use zonedb::zone::ZoneModel;
 /// Per-resolver cache capacity (entries).
 const CACHE_CAP: usize = 4096;
 /// The largest emptied cache (in entries it has room for) kept as a spare.
-const SPARE_CAP: usize = 14;
+const SPARE_CAP: usize = 8;
 
 /// What a sampled resolver caches under: the domain/qtype pair it
 /// resolved. A [`name_key`] hash (not the qname text) keeps keys small.
@@ -74,8 +74,8 @@ impl Caches {
     /// Empty every cache into the spares.
     fn empty(&mut self) {
         for (_, mut cache) in self.by_resolver.drain() {
-            cache.clear();
             if cache.capacity() <= SPARE_CAP {
+                cache.clear();
                 self.spare.push(cache);
             }
         }
