@@ -9,12 +9,17 @@
 //! [`Reactor`]: it receives client stimuli (sampled by
 //! [`simnet::emerge::sample_stimulus`]) and steps its walk through the
 //! delegation hierarchy — synthetic root and leaf tiers answered
-//! in-process, inline with the step; the *vantage* tier sent over the
-//! lane's own UDP socket (TCP after a TC=1 answer) to the `authd`
-//! server, so the server's capture tap records exactly what an offline
-//! [`simnet::emerge::SimTransport`] run would have recorded. While one
-//! lane's query is on the wire, the thread's other lanes walk on:
-//! `--resolvers=N` means N walks in flight.
+//! in-process, inline with the step, after reading the resolver's query
+//! bytes with [`simnet::auth::Query::read`] as the server does; the
+//! *vantage* tier sent over the lane's own UDP socket (TCP after a TC=1
+//! answer) to the `authd` server. A vantage query goes on the wire as
+//! the resolver wrote it, respelled 0x20 for a mixing profile by the
+//! same [`WireScratch::put_query`] an offline
+//! [`simnet::emerge::SimTransport`] records through, so the server's
+//! tap sees the queries an offline run records, spelling included; the
+//! reply echoes that spelling back to the resolver, as a real server's
+//! does. While one lane's query is on the wire, the thread's other
+//! lanes walk on: `--resolvers=N` means N walks in flight.
 //!
 //! Same resolver code, offline and live: Q-min flips on the provider
 //! rollout date, the per-fleet shared cache absorbs repeat demand, the
@@ -30,6 +35,7 @@ use netbase::time::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use resolver::{CacheStats, Exchange, IterativeResolver, SharedCache, Step};
+use simnet::auth::Query as AuthQuery;
 use simnet::emerge::{
     fleet_resolver, ns_rtt_histograms, root_hints, sample_stimulus, start_stimulus,
     synth_leaf_answer, synth_root_referral, tier_of, FleetMetrics, FleetSummary, Tier,
@@ -148,10 +154,10 @@ impl Run<'_> {
 struct Lanes<'a> {
     run: &'a Run<'a>,
     lanes: Vec<Lane>,
-    /// Source ports of the vantage flows.
+    /// Source ports and 0x20 spellings of the vantage queries.
     rng: StdRng,
-    /// Where the synthetic tiers' replies and the vantage queries are
-    /// written.
+    /// Where the synthetic tiers' replies are written and the vantage
+    /// queries are put.
     wire: WireScratch,
 }
 
@@ -222,40 +228,32 @@ impl Work for Lanes<'_> {
             let profile = &fleet.resolvers[lane.resolver_idx];
             step = match step {
                 Step::Send { server } => {
-                    let query = lane.resolver.query();
-                    match tier_of(servers, root_zone, server) {
-                        Tier::Vantage(si) => {
-                            let Some(question) = query.question() else {
-                                step = lane.resolver.step(Exchange::Timeout);
-                                continue;
-                            };
-                            self.wire
-                                .write_query(&query.header, question, query.edns.as_ref());
-                            lane.ns = si;
-                            let src_ip = profile.addr_for(IpVersion::of(server));
-                            run.inflight(1);
-                            return Some(Query {
-                                wire: self.wire.query(),
-                                src: SocketAddr::new(src_ip, self.rng.gen_range(1024..u16::MAX)),
-                                dst: SocketAddr::new(server, 53),
-                                tcp_direct: false,
-                            });
-                        }
-                        Tier::Root => {
-                            let (v4, v6) = profile.families();
-                            synth_root_referral(
-                                zone,
-                                servers,
-                                v4,
-                                v6,
-                                query.into(),
-                                &mut self.wire,
-                            );
-                        }
-                        Tier::Leaf => {
-                            let ttl = fleet.spec.cache_ttl.as_secs().max(1) as u32;
-                            synth_leaf_answer(zone, ttl, query.into(), &mut self.wire);
-                        }
+                    let bytes = lane.resolver.query();
+                    let tier = tier_of(servers, root_zone, server);
+                    if let Tier::Vantage(si) = tier {
+                        self.wire.put_query(bytes, profile.mix_case, &mut self.rng);
+                        lane.ns = si;
+                        let src_ip = profile.addr_for(IpVersion::of(server));
+                        run.inflight(1);
+                        return Some(Query {
+                            wire: self.wire.query(),
+                            src: SocketAddr::new(src_ip, self.rng.gen_range(1024..u16::MAX)),
+                            dst: SocketAddr::new(server, 53),
+                            tcp_direct: false,
+                        });
+                    }
+                    // the in-process tiers: bytes that are no query get
+                    // no answer, as on a socket
+                    let Some(query) = AuthQuery::read(bytes) else {
+                        step = lane.resolver.step(Exchange::Timeout);
+                        continue;
+                    };
+                    if let Tier::Root = tier {
+                        let (v4, v6) = profile.families();
+                        synth_root_referral(zone, servers, v4, v6, &query, &mut self.wire);
+                    } else {
+                        let ttl = fleet.spec.cache_ttl.as_secs().max(1) as u32;
+                        synth_leaf_answer(zone, ttl, &query, &mut self.wire);
                     }
                     lane.resolver.step(Exchange::Answer {
                         reply: self.wire.response().bytes,

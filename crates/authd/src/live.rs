@@ -158,7 +158,9 @@ pub fn run_live(config: &LiveConfig) -> io::Result<LiveReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netbase::capture::CaptureReader;
+    use dns_wire::reader::Reader;
+    use netbase::capture::{CaptureReader, Direction};
+    use netbase::flow::Transport;
     use simnet::profile::Vantage;
     use simnet::scenario::dataset;
     use std::fs;
@@ -206,7 +208,9 @@ mod tests {
     }
 
     /// Fleet mode: real resolver instances over real sockets, capture
-    /// consumable, shared caches absorbing repeat demand.
+    /// consumable, shared caches absorbing repeat demand, and the
+    /// 0x20-mixing fleets' queries recased on the wire as an offline
+    /// capture records them.
     #[test]
     fn fleet_live_run_produces_consumable_capture() {
         let _guard = crate::signal::TEST_GUARD.lock().unwrap();
@@ -235,11 +239,22 @@ mod tests {
         assert!(fleet.stimuli > 0);
 
         let bytes = fs::read(&capture).unwrap();
-        let records = CaptureReader::new(&bytes[..]).unwrap().fold(0u64, |n, r| {
-            r.expect("no torn records");
-            n + 1
-        });
+        let (mut records, mut recased) = (0u64, 0u64);
+        for r in CaptureReader::new(&bytes[..]).unwrap() {
+            let rec = r.expect("no torn records");
+            records += 1;
+            if rec.direction != Direction::Query {
+                continue;
+            }
+            let msg = match rec.flow.transport {
+                Transport::Udp => &rec.payload[..],
+                Transport::Tcp => &rec.payload[2..],
+            };
+            let question = Reader::new(msg).unwrap().questions().next().unwrap();
+            recased += question.qname.as_wire().iter().any(u8::is_ascii_uppercase) as u64;
+        }
         assert_eq!(records, report.records);
+        assert!(recased > 0, "no query on the wire was 0x20-mixed");
         fs::remove_file(&capture).ok();
     }
 

@@ -7,13 +7,13 @@
 //! `simnet::rrl::ShardedRateLimiter` — so rate decisions stay globally
 //! identical to a serial limiter without a global lock).
 //!
-//! Every query is answered in full: the query is read where it lies
-//! ([`dns_wire::reader::Reader`]), the answer is written into the
-//! worker's warm [`RespondScratch`] and a UDP reply is cut from it, so
-//! answering allocates nothing unless the qname is longer than a
+//! Every query is answered in full: the query is read where it lies by
+//! [`Query::read`] — the step the offline fleet's tiers answer through
+//! too — the answer is written into the worker's warm
+//! [`RespondScratch`] and a UDP reply is cut from it, so answering
+//! allocates nothing unless the qname is longer than a
 //! [`dns_wire::name::Name`] holds inline (one allocation).
 
-use dns_wire::reader::Reader;
 use netbase::flow::Transport;
 use netbase::time::SimTime;
 use simnet::auth::Query;
@@ -114,30 +114,11 @@ impl Responder {
     ) -> OutcomeRef<'s> {
         // what `Message::parse` refuses, and responses (no reflection
         // loops), are not queries
-        let Ok(reader) = Reader::new(payload) else {
+        let Some(query) = Query::read(payload) else {
             return OutcomeRef::Malformed;
-        };
-        let header = reader.header();
-        if header.response {
-            return OutcomeRef::Malformed;
-        }
-        let edns = reader.edns();
-        // the one question answered: any other count reads none, which
-        // gets a header-only FORMERR
-        let mut questions = reader.questions();
-        let question = questions.next().filter(|_| questions.next().is_none());
-        let query = Query {
-            header: &header,
-            questions: question.as_slice(),
-            dnssec_ok: edns.as_ref().map(|e| e.dnssec_ok),
         };
         let RespondScratch { wire, out } = scratch;
-        match &question {
-            Some(q) => self
-                .auth
-                .respond_located(query, self.zone().locate(&q.qname), wire),
-            None => self.auth.respond(query, false, wire),
-        };
+        self.auth.respond(&query, wire);
         let response = wire.response();
         if transport == Transport::Tcp {
             return OutcomeRef::Reply {
@@ -146,9 +127,8 @@ impl Responder {
                 slipped: false,
             };
         }
-        let edns_size = edns.map_or(0, |e| e.udp_payload_size);
         out.clear();
-        match vantage::shape_onto(response, edns_size, src, now, rrl, out) {
+        match vantage::shape_onto(response, query.edns_size, src, now, rrl, out) {
             Some((truncated, slipped)) => OutcomeRef::Reply {
                 bytes: out,
                 truncated,

@@ -1,9 +1,10 @@
 //! Property tests for the serving core.
 //!
-//! - [`Responder::handle_into`] reads each query in place; an oracle
-//!   that parses it whole (`Message::parse`), answers it with
-//!   `Authoritative::respond_located` and shapes the answer the same
-//!   way must agree with it byte for byte, on arbitrary bytes and on
+//! - [`Responder::handle_into`] reads each query in place
+//!   (`simnet::auth::Query::read`); an oracle that parses it whole
+//!   (`Message::parse`), answers what that parse holds with
+//!   `Authoritative::respond` and shapes the answer the same way must
+//!   agree with it byte for byte, on arbitrary bytes and on
 //!   sampled fleet queries with mutated headers, question counts and
 //!   EDNS, over both transports and through a tight rate limiter.
 //! - [`authd::Engine`] survives hostile datagrams and frames (torn
@@ -19,7 +20,7 @@ use netbase::time::SimTime;
 use proptest::prelude::*;
 use proptest::strategy::Just;
 use proptest::TestRng;
-use simnet::auth::Authoritative;
+use simnet::auth::{Authoritative, Query};
 use simnet::drive::Driver;
 use simnet::profile::Vantage;
 use simnet::rrl::{RateLimiter, RrlConfig};
@@ -178,15 +179,18 @@ fn oracle(
     if query.header.response {
         return Owned::Malformed;
     }
-    let mut wire = WireScratch::default();
-    match query.question() {
-        Some(q) => auth.respond_located((&query).into(), auth.zone().locate(&q.qname), &mut wire),
-        None => auth.respond((&query).into(), false, &mut wire),
+    let edns_size = query.edns.as_ref().map_or(0, |e| e.udp_payload_size);
+    let asked = Query {
+        header: query.header,
+        question: (query.questions.len() == 1).then(|| query.questions[0].clone()),
+        edns_size,
+        dnssec_ok: query.edns.as_ref().map(|e| e.dnssec_ok),
     };
+    let mut wire = WireScratch::default();
+    auth.respond(&asked, &mut wire);
     if transport == Transport::Tcp {
         return Owned::Reply(wire.response().bytes.to_vec(), false, false);
     }
-    let edns_size = query.edns.as_ref().map_or(0, |e| e.udp_payload_size);
     let mut bytes = Vec::new();
     match shape_onto(wire.response(), edns_size, src, now, Some(rrl), &mut bytes) {
         Some((truncated, slipped)) => Owned::Reply(bytes, truncated, slipped),

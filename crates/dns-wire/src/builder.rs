@@ -50,18 +50,6 @@ impl MessageBuilder {
         self
     }
 
-    /// Set the RD (recursion desired) bit.
-    pub fn recursion_desired(mut self, rd: bool) -> Self {
-        self.msg.header.recursion_desired = rd;
-        self
-    }
-
-    /// Set the CD (checking disabled) bit, as validating resolvers do.
-    pub fn checking_disabled(mut self, cd: bool) -> Self {
-        self.msg.header.checking_disabled = cd;
-        self
-    }
-
     /// Append a record to the answer section.
     pub fn answer(mut self, name: Name, ttl: u32, rdata: RData) -> Self {
         self.msg.answers.push(Record::new(name, ttl, rdata));
@@ -147,15 +135,5 @@ mod tests {
         assert_eq!(r.additionals.len(), 1);
         let bytes = r.encode().unwrap();
         assert_eq!(Message::parse(&bytes).unwrap(), r);
-    }
-
-    #[test]
-    fn flag_builders() {
-        let q = MessageBuilder::query(1, n("a.nl"), RType::A)
-            .recursion_desired(true)
-            .checking_disabled(true)
-            .build();
-        assert!(q.header.recursion_desired);
-        assert!(q.header.checking_disabled);
     }
 }

@@ -280,3 +280,18 @@ impl<'a> MessageWriter<'a> {
         Ok(cut)
     }
 }
+
+/// The longest query [`write_query_into`] writes: the header, a qname of
+/// up to 255 octets, its type and class, and an option-less OPT.
+pub const MAX_QUERY_LEN: usize = HEADER_LEN + crate::name::MAX_NAME_LEN + 4 + 11;
+
+/// Write a one-question query into `out`: `header`, the question with
+/// its name as it is (nothing precedes a message's first name to point
+/// at), and the OPT for `edns`. A resolver writes its ask here once and
+/// patches the id (the first two octets) per send.
+pub fn write_query_into(header: &Header, q: &Question, edns: Option<&Edns>, out: &mut Vec<u8>) {
+    let (mut comp, mut marks) = (ReusableCompressor::default(), Marks::default());
+    let mut w = MessageWriter::new(header, &mut comp, out, &mut marks);
+    w.literal_question(q);
+    w.finish(edns, usize::MAX).expect("no size limit");
+}

@@ -373,14 +373,21 @@ impl<R: Read> CaptureReader<R> {
         Ok(CaptureReader { input })
     }
 
-    /// Read the next record; `Ok(None)` at clean end-of-stream.
+    /// Read the next record; `Ok(None)` at clean end-of-stream: the
+    /// stream ends before a record's first octet. A stream that ends
+    /// anywhere after it — inside the length prefix or the body — holds
+    /// a torn record, an error.
     pub fn next_record(&mut self) -> Result<Option<CaptureRecord>, CaptureError> {
         let mut len_buf = [0u8; 4];
-        match self.input.read_exact(&mut len_buf) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e.into()),
+        loop {
+            match self.input.read(&mut len_buf[..1]) {
+                Ok(0) => return Ok(None),
+                Ok(_) => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
         }
+        self.input.read_exact(&mut len_buf[1..])?;
         let len = u32::from_le_bytes(len_buf) as usize;
         if len > 1 << 24 {
             return Err(CaptureError::Corrupt("record length over 16 MiB"));
@@ -585,18 +592,26 @@ mod tests {
         ));
     }
 
+    /// A stream torn anywhere inside a record — its body, or 1, 2 or 3
+    /// octets into its length prefix — errors after the whole records
+    /// before it; only an end before a prefix's first octet is clean.
     #[test]
     fn truncated_record_is_io_error_not_panic() {
         let mut buf = Vec::new();
         {
             let mut w = CaptureWriter::new(&mut buf).unwrap();
             w.write(&rec(7, true)).unwrap();
+            w.write(&rec(8, false)).unwrap();
             w.finish().unwrap();
         }
-        // chop the last 5 bytes
-        buf.truncate(buf.len() - 5);
-        let mut r = CaptureReader::new(&buf[..]).unwrap();
-        assert!(r.next_record().is_err());
+        // the file header, then the first record's prefix and body
+        let first = 8 + 4 + u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize;
+        let torn = [buf.len() - 5, first + 1, first + 2, first + 3];
+        for cut in torn.into_iter().chain([first]) {
+            let mut r = CaptureReader::new(&buf[..cut]).unwrap();
+            assert!(r.next_record().unwrap().is_some(), "cut at {cut}");
+            assert_eq!(r.next_record().is_err(), cut != first, "cut at {cut}");
+        }
     }
 
     #[test]

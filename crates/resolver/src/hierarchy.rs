@@ -7,6 +7,7 @@
 //! root, TLDs, and leaf zones, with configurable NS records (including
 //! the broken, mutually-dependent kind).
 
+use crate::transport::{Exchange, Transport};
 use dns_wire::builder::MessageBuilder;
 use dns_wire::message::{Message, Question};
 use dns_wire::name::{Name, ReusableCompressor};
@@ -141,7 +142,7 @@ pub struct Network {
     servers: HashMap<IpAddr, Vec<usize>>,
     /// Queries each server has answered (the vantage-point view).
     pub server_log: HashMap<IpAddr, Vec<Question>>,
-    /// Where [`Network::query_wire`] encodes its replies.
+    /// Where the [`Transport`] exchange encodes its replies.
     comp: ReusableCompressor,
     reply: Vec<u8>,
 }
@@ -207,13 +208,27 @@ impl Network {
             .max_by_key(|z| z.apex.label_count())?;
         Some(answer(zone, query, &question))
     }
+}
 
-    /// [`Network::query`], the reply encoded: the bytes a socket would
-    /// deliver, valid until the next query.
-    pub fn query_wire(&mut self, server: IpAddr, query: &Message) -> Option<&[u8]> {
-        let reply = self.query(server, query)?;
-        reply.encode_into(&mut self.comp, &mut self.reply).ok()?;
-        Some(&self.reply)
+/// [`Network::query`] over the wire: the query parsed, the reply encoded
+/// — the bytes a socket would deliver, valid until the next query.
+/// Bytes that do not parse as a message get no answer.
+impl Transport for Network {
+    fn exchange(&mut self, server: IpAddr, query: &[u8]) -> Exchange<'_> {
+        let reply = Message::parse(query)
+            .ok()
+            .and_then(|query| self.query(server, &query));
+        match reply.map(|reply| reply.encode_into(&mut self.comp, &mut self.reply)) {
+            Some(Ok(())) => Exchange::Answer {
+                reply: &self.reply,
+                rtt_us: 0,
+            },
+            _ => Exchange::Timeout,
+        }
+    }
+
+    fn root_servers(&self) -> Vec<IpAddr> {
+        Network::root_servers(self)
     }
 }
 

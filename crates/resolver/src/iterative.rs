@@ -21,22 +21,24 @@
 //! ordering plus a bounded retry/timeout state machine per in-flight
 //! query.
 //!
-//! A hop allocates nothing of its own: the query is one message the
-//! resolver re-addresses, servers are ranked in a kept buffer, and each
-//! reply is read in place ([`Reader`]) down to what the walk keeps — an
-//! answer's addresses or a referral's glue, read into a kept buffer
-//! and handed to the cache, which returns its interned copy of the set
-//! under the lock the hop takes anyway.
+//! A hop allocates nothing of its own: each ask writes its query once
+//! into a buffer the resolver keeps and each send patches only its id,
+//! servers are ranked in a kept buffer, and each reply is read in place
+//! ([`Reader`]) down to what the walk keeps — an answer's addresses or
+//! a referral's glue, read into a kept buffer and handed to the cache,
+//! which returns its interned copy of the set under the lock the hop
+//! takes anyway.
 
 use crate::cache::{Addrs, Negative, SharedCache, DEFAULT_CAPACITY};
 use crate::selector::HostSelector;
 use crate::transport::{Exchange, Transport};
-use dns_wire::builder::MessageBuilder;
-use dns_wire::message::{Message, Question};
+use dns_wire::edns::Edns;
+use dns_wire::header::{Header, HEADER_LEN};
+use dns_wire::message::Question;
 use dns_wire::name::Name;
 use dns_wire::reader::Reader;
 use dns_wire::types::{RType, Rcode};
-use dns_wire::writer::Section;
+use dns_wire::writer::{write_query_into, Section, MAX_QUERY_LEN};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::net::{IpAddr, Ipv4Addr};
@@ -95,7 +97,9 @@ impl Default for ResolverConfig {
     }
 }
 
-/// One query the resolver sent (mirrors what a vantage point captures).
+/// One query the resolver sent (mirrors what a vantage point captures):
+/// its question, read back from the bytes sent. The EDNS, DO and CD
+/// bits are the configuration's on every query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryLogEntry {
     /// Server the query went to.
@@ -104,12 +108,6 @@ pub struct QueryLogEntry {
     pub qname: Name,
     /// Queried type.
     pub qtype: RType,
-    /// EDNS payload size advertised on this hop (0 = no OPT).
-    pub edns_size: u16,
-    /// DO bit on this hop.
-    pub do_bit: bool,
-    /// CD bit on this hop.
-    pub cd_bit: bool,
 }
 
 /// Resolution failures.
@@ -182,9 +180,10 @@ pub struct IterativeResolver {
     /// expiry.
     now_us: u64,
     selector: HostSelector,
-    /// The one query every ask re-addresses: its id and question change
-    /// per send, the EDNS and CD bits the configuration fixes do not.
-    query: Message,
+    /// The query of the ask in hand, as sent: written once per ask,
+    /// with the EDNS and CD bits the configuration fixes, and its id
+    /// patched per send.
+    query: Vec<u8>,
     /// The servers of the ask in hand, best first, with their scores.
     ranked: Vec<(f64, IpAddr)>,
     /// The set in hand: addresses read out of a reply, or the servers
@@ -276,10 +275,6 @@ impl IterativeResolver {
     /// Build with the given configuration, caching in `cache`: a
     /// fleet's, shared with its other resolvers.
     pub fn sharing(config: ResolverConfig, cache: SharedCache) -> Self {
-        let mut query = MessageBuilder::query(0, Name::root(), RType::A);
-        if config.edns_size > 0 {
-            query = query.with_edns(config.edns_size, config.do_bit);
-        }
         IterativeResolver {
             config,
             log: Vec::new(),
@@ -293,7 +288,7 @@ impl IterativeResolver {
             cache,
             now_us: 0,
             selector: HostSelector::new(),
-            query: query.checking_disabled(config.cd_bit).build(),
+            query: Vec::with_capacity(MAX_QUERY_LEN),
             ranked: Vec::new(),
             found: Vec::new(),
             frames: Vec::new(),
@@ -351,10 +346,10 @@ impl IterativeResolver {
         self.cache.stats().delegations
     }
 
-    /// The query every [`Step::Send`] asks for: one message, re-addressed
-    /// per send (id and question), valid until the next call into the
-    /// walk.
-    pub fn query(&self) -> &Message {
+    /// The query every [`Step::Send`] asks for, as wire bytes: written
+    /// once per ask, its id patched per send, valid until the next call
+    /// into the walk.
+    pub fn query(&self) -> &[u8] {
         &self.query
     }
 
@@ -554,7 +549,12 @@ impl IterativeResolver {
     /// Put one question to the servers the top frame waits on, best
     /// first by the RTT selector.
     fn begin_ask(&mut self, qname: Name, qtype: RType) -> Step {
-        self.query.questions[0] = Question::new(qname, qtype);
+        let config = &self.config;
+        let mut header = Header::request(0);
+        header.checking_disabled = config.cd_bit;
+        let edns = (config.edns_size > 0).then(|| Edns::with_size(config.edns_size, config.do_bit));
+        let question = Question::new(qname, qtype);
+        write_query_into(&header, &question, edns.as_ref(), &mut self.query);
         self.ask.attempt = 0;
         self.ask.next = 0;
         self.rank();
@@ -601,16 +601,16 @@ impl IterativeResolver {
         if self.ask.attempt > 0 {
             self.stats.retries += 1;
         }
-        self.query.header.id = (self.sent_total as u16).wrapping_mul(31).wrapping_add(7);
+        let id = (self.sent_total as u16).wrapping_mul(31).wrapping_add(7);
+        self.query[..2].copy_from_slice(&id.to_be_bytes());
         self.sent_total += 1;
         if self.log_enabled {
+            // the question as sent: it opens the query, uncompressed
+            let (qname, end) = Name::parse(&self.query, HEADER_LEN).expect("a written query");
             self.log.push(QueryLogEntry {
                 server,
-                qname: self.query.questions[0].qname.clone(),
-                qtype: self.query.questions[0].qtype,
-                edns_size: self.config.edns_size,
-                do_bit: self.config.do_bit,
-                cd_bit: self.config.cd_bit,
+                qname,
+                qtype: RType::from_u16(u16::from_be_bytes([self.query[end], self.query[end + 1]])),
             });
         }
         Step::Send { server }
@@ -1285,141 +1285,75 @@ mod validate_tests {
     }
 }
 
-/// The ISSUE's CD/AD satellite: EDNS size, DO and CD must ride on
-/// *every* hop of the walk — referral probes, Q-min probes, terminal
-/// queries, DS/DNSKEY fetches, glueless-NS re-walks and CNAME chases —
-/// not just the first query. One test per hop type.
+/// EDNS size, DO and CD ride on *every* hop of a walk — referral and
+/// Q-min probes, terminal queries, DS/DNSKEY fetches, glueless-NS
+/// re-walks and CNAME chases — as the bytes sent say: each query is
+/// read back with `Message::parse` on its way to the servers.
 #[cfg(test)]
 mod flag_tests {
     use super::*;
-    use crate::hierarchy::sample_world;
+    use crate::hierarchy::{sample_world, Network};
+    use dns_wire::message::Message;
 
-    fn n(s: &str) -> Name {
-        s.parse().unwrap()
+    /// A network that parses every query sent to it.
+    struct Wiretap(Network, Vec<Message>);
+
+    impl Transport for Wiretap {
+        fn exchange(&mut self, server: IpAddr, query: &[u8]) -> Exchange<'_> {
+            self.1
+                .push(Message::parse(query).expect("a query the resolver wrote"));
+            self.0.exchange(server, query)
+        }
+
+        fn root_servers(&self) -> Vec<IpAddr> {
+            self.0.root_servers()
+        }
     }
 
-    fn flagged() -> ResolverConfig {
-        ResolverConfig {
+    #[test]
+    fn every_hop_of_every_walk_carries_the_flags() {
+        let flagged = ResolverConfig {
+            edns_size: 1232,
+            do_bit: true,
+            cd_bit: true,
+            ..Default::default()
+        };
+        let validating = ResolverConfig {
             qmin: true,
             validate: true,
-            edns_size: 1232,
-            do_bit: true,
-            cd_bit: true,
-            ..Default::default()
+            ..flagged
+        };
+        let walks = [
+            // Q-min probes, the terminal query, DS and DNSKEY fetches
+            (validating, super::validate_tests_world(), "www.d0.zz."),
+            // the out-of-bailiwick NS host is re-walked mid-resolution
+            (flagged, sample_world(), "www.hosted.nl."),
+            (flagged, sample_world(), "cdn.example.nl."),
+        ];
+        let mut asked = Vec::new();
+        for (config, world, name) in walks {
+            let mut tap = Wiretap(world, Vec::new());
+            let mut r = IterativeResolver::new(config);
+            r.resolve(&mut tap, &name.parse().unwrap(), RType::A)
+                .unwrap();
+            assert!(tap.1.len() >= 2, "{name}: a multi-hop walk");
+            for q in tap.1 {
+                let question = &q.questions[0];
+                assert_eq!(q.edns, Some(Edns::with_size(1232, true)), "{question:?}");
+                assert!(q.header.checking_disabled, "{question:?} lost CD");
+                asked.push((question.qname.to_string(), question.qtype));
+            }
         }
-    }
-
-    fn assert_flags(e: &QueryLogEntry) {
-        assert_eq!(e.edns_size, 1232, "hop {}/{:?} lost EDNS", e.qname, e.qtype);
-        assert!(e.do_bit, "hop {}/{:?} lost DO", e.qname, e.qtype);
-        assert!(e.cd_bit, "hop {}/{:?} lost CD", e.qname, e.qtype);
-    }
-
-    #[test]
-    fn referral_hops_carry_flags() {
-        let mut net = super::validate_tests_world();
-        let mut r = IterativeResolver::new(flagged());
-        r.resolve(&mut net, &n("www.d0.zz."), RType::A).unwrap();
-        // the walk's referral probes (root and TLD hops) are NS-typed
-        // under Q-min; every one must carry the flags
-        let probes: Vec<&QueryLogEntry> = r.log.iter().filter(|e| e.qtype == RType::Ns).collect();
-        assert!(!probes.is_empty(), "no referral/Q-min probe hops logged");
-        probes.iter().for_each(|e| assert_flags(e));
-    }
-
-    #[test]
-    fn terminal_query_carries_flags() {
-        let mut net = super::validate_tests_world();
-        let mut r = IterativeResolver::new(flagged());
-        r.resolve(&mut net, &n("www.d0.zz."), RType::A).unwrap();
-        let terminal = r
-            .log
-            .iter()
-            .find(|e| e.qname == n("www.d0.zz.") && e.qtype == RType::A)
-            .expect("terminal hop logged");
-        assert_flags(terminal);
-    }
-
-    #[test]
-    fn ds_hop_carries_flags() {
-        let mut net = super::validate_tests_world();
-        let mut r = IterativeResolver::new(flagged());
-        r.resolve(&mut net, &n("www.d0.zz."), RType::A).unwrap();
-        let ds = r
-            .log
-            .iter()
-            .find(|e| e.qtype == RType::Ds)
-            .expect("DS hop logged");
-        assert_flags(ds);
-    }
-
-    #[test]
-    fn dnskey_hop_carries_flags() {
-        let mut net = super::validate_tests_world();
-        let mut r = IterativeResolver::new(flagged());
-        r.resolve(&mut net, &n("www.d0.zz."), RType::A).unwrap();
-        let dnskey = r
-            .log
-            .iter()
-            .find(|e| e.qtype == RType::Dnskey)
-            .expect("DNSKEY hop logged");
-        assert_flags(dnskey);
-    }
-
-    #[test]
-    fn glueless_ns_rewalk_carries_flags() {
-        // www.hosted.nl is served by an out-of-bailiwick NS: the
-        // resolver re-walks for ns.provider.nz. mid-resolution
-        let mut net = sample_world();
-        let mut r = IterativeResolver::new(ResolverConfig {
-            edns_size: 1232,
-            do_bit: true,
-            cd_bit: true,
-            ..Default::default()
-        });
-        r.resolve(&mut net, &n("www.hosted.nl."), RType::A).unwrap();
-        let rewalk: Vec<&QueryLogEntry> = r
-            .log
-            .iter()
-            .filter(|e| e.qname == n("ns.provider.nz."))
-            .collect();
-        assert!(!rewalk.is_empty(), "no glueless re-walk hops logged");
-        for e in rewalk {
-            assert_eq!(e.edns_size, 1232);
-            assert!(e.do_bit && e.cd_bit, "glueless hop lost flags");
+        for (qname, qtype) in [
+            ("d0.zz.", RType::Ns),
+            ("www.d0.zz.", RType::A),
+            ("d0.zz.", RType::Ds),
+            ("d0.zz.", RType::Dnskey),
+            ("ns.provider.nz.", RType::A),
+        ] {
+            let hop = (qname.to_string(), qtype);
+            assert!(asked.contains(&hop), "no {hop:?} hop asked");
         }
-    }
-
-    #[test]
-    fn cname_chase_carries_flags() {
-        let mut net = sample_world();
-        let mut r = IterativeResolver::new(ResolverConfig {
-            edns_size: 1232,
-            do_bit: true,
-            cd_bit: true,
-            ..Default::default()
-        });
-        r.resolve(&mut net, &n("cdn.example.nl."), RType::A)
-            .unwrap();
-        assert!(!r.log.is_empty());
-        for e in &r.log {
-            assert_eq!(e.edns_size, 1232, "CNAME-chase hop {} lost EDNS", e.qname);
-            assert!(
-                e.do_bit && e.cd_bit,
-                "CNAME-chase hop {} lost flags",
-                e.qname
-            );
-        }
-    }
-
-    #[test]
-    fn every_hop_of_a_validating_qmin_walk_is_flagged() {
-        let mut net = super::validate_tests_world();
-        let mut r = IterativeResolver::new(flagged());
-        r.resolve(&mut net, &n("www.d0.zz."), RType::A).unwrap();
-        r.resolve(&mut net, &n("www.d1.zz."), RType::A).unwrap();
-        assert!(r.log.len() >= 6, "expected a multi-hop walk");
-        r.log.iter().for_each(assert_flags);
     }
 }
 

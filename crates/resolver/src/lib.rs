@@ -17,8 +17,15 @@
 //!   queries at the TLD. The resolver reproduces exactly that
 //!   signature.
 //!
-//! [`hierarchy`] provides the simulated root → TLD → leaf server tree
-//! the resolver walks; it answers real wire-format questions.
+//! The walk asks and reads in wire bytes: each ask's query is written
+//! once into a buffer the resolver keeps, with only its id patched per
+//! send, and each reply is read where it lies. [`transport`] is the seam
+//! a driver meets the walk at — `authd`'s reactor over sockets, simnet's
+//! three-tier `SimTransport` offline — and both put the query on the
+//! wire as written. [`hierarchy`] is a small root → TLD → leaf server
+//! tree for tests and examples: it parses each query whole and answers
+//! with an owned message, which makes it the oracle the walk is held
+//! to.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -7,19 +7,24 @@
 //! `authd`'s reactor keeps many walks in flight over real sockets. A
 //! [`Transport`] is what the *blocking* driver,
 //! [`crate::iterative::IterativeResolver::resolve`], runs over — an
-//! in-process zone world (the test [`Network`], simnet's `ZoneModel`
-//! answerer) that answers one query at a time. Either way the driver
-//! owns everything below the message layer — timeouts, truncation +
-//! TCP fallback, capture taps — and hands the walk either a complete
-//! response with its measured round-trip time or a timeout.
+//! in-process zone world (simnet's three-tier `SimTransport`, the test
+//! [`Network`](crate::hierarchy::Network)) that answers one query at a
+//! time. Either way the driver owns everything below the message layer —
+//! timeouts, truncation + TCP fallback, capture taps — and hands the
+//! walk either a complete response with its measured round-trip time or
+//! a timeout.
 //!
-//! A response crosses the seam as the bytes the driver already has —
-//! the reply it wrote, or the datagram it received — lent from its own
-//! buffer for the one step; the resolver reads them in place
+//! Both directions cross the seam as wire bytes. The query is the
+//! resolver's own buffer ([`IterativeResolver::query`]), written once
+//! per ask with only the id patched per send, so a driver puts it on
+//! the wire — or reads it, as an in-process authoritative does — as it
+//! is. A response is the bytes the driver already has — the reply it
+//! wrote, or the datagram it received — lent from its own buffer for
+//! the one step; the resolver reads them in place
 //! ([`dns_wire::reader::Reader`]) and copies out only what it keeps.
+//!
+//! [`IterativeResolver::query`]: crate::iterative::IterativeResolver::query
 
-use crate::hierarchy::Network;
-use dns_wire::message::Message;
 use std::net::IpAddr;
 
 /// Outcome of one query/response exchange with a server.
@@ -41,24 +46,12 @@ pub enum Exchange<'a> {
 
 /// A transport the blocking driver walks over.
 pub trait Transport {
-    /// Exchange `query` with `server`, blocking until a response
-    /// arrives or the transport's deadline passes.
-    fn exchange(&mut self, server: IpAddr, query: &Message) -> Exchange<'_>;
+    /// Exchange `query` — a whole DNS message, as the resolver wrote it
+    /// — with `server`, blocking until a response arrives or the
+    /// transport's deadline passes.
+    fn exchange(&mut self, server: IpAddr, query: &[u8]) -> Exchange<'_>;
 
     /// The root-server addresses to start a cold walk from (the
     /// priming hints a real resolver ships with).
     fn root_servers(&self) -> Vec<IpAddr>;
-}
-
-impl Transport for Network {
-    fn exchange(&mut self, server: IpAddr, query: &Message) -> Exchange<'_> {
-        match self.query_wire(server, query) {
-            Some(reply) => Exchange::Answer { reply, rtt_us: 0 },
-            None => Exchange::Timeout,
-        }
-    }
-
-    fn root_servers(&self) -> Vec<IpAddr> {
-        Network::root_servers(self)
-    }
 }

@@ -1,16 +1,24 @@
 //! Property tests: over arbitrary (including pathological) delegation
 //! graphs, resolution always terminates within its budget, never
 //! panics, and Q-min never changes the *outcome* of a resolution —
-//! only what intermediate servers see. And the indexed [`FleetCache`]
-//! behaves, operation for operation, like the linear-scan cache it
-//! replaced ([`scan_model`]).
+//! only what intermediate servers see. The query bytes the resolver
+//! sends are the message its configuration and ask imply, by the
+//! `Message` oracle. And the indexed [`FleetCache`] behaves, operation
+//! for operation, like the linear-scan cache it replaced
+//! ([`scan_model`]).
 
+use dns_wire::edns::Edns;
+use dns_wire::header::Header;
+use dns_wire::message::{Message, Question};
 use dns_wire::name::Name;
 use dns_wire::types::RType;
 use proptest::prelude::*;
 use proptest::strategy::Just;
 use resolver::hierarchy::{Network, ZoneBuilder};
-use resolver::{Addrs, FleetCache, IterativeResolver, Negative, ResolveError, ResolverConfig};
+use resolver::{
+    Addrs, Exchange, FleetCache, IterativeResolver, Negative, ResolveError, ResolverConfig, Step,
+    Transport,
+};
 use std::net::IpAddr;
 
 /// Build a random world: a root, one TLD, and `n` leaf domains whose NS
@@ -130,6 +138,107 @@ proptest! {
             .any(|q| q.qname.label_count() == 3);
         prop_assert!(classic_full, "classic leaks www.*");
         prop_assert!(!qmin_full, "q-min never sends 3 labels to the TLD");
+    }
+}
+
+/// A root serving the one TLD `name` falls under, and that TLD
+/// answering for `name` (an address, or NODATA for other types).
+fn world_of(name: &Name) -> Network {
+    let tld = Name::from_labels(name.labels().last()).unwrap().to_string();
+    let ns = format!("ns1.{tld}");
+    let mut net = Network::new();
+    net.add(
+        ZoneBuilder::new(".")
+            .server("a.root.zz.", "198.41.0.4")
+            .delegate(&tld, &[&ns])
+            .address(&ns, "203.0.113.1"),
+    );
+    net.add(
+        ZoneBuilder::new(&tld)
+            .server(&ns, "203.0.113.1")
+            .address(&name.to_string(), "192.0.2.1"),
+    );
+    net
+}
+
+/// The types a walk is asked for.
+const ASKED: [RType; 7] = [
+    RType::A,
+    RType::Aaaa,
+    RType::Ns,
+    RType::Ds,
+    RType::Dnskey,
+    RType::Mx,
+    RType::Soa,
+];
+
+/// A name of 2–8 labels (letters of both cases and digits), often past
+/// `Name`'s 30-octet inline form and up to its 255-octet limit.
+fn qname() -> impl Strategy<Value = Name> {
+    prop::collection::vec("[a-zA-Z0-9]{1,40}", 2..8).prop_filter_map("fits 255 octets", |labels| {
+        Name::from_labels(labels.iter().map(|l| l.as_bytes())).ok()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every query the walk sends parses, by `Message::parse`, to one
+    /// question — the ask's own on the first send, spelled as asked —
+    /// under a plain request header with the configured CD bit and the
+    /// configured OPT (none at size 0), and encodes back to the very
+    /// bytes sent. Each send carries a fresh id, and the reply the walk
+    /// then reads carries that id.
+    #[test]
+    fn query_bytes_are_the_message_the_ask_implies(
+        name in qname(),
+        qtype in 0usize..ASKED.len(),
+        edns_size in 0usize..3,
+        do_bit in any::<bool>(),
+        cd_bit in any::<bool>(),
+    ) {
+        let (qtype, edns_size) = (ASKED[qtype], [0, 1232, 4096][edns_size]);
+        let mut net = world_of(&name);
+        let mut r = IterativeResolver::new(ResolverConfig {
+            edns_size,
+            do_bit,
+            cd_bit,
+            ..Default::default()
+        });
+        let want_edns = (edns_size > 0).then(|| Edns::with_size(edns_size, do_bit));
+        let (mut sends, mut last_id) = (0, None);
+        let mut step = r.start(&name, qtype);
+        loop {
+            step = match step {
+                Step::Send { server } => {
+                    let sent = r.query();
+                    let msg = Message::parse(sent).expect("the resolver's query parses");
+                    let mut header = Header::request(msg.header.id);
+                    header.checking_disabled = cd_bit;
+                    prop_assert_eq!(msg.header, header);
+                    prop_assert_eq!(&msg.edns, &want_edns);
+                    prop_assert_eq!(msg.questions.len(), 1);
+                    prop_assert!(msg.answers.is_empty() && msg.authorities.is_empty());
+                    prop_assert!(msg.additionals.is_empty());
+                    prop_assert_eq!(&msg.encode().unwrap()[..], sent);
+                    if sends == 0 {
+                        prop_assert_eq!(&msg.questions[0], &Question::new(name.clone(), qtype));
+                        prop_assert_eq!(msg.questions[0].qname.as_wire(), name.as_wire());
+                    }
+                    prop_assert!(Some(msg.header.id) != last_id, "a fresh id per send");
+                    last_id = Some(msg.header.id);
+                    sends += 1;
+                    let exchange = net.exchange(server, sent);
+                    if let Exchange::Answer { reply, .. } = exchange {
+                        prop_assert_eq!(Message::parse(reply).unwrap().header.id, msg.header.id);
+                    }
+                    r.step(exchange)
+                }
+                Step::Prime => r.prime(net.root_servers()),
+                Step::Done(_) => break,
+            };
+        }
+        prop_assert!(sends >= 2, "the walk asked the root and the TLD");
     }
 }
 

@@ -12,8 +12,9 @@
 use crate::vantage::WireScratch;
 use dns_wire::edns::Edns;
 use dns_wire::header::{Header, HEADER_LEN};
-use dns_wire::message::{Message, Question};
+use dns_wire::message::Question;
 use dns_wire::name::{Name, MAX_NAME_LEN};
+use dns_wire::reader::Reader;
 use dns_wire::types::{RClass, RType, Rcode};
 use dns_wire::writer::{MessageWriter, Section};
 use std::net::Ipv6Addr;
@@ -72,32 +73,49 @@ pub struct Authoritative {
 }
 
 /// What the responder reads of a query: the header bits it mirrors,
-/// the question section it echoes (it answers exactly one question),
-/// and whether an OPT came along.
-#[derive(Clone, Copy)]
-pub struct Query<'a> {
+/// the one question it answers and echoes, and the OPT's size and DO
+/// bit.
+pub struct Query {
     /// The query's header.
-    pub header: &'a Header,
-    /// The query's question section.
-    pub questions: &'a [Question],
+    pub header: Header,
+    /// The question answered; `None` when the query asks none or more
+    /// than one, which gets a header-only FORMERR (RFC 9619).
+    pub question: Option<Question>,
+    /// The UDP payload size the OPT advertises; 0 without EDNS.
+    pub edns_size: u16,
     /// The DO bit of the query's OPT; `None` without EDNS.
     pub dnssec_ok: Option<bool>,
 }
 
-impl<'a> From<&'a Message> for Query<'a> {
-    fn from(msg: &'a Message) -> Self {
-        Query {
-            header: &msg.header,
-            questions: &msg.questions,
-            dnssec_ok: msg.edns.as_ref().map(|e| e.dnssec_ok),
+impl Query {
+    /// Read query bytes — a datagram, a TCP frame's message, a
+    /// resolver's own buffer — into what the authoritative answers: the
+    /// one step every answerer of a query on the wire takes, live
+    /// (`authd`) and offline (the fleet's root, vantage and leaf
+    /// tiers). `None` for bytes that are no DNS message (what
+    /// `Reader::new` refuses) and for responses, which are never
+    /// answered (no reflection loops). `authd`'s respond proptest holds
+    /// it to `Message::parse` over hostile and mutated queries.
+    pub fn read(bytes: &[u8]) -> Option<Query> {
+        let reader = Reader::new(bytes).ok()?;
+        let header = reader.header();
+        if header.response {
+            return None;
         }
+        let mut questions = reader.questions();
+        let question = questions.next().filter(|_| questions.next().is_none());
+        let edns = reader.edns();
+        Some(Query {
+            header,
+            question,
+            edns_size: edns.as_ref().map_or(0, |e| e.udp_payload_size),
+            dnssec_ok: edns.map(|e| e.dnssec_ok),
+        })
     }
-}
 
-impl Query<'_> {
     /// Start the response to this query in `wire`, header only.
     pub(crate) fn open<'w>(&self, rcode: Rcode, wire: &'w mut WireScratch) -> MessageWriter<'w> {
-        wire.response_writer(&Header::response_to(self.header, rcode))
+        wire.response_writer(&Header::response_to(&self.header, rcode))
     }
 
     /// Close the response, mirroring the requestor's EDNS presence.
@@ -142,44 +160,39 @@ impl Authoritative {
     }
 
     /// Answer `query`, writing the full (pre-truncation) response into
-    /// `wire`. `signed_delegation` tells the responder whether the
-    /// delegation the qname falls under has a DS RRset (decided by the
-    /// caller from the zone model, since junk names have none). A query
-    /// without exactly one question gets a header-only FORMERR.
-    pub fn respond(
+    /// `wire`: its qname [located](ZoneModel::locate) in this zone once,
+    /// whether the delegation is signed following from the registration
+    /// it falls under. A query without exactly one question gets a
+    /// header-only FORMERR.
+    pub fn respond(&self, query: &Query, wire: &mut WireScratch) -> Answer {
+        let Some(question) = &query.question else {
+            return query.formerr(wire);
+        };
+        let Located { lookup, delegation } = self.zone.locate(&question.qname);
+        let signed = delegation.is_some_and(|i| self.zone.is_signed(i));
+        self.answer(query, question, lookup, signed, wire)
+    }
+
+    /// [`Authoritative::respond`] with the caller deciding whether the
+    /// delegation the qname falls under has a DS RRset: the calibrated
+    /// plane draws it with the question.
+    pub fn respond_signed(
         &self,
-        query: Query<'_>,
+        query: &Query,
         signed_delegation: bool,
         wire: &mut WireScratch,
     ) -> Answer {
-        let [question] = query.questions else {
+        let Some(question) = &query.question else {
             return query.formerr(wire);
         };
         let lookup = self.zone.classify(&question.qname);
         self.answer(query, question, lookup, signed_delegation, wire)
     }
 
-    /// [`Authoritative::respond`] to a query whose qname the caller has
-    /// already [located](ZoneModel::locate) in this zone: whether the
-    /// delegation is signed follows from the registration it falls
-    /// under, so the name is classified once.
-    pub fn respond_located(
-        &self,
-        query: Query<'_>,
-        located: Located,
-        wire: &mut WireScratch,
-    ) -> Answer {
-        let [question] = query.questions else {
-            return query.formerr(wire);
-        };
-        let signed = located.delegation.is_some_and(|i| self.zone.is_signed(i));
-        self.answer(query, question, located.lookup, signed, wire)
-    }
-
     /// The glueless referral of a cyclic-dependency incident: the
     /// question's cut delegated to `host` alone.
-    pub fn respond_glueless(&self, query: Query<'_>, host: &Name, wire: &mut WireScratch) {
-        let [question] = query.questions else {
+    pub fn respond_glueless(&self, query: &Query, host: &Name, wire: &mut WireScratch) {
+        let Some(question) = &query.question else {
             query.formerr(wire);
             return;
         };
@@ -194,7 +207,7 @@ impl Authoritative {
 
     fn answer(
         &self,
-        query: Query<'_>,
+        query: &Query,
         question: &Question,
         lookup: Lookup,
         signed_delegation: bool,
@@ -441,7 +454,7 @@ impl<'a> Layout<'a> {
     /// Start the answer to `query`'s one `question` in `wire`, its names
     /// under `base`, with the question written as asked.
     pub(crate) fn open(
-        query: Query<'_>,
+        query: &Query,
         question: &'a Question,
         rcode: Rcode,
         base: &'a [u8],
@@ -454,7 +467,7 @@ impl<'a> Layout<'a> {
     }
 
     /// Close the answer, mirroring the requestor's EDNS presence.
-    pub(crate) fn close(self, query: Query<'_>) {
+    pub(crate) fn close(self, query: &Query) {
         query.close(self.w);
     }
 
@@ -592,6 +605,7 @@ fn hash_wire(wire: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use dns_wire::builder::MessageBuilder;
+    use dns_wire::message::Message;
     use proptest::prelude::*;
 
     fn zone() -> ZoneModel {
@@ -611,10 +625,15 @@ mod tests {
         b.build()
     }
 
+    /// `q` as the authoritative reads it off the wire.
+    fn asked(q: &Message) -> Query {
+        Query::read(&q.encode().unwrap()).expect("a query")
+    }
+
     /// Answer `q` and parse what was written.
     fn respond(auth: &Authoritative, q: &Message, signed: bool) -> (Answer, Message, Vec<u8>) {
         let mut wire = WireScratch::default();
-        let a = auth.respond(q.into(), signed, &mut wire);
+        let a = auth.respond_signed(&asked(q), signed, &mut wire);
         let bytes = wire.response().bytes.to_vec();
         let message = Message::parse(&bytes).expect("written responses parse");
         assert_eq!(message.header.rcode, a.rcode);
@@ -733,7 +752,7 @@ mod tests {
         let d = auth.zone().registered_domain(11);
         let q = query(&d, RType::A, Some((512, true)));
         let mut wire = WireScratch::default();
-        auth.respond((&q).into(), true, &mut wire);
+        auth.respond_signed(&asked(&q), true, &mut wire);
         let full = wire.response().bytes.len();
         let mut bytes = Vec::new();
         let (truncated, _) = crate::vantage::shape_onto::<crate::rrl::RateLimiter>(
@@ -810,7 +829,7 @@ mod tests {
             let q = query(&recase(&qname, flips), qtype, edns.map(|size| (size, do_bit)));
             let dnssec = edns.is_some() && do_bit;
             let mut wire = WireScratch::default();
-            let a = auth.respond((&q).into(), signed, &mut wire);
+            let a = auth.respond_signed(&asked(&q), signed, &mut wire);
             let full = wire.response().bytes;
             let message = Message::parse(full).expect("written responses parse");
             prop_assert_eq!(&message.encode().unwrap(), full);
@@ -973,10 +992,10 @@ mod tests {
                 Some(host) => {
                     let other = auth.zone().registered_domain((idx / 3) % auth.zone().domain_count());
                     let host = child(&[other, domain, apex][host], b"ns");
-                    auth.respond_glueless((&q).into(), &host, &mut wire);
+                    auth.respond_glueless(&asked(&q), &host, &mut wire);
                 }
                 None => {
-                    auth.respond((&q).into(), signed, &mut wire);
+                    auth.respond_signed(&asked(&q), signed, &mut wire);
                 }
             }
             let full = wire.response().bytes;

@@ -18,9 +18,9 @@ use crate::fleet::{cumulative_weights, pick_cumulative};
 use crate::plan;
 use crate::scenario::{DatasetSpec, Scale};
 use crate::vantage::WireScratch;
-use dns_wire::header::HEADER_LEN;
 use dns_wire::name::Name;
 use dns_wire::types::RType;
+use dns_wire::writer::MAX_QUERY_LEN;
 use netbase::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,21 +33,17 @@ use std::ops::Deref;
 /// call skips before it runs the next one against cold caches.
 const MAX_CACHE_SKIPS: u32 = 50;
 
-/// The longest query the driver writes: a header, one question with a
-/// qname of up to 255 octets, and an option-less OPT.
-const MAX_QUERY: usize = HEADER_LEN + 255 + 4 + 11;
-
 /// A planned query's encoded message, held inline so that planning a
 /// query allocates nothing; it derefs to the message's bytes.
 #[derive(Clone)]
 pub struct QueryWire {
     len: u16,
-    buf: [u8; MAX_QUERY],
+    buf: [u8; MAX_QUERY_LEN],
 }
 
 impl QueryWire {
     fn new(msg: &[u8]) -> QueryWire {
-        let mut buf = [0; MAX_QUERY];
+        let mut buf = [0; MAX_QUERY_LEN];
         buf[..msg.len()].copy_from_slice(msg);
         QueryWire {
             len: msg.len() as u16,

@@ -45,14 +45,13 @@
 //!   where the calibrated rewrite emits one minimized probe.
 
 use crate::auth::{Authoritative, Layout, Nm, Query, ServerSpec};
-use crate::engine::{mix_case_0x20, name_key, pick_qtype, slice_seed, DatasetStats, Engine};
+use crate::engine::{name_key, pick_qtype, slice_seed, DatasetStats, Engine};
 use crate::fleet::{Fleet, Resolver as FleetResolver};
 use crate::plan::{self, SlotPlan, Steering};
 use crate::profile::FleetSpec;
 use crate::rrl::RateLimiter;
 use crate::scenario::Incident;
 use crate::vantage::{self, Recorded, WireScratch, TCP_RETRY_GAP_US};
-use dns_wire::message::Message;
 use dns_wire::name::Name;
 use dns_wire::types::{RClass, RType, Rcode};
 use dns_wire::writer::Section;
@@ -70,7 +69,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 use zonedb::junk::JunkGenerator;
 use zonedb::popularity::ZipfSampler;
-use zonedb::zone::{Located, Lookup, ZoneModel};
+use zonedb::zone::{Lookup, ZoneModel};
 
 /// Synthetic root server addresses (the unrecorded tier above the
 /// vantage zone; datasets whose vantage *is* the root skip this tier).
@@ -144,12 +143,19 @@ pub fn sample_stimulus(
 
 /// The three-tier transport a fleet resolver walks.
 ///
+/// Every tier reads the resolver's query bytes with [`Query::read`],
+/// the step the live `authd` server answers through too.
+///
 /// - **root tier** (synthetic, unrecorded): refers everything to the
-///   vantage zone, glue filtered to the resolver's address families.
+///   vantage zone, glue filtered to the resolver's address families (a
+///   v6-only resolver only learns v6 vantage addresses, so dual-stack
+///   preference stays emergent downstream).
 /// - **vantage tier** (recorded): [`Authoritative::respond`] behind
-///   incident interception and 0x20 case mixing, put on the wire by
-///   [`vantage::record`] (EDNS truncation with TCP retry, direct-TCP
-///   extra, RRL) exactly as the calibrated engine's exchanges are.
+///   incident interception; the resolver's bytes go on the wire as
+///   written ([`WireScratch::put_query`], 0x20-mixed for a mixing
+///   profile) and [`vantage::record`] records the exchange (EDNS
+///   truncation with TCP retry, direct-TCP extra, RRL) exactly as the
+///   calibrated engine's exchanges are.
 /// - **leaf tier** (synthetic, unrecorded): registrant nameservers at
 ///   the referral glue addresses; positive answers carry the fleet's
 ///   `cache_ttl` so cache absorption matches the calibrated model.
@@ -229,42 +235,14 @@ impl<'a> SimTransport<'a> {
         self.start + self.elapsed
     }
 
-    /// The synthetic root's referral into the vantage zone. Glue is
-    /// family-filtered: a v6-only resolver only learns v6 vantage
-    /// addresses, so dual-stack preference stays emergent downstream.
-    fn root_referral(&mut self, query: &Message) -> Exchange<'_> {
-        let (v4, v6) = self.profile().families();
-        synth_root_referral(
-            self.zone,
-            self.servers,
-            v4,
-            v6,
-            query.into(),
-            &mut self.wire,
-        );
-        self.elapsed = self.elapsed + SimDuration::from_micros(ROOT_RTT_US + HOP_GAP_US);
-        Exchange::Answer {
-            reply: self.wire.response().bytes,
-            rtt_us: ROOT_RTT_US as u32,
-        }
-    }
-
     /// During an incident window the vantage answers queries for the
     /// affected domains with a *glueless* referral whose only NS host
     /// lives under the other affected domain — the mutual dependency
     /// that makes resolution cycle (Pappas et al. 2004). Written into
-    /// the transport's wire scratch when it applies.
-    fn incident_referral(
-        &mut self,
-        qtype: RType,
-        located: Located,
-        t: SimTime,
-        query: Query<'_>,
-    ) -> bool {
-        if qtype == RType::Ds {
-            return false;
-        }
-        let Some(idx) = located.delegation else {
+    /// the transport's wire scratch when it applies; the qname is
+    /// located only inside a window.
+    fn incident_referral(&mut self, query: &Query, t: SimTime) -> bool {
+        let Some(question) = query.question.as_ref().filter(|q| q.qtype != RType::Ds) else {
             return false;
         };
         for incident in self.incidents {
@@ -277,6 +255,9 @@ impl<'a> SimTransport<'a> {
             if t < *start || t >= *end {
                 continue;
             }
+            let Some(idx) = self.zone.locate(&question.qname).delegation else {
+                return false;
+            };
             if let Some(pos) = domain_indices.iter().position(|d| *d == idx) {
                 let other = self.zone.registered_domain(domain_indices[1 - pos]);
                 let ns = other.child(b"ns").unwrap_or_else(|_| other.clone());
@@ -287,10 +268,18 @@ impl<'a> SimTransport<'a> {
         false
     }
 
-    /// One recorded exchange at the vantage, driven by the resolver's
-    /// actual wire query. The resolver is handed what a socket would
-    /// hand it: the response bytes as written.
-    fn vantage_exchange(&mut self, si: usize, dst_ip: IpAddr, query: &Message) -> Exchange<'_> {
+    /// One recorded exchange at the vantage: `bytes`, the resolver's
+    /// query as written, go on the wire and `query` is what the vantage
+    /// read of them. The resolver is handed what a socket would hand
+    /// it: the response bytes as written, in the spelling it asked
+    /// with.
+    fn vantage_exchange(
+        &mut self,
+        si: usize,
+        dst_ip: IpAddr,
+        bytes: &[u8],
+        query: &Query,
+    ) -> Exchange<'_> {
         let family = IpVersion::of(dst_ip);
         let r = self.profile();
         let src_ip = r.addr_for(family);
@@ -298,39 +287,27 @@ impl<'a> SimTransport<'a> {
         let mix = r.mix_case;
         let tcp_extra = self.fleet.spec.tcp_extra_at(r.site as usize);
 
-        let Some(question) = query.question() else {
-            self.auth.respond(query.into(), false, &mut self.wire);
-            return Exchange::Answer {
-                reply: self.wire.response().bytes,
-                rtt_us,
-            };
-        };
-        let qname = &question.qname;
         let t = self.now();
-        self.wire
-            .write_query(&query.header, question, query.edns.as_ref());
-        // the one classification of the exchange
-        let located = self.zone.locate(qname);
-        if !self.incident_referral(question.qtype, located, t, query.into()) {
-            self.auth
-                .respond_located(query.into(), located, &mut self.wire);
+        if !self.incident_referral(query, t) {
+            self.auth.respond(query, &mut self.wire);
         }
         if let Some(h) = self.rtt_hists.get(si) {
             h.record(rtt_us as u64);
         }
 
-        // the capture carries the 0x20-mixed spelling; the resolver reads
-        // the clean one back (real resolvers compare case-insensitively,
-        // and a name it learns from the reply is spelled as it asked)
-        let mixed = mix.then(|| mix_case_0x20(qname, &mut self.rng));
-        if let Some(mixed) = &mixed {
-            self.wire.respell_qname(mixed.as_wire());
+        // the capture carries the 0x20-mixed spelling on both messages;
+        // the resolver reads its own back (real resolvers compare
+        // case-insensitively, and a name it learns from the reply is
+        // spelled as it asked)
+        self.wire.put_query(bytes, mix, &mut self.rng);
+        if mix {
+            self.wire.echo_spelling(None);
         }
         let recorded = vantage::record(
             &vantage::Exchange {
                 query: self.wire.query(),
                 response: self.wire.response(),
-                edns_size: query.edns.as_ref().map_or(0, |e| e.udp_payload_size),
+                edns_size: query.edns_size,
                 src_ip,
                 dst_ip,
                 rtt_us,
@@ -342,8 +319,8 @@ impl<'a> SimTransport<'a> {
             &mut self.buf,
             &mut self.stats,
         );
-        if mixed.is_some() {
-            self.wire.respell_qname(qname.as_wire());
+        if mix {
+            self.wire.echo_spelling(Some(bytes));
         }
         self.emitted += recorded.queries();
         if self.junk_stimulus {
@@ -364,18 +341,6 @@ impl<'a> SimTransport<'a> {
         Exchange::Answer {
             reply: self.wire.response().bytes,
             rtt_us,
-        }
-    }
-
-    /// A leaf (registrant) nameserver's answer: synthetic, unrecorded.
-    /// Positive answers carry the fleet's cache TTL so the shared
-    /// cache absorbs repeat demand on the calibrated schedule.
-    fn leaf_exchange(&mut self, query: &Message) -> Exchange<'_> {
-        synth_leaf_answer(self.zone, self.cache_ttl_secs, query.into(), &mut self.wire);
-        self.elapsed = self.elapsed + SimDuration::from_micros(LEAF_RTT_US + HOP_GAP_US);
-        Exchange::Answer {
-            reply: self.wire.response().bytes,
-            rtt_us: LEAF_RTT_US as u32,
         }
     }
 }
@@ -409,7 +374,7 @@ pub fn synth_root_referral(
     servers: &[ServerSpec],
     v4: bool,
     v6: bool,
-    query: Query<'_>,
+    query: &Query,
     wire: &mut WireScratch,
 ) {
     let apex = zone.apex();
@@ -420,7 +385,7 @@ pub fn synth_root_referral(
         })
         .collect();
     let mut w = query.open(Rcode::NoError, wire);
-    for q in query.questions {
+    if let Some(q) = &query.question {
         w.question(q);
     }
     for ns in &hosts {
@@ -469,10 +434,10 @@ pub fn synth_root_referral(
 pub fn synth_leaf_answer(
     zone: &ZoneModel,
     cache_ttl_secs: u32,
-    query: Query<'_>,
+    query: &Query,
     wire: &mut WireScratch,
 ) {
-    let [question] = query.questions else {
+    let Some(question) = &query.question else {
         query.formerr(wire);
         return;
     };
@@ -565,11 +530,28 @@ pub fn tier_of(servers: &[ServerSpec], root_zone: bool, server: IpAddr) -> Tier 
 }
 
 impl Transport for SimTransport<'_> {
-    fn exchange(&mut self, server: IpAddr, query: &Message) -> Exchange<'_> {
-        match tier_of(self.servers, self.root_zone, server) {
-            Tier::Root => self.root_referral(query),
-            Tier::Vantage(si) => self.vantage_exchange(si, server, query),
-            Tier::Leaf => self.leaf_exchange(query),
+    fn exchange(&mut self, server: IpAddr, bytes: &[u8]) -> Exchange<'_> {
+        // bytes that are no query get no answer, as on a socket
+        let Some(query) = Query::read(bytes) else {
+            return Exchange::Timeout;
+        };
+        // the synthetic tiers answer at once, unrecorded
+        let rtt_us = match tier_of(self.servers, self.root_zone, server) {
+            Tier::Vantage(si) => return self.vantage_exchange(si, server, bytes, &query),
+            Tier::Root => {
+                let (v4, v6) = self.profile().families();
+                synth_root_referral(self.zone, self.servers, v4, v6, &query, &mut self.wire);
+                ROOT_RTT_US
+            }
+            Tier::Leaf => {
+                synth_leaf_answer(self.zone, self.cache_ttl_secs, &query, &mut self.wire);
+                LEAF_RTT_US
+            }
+        };
+        self.elapsed = self.elapsed + SimDuration::from_micros(rtt_us + HOP_GAP_US);
+        Exchange::Answer {
+            reply: self.wire.response().bytes,
+            rtt_us: rtt_us as u32,
         }
     }
 
@@ -976,6 +958,7 @@ mod tests {
     use super::*;
     use crate::profile::Vantage;
     use crate::scenario::{dataset, monthly_google, Scale};
+    use dns_wire::message::Message;
     use netbase::capture::{CaptureReader, CaptureRecord, CaptureWriter, Direction};
     use netbase::flow::Transport as FlowTransport;
 

@@ -619,15 +619,13 @@ impl Engine {
     fn emit_exchange(&self, ask: &Ask, rng: &mut StdRng, s: &mut StripeState) -> u64 {
         let query = self.build_query(ask, rng, &mut s.wire);
         let resolver = ask.resolver;
-        self.auth.respond(
-            Query {
-                header: &query.header,
-                questions: std::slice::from_ref(&query.question),
-                dnssec_ok: query.dnssec_ok,
-            },
-            ask.signed,
-            &mut s.wire,
-        );
+        let asked = Query {
+            header: query.header,
+            question: Some(query.question),
+            edns_size: resolver.edns_size,
+            dnssec_ok: query.dnssec_ok,
+        };
+        self.auth.respond_signed(&asked, ask.signed, &mut s.wire);
         let queries = vantage::record(
             &vantage::Exchange {
                 query: s.wire.query(),
@@ -774,22 +772,13 @@ pub(crate) fn pick_qtype(mix: &[(RType, f64)], rng: &mut StdRng) -> RType {
 }
 
 /// Apply 0x20 case randomization to a name's alphabetic octets: the
-/// flips happen in place on a stack copy of the wire form, label by
-/// label, so the length octets are never touched.
+/// flips ([`vantage::mix_wire_0x20`]) happen in place on a stack copy of
+/// the wire form.
 pub(crate) fn mix_case_0x20(name: &Name, rng: &mut StdRng) -> Name {
     let mut buf = [0u8; dns_wire::name::MAX_NAME_LEN];
     let wire = &mut buf[..name.wire_len()];
     wire.copy_from_slice(name.as_wire());
-    let mut pos = 0;
-    while wire[pos] != 0 {
-        let end = pos + 1 + wire[pos] as usize;
-        for b in &mut wire[pos + 1..end] {
-            if b.is_ascii_alphabetic() && rng.gen_bool(0.5) {
-                *b ^= 0x20;
-            }
-        }
-        pos = end;
-    }
+    vantage::mix_wire_0x20(wire, rng);
     let (mixed, _) = Name::parse(wire, 0).expect("same shape as input");
     mixed
 }

@@ -17,7 +17,7 @@ use dns_wire::header::{Header, HEADER_LEN};
 use dns_wire::message::Question;
 use dns_wire::name::ReusableCompressor;
 use dns_wire::types::Rcode;
-use dns_wire::writer::{Marks, MessageWriter};
+use dns_wire::writer::{write_query_into, Marks, MessageWriter};
 use netbase::capture::{Direction, RecordSlice};
 use netbase::flow::{FlowKey, Transport};
 use netbase::time::{SimDuration, SimTime};
@@ -41,8 +41,9 @@ pub fn response_class(rcode: Rcode, qname_wire: &[u8]) -> ResponseClass {
 /// Where a slice of generated traffic writes its messages: one buffer
 /// each for the query and the response of the exchange in hand, and a
 /// name compressor for the fleet's synthetic root, reused for every
-/// exchange; [`record`] copies them into the capture. Empty until the
-/// first message sizes it.
+/// exchange; [`record`] copies them into the capture, and a live fleet
+/// lane sends the query from here. Empty until the first message sizes
+/// it.
 #[derive(Default)]
 pub struct WireScratch {
     comp: ReusableCompressor,
@@ -56,10 +57,22 @@ impl WireScratch {
     /// Write a one-question query as the exchange's query, its name as
     /// it is: nothing precedes a message's first name to point at.
     pub fn write_query(&mut self, header: &Header, q: &Question, edns: Option<&Edns>) {
-        let mut marks = Marks::default();
-        let mut w = MessageWriter::new(header, &mut self.comp, &mut self.query, &mut marks);
-        w.literal_question(q);
-        w.finish(edns, usize::MAX).expect("no size limit");
+        write_query_into(header, q, edns, &mut self.query);
+    }
+
+    /// Put a fleet resolver's one-question `query` on the vantage wire
+    /// as the exchange's query: its bytes as the resolver wrote them,
+    /// the qname respelled when the resolver's profile mixes case (0x20,
+    /// with [`mix_wire_0x20`]'s draws from `rng`). Both fleet drivers
+    /// send through here — offline into the capture, live over the
+    /// lane's socket — so a live tap sees the spelling an offline
+    /// capture records.
+    pub fn put_query(&mut self, query: &[u8], mix_case: bool, rng: &mut StdRng) {
+        self.query.clear();
+        self.query.extend_from_slice(query);
+        if mix_case {
+            mix_wire_0x20(&mut self.query[HEADER_LEN..], rng);
+        }
     }
 
     /// Start writing the exchange's response.
@@ -80,16 +93,44 @@ impl WireScratch {
         }
     }
 
-    /// Overwrite the qname both messages open their question section
-    /// with (uncompressed, at the octet after the header) by `wire`, a
-    /// respelling of the same name: how a 0x20-mixing resolver's
-    /// exchange looks in the capture. Same length, so no compression
-    /// pointer moves, and pointers match case-insensitively.
-    pub(crate) fn respell_qname(&mut self, wire: &[u8]) {
-        for msg in [&mut self.query, &mut self.response] {
-            msg[HEADER_LEN..HEADER_LEN + wire.len()].copy_from_slice(wire);
-        }
+    /// Spell the qname the response echoes (uncompressed, at the octet
+    /// after the header) as `query` spells it, or by default as the
+    /// query in hand does: how a 0x20-mixing resolver's exchange looks
+    /// in the capture, and — given the resolver's own query — the
+    /// spelling it reads back. Same length, so no compression pointer
+    /// moves, and pointers match case-insensitively.
+    pub(crate) fn echo_spelling(&mut self, query: Option<&[u8]>) {
+        let query = query.unwrap_or(&self.query);
+        let end = HEADER_LEN + name_len(&query[HEADER_LEN..]);
+        self.response[HEADER_LEN..end].copy_from_slice(&query[HEADER_LEN..end]);
     }
+}
+
+/// Flip the case of each letter of the uncompressed name `wire` opens
+/// with on a fair coin from `rng`, label by label, so the length octets
+/// are never touched: 0x20 case randomization, the anti-spoofing
+/// measure some resolver operators apply (the analysis side treats
+/// names case-insensitively).
+pub(crate) fn mix_wire_0x20(wire: &mut [u8], rng: &mut StdRng) {
+    let mut pos = 0;
+    while wire[pos] != 0 {
+        let end = pos + 1 + wire[pos] as usize;
+        for b in &mut wire[pos + 1..end] {
+            if b.is_ascii_alphabetic() && rng.gen_bool(0.5) {
+                *b ^= 0x20;
+            }
+        }
+        pos = end;
+    }
+}
+
+/// The length of the uncompressed name `wire` opens with.
+fn name_len(wire: &[u8]) -> usize {
+    let mut end = 0;
+    while wire[end] != 0 {
+        end += 1 + wire[end] as usize;
+    }
+    end + 1
 }
 
 /// A whole response as written, with the marks UDP shaping cuts it at.
@@ -105,17 +146,11 @@ impl Written<'_> {
     /// qname, which opens the question section uncompressed.
     fn class(&self) -> ResponseClass {
         let msg = self.bytes;
-        let mut end = HEADER_LEN;
-        if msg[4..6] != [0, 0] {
-            while msg[end] != 0 {
-                end += 1 + msg[end] as usize;
-            }
-            end += 1;
-        }
-        response_class(
-            Rcode::from_u16((msg[3] & 0x0f) as u16),
-            &msg[HEADER_LEN..end],
-        )
+        let qname = match msg[4..6] {
+            [0, 0] => &[][..],
+            _ => &msg[HEADER_LEN..HEADER_LEN + name_len(&msg[HEADER_LEN..])],
+        };
+        response_class(Rcode::from_u16((msg[3] & 0x0f) as u16), qname)
     }
 }
 
@@ -306,9 +341,13 @@ mod tests {
     use dns_wire::types::RType;
     use zonedb::zone::ZoneModel;
 
-    /// The capture's 0x20 copy of an exchange is made by overwriting the
-    /// qname octets of the written messages; that must be the message a
-    /// mixed-case question would have encoded to, record for record.
+    /// A fleet resolver's query goes on the wire as written, or — for a
+    /// mixing profile — with its qname recased by the draws
+    /// `mix_case_0x20` makes. The capture's copy of the exchange echoes
+    /// that spelling by overwriting the response's qname octets; that
+    /// must be the message a mixed-case question would have encoded to,
+    /// record for record, and the resolver must read its own spelling
+    /// back.
     #[test]
     fn respelled_exchange_is_the_clean_one_with_the_question_recased() {
         let auth = Authoritative::new(ZoneModel::nl(1000));
@@ -324,18 +363,26 @@ mod tests {
             let query = MessageBuilder::query(5, clean.clone(), qtype)
                 .with_edns(1232, true)
                 .build();
+            let sent = query.encode().unwrap();
             let mut wire = WireScratch::default();
-            wire.write_query(&query.header, &query.questions[0], query.edns.as_ref());
-            auth.respond((&query).into(), true, &mut wire);
-            let clean_response = Message::parse(wire.response().bytes).unwrap();
+            let asked = crate::auth::Query::read(&sent).unwrap();
+            auth.respond_signed(&asked, true, &mut wire);
+            let clean_bytes = wire.response().bytes.to_vec();
+            let clean_response = Message::parse(&clean_bytes).unwrap();
 
-            let mixed = crate::engine::mix_case_0x20(&clean, &mut rng);
+            let mut untouched = rng.clone();
+            wire.put_query(&sent, false, &mut rng);
+            assert_eq!(wire.query(), sent, "put as written");
+            assert_eq!(rng.gen::<u64>(), untouched.gen::<u64>(), "no draw unmixed");
+
+            let mixed = crate::engine::mix_case_0x20(&clean, &mut rng.clone());
             assert_ne!(
                 mixed.as_wire(),
                 clean.as_wire(),
                 "the draw flipped something"
             );
-            wire.respell_qname(mixed.as_wire());
+            wire.put_query(&sent, true, &mut rng);
+            wire.echo_spelling(None);
 
             for (bytes, clean_msg) in [
                 (wire.query(), &query),
@@ -353,6 +400,8 @@ mod tests {
                     "what encoding it mixed gives"
                 );
             }
+            wire.echo_spelling(Some(&sent));
+            assert_eq!(wire.response().bytes, clean_bytes);
         }
     }
 }

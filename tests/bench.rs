@@ -311,7 +311,7 @@ fn authoritative_respond_is_allocation_free_into_a_warm_scratch() {
     use dns_wire::message::Message;
     use dns_wire::types::{RType, Rcode};
     use netbase::time::SimTime;
-    use simnet::auth::Authoritative;
+    use simnet::auth::{Authoritative, Query};
     use simnet::profile::Vantage;
     use simnet::rrl::RateLimiter;
     use simnet::scenario::dataset;
@@ -324,9 +324,10 @@ fn authoritative_respond_is_allocation_free_into_a_warm_scratch() {
         .find(|&i| zone.is_signed(i))
         .expect("a signed delegation");
     let query = |qname, qtype| {
-        MessageBuilder::query(7, qname, qtype)
+        let msg = MessageBuilder::query(7, qname, qtype)
             .with_edns(1232, true)
-            .build()
+            .build();
+        Query::read(&msg.encode().unwrap()).expect("a query")
     };
     let queries = [
         (
@@ -343,7 +344,7 @@ fn authoritative_respond_is_allocation_free_into_a_warm_scratch() {
     let mut wire = WireScratch::default();
     let respond_all = |wire: &mut WireScratch| {
         for (q, rcode) in &queries {
-            assert_eq!(auth.respond(q.into(), true, wire).rcode, *rcode);
+            assert_eq!(auth.respond(q, wire).rcode, *rcode);
             assert!(
                 wire.response().bytes.len() > 512,
                 "every shape here is a big one"

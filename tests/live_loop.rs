@@ -154,7 +154,7 @@ fn offline_recorder_and_live_responder_emit_identical_udp_responses() {
     use netbase::flow::Transport;
     use netbase::time::SimDuration;
     use rand::{rngs::StdRng, SeedableRng};
-    use simnet::auth::Authoritative;
+    use simnet::auth::{Authoritative, Query};
     use simnet::rrl::{RateLimiter, RrlConfig};
     use simnet::vantage::{self, Recorded, WireScratch};
     use std::net::IpAddr;
@@ -193,7 +193,8 @@ fn offline_recorder_and_live_responder_emit_identical_udp_responses() {
         let at = spec.start + SimDuration::from_millis(i * 10);
 
         wire.write_query(&query.header, &query.questions[0], query.edns.as_ref());
-        auth.respond_located((&query).into(), zone.locate(&qname), &mut wire);
+        let asked = Query::read(wire.query()).expect("a query");
+        auth.respond(&asked, &mut wire);
         let first = buf.iter().len();
         let recorded = vantage::record(
             &vantage::Exchange {
