@@ -6,12 +6,17 @@ use crate::registry::{AsRegistry, Asn};
 use netbase::prefix::IpPrefix;
 use netbase::trie::PrefixTrie;
 use std::net::IpAddr;
+use std::sync::Arc;
 
 /// IP → AS (and provider) resolution: an LPM trie over announced
 /// prefixes plus the AS registry, and the Google-Public-DNS range list
-/// for the Table 4/7 split.
+/// for the Table 4/7 split. The tables are shared: a clone (one per
+/// pipeline worker's enricher) bumps a count and copies nothing.
 #[derive(Clone)]
-pub struct AsMapper {
+pub struct AsMapper(Arc<Tables>);
+
+#[derive(Clone)]
+struct Tables {
     prefixes: PrefixTrie<Asn>,
     registry: AsRegistry,
     public_dns: PrefixTrie<Provider>,
@@ -28,48 +33,49 @@ impl AsMapper {
                 public_dns.insert(range, provider);
             }
         }
-        AsMapper {
+        AsMapper(Arc::new(Tables {
             prefixes,
             registry,
             public_dns,
-        }
+        }))
     }
 
     /// Longest-prefix lookup: the AS announcing the covering prefix.
     pub fn asn_of(&self, ip: IpAddr) -> Option<Asn> {
-        self.prefixes.lookup(ip).map(|(_, asn)| *asn)
+        self.0.prefixes.lookup(ip).map(|(_, asn)| *asn)
     }
 
     /// The cloud provider a source address belongs to, if any.
     pub fn provider_of(&self, ip: IpAddr) -> Option<Provider> {
         self.asn_of(ip)
-            .and_then(|asn| self.registry.provider_of(asn))
+            .and_then(|asn| self.0.registry.provider_of(asn))
     }
 
     /// True when the address is inside a provider's advertised public-DNS
     /// resolver ranges (Google's list in the paper's §4.1).
     pub fn is_public_dns(&self, ip: IpAddr) -> bool {
-        self.public_dns.lookup(ip).is_some()
+        self.0.public_dns.lookup(ip).is_some()
     }
 
     /// The provider whose public-DNS ranges cover `ip`, if any.
     pub fn public_dns_provider(&self, ip: IpAddr) -> Option<Provider> {
-        self.public_dns.lookup(ip).map(|(_, p)| *p)
+        self.0.public_dns.lookup(ip).map(|(_, p)| *p)
     }
 
     /// Number of announced prefixes.
     pub fn prefix_count(&self) -> usize {
-        self.prefixes.len()
+        self.0.prefixes.len()
     }
 
     /// Access the registry.
     pub fn registry(&self) -> &AsRegistry {
-        &self.registry
+        &self.0.registry
     }
 
-    /// Insert one announcement (used by the synthetic plan builder).
+    /// Insert one announcement. The tables are copied first when
+    /// another clone still shares them.
     pub fn announce(&mut self, prefix: IpPrefix, asn: Asn) {
-        self.prefixes.insert(prefix, asn);
+        Arc::make_mut(&mut self.0).prefixes.insert(prefix, asn);
     }
 }
 
@@ -149,8 +155,14 @@ mod tests {
     #[test]
     fn announce_extends_table() {
         let mut m = mapper();
+        let before = m.clone();
         assert_eq!(m.asn_of("198.51.100.1".parse().unwrap()), None);
         m.announce("198.51.100.0/24".parse().unwrap(), Asn(65000));
         assert_eq!(m.asn_of("198.51.100.1".parse().unwrap()), Some(Asn(65000)));
+        assert_eq!(
+            before.asn_of("198.51.100.1".parse().unwrap()),
+            None,
+            "a clone keeps its tables"
+        );
     }
 }

@@ -59,6 +59,6 @@ pub use live::{run_live, LiveConfig, LiveReport};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use obs::Histogram;
 pub use respond::Responder;
-pub use server::{Engine, Server, ServerConfig, WorkerState};
+pub use server::{Engine, Server, ServerConfig, TcpWorkerState, WorkerState};
 pub use stats::{Stats, StatsSnapshot};
 pub use tap::Tap;

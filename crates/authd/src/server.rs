@@ -14,8 +14,9 @@
 //! allocates nothing on either transport once a worker's buffers are
 //! warm, for any query whose qname a [`dns_wire::name::Name`] holds
 //! inline (a longer one costs one allocation): every query is answered
-//! in full into a per-worker [`RespondScratch`], TCP framing reuses
-//! per-worker buffers, and tap records are written through
+//! in full into a per-worker [`RespondScratch`], TCP framing and each
+//! connection's deframer reuse per-worker buffers
+//! ([`TcpWorkerState`]), and tap records are written through
 //! [`netbase::capture::RecordRef`] borrows. Only the RRL limiter's
 //! bucket tables grow, as new (source network, name) buckets arrive.
 //! The workspace's allocation tests pin this by driving
@@ -128,6 +129,25 @@ impl WorkerState {
     /// Fresh state, its buffers sized by the first queries.
     pub fn new() -> WorkerState {
         WorkerState::default()
+    }
+}
+
+/// What a TCP worker keeps across the connections it serves: its
+/// [`WorkerState`], the stream deframer, and the bytes read before a
+/// connection's preamble is decided. Each connection empties the
+/// buffers and keeps their room, so once they have grown a connection
+/// allocates nothing of its own.
+#[derive(Default)]
+pub struct TcpWorkerState {
+    state: WorkerState,
+    deframer: Deframer,
+    head: Vec<u8>,
+}
+
+impl TcpWorkerState {
+    /// Fresh state, its buffers sized by the first connections.
+    pub fn new() -> TcpWorkerState {
+        TcpWorkerState::default()
     }
 }
 
@@ -332,6 +352,90 @@ impl Engine {
                     .latency
                     .record(t0.elapsed().as_micros().max(1) as u64);
                 Some(&state.frame_out)
+            }
+        }
+    }
+
+    /// Serve one TCP connection to completion: the peer closes, a read
+    /// or write fails, the connection overruns [`PENDING_CAP`], or
+    /// `shutdown` is set. Each framed query goes through
+    /// [`Engine::process_tcp`]; a malformed one is counted and the
+    /// frames pipelined behind it are still served. The connection's
+    /// buffers are `worker`'s, emptied first.
+    pub fn serve_tcp_conn(
+        &self,
+        mut stream: TcpStream,
+        shutdown: &AtomicBool,
+        worker: &mut TcpWorkerState,
+    ) {
+        let _ = stream.set_read_timeout(Some(POLL));
+        let _ = stream.set_nodelay(true);
+        let Ok(peer) = stream.peer_addr() else {
+            return;
+        };
+        let local = stream.local_addr().unwrap_or(peer);
+        let TcpWorkerState {
+            state,
+            deframer,
+            head, // bytes before the preamble decision
+        } = worker;
+        deframer.clear();
+        head.clear();
+        let mut preamble: Option<Preamble> = None;
+        let mut preamble_decided = false;
+        let mut chunk = [0u8; 4096];
+
+        while !shutdown.load(Ordering::SeqCst) {
+            let n = match stream.read(&mut chunk) {
+                Ok(0) => return, // peer closed
+                Ok(n) => n,
+                // Interrupted: a signal (e.g. obs::prof's SIGPROF ticker)
+                // hit the timed read — the connection is still healthy
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut
+                        || e.kind() == io::ErrorKind::Interrupted =>
+                {
+                    continue
+                }
+                Err(_) => return,
+            };
+            let mut bytes = &chunk[..n];
+            if !preamble_decided {
+                // what the connection sent so far: this read, unless
+                // earlier ones left the decision open
+                let gathering = !head.is_empty();
+                if gathering {
+                    head.extend_from_slice(bytes);
+                    bytes = head;
+                }
+                if bytes.len() >= 4 && bytes[..4] != crate::proxy::MAGIC {
+                    // bare client (dig): everything seen is frame data
+                } else if let Some((p, used)) = Preamble::parse(bytes) {
+                    preamble = Some(p);
+                    bytes = &bytes[used..];
+                } else if bytes.len() > 64 {
+                    // claimed the magic but never completed a preamble
+                    self.stats.bump(&self.stats.malformed);
+                    return;
+                } else {
+                    if !gathering {
+                        head.extend_from_slice(&chunk[..n]);
+                    }
+                    continue; // need more bytes to decide
+                }
+                preamble_decided = true;
+            }
+            deframer.push(bytes);
+            if deframer.pending() > PENDING_CAP {
+                self.stats.bump(&self.stats.overruns);
+                return;
+            }
+            while let Some(msg) = deframer.next_frame() {
+                let framed = self.process_tcp(msg, peer, local, preamble, state);
+                if framed.is_some_and(|framed| stream.write_all(framed).is_err()) {
+                    return;
+                }
             }
         }
     }
@@ -634,7 +738,7 @@ fn accept_loop(
 
 fn tcp_worker(rx: &crossbeam::channel::Receiver<TcpStream>, shared: &Shared, index: usize) {
     let stats = &shared.engine.stats;
-    let mut state = WorkerState::new();
+    let mut state = TcpWorkerState::new();
     // busy = occupied by a connection (including its in-conversation
     // read waits — the worker cannot serve anyone else meanwhile)
     let mut util = obs::Utilization::new(obs::gauge(
@@ -659,7 +763,9 @@ fn tcp_worker(rx: &crossbeam::channel::Receiver<TcpStream>, shared: &Shared, ind
                 }
                 stats.bump(&stats.tcp_served);
                 let work = Instant::now();
-                serve_tcp_conn(stream, shared, &mut state);
+                shared
+                    .engine
+                    .serve_tcp_conn(stream, &shared.shutdown, &mut state);
                 util.busy(work.elapsed());
             }
             Err(_) => {
@@ -669,90 +775,6 @@ fn tcp_worker(rx: &crossbeam::channel::Receiver<TcpStream>, shared: &Shared, ind
                 }
             }
         }
-    }
-}
-
-/// Serve one TCP connection to completion (peer close, error, overrun,
-/// or server shutdown).
-fn serve_tcp_conn(mut stream: TcpStream, shared: &Shared, state: &mut WorkerState) {
-    let _ = stream.set_read_timeout(Some(POLL));
-    let _ = stream.set_nodelay(true);
-    let peer = match stream.peer_addr() {
-        Ok(p) => p,
-        Err(_) => return,
-    };
-    let local = stream.local_addr().unwrap_or(peer);
-
-    let mut deframer = Deframer::new();
-    let mut head: Vec<u8> = Vec::new(); // bytes before the preamble decision
-    let mut preamble: Option<Preamble> = None;
-    let mut preamble_decided = false;
-    let mut chunk = vec![0u8; 4096];
-
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        let n = match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed
-            Ok(n) => n,
-            // Interrupted: a signal (e.g. obs::prof's SIGPROF ticker)
-            // hit the timed read — the connection is still healthy
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                continue
-            }
-            Err(_) => return,
-        };
-        let mut bytes = &chunk[..n];
-        if !preamble_decided {
-            head.extend_from_slice(bytes);
-            if head.len() >= 4 && head[..4] != crate::proxy::MAGIC {
-                // bare client (dig): everything seen is frame data
-                preamble_decided = true;
-            } else if let Some((p, used)) = Preamble::parse(&head) {
-                preamble = Some(p);
-                head.drain(..used);
-                preamble_decided = true;
-            } else if head.len() > 64 {
-                // claimed the magic but never completed a preamble
-                shared.engine.stats.bump(&shared.engine.stats.malformed);
-                return;
-            } else {
-                continue; // need more bytes to decide
-            }
-            deframer.push(&head);
-            head = Vec::new();
-            bytes = &[];
-        }
-        deframer.push(bytes);
-        if deframer.pending() > PENDING_CAP {
-            shared.engine.stats.bump(&shared.engine.stats.overruns);
-            return;
-        }
-        while let Some(msg) = deframer.next_message() {
-            if !serve_tcp_message(&mut stream, &msg, peer, local, preamble, shared, state) {
-                return;
-            }
-        }
-    }
-}
-
-/// Handle one framed TCP query; false ends the connection (only write
-/// failures do — a malformed frame is counted and the connection keeps
-/// serving whatever is pipelined behind it).
-fn serve_tcp_message(
-    stream: &mut TcpStream,
-    msg: &[u8],
-    peer: SocketAddr,
-    local: SocketAddr,
-    preamble: Option<Preamble>,
-    shared: &Shared,
-    state: &mut WorkerState,
-) -> bool {
-    match shared.engine.process_tcp(msg, peer, local, preamble, state) {
-        None => true,
-        Some(framed) => stream.write_all(framed).is_ok(),
     }
 }
 
@@ -823,25 +845,32 @@ mod tests {
     #[test]
     fn serves_tcp_with_split_frames() {
         let (server, qname) = start_server();
-        let wire = query_wire(&qname, 7);
-        let framed = frame(&wire).unwrap();
-        let mut stream = TcpStream::connect(server.tcp_addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        // dribble the framed query one byte at a time: the server must
-        // reassemble partial reads
-        for b in &framed {
-            stream.write_all(std::slice::from_ref(b)).unwrap();
-            stream.flush().unwrap();
+        let preamble = Preamble {
+            src: "192.0.2.1:5300".parse().unwrap(),
+            dst: "198.51.100.53:53".parse().unwrap(),
+            rtt_us: 120,
+        };
+        // a bare client, then one that opens with a preamble
+        for (id, opening) in [(7, Vec::new()), (8, preamble.encode())] {
+            let framed = [opening, frame(&query_wire(&qname, id)).unwrap()].concat();
+            let mut stream = TcpStream::connect(server.tcp_addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            // dribble it one byte at a time: the server must decide on
+            // the preamble and reassemble the frame across partial reads
+            for b in &framed {
+                stream.write_all(std::slice::from_ref(b)).unwrap();
+                stream.flush().unwrap();
+            }
+            let mut len = [0u8; 2];
+            stream.read_exact(&mut len).unwrap();
+            let mut body = vec![0u8; u16::from_be_bytes(len) as usize];
+            stream.read_exact(&mut body).unwrap();
+            let msg = Message::parse(&body).unwrap();
+            assert!(msg.header.response);
+            assert_eq!(msg.header.id, id);
         }
-        let mut len = [0u8; 2];
-        stream.read_exact(&mut len).unwrap();
-        let mut body = vec![0u8; u16::from_be_bytes(len) as usize];
-        stream.read_exact(&mut body).unwrap();
-        let msg = Message::parse(&body).unwrap();
-        assert!(msg.header.response);
-        assert_eq!(msg.header.id, 7);
         server.shutdown().unwrap();
     }
 

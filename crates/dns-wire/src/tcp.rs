@@ -46,7 +46,9 @@ pub fn frame_all<'a>(messages: impl IntoIterator<Item = &'a [u8]>) -> Result<Vec
 /// Incremental TCP-stream deframer.
 ///
 /// Feed arbitrary segment chunks with [`Deframer::push`]; complete
-/// messages come out of [`Deframer::next_message`].
+/// messages come out of [`Deframer::next_frame`], borrowed where they
+/// lie. [`Deframer::clear`] empties it for another stream and keeps its
+/// buffer.
 #[derive(Debug, Default)]
 pub struct Deframer {
     buf: Vec<u8>,
@@ -69,8 +71,9 @@ impl Deframer {
         self.buf.extend_from_slice(chunk);
     }
 
-    /// Pop the next complete message, if one is buffered.
-    pub fn next_message(&mut self) -> Option<Vec<u8>> {
+    /// Pop the next complete message, if one is buffered: borrowed
+    /// until the deframer is next used.
+    pub fn next_frame(&mut self) -> Option<&[u8]> {
         let avail = self.buf.len() - self.pos;
         if avail < 2 {
             return None;
@@ -80,9 +83,14 @@ impl Deframer {
             return None;
         }
         let start = self.pos + 2;
-        let msg = self.buf[start..start + len].to_vec();
         self.pos = start + len;
-        Some(msg)
+        Some(&self.buf[start..start + len])
+    }
+
+    /// Drop everything buffered, keeping the buffer's room.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.pos = 0;
     }
 
     /// Bytes buffered but not yet consumed (partial frame).
@@ -176,8 +184,8 @@ mod tests {
         let mut got = Vec::new();
         for &b in &stream {
             d.push(&[b]);
-            while let Some(m) = d.next_message() {
-                got.push(m);
+            while let Some(m) = d.next_frame() {
+                got.push(m.to_vec());
             }
         }
         assert_eq!(got, msgs);
@@ -190,11 +198,11 @@ mod tests {
         let framed = frame(&msg).unwrap();
         let mut d = Deframer::new();
         d.push(&framed[..1]); // half the length field
-        assert_eq!(d.next_message(), None);
+        assert_eq!(d.next_frame(), None);
         d.push(&framed[1..3]);
-        assert_eq!(d.next_message(), None, "length known, body incomplete");
+        assert_eq!(d.next_frame(), None, "length known, body incomplete");
         d.push(&framed[3..]);
-        assert_eq!(d.next_message(), Some(msg));
+        assert_eq!(d.next_frame(), Some(&msg[..]));
     }
 
     #[test]
@@ -221,9 +229,20 @@ mod tests {
         let mut d = Deframer::new();
         for _ in 0..50 {
             d.push(&framed);
-            assert_eq!(d.next_message(), Some(msg.clone()));
+            assert_eq!(d.next_frame(), Some(&msg[..]));
         }
         assert_eq!(d.pending(), 0);
+    }
+
+    #[test]
+    fn clear_starts_a_new_stream() {
+        let mut d = Deframer::new();
+        d.push(&frame(b"first").unwrap()[..4]);
+        d.clear();
+        assert_eq!(d.pending(), 0);
+        d.push(&frame(b"second").unwrap());
+        assert_eq!(d.next_frame(), Some(&b"second"[..]));
+        assert_eq!(d.next_frame(), None);
     }
 
     #[test]

@@ -162,13 +162,13 @@ fn tcp_deframer_hostile_lengths() {
     let mut d = Deframer::new();
     // claims 65535 bytes, delivers 3
     d.push(&[0xff, 0xff, 1, 2, 3]);
-    assert_eq!(d.next_message(), None);
+    assert_eq!(d.next_frame(), None);
     assert_eq!(d.pending(), 5);
     // a zero-length frame mid-stream is fine
     let mut d = Deframer::new();
     d.push(&[0, 0, 0, 1, b'x']);
-    assert_eq!(d.next_message(), Some(vec![]));
-    assert_eq!(d.next_message(), Some(vec![b'x']));
+    assert_eq!(d.next_frame(), Some(&[][..]));
+    assert_eq!(d.next_frame(), Some(&[b'x'][..]));
     // the whole-stream walk agrees on both
     assert!(dns_wire::tcp::deframe(&[0xff, 0xff, 1, 2, 3]).is_err());
     let frames: Vec<&[u8]> = dns_wire::tcp::deframe(&[0, 0, 0, 1, b'x'])

@@ -17,16 +17,18 @@
 //! which entries are evicted (a map that has never held more than 8
 //! entries has only the slab, which it scans). A key's stable hash is
 //! taken once per call and serves as both the index's hash and the
-//! heap's tie-break. Address and server sets are shared slices ([`Addrs`]), interned: the
-//! cache holds one copy of each distinct set, a hit hands out another
-//! reference to it, and a put of a set the cache already holds
-//! allocates nothing. With `n` entries in a map:
+//! heap's tie-break. An address or server set ([`Addrs`]) of one
+//! address — every answer the fleet plane's leaf tier gives — is held
+//! inline and costs nothing to put or hand out. A longer set is
+//! interned: the cache holds one copy of each distinct one, a hit hands
+//! out another reference to it, and a put of a set the cache already
+//! holds allocates nothing. With `n` entries in a map:
 //!
 //! | operation | cost |
 //! |---|---|
 //! | [`FleetCache::consult`], [`FleetCache::addresses`], [`FleetCache::negative`] | one hash of the name, O(1) probes, no allocation, hit or miss; O(log n) more when the probe removes a dead entry |
 //! | [`FleetCache::deepest_cut`] | one case-folded pass over the name, then one hash and O(1) probes per ancestor, deepest first; the first live hit wins; no allocation but the clone of a cut longer than `Name`'s 30-octet inline form |
-//! | `put_*` below capacity | one hash, O(1) probes and an O(log n) heap insert; the key is cloned only when it is new, and the set only when the cache holds no equal one |
+//! | `put_*` below capacity | one hash, O(1) probes and an O(log n) heap insert; the key is cloned only when it is new, and a set of two or more addresses only when the cache holds no equal one |
 //! | `put_*` at capacity | O(log n): remove the heap's first entry, then as above |
 //! | [`FleetCache::stats`], [`FleetCache::len`] | O(1) |
 //!
@@ -57,8 +59,65 @@ use std::net::IpAddr;
 use std::sync::{Arc, Mutex};
 
 /// A cached address or server set, shared between the cache, the walk
-/// that learned it and every resolver that hits it.
-pub type Addrs = Arc<[IpAddr]>;
+/// that learned it and every resolver that hits it: one address is held
+/// inline, and a longer set is the cache's interned copy of it. Either
+/// way it derefs, compares and hashes as the slice of its addresses.
+#[derive(Clone)]
+pub struct Addrs(Set);
+
+#[derive(Clone)]
+enum Set {
+    One(IpAddr),
+    Many(Arc<[IpAddr]>),
+}
+
+impl std::ops::Deref for Addrs {
+    type Target = [IpAddr];
+
+    fn deref(&self) -> &[IpAddr] {
+        match &self.0 {
+            Set::One(addr) => std::slice::from_ref(addr),
+            Set::Many(set) => set,
+        }
+    }
+}
+
+/// A set of its own: inline when it is one address, else a fresh
+/// shared copy ([`FleetCache`] hands out its interned one instead).
+impl From<&[IpAddr]> for Addrs {
+    fn from(set: &[IpAddr]) -> Addrs {
+        match set {
+            [addr] => Addrs(Set::One(*addr)),
+            _ => Addrs(Set::Many(set.into())),
+        }
+    }
+}
+
+impl From<Vec<IpAddr>> for Addrs {
+    fn from(set: Vec<IpAddr>) -> Addrs {
+        Addrs::from(&set[..])
+    }
+}
+
+impl PartialEq for Addrs {
+    fn eq(&self, other: &Addrs) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Addrs {}
+
+impl Hash for Addrs {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl std::fmt::Debug for Addrs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// What a cached negative answer asserts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -652,8 +711,8 @@ pub struct FleetCache {
     negatives: TtlMap<(Name, RType), Negative>,
     /// zone cut -> authoritative server addresses.
     delegations: TtlMap<Name, Addrs>,
-    /// One copy of every address or server set held.
-    sets: HashSet<Addrs>,
+    /// One copy of every set of two or more addresses held.
+    sets: HashSet<Arc<[IpAddr]>>,
     /// The set count at which `sets` is next swept.
     sweep_at: usize,
     capacity: usize,
@@ -821,12 +880,16 @@ impl FleetCache {
         servers
     }
 
-    /// The cache's copy of `set`, made on first sight. Sets only this
-    /// cache's interning still holds are dropped in a sweep each time
-    /// their count has doubled since the last one.
+    /// `set` as the cache holds it: one address inline, a longer set
+    /// the cache's copy, made on first sight. Sets only this cache's
+    /// interning still holds are dropped in a sweep each time their
+    /// count has doubled since the last one.
     pub(crate) fn intern(&mut self, set: &[IpAddr]) -> Addrs {
+        if let [addr] = set {
+            return Addrs(Set::One(*addr));
+        }
         if let Some(shared) = self.sets.get(set) {
-            return shared.clone();
+            return Addrs(Set::Many(shared.clone()));
         }
         if self.sets.len() >= self.sweep_at {
             // nothing can clone a set without this cache's lock, so a
@@ -834,9 +897,9 @@ impl FleetCache {
             self.sets.retain(|s| Arc::strong_count(s) > 1);
             self.sweep_at = (2 * self.sets.len()).max(MIN_SWEEP);
         }
-        let shared: Addrs = set.into();
+        let shared: Arc<[IpAddr]> = set.into();
         self.sets.insert(shared.clone());
-        shared
+        Addrs(Set::Many(shared))
     }
 
     /// Distinct address and server sets interned, in use or not yet
@@ -1436,28 +1499,35 @@ mod tests {
         assert_eq!(c.deepest_cut(&upper, 1).unwrap().0, cut, "folds case");
     }
 
+    /// True when `a` and `b` are one interned copy.
+    fn same_copy(a: &Addrs, b: &Addrs) -> bool {
+        matches!((&a.0, &b.0), (Set::Many(a), Set::Many(b)) if Arc::ptr_eq(a, b))
+    }
+
     #[test]
     fn equal_sets_are_held_once_and_unused_ones_are_swept() {
         let mut c = FleetCache::with_capacity(4);
-        let a = c.put_answer(&n("a.nl."), RType::A, &[addr("192.0.2.1")], 0, 60);
-        let b = c.put_answer(&n("b.nl."), RType::A, &[addr("192.0.2.1")], 0, 60);
-        let cut = c.put_delegation(&n("nl."), &[addr("192.0.2.1")], 0, 60);
-        assert!(Arc::ptr_eq(&a, &b) && Arc::ptr_eq(&a, &cut), "one copy");
+        let pair = [addr("192.0.2.1"), addr("192.0.2.2")];
+        let a = c.put_answer(&n("a.nl."), RType::A, &pair, 0, 60);
+        let b = c.put_answer(&n("b.nl."), RType::A, &pair, 0, 60);
+        let cut = c.put_delegation(&n("nl."), &pair, 0, 60);
+        assert!(same_copy(&a, &b) && same_copy(&a, &cut), "one copy");
         assert_eq!(c.interned(), 1);
         drop((a, b, cut));
+        // one address is held inline: nothing to intern
+        let one = c.put_answer(&n("c.nl."), RType::A, &pair[..1], 0, 60);
+        assert!(matches!(one.0, Set::One(_)) && one[..] == pair[..1]);
+        assert_eq!(c.interned(), 1);
         // sets nobody holds any more, beyond the sweep's floor
         for i in 0..4 * MIN_SWEEP as u32 {
-            let set = [IpAddr::from((i + 1_000).to_be_bytes())];
+            let set = [pair[0], IpAddr::from((i + 1_000).to_be_bytes())];
             c.put_answer(&n("x.nl."), RType::A, &set, 1, 0);
         }
         assert!(c.interned() <= 2 * MIN_SWEEP, "{} sets held", c.interned());
         // the cached ones survive every sweep, content and all
         let held = c.addresses(&n("a.nl."), RType::A, 1).unwrap();
-        assert_eq!(&held[..], &[addr("192.0.2.1")]);
-        assert_eq!(
-            &c.deepest_cut(&n("w.nl."), 1).unwrap().1[..],
-            &[addr("192.0.2.1")]
-        );
+        assert_eq!(&held[..], &pair);
+        assert_eq!(&c.deepest_cut(&n("w.nl."), 1).unwrap().1[..], &pair);
     }
 
     /// Two threads sharing one cache, as live `fleetgen`'s reactor

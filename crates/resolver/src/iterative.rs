@@ -14,20 +14,30 @@
 //!
 //! What a recursive walk keeps on the call stack — the name being
 //! resolved, its CNAME targets and glueless NS hosts, and the DS/DNSKEY
-//! asks of a validated delegation — lives on a stack of frames the
-//! resolver keeps and reuses across walks. Every resolver caches
+//! asks of a validated delegation — lives on a stack of frames in a
+//! [`WalkScratch`], with every other buffer a walk works in. A name
+//! already on that stack is a cyclic dependency. Every resolver caches
 //! through a [`SharedCache`] (per-entry TTL decay) — its own until a
 //! fleet attaches the one its resolvers share — and gets per-host RTT
 //! ordering plus a bounded retry/timeout state machine per in-flight
 //! query.
 //!
+//! An instance holds only what is its own across walks: its
+//! configuration, counters, query-id counter, DS/DNSKEY memos and RTT
+//! selector. The walk scratch is its own too when it walks alone (as
+//! a live `fleetgen` lane does, with walks in flight side by side), but
+//! an offline fleet stream walks its instances one at a time and lends
+//! them one scratch ([`IterativeResolver::resolve_in`]), so that a
+//! fresh instance grows no buffer: its first walk allocates only its
+//! selector's table, and whatever the cache newly learns.
+//!
 //! A hop allocates nothing of its own: each ask writes its query once
-//! into a buffer the resolver keeps and each send patches only its id,
-//! servers are ranked in a kept buffer, and each reply is read in place
-//! ([`Reader`]) down to what the walk keeps — an answer's addresses or
-//! a referral's glue, read into a kept buffer and handed to the cache,
-//! which returns its interned copy of the set under the lock the hop
-//! takes anyway.
+//! into the scratch and each send patches only its id, servers are
+//! ranked in the scratch, and each reply is read in place ([`Reader`])
+//! down to what the walk keeps — an answer's addresses or a referral's
+//! glue, read into the scratch and handed to the cache, which returns
+//! the set as it holds it (one address inline, a longer set its
+//! interned copy) under the lock the hop takes anyway.
 
 use crate::cache::{Addrs, Negative, SharedCache, DEFAULT_CAPACITY};
 use crate::selector::HostSelector;
@@ -40,7 +50,7 @@ use dns_wire::reader::Reader;
 use dns_wire::types::{RType, Rcode};
 use dns_wire::writer::{write_query_into, Section, MAX_QUERY_LEN};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 
 /// Fallback TTL when an answer carries no usable records (seconds).
@@ -165,10 +175,10 @@ pub struct IterativeResolver {
     pub log: Vec<QueryLogEntry>,
     /// Retry/timeout/cache counters.
     pub stats: ResolverStats,
-    queries_this_call: u32,
+    /// Queries sent over this resolver's lifetime; each send's id is
+    /// taken from it.
     sent_total: u64,
     log_enabled: bool,
-    resolving: HashSet<Name>,
     /// delegation -> the parent's DS digest (None = insecure).
     ds_cache: HashMap<Name, Option<Vec<u8>>>,
     /// zone -> verified DNSKEY material.
@@ -180,6 +190,19 @@ pub struct IterativeResolver {
     /// expiry.
     now_us: u64,
     selector: HostSelector,
+    /// What the walk in hand works in: this resolver's own scratch, or
+    /// one lent to it for the walk ([`IterativeResolver::resolve_in`]).
+    scratch: WalkScratch,
+}
+
+/// What one walk works in: its buffers, which a walk grows once and
+/// then reuses, and where it stands. Nothing in it outlives the walk,
+/// so any number of resolvers that walk one at a time can share one — a
+/// fleet stream lends its own to whichever instance walks
+/// ([`IterativeResolver::resolve_in`]), and a fresh instance then grows
+/// no buffer of its own. An empty one holds no memory.
+#[derive(Default)]
+pub struct WalkScratch {
     /// The query of the ask in hand, as sent: written once per ask,
     /// with the EDNS and CD bits the configuration fixes, and its id
     /// patched per send.
@@ -189,13 +212,17 @@ pub struct IterativeResolver {
     /// The set in hand: addresses read out of a reply, or the servers
     /// of a referral about to be followed.
     found: Vec<IpAddr>,
-    /// The walk in hand: the top-level name at the bottom, the CNAME
-    /// target or NS host being resolved for the frame below on top.
+    /// The names being resolved: the top-level name at the bottom, the
+    /// CNAME target or NS host being resolved for the frame below on
+    /// top. A name already on the stack is a cyclic dependency.
     frames: Vec<Frame>,
     /// A name whose walk waits for the root hints ([`Step::Prime`]).
     pending: Option<(Name, RType, u32)>,
     /// The ask in flight for the top frame.
     ask: Ask,
+    /// Queries this walk has sent, against
+    /// [`ResolverConfig::max_queries`].
+    queries: u32,
 }
 
 /// What a walk needs next from whoever drives it.
@@ -266,6 +293,16 @@ struct Ask {
     server: IpAddr,
 }
 
+impl Default for Ask {
+    fn default() -> Ask {
+        Ask {
+            attempt: 0,
+            next: 0,
+            server: IpAddr::V4(Ipv4Addr::UNSPECIFIED),
+        }
+    }
+}
+
 impl IterativeResolver {
     /// Build with the given configuration, caching privately.
     pub fn new(config: ResolverConfig) -> Self {
@@ -279,25 +316,14 @@ impl IterativeResolver {
             config,
             log: Vec::new(),
             stats: ResolverStats::default(),
-            queries_this_call: 0,
             sent_total: 0,
             log_enabled: true,
-            resolving: HashSet::new(),
             ds_cache: HashMap::new(),
             dnskey_cache: HashMap::new(),
             cache,
             now_us: 0,
             selector: HostSelector::new(),
-            query: Vec::with_capacity(MAX_QUERY_LEN),
-            ranked: Vec::new(),
-            found: Vec::new(),
-            frames: Vec::new(),
-            pending: None,
-            ask: Ask {
-                attempt: 0,
-                next: 0,
-                server: IpAddr::V4(Ipv4Addr::UNSPECIFIED),
-            },
+            scratch: WalkScratch::default(),
         }
     }
 
@@ -350,7 +376,7 @@ impl IterativeResolver {
     /// once per ask, its id patched per send, valid until the next call
     /// into the walk.
     pub fn query(&self) -> &[u8] {
-        &self.query
+        &self.scratch.query
     }
 
     /// Resolve `name`/`rtype` to addresses, walking `net` from its
@@ -368,7 +394,7 @@ impl IterativeResolver {
         loop {
             step = match step {
                 Step::Send { server } => {
-                    let exchange = net.exchange(server, &self.query);
+                    let exchange = net.exchange(server, &self.scratch.query);
                     self.step(exchange)
                 }
                 Step::Prime => self.prime(net.root_servers()),
@@ -377,13 +403,29 @@ impl IterativeResolver {
         }
     }
 
+    /// [`IterativeResolver::resolve`] in `scratch` instead of this
+    /// resolver's own walk buffers, which stay as they are: a driver
+    /// that walks many resolvers one at a time lends each the same
+    /// scratch, so that only the first walk grows it.
+    pub fn resolve_in<T: Transport>(
+        &mut self,
+        scratch: &mut WalkScratch,
+        net: &mut T,
+        name: &Name,
+        rtype: RType,
+    ) -> Result<Addrs, ResolveError> {
+        std::mem::swap(&mut self.scratch, scratch);
+        let result = self.resolve(net, name, rtype);
+        std::mem::swap(&mut self.scratch, scratch);
+        result
+    }
+
     /// Begin a walk for `name`/`rtype`; any walk in hand is abandoned.
     /// A cached answer or denial comes back as [`Step::Done`] at once.
     pub fn start(&mut self, name: &Name, rtype: RType) -> Step {
-        self.queries_this_call = 0;
-        self.resolving.clear();
-        self.frames.clear();
-        self.pending = None;
+        self.scratch.queries = 0;
+        self.scratch.frames.clear();
+        self.scratch.pending = None;
         let step = self.enter(Cow::Borrowed(name), rtype, 0);
         self.run(step)
     }
@@ -391,7 +433,7 @@ impl IterativeResolver {
     /// Hand the walk the outcome of the exchange its last
     /// [`Step::Send`] asked for.
     pub fn step(&mut self, exchange: Exchange<'_>) -> Step {
-        let server = self.ask.server;
+        let server = self.scratch.ask.server;
         let reply = match exchange {
             Exchange::Answer { reply, rtt_us } => {
                 Reader::new(reply).ok().map(|reply| (reply, rtt_us))
@@ -416,7 +458,11 @@ impl IterativeResolver {
 
     /// Hand the walk the root hints its [`Step::Prime`] asked for.
     pub fn prime(&mut self, hints: Vec<IpAddr>) -> Step {
-        let (name, rtype, cname_depth) = self.pending.take().expect("prime answers a Step::Prime");
+        let (name, rtype, cname_depth) = self
+            .scratch
+            .pending
+            .take()
+            .expect("prime answers a Step::Prime");
         let step = self.walk(name, rtype, cname_depth, 0, hints.into());
         self.run(step)
     }
@@ -427,9 +473,9 @@ impl IterativeResolver {
     fn run(&mut self, mut step: Step) -> Step {
         loop {
             step = match step {
-                Step::Done(result) => match self.frames.last_mut() {
+                Step::Done(result) => match self.scratch.frames.last_mut() {
                     None => {
-                        if self.queries_this_call == 0 {
+                        if self.scratch.queries == 0 {
                             self.stats.cache_hits += 1;
                         } else {
                             self.stats.cache_misses += 1;
@@ -439,8 +485,8 @@ impl IterativeResolver {
                     Some(frame) => match &mut frame.wait {
                         Wait::Cname => {
                             let result = result.map(|addrs| {
-                                self.found.clear();
-                                self.found.extend_from_slice(&addrs);
+                                self.scratch.found.clear();
+                                self.scratch.found.extend_from_slice(&addrs);
                                 DEFAULT_ANSWER_TTL
                             });
                             self.finish(result)
@@ -477,7 +523,7 @@ impl IterativeResolver {
                 Negative::NoData => ResolveError::NoData,
             }));
         }
-        if !self.resolving.insert(name.as_ref().clone()) {
+        if self.scratch.frames.iter().any(|frame| frame.name == *name) {
             return Step::Done(Err(ResolveError::CyclicDependency {
                 name: name.into_owned(),
             }));
@@ -491,7 +537,7 @@ impl IterativeResolver {
                 servers,
             ),
             None => {
-                self.pending = Some((name.into_owned(), rtype, cname_depth));
+                self.scratch.pending = Some((name.into_owned(), rtype, cname_depth));
                 Step::Prime
             }
         }
@@ -507,7 +553,7 @@ impl IterativeResolver {
         known_depth: usize,
         servers: Addrs,
     ) -> Step {
-        self.frames.push(Frame {
+        self.scratch.frames.push(Frame {
             name,
             rtype,
             cname_depth,
@@ -524,10 +570,10 @@ impl IterativeResolver {
     /// bailiwick.
     fn next_hop(&mut self) -> Step {
         let qmin = self.config.qmin;
-        let frame = self.frames.last_mut().expect("a walk is in hand");
+        let frame = self.scratch.frames.last_mut().expect("a walk is in hand");
         if frame.hops == MAX_HOPS {
             return self.finish(Err(ResolveError::BudgetExhausted {
-                queries: self.queries_this_call,
+                queries: self.scratch.queries,
             }));
         }
         frame.hops += 1;
@@ -554,9 +600,12 @@ impl IterativeResolver {
         header.checking_disabled = config.cd_bit;
         let edns = (config.edns_size > 0).then(|| Edns::with_size(config.edns_size, config.do_bit));
         let question = Question::new(qname, qtype);
-        write_query_into(&header, &question, edns.as_ref(), &mut self.query);
-        self.ask.attempt = 0;
-        self.ask.next = 0;
+        // room for the longest query, so that a scratch's buffer grows once
+        self.scratch.query.clear();
+        self.scratch.query.reserve(MAX_QUERY_LEN);
+        write_query_into(&header, &question, edns.as_ref(), &mut self.scratch.query);
+        self.scratch.ask.attempt = 0;
+        self.scratch.ask.next = 0;
         self.rank();
         self.send_next()
     }
@@ -564,7 +613,7 @@ impl IterativeResolver {
     /// Rank the servers of the ask in hand: the child's for a DNSKEY,
     /// the walk's own otherwise.
     fn rank(&mut self) {
-        let frame = self.frames.last().expect("a walk is in hand");
+        let frame = self.scratch.frames.last().expect("a walk is in hand");
         let servers = match &frame.wait {
             Wait::Validate {
                 child,
@@ -573,7 +622,7 @@ impl IterativeResolver {
             } => child,
             _ => &frame.servers,
         };
-        self.selector.rank(servers, &mut self.ranked);
+        self.selector.rank(servers, &mut self.scratch.ranked);
     }
 
     /// Send the ask in hand to its next server: each of the ranked
@@ -581,36 +630,40 @@ impl IterativeResolver {
     /// so that a timeout in one pass moves that server to the back —
     /// the bounded retry/timeout state machine of one in-flight query.
     fn send_next(&mut self) -> Step {
-        while self.ask.next == self.ranked.len() {
-            self.ask.attempt += 1;
-            if self.ask.attempt >= self.config.attempts_per_server.max(1) {
+        while self.scratch.ask.next == self.scratch.ranked.len() {
+            self.scratch.ask.attempt += 1;
+            if self.scratch.ask.attempt >= self.config.attempts_per_server.max(1) {
                 return self.finish(Err(ResolveError::Unreachable));
             }
-            self.ask.next = 0;
+            self.scratch.ask.next = 0;
             self.rank();
         }
-        if self.queries_this_call >= self.config.max_queries {
+        if self.scratch.queries >= self.config.max_queries {
             return self.finish(Err(ResolveError::BudgetExhausted {
-                queries: self.queries_this_call,
+                queries: self.scratch.queries,
             }));
         }
-        let server = self.ranked[self.ask.next].1;
-        self.ask.next += 1;
-        self.ask.server = server;
-        self.queries_this_call += 1;
-        if self.ask.attempt > 0 {
+        let server = self.scratch.ranked[self.scratch.ask.next].1;
+        self.scratch.ask.next += 1;
+        self.scratch.ask.server = server;
+        self.scratch.queries += 1;
+        if self.scratch.ask.attempt > 0 {
             self.stats.retries += 1;
         }
         let id = (self.sent_total as u16).wrapping_mul(31).wrapping_add(7);
-        self.query[..2].copy_from_slice(&id.to_be_bytes());
+        self.scratch.query[..2].copy_from_slice(&id.to_be_bytes());
         self.sent_total += 1;
         if self.log_enabled {
             // the question as sent: it opens the query, uncompressed
-            let (qname, end) = Name::parse(&self.query, HEADER_LEN).expect("a written query");
+            let (qname, end) =
+                Name::parse(&self.scratch.query, HEADER_LEN).expect("a written query");
             self.log.push(QueryLogEntry {
                 server,
                 qname,
-                qtype: RType::from_u16(u16::from_be_bytes([self.query[end], self.query[end + 1]])),
+                qtype: RType::from_u16(u16::from_be_bytes([
+                    self.scratch.query[end],
+                    self.scratch.query[end + 1],
+                ])),
             });
         }
         Step::Send { server }
@@ -619,7 +672,7 @@ impl IterativeResolver {
     /// Act on the reply to the ask in hand: a hop, or the DS or DNSKEY
     /// material of the cut being validated.
     fn answered(&mut self, reply: &Reader<'_>) -> Step {
-        let frame = self.frames.last_mut().expect("a walk is in hand");
+        let frame = self.scratch.frames.last_mut().expect("a walk is in hand");
         if let Wait::Validate { cut, digest, .. } = &mut frame.wait {
             return match digest.take() {
                 None => {
@@ -642,7 +695,7 @@ impl IterativeResolver {
         let Wait::Hop { terminal } = frame.wait else {
             unreachable!("a reply answers the hop or the validation in flight")
         };
-        match read_hop(reply, &mut self.found, &frame.name, terminal) {
+        match read_hop(reply, &mut self.scratch.found, &frame.name, terminal) {
             Hop::NxDomain => self.finish(Err(ResolveError::NxDomain)),
             Hop::Answer(ttl) => self.finish(Ok(ttl)),
             Hop::Cname(target) => {
@@ -680,7 +733,7 @@ impl IterativeResolver {
     /// Resolve the next NS host of a glueless referral, or — when every
     /// host is done — follow the referral to the addresses found.
     fn next_host(&mut self) -> Step {
-        let frame = self.frames.last_mut().expect("a walk is in hand");
+        let frame = self.scratch.frames.last_mut().expect("a walk is in hand");
         let Wait::Hosts { hosts, next, .. } = &mut frame.wait else {
             unreachable!("NS hosts resolve for a glueless referral")
         };
@@ -702,8 +755,8 @@ impl IterativeResolver {
         if found.is_empty() {
             return self.finish(Err(cycle.unwrap_or(ResolveError::Unreachable)));
         }
-        self.found.clear();
-        self.found.extend_from_slice(&found);
+        self.scratch.found.clear();
+        self.scratch.found.extend_from_slice(&found);
         self.delegate(cut, ttl)
     }
 
@@ -716,10 +769,14 @@ impl IterativeResolver {
         if !self.config.validate {
             return self.adopt(cut, ttl);
         }
-        let servers = self.cache.with(|c| c.intern(&self.found));
+        let servers = self.cache.with(|c| c.intern(&self.scratch.found));
         let cached = self.ds_cache.get(&cut).cloned();
         let qname = cached.is_none().then(|| cut.clone());
-        self.frames.last_mut().expect("a walk is in hand").wait = Wait::Validate {
+        self.scratch
+            .frames
+            .last_mut()
+            .expect("a walk is in hand")
+            .wait = Wait::Validate {
             cut,
             ttl,
             child: servers,
@@ -739,7 +796,7 @@ impl IterativeResolver {
             // insecure delegation: nothing to validate
             return self.validated(true);
         };
-        let frame = self.frames.last_mut().expect("a walk is in hand");
+        let frame = self.scratch.frames.last_mut().expect("a walk is in hand");
         let Wait::Validate { cut, digest, .. } = &mut frame.wait else {
             unreachable!("DS is asked for a cut in hand")
         };
@@ -762,8 +819,8 @@ impl IterativeResolver {
             unreachable!("a validation ends for a cut in hand")
         };
         if valid {
-            self.found.clear();
-            self.found.extend_from_slice(&child);
+            self.scratch.found.clear();
+            self.scratch.found.extend_from_slice(&child);
             self.adopt(cut, ttl)
         } else {
             self.finish(Err(ResolveError::Bogus { zone: cut }))
@@ -773,28 +830,28 @@ impl IterativeResolver {
     /// Take what the top frame waited for out of it; its next hop (or
     /// its end) replaces it.
     fn take_wait(&mut self) -> Wait {
-        let frame = self.frames.last_mut().expect("a walk is in hand");
+        let frame = self.scratch.frames.last_mut().expect("a walk is in hand");
         std::mem::replace(&mut frame.wait, Wait::Cname)
     }
 
     /// Cache the cut, served by the set in hand, and walk on from it.
     fn adopt(&mut self, cut: Name, ttl: u32) -> Step {
-        let (now, found) = (self.now_us, &self.found);
+        let (now, found) = (self.now_us, &self.scratch.found);
         let servers = self.cache.with(|c| c.put_delegation(&cut, found, now, ttl));
-        let frame = self.frames.last_mut().expect("a walk is in hand");
+        let frame = self.scratch.frames.last_mut().expect("a walk is in hand");
         frame.known_depth = cut.label_count();
         frame.servers = servers;
         self.next_hop()
     }
 
-    /// End the top walk: release its cycle guard, cache what it found
-    /// (answers — the set in hand, to cache for `ttl` seconds — and
-    /// denials; not failures), and return the addresses to the frame
-    /// below.
+    /// End the top walk: pop its frame (its cycle guard), cache what it
+    /// found (answers — the set in hand, to cache for `ttl` seconds —
+    /// and denials; not failures), and return the addresses to the
+    /// frame below.
     fn finish(&mut self, result: Result<u32, ResolveError>) -> Step {
-        let frame = self.frames.pop().expect("a walk is in hand");
-        self.resolving.remove(&frame.name);
-        let (name, rtype, now, found) = (&frame.name, frame.rtype, self.now_us, &self.found);
+        let frame = self.scratch.frames.pop().expect("a walk is in hand");
+        let (name, rtype, now, found) =
+            (&frame.name, frame.rtype, self.now_us, &self.scratch.found);
         let result = self.cache.with(|c| match result {
             Ok(ttl) => Ok(c.put_answer(name, rtype, found, now, ttl)),
             Err(e) => {
@@ -1638,6 +1695,33 @@ mod machine_tests {
             case(bogus_world, validating, &[("www.d0.zz.", RType::A)]),
             case(dead_world, plain, &[("www.dead.", RType::A)]),
         ]
+    }
+
+    /// Resolvers that walk one at a time in one lent scratch walk as
+    /// each would in its own, and a walk leaves no frame behind in it.
+    #[test]
+    fn a_lent_scratch_walks_as_each_resolvers_own() {
+        let mut scratch = WalkScratch::default();
+        for (k, case) in cases().iter().enumerate() {
+            // one world for both: its root hints come in its own order
+            let mut net = (case.world)();
+            let mut own = IterativeResolver::new(case.config);
+            let mut lent = IterativeResolver::new(case.config);
+            for (name, rtype) in &case.walks {
+                let want = own.resolve(&mut net, name, *rtype);
+                let got = lent.resolve_in(&mut scratch, &mut net, name, *rtype);
+                assert_eq!(got, want, "case {k}: {name} {rtype:?}");
+                assert!(scratch.frames.is_empty() && scratch.pending.is_none());
+            }
+            assert_eq!(lent.log, own.log, "case {k}: the queries sent");
+            assert_eq!(lent.stats, own.stats, "case {k}: the counters");
+            assert_eq!(
+                lent.scratch.query.capacity(),
+                0,
+                "case {k}: its own buffers stay empty"
+            );
+        }
+        assert!(scratch.query.capacity() >= MAX_QUERY_LEN);
     }
 
     type Outcome = (

@@ -18,8 +18,8 @@
 //!   signature.
 //!
 //! The walk asks and reads in wire bytes: each ask's query is written
-//! once into a buffer the resolver keeps, with only its id patched per
-//! send, and each reply is read where it lies. [`transport`] is the seam
+//! once into the walk's scratch, with only its id patched per send, and
+//! each reply is read where it lies. [`transport`] is the seam
 //! a driver meets the walk at — `authd`'s reactor over sockets, simnet's
 //! three-tier `SimTransport` offline — and both put the query on the
 //! wire as written. [`hierarchy`] is a small root → TLD → leaf server
@@ -40,6 +40,7 @@ pub use cache::{Addrs, CacheStats, FleetCache, Negative, SharedCache};
 pub use hierarchy::{Network, ZoneBuilder};
 pub use iterative::{
     IterativeResolver, QueryLogEntry, ResolveError, ResolverConfig, ResolverStats, Step,
+    WalkScratch,
 };
 pub use selector::{HostSelector, HostStats};
 pub use transport::{Exchange, Transport};

@@ -3,7 +3,6 @@
 //! on the fastest authoritative server of a set — the mechanism behind
 //! the paper's anycast/dual-stack preference observations (§4.3).
 
-use std::collections::HashMap;
 use std::net::IpAddr;
 
 /// Smoothing factor for the RTT EWMA: one observation moves the
@@ -20,6 +19,11 @@ const UNPROBED_SCORE: f64 = 1.0;
 const TIMEOUT_FACTOR: f64 = 2.0;
 const SCORE_CAP: f64 = 10_000_000.0;
 
+/// Hosts the table makes room for on its first observation: a fleet
+/// instance asks a root, a few vantage servers and a few leaf hosts, so
+/// most never outgrow it.
+const FIRST_ROOM: usize = 8;
+
 /// Observed state for one nameserver address.
 #[derive(Debug, Clone, Copy)]
 pub struct HostStats {
@@ -33,9 +37,13 @@ pub struct HostStats {
 
 /// Per-host EWMA selector. Deterministic: ordering depends only on the
 /// sequence of observations, never on randomness or map iteration.
+///
+/// The hosts are one flat table sorted by address, searched by
+/// bisection: it allocates room for 8 hosts (`FIRST_ROOM`) on the first
+/// observation and doubles only past that.
 #[derive(Debug, Clone, Default)]
 pub struct HostSelector {
-    hosts: HashMap<IpAddr, HostStats>,
+    hosts: Vec<(IpAddr, HostStats)>,
 }
 
 impl HostSelector {
@@ -46,11 +54,7 @@ impl HostSelector {
 
     /// Fold a measured RTT into the host's smoothed estimate.
     pub fn observe_rtt(&mut self, host: IpAddr, rtt_us: u32) {
-        let e = self.hosts.entry(host).or_insert(HostStats {
-            srtt_us: f64::from(rtt_us),
-            sent: 0,
-            timeouts: 0,
-        });
+        let e = self.entry(host, f64::from(rtt_us));
         e.sent += 1;
         e.srtt_us = e.srtt_us * (1.0 - ALPHA) + f64::from(rtt_us) * ALPHA;
     }
@@ -59,23 +63,41 @@ impl HostSelector {
     /// next [`HostSelector::rank`] deprioritizes it, while leaving it
     /// reachable for recovery probes.
     pub fn observe_timeout(&mut self, host: IpAddr) {
-        let e = self.hosts.entry(host).or_insert(HostStats {
-            srtt_us: UNPROBED_SCORE,
-            sent: 0,
-            timeouts: 0,
-        });
+        let e = self.entry(host, UNPROBED_SCORE);
         e.sent += 1;
         e.timeouts += 1;
         e.srtt_us = (e.srtt_us * TIMEOUT_FACTOR).clamp(1.0, SCORE_CAP);
     }
 
+    /// `host`'s stats, inserted unsent with `srtt_us` when it has none.
+    fn entry(&mut self, host: IpAddr, srtt_us: f64) -> &mut HostStats {
+        let i = match self.find(host) {
+            Ok(i) => i,
+            Err(i) => {
+                if self.hosts.capacity() == 0 {
+                    self.hosts.reserve_exact(FIRST_ROOM);
+                }
+                let fresh = HostStats {
+                    srtt_us,
+                    sent: 0,
+                    timeouts: 0,
+                };
+                self.hosts.insert(i, (host, fresh));
+                i
+            }
+        };
+        &mut self.hosts[i].1
+    }
+
+    /// Where `host` is in the table, or where it would go.
+    fn find(&self, host: IpAddr) -> Result<usize, usize> {
+        self.hosts.binary_search_by(|(h, _)| h.cmp(&host))
+    }
+
     /// The score used for ordering: smoothed RTT, or the optimistic
     /// unprobed default.
     pub fn score(&self, host: IpAddr) -> f64 {
-        self.hosts
-            .get(&host)
-            .map(|h| h.srtt_us)
-            .unwrap_or(UNPROBED_SCORE)
+        self.stats(host).map_or(UNPROBED_SCORE, |h| h.srtt_us)
     }
 
     /// `candidates` best-first into `out` (cleared first, so a caller
@@ -90,12 +112,13 @@ impl HostSelector {
 
     /// Measured state for `host`, if any query was ever sent to it.
     pub fn stats(&self, host: IpAddr) -> Option<HostStats> {
-        self.hosts.get(&host).copied()
+        self.find(host).ok().map(|i| self.hosts[i].1)
     }
 
-    /// Iterate all observed hosts (for metrics export).
+    /// Iterate all observed hosts, in address order (for metrics
+    /// export).
     pub fn iter(&self) -> impl Iterator<Item = (&IpAddr, &HostStats)> {
-        self.hosts.iter()
+        self.hosts.iter().map(|(host, stats)| (host, stats))
     }
 }
 
@@ -161,6 +184,28 @@ mod tests {
         let s = HostSelector::new();
         let input = [ip("192.0.2.3"), ip("192.0.2.1"), ip("192.0.2.2")];
         assert_eq!(order(&s, &input), input.to_vec());
+    }
+
+    #[test]
+    fn the_table_is_sized_once_and_kept_in_address_order() {
+        let mut s = HostSelector::new();
+        for last in (1..=FIRST_ROOM as u8).rev() {
+            s.observe_rtt(IpAddr::from([192, 0, 2, last]), u32::from(last) * 1_000);
+        }
+        s.observe_timeout(ip("2001:db8::1"));
+        s.observe_timeout(ip("192.0.2.3"));
+        assert_eq!(s.hosts.len(), FIRST_ROOM + 1);
+        let hosts: Vec<IpAddr> = s.iter().map(|(host, _)| *host).collect();
+        assert!(hosts.windows(2).all(|w| w[0] < w[1]), "{hosts:?}");
+        assert_eq!(s.stats(ip("192.0.2.3")).unwrap().timeouts, 1);
+        assert_eq!(s.score(ip("2001:db8::1")), UNPROBED_SCORE * TIMEOUT_FACTOR);
+        let mut fresh = HostSelector::new();
+        fresh.observe_rtt(ip("192.0.2.1"), 1_000);
+        assert_eq!(
+            fresh.hosts.capacity(),
+            FIRST_ROOM,
+            "room for a walk's hosts at once"
+        );
     }
 
     #[test]

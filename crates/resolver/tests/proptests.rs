@@ -5,7 +5,8 @@
 //! sends are the message its configuration and ask imply, by the
 //! `Message` oracle. And the indexed [`FleetCache`] behaves, operation
 //! for operation, like the linear-scan cache it replaced
-//! ([`scan_model`]).
+//! ([`scan_model`]); the sets it hands out are their addresses, whether
+//! held inline or interned.
 
 use dns_wire::edns::Edns;
 use dns_wire::header::Header;
@@ -552,5 +553,47 @@ proptest! {
                 prop_assert_eq!(model.delegations.get(&cut).map(|e| &e.value), Some(&v));
             }
         }
+    }
+}
+
+/// Any address, v4 or v6.
+fn any_addr() -> impl Strategy<Value = IpAddr> {
+    prop_oneof![
+        any::<[u8; 4]>().prop_map(IpAddr::from),
+        any::<[u8; 16]>().prop_map(IpAddr::from),
+    ]
+}
+
+fn hash_of<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
+    use std::hash::{BuildHasher, BuildHasherDefault};
+    BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(value)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// An [`Addrs`] built from any set of one or more addresses — its
+    /// own (inline when it is one address), or the cache's copy of a
+    /// set the cache has already interned — derefs to that set, and
+    /// compares and hashes as it does.
+    #[test]
+    fn addrs_are_their_set_inline_or_interned(
+        set in prop::collection::vec(any_addr(), 1..6),
+        extra in any_addr(),
+    ) {
+        let mut cache = FleetCache::with_capacity(8);
+        let a: Name = "a.example.".parse().unwrap();
+        let b: Name = "b.example.".parse().unwrap();
+        cache.put_answer(&a, RType::A, &set, 0, 60);
+        let interned = cache.put_answer(&b, RType::A, &set, 0, 60);
+        let own = Addrs::from(&set[..]);
+        for addrs in [&own, &interned] {
+            prop_assert_eq!(&addrs[..], &set[..]);
+            prop_assert_eq!(addrs, &Addrs::from(&set[..]));
+            prop_assert_eq!(hash_of(addrs), hash_of(&set[..]));
+        }
+        let mut longer = set.clone();
+        longer.push(extra);
+        prop_assert_ne!(&own, &Addrs::from(&longer[..]));
     }
 }

@@ -63,6 +63,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use resolver::{
     CacheStats, Exchange, IterativeResolver, ResolverConfig, SharedCache, Step, Transport,
+    WalkScratch,
 };
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
@@ -670,17 +671,19 @@ pub fn fleet_resolver(
 
 /// Hand one stimulus to a fleet resolver at dataset time `now`, with
 /// Q-min as the provider's rollout schedule has it at that instant, and
-/// walk it to the end over `transport` (the blocking driver). How much
-/// of the walk reached the vantage is the transport's to say.
+/// walk it to the end over `transport` (the blocking driver) in the
+/// lent `scratch`. How much of the walk reached the vantage is the
+/// transport's to say.
 pub fn resolve_stimulus(
     resolver: &mut IterativeResolver,
+    scratch: &mut WalkScratch,
     transport: &mut impl Transport,
     qmin: bool,
     now: SimTime,
     stimulus: &Stimulus,
 ) {
     arm(resolver, qmin, now);
-    let _ = resolver.resolve(transport, &stimulus.qname, stimulus.qtype);
+    let _ = resolver.resolve_in(scratch, transport, &stimulus.qname, stimulus.qtype);
 }
 
 /// [`resolve_stimulus`]'s first step only, for a driver that steps the
@@ -705,6 +708,8 @@ fn arm(resolver: &mut IterativeResolver, qmin: bool, now: SimTime) {
 /// Persistent per-fleet state: the shared cache and the lazily
 /// materialized resolver instances survive across slots, so TTL decay
 /// and RTT learning are continuous over the dataset's whole window.
+/// The stream walks one instance at a time and lends each its one walk
+/// scratch, so an instance holds only its own state.
 ///
 /// The incident flood is one more stream over Google's fleet, with its
 /// own RNG salt and its own shared cache — which never helps, because
@@ -720,6 +725,9 @@ struct FleetStream<'a> {
     /// The wire scratch each slot's transport borrows and gives back,
     /// so its buffers are grown once per stream, not once per slot.
     wire: WireScratch,
+    /// The walk scratch lent to whichever instance walks, so its
+    /// buffers are grown once per stream, not once per instance.
+    walk: WalkScratch,
 }
 
 impl<'a> FleetStream<'a> {
@@ -737,6 +745,7 @@ impl<'a> FleetStream<'a> {
             resolvers: HashMap::new(),
             rtt_hists,
             wire: WireScratch::default(),
+            walk: WalkScratch::default(),
         }
     }
 
@@ -790,7 +799,7 @@ impl<'a> FleetStream<'a> {
                 });
                 tr.begin(r_idx, t, stim.junk);
                 let absorbed = res.stats.cache_hits;
-                resolve_stimulus(res, &mut tr, qmin_on, t, &stim);
+                resolve_stimulus(res, &mut self.walk, &mut tr, qmin_on, t, &stim);
                 // demand the cache absorbed: the walk sent no query at
                 // all, as the calibrated plane counts it
                 tr.stats.cache_hits += res.stats.cache_hits - absorbed;
