@@ -11,7 +11,9 @@ use std::sync::Arc;
 /// IP → AS (and provider) resolution: an LPM trie over announced
 /// prefixes plus the AS registry, and the Google-Public-DNS range list
 /// for the Table 4/7 split. The tables are shared: a clone (one per
-/// pipeline worker's enricher) bumps a count and copies nothing.
+/// pipeline worker's enricher) bumps a count and copies nothing. Each
+/// trie is a node arena, so building one allocates only as its two
+/// buffers grow.
 #[derive(Clone)]
 pub struct AsMapper(Arc<Tables>);
 
@@ -73,7 +75,7 @@ impl AsMapper {
     }
 
     /// Insert one announcement. The tables are copied first when
-    /// another clone still shares them.
+    /// another clone still shares them (each trie is two buffers).
     pub fn announce(&mut self, prefix: IpPrefix, asn: Asn) {
         Arc::make_mut(&mut self.0).prefixes.insert(prefix, asn);
     }

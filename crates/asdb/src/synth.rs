@@ -79,7 +79,9 @@ const FORBIDDEN_FIRST_OCTETS: &[u8] = &[
 ];
 
 impl InternetPlan {
-    /// Build the plan. Deterministic in `config`.
+    /// Build the plan. Deterministic in `config`. The prefix trie is a
+    /// node arena, so the plan's allocations are its lists and the
+    /// trie's two buffers growing, not one per trie node.
     pub fn build(config: &PlanConfig) -> InternetPlan {
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5eed_a5db);
         let mut trie: PrefixTrie<Asn> = PrefixTrie::new();

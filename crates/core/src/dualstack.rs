@@ -188,7 +188,7 @@ impl DualStackAnalysis {
                 None => Ptr::Missing,
                 Some(None) => Ptr::Unparsed,
                 Some(Some((site, embedded))) => Ptr::Site {
-                    site: self.site_id(&site),
+                    site: self.site_id(site),
                     embedded,
                 },
             };

@@ -12,6 +12,7 @@ use crate::metrics::{CloudShare, DatasetSummary, GoogleSplit, QtypeMix};
 use crate::qmin::{ChangePoint, MonthlySample};
 use crate::transport::{ResolverFamilyRow, TransportReport};
 use asdb::cloud::ALL_PROVIDERS;
+use std::fmt::Write as _;
 
 /// A minimal fixed-width text table.
 pub struct TextTable {
@@ -45,10 +46,11 @@ impl TextTable {
                 widths[i] = widths[i].max(cell.len());
             }
         }
-        let mut out = String::new();
+        let width = widths.iter().sum::<usize>() + 2 * (cols - 1);
+        let mut out = String::with_capacity((width + 1) * (self.rows.len() + 2));
         let line = |cells: &[String], out: &mut String| {
             for (i, cell) in cells.iter().enumerate() {
-                out.push_str(&format!("{:<w$}", cell, w = widths[i]));
+                let _ = write!(out, "{:<w$}", cell, w = widths[i]);
                 if i + 1 < cols {
                     out.push_str("  ");
                 }
@@ -56,7 +58,7 @@ impl TextTable {
             out.push('\n');
         };
         line(&self.header, &mut out);
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
+        out.extend(std::iter::repeat_n('-', width));
         out.push('\n');
         for row in &self.rows {
             line(row, &mut out);

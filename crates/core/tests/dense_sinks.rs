@@ -316,6 +316,7 @@ fn naive(rows: &[QueryRow], zone: &ZoneModel, ptr: &PtrDb, spec: &DatasetSpec) -
             unparsed.insert(r.src);
             continue;
         };
+        let site = site.to_string();
         match embedded {
             Some(key) => {
                 join.entry((site.clone(), key)).or_default().insert(r.src);

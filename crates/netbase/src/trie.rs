@@ -4,31 +4,39 @@
 //! 128-bit key space but families never collide because lookups walk the
 //! family's own root). This is the substrate for IP→AS mapping at
 //! 40k+ prefixes, the scale the paper's vantage points observe.
+//!
+//! The trie is a node arena: every node lives in one `Vec`, children are
+//! `u32` indices into it, and stored pairs sit in a second `Vec` the
+//! nodes point into. Building a table allocates only when one of the two
+//! grows, and a clone copies the two buffers.
 
 use crate::prefix::{addr_bits, IpPrefix};
 use std::net::IpAddr;
 
-#[derive(Debug, Clone)]
-struct Node<V> {
-    value: Option<(IpPrefix, V)>,
-    children: [Option<Box<Node<V>>>; 2],
+/// "No child" and "no value". As an index it is past the end of any
+/// arena, so one `get` both tests for a child and bounds-checks it.
+const NONE: u32 = u32::MAX;
+/// Arena slots of the two roots, which exist from the start.
+const ROOT_V4: usize = 0;
+const ROOT_V6: usize = 1;
+
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    children: [u32; 2],
+    /// Index into `PrefixTrie::values`, or [`NONE`].
+    value: u32,
 }
 
-impl<V> Node<V> {
-    fn empty() -> Self {
-        Node {
-            value: None,
-            children: [None, None],
-        }
-    }
-}
+const EMPTY: Node = Node {
+    children: [NONE, NONE],
+    value: NONE,
+};
 
 /// A binary LPM trie mapping prefixes to values.
 #[derive(Clone)]
 pub struct PrefixTrie<V> {
-    root_v4: Node<V>,
-    root_v6: Node<V>,
-    len: usize,
+    nodes: Vec<Node>,
+    values: Vec<(IpPrefix, V)>,
 }
 
 impl<V> Default for PrefixTrie<V> {
@@ -37,105 +45,123 @@ impl<V> Default for PrefixTrie<V> {
     }
 }
 
+/// An arena index as a `u32`; the arena is capped below [`NONE`].
+fn index(i: usize) -> u32 {
+    u32::try_from(i)
+        .ok()
+        .filter(|&i| i != NONE)
+        .expect("prefix trie arena exceeds u32 indices")
+}
+
 impl<V> PrefixTrie<V> {
     /// An empty trie.
     pub fn new() -> Self {
         PrefixTrie {
-            root_v4: Node::empty(),
-            root_v6: Node::empty(),
-            len: 0,
+            nodes: vec![EMPTY; 2],
+            values: Vec::new(),
         }
     }
 
     /// Number of stored prefixes.
     pub fn len(&self) -> usize {
-        self.len
+        self.values.len()
     }
 
     /// True when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.values.is_empty()
+    }
+
+    fn root(prefix: &IpPrefix) -> usize {
+        if prefix.is_ipv4() {
+            ROOT_V4
+        } else {
+            ROOT_V6
+        }
     }
 
     /// Insert `prefix -> value`; returns the previous value if the exact
     /// prefix was already present.
     pub fn insert(&mut self, prefix: IpPrefix, value: V) -> Option<V> {
-        let root = if prefix.is_ipv4() {
-            &mut self.root_v4
-        } else {
-            &mut self.root_v6
-        };
-        let mut node = root;
+        let mut node = Self::root(&prefix);
         for bit in prefix.bits() {
-            let idx = usize::from(bit);
-            node = node.children[idx].get_or_insert_with(|| Box::new(Node::empty()));
+            let next = self.nodes.len();
+            let child = &mut self.nodes[node].children[usize::from(bit)];
+            if *child == NONE {
+                *child = index(next);
+                self.nodes.push(EMPTY);
+            }
+            node = self.nodes[node].children[usize::from(bit)] as usize;
         }
-        let old = node.value.replace((prefix, value));
-        if old.is_none() {
-            self.len += 1;
+        match self.nodes[node].value {
+            NONE => {
+                self.nodes[node].value = index(self.values.len());
+                self.values.push((prefix, value));
+                None
+            }
+            slot => Some(std::mem::replace(&mut self.values[slot as usize].1, value)),
         }
-        old.map(|(_, v)| v)
     }
 
     /// Longest-prefix match for `ip`: the most-specific stored prefix
     /// containing it, with its value.
     pub fn lookup(&self, ip: IpAddr) -> Option<(&IpPrefix, &V)> {
         let (root, max_bits) = match ip {
-            IpAddr::V4(_) => (&self.root_v4, 32u8),
-            IpAddr::V6(_) => (&self.root_v6, 128u8),
+            IpAddr::V4(_) => (ROOT_V4, 32u8),
+            IpAddr::V6(_) => (ROOT_V6, 128u8),
         };
-        let bits = addr_bits(ip);
-        let mut node = root;
-        let mut best: Option<&(IpPrefix, V)> = node.value.as_ref();
-        for depth in 0..max_bits {
-            let bit = (bits >> (127 - depth)) & 1;
-            match &node.children[bit as usize] {
+        let mut bits = addr_bits(ip);
+        let mut node = &self.nodes[root];
+        let mut best = node.value;
+        for _ in 0..max_bits {
+            let bit = (bits >> 127) as usize;
+            bits <<= 1;
+            match self.nodes.get(node.children[bit] as usize) {
                 Some(child) => {
                     node = child;
-                    if node.value.is_some() {
-                        best = node.value.as_ref();
+                    if node.value != NONE {
+                        best = node.value;
                     }
                 }
                 None => break,
             }
         }
-        best.map(|(p, v)| (p, v))
+        self.values.get(best as usize).map(|(p, v)| (p, v))
     }
 
     /// Exact-match retrieval.
     pub fn get(&self, prefix: &IpPrefix) -> Option<&V> {
-        let root = if prefix.is_ipv4() {
-            &self.root_v4
-        } else {
-            &self.root_v6
-        };
-        let mut node = root;
+        let mut node = &self.nodes[Self::root(prefix)];
         for bit in prefix.bits() {
-            node = node.children[usize::from(bit)].as_deref()?;
+            node = self.nodes.get(node.children[usize::from(bit)] as usize)?;
         }
-        match &node.value {
-            Some((p, v)) if p == prefix => Some(v),
-            _ => None,
-        }
+        self.values.get(node.value as usize).map(|(_, v)| v)
     }
 
     /// Visit every `(prefix, value)` pair (order: v4 pre-order, then v6).
     pub fn for_each<'a>(&'a self, mut f: impl FnMut(&'a IpPrefix, &'a V)) {
-        fn walk<'a, V>(node: &'a Node<V>, f: &mut impl FnMut(&'a IpPrefix, &'a V)) {
-            if let Some((p, v)) = &node.value {
+        fn walk<'a, V>(
+            trie: &'a PrefixTrie<V>,
+            node: usize,
+            f: &mut impl FnMut(&'a IpPrefix, &'a V),
+        ) {
+            let Some(n) = trie.nodes.get(node) else {
+                return;
+            };
+            if let Some((p, v)) = trie.values.get(n.value as usize) {
                 f(p, v);
             }
-            for child in node.children.iter().flatten() {
-                walk(child, f);
+            for child in n.children {
+                walk(trie, child as usize, f);
             }
         }
-        walk(&self.root_v4, &mut f);
-        walk(&self.root_v6, &mut f);
+        walk(self, ROOT_V4, &mut f);
+        walk(self, ROOT_V6, &mut f);
     }
 
     /// Collect all stored pairs into a vec (mainly for tests/reports).
     pub fn entries(&self) -> Vec<(&IpPrefix, &V)> {
-        let mut out = Vec::with_capacity(self.len);
+        let mut out = Vec::with_capacity(self.len());
         self.for_each(|p, v| out.push((p, v)));
         out
     }

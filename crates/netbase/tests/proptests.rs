@@ -167,6 +167,49 @@ proptest! {
         }
     }
 
+    /// The arena trie against a model: a `BTreeMap` of exact entries and
+    /// a longest-match scan over it. Prefixes come from a small pool,
+    /// mostly in a few short blocks of either family, so inserts repeat
+    /// and nest.
+    #[test]
+    fn trie_arena_matches_btreemap_model(
+        pool in prop::collection::vec(prop_oneof![
+            (any::<u8>(), 0u8..=12).prop_map(|(a, l)| {
+                IpPrefix::new(IpAddr::V4(Ipv4Addr::from(u32::from(a & 0xc3) << 24)), l).unwrap()
+            }),
+            (any::<u8>(), 0u8..=12).prop_map(|(a, l)| {
+                IpPrefix::new(IpAddr::V6(Ipv6Addr::from(u128::from(a & 0xc3) << 120)), l).unwrap()
+            }),
+            prefix(),
+        ], 1..12),
+        inserts in prop::collection::vec((any::<usize>(), any::<u32>()), 0..40),
+        probes in prop::collection::vec(ip_addr(), 0..20),
+    ) {
+        let mut trie = PrefixTrie::new();
+        let mut model = std::collections::BTreeMap::new();
+        for (at, value) in inserts {
+            let p = pool[at % pool.len()];
+            prop_assert_eq!(trie.insert(p, value), model.insert(p, value), "insert {}", p);
+            prop_assert_eq!(trie.len(), model.len());
+            prop_assert_eq!(trie.is_empty(), model.is_empty());
+        }
+        for p in &pool {
+            prop_assert_eq!(trie.get(p), model.get(p), "get {}", p);
+        }
+        let probes = probes.into_iter().chain(pool.iter().map(IpPrefix::network));
+        for probe in probes {
+            let want = model
+                .iter()
+                .filter(|(p, _)| p.contains(probe))
+                .max_by_key(|(p, _)| p.len());
+            prop_assert_eq!(trie.lookup(probe), want, "lookup {}", probe);
+        }
+        // pre-order is (family, network, len) order, which is the key's own
+        prop_assert_eq!(trie.entries(), model.iter().collect::<Vec<_>>());
+        let clone = trie.clone();
+        prop_assert_eq!(clone.entries(), trie.entries());
+    }
+
     /// Civil calendar conversion is a bijection over a wide range.
     #[test]
     fn civil_bijection(days in 0i64..200_000) {

@@ -98,26 +98,25 @@ impl PtrDb {
 }
 
 /// Parse a Facebook-convention PTR name back into `(site, embedded
-/// IPv4)`. Returns `None` for non-matching names or names without the
-/// embedded address — exactly the information boundary the paper's join
-/// had to work with.
-pub fn parse_fb_ptr(name: &Name) -> Option<(String, Option<Ipv4Addr>)> {
+/// IPv4)`, the site borrowed from the name. Returns `None` for
+/// non-matching names or names without the embedded address — exactly
+/// the information boundary the paper's join had to work with.
+pub fn parse_fb_ptr(name: &Name) -> Option<(&str, Option<Ipv4Addr>)> {
     let first = name.labels().next()?;
-    let s = std::str::from_utf8(first).ok()?;
-    let rest = s.strip_prefix("fbdns-")?;
-    let mut parts = rest.split('-');
-    let site = parts.next()?.to_string();
-    let tail: Vec<&str> = parts.collect();
-    if tail.len() == 4 {
-        let octets: Option<Vec<u8>> = tail.iter().map(|p| p.parse().ok()).collect();
-        if let Some(o) = octets {
-            return Some((site, Some(Ipv4Addr::new(o[0], o[1], o[2], o[3]))));
-        }
+    let rest = std::str::from_utf8(first).ok()?.strip_prefix("fbdns-")?;
+    let (site, tail) = rest.split_once('-')?;
+    if !tail.contains('-') {
+        return tail.starts_with('h').then_some((site, None));
     }
-    if tail.len() == 1 && tail[0].starts_with('h') {
-        return Some((site, None));
+    let mut parts = tail.split('-');
+    let mut octets = [0u8; 4];
+    for octet in &mut octets {
+        *octet = parts.next()?.parse().ok()?;
     }
-    None
+    match parts.next() {
+        None => Some((site, Some(Ipv4Addr::from(octets)))),
+        Some(_) => None,
+    }
 }
 
 #[cfg(test)]
@@ -169,6 +168,29 @@ mod tests {
             .unwrap();
         assert!(parse_fb_ptr(&n).is_none());
         assert!(parse_fb_ptr(&Name::root()).is_none());
+    }
+
+    #[test]
+    fn host_labels_parse_only_with_a_host_id_or_four_octets() {
+        let parse = |label: &str| {
+            let n: Name = format!("{label}.six.fbinfra.example.").parse().unwrap();
+            parse_fb_ptr(&n).map(|(site, v4)| (site.to_string(), v4))
+        };
+        assert_eq!(parse("fbdns-ams-h7"), Some(("ams".into(), None)));
+        assert_eq!(
+            parse("fbdns-ams-1-2-3-4"),
+            Some(("ams".into(), Some(Ipv4Addr::new(1, 2, 3, 4))))
+        );
+        for label in [
+            "fbdns-ams",
+            "fbdns-ams-7",
+            "fbdns-ams-1-2-3",
+            "fbdns-ams-1-2-3-4-5",
+            "fbdns-ams-1-2-3-256",
+            "fbdns-ams-h1-2",
+        ] {
+            assert_eq!(parse(label), None, "{label}");
+        }
     }
 
     #[test]

@@ -80,6 +80,8 @@ struct Bucket {
 pub struct RateLimiter {
     config: RrlConfig,
     buckets: HashMap<(u128, ResponseClass), Bucket>,
+    /// The fewest buckets at which a full table is swept again.
+    sweep_at: usize,
     /// Responses allowed through.
     pub allowed: u64,
     /// Slips issued.
@@ -94,6 +96,7 @@ impl RateLimiter {
         RateLimiter {
             config,
             buckets: HashMap::new(),
+            sweep_at: 0,
             allowed: 0,
             slipped: 0,
             dropped: 0,
@@ -103,6 +106,13 @@ impl RateLimiter {
     /// Decide the fate of one response to `src` of `class` at `now`.
     pub fn check(&mut self, src: IpAddr, class: ResponseClass, now: SimTime) -> RrlAction {
         let key = (self.mask(src), class);
+        let len = self.buckets.len();
+        if len == self.buckets.capacity()
+            && len >= self.sweep_at
+            && !self.buckets.contains_key(&key)
+        {
+            self.age_out(now);
+        }
         let cfg = self.config;
         let bucket = self.buckets.entry(key).or_insert(Bucket {
             balance_milli: cfg.burst as i64 * 1000,
@@ -136,6 +146,36 @@ impl RateLimiter {
     /// Active bucket count (for memory accounting).
     pub fn buckets(&self) -> usize {
         self.buckets.len()
+    }
+
+    /// Microseconds after its last refill at which a bucket is back at
+    /// `burst`: from then on it decides as a fresh bucket would, since
+    /// a full balance answers and resets the limited count. `None` when
+    /// buckets never refill (rate 0) or never answer (burst 0), where a
+    /// bucket's state outlives any idle time.
+    fn idle_window_us(&self) -> Option<u64> {
+        let RrlConfig {
+            responses_per_second: rate,
+            burst,
+            ..
+        } = self.config;
+        (rate > 0 && burst > 0).then(|| (u64::from(burst) * 1_000_000).div_ceil(u64::from(rate)))
+    }
+
+    /// Drop the buckets idle for a whole window before `now`; runs when
+    /// a new bucket would otherwise grow the table. Decisions are those
+    /// of a limiter that never ages as long as `now` does not run
+    /// backwards. The next sweep waits until the live buckets have
+    /// doubled, so a sweep that frees little lets the table grow and
+    /// sweeps stay amortised O(1) per bucket.
+    fn age_out(&mut self, now: SimTime) {
+        let Some(window) = self.idle_window_us() else {
+            return;
+        };
+        let now = now.as_micros();
+        self.buckets
+            .retain(|_, b| now.saturating_sub(b.last_refill.as_micros()) < window);
+        self.sweep_at = 2 * self.buckets.len();
     }
 
     fn mask(&self, src: IpAddr) -> u128 {
@@ -503,6 +543,98 @@ mod tests {
         );
         // only one bucket exists, in exactly one shard
         assert_eq!(sharded.buckets(), 1);
+    }
+
+    #[test]
+    fn idle_buckets_make_room_before_the_table_grows() {
+        let mut rrl = RateLimiter::new(RrlConfig::default());
+        let window = SimDuration::from_micros(rrl.idle_window_us().unwrap());
+        let v4 = |i: u32| IpAddr::V4((0x0a00_0000 + (i << 8)).into());
+        for i in 0..512 {
+            rrl.check(v4(i), ResponseClass::Negative, t(0));
+        }
+        let capacity = rrl.buckets.capacity();
+        for i in 512..1024 {
+            rrl.check(v4(i), ResponseClass::Negative, t(0) + window);
+        }
+        // the slots the sweep freed may still count as used (tombstones),
+        // so the reading can fall; a table that grew would read 1,792
+        assert!(rrl.buckets.capacity() <= capacity);
+        assert_eq!(rrl.buckets(), 512, "the first 512 buckets aged out");
+        assert_eq!(rrl.allowed, 1024);
+    }
+
+    #[test]
+    fn buckets_never_age_without_a_refill_or_a_burst() {
+        for (responses_per_second, burst) in [(0, 15), (5, 0)] {
+            let mut rrl = RateLimiter::new(RrlConfig {
+                responses_per_second,
+                burst,
+                ..RrlConfig::default()
+            });
+            assert_eq!(rrl.idle_window_us(), None);
+            for i in 0..100u32 {
+                let src = IpAddr::V4((i << 8).into());
+                rrl.check(src, ResponseClass::Error, t(u64::from(i) * 1000));
+            }
+            assert_eq!(rrl.buckets(), 100);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// An ageing limiter decides and counts exactly as one that
+        /// never ages. The oracle never ages because its table is
+        /// reserved past the stream's length, so it is never full. A
+        /// case draws from 1-39 source networks, so buckets deplete,
+        /// go idle, age out and come back.
+        #[test]
+        fn ageing_limiter_matches_one_that_never_ages(
+            responses_per_second in 0u32..6,
+            burst in 0u32..5,
+            slip in 0u32..4,
+            nets in 1u32..40,
+            events in proptest::prelude::prop::collection::vec(
+                (proptest::prelude::any::<u32>(), 0u64..3, 0u64..5, 0u64..400_000),
+                1..400,
+            ),
+        ) {
+            let config = RrlConfig {
+                responses_per_second,
+                burst,
+                slip,
+                ..RrlConfig::default()
+            };
+            let mut ageing = RateLimiter::new(config);
+            let mut oracle = RateLimiter::new(config);
+            oracle.buckets.reserve(events.len());
+            let mut now = t(0);
+            for (net, class, pause, step_us) in events {
+                // one step in five is a pause of up to a few seconds
+                now += SimDuration::from_micros(if pause == 0 { step_us * 10 } else { step_us / 4 });
+                let net = net % nets;
+                let src = if net % 3 == 0 {
+                    IpAddr::V6((u128::from(net) << 72).into())
+                } else {
+                    IpAddr::V4((net << 8).into())
+                };
+                let class = match class {
+                    0 => ResponseClass::Negative,
+                    1 => ResponseClass::Error,
+                    n => ResponseClass::Positive(n),
+                };
+                proptest::prop_assert_eq!(
+                    ageing.check(src, class, now),
+                    oracle.check(src, class, now)
+                );
+            }
+            proptest::prop_assert_eq!(
+                (ageing.allowed, ageing.slipped, ageing.dropped),
+                (oracle.allowed, oracle.slipped, oracle.dropped)
+            );
+            proptest::prop_assert!(ageing.buckets() <= oracle.buckets());
+        }
     }
 
     #[test]

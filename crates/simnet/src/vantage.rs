@@ -63,7 +63,7 @@ impl WireScratch {
     /// Put a fleet resolver's one-question `query` on the vantage wire
     /// as the exchange's query: its bytes as the resolver wrote them,
     /// the qname respelled when the resolver's profile mixes case (0x20,
-    /// with [`mix_wire_0x20`]'s draws from `rng`). Both fleet drivers
+    /// with `mix_wire_0x20`'s draws from `rng`). Both fleet drivers
     /// send through here — offline into the capture, live over the
     /// lane's socket — so a live tap sees the spelling an offline
     /// capture records.

@@ -18,18 +18,20 @@ use simnet::scenario::{dataset, Scale};
 /// `.nl` 2020 at `Scale::tiny()`, streamed through two workers,
 /// calibrated and fleet: everything the run allocates on any thread —
 /// building the engine, generating, joining, enriching, the report
-/// sinks — over the queries it generated. Measured: calibrated 0.195
-/// (6,705 over 34,442 queries) and fleet 0.197–0.200 (the fleet's count
-/// moves by about a hundred from run to run with how its lanes and the
+/// sinks — over the queries it generated. Measured: calibrated 0.112
+/// (3,860 over 34,442 queries) and fleet 0.124–0.125 (the fleet's count
+/// moves by a few dozen from run to run with how its lanes and the
 /// merger hand record slices back and forth) allocations per query;
-/// 0.313 and 0.754 while every worker deep-copied the address plan,
-/// every resolver instance grew its own walk buffers and the fleet
-/// cache interned one-address sets. The bounds are 1.25 times the
-/// measured values.
+/// 0.195 and 0.200 while every prefix-trie node was its own `Box` and
+/// every Facebook PTR parse collected two `Vec`s and a `String`; 0.313
+/// and 0.754 while every worker deep-copied the address plan, every
+/// resolver instance grew its own walk buffers and the fleet cache
+/// interned one-address sets. The bounds are 1.25 times the measured
+/// values.
 #[test]
 fn whole_runs_stay_within_their_allocation_budget() {
     assert!(obs::alloc::installed(), "counting allocator active");
-    for (fleet, measured) in [(false, 0.195), (true, 0.200)] {
+    for (fleet, measured) in [(false, 0.112), (true, 0.125)] {
         let opts = PipelineOpts {
             shards: 2,
             fleet,
