@@ -58,7 +58,7 @@ pub fn generate_capture_sharded(
     shards: usize,
 ) -> std::io::Result<DatasetStats> {
     let engine = Engine::new(spec.clone(), scale, seed);
-    write_capture(&engine, path, &PipelineOpts::with_shards(shards))
+    write_capture(&engine, path, &PipelineOpts::with_workers(shards))
 }
 
 /// Analyze a capture at `path` generated from `(spec, scale, seed)`.

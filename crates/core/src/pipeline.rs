@@ -38,18 +38,14 @@ use std::time::{Duration, Instant};
 /// How one pipeline run executes.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineOpts {
-    /// Worker-thread count, as `--shards` gives it; 0 is unset. A
-    /// streamed run's workers each generate *and* analyze, so this and
-    /// `jobs` size the same pool ([`PipelineOpts::worker_count`]).
-    /// Output is byte-identical for any value.
-    pub shards: usize,
-    /// Worker-thread count, as `--jobs` gives it; 0 is unset. Every
-    /// worker joins and aggregates the slices it generated into its own
-    /// sinks and the partials merge in worker order — output is
-    /// byte-identical for any value because every sink is an
-    /// order-insensitive function of the row multiset and the
-    /// generator's slices are join-self-contained.
-    pub jobs: usize,
+    /// Worker-thread count, as `--shards` or `--jobs` gives it; 0 is
+    /// unset ([`PipelineOpts::worker_count`]). A streamed run's workers
+    /// each generate *and* analyze: every worker joins and aggregates
+    /// the slices it generated into its own sinks and the partials merge
+    /// in worker order — output is byte-identical for any value because
+    /// every sink is an order-insensitive function of the row multiset
+    /// and the generator's slices are join-self-contained.
+    pub workers: usize,
     /// Write the capture to this path and analyze it from disk (the
     /// two-pass behaviour), keeping the file afterwards.
     pub keep_capture: Option<PathBuf>,
@@ -69,26 +65,18 @@ pub struct PipelineOpts {
 }
 
 impl PipelineOpts {
-    /// Streaming pipeline with `shards` workers.
-    pub fn with_shards(shards: usize) -> PipelineOpts {
+    /// Streaming pipeline with `workers` workers.
+    pub fn with_workers(workers: usize) -> PipelineOpts {
         PipelineOpts {
-            shards,
+            workers,
             ..PipelineOpts::default()
         }
     }
 
-    /// Streaming pipeline with `jobs` workers.
-    pub fn with_jobs(jobs: usize) -> PipelineOpts {
-        PipelineOpts {
-            jobs,
-            ..PipelineOpts::default()
-        }
-    }
-
-    /// Worker threads of one run: the larger of `shards` and `jobs`,
-    /// or, with both unset, one per available core.
+    /// Worker threads of one run: `workers`, or, unset, one per
+    /// available core.
     pub fn worker_count(&self) -> usize {
-        match self.shards.max(self.jobs) {
+        match self.workers {
             0 => available_cores(),
             n => n,
         }
@@ -498,9 +486,9 @@ mod tests {
             spec.clone(),
             Scale::tiny(),
             31,
-            &PipelineOpts::with_shards(1),
+            &PipelineOpts::with_workers(1),
         );
-        let four = run_spec_with(spec, Scale::tiny(), 31, &PipelineOpts::with_shards(4));
+        let four = run_spec_with(spec, Scale::tiny(), 31, &PipelineOpts::with_workers(4));
         assert_eq!(one.ingest_stats, four.ingest_stats);
         assert_eq!(one.gen_stats.queries, four.gen_stats.queries);
         assert_eq!(one.gen_stats.per_fleet, four.gen_stats.per_fleet);
@@ -513,8 +501,13 @@ mod tests {
     #[test]
     fn parallel_analysis_matches_single_worker() {
         let spec = dataset(Vantage::Nl, 2020);
-        let one = run_spec_with(spec.clone(), Scale::tiny(), 17, &PipelineOpts::with_jobs(1));
-        let four = run_spec_with(spec, Scale::tiny(), 17, &PipelineOpts::with_jobs(4));
+        let one = run_spec_with(
+            spec.clone(),
+            Scale::tiny(),
+            17,
+            &PipelineOpts::with_workers(1),
+        );
+        let four = run_spec_with(spec, Scale::tiny(), 17, &PipelineOpts::with_workers(4));
         assert_eq!(one.ingest_stats, four.ingest_stats);
         assert!(four.ingest_stats.balanced(), "{:?}", four.ingest_stats);
         assert_eq!(one.gen_stats.queries, four.gen_stats.queries);
@@ -527,26 +520,6 @@ mod tests {
             four.dualstack.dual_stack_resolvers()
         );
         assert_eq!(one.dualstack.site_count(), four.dualstack.site_count());
-    }
-
-    /// Generator shards and analysis workers compose.
-    #[test]
-    fn shards_and_jobs_compose() {
-        let spec = dataset(Vantage::Nz, 2020);
-        let serial = run_spec_with(spec.clone(), Scale::tiny(), 9, &PipelineOpts::default());
-        let both = run_spec_with(
-            spec,
-            Scale::tiny(),
-            9,
-            &PipelineOpts {
-                shards: 3,
-                jobs: 3,
-                ..Default::default()
-            },
-        );
-        assert_eq!(serial.ingest_stats, both.ingest_stats);
-        assert_eq!(serial.analysis.total_queries, both.analysis.total_queries);
-        assert_eq!(serial.analysis.cloud_share(), both.analysis.cloud_share());
     }
 
     /// The fleet generator streams through the same ingest unchanged:
@@ -566,8 +539,7 @@ mod tests {
             13,
             &PipelineOpts {
                 fleet: true,
-                shards: 2,
-                jobs: 3,
+                workers: 3,
                 ..Default::default()
             },
         );

@@ -428,8 +428,8 @@ pub fn render_dataset_report(
 /// Everything the `report` command prints: the nine datasets, then the
 /// Figure 3 series. The datasets come back from the suite scheduler (at
 /// most `jobs` in flight) in spec order and every exhibit renders from
-/// them in that order, so the text is byte-identical for any
-/// `jobs`/`shards` value.
+/// them in that order, so the text is byte-identical for any `jobs`
+/// and any worker count in `opts`.
 pub fn render_full_report(
     scale: simnet::scenario::Scale,
     seed: u64,

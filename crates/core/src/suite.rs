@@ -107,7 +107,7 @@ where
 /// in flight × workers per dataset stays within the core count.
 pub fn share_machine(opts: &PipelineOpts, jobs: usize, tasks: usize) -> (usize, PipelineOpts) {
     let cores = available_cores();
-    let workers_open = opts.shards == 0 && opts.jobs == 0;
+    let workers_open = opts.workers == 0;
     let in_flight = match jobs {
         0 if workers_open => cores,
         0 => 1,
@@ -116,7 +116,7 @@ pub fn share_machine(opts: &PipelineOpts, jobs: usize, tasks: usize) -> (usize, 
     .min(tasks.max(1));
     let mut opts = opts.clone();
     if workers_open {
-        opts.shards = (cores / in_flight).max(1);
+        opts.workers = (cores / in_flight).max(1);
     }
     (in_flight, opts)
 }

@@ -19,7 +19,7 @@ fn rendered_run(seed: u64, jobs: usize) -> (String, entrada::ingest::IngestStats
         dataset(Vantage::Nz, 2020),
         Scale::tiny(),
         seed,
-        &PipelineOpts::with_jobs(jobs),
+        &PipelineOpts::with_workers(jobs),
     );
     let json = serde_json::to_string_pretty(&report::dataset_json(&run.id, &run.analysis))
         .expect("serializes");

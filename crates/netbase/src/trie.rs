@@ -189,7 +189,9 @@ impl<V> LinearLpm<V> {
         }
     }
 
-    /// Add an entry (duplicates replace on next `lookup` by length order).
+    /// Add an entry; a prefix inserted again has its value replaced, as
+    /// [`PrefixTrie::insert`] does (the older entry goes at the next
+    /// `lookup`).
     pub fn insert(&mut self, prefix: IpPrefix, value: V) {
         self.entries.push((prefix, value));
         self.sorted = false;
@@ -197,8 +199,14 @@ impl<V> LinearLpm<V> {
 
     fn ensure_sorted(&mut self) {
         if !self.sorted {
+            // newest first, so that the stable sort puts the last value
+            // of a prefix inserted twice ahead of the older ones, and the
+            // dedup keeps only it
+            self.entries.reverse();
             // longest prefixes first so the first hit is the best match
-            self.entries.sort_by_key(|e| std::cmp::Reverse(e.0.len()));
+            self.entries
+                .sort_by_key(|e| (std::cmp::Reverse(e.0.len()), e.0));
+            self.entries.dedup_by_key(|e| e.0);
             self.sorted = true;
         }
     }
@@ -320,29 +328,27 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let mut trie = PrefixTrie::new();
         let mut linear = LinearLpm::new();
+        let mut inserted = Vec::new();
         for i in 0..500u32 {
-            let len = rng.gen_range(8..=28);
+            // short prefixes repeat: a re-insert must replace the value
+            let len = rng.gen_range(2..=28);
             let addr = std::net::Ipv4Addr::from(rng.gen::<u32>());
             let pfx = IpPrefix::new(IpAddr::V4(addr), len).unwrap();
-            // skip duplicate prefixes so both structures agree on values
-            if trie.get(&pfx).is_none() {
-                trie.insert(pfx, i);
-                linear.insert(pfx, i);
+            trie.insert(pfx, i);
+            linear.insert(pfx, i);
+            inserted.push(pfx);
+            // lookups between inserts sort the baseline part-way
+            if i % 97 == 0 {
+                linear.lookup(pfx.network());
             }
         }
-        for _ in 0..2000 {
-            let probe = IpAddr::V4(std::net::Ipv4Addr::from(rng.gen::<u32>()));
+        let distinct: std::collections::HashSet<_> = inserted.iter().collect();
+        assert!(distinct.len() < inserted.len(), "some prefix repeats");
+        let probes = (0..2000).map(|_| IpAddr::V4(std::net::Ipv4Addr::from(rng.gen::<u32>())));
+        for probe in probes.chain(inserted.iter().map(|p| p.network())) {
             let a = trie.lookup(probe).map(|(p, v)| (*p, *v));
             let b = linear.lookup(probe).map(|(p, v)| (*p, *v));
-            // linear returns *a* longest match; lengths must agree, and if
-            // unique so must the entries
-            match (a, b) {
-                (None, None) => {}
-                (Some((pa, _)), Some((pb, _))) => {
-                    assert_eq!(pa.len(), pb.len(), "probe {probe}");
-                }
-                other => panic!("disagreement on {probe}: {other:?}"),
-            }
+            assert_eq!(a, b, "probe {probe}");
         }
     }
 }

@@ -121,23 +121,26 @@ proptest! {
         prop_assert!(t.lookup(p.network()).is_some());
     }
 
-    /// Trie and the linear-scan baseline always agree on best-match length.
+    /// Trie and the linear-scan baseline always agree on the best match
+    /// and its value, prefixes inserted twice included (the last value
+    /// wins in both).
     #[test]
     fn trie_matches_linear_baseline(
         prefixes in prop::collection::vec(prefix(), 1..40),
+        repeats in prop::collection::vec(any::<u8>(), 0..10),
         probes in prop::collection::vec(ip_addr(), 1..40),
     ) {
         let mut trie = PrefixTrie::new();
         let mut linear = LinearLpm::new();
-        for (i, p) in prefixes.iter().enumerate() {
-            if trie.get(p).is_none() {
-                trie.insert(*p, i);
-                linear.insert(*p, i);
-            }
+        let again = repeats.iter().map(|&r| prefixes[usize::from(r) % prefixes.len()]);
+        for (i, p) in prefixes.iter().copied().chain(again).enumerate() {
+            trie.insert(p, i);
+            linear.insert(p, i);
         }
-        for probe in probes {
-            let a = trie.lookup(probe).map(|(p, _)| p.len());
-            let b = linear.lookup(probe).map(|(p, _)| p.len());
+        let networks = prefixes.iter().map(|p| p.network());
+        for probe in probes.into_iter().chain(networks) {
+            let a = trie.lookup(probe).map(|(p, v)| (*p, *v));
+            let b = linear.lookup(probe).map(|(p, v)| (*p, *v));
             prop_assert_eq!(a, b, "probe {}", probe);
         }
     }

@@ -14,15 +14,14 @@
 //! Each of the three maps is one [`TtlMap`]: its entries in a slab, an
 //! open-addressed index over them, and a binary heap over the same
 //! entries ordered by `(expiry, stable hash of the key)` — the order in
-//! which entries are evicted (a map that has never held more than 8
-//! entries has only the slab, which it scans). A key's stable hash is
-//! taken once per call and serves as both the index's hash and the
-//! heap's tie-break. An address or server set ([`Addrs`]) of one
-//! address — every answer the fleet plane's leaf tier gives — is held
-//! inline and costs nothing to put or hand out. A longer set is
-//! interned: the cache holds one copy of each distinct one, a hit hands
-//! out another reference to it, and a put of a set the cache already
-//! holds allocates nothing. With `n` entries in a map:
+//! which entries are evicted. A key's stable hash is taken once per
+//! call and serves as both the index's hash and the heap's tie-break.
+//! An address or server set ([`Addrs`]) of one address — every answer
+//! the fleet plane's leaf tier gives — is held inline and costs nothing
+//! to put or hand out. A longer set is interned: the cache holds one
+//! copy of each distinct one, a hit hands out another reference to it,
+//! and a put of a set the cache already holds allocates nothing. With
+//! `n` entries in a map:
 //!
 //! | operation | cost |
 //! |---|---|
@@ -163,28 +162,27 @@ impl Order {
     }
 }
 
-/// Entries a map holds before it builds its index and heap. Up to this
-/// many, a probe scans the slab's hashes and an eviction scans it for
-/// the least `(expiry, hash)`: most of the calibrated sampler's
-/// per-resolver maps never hold more, and stay one allocation.
-const SMALL: usize = 8;
+/// Index buckets a map takes at its first insert: room for half as
+/// many entries before it grows.
+const FIRST_BUCKETS: usize = 32;
 
 /// A TTL map with earliest-expiry eviction: entries by key, and the
 /// same entries in eviction order. [`FleetCache`] is three of these;
-/// `simnet`'s calibrated sampler keeps one per resolver. Times are
-/// whatever unit the caller compares in — the map only orders them.
+/// `simnet`'s calibrated sampler keeps one per fleet, keyed by resolver
+/// and question. Times are whatever unit the caller compares in — the
+/// map only orders them.
 #[derive(Debug, Clone)]
 pub struct TtlMap<K, V> {
     /// The entries, densely: a removal moves the last one into the hole.
     slab: Vec<Slot<K, V>>,
     /// Linear-probing index over `slab`, 0 for an empty bucket, else a
     /// key hash's high half over (slab position + 1). The high half
-    /// also picks the home bucket. Empty while the map is small (see
-    /// [`SMALL`]), then a power of two at least twice `slab.len()`.
+    /// also picks the home bucket. Empty until the first insert, then
+    /// a power of two at least twice `slab.len()`.
     index: Vec<u64>,
     /// A binary min-heap over every entry by `(expiry, stable hash)`:
     /// the first is the next victim. The hash breaks expiry ties the
-    /// same way on every run. Empty while the map is small.
+    /// same way on every run.
     heap: Vec<Order>,
 }
 
@@ -210,16 +208,8 @@ impl<K, V> Iterator for Probe<'_, K, V> {
     type Item = usize;
 
     fn next(&mut self) -> Option<usize> {
-        let slab = &self.map.slab;
-        let Some(mask) = self.map.index.len().checked_sub(1) else {
-            // a small map: the bucket is a slab position
-            let i = self.bucket
-                + slab[self.bucket..]
-                    .iter()
-                    .position(|s| s.hash == self.hash)?;
-            self.bucket = i + 1;
-            return Some(i);
-        };
+        // a map that has never held an entry has no buckets
+        let mask = self.map.index.len().checked_sub(1)?;
         loop {
             let word = self.map.index[self.bucket];
             if word == 0 {
@@ -228,7 +218,7 @@ impl<K, V> Iterator for Probe<'_, K, V> {
             self.bucket = (self.bucket + 1) & mask;
             if word >> 32 == self.hash >> 32 {
                 let i = (word as u32 - 1) as usize;
-                if slab[i].hash == self.hash {
+                if self.map.slab[i].hash == self.hash {
                     return Some(i);
                 }
             }
@@ -245,14 +235,6 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
     /// True when nothing is held.
     pub fn is_empty(&self) -> bool {
         self.slab.is_empty()
-    }
-
-    /// Entries the map holds room for without growing.
-    pub fn capacity(&self) -> usize {
-        match self.index.len() {
-            0 => self.slab.capacity(),
-            buckets => buckets / 2,
-        }
     }
 
     /// Drop every entry: the map is as empty as a new one, and keeps
@@ -295,21 +277,17 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
         self.peek_hashed(stable_hash(key), |k| k.borrow() == key, now_us)
     }
 
-    fn is_small(&self) -> bool {
-        self.index.is_empty()
-    }
-
     fn probe(&self, hash: u64) -> Probe<'_, K, V> {
-        let bucket = if self.is_small() { 0 } else { self.home(hash) };
         Probe {
             map: self,
             hash,
-            bucket,
+            bucket: self.home(hash),
         }
     }
 
+    /// The bucket a probe for `hash` starts at (any, with no buckets).
     fn home(&self, hash: u64) -> usize {
-        (hash >> 32) as usize & (self.index.len() - 1)
+        (hash >> 32) as usize & self.index.len().wrapping_sub(1)
     }
 
     fn find(&self, hash: u64, eq: impl Fn(&K) -> bool) -> Option<usize> {
@@ -363,10 +341,8 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
         slot.value = value;
         slot.expiry_us = expiry_us;
         let pos = slot.heap_pos as usize;
-        if !self.is_small() {
-            self.heap[pos].expiry_us = expiry_us;
-            self.reorder(pos);
-        }
+        self.heap[pos].expiry_us = expiry_us;
+        self.reorder(pos);
         false
     }
 
@@ -375,10 +351,7 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
         let evicted = self.slab.len() >= capacity && self.evict_first();
         self.displace(hash, expiry_us, None);
         let i = self.slab.len();
-        if self.is_small() && i < SMALL {
-            // room for a small map's whole life, at its first insert
-            self.slab.reserve_exact(SMALL - i);
-        } else if 2 * (i + 1) > self.index.len() {
+        if 2 * (i + 1) > self.index.len() {
             self.grow();
         }
         self.slab.push(Slot {
@@ -386,18 +359,16 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
             value,
             expiry_us,
             hash,
-            heap_pos: self.heap.len() as u32,
+            heap_pos: i as u32,
         });
-        if !self.is_small() {
-            self.index_insert(hash, i);
-            self.heap.push(Order {
-                expiry_us,
-                hash,
-                slot: i as u32,
-            });
-            self.sift_up(i);
-            debug_assert_eq!(self.slab.len(), self.heap.len());
-        }
+        self.index_insert(hash, i);
+        self.heap.push(Order {
+            expiry_us,
+            hash,
+            slot: i as u32,
+        });
+        self.sift_up(i);
+        debug_assert_eq!(self.slab.len(), self.heap.len());
         evicted
     }
 
@@ -418,20 +389,12 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
     }
 
     fn evict_first(&mut self) -> bool {
-        let first = if self.is_small() {
-            (0..self.slab.len()).min_by_key(|&i| (self.slab[i].expiry_us, self.slab[i].hash))
-        } else {
-            self.heap.first().map(|first| first.slot as usize)
-        };
+        let first = self.heap.first().map(|first| first.slot as usize);
         first.map(|i| self.remove(i)).is_some()
     }
 
     /// Remove the entry at `i` from the index, the heap and the slab.
     fn remove(&mut self, i: usize) {
-        if self.is_small() {
-            self.slab.swap_remove(i);
-            return;
-        }
         let (hash, pos) = (self.slab[i].hash, self.slab[i].heap_pos as usize);
         self.unindex(hash, i);
         let last = self.heap.pop().expect("every entry is ordered");
@@ -448,13 +411,11 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
         }
     }
 
-    /// Double the index (to four times [`SMALL`] when a small map
-    /// outgrows its scan, ordering its entries into the heap) and
-    /// re-place every entry; the slab and heap get room for as many
-    /// entries.
+    /// Double the index (to [`FIRST_BUCKETS`] at the first insert) and
+    /// re-place every entry; the slab and heap get room for half as
+    /// many entries as there are buckets.
     fn grow(&mut self) {
-        let small = self.is_small();
-        let buckets = (2 * self.index.len()).max(4 * SMALL);
+        let buckets = (2 * self.index.len()).max(FIRST_BUCKETS);
         self.index.clear();
         self.index.resize(buckets, 0);
         for i in 0..self.slab.len() {
@@ -462,19 +423,6 @@ impl<K: Hash + Eq, V> TtlMap<K, V> {
         }
         self.slab.reserve_exact(buckets / 2 - self.slab.len());
         self.heap.reserve_exact(buckets / 2 - self.heap.len());
-        if small {
-            for (i, slot) in self.slab.iter_mut().enumerate() {
-                slot.heap_pos = i as u32;
-                self.heap.push(Order {
-                    expiry_us: slot.expiry_us,
-                    hash: slot.hash,
-                    slot: i as u32,
-                });
-            }
-            for pos in (0..self.heap.len() / 2).rev() {
-                self.sift_down(pos);
-            }
-        }
     }
 
     fn index_insert(&mut self, hash: u64, i: usize) {
@@ -1221,33 +1169,34 @@ mod tests {
         assert!(map.peek(&CountingKey(PUTS), 0).is_some());
     }
 
-    /// The calibrated sampler's use of the map: a `(domain, rtype)`
-    /// key and no value.
-    type SamplerMap = TtlMap<(u64, u16), ()>;
+    /// The calibrated sampler's use of the map: a `(resolver, domain,
+    /// rtype)` key and no value.
+    type SamplerMap = TtlMap<(u32, u64, u16), ()>;
 
     #[test]
-    fn sampler_keys_expire_exclusively_and_differ_by_rtype() {
+    fn sampler_keys_expire_exclusively_and_differ_by_rtype_and_resolver() {
         let mut m = SamplerMap::default();
-        m.put((5, 1), (), 1_000 + 60, 100);
-        assert!(m.lookup(&(5, 1), 1_000 + 59).is_some());
-        assert!(m.lookup(&(5, 28), 1_000).is_none(), "other rtype");
+        m.put((0, 5, 1), (), 1_000 + 60, 100);
+        assert!(m.lookup(&(0, 5, 1), 1_000 + 59).is_some());
+        assert!(m.lookup(&(0, 5, 28), 1_000).is_none(), "other rtype");
+        assert!(m.lookup(&(1, 5, 1), 1_000).is_none(), "other resolver");
         assert_eq!(m.len(), 1);
-        assert!(m.lookup(&(5, 1), 1_000 + 60).is_none(), "dead at expiry");
+        assert!(m.lookup(&(0, 5, 1), 1_000 + 60).is_none(), "dead at expiry");
         assert!(m.is_empty(), "removed by its own lookup");
     }
 
     #[test]
     fn sampler_keys_evict_soonest_expiry_and_refresh_in_place() {
         let mut m = SamplerMap::default();
-        m.put((1, 1), (), 10, 2);
-        m.put((2, 1), (), 100, 2);
-        assert!(!m.put((2, 1), (), 120, 2), "a refresh at capacity");
-        assert!(m.peek(&(1, 1), 0).is_some(), "bystander kept");
-        assert!(m.put((3, 1), (), 50, 2), "a new key at capacity");
+        m.put((0, 1, 1), (), 10, 2);
+        m.put((1, 2, 1), (), 100, 2);
+        assert!(!m.put((1, 2, 1), (), 120, 2), "a refresh at capacity");
+        assert!(m.peek(&(0, 1, 1), 0).is_some(), "bystander kept");
+        assert!(m.put((2, 3, 1), (), 50, 2), "a new key at capacity");
         assert_eq!(m.len(), 2);
-        assert!(m.peek(&(1, 1), 0).is_none(), "soonest expiry went");
-        assert!(m.peek(&(2, 1), 0).is_some());
-        assert!(m.peek(&(3, 1), 0).is_some());
+        assert!(m.peek(&(0, 1, 1), 0).is_none(), "soonest expiry went");
+        assert!(m.peek(&(1, 2, 1), 0).is_some());
+        assert!(m.peek(&(2, 3, 1), 0).is_some());
     }
 
     #[test]
@@ -1327,12 +1276,8 @@ mod tests {
         /// Every entry in eviction order, after checking that the index,
         /// the heap and the slab agree.
         fn contents(&self) -> Vec<(K, V, u64)> {
-            if self.is_small() {
-                assert!(self.slab.len() <= SMALL && self.heap.is_empty());
-            } else {
-                assert_eq!(self.heap.len(), self.slab.len());
-                assert!(self.index.len() >= 2 * self.slab.len());
-            }
+            assert_eq!(self.heap.len(), self.slab.len());
+            assert!(self.index.len() >= 2 * self.slab.len());
             for (pos, order) in self.heap.iter().enumerate() {
                 let slot = &self.slab[order.slot as usize];
                 assert_eq!(slot.heap_pos as usize, pos);
@@ -1342,22 +1287,24 @@ mod tests {
                 }
             }
             for (i, slot) in self.slab.iter().enumerate() {
-                if !self.is_small() {
-                    assert_eq!(self.index[self.bucket_of(slot.hash, i)], word(slot.hash, i));
-                }
+                assert_eq!(self.index[self.bucket_of(slot.hash, i)], word(slot.hash, i));
                 assert_eq!(self.find(slot.hash, |k| *k == slot.key), Some(i));
             }
-            if !self.is_small() {
-                assert_eq!(
-                    self.index.iter().filter(|&&w| w != 0).count(),
-                    self.slab.len()
-                );
-            }
+            assert_eq!(
+                self.index.iter().filter(|&&w| w != 0).count(),
+                self.slab.len()
+            );
             let mut all: Vec<&Slot<K, V>> = self.slab.iter().collect();
             all.sort_by_key(|s| (s.expiry_us, s.hash));
             all.into_iter()
                 .map(|s| (s.key.clone(), s.value.clone(), s.expiry_us))
                 .collect()
+        }
+
+        /// What the map holds room for: index buckets, slab slots and
+        /// heap slots.
+        fn room(&self) -> (usize, usize, usize) {
+            (self.index.len(), self.slab.capacity(), self.heap.capacity())
         }
     }
 
@@ -1408,15 +1355,18 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Puts, refreshes, lookups of live and dead entries, peeks and
-        /// clears, at capacities on both sides of [`SMALL`], over keys
-        /// whose stable hashes collide and a clock that moves both ways:
-        /// the flat map returns what the oracle returns and holds the
-        /// same entries in the same eviction order after every
-        /// operation.
+        /// clears, at capacities below and past the first index growth
+        /// (at [`FIRST_BUCKETS`] / 2 entries), over keys whose stable
+        /// hashes collide and a clock that moves both ways: the flat map
+        /// returns what the oracle returns and holds the same entries in
+        /// the same eviction order after every operation.
         #[test]
         fn ttl_map_matches_the_btree_oracle(
-            capacity in 1usize..3 * SMALL,
-            ops in prop::collection::vec((map_op(), 0u8..4 * SMALL as u8, 0u64..12), 1..240),
+            capacity in 1usize..3 * FIRST_BUCKETS / 2,
+            ops in prop::collection::vec(
+                (map_op(), 0u8..2 * FIRST_BUCKETS as u8, 0u64..12),
+                1..240,
+            ),
         ) {
             let mut real: TtlMap<Colliding, u8> = TtlMap::default();
             let mut oracle = OracleMap::new();
@@ -1439,10 +1389,10 @@ mod tests {
                         prop_assert_eq!(got, oracle.peek(&key, time));
                     }
                     MapOp::Clear => {
-                        let room = real.capacity();
+                        let room = real.room();
                         real.clear();
                         oracle.clear();
-                        prop_assert_eq!(real.capacity(), room, "clear keeps the buffers");
+                        prop_assert_eq!(real.room(), room, "clear keeps the buffers");
                     }
                 }
                 prop_assert!(real.len() <= capacity.max(1), "step {}", step);

@@ -13,7 +13,7 @@
 //! engine answers and records each query inline, the driver queues it
 //! for the caller's socket.
 
-use crate::engine::{Caches, Engine};
+use crate::engine::{Engine, ResolverCache};
 use crate::fleet::{cumulative_weights, pick_cumulative};
 use crate::plan;
 use crate::scenario::{DatasetSpec, Scale};
@@ -30,7 +30,7 @@ use std::net::IpAddr;
 use std::ops::Deref;
 
 /// How many cache-absorbed demand events in a row one [`Driver::sample`]
-/// call skips before it runs the next one against cold caches.
+/// call skips before it runs the next one with no cache.
 const MAX_CACHE_SKIPS: u32 = 50;
 
 /// A planned query's encoded message, held inline so that planning a
@@ -98,7 +98,8 @@ pub struct Driver {
     /// Where every planned query is written, as a slice's are offline.
     wire: WireScratch,
     fleet_cum: Vec<f64>,
-    caches: Vec<Caches>,
+    /// Each fleet's resolver cache, never emptied.
+    caches: Vec<ResolverCache>,
     /// Queries planned so far, per fleet: the junk lattice's position.
     emitted: Vec<u64>,
     /// What the last demand event put on the wire and `sample` has not
@@ -125,7 +126,7 @@ impl Driver {
             rng: StdRng::seed_from_u64(seed ^ 0x11fe_d81e),
             wire: WireScratch::default(),
             fleet_cum,
-            caches: (0..n).map(|_| Caches::default()).collect(),
+            caches: (0..n).map(|_| ResolverCache::default()).collect(),
             emitted: vec![0; n],
             pending: VecDeque::new(),
             cache_hits: 0,
@@ -160,7 +161,7 @@ impl Driver {
                 return q;
             }
             // hot caches everywhere: the event after the last skip
-            // meets empty ones, so it always emits
+            // runs with none, so it always emits
             self.demand(t, skips < MAX_CACHE_SKIPS);
             skips += 1;
         }
@@ -168,7 +169,7 @@ impl Driver {
 
     /// One demand event through [`Engine::demand`] (shared code, so
     /// live and offline runs cannot drift apart), its queries queued on
-    /// `pending`; `use_caches` off runs it against empty caches.
+    /// `pending`; `use_caches` off runs it with no cache.
     fn demand(&mut self, t: SimTime, use_caches: bool) {
         let Driver {
             engine,
@@ -183,13 +184,8 @@ impl Driver {
         let fi = pick_cumulative(fleet_cum, rng.gen());
         let fleet = &engine.fleets[fi];
         let want_junk = plan::junk_due(fleet.spec.junk_ratio, emitted[fi]);
-        let mut cold = Caches::default();
-        let caches = if use_caches {
-            &mut caches[fi]
-        } else {
-            &mut cold
-        };
-        let sent = engine.demand(fleet, t, want_junk, caches, rng, |rng, ask| {
+        let cache = use_caches.then(|| &mut caches[fi]);
+        let sent = engine.demand(fleet, t, want_junk, cache, rng, |rng, ask| {
             // the engine's query, and the direct-TCP coin its recorder
             // tosses when it records the exchange
             let query = engine.build_query(ask, rng, wire);

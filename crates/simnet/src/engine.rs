@@ -28,59 +28,33 @@ use netbase::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use resolver::cache::TtlMap;
-use std::collections::HashMap;
 use std::io::Write;
 use std::net::IpAddr;
 use zonedb::junk::JunkGenerator;
 use zonedb::popularity::ZipfSampler;
 use zonedb::zone::ZoneModel;
 
-/// Per-resolver cache capacity (entries).
+/// Cache capacity per resolver (entries): a fleet's cache holds this
+/// many times its resolver count.
 const CACHE_CAP: usize = 4096;
-/// The largest emptied cache (in entries it has room for) kept as a spare.
-const SPARE_CAP: usize = 8;
 
-/// What a sampled resolver caches under: the domain/qtype pair it
-/// resolved. A [`name_key`] hash (not the qname text) keeps keys small.
+/// What a sampled resolver caches under: which resolver of its fleet
+/// asked, and the domain/qtype pair it resolved. A [`name_key`] hash
+/// (not the qname text) keeps keys small.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
+    resolver: u32,
     domain: u64,
     rtype: u16,
 }
 
-/// One sampled resolver's cache. Keys only — a hit absorbs the demand
-/// event, there is no answer to hand back — each live until
+/// The resolver caches of one fleet, as one map: each resolver's
+/// entries are the keys that carry its index. Keys only — a hit absorbs
+/// the demand event, there is no answer to hand back — each live until
 /// `inserted + ttl`, in microseconds of simulation time. Caching is why
 /// the vantage only sees the cache-miss shadow of user demand (§2 of
 /// the paper).
 pub(crate) type ResolverCache = TtlMap<CacheKey, ()>;
-
-/// One fleet's resolver caches by resolver, and emptied ones (those
-/// small enough) kept as spares, each as cold as a new cache: a stripe
-/// holds about one slice's caches, and most of them are reused.
-#[derive(Default)]
-pub(crate) struct Caches {
-    by_resolver: HashMap<u32, ResolverCache>,
-    spare: Vec<ResolverCache>,
-}
-
-impl Caches {
-    /// The cache of `resolver`: a spare, or a new one, on first use.
-    fn of(&mut self, resolver: u32) -> &mut ResolverCache {
-        let spare = &mut self.spare;
-        (self.by_resolver.entry(resolver)).or_insert_with(|| spare.pop().unwrap_or_default())
-    }
-
-    /// Empty every cache into the spares.
-    fn empty(&mut self) {
-        for (_, mut cache) in self.by_resolver.drain() {
-            if cache.capacity() <= SPARE_CAP {
-                cache.clear();
-                self.spare.push(cache);
-            }
-        }
-    }
-}
 
 /// Softmax temperature for server preference, microseconds.
 const SERVER_TAU_US: f64 = 30_000.0;
@@ -141,13 +115,14 @@ impl DatasetStats {
 
 /// What one stripe of the slot range owns: the wire encoder every
 /// message goes through, the record slice each slice fills and its
-/// sink reads, the current slice's RRL state and per-fleet resolver
-/// caches (with their spares), and the counters so far.
+/// sink reads, the current slice's RRL state, the resolver cache of the
+/// fleet being driven (emptied before each fleet's pass, its buffers
+/// kept), and the counters so far.
 struct StripeState {
     rrl: Option<RateLimiter>,
     wire: WireScratch,
     buf: RecordSlice,
-    caches: Vec<Caches>,
+    cache: ResolverCache,
     stats: DatasetStats,
 }
 
@@ -400,7 +375,7 @@ impl Engine {
             rrl: None,
             wire: WireScratch::default(),
             buf: RecordSlice::default(),
-            caches: self.fleets.iter().map(|_| Caches::default()).collect(),
+            cache: ResolverCache::default(),
             stats: self.zeroed_stats(),
         };
         for slot in (w..plan.slots()).step_by(of) {
@@ -442,27 +417,33 @@ impl Engine {
     }
 
     /// Generate one hourly time slice into `s.buf`, self-contained: its
-    /// own RNG stream, resolver caches, and RRL state, so slices can run
-    /// on any thread in any order and still merge byte-identically.
+    /// own RNG stream, resolver caches (emptied per fleet), and RRL
+    /// state, so slices can run on any thread in any order and still
+    /// merge byte-identically.
     fn generate_slice(&self, slot: usize, plan: &SlotPlan, s: &mut StripeState) {
         let mut rng = StdRng::seed_from_u64(slice_seed(self.seed, slot));
         s.rrl = self.spec.rrl.map(RateLimiter::new);
+        let mut cache = std::mem::take(&mut s.cache);
         for (fi, fleet) in self.fleets.iter().enumerate() {
-            let mut caches = std::mem::take(&mut s.caches[fi]);
-            caches.empty();
+            cache.clear();
             let mut steer = plan.steer(fi, slot, fleet.spec.junk_ratio);
             while let Some((t, want_junk)) = steer.next(&mut rng) {
-                let sent = self.demand(fleet, t, want_junk, &mut caches, &mut rng, |rng, ask| {
-                    self.emit_exchange(ask, rng, s)
-                });
+                let sent = self.demand(
+                    fleet,
+                    t,
+                    want_junk,
+                    Some(&mut cache),
+                    &mut rng,
+                    |rng, ask| self.emit_exchange(ask, rng, s),
+                );
                 if sent == 0 {
                     s.stats.cache_hits += 1;
                 }
                 steer.emitted(sent);
             }
             s.stats.per_fleet[fi].1 += steer.done();
-            s.caches[fi] = caches;
         }
+        s.cache = cache;
         // incident traffic (the Feb-2020 cyclic dependency) rides on
         // top: one exchange per event, so TCP retries come on top of
         // the quota as they do for any other exchange
@@ -492,32 +473,38 @@ impl Engine {
     /// absorb goes to `send` — the query itself, then the DNSSEC
     /// follow-ups a validating resolver adds. `send` returns the query
     /// records it put on the wire; their sum is returned, 0 when the
-    /// cache absorbed the event. This is the whole difference between
-    /// the offline engine (`send` answers and records the exchange) and
-    /// the live [`crate::drive::Driver`] (`send` queues the query for a
-    /// real socket).
+    /// cache absorbed the event. `cache` is the fleet's; with none,
+    /// every lookup misses and nothing is kept. This is the whole
+    /// difference between the offline engine (`send` answers and
+    /// records the exchange) and the live [`crate::drive::Driver`]
+    /// (`send` queues the query for a real socket).
     pub(crate) fn demand(
         &self,
         fleet: &Fleet,
         t: SimTime,
         is_junk: bool,
-        caches: &mut Caches,
+        mut cache: Option<&mut ResolverCache>,
         rng: &mut StdRng,
         mut send: impl FnMut(&mut StdRng, &Ask) -> u64,
     ) -> u64 {
         let spec = &fleet.spec;
         let r_idx = fleet.pick(rng);
         let resolver = &fleet.resolvers[r_idx];
+        let capacity = CACHE_CAP * fleet.resolvers.len();
+        let key = |name: &Name, qtype: RType| CacheKey {
+            resolver: r_idx as u32,
+            domain: name_key(name),
+            rtype: qtype.to_u16(),
+        };
+        let hit = |cache: Option<&mut ResolverCache>, key| {
+            cache.is_some_and(|c| c.lookup(&key, t.as_micros()).is_some())
+        };
 
         let (qname, qtype, signed, cacheable) =
             pick_question_for(&self.zone, &self.zipf, &self.junk, spec, t, is_junk, rng);
 
-        let ckey = CacheKey {
-            domain: name_key(&qname),
-            rtype: qtype.to_u16(),
-        };
-        let cache = caches.of(r_idx as u32);
-        if cacheable && cache.lookup(&ckey, t.as_micros()).is_some() {
+        let ckey = key(&qname, qtype);
+        if cacheable && hit(cache.as_deref_mut(), ckey) {
             return 0;
         }
 
@@ -531,10 +518,12 @@ impl Engine {
             at: t,
         };
         let mut emitted = send(rng, &ask);
-        if cacheable && spec.cache_ttl != SimDuration::ZERO {
-            // the spec's TTL verbatim: entries decay per-record from
-            // their own insertion instant (no whole-second rounding)
-            cache.put(ckey, (), (t + spec.cache_ttl).as_micros(), CACHE_CAP);
+        if let Some(c) = cache.as_mut() {
+            if cacheable && spec.cache_ttl != SimDuration::ZERO {
+                // the spec's TTL verbatim: entries decay per-record from
+                // their own insertion instant (no whole-second rounding)
+                c.put(ckey, (), (t + spec.cache_ttl).as_micros(), capacity);
+            }
         }
 
         // DNSSEC validation follow-ups
@@ -546,11 +535,8 @@ impl Engine {
         if spec.validates && !is_junk && signed && qtype != RType::Ds && rng.gen_bool(spec.ds_prob)
         {
             let delegation = self.zone.minimized_qname(&qname);
-            let dkey = CacheKey {
-                domain: name_key(&delegation),
-                rtype: RType::Ds.to_u16(),
-            };
-            if cache.lookup(&dkey, t.as_micros()).is_none() {
+            let dkey = key(&delegation, RType::Ds);
+            if !hit(cache.as_deref_mut(), dkey) {
                 let ds = Ask {
                     qname: &delegation,
                     qtype: RType::Ds,
@@ -558,8 +544,10 @@ impl Engine {
                     ..follow_up
                 };
                 emitted += send(rng, &ds);
-                let expiry = t + SimDuration::from_secs(3600);
-                cache.put(dkey, (), expiry.as_micros(), CACHE_CAP);
+                if let Some(c) = cache.as_mut() {
+                    let expiry = t + SimDuration::from_secs(3600);
+                    c.put(dkey, (), expiry.as_micros(), capacity);
+                }
             }
         }
         if spec.validates && rng.gen_bool(spec.dnskey_prob) {
@@ -885,6 +873,51 @@ mod tests {
     fn caches_absorb_demand() {
         let (_, _, stats) = generate(Vantage::Nl, 2020);
         assert!(stats.cache_hits > 0, "hot names must hit resolver caches");
+    }
+
+    /// Two resolvers of one fleet asking the same question at the same
+    /// instant each send it: a cache entry belongs to the resolver that
+    /// made it, though the fleet's resolvers share one map. A
+    /// resolver's own repeat is absorbed.
+    #[test]
+    fn resolvers_of_a_fleet_never_absorb_each_others_demand() {
+        use std::collections::{HashMap, HashSet};
+        let engine = Engine::new(dataset(Vantage::Nl, 2020), Scale::tiny(), 42);
+        let fleet = (engine.fleets().iter())
+            .filter(|f| f.spec.cache_ttl != SimDuration::ZERO)
+            .max_by_key(|f| f.resolvers.len())
+            .expect("a caching fleet");
+        let t = engine.spec().start;
+        let mut cache = ResolverCache::default();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut askers: HashMap<(Name, RType), HashSet<IpAddr>> = HashMap::new();
+        let (mut absorbed, mut asked_again) = (0, 0);
+        for _ in 0..20_000 {
+            let sent = engine.demand(fleet, t, false, Some(&mut cache), &mut rng, |_, ask| {
+                // the question itself; its follow-ups come later
+                if ask.at == t {
+                    let who = askers.entry((ask.qname.clone(), ask.qtype)).or_default();
+                    assert!(
+                        who.insert(ask.resolver.ip),
+                        "{} sent {} {:?} again while it was cached",
+                        ask.resolver.ip,
+                        ask.qname,
+                        ask.qtype
+                    );
+                    asked_again += u64::from(who.len() > 1);
+                }
+                1
+            });
+            absorbed += u64::from(sent == 0);
+        }
+        assert!(
+            asked_again > 100,
+            "another resolver's question sent: {asked_again}"
+        );
+        assert!(
+            absorbed > 100,
+            "a resolver's own repeat absorbed: {absorbed}"
+        );
     }
 
     #[test]

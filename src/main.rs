@@ -489,10 +489,10 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
         given => Ok(given.unwrap_or(0)),
     };
     let (shards, jobs) = (count("--shards")?, count("--jobs")?);
-    // the one pipeline description every generating command runs under
+    // the one pipeline description every generating command runs under;
+    // either flag sizes its workers
     let opts = PipelineOpts {
-        shards,
-        jobs,
+        workers: shards.max(jobs),
         fleet: flags.iter().any(|f| *f == "--fleet"),
         ..PipelineOpts::default()
     };

@@ -50,7 +50,7 @@ fn assert_row(what: &str, recorded: (usize, u32), command: impl Fn(usize) -> Str
 /// `dnscentral dataset <vantage> 2020 --scale=tiny --json [--fleet]`.
 fn dataset_json(vantage: Vantage, fleet: bool, workers: usize) -> String {
     let opts = PipelineOpts {
-        jobs: workers,
+        workers,
         fleet,
         ..PipelineOpts::default()
     };
@@ -61,7 +61,7 @@ fn dataset_json(vantage: Vantage, fleet: bool, workers: usize) -> String {
 #[test]
 fn report_text() {
     assert_row("report --scale=tiny", (13_786, 0x2c9b_8f70), |w| {
-        report::render_full_report(Scale::tiny(), SEED, &PipelineOpts::with_jobs(w), w)
+        report::render_full_report(Scale::tiny(), SEED, &PipelineOpts::with_workers(w), w)
     });
 }
 
@@ -142,7 +142,7 @@ fn kept_capture_reports_as_streamed_and_is_the_capture_generated() {
     let kept_report = report(&keep);
     for jobs in [0, 4].into_iter().chain(WORKERS) {
         assert!(
-            report(&PipelineOpts::with_jobs(jobs)) == kept_report,
+            report(&PipelineOpts::with_workers(jobs)) == kept_report,
             "the --keep-capture report differs from the streamed one at --jobs={jobs}"
         );
     }
@@ -175,7 +175,7 @@ fn warehouse_report_text_and_json() {
             max_rows: 4096,
             ..AppendConfig::default()
         };
-        let opts = PipelineOpts::with_jobs(workers);
+        let opts = PipelineOpts::with_workers(workers);
         store::ingest_spec(
             &wh,
             dataset(Vantage::Nz, 2020),
@@ -206,6 +206,60 @@ fn warehouse_report_text_and_json() {
     }
 }
 
+/// `dnscentral ingest broot 2020 --scale=tiny --warehouse=DIR
+/// --partition-bytes=32768`, then `report --warehouse=DIR` as text and
+/// as `--json`: the bytes `dataset broot 2020 --scale=tiny [--json]`
+/// prints. B-Root traffic is mostly one-off junk names, so a
+/// partition's qname dictionary holds close to one entry per row. At
+/// this scale the largest hourly batch is ~100 KB by
+/// `ColumnarBatch::bytes`, so a 32 KiB budget splits most hours (24 →
+/// 68 partitions); where partitions split must never reach a report.
+#[test]
+fn junk_heavy_warehouse_split_by_bytes_reports_as_dataset() {
+    let spec = dataset(Vantage::BRoot, 2020);
+    let direct = run_spec_with(spec.clone(), Scale::tiny(), SEED, &PipelineOpts::default());
+    let direct_text = report::render_dataset_report(
+        &direct.id,
+        Vantage::BRoot,
+        &direct.analysis,
+        &direct.dualstack,
+        &direct.spec,
+    );
+    for workers in WORKERS {
+        let dir = std::env::temp_dir().join(format!(
+            "dnscentral-identity-whb{workers}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wh = Arc::new(Warehouse::open(&dir).expect("open"));
+        let config = AppendConfig {
+            max_bytes: 32 * 1024,
+            ..AppendConfig::default()
+        };
+        let opts = PipelineOpts::with_workers(workers);
+        store::ingest_spec(&wh, spec.clone(), Scale::tiny(), SEED, &opts, config).expect("ingest");
+        wh.commit().expect("commit");
+        let what = format!("a {workers}-worker ingest");
+        let partitions = wh.partitions().len();
+        assert!(
+            partitions > 24,
+            "the byte budget never flushed after {what}: {partitions}"
+        );
+        let (text, _) = store::render_report(&wh, &Predicate::all(), workers).expect("report");
+        let (doc, _) = store::report_json(&wh, &Predicate::all(), workers).expect("json");
+        assert!(
+            text == direct_text,
+            "`report --warehouse` after {what} differs from `dataset broot 2020`"
+        );
+        assert_eq!(
+            digest(pretty(&doc).as_bytes()),
+            (9_705, 0x5e9d_6ba7),
+            "`report --warehouse --json` after {what} is not `dataset broot 2020 --json`"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// `dnscentral dataset nl 2020 --scale=tiny --fleet --keep-capture`
 /// leaves the very file `generate nl 2020 FILE --scale=tiny --fleet`
 /// writes, and ingesting it leaves no query unanswered: every TC→TCP
@@ -224,7 +278,7 @@ fn fleet_capture_kept_is_the_capture_generated() {
         };
         let (kept, generated) = (path("kept"), path("generated"));
         let opts = PipelineOpts {
-            jobs: workers,
+            workers,
             fleet: true,
             ..PipelineOpts::default()
         };

@@ -72,7 +72,7 @@ fn streamed_and_disk_paths_agree_end_to_end() {
         let path = temp_capture_path("streamed-vs-disk", 17 + fleet as u64);
         let disk_opts = PipelineOpts {
             fleet,
-            shards: 2,
+            workers: 2,
             keep_capture: Some(path.clone()),
             ..Default::default()
         };
@@ -85,7 +85,7 @@ fn streamed_and_disk_paths_agree_end_to_end() {
         for workers in [1usize, 2, 3, 7, 0] {
             let opts = PipelineOpts {
                 fleet,
-                shards: workers,
+                workers,
                 ..Default::default()
             };
             let streamed = run_spec_with(spec.clone(), Scale::tiny(), 17, &opts);
@@ -119,8 +119,14 @@ fn streamed_and_disk_paths_agree_end_to_end() {
     );
     let _ = fs::remove_file(&path);
     assert!(kept.contains("nl-w2020"), "{kept}");
-    assert_eq!(kept, report_of("streamed-1", &PipelineOpts::with_jobs(1)));
-    assert_eq!(kept, report_of("streamed-3", &PipelineOpts::with_jobs(3)));
+    assert_eq!(
+        kept,
+        report_of("streamed-1", &PipelineOpts::with_workers(1))
+    );
+    assert_eq!(
+        kept,
+        report_of("streamed-3", &PipelineOpts::with_workers(3))
+    );
 }
 
 /// Generator counters equal analyzer counters across the file boundary.
