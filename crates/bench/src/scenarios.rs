@@ -107,7 +107,7 @@ fn sample_rows() -> Vec<entrada::schema::QueryRow> {
     let engine = Engine::new(nz.clone(), Scale::tiny(), 7);
     let mut capture = Vec::new();
     let mut w = CaptureWriter::new(&mut capture).expect("in-memory writer");
-    engine.generate(&mut w).expect("generation");
+    engine.generate_sharded(&mut w, 1).expect("generation");
     w.finish().expect("flush");
     let plan = asdb::synth::InternetPlan::build(&plan_config_for(&nz, Scale::tiny(), 7));
     let reader = CaptureReader::new(&capture[..]).expect("valid header");

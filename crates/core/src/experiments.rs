@@ -10,7 +10,7 @@
 
 use crate::analysis::DatasetAnalysis;
 use crate::dualstack::DualStackAnalysis;
-use crate::pipeline::{consume_capture, finish, run_spec_with, write_capture, PipelineOpts};
+use crate::pipeline::{consume_capture, finish, run_spec_with, PipelineOpts};
 use crate::qmin::MonthlySample;
 use crate::store::WarehouseTarget;
 use asdb::cloud::Provider;
@@ -36,29 +36,6 @@ pub struct DatasetRun {
     pub gen_stats: DatasetStats,
     /// Ingest-side counters.
     pub ingest_stats: IngestStats,
-}
-
-/// Generate a dataset capture to `path`. Returns generator counters.
-pub fn generate_capture(
-    spec: &DatasetSpec,
-    scale: Scale,
-    seed: u64,
-    path: &Path,
-) -> std::io::Result<DatasetStats> {
-    generate_capture_sharded(spec, scale, seed, path, 1)
-}
-
-/// Generate a dataset capture to `path` across `shards` generator
-/// threads. The file is byte-identical for any shard count.
-pub fn generate_capture_sharded(
-    spec: &DatasetSpec,
-    scale: Scale,
-    seed: u64,
-    path: &Path,
-    shards: usize,
-) -> std::io::Result<DatasetStats> {
-    let engine = Engine::new(spec.clone(), scale, seed);
-    write_capture(&engine, path, &PipelineOpts::with_workers(shards))
 }
 
 /// Analyze a capture at `path` generated from `(spec, scale, seed)`.

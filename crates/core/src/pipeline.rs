@@ -478,48 +478,53 @@ mod tests {
         assert_eq!(streamed.analysis.cloud_share(), disk.analysis.cloud_share());
     }
 
-    /// Sharded streaming equals single-threaded streaming, run to run.
-    #[test]
-    fn sharded_streaming_matches_single_thread() {
-        let spec = dataset(Vantage::Nz, 2019);
-        let one = run_spec_with(
-            spec.clone(),
-            Scale::tiny(),
-            31,
-            &PipelineOpts::with_workers(1),
-        );
-        let four = run_spec_with(spec, Scale::tiny(), 31, &PipelineOpts::with_workers(4));
-        assert_eq!(one.ingest_stats, four.ingest_stats);
-        assert_eq!(one.gen_stats.queries, four.gen_stats.queries);
-        assert_eq!(one.gen_stats.per_fleet, four.gen_stats.per_fleet);
-        assert_eq!(one.analysis.total_queries, four.analysis.total_queries);
-        assert_eq!(one.analysis.valid_queries, four.analysis.valid_queries);
-    }
-
-    /// Parallel analysis workers equal the single-threaded consumer:
+    /// Four workers equal the single-threaded consumer, on two inputs:
     /// same rows, same joins, same aggregates, same accounting.
     #[test]
     fn parallel_analysis_matches_single_worker() {
-        let spec = dataset(Vantage::Nl, 2020);
-        let one = run_spec_with(
-            spec.clone(),
-            Scale::tiny(),
-            17,
-            &PipelineOpts::with_workers(1),
-        );
-        let four = run_spec_with(spec, Scale::tiny(), 17, &PipelineOpts::with_workers(4));
-        assert_eq!(one.ingest_stats, four.ingest_stats);
-        assert!(four.ingest_stats.balanced(), "{:?}", four.ingest_stats);
-        assert_eq!(one.gen_stats.queries, four.gen_stats.queries);
-        assert_eq!(one.analysis.total_queries, four.analysis.total_queries);
-        assert_eq!(one.analysis.valid_queries, four.analysis.valid_queries);
-        assert_eq!(one.analysis.cloud_share(), four.analysis.cloud_share());
-        assert_eq!(one.analysis.resolvers(), four.analysis.resolvers());
-        assert_eq!(
-            one.dualstack.dual_stack_resolvers(),
-            four.dualstack.dual_stack_resolvers()
-        );
-        assert_eq!(one.dualstack.site_count(), four.dualstack.site_count());
+        for (vantage, year, seed) in [(Vantage::Nz, 2019, 31), (Vantage::Nl, 2020, 17)] {
+            let spec = dataset(vantage, year);
+            let id = spec.id();
+            let one = run_spec_with(
+                spec.clone(),
+                Scale::tiny(),
+                seed,
+                &PipelineOpts::with_workers(1),
+            );
+            let four = run_spec_with(spec, Scale::tiny(), seed, &PipelineOpts::with_workers(4));
+            assert_eq!(one.ingest_stats, four.ingest_stats, "{id}");
+            assert!(
+                four.ingest_stats.balanced(),
+                "{id}: {:?}",
+                four.ingest_stats
+            );
+            assert_eq!(one.gen_stats.queries, four.gen_stats.queries, "{id}");
+            assert_eq!(one.gen_stats.per_fleet, four.gen_stats.per_fleet, "{id}");
+            assert_eq!(
+                one.analysis.total_queries, four.analysis.total_queries,
+                "{id}"
+            );
+            assert_eq!(
+                one.analysis.valid_queries, four.analysis.valid_queries,
+                "{id}"
+            );
+            assert_eq!(
+                one.analysis.cloud_share(),
+                four.analysis.cloud_share(),
+                "{id}"
+            );
+            assert_eq!(one.analysis.resolvers(), four.analysis.resolvers(), "{id}");
+            assert_eq!(
+                one.dualstack.dual_stack_resolvers(),
+                four.dualstack.dual_stack_resolvers(),
+                "{id}"
+            );
+            assert_eq!(
+                one.dualstack.site_count(),
+                four.dualstack.site_count(),
+                "{id}"
+            );
+        }
     }
 
     /// The fleet generator streams through the same ingest unchanged:

@@ -5,17 +5,26 @@
 //!    name — what each authoritative server sees (§4.2.1);
 //! 2. the Feb-2020 `.nz` cyclic-dependency incident, mechanized: two
 //!    domains whose NS sets point at each other amplify A-queries at
-//!    the TLD until budgets run out (Figure 3b's surge).
+//!    the TLD until budgets run out (Figure 3b's surge);
+//! 3. a validating resolver's DS and DNSKEY traffic over four signed
+//!    `.nl` domains (§4.2.2).
 //!
 //! ```sh
-//! cargo run --release --example iterative_resolution
+//! cargo run --release -p resolver --example iterative_resolution
 //! ```
+//!
+//! The servers are the toy hierarchy the resolver's tests walk.
+
+#[path = "../tests/hierarchy/mod.rs"]
+mod hierarchy;
 
 use dns_wire::types::RType;
-use resolver::hierarchy::{sample_world, Network, ZoneBuilder};
+use hierarchy::{cyclic_world, sample_world, Network, ZoneBuilder};
 use resolver::{IterativeResolver, ResolverConfig};
 
-fn signed_world() -> Network {
+/// The root and `.nl` signed, with four signed, securely delegated
+/// `.nl` domains.
+fn signed_nl_world() -> Network {
     let mut net = Network::new();
     net.add(
         ZoneBuilder::new(".")
@@ -102,7 +111,7 @@ fn main() {
     );
 
     println!("=== 3. A validating resolver's DS/DNSKEY traffic (\u{a7}4.2.2) ===\n");
-    let mut net = signed_world();
+    let mut net = signed_nl_world();
     let mut r = IterativeResolver::new(ResolverConfig {
         validate: true,
         ..Default::default()
@@ -127,22 +136,4 @@ fn main() {
          Cloudflare DS-heavy, and whose absence marks Microsoft as the\n\
          one non-validating provider."
     );
-}
-
-/// Two `.nz` domains whose NS records point at each other, no glue.
-fn cyclic_world() -> Network {
-    let mut net = Network::new();
-    net.add(
-        ZoneBuilder::new(".")
-            .server("a.root-servers.example.", "198.41.0.4")
-            .delegate("nz.", &["ns1.dns.net.nz."])
-            .address("ns1.dns.net.nz.", "202.46.190.10"),
-    );
-    net.add(
-        ZoneBuilder::new("nz.")
-            .server("ns1.dns.net.nz.", "202.46.190.10")
-            .delegate("alpha.nz.", &["ns.beta.nz."])
-            .delegate("beta.nz.", &["ns.alpha.nz."]),
-    );
-    net
 }

@@ -8,9 +8,9 @@
 //! ([`Step::Prime`]) or nothing more ([`Step::Done`]). There is no
 //! clock and no socket inside, so one driver can keep many walks in
 //! flight (`authd`'s reactor), and [`IterativeResolver::resolve`] is
-//! the blocking driver over any [`Transport`]: the in-process test
-//! [`Network`](crate::hierarchy::Network), simnet's zone-model
-//! answerer, or anything else that answers one query at a time.
+//! the blocking driver over any [`Transport`]: simnet's three-tier
+//! `SimTransport`, the toy hierarchy the crate's tests walk, or anything
+//! else that answers one query at a time.
 //!
 //! What a recursive walk keeps on the call stack — the name being
 //! resolved, its CNAME targets and glueless NS hosts, and the DS/DNSKEY
@@ -996,621 +996,14 @@ fn answer_ttl(reply: &Reader<'_>, owner: &Name) -> u32 {
         .unwrap_or(DEFAULT_ANSWER_TTL)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use super::{cyclic_world, sample_world};
-
-    fn n(s: &str) -> Name {
-        s.parse().unwrap()
-    }
-
-    #[test]
-    fn resolves_through_the_tree() {
-        let mut net = sample_world();
-        let mut r = IterativeResolver::new(ResolverConfig::default());
-        let addrs = r
-            .resolve(&mut net, &n("www.example.nl."), RType::A)
-            .unwrap();
-        assert_eq!(&addrs[..], ["192.0.2.80".parse::<IpAddr>().unwrap()]);
-        // walked root -> nl -> example.nl
-        assert_eq!(r.queries_sent(), 3);
-        assert_eq!(r.cached_cuts(), 2, "nl. and example.nl. learned");
-    }
-
-    #[test]
-    fn cache_short_circuits_the_second_walk() {
-        let mut net = sample_world();
-        let mut r = IterativeResolver::new(ResolverConfig::default());
-        r.resolve(&mut net, &n("www.example.nl."), RType::A)
-            .unwrap();
-        let before = r.queries_sent();
-        // same name: answered from the address cache, zero queries
-        r.resolve(&mut net, &n("www.example.nl."), RType::A)
-            .unwrap();
-        assert_eq!(r.queries_sent(), before);
-        // sibling name: starts at the cached example.nl. cut, one query
-        let aaaa = r
-            .resolve(&mut net, &n("www.example.nl."), RType::Aaaa)
-            .unwrap();
-        assert_eq!(&aaaa[..], ["2001:db8::80".parse::<IpAddr>().unwrap()]);
-        assert_eq!(r.queries_sent(), before + 1);
-    }
-
-    #[test]
-    fn qmin_changes_what_the_tld_sees() {
-        // the paper's §4.2.1, as an algorithm-level assertion
-        let tld_server: IpAddr = "194.0.28.53".parse().unwrap();
-
-        let mut net = sample_world();
-        let mut classic = IterativeResolver::new(ResolverConfig::default());
-        classic
-            .resolve(&mut net, &n("www.example.nl."), RType::A)
-            .unwrap();
-        let classic_seen: Vec<(String, RType)> = net
-            .queries_at(tld_server)
-            .iter()
-            .map(|q| (q.qname.to_string(), q.qtype))
-            .collect();
-        assert_eq!(
-            classic_seen,
-            vec![("www.example.nl.".to_string(), RType::A)],
-            "classic resolver leaks the full qname to the TLD"
-        );
-
-        let mut net = sample_world();
-        let mut minimizing = IterativeResolver::new(ResolverConfig {
-            qmin: true,
-            ..Default::default()
-        });
-        minimizing
-            .resolve(&mut net, &n("www.example.nl."), RType::A)
-            .unwrap();
-        let qmin_seen: Vec<(String, RType)> = net
-            .queries_at(tld_server)
-            .iter()
-            .map(|q| (q.qname.to_string(), q.qtype))
-            .collect();
-        assert_eq!(
-            qmin_seen,
-            vec![("example.nl.".to_string(), RType::Ns)],
-            "Q-min sends one label below the cut, qtype NS"
-        );
-    }
-
-    #[test]
-    fn qmin_still_resolves_correctly() {
-        let mut net = sample_world();
-        let mut r = IterativeResolver::new(ResolverConfig {
-            qmin: true,
-            ..Default::default()
-        });
-        let addrs = r
-            .resolve(&mut net, &n("www.example.nl."), RType::A)
-            .unwrap();
-        assert_eq!(&addrs[..], ["192.0.2.80".parse::<IpAddr>().unwrap()]);
-    }
-
-    #[test]
-    fn out_of_bailiwick_ns_resolves_via_second_walk() {
-        let mut net = sample_world();
-        let mut r = IterativeResolver::new(ResolverConfig::default());
-        // hosted.nl is served by ns.provider.nz: the resolver must first
-        // resolve that host through .nz
-        let addrs = r.resolve(&mut net, &n("www.hosted.nl."), RType::A).unwrap();
-        assert_eq!(&addrs[..], ["203.0.113.81".parse::<IpAddr>().unwrap()]);
-        // the .nz TLD server must have been consulted on the way
-        assert!(!net.queries_at("202.46.190.10".parse().unwrap()).is_empty());
-    }
-
-    #[test]
-    fn nxdomain_and_nodata_surface() {
-        let mut net = sample_world();
-        let mut r = IterativeResolver::new(ResolverConfig::default());
-        assert_eq!(
-            r.resolve(&mut net, &n("nosuch.example.nl."), RType::A),
-            Err(ResolveError::NxDomain)
-        );
-        assert_eq!(
-            r.resolve(&mut net, &n("www.example.nl."), RType::Mx),
-            Err(ResolveError::NoData)
-        );
-    }
-
-    #[test]
-    fn cname_is_followed() {
-        let mut net = sample_world();
-        let mut r = IterativeResolver::new(ResolverConfig::default());
-        let addrs = r
-            .resolve(&mut net, &n("cdn.example.nl."), RType::A)
-            .unwrap();
-        assert_eq!(&addrs[..], ["192.0.2.80".parse::<IpAddr>().unwrap()]);
-    }
-
-    #[test]
-    fn cyclic_dependency_detected_not_looped() {
-        let mut net = cyclic_world();
-        let mut r = IterativeResolver::new(ResolverConfig::default());
-        let err = r
-            .resolve(&mut net, &n("www.alpha.nz."), RType::A)
-            .unwrap_err();
-        assert!(
-            matches!(err, ResolveError::CyclicDependency { .. }),
-            "got {err:?}"
-        );
-        // bounded work even though the configuration is unresolvable
-        assert!(r.queries_sent() <= 64);
-    }
-
-    #[test]
-    fn cyclic_dependency_hammers_the_tld() {
-        // the incident's vantage-point signature: retries multiply A
-        // queries at the TLD (Figure 3b's surge)
-        let tld: IpAddr = "202.46.190.10".parse().unwrap();
-        let mut net = cyclic_world();
-        let mut tld_queries = 0usize;
-        for _ in 0..50 {
-            // caches cannot help: nothing positive is ever learned
-            let mut r = IterativeResolver::new(ResolverConfig::default());
-            let _ = r.resolve(&mut net, &n("www.alpha.nz."), RType::A);
-        }
-        tld_queries += net.queries_at(tld).len();
-        assert!(
-            tld_queries >= 150,
-            "repeated failed resolutions amplify at the TLD: {tld_queries}"
-        );
-        // and the queries are for the in-cycle names (A lookups of NS hosts)
-        let ns_lookups = net
-            .queries_at(tld)
-            .iter()
-            .filter(|q| q.qname.to_string().starts_with("ns.") && q.qtype == RType::A)
-            .count();
-        assert!(ns_lookups >= 100, "{ns_lookups}");
-    }
-
-    #[test]
-    fn budget_bounds_any_walk() {
-        let mut net = cyclic_world();
-        let mut r = IterativeResolver::new(ResolverConfig {
-            max_queries: 5,
-            ..Default::default()
-        });
-        let err = r
-            .resolve(&mut net, &n("www.alpha.nz."), RType::A)
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ResolveError::BudgetExhausted { .. } | ResolveError::CyclicDependency { .. }
-            ),
-            "{err:?}"
-        );
-        assert!(r.queries_sent() <= 5);
-    }
-
-    #[test]
-    fn unreachable_server_is_an_error() {
-        let mut net = super::dead_world();
-        let mut r = IterativeResolver::new(ResolverConfig::default());
-        assert_eq!(
-            r.resolve(&mut net, &n("www.dead."), RType::A),
-            Err(ResolveError::Unreachable)
-        );
-        // the retry machine tried the dead server on every pass and
-        // counted each timeout
-        assert!(r.stats.timeouts >= 2, "timeouts {}", r.stats.timeouts);
-        assert!(r.stats.retries >= 1, "retries {}", r.stats.retries);
-    }
-
-    #[test]
-    fn qmin_walk_is_deeper_but_bounded() {
-        // a 5-label name: Q-min sends more, smaller queries
-        let mut net = sample_world();
-        let mut classic = IterativeResolver::new(ResolverConfig::default());
-        let _ = classic.resolve(&mut net, &n("a.b.www.example.nl."), RType::A);
-        let classic_count = classic.queries_sent();
-        let mut net = sample_world();
-        let mut minimizing = IterativeResolver::new(ResolverConfig {
-            qmin: true,
-            ..Default::default()
-        });
-        let _ = minimizing.resolve(&mut net, &n("a.b.www.example.nl."), RType::A);
-        assert!(minimizing.queries_sent() >= classic_count);
-        assert!(minimizing.queries_sent() <= classic_count + 4);
-    }
-}
-
-#[cfg(test)]
-mod validate_tests {
-    use super::*;
-    use crate::hierarchy::{Network, ZoneBuilder};
-
-    fn n(s: &str) -> Name {
-        s.parse().unwrap()
-    }
-
-    /// A signed world: root signs, delegates securely to zz., which
-    /// securely delegates two leaf zones (and one insecurely).
-    fn signed_world() -> Network {
-        let mut net = Network::new();
-        net.add(
-            ZoneBuilder::new(".")
-                .signed()
-                .server("a.root.zz.", "198.41.0.4")
-                .delegate("zz.", &["ns1.tld.zz."])
-                .secure_delegation("zz.")
-                .address("ns1.tld.zz.", "203.0.113.1"),
-        );
-        let mut tld = ZoneBuilder::new("zz.")
-            .signed()
-            .server("ns1.tld.zz.", "203.0.113.1");
-        for (i, secure) in [(0, true), (1, true), (2, false)] {
-            let me = format!("d{i}.zz.");
-            let ns = format!("ns.d{i}.zz.");
-            let addr = format!("198.51.100.{}", i + 1);
-            tld = tld.delegate(&me, &[&ns]).address(&ns, &addr);
-            if secure {
-                tld = tld.secure_delegation(&me);
-            }
-            let mut leaf = ZoneBuilder::new(&me)
-                .server(&ns, &addr)
-                .address(&format!("www.{me}"), &format!("192.0.2.{}", i + 1));
-            if secure {
-                leaf = leaf.signed();
-            }
-            net.add(leaf);
-        }
-        net.add(tld);
-        net
-    }
-
-    #[test]
-    fn validating_resolution_succeeds_on_signed_chain() {
-        let mut net = signed_world();
-        let mut r = IterativeResolver::new(ResolverConfig {
-            validate: true,
-            ..Default::default()
-        });
-        let addrs = r.resolve(&mut net, &n("www.d0.zz."), RType::A).unwrap();
-        assert_eq!(&addrs[..], ["192.0.2.1".parse::<IpAddr>().unwrap()]);
-        // the walk contains DS queries at parents and DNSKEYs at children
-        let ds = r.log.iter().filter(|e| e.qtype == RType::Ds).count();
-        let dnskey = r.log.iter().filter(|e| e.qtype == RType::Dnskey).count();
-        assert_eq!(ds, 2, "zz. and d0.zz.");
-        assert_eq!(dnskey, 2);
-    }
-
-    #[test]
-    fn ds_exceeds_dnskey_across_many_delegations() {
-        // the Figure 2d signature: one DNSKEY per zone, one DS per
-        // delegation — resolve both secure leaves plus a sibling name
-        let mut net = signed_world();
-        let mut r = IterativeResolver::new(ResolverConfig {
-            validate: true,
-            ..Default::default()
-        });
-        r.resolve(&mut net, &n("www.d0.zz."), RType::A).unwrap();
-        r.resolve(&mut net, &n("www.d1.zz."), RType::A).unwrap();
-        let ds = r.log.iter().filter(|e| e.qtype == RType::Ds).count();
-        let dnskey_zz = r
-            .log
-            .iter()
-            .filter(|e| e.qtype == RType::Dnskey && e.qname == n("zz."))
-            .count();
-        assert_eq!(dnskey_zz, 1, "DNSKEY for the TLD fetched exactly once");
-        assert_eq!(ds, 3, "one DS per distinct delegation (zz., d0, d1)");
-    }
-
-    #[test]
-    fn insecure_delegation_skips_dnskey() {
-        let mut net = signed_world();
-        let mut r = IterativeResolver::new(ResolverConfig {
-            validate: true,
-            ..Default::default()
-        });
-        let addrs = r.resolve(&mut net, &n("www.d2.zz."), RType::A).unwrap();
-        assert_eq!(&addrs[..], ["192.0.2.3".parse::<IpAddr>().unwrap()]);
-        // DS asked for d2.zz. (answer: NODATA) but no DNSKEY at d2.zz.
-        assert!(r
-            .log
-            .iter()
-            .any(|e| e.qtype == RType::Ds && e.qname == n("d2.zz.")));
-        assert!(!r
-            .log
-            .iter()
-            .any(|e| e.qtype == RType::Dnskey && e.qname == n("d2.zz.")));
-    }
-
-    #[test]
-    fn bogus_chain_is_rejected() {
-        let mut net = super::bogus_world();
-        let mut r = IterativeResolver::new(ResolverConfig {
-            validate: true,
-            ..Default::default()
-        });
-        let err = r.resolve(&mut net, &n("www.d0.zz."), RType::A).unwrap_err();
-        assert_eq!(err, ResolveError::Bogus { zone: n("zz.") });
-    }
-
-    #[test]
-    fn non_validating_resolver_ignores_dnssec() {
-        let mut net = signed_world();
-        let mut r = IterativeResolver::new(ResolverConfig::default());
-        r.resolve(&mut net, &n("www.d0.zz."), RType::A).unwrap();
-        assert!(!r.log.iter().any(|e| e.qtype == RType::Ds));
-        assert!(!r.log.iter().any(|e| e.qtype == RType::Dnskey));
-    }
-}
-
-/// EDNS size, DO and CD ride on *every* hop of a walk — referral and
-/// Q-min probes, terminal queries, DS/DNSKEY fetches, glueless-NS
-/// re-walks and CNAME chases — as the bytes sent say: each query is
-/// read back with `Message::parse` on its way to the servers.
-#[cfg(test)]
-mod flag_tests {
-    use super::*;
-    use crate::hierarchy::{sample_world, Network};
-    use dns_wire::message::Message;
-
-    /// A network that parses every query sent to it.
-    struct Wiretap(Network, Vec<Message>);
-
-    impl Transport for Wiretap {
-        fn exchange(&mut self, server: IpAddr, query: &[u8]) -> Exchange<'_> {
-            self.1
-                .push(Message::parse(query).expect("a query the resolver wrote"));
-            self.0.exchange(server, query)
-        }
-
-        fn root_servers(&self) -> Vec<IpAddr> {
-            self.0.root_servers()
-        }
-    }
-
-    #[test]
-    fn every_hop_of_every_walk_carries_the_flags() {
-        let flagged = ResolverConfig {
-            edns_size: 1232,
-            do_bit: true,
-            cd_bit: true,
-            ..Default::default()
-        };
-        let validating = ResolverConfig {
-            qmin: true,
-            validate: true,
-            ..flagged
-        };
-        let walks = [
-            // Q-min probes, the terminal query, DS and DNSKEY fetches
-            (validating, super::validate_tests_world(), "www.d0.zz."),
-            // the out-of-bailiwick NS host is re-walked mid-resolution
-            (flagged, sample_world(), "www.hosted.nl."),
-            (flagged, sample_world(), "cdn.example.nl."),
-        ];
-        let mut asked = Vec::new();
-        for (config, world, name) in walks {
-            let mut tap = Wiretap(world, Vec::new());
-            let mut r = IterativeResolver::new(config);
-            r.resolve(&mut tap, &name.parse().unwrap(), RType::A)
-                .unwrap();
-            assert!(tap.1.len() >= 2, "{name}: a multi-hop walk");
-            for q in tap.1 {
-                let question = &q.questions[0];
-                assert_eq!(q.edns, Some(Edns::with_size(1232, true)), "{question:?}");
-                assert!(q.header.checking_disabled, "{question:?} lost CD");
-                asked.push((question.qname.to_string(), question.qtype));
-            }
-        }
-        for (qname, qtype) in [
-            ("d0.zz.", RType::Ns),
-            ("www.d0.zz.", RType::A),
-            ("d0.zz.", RType::Ds),
-            ("d0.zz.", RType::Dnskey),
-            ("ns.provider.nz.", RType::A),
-        ] {
-            let hop = (qname.to_string(), qtype);
-            assert!(asked.contains(&hop), "no {hop:?} hop asked");
-        }
-    }
-}
-
-#[cfg(test)]
-mod fleet_cache_tests {
-    use super::*;
-    use crate::cache::SharedCache;
-    use crate::hierarchy::sample_world;
-
-    fn n(s: &str) -> Name {
-        s.parse().unwrap()
-    }
-
-    #[test]
-    fn shared_cache_absorbs_repeat_lookups_across_resolvers() {
-        let mut net = sample_world();
-        let shared = SharedCache::with_capacity(1024);
-        let mut a = IterativeResolver::new(ResolverConfig::default());
-        let mut b = IterativeResolver::new(ResolverConfig::default());
-        a.attach_shared_cache(shared.clone());
-        b.attach_shared_cache(shared.clone());
-
-        a.resolve(&mut net, &n("www.example.nl."), RType::A)
-            .unwrap();
-        let sent_before = b.queries_sent();
-        // resolver B never walked, but the fleet cache answers
-        b.resolve(&mut net, &n("www.example.nl."), RType::A)
-            .unwrap();
-        assert_eq!(b.queries_sent(), sent_before, "fleet cache hit");
-        assert_eq!(b.stats.cache_hits, 1);
-        assert!(shared.hits() >= 1);
-    }
-
-    #[test]
-    fn shared_entries_decay_by_record_ttl() {
-        let mut net = sample_world();
-        let shared = SharedCache::with_capacity(1024);
-        let mut r = IterativeResolver::new(ResolverConfig::default());
-        r.attach_shared_cache(shared.clone());
-
-        r.set_now_micros(0);
-        r.resolve(&mut net, &n("www.example.nl."), RType::A)
-            .unwrap();
-        let walked = r.queries_sent();
-
-        // within the answer TTL (300s): served from the shared cache
-        r.set_now_micros(200_000_000);
-        r.resolve(&mut net, &n("www.example.nl."), RType::A)
-            .unwrap();
-        assert_eq!(r.queries_sent(), walked);
-
-        // past the answer TTL but within the 3600s delegation TTL: the
-        // resolver re-queries the leaf zone only, not the whole chain
-        r.set_now_micros(400_000_000);
-        r.resolve(&mut net, &n("www.example.nl."), RType::A)
-            .unwrap();
-        assert_eq!(r.queries_sent(), walked + 1, "one re-query at the leaf cut");
-
-        // past every TTL: full re-walk from the root
-        r.set_now_micros(4_000_000_000);
-        r.resolve(&mut net, &n("www.example.nl."), RType::A)
-            .unwrap();
-        assert_eq!(r.queries_sent(), walked + 1 + 3, "cold re-walk");
-    }
-
-    #[test]
-    fn negative_answers_are_cached_in_the_fleet_cache() {
-        let mut net = sample_world();
-        let shared = SharedCache::with_capacity(1024);
-        let mut r = IterativeResolver::new(ResolverConfig::default());
-        r.attach_shared_cache(shared.clone());
-        assert_eq!(
-            r.resolve(&mut net, &n("nosuch.example.nl."), RType::A),
-            Err(ResolveError::NxDomain)
-        );
-        let sent = r.queries_sent();
-        // the denial is served from cache within the negative TTL
-        assert_eq!(
-            r.resolve(&mut net, &n("nosuch.example.nl."), RType::A),
-            Err(ResolveError::NxDomain)
-        );
-        assert_eq!(r.queries_sent(), sent, "negative cache hit");
-    }
-
-    #[test]
-    fn log_can_be_disabled_without_breaking_budget() {
-        let mut net = sample_world();
-        let mut r = IterativeResolver::new(ResolverConfig::default());
-        r.set_log_enabled(false);
-        r.resolve(&mut net, &n("www.example.nl."), RType::A)
-            .unwrap();
-        assert!(r.log.is_empty());
-        assert_eq!(r.queries_sent(), 3, "sent counter independent of log");
-    }
-}
-
-/// The signed test world, shared by the validation and flag tests.
-#[cfg(test)]
-fn validate_tests_world() -> crate::hierarchy::Network {
-    use crate::hierarchy::{Network, ZoneBuilder};
-    let mut net = Network::new();
-    net.add(
-        ZoneBuilder::new(".")
-            .signed()
-            .server("a.root.zz.", "198.41.0.4")
-            .delegate("zz.", &["ns1.tld.zz."])
-            .secure_delegation("zz.")
-            .address("ns1.tld.zz.", "203.0.113.1"),
-    );
-    let mut tld = ZoneBuilder::new("zz.")
-        .signed()
-        .server("ns1.tld.zz.", "203.0.113.1");
-    for (i, secure) in [(0, true), (1, true), (2, false)] {
-        let me = format!("d{i}.zz.");
-        let ns = format!("ns.d{i}.zz.");
-        let addr = format!("198.51.100.{}", i + 1);
-        tld = tld.delegate(&me, &[&ns]).address(&ns, &addr);
-        if secure {
-            tld = tld.secure_delegation(&me);
-        }
-        let mut leaf = ZoneBuilder::new(&me)
-            .server(&ns, &addr)
-            .address(&format!("www.{me}"), &format!("192.0.2.{}", i + 1));
-        if secure {
-            leaf = leaf.signed();
-        }
-        net.add(leaf);
-    }
-    net.add(tld);
-    net
-}
-
-/// Two domains whose NS sets point at each other, with no glue: the
-/// Feb-2020 `.nz` configuration. Resolution must terminate with a cycle
-/// error — and the TLD absorbs the repeated queries.
-#[cfg(test)]
-fn cyclic_world() -> crate::hierarchy::Network {
-    use crate::hierarchy::{Network, ZoneBuilder};
-    let mut net = Network::new();
-    net.add(
-        ZoneBuilder::new(".")
-            .server("a.root-servers.example.", "198.41.0.4")
-            .delegate("nz.", &["ns1.dns.net.nz."])
-            .address("ns1.dns.net.nz.", "202.46.190.10"),
-    );
-    net.add(
-        ZoneBuilder::new("nz.")
-            .server("ns1.dns.net.nz.", "202.46.190.10")
-            // the broken pair: each NS lives under the *other* domain
-            .delegate("alpha.nz.", &["ns.beta.nz."])
-            .delegate("beta.nz.", &["ns.alpha.nz."]),
-    );
-    net
-}
-
-/// The parent publishes DS, the child is not signed (no DNSKEY): every
-/// validating walk below `zz.` is bogus.
-#[cfg(test)]
-fn bogus_world() -> crate::hierarchy::Network {
-    use crate::hierarchy::{Network, ZoneBuilder};
-    let mut net = Network::new();
-    net.add(
-        ZoneBuilder::new(".")
-            .server("a.root.zz.", "198.41.0.4")
-            .delegate("zz.", &["ns1.tld.zz."])
-            .secure_delegation("zz.")
-            .address("ns1.tld.zz.", "203.0.113.1"),
-    );
-    net.add(
-        ZoneBuilder::new("zz.") // not .signed()
-            .server("ns1.tld.zz.", "203.0.113.1")
-            .delegate("d0.zz.", &["ns.d0.zz."])
-            .address("ns.d0.zz.", "198.51.100.1"),
-    );
-    net
-}
-
-/// A delegation to a server nobody answers for.
-#[cfg(test)]
-fn dead_world() -> crate::hierarchy::Network {
-    use crate::hierarchy::{Network, ZoneBuilder};
-    let mut net = Network::new();
-    net.add(
-        ZoneBuilder::new(".")
-            .server("a.root-servers.example.", "198.41.0.4")
-            .delegate("dead.", &["ns.dead."])
-            .address("ns.dead.", "10.255.255.1"), // nobody listens
-    );
-    net
-}
-
-#[cfg(test)]
-use crate::hierarchy::sample_world;
-
 /// The walk as a step machine: walks driven together, one step at a
 /// time, are the walks `resolve` runs alone.
 #[cfg(test)]
 mod machine_tests {
     use super::*;
-    use crate::hierarchy::Network;
+    use crate::hierarchy::{
+        bogus_world, cyclic_world, dead_world, sample_world, signed_world, Network,
+    };
 
     fn n(s: &str) -> Name {
         s.parse().unwrap()
@@ -1676,7 +1069,7 @@ mod machine_tests {
                 &[("www.alpha.nz.", RType::A)],
             ),
             case(
-                validate_tests_world,
+                signed_world,
                 validating,
                 &[
                     ("www.d0.zz.", RType::A),

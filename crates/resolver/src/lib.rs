@@ -1,4 +1,6 @@
-//! An iterative DNS resolver over a simulated authoritative hierarchy.
+//! An iterative DNS resolver: a sans-io walk from the root down the
+//! zone cuts, with its cache, its server selector and the transport
+//! seam its drivers meet it at.
 //!
 //! The rest of the workspace treats resolvers *statistically* (the
 //! calibrated fleets of `simnet`); this crate implements one
@@ -22,25 +24,32 @@
 //! each reply is read where it lies. [`transport`] is the seam
 //! a driver meets the walk at — `authd`'s reactor over sockets, simnet's
 //! three-tier `SimTransport` offline — and both put the query on the
-//! wire as written. [`hierarchy`] is a small root → TLD → leaf server
-//! tree for tests and examples: it parses each query whole and answers
-//! with an owned message, which makes it the oracle the walk is held
-//! to.
+//! wire as written. The crate's tests and its example walk a toy
+//! root → TLD → leaf hierarchy (`tests/hierarchy/`) that parses each
+//! query whole and answers with an owned message: the oracle the walk
+//! is held to.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod cache;
-pub mod hierarchy;
 pub mod iterative;
 pub mod selector;
 pub mod transport;
 
 pub use cache::{Addrs, CacheStats, FleetCache, Negative, SharedCache};
-pub use hierarchy::{Network, ZoneBuilder};
 pub use iterative::{
     IterativeResolver, QueryLogEntry, ResolveError, ResolverConfig, ResolverStats, Step,
     WalkScratch,
 };
 pub use selector::{HostSelector, HostStats};
 pub use transport::{Exchange, Transport};
+
+// The unit tests that read private walk state walk the same toy
+// hierarchy as the integration tests, which names this crate
+// `resolver`.
+#[cfg(test)]
+extern crate self as resolver;
+#[cfg(test)]
+#[path = "../tests/hierarchy/mod.rs"]
+mod hierarchy;

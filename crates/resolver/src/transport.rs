@@ -7,12 +7,12 @@
 //! `authd`'s reactor keeps many walks in flight over real sockets. A
 //! [`Transport`] is what the *blocking* driver,
 //! [`crate::iterative::IterativeResolver::resolve`], runs over — an
-//! in-process zone world (simnet's three-tier `SimTransport`, the test
-//! [`Network`](crate::hierarchy::Network)) that answers one query at a
-//! time. Either way the driver owns everything below the message layer —
+//! in-process zone world (simnet's three-tier `SimTransport`, or the toy
+//! hierarchy the crate's tests walk) that answers one query at a time.
+//! Either way the driver owns everything below the message layer —
 //! timeouts, truncation + TCP fallback, capture taps — and hands the
-//! walk either a complete response with its measured round-trip time or
-//! a timeout.
+//! walk either a complete response with its measured round-trip time
+//! or a timeout.
 //!
 //! Both directions cross the seam as wire bytes. The query is the
 //! resolver's own buffer ([`IterativeResolver::query`]), written once

@@ -1,18 +1,25 @@
-//! A simulated authoritative-server hierarchy: zones with delegations
-//! and glue, served by addressable name servers, answering real
-//! wire-format questions.
+//! A toy authoritative hierarchy for the resolver's tests and its
+//! example: zones with delegations and glue, served by addressable name
+//! servers, answering real wire-format questions.
 //!
-//! This is deliberately simpler than `simnet`'s calibrated responder:
-//! it exists so an *algorithmic* resolver has a real tree to walk —
-//! root, TLDs, and leaf zones, with configurable NS records (including
-//! the broken, mutually-dependent kind).
+//! It is deliberately simpler than `simnet`'s authoritative tiers: it
+//! parses each query whole and answers with an owned message, which
+//! makes it the oracle the walk is held to — root, TLDs and leaf zones,
+//! with configurable NS records (including the broken, mutually
+//! dependent kind). The worlds the tests share are built at the end.
+//!
+//! One file serves every user: the integration tests declare it with
+//! `mod hierarchy;`, and the crate's own unit tests and the example
+//! include it by `#[path]`.
 
-use crate::transport::{Exchange, Transport};
+#![allow(dead_code)] // each user builds only the worlds it walks
+
 use dns_wire::builder::MessageBuilder;
 use dns_wire::message::{Message, Question};
 use dns_wire::name::{Name, ReusableCompressor};
 use dns_wire::rdata::RData;
 use dns_wire::types::{RType, Rcode};
+use resolver::{Exchange, Transport};
 use std::collections::HashMap;
 use std::net::IpAddr;
 
@@ -448,113 +455,91 @@ pub fn sample_world() -> Network {
     net
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn q(net: &mut Network, server: &str, qname: &str, qtype: RType) -> Message {
-        let query = MessageBuilder::query(1, qname.parse().unwrap(), qtype).build();
-        net.query(server.parse().unwrap(), &query)
-            .expect("server answers")
+/// A signed world: the root signs and delegates securely to `zz.`,
+/// which delegates `d0.zz.` and `d1.zz.` securely (both signed) and
+/// `d2.zz.` insecurely.
+pub fn signed_world() -> Network {
+    let mut net = Network::new();
+    net.add(
+        ZoneBuilder::new(".")
+            .signed()
+            .server("a.root.zz.", "198.41.0.4")
+            .delegate("zz.", &["ns1.tld.zz."])
+            .secure_delegation("zz.")
+            .address("ns1.tld.zz.", "203.0.113.1"),
+    );
+    let mut tld = ZoneBuilder::new("zz.")
+        .signed()
+        .server("ns1.tld.zz.", "203.0.113.1");
+    for (i, secure) in [(0, true), (1, true), (2, false)] {
+        let me = format!("d{i}.zz.");
+        let ns = format!("ns.d{i}.zz.");
+        let addr = format!("198.51.100.{}", i + 1);
+        tld = tld.delegate(&me, &[&ns]).address(&ns, &addr);
+        if secure {
+            tld = tld.secure_delegation(&me);
+        }
+        let mut leaf = ZoneBuilder::new(&me)
+            .server(&ns, &addr)
+            .address(&format!("www.{me}"), &format!("192.0.2.{}", i + 1));
+        if secure {
+            leaf = leaf.signed();
+        }
+        net.add(leaf);
     }
+    net.add(tld);
+    net
+}
 
-    #[test]
-    fn root_refers_to_tld_with_glue() {
-        let mut net = sample_world();
-        let resp = q(&mut net, "198.41.0.4", "www.example.nl.", RType::A);
-        assert_eq!(resp.header.rcode, Rcode::NoError);
-        assert!(resp.answers.is_empty());
-        let ns: Vec<String> = resp
-            .authorities
-            .iter()
-            .map(|r| r.name.to_string())
-            .collect();
-        assert!(ns.iter().all(|n| n == "nl."), "{ns:?}");
-        assert!(!resp.additionals.is_empty(), "glue present");
-    }
+/// Two domains whose NS sets point at each other, with no glue: the
+/// Feb-2020 `.nz` configuration. Resolution must terminate with a cycle
+/// error — and the TLD absorbs the repeated queries.
+pub fn cyclic_world() -> Network {
+    let mut net = Network::new();
+    net.add(
+        ZoneBuilder::new(".")
+            .server("a.root-servers.example.", "198.41.0.4")
+            .delegate("nz.", &["ns1.dns.net.nz."])
+            .address("ns1.dns.net.nz.", "202.46.190.10"),
+    );
+    net.add(
+        ZoneBuilder::new("nz.")
+            .server("ns1.dns.net.nz.", "202.46.190.10")
+            // the broken pair: each NS lives under the *other* domain
+            .delegate("alpha.nz.", &["ns.beta.nz."])
+            .delegate("beta.nz.", &["ns.alpha.nz."]),
+    );
+    net
+}
 
-    #[test]
-    fn tld_refers_to_leaf() {
-        let mut net = sample_world();
-        let resp = q(&mut net, "194.0.28.53", "www.example.nl.", RType::A);
-        assert!(resp.answers.is_empty());
-        assert_eq!(resp.authorities[0].name.to_string(), "example.nl.");
-    }
+/// The parent publishes DS, the child is not signed (no DNSKEY): every
+/// validating walk below `zz.` is bogus.
+pub fn bogus_world() -> Network {
+    let mut net = Network::new();
+    net.add(
+        ZoneBuilder::new(".")
+            .server("a.root.zz.", "198.41.0.4")
+            .delegate("zz.", &["ns1.tld.zz."])
+            .secure_delegation("zz.")
+            .address("ns1.tld.zz.", "203.0.113.1"),
+    );
+    net.add(
+        ZoneBuilder::new("zz.") // not .signed()
+            .server("ns1.tld.zz.", "203.0.113.1")
+            .delegate("d0.zz.", &["ns.d0.zz."])
+            .address("ns.d0.zz.", "198.51.100.1"),
+    );
+    net
+}
 
-    #[test]
-    fn leaf_answers_authoritatively() {
-        let mut net = sample_world();
-        let resp = q(&mut net, "192.0.2.53", "www.example.nl.", RType::A);
-        assert_eq!(resp.answers.len(), 1);
-        assert_eq!(
-            resp.answers[0].rdata,
-            RData::A("192.0.2.80".parse().unwrap())
-        );
-        // AAAA too
-        let resp = q(&mut net, "192.0.2.53", "www.example.nl.", RType::Aaaa);
-        assert_eq!(
-            resp.answers[0].rdata,
-            RData::Aaaa("2001:db8::80".parse().unwrap())
-        );
-    }
-
-    #[test]
-    fn cname_is_chased_in_zone() {
-        let mut net = sample_world();
-        let resp = q(&mut net, "192.0.2.53", "cdn.example.nl.", RType::A);
-        assert_eq!(resp.answers.len(), 2);
-        assert!(matches!(resp.answers[0].rdata, RData::Cname(_)));
-        assert!(matches!(resp.answers[1].rdata, RData::A(_)));
-    }
-
-    #[test]
-    fn nxdomain_and_nodata() {
-        let mut net = sample_world();
-        let resp = q(&mut net, "192.0.2.53", "nosuch.example.nl.", RType::A);
-        assert_eq!(resp.header.rcode, Rcode::NxDomain);
-        // www exists but has no MX: NODATA
-        let resp = q(&mut net, "192.0.2.53", "www.example.nl.", RType::Mx);
-        assert_eq!(resp.header.rcode, Rcode::NoError);
-        assert!(resp.answers.is_empty());
-    }
-
-    #[test]
-    fn out_of_bailiwick_ns_gets_no_glue() {
-        let mut net = sample_world();
-        let resp = q(&mut net, "194.0.28.53", "www.hosted.nl.", RType::A);
-        let ns_names: Vec<String> = resp
-            .authorities
-            .iter()
-            .filter_map(|r| match &r.rdata {
-                RData::Ns(n) => Some(n.to_string()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(ns_names, vec!["ns.provider.nz."]);
-        assert!(resp.additionals.is_empty(), "nz host: no .nl glue");
-    }
-
-    #[test]
-    fn server_log_records_questions() {
-        let mut net = sample_world();
-        q(&mut net, "198.41.0.4", "www.example.nl.", RType::A);
-        q(&mut net, "198.41.0.4", "x.nz.", RType::A);
-        assert_eq!(net.queries_at("198.41.0.4".parse().unwrap()).len(), 2);
-        assert_eq!(net.total_queries(), 2);
-    }
-
-    #[test]
-    fn unknown_server_is_silence() {
-        let mut net = sample_world();
-        let query = MessageBuilder::query(1, "x.nl.".parse().unwrap(), RType::A).build();
-        assert!(net.query("10.9.9.9".parse().unwrap(), &query).is_none());
-    }
-
-    #[test]
-    fn root_servers_enumerated() {
-        let net = sample_world();
-        let mut roots = net.root_servers();
-        roots.sort();
-        assert_eq!(roots.len(), 2);
-    }
+/// A delegation to a server nobody answers for.
+pub fn dead_world() -> Network {
+    let mut net = Network::new();
+    net.add(
+        ZoneBuilder::new(".")
+            .server("a.root-servers.example.", "198.41.0.4")
+            .delegate("dead.", &["ns.dead."])
+            .address("ns.dead.", "10.255.255.1"), // nobody listens
+    );
+    net
 }

@@ -15,12 +15,14 @@ use dns_wire::name::Name;
 use dns_wire::types::RType;
 use proptest::prelude::*;
 use proptest::strategy::Just;
-use resolver::hierarchy::{Network, ZoneBuilder};
 use resolver::{
     Addrs, Exchange, FleetCache, IterativeResolver, Negative, ResolveError, ResolverConfig, Step,
     Transport,
 };
 use std::net::IpAddr;
+
+mod hierarchy;
+use hierarchy::{Network, ZoneBuilder};
 
 /// Build a random world: a root, one TLD, and `n` leaf domains whose NS
 /// hosts point at a random other domain (possibly forming cycles) or at

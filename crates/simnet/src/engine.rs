@@ -22,13 +22,12 @@ use dns_wire::header::Header;
 use dns_wire::message::Question;
 use dns_wire::name::Name;
 use dns_wire::types::RType;
-use netbase::capture::{CaptureWriter, RecordSink, RecordSlice};
+use netbase::capture::{RecordSink, RecordSlice};
 use netbase::flow::IpVersion;
 use netbase::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use resolver::cache::TtlMap;
-use std::io::Write;
 use std::net::IpAddr;
 use zonedb::junk::JunkGenerator;
 use zonedb::popularity::ZipfSampler;
@@ -235,14 +234,6 @@ impl Engine {
     /// The junk-name generator for this zone.
     pub fn junk_gen(&self) -> &JunkGenerator {
         &self.junk
-    }
-
-    /// Generate the dataset into a capture writer (single-threaded).
-    pub fn generate<W: Write + Send>(
-        &self,
-        out: &mut CaptureWriter<W>,
-    ) -> std::io::Result<DatasetStats> {
-        self.generate_sharded(out, 1)
     }
 
     /// Generate the dataset into one record sink, in slot order, spread
@@ -796,7 +787,7 @@ mod tests {
     use crate::profile::Vantage;
     use crate::scenario::{dataset, monthly_google, Scale};
     use dns_wire::message::Message;
-    use netbase::capture::{CaptureReader, CaptureRecord, Direction};
+    use netbase::capture::{CaptureReader, CaptureRecord, CaptureWriter, Direction};
     use netbase::flow::Transport;
 
     fn generate(vantage: Vantage, year: u16) -> (Engine, Vec<CaptureRecord>, DatasetStats) {
@@ -804,7 +795,7 @@ mod tests {
         let mut buf = Vec::new();
         let stats = {
             let mut w = CaptureWriter::new(&mut buf).unwrap();
-            let s = engine.generate(&mut w).unwrap();
+            let s = engine.generate_sharded(&mut w, 1).unwrap();
             w.finish().unwrap();
             s
         };
@@ -1009,7 +1000,7 @@ mod tests {
             let engine = Engine::new(dataset(Vantage::Nz, 2020), Scale::tiny(), 7);
             let mut buf = Vec::new();
             let mut w = CaptureWriter::new(&mut buf).unwrap();
-            engine.generate(&mut w).unwrap();
+            engine.generate_sharded(&mut w, 1).unwrap();
             w.finish().unwrap();
             buf
         };
@@ -1022,7 +1013,7 @@ mod tests {
             let engine = Engine::new(dataset(Vantage::Nz, 2020), Scale::tiny(), seed);
             let mut buf = Vec::new();
             let mut w = CaptureWriter::new(&mut buf).unwrap();
-            engine.generate(&mut w).unwrap();
+            engine.generate_sharded(&mut w, 1).unwrap();
             w.finish().unwrap();
             buf
         };
@@ -1065,13 +1056,13 @@ mod tests {
         let engine = Engine::new(spec, Scale::tiny(), 9);
         let mut buf = Vec::new();
         let mut w = CaptureWriter::new(&mut buf).unwrap();
-        let stats = engine.generate(&mut w).unwrap();
+        let stats = engine.generate_sharded(&mut w, 1).unwrap();
         w.finish().unwrap();
         // Compare against January: February must show a large A/AAAA bump.
         let jan = Engine::new(monthly_google(Vantage::Nz, 2020, 1), Scale::tiny(), 9);
         let mut jbuf = Vec::new();
         let mut jw = CaptureWriter::new(&mut jbuf).unwrap();
-        let jstats = jan.generate(&mut jw).unwrap();
+        let jstats = jan.generate_sharded(&mut jw, 1).unwrap();
         jw.finish().unwrap();
         assert!(
             stats.queries as f64 > jstats.queries as f64 * 1.3,
@@ -1094,7 +1085,7 @@ mod tests {
         let engine = Engine::new(spec, Scale::tiny(), 5);
         let mut buf = Vec::new();
         let mut w = CaptureWriter::new(&mut buf).unwrap();
-        let stats = engine.generate(&mut w).unwrap();
+        let stats = engine.generate_sharded(&mut w, 1).unwrap();
         w.finish().unwrap();
         assert!(stats.rrl_slips > 0, "slips under a 1 rps budget");
         assert!(stats.rrl_drops > 0, "drops too");
@@ -1106,7 +1097,7 @@ mod tests {
         let baseline = Engine::new(dataset(Vantage::Nz, 2020), Scale::tiny(), 5);
         let mut bbuf = Vec::new();
         let mut bw = CaptureWriter::new(&mut bbuf).unwrap();
-        let bstats = baseline.generate(&mut bw).unwrap();
+        let bstats = baseline.generate_sharded(&mut bw, 1).unwrap();
         bw.finish().unwrap();
         let tcp_ratio = |s: &DatasetStats| s.tcp_queries as f64 / s.queries as f64;
         assert!(

@@ -1085,7 +1085,8 @@ fn analyze_cli(
 }
 
 /// Rewrite `--flag value` as `--flag=value` for the known value-taking
-/// flags, so both spellings work.
+/// flags, so both spellings work, and refuse a flag neither table
+/// knows (a misspelt one would otherwise run with the default).
 fn normalize_args(raw: Vec<String>) -> Result<Vec<String>, String> {
     let mut out = Vec::with_capacity(raw.len());
     let mut it = raw.into_iter();
@@ -1095,9 +1096,19 @@ fn normalize_args(raw: Vec<String>) -> Result<Vec<String>, String> {
                 Some(value) => out.push(format!("{arg}={value}")),
                 None => return Err(format!("flag {arg} requires a value")),
             }
-        } else {
-            out.push(arg);
+            continue;
         }
+        if arg.starts_with("--") {
+            let name = arg.split_once('=').map_or(arg.as_str(), |(name, _)| name);
+            let known = VALUE_FLAGS.iter().any(|(n, _, _)| *n == name)
+                || BOOL_FLAGS.iter().any(|(n, _)| *n == name);
+            if !known {
+                return Err(format!(
+                    "unknown flag {name} — run `dnscentral help` for the flags"
+                ));
+            }
+        }
+        out.push(arg);
     }
     Ok(out)
 }

@@ -144,6 +144,16 @@ fn bad_flag_values_fail_with_friendly_errors() {
         ),
         (&["dataset", "mars", "2020"][..], "unknown vantage"),
         (&["dataset", "nl", "twenty"][..], "year must be a number"),
+        // a misspelt flag would otherwise run with the default
+        (
+            &["table1", "--no-such-flag=3", "--shard=2"][..],
+            "unknown flag --no-such-flag",
+        ),
+        (&["table1", "--shard=2"][..], "unknown flag --shard"),
+        (
+            &["dataset", "nl", "2020", "--flet"][..],
+            "unknown flag --flet",
+        ),
     ] {
         let out = bin().args(args).output().expect("runs");
         assert!(!out.status.success(), "{args:?} should fail");

@@ -1,10 +1,8 @@
 //! Pipeline integrity: determinism, capture round-trips, ingest
 //! accounting, and robustness against damaged captures.
 
-use dnscentral_core::experiments::{
-    analyze_capture, generate_capture, generate_capture_sharded, temp_capture_path, DatasetRun,
-};
-use dnscentral_core::pipeline::{run_spec_with, PipelineOpts};
+use dnscentral_core::experiments::{analyze_capture, temp_capture_path, DatasetRun};
+use dnscentral_core::pipeline::{run_spec_with, write_capture, PipelineOpts};
 use dnscentral_core::report;
 use dnscentral_core::store;
 use netbase::capture::CaptureWriter;
@@ -21,8 +19,18 @@ fn generation_is_deterministic_via_files() {
     let spec = dataset(Vantage::Nz, 2019);
     let p1 = temp_capture_path("det-a", 5);
     let p2 = temp_capture_path("det-b", 5);
-    generate_capture(&spec, Scale::tiny(), 5, &p1).unwrap();
-    generate_capture(&spec, Scale::tiny(), 5, &p2).unwrap();
+    write_capture(
+        &Engine::new(spec.clone(), Scale::tiny(), 5),
+        &p1,
+        &PipelineOpts::with_workers(1),
+    )
+    .unwrap();
+    write_capture(
+        &Engine::new(spec.clone(), Scale::tiny(), 5),
+        &p2,
+        &PipelineOpts::with_workers(1),
+    )
+    .unwrap();
     let a = fs::read(&p1).unwrap();
     let b = fs::read(&p2).unwrap();
     let _ = fs::remove_file(&p1);
@@ -37,8 +45,18 @@ fn sharded_generation_matches_on_disk() {
     let spec = dataset(Vantage::BRoot, 2019);
     let p1 = temp_capture_path("shard-one", 7);
     let p4 = temp_capture_path("shard-four", 7);
-    generate_capture_sharded(&spec, Scale::tiny(), 7, &p1, 1).unwrap();
-    generate_capture_sharded(&spec, Scale::tiny(), 7, &p4, 4).unwrap();
+    write_capture(
+        &Engine::new(spec.clone(), Scale::tiny(), 7),
+        &p1,
+        &PipelineOpts::with_workers(1),
+    )
+    .unwrap();
+    write_capture(
+        &Engine::new(spec.clone(), Scale::tiny(), 7),
+        &p4,
+        &PipelineOpts::with_workers(4),
+    )
+    .unwrap();
     let a = fs::read(&p1).unwrap();
     let b = fs::read(&p4).unwrap();
     let _ = fs::remove_file(&p1);
@@ -134,7 +152,12 @@ fn streamed_and_disk_paths_agree_end_to_end() {
 fn generator_and_analyzer_agree() {
     let spec = dataset(Vantage::Nl, 2019);
     let path = temp_capture_path("agree", 9);
-    let gen = generate_capture(&spec, Scale::tiny(), 9, &path).unwrap();
+    let gen = write_capture(
+        &Engine::new(spec.clone(), Scale::tiny(), 9),
+        &path,
+        &PipelineOpts::with_workers(1),
+    )
+    .unwrap();
     let (analysis, _, ingest) = analyze_capture(&spec, Scale::tiny(), 9, &path).unwrap();
     let _ = fs::remove_file(&path);
     assert_eq!(gen.queries, ingest.rows);
@@ -152,7 +175,12 @@ fn generator_and_analyzer_agree() {
 fn truncated_capture_is_survivable() {
     let spec = dataset(Vantage::Nz, 2018);
     let path = temp_capture_path("chopped", 3);
-    generate_capture(&spec, Scale::tiny(), 3, &path).unwrap();
+    write_capture(
+        &Engine::new(spec.clone(), Scale::tiny(), 3),
+        &path,
+        &PipelineOpts::with_workers(1),
+    )
+    .unwrap();
     let full = fs::read(&path).unwrap();
     fs::write(&path, &full[..full.len() * 2 / 3]).unwrap();
     let (analysis, _, ingest) = analyze_capture(&spec, Scale::tiny(), 3, &path).unwrap();
@@ -171,7 +199,12 @@ fn truncated_capture_is_survivable() {
 fn corrupted_payloads_are_counted() {
     let spec = dataset(Vantage::Nz, 2018);
     let path = temp_capture_path("corrupt", 4);
-    generate_capture(&spec, Scale::tiny(), 4, &path).unwrap();
+    write_capture(
+        &Engine::new(spec.clone(), Scale::tiny(), 4),
+        &path,
+        &PipelineOpts::with_workers(1),
+    )
+    .unwrap();
     let mut bytes = fs::read(&path).unwrap();
     // stomp on a window in the middle of the stream (likely payload area)
     let mid = bytes.len() / 2;
@@ -196,8 +229,18 @@ fn seeds_vary_bytes_not_calibration() {
     let spec = dataset(Vantage::Nz, 2020);
     let p1 = temp_capture_path("seed-a", 100);
     let p2 = temp_capture_path("seed-b", 101);
-    generate_capture(&spec, Scale::tiny(), 100, &p1).unwrap();
-    generate_capture(&spec, Scale::tiny(), 101, &p2).unwrap();
+    write_capture(
+        &Engine::new(spec.clone(), Scale::tiny(), 100),
+        &p1,
+        &PipelineOpts::with_workers(1),
+    )
+    .unwrap();
+    write_capture(
+        &Engine::new(spec.clone(), Scale::tiny(), 101),
+        &p2,
+        &PipelineOpts::with_workers(1),
+    )
+    .unwrap();
     let b1 = fs::read(&p1).unwrap();
     let b2 = fs::read(&p2).unwrap();
     assert_ne!(b1, b2);
