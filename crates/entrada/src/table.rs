@@ -53,41 +53,67 @@ pub struct ColumnarBatch {
 /// empty) and point into the dictionary, so a name is stored once and
 /// never copied to key a map. The hasher is randomly keyed SipHash:
 /// qnames come from untrusted captures, and a fixed hash would let
-/// crafted names collide until interning went quadratic.
+/// crafted names collide until interning went quadratic. Each entry's
+/// hash is kept beside it, so a name is hashed once: the table grows by
+/// the stored hashes, and a probe compares octets only when the hashes
+/// agree.
 #[derive(Default)]
 struct NameIndex {
     hasher: RandomState,
     /// A power of two in length (or empty), at most half full.
     slots: Vec<u32>,
+    /// The hash of every dictionary entry, by id.
+    hashes: Vec<u32>,
 }
 
 impl NameIndex {
-    /// The id of `wire` in `dict`, or the empty slot it would take.
-    /// Needs at least one empty slot ([`NameIndex::reserve`]).
-    fn find(&self, dict: &[Name], wire: &[u8]) -> Result<u32, usize> {
+    fn hash(&self, wire: &[u8]) -> u32 {
+        self.hasher.hash_one(wire) as u32
+    }
+
+    /// The id of `wire`, whose [`hash`](NameIndex::hash) is `hash`, in
+    /// `dict`, or the empty slot it would take. Needs at least one
+    /// empty slot ([`NameIndex::reserve`]).
+    fn find(&self, dict: &[Name], wire: &[u8], hash: u32) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
-        let mut slot = self.hasher.hash_one(wire) as usize & mask;
+        let mut slot = hash as usize & mask;
         loop {
             match self.slots[slot] {
                 0 => return Err(slot),
-                id if dict[id as usize - 1].as_wire() == wire => return Ok(id - 1),
+                id if self.hashes[id as usize - 1] == hash
+                    && dict[id as usize - 1].as_wire() == wire =>
+                {
+                    return Ok(id - 1)
+                }
                 _ => slot = (slot + 1) & mask,
             }
         }
     }
 
-    /// Make room for a dictionary of `entries` names, rehashing
-    /// `dict` (whose names are distinct) when the table has to grow.
-    fn reserve(&mut self, dict: &[Name], entries: usize) {
+    /// Give the next dictionary id to the entry whose empty slot
+    /// [`find`](NameIndex::find) returned.
+    fn insert(&mut self, slot: usize, hash: u32) -> u32 {
+        let id = self.hashes.len() as u32;
+        self.slots[slot] = id + 1;
+        self.hashes.push(hash);
+        id
+    }
+
+    /// Make room for a dictionary of `entries` names. When the table
+    /// has to grow, every entry moves to its new slot by its stored
+    /// hash (entries are distinct, so no octets are compared).
+    fn reserve(&mut self, entries: usize) {
         if entries * 2 <= self.slots.len() {
             return;
         }
         let len = (entries * 2).next_power_of_two().max(16);
+        let mask = len - 1;
         self.slots = vec![0; len];
-        for (id, name) in dict.iter().enumerate() {
-            let Err(slot) = self.find(dict, name.as_wire()) else {
-                unreachable!("dictionary entries are distinct");
-            };
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = hash as usize & mask;
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
             self.slots[slot] = id as u32 + 1;
         }
     }
@@ -136,15 +162,15 @@ impl ColumnarBatch {
 
     fn intern(&mut self, name: &Name) -> u32 {
         let dict = &mut self.cols.dict;
-        self.index.reserve(dict, dict.len() + 1);
-        match self.index.find(dict, name.as_wire()) {
+        let wire = name.as_wire();
+        let hash = self.index.hash(wire);
+        self.index.reserve(dict.len() + 1);
+        match self.index.find(dict, wire, hash) {
             Ok(id) => id,
             Err(slot) => {
-                let id = dict.len() as u32;
-                self.index.slots[slot] = id + 1;
                 self.dict_heap += name.heap_bytes();
                 dict.push(name.clone());
-                id
+                self.index.insert(slot, hash)
             }
         }
     }
@@ -261,7 +287,8 @@ impl ColumnarBatch {
 
     /// Heap footprint estimate of the batch, bytes: every column at
     /// `len * size_of::<elem>()`, one `Name` per dictionary entry plus
-    /// the heap octets of the boxed ones, and the intern index's slots.
+    /// the heap octets of the boxed ones, and the intern index's slots
+    /// and stored hashes.
     /// The warehouse appender flushes partitions when this crosses its
     /// byte budget.
     pub fn bytes(&self) -> usize {
@@ -275,6 +302,7 @@ impl ColumnarBatch {
             + self.cols.dict.len() * size_of::<Name>()
             + self.dict_heap
             + self.index.slots.len() * size_of::<u32>()
+            + self.index.hashes.len() * size_of::<u32>()
     }
 
     /// The raw columns, for serialization (the `warehouse` crate
@@ -318,13 +346,15 @@ impl ColumnarBatch {
             return Err("qname id out of dictionary bounds");
         }
         let mut index = NameIndex::default();
-        index.reserve(&[], c.dict.len());
+        index.reserve(c.dict.len());
+        index.hashes.reserve_exact(c.dict.len());
         let mut dict_heap = 0;
-        for (id, name) in c.dict.iter().enumerate() {
-            let Err(slot) = index.find(&c.dict, name.as_wire()) else {
+        for name in &c.dict {
+            let hash = index.hash(name.as_wire());
+            let Err(slot) = index.find(&c.dict, name.as_wire(), hash) else {
                 return Err("duplicate dictionary entry");
             };
-            index.slots[slot] = id as u32 + 1;
+            index.insert(slot, hash);
             dict_heap += name.heap_bytes();
         }
         Ok(ColumnarBatch {
@@ -535,7 +565,17 @@ mod tests {
             + size_of::<u16>() * 4
             + size_of::<u8>() * 2
             + size_of::<u32>() * 4;
-        assert!(batch.bytes() >= batch.len() * per_row);
+        // plus the dictionary (inline names: no heap octets) and the
+        // intern index: its slots and one stored hash per entry
+        let (names, slots) = (batch.dictionary_size(), batch.index.slots.len());
+        assert_eq!(batch.index.hashes.len(), names);
+        assert_eq!(
+            batch.bytes(),
+            batch.len() * per_row
+                + names * size_of::<Name>()
+                + slots * size_of::<u32>()
+                + names * size_of::<u32>()
+        );
     }
 
     #[test]
@@ -617,6 +657,19 @@ mod tests {
             let want: Name = format!("junk{}.nl.", i % 3_000).parse().unwrap();
             assert_eq!(batch.get(i as usize).qname.as_wire(), want.as_wire());
         }
+        // the table grew from 16 slots to at least 6,000 by the stored
+        // hashes alone: each is its entry's hash, and every entry is
+        // found at its own id through the grown table
+        let index = &batch.index;
+        let dict = &batch.columns().dict;
+        assert_eq!(index.hashes.len(), dict.len());
+        for (id, name) in dict.iter().enumerate() {
+            let hash = index.hash(name.as_wire());
+            assert_eq!(index.hashes[id], hash, "{name}");
+            assert_eq!(index.find(dict, name.as_wire(), hash), Ok(id as u32));
+        }
+        let filled = index.slots.iter().filter(|&&s| s != 0).count();
+        assert_eq!(filled, dict.len(), "one slot per entry");
         // at most half full, and counted in the flush budget with the
         // dictionary's names
         let slots = batch.index.slots.len();
@@ -625,11 +678,57 @@ mod tests {
         for i in 0..5_000u64 {
             columns_only.push(&row(i));
         }
-        let dict_and_index = 3_000 * size_of::<Name>() + slots * size_of::<u32>();
+        let entry = size_of::<Name>() + size_of::<u32>();
+        let dict_and_index = 3_000 * entry + slots * size_of::<u32>();
         assert_eq!(
             batch.bytes() - dict_and_index,
-            columns_only.bytes() - 7 * size_of::<Name>() - 16 * size_of::<u32>()
+            columns_only.bytes() - 7 * entry - 16 * size_of::<u32>()
         );
+    }
+
+    #[test]
+    fn rebuilt_batch_keeps_exact_octets_under_push_and_merge() {
+        let spelled = |i: u64, s: &str| {
+            let mut r = row(i);
+            r.qname = s.parse().unwrap();
+            r
+        };
+        let mut batch = ColumnarBatch::new();
+        batch.push(&spelled(0, "example.nl."));
+        batch.push(&spelled(1, "Example.nl."));
+        let mut rebuilt = ColumnarBatch::from_columns(batch.columns().clone()).unwrap();
+        assert_eq!(rebuilt.dictionary_size(), 2);
+        // an exact repeat folds into the rebuilt index, a case variant
+        // does not
+        rebuilt.push(&spelled(2, "Example.nl."));
+        rebuilt.push(&spelled(3, "example.nl."));
+        rebuilt.push(&spelled(4, "EXAMPLE.NL."));
+        assert_eq!(rebuilt.dictionary_size(), 3);
+        let mut other = ColumnarBatch::new();
+        other.push(&spelled(5, "example.nl."));
+        other.push(&spelled(6, "eXample.nl."));
+        other.push(&spelled(7, "EXAMPLE.NL."));
+        rebuilt.merge(other);
+        assert_eq!(rebuilt.dictionary_size(), 4);
+        let want = [
+            "example.nl.",
+            "Example.nl.",
+            "Example.nl.",
+            "example.nl.",
+            "EXAMPLE.NL.",
+            "example.nl.",
+            "eXample.nl.",
+            "EXAMPLE.NL.",
+        ];
+        assert_eq!(rebuilt.len(), want.len());
+        for (i, s) in want.iter().enumerate() {
+            let name: Name = s.parse().unwrap();
+            assert_eq!(rebuilt.get(i).qname.as_wire(), name.as_wire(), "row {i}");
+        }
+        // the rebuilt batch's columns rebuild again: no duplicate crept in
+        let again = ColumnarBatch::from_columns(rebuilt.columns().clone()).unwrap();
+        assert_eq!(again.dictionary_size(), 4);
+        assert_eq!(again.bytes(), rebuilt.bytes());
     }
 
     #[test]

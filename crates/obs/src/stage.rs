@@ -77,7 +77,11 @@ impl Drop for StageTimer {
 /// worker's generate and analyze shares alternate slice by slice).
 pub fn record(name: &str, elapsed: Duration, items: u64) {
     let mut table = table().lock().expect("stage table lock");
-    let agg = table.entry(name.to_string()).or_default();
+    // look up by `&str` first: the name is allocated only on its first use
+    let agg = match table.get_mut(name) {
+        Some(agg) => agg,
+        None => table.entry(name.to_string()).or_default(),
+    };
     agg.calls += 1;
     agg.total += elapsed;
     agg.items += items;

@@ -20,7 +20,7 @@ use dns_wire::name::{Name, ReusableCompressor};
 use dns_wire::rdata::RData;
 use dns_wire::types::{RType, Rcode};
 use resolver::{Exchange, Transport};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::IpAddr;
 
 /// One zone's data.
@@ -145,8 +145,10 @@ impl ZoneBuilder {
 pub struct Network {
     zones: Vec<Zone>,
     /// server address -> zone indices it serves (a server can host
-    /// several zones, like real TLD operators).
-    servers: HashMap<IpAddr, Vec<usize>>,
+    /// several zones, like real TLD operators). Ordered by address, so
+    /// [`Network::root_servers`] lists the roots in the same order in
+    /// every run.
+    servers: BTreeMap<IpAddr, Vec<usize>>,
     /// Queries each server has answered (the vantage-point view).
     pub server_log: HashMap<IpAddr, Vec<Question>>,
     /// Where the [`Transport`] exchange encodes its replies.
@@ -170,7 +172,8 @@ impl Network {
         }
     }
 
-    /// The root servers' addresses (for resolver priming).
+    /// The root servers' addresses (for resolver priming), in address
+    /// order.
     pub fn root_servers(&self) -> Vec<IpAddr> {
         self.zones
             .iter()

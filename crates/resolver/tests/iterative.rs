@@ -118,6 +118,15 @@ mod hierarchy_tests {
         roots.sort();
         assert_eq!(roots.len(), 2);
     }
+
+    #[test]
+    fn root_servers_come_in_one_order() {
+        let roots = sample_world().root_servers();
+        assert_eq!(roots.len(), 2);
+        for _ in 0..8 {
+            assert_eq!(sample_world().root_servers(), roots);
+        }
+    }
 }
 
 mod tests {

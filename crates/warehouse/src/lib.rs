@@ -211,26 +211,48 @@ impl Warehouse {
         if batch.is_empty() {
             return Ok(());
         }
-        let seq = {
-            let mut inner = self.inner.lock().expect("warehouse lock");
-            let seq = inner.manifest.next_seq;
-            inner.manifest.next_seq += 1;
-            seq
-        };
+        let seq = self.reserve_seqs(1);
+        let meta = self.write(seq, source, batch)?;
+        self.stage_written(meta);
+        Ok(())
+    }
+
+    /// Reserve `n` consecutive partition file numbers; returns the
+    /// first.
+    pub(crate) fn reserve_seqs(&self, n: usize) -> u64 {
+        let mut inner = self.inner.lock().expect("warehouse lock");
+        let seq = inner.manifest.next_seq;
+        inner.manifest.next_seq += n as u64;
+        seq
+    }
+
+    /// Encode a non-empty `batch` into partition file `seq` and return
+    /// its manifest entry. Takes no lock, so threads write files
+    /// side by side.
+    pub(crate) fn write(
+        &self,
+        seq: u64,
+        source: &str,
+        batch: &ColumnarBatch,
+    ) -> Result<PartitionMeta, WarehouseError> {
         let (bytes, zone) = partition::encode(batch);
         let crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("crc trailer"));
         let file = format!("part-{seq:06}.dnswh");
         let path = self.root.join(&file);
         fs::write(&path, &bytes).map_err(|e| WarehouseError::io(&path, e))?;
-        let meta = PartitionMeta {
+        Ok(PartitionMeta {
             file,
             source: source.to_string(),
             bytes: bytes.len() as u64,
             zone,
             crc,
-        };
+        })
+    }
+
+    /// Stage a written partition for the next
+    /// [`commit`](Warehouse::commit).
+    pub(crate) fn stage_written(&self, meta: PartitionMeta) {
         self.inner.lock().expect("warehouse lock").staged.push(meta);
-        Ok(())
     }
 
     /// Commit every staged partition (and any newly registered

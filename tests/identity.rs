@@ -213,7 +213,7 @@ fn warehouse_report_text_and_json() {
 /// partition's qname dictionary holds close to one entry per row. At
 /// this scale the largest hourly batch is ~100 KB by
 /// `ColumnarBatch::bytes`, so a 32 KiB budget splits most hours (24 →
-/// 68 partitions); where partitions split must never reach a report.
+/// 72 partitions); where partitions split must never reach a report.
 #[test]
 fn junk_heavy_warehouse_split_by_bytes_reports_as_dataset() {
     let spec = dataset(Vantage::BRoot, 2020);
