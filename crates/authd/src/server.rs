@@ -202,11 +202,6 @@ impl Engine {
         &self.stats
     }
 
-    /// Merged RRL shard counters, when rate limiting is enabled.
-    pub fn rrl_stats(&self) -> Option<simnet::rrl::RrlStats> {
-        self.rrl.as_ref().map(|r| r.stats())
-    }
-
     /// Process one UDP datagram received from `peer` on a socket bound
     /// to `local`; returns the reply payload to send back to `peer`
     /// (None: malformed or RRL-dropped — counted, nothing to send).
@@ -228,7 +223,6 @@ impl Engine {
         };
         let now = self.clock.now();
         self.stats.bump(&self.stats.udp_queries);
-        let flight_key = note_recv_hop(payload, flow_src);
         let mut gate = self.rrl.as_ref();
         let outcome = self.responder.handle_into_gated(
             payload,
@@ -238,9 +232,6 @@ impl Engine {
             gate.as_mut(),
             &mut state.scratch,
         );
-        if let Some(key) = flight_key {
-            obs::flight::hop("authd.respond", key);
-        }
         let flow = FlowKey {
             src: flow_src.ip(),
             src_port: flow_src.port(),
@@ -273,9 +264,6 @@ impl Engine {
                     self.stats.bump(&self.stats.rrl_slipped);
                 }
                 self.tap_exchange(now, flow, 0, payload, Some(bytes));
-                if let Some(key) = flight_key {
-                    obs::flight::hop("authd.tap", key);
-                }
                 self.stats
                     .latency
                     .record(t0.elapsed().as_micros().max(1) as u64);
@@ -303,7 +291,6 @@ impl Engine {
             Some(p) => (p.src, p.dst, p.rtt_us),
             None => (peer, local, 0),
         };
-        let flight_key = note_recv_hop(msg, flow_src);
         let outcome = self.responder.handle_into_gated(
             msg,
             Transport::Tcp,
@@ -312,9 +299,6 @@ impl Engine {
             Option::<&mut RateLimiter>::None,
             &mut state.scratch,
         );
-        if let Some(key) = flight_key {
-            obs::flight::hop("authd.respond", key);
-        }
         let flow = FlowKey {
             src: flow_src.ip(),
             src_port: flow_src.port(),
@@ -344,9 +328,6 @@ impl Engine {
                         &state.frame_query,
                         Some(&state.frame_out),
                     );
-                    if let Some(key) = flight_key {
-                        obs::flight::hop("authd.tap", key);
-                    }
                 }
                 self.stats
                     .latency
@@ -776,27 +757,6 @@ fn tcp_worker(rx: &crossbeam::channel::Receiver<TcpStream>, shared: &Shared, ind
             }
         }
     }
-}
-
-/// Flight-recorder identity of one served query, decided once at
-/// receive time: the logical flow source plus the DNS message id
-/// stands in for the generation timestamp the offline pipeline keys
-/// on (the server never sees that clock). Returns `Some(key)` — after
-/// emitting the `authd.recv` hop — only for sampled queries, so the
-/// later hops are a plain `if let` with no re-hash. One relaxed
-/// atomic load when sampling is off.
-#[inline]
-fn note_recv_hop(payload: &[u8], src: SocketAddr) -> Option<u64> {
-    if !obs::flight::sampling_enabled() || payload.len() < 2 {
-        return None;
-    }
-    let id = u16::from_be_bytes([payload[0], payload[1]]) as u64;
-    let key = obs::flight::query_key(id, &src.ip(), src.port());
-    if !obs::flight::sampled(key) {
-        return None;
-    }
-    obs::flight::hop("authd.recv", key);
-    Some(key)
 }
 
 #[cfg(test)]

@@ -23,10 +23,8 @@ use crate::sink::{DualStackSink, FanoutSink, RowSink};
 use crate::store::{StoreSink, WarehouseTarget};
 use entrada::enrich::Enricher;
 use entrada::ingest::{IngestStats, Joiner};
-use entrada::schema::QueryRow;
 use netbase::capture::{
-    CaptureReader, CaptureRecord, CaptureWriter, Direction, RecordRef, RecordSink, RecordSlice,
-    RecordSource,
+    CaptureReader, CaptureRecord, CaptureWriter, RecordRef, RecordSink, RecordSlice, RecordSource,
 };
 use simnet::engine::{DatasetStats, Engine};
 use simnet::scenario::{DatasetSpec, Scale};
@@ -94,33 +92,6 @@ impl PipelineOpts {
 /// Cores this process may run on (1 when the platform will not say).
 pub fn available_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Flight-recorder hop for a sampled query leaving the generator
-/// (responses never sample).
-fn note_gen_hop(rec: RecordRef<'_>) {
-    if rec.direction == Direction::Query {
-        let key =
-            obs::flight::query_key(rec.timestamp.as_micros(), &rec.flow.src, rec.flow.src_port);
-        if obs::flight::sampled(key) {
-            obs::flight::hop("pipeline.gen", key);
-        }
-    }
-}
-
-/// Flight-recorder hops for a sampled row coming out of ingest and
-/// about to be pushed into the analysis sinks. The key derives from
-/// the same (timestamp, src, src_port) triple the generator hop used,
-/// so one query's events chain across the pipeline.
-#[inline]
-fn note_row_hops(row: &QueryRow) {
-    if obs::flight::sampling_enabled() {
-        let key = obs::flight::query_key(row.timestamp.as_micros(), &row.src, row.src_port);
-        if obs::flight::sampled(key) {
-            obs::flight::hop("pipeline.ingest", key);
-            obs::flight::hop("pipeline.sink", key);
-        }
-    }
 }
 
 /// The in-memory analysis state of one dataset: the single-pass
@@ -192,7 +163,6 @@ impl<'a> Consumer<'a> {
     fn push_ready(&mut self) -> u64 {
         let mut rows = 0;
         while let Some(row) = self.joiner.pop_ready() {
-            note_row_hops(&row);
             self.sinks.push(&row);
             rows += 1;
         }
@@ -240,9 +210,6 @@ impl RecordSink for Consumer<'_> {
         let start = Instant::now();
         self.producing += start - self.mark;
         let _span = obs::trace::enabled().then(|| obs::span(format!("analyze {}", self.id)));
-        if obs::flight::sampling_enabled() {
-            slice.iter().for_each(note_gen_hop);
-        }
         for rec in slice.iter() {
             self.absorb(rec);
         }

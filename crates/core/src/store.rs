@@ -83,12 +83,6 @@ impl<'w> StoreSink<'w> {
 impl RowSink for StoreSink<'_> {
     fn push(&mut self, row: &QueryRow) {
         if let Some(app) = &mut self.0 {
-            if obs::flight::sampling_enabled() {
-                let key = obs::flight::query_key(row.timestamp.as_micros(), &row.src, row.src_port);
-                if obs::flight::sampled(key) {
-                    obs::flight::hop("warehouse.append", key);
-                }
-            }
             app.push(row);
         }
     }

@@ -1,243 +1,53 @@
-//! The flight recorder: continuous time-series telemetry and
-//! deterministic query sampling.
+//! The flight recorder: continuous time-series telemetry.
 //!
-//! The paper's headline findings are *temporal* — Google's Dec-2019
-//! Q-min flip, the Feb-2020 `.nz` surge, diurnal cloud-share swings —
-//! but a Prometheus scrape or a final `--stats` table only shows one
-//! point in time. This module keeps a rolling window of history inside
-//! the process:
-//!
-//! - A [`Recorder`] snapshots every metric in a [`Registry`] at a fixed
-//!   interval into fixed-capacity **lock-free ring buffers** (one per
-//!   metric, single-writer seqlock slots — safe code, per-slot
-//!   atomics). Counters carry their value plus a derived per-second
-//!   rate, histograms carry count/sum/rate and the p50/p90/p99/p999
-//!   quantile vector. The window dumps as JSONL (`--flight=file`) and
-//!   serves as one JSON document at `/flight.json` on the
-//!   [`crate::prom`] listener.
-//! - A **deterministic 1-in-N query sampler** ([`enable_sampling`],
-//!   [`sampled`], [`hop`]): a seeded splitmix64 over a stable per-query
-//!   key ([`query_key`]) picks the same queries on every run regardless
-//!   of shard or job count, and each pipeline hop a sampled query
-//!   crosses emits one instant event into the Chrome trace
-//!   ([`crate::trace::instant`]) with the latency since its previous
-//!   hop.
-//!
-//! Neither piece touches the hot path when idle: an unsampled query
-//! costs one relaxed atomic load plus one splitmix round, and the
-//! recorder runs on its own background thread at the sampling interval
-//! ([`start`]), reading the same atomics the workers bump.
+//! The paper's headline findings are *temporal* (Google's Dec-2019
+//! Q-min flip, the Feb-2020 `.nz` surge), but a scrape or a `--stats`
+//! table shows one point in time. A [`Recorder`] keeps the last
+//! [`RING_CAPACITY`] results of [`Registry::sample`], one per interval,
+//! taken on its own thread ([`start`]). Counters and histogram counts
+//! gain a per-second rate since the previous snapshot. The window dumps
+//! as JSONL (`--flight=file`) and serves as one JSON document at
+//! `/flight.json` on the [`crate::prom`] listener.
 
 use crate::metrics::{Registry, SampleValue};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Write};
-use std::net::IpAddr;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Default sampling interval (`--flight-interval`).
 pub const DEFAULT_INTERVAL: Duration = Duration::from_secs(1);
 
 /// Points retained per metric: ten minutes of history at the default
-/// 1 s interval, in a few KB per metric.
+/// 1 s interval.
 pub const RING_CAPACITY: usize = 600;
 
-/// Atomic fields per ring slot (timestamp + the widest point kind).
-const FIELDS: usize = 8;
+/// One registry snapshot: milliseconds since the recorder's epoch and
+/// [`Registry::sample`]'s name-sorted readings.
+type Tick = (u64, Vec<(String, SampleValue)>);
 
-/// What a ring records (mirrors [`SampleValue`] without the payload).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Counter,
-    Gauge,
-    Histogram,
-}
-
-impl Kind {
-    fn name(self) -> &'static str {
-        match self {
-            Kind::Counter => "counter",
-            Kind::Gauge => "gauge",
-            Kind::Histogram => "histogram",
-        }
-    }
-}
-
-/// One decoded time-series point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Point {
-    /// Milliseconds since the recorder's epoch.
-    pub t_ms: u64,
-    /// The metric's value at that instant.
-    pub value: PointValue,
-}
-
-/// The per-kind payload of a [`Point`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PointValue {
-    /// Counter value plus the rate derived from the previous point.
-    Counter {
-        /// Counter reading.
-        value: u64,
-        /// Increase per second since the previous sample (0 on the
-        /// first).
-        rate: f64,
-    },
-    /// Gauge reading.
-    Gauge {
-        /// Gauge value.
-        value: f64,
-    },
-    /// Histogram summary plus the sample-arrival rate.
-    Histogram {
-        /// Total samples recorded so far.
-        count: u64,
-        /// New samples per second since the previous point.
-        rate: f64,
-        /// Sum of all recorded samples.
-        sum: u64,
-        /// p50/p90/p99/p999 bucket midpoints.
-        quantiles: [u64; 4],
-    },
-}
-
-/// A slot holds one point; `seq == sample_index + 1` marks it valid,
-/// `0` marks it mid-write (the seqlock invalid state).
-struct Slot {
-    seq: AtomicU64,
-    fields: [AtomicU64; FIELDS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            fields: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// A fixed-capacity single-writer ring of points for one metric.
-/// Writes never block reads and vice versa: the writer invalidates a
-/// slot, stores its fields, then republishes it under the new sample
-/// index; a reader that catches a slot mid-overwrite simply discards
-/// that point.
-struct Ring {
-    kind: Kind,
-    /// Samples ever written (the next write index).
-    head: AtomicU64,
-    slots: Box<[Slot]>,
-}
-
-impl Ring {
-    fn new(kind: Kind, capacity: usize) -> Ring {
-        Ring {
-            kind,
-            head: AtomicU64::new(0),
-            slots: (0..capacity.max(1)).map(|_| Slot::new()).collect(),
-        }
-    }
-
-    /// Append one point (single writer: the recorder tick holds the
-    /// tick lock).
-    fn push(&self, point: &Point) {
-        let idx = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(idx % self.slots.len() as u64) as usize];
-        slot.seq.store(0, Ordering::Relaxed);
-        fence(Ordering::Release);
-        let mut fields = [0u64; FIELDS];
-        fields[0] = point.t_ms;
-        match point.value {
-            PointValue::Counter { value, rate } => {
-                fields[1] = value;
-                fields[2] = rate.to_bits();
-            }
-            PointValue::Gauge { value } => {
-                fields[1] = value.to_bits();
-            }
-            PointValue::Histogram {
-                count,
-                rate,
-                sum,
-                quantiles,
-            } => {
-                fields[1] = count;
-                fields[2] = rate.to_bits();
-                fields[3] = sum;
-                fields[4..8].copy_from_slice(&quantiles);
-            }
-        }
-        for (f, v) in slot.fields.iter().zip(fields) {
-            f.store(v, Ordering::Relaxed);
-        }
-        slot.seq.store(idx + 1, Ordering::Release);
-        self.head.store(idx + 1, Ordering::Release);
-    }
-
-    /// The retained points, oldest first. Points the writer is
-    /// concurrently overwriting are skipped (at most one per call).
-    fn points(&self) -> Vec<Point> {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let first = head.saturating_sub(cap);
-        let mut out = Vec::with_capacity((head - first) as usize);
-        for idx in first..head {
-            let slot = &self.slots[(idx % cap) as usize];
-            if slot.seq.load(Ordering::Acquire) != idx + 1 {
-                continue; // mid-overwrite or already lapped
-            }
-            let mut fields = [0u64; FIELDS];
-            for (v, f) in fields.iter_mut().zip(slot.fields.iter()) {
-                *v = f.load(Ordering::Relaxed);
-            }
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != idx + 1 {
-                continue; // torn read: writer got in between
-            }
-            let value = match self.kind {
-                Kind::Counter => PointValue::Counter {
-                    value: fields[1],
-                    rate: f64::from_bits(fields[2]),
-                },
-                Kind::Gauge => PointValue::Gauge {
-                    value: f64::from_bits(fields[1]),
-                },
-                Kind::Histogram => PointValue::Histogram {
-                    count: fields[1],
-                    rate: f64::from_bits(fields[2]),
-                    sum: fields[3],
-                    quantiles: [fields[4], fields[5], fields[6], fields[7]],
-                },
-            };
-            out.push(Point {
-                t_ms: fields[0],
-                value,
-            });
-        }
-        out
-    }
-}
-
-/// Last-seen cumulative value per metric, for rate derivation.
-struct PrevSample {
+/// One metric's reading at one tick.
+#[derive(Debug)]
+struct Point {
     t_ms: u64,
-    value: u64,
+    value: SampleValue,
+    /// Increase per second of a counter or a histogram's count since
+    /// the previous tick; 0 on a metric's first tick and for gauges.
+    rate: f64,
 }
 
-/// The time-series recorder: snapshots a registry into per-metric
-/// rings. One global instance runs behind [`start`]; tests drive their
-/// own against a private registry via [`Recorder::new`] +
-/// [`Recorder::tick_registry`].
+/// The time-series recorder. One global instance runs behind
+/// [`start`]; tests drive their own against a private registry via
+/// [`Recorder::new`] + [`Recorder::tick_at`].
 pub struct Recorder {
     capacity: usize,
     epoch: Instant,
     interval: Duration,
-    rings: Mutex<HashMap<String, Arc<Ring>>>,
-    /// Writer-only state; doubles as the single-writer guarantee for
-    /// the rings (every tick holds it end to end).
-    prev: Mutex<HashMap<String, PrevSample>>,
-    ticks: AtomicU64,
+    /// The last `capacity + 1` ticks (the oldest one shown still has
+    /// the tick before it to derive its rate from), and the tick count.
+    window: Mutex<(VecDeque<Tick>, u64)>,
 }
 
 impl Recorder {
@@ -247,20 +57,13 @@ impl Recorder {
             capacity: capacity.max(2),
             epoch: Instant::now(),
             interval,
-            rings: Mutex::new(HashMap::new()),
-            prev: Mutex::new(HashMap::new()),
-            ticks: AtomicU64::new(0),
+            window: Mutex::default(),
         }
     }
 
     /// Ticks taken so far.
     pub fn ticks(&self) -> u64 {
-        self.ticks.load(Ordering::Relaxed)
-    }
-
-    /// The configured sampling interval.
-    pub fn interval(&self) -> Duration {
-        self.interval
+        self.window.lock().expect("flight window lock").1
     }
 
     /// Take one sample of `registry` at the current elapsed time.
@@ -272,63 +75,29 @@ impl Recorder {
     /// [`Recorder::tick_registry`] at an explicit timestamp (tests pin
     /// wall-clock-free rate math with it).
     pub fn tick_at(&self, registry: &Registry, t_ms: u64) {
-        let snapshot = registry.sample();
-        let mut prev = self.prev.lock().expect("flight prev lock");
-        for (name, value) in snapshot {
-            let point = match value {
-                SampleValue::Counter(v) => PointValue::Counter {
-                    value: v,
-                    rate: derive_rate(&mut prev, &name, v, t_ms),
-                },
-                SampleValue::Gauge(v) => PointValue::Gauge { value: v },
-                SampleValue::Histogram {
-                    count,
-                    sum,
-                    quantiles,
-                } => PointValue::Histogram {
-                    count,
-                    rate: derive_rate(&mut prev, &name, count, t_ms),
-                    sum,
-                    quantiles,
-                },
-            };
-            let kind = match point {
-                PointValue::Counter { .. } => Kind::Counter,
-                PointValue::Gauge { .. } => Kind::Gauge,
-                PointValue::Histogram { .. } => Kind::Histogram,
-            };
-            let ring = {
-                let mut rings = self.rings.lock().expect("flight rings lock");
-                Arc::clone(
-                    rings
-                        .entry(name)
-                        .or_insert_with(|| Arc::new(Ring::new(kind, self.capacity))),
-                )
-            };
-            if ring.kind == kind {
-                ring.push(&Point { t_ms, value: point });
-            }
+        let sample = registry.sample();
+        let (kept, ticks) = &mut *self.window.lock().expect("flight window lock");
+        if kept.len() > self.capacity {
+            kept.pop_front();
         }
-        self.ticks.fetch_add(1, Ordering::Relaxed);
+        kept.push_back((t_ms, sample));
+        *ticks += 1;
     }
 
-    /// Every metric's retained points, sorted by name.
-    fn series(&self) -> Vec<(String, Kind, Vec<Point>)> {
-        let rings: Vec<(String, Arc<Ring>)> = {
-            let map = self.rings.lock().expect("flight rings lock");
-            map.iter()
-                .map(|(n, r)| (n.clone(), Arc::clone(r)))
-                .collect()
-        };
-        let mut out: Vec<(String, Kind, Vec<Point>)> = rings
-            .into_iter()
-            .map(|(name, ring)| {
-                let kind = ring.kind;
-                (name, kind, ring.points())
-            })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+    /// Every metric's retained points, sorted by name, oldest first.
+    fn series(&self) -> Vec<(String, Vec<Point>)> {
+        let (kept, _) = &*self.window.lock().expect("flight window lock");
+        let mut series: BTreeMap<&str, Vec<Point>> = BTreeMap::new();
+        for i in kept.len().saturating_sub(self.capacity)..kept.len() {
+            let ((t_ms, sample), prev) = (&kept[i], i.checked_sub(1).map(|p| &kept[p]));
+            for (name, value) in sample {
+                let rate = prev.map_or(0.0, |p| rate_since(p, name, value, *t_ms));
+                let (t_ms, value) = (*t_ms, value.clone());
+                let points = series.entry(name).or_default();
+                points.push(Point { t_ms, value, rate });
+            }
+        }
+        series.into_iter().map(|(n, p)| (n.into(), p)).collect()
     }
 
     /// Dump the retained window as JSONL: one line per metric per
@@ -336,16 +105,10 @@ impl Recorder {
     /// number of lines written.
     pub fn write_jsonl<W: Write>(&self, mut w: W) -> io::Result<usize> {
         let mut n = 0;
-        for (name, kind, points) in self.series() {
-            for p in points {
-                write!(
-                    w,
-                    "{{\"metric\":\"{name}\",\"kind\":\"{}\",\"t_ms\":{}",
-                    kind.name(),
-                    p.t_ms
-                )?;
-                write_value_json(&mut w, &p.value)?;
-                writeln!(w, "}}")?;
+        for (name, points) in self.series() {
+            for p in &points {
+                let (kind, fields) = (kind(&p.value), point_json(p));
+                writeln!(w, "{{\"metric\":\"{name}\",\"kind\":\"{kind}\",{fields}}}")?;
                 n += 1;
             }
         }
@@ -354,8 +117,7 @@ impl Recorder {
 
     /// [`Recorder::write_jsonl`] to a file path.
     pub fn write_jsonl_file(&self, path: &std::path::Path) -> io::Result<usize> {
-        let file = std::fs::File::create(path)?;
-        let mut w = io::BufWriter::new(file);
+        let mut w = io::BufWriter::new(std::fs::File::create(path)?);
         let n = self.write_jsonl(&mut w)?;
         w.flush()?;
         Ok(n)
@@ -364,95 +126,76 @@ impl Recorder {
     /// The whole retained window as one JSON document (the
     /// `/flight.json` response body).
     pub fn snapshot_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        write!(
-            out,
-            "{{\"interval_ms\":{},\"ticks\":{},\"metrics\":[",
-            self.interval.as_millis(),
-            self.ticks()
-        )
-        .expect("string write");
-        for (i, (name, kind, points)) in self.series().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write!(
-                out,
-                "{{\"name\":\"{name}\",\"kind\":\"{}\",\"points\":[",
-                kind.name()
-            )
-            .expect("string write");
-            for (j, p) in points.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let mut buf = Vec::new();
-                write!(buf, "{{\"t_ms\":{}", p.t_ms).expect("vec write");
-                write_value_json(&mut buf, &p.value).expect("vec write");
-                buf.push(b'}');
-                out.push_str(std::str::from_utf8(&buf).expect("ascii json"));
-            }
-            out.push_str("]}");
+        let (interval_ms, ticks) = (self.interval.as_millis(), self.ticks());
+        let mut metrics = Vec::new();
+        for (name, points) in self.series() {
+            let kind = kind(&points[0].value);
+            let points: Vec<String> = points.iter().map(point_json).collect();
+            let points = points.join("},{");
+            metrics.push(format!(
+                "{{\"name\":\"{name}\",\"kind\":\"{kind}\",\"points\":[{{{points}}}]}}"
+            ));
         }
-        out.push_str("]}");
-        out
+        let metrics = metrics.join(",");
+        format!("{{\"interval_ms\":{interval_ms},\"ticks\":{ticks},\"metrics\":[{metrics}]}}")
     }
 }
 
-/// Per-second increase of a cumulative value vs its previous sample.
-fn derive_rate(prev: &mut HashMap<String, PrevSample>, name: &str, value: u64, t_ms: u64) -> f64 {
-    let rate = match prev.get(name) {
-        Some(p) if t_ms > p.t_ms => {
-            (value.saturating_sub(p.value)) as f64 * 1000.0 / (t_ms - p.t_ms) as f64
+/// The cumulative reading a rate derives from (none for a gauge).
+fn cumulative(value: &SampleValue) -> Option<u64> {
+    match value {
+        SampleValue::Counter(v) => Some(*v),
+        SampleValue::Histogram { count, .. } => Some(*count),
+        SampleValue::Gauge(_) => None,
+    }
+}
+
+/// Per-second increase of `name`'s `value` at `t_ms` since the `prev`
+/// tick; 0 unless that tick read it and is strictly older.
+fn rate_since(prev: &Tick, name: &str, value: &SampleValue, t_ms: u64) -> f64 {
+    let (prev_ms, sample) = prev;
+    let i = sample.binary_search_by(|(n, _)| n.as_str().cmp(name));
+    let before = i.ok().and_then(|i| cumulative(&sample[i].1));
+    match (before, cumulative(value)) {
+        (Some(before), Some(now)) if t_ms > *prev_ms => {
+            now.saturating_sub(before) as f64 * 1000.0 / (t_ms - prev_ms) as f64
         }
         _ => 0.0,
-    };
-    prev.insert(name.to_string(), PrevSample { t_ms, value });
-    rate
-}
-
-/// The common tail of a point's JSON encoding (everything after
-/// `t_ms`).
-fn write_value_json<W: Write>(w: &mut W, value: &PointValue) -> io::Result<()> {
-    match value {
-        PointValue::Counter { value, rate } => {
-            write!(w, ",\"value\":{value},\"rate\":{}", finite(*rate))
-        }
-        PointValue::Gauge { value } => write!(w, ",\"value\":{}", finite(*value)),
-        PointValue::Histogram {
-            count,
-            rate,
-            sum,
-            quantiles,
-        } => write!(
-            w,
-            ",\"count\":{count},\"rate\":{},\"sum\":{sum},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}",
-            finite(*rate),
-            quantiles[0],
-            quantiles[1],
-            quantiles[2],
-            quantiles[3]
-        ),
     }
 }
 
-/// JSON has no NaN/Infinity literals; clamp them to 0.
-fn finite(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        0.0
+fn kind(value: &SampleValue) -> &'static str {
+    match value {
+        SampleValue::Counter(_) => "counter",
+        SampleValue::Gauge(_) => "gauge",
+        SampleValue::Histogram { .. } => "histogram",
+    }
+}
+
+/// A point's JSON fields, from `t_ms` on, without the braces. JSON has
+/// no NaN or Infinity literals, so a float that is not finite prints 0.
+fn point_json(p: &Point) -> String {
+    let finite = |v: f64| if v.is_finite() { v } else { 0.0 };
+    let (t_ms, rate) = (p.t_ms, finite(p.rate));
+    match &p.value {
+        SampleValue::Counter(value) => format!("\"t_ms\":{t_ms},\"value\":{value},\"rate\":{rate}"),
+        SampleValue::Gauge(value) => format!("\"t_ms\":{t_ms},\"value\":{}", finite(*value)),
+        SampleValue::Histogram {
+            count,
+            sum,
+            quantiles: [p50, p90, p99, p999],
+        } => format!(
+            "\"t_ms\":{t_ms},\"count\":{count},\"rate\":{rate},\"sum\":{sum},\
+             \"p50\":{p50},\"p90\":{p90},\"p99\":{p99},\"p999\":{p999}"
+        ),
     }
 }
 
 // ---- the global recorder ----------------------------------------------
 
-struct GlobalFlight {
-    recorder: Arc<Recorder>,
-    stop: Arc<AtomicBool>,
-    handle: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
+/// The global recorder, and while its thread runs, the channel whose
+/// drop stops it and the thread's handle.
+type GlobalFlight = (Arc<Recorder>, Mutex<Option<(Sender<()>, JoinHandle<()>)>>);
 
 static FLIGHT: OnceLock<GlobalFlight> = OnceLock::new();
 
@@ -465,192 +208,74 @@ pub fn start(interval: Duration) -> bool {
     FLIGHT.get_or_init(|| {
         started = true;
         let recorder = Arc::new(Recorder::new(interval, RING_CAPACITY));
-        let stop = Arc::new(AtomicBool::new(false));
         let thread_recorder = Arc::clone(&recorder);
-        let thread_stop = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel::<()>();
         let handle = std::thread::Builder::new()
             .name("obs-flight".into())
             .spawn(move || {
-                // poll the stop flag at a fraction of the interval so
-                // shutdown never waits a full tick
-                let poll = (interval / 4).max(Duration::from_millis(10));
+                // dropping the sender wakes the wait at once, so
+                // shutdown never waits out a tick
                 let mut next = Instant::now() + interval;
-                while !thread_stop.load(Ordering::SeqCst) {
-                    if Instant::now() >= next {
-                        thread_recorder.tick_registry(Registry::global());
-                        next += interval;
-                    }
-                    std::thread::sleep(poll.min(interval));
+                let wait = |next: Instant| next.saturating_duration_since(Instant::now());
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(wait(next)) {
+                    thread_recorder.tick_registry(Registry::global());
+                    next += interval;
                 }
             })
             .expect("spawn obs-flight thread");
-        GlobalFlight {
-            recorder,
-            stop,
-            handle: Mutex::new(Some(handle)),
-        }
+        (recorder, Mutex::new(Some((stop, handle))))
     });
     started
 }
 
 /// The global recorder, if [`start`]ed.
 pub fn recorder() -> Option<Arc<Recorder>> {
-    FLIGHT.get().map(|f| Arc::clone(&f.recorder))
-}
-
-/// Whether the global recorder is running.
-pub fn started() -> bool {
-    FLIGHT.get().is_some()
+    FLIGHT.get().map(|(recorder, _)| Arc::clone(recorder))
 }
 
 /// Stop the background sampler thread (the recorder and its window
 /// stay readable) and take one final sample so short runs always have
 /// at least one point. Idempotent.
 pub fn stop() {
-    let Some(f) = FLIGHT.get() else {
+    let Some((recorder, thread)) = FLIGHT.get() else {
         return;
     };
-    f.stop.store(true, Ordering::SeqCst);
-    if let Some(h) = f.handle.lock().expect("flight handle lock").take() {
-        let _ = h.join();
+    if let Some((stop, handle)) = thread.lock().expect("flight thread lock").take() {
+        drop(stop);
+        let _ = handle.join();
     }
-    f.recorder.tick_registry(Registry::global());
-}
-
-// ---- deterministic query sampling -------------------------------------
-
-struct Sampler {
-    n: u64,
-    seed: u64,
-    hops: Arc<crate::metrics::Counter>,
-    /// Per-key timestamp of the last hop, for inter-hop latency.
-    /// Touched only for sampled queries; bounded (cleared past
-    /// `LAST_HOP_CAP`).
-    last_hop: Mutex<HashMap<u64, u64>>,
-}
-
-static SAMPLER: OnceLock<Sampler> = OnceLock::new();
-static SAMPLING: AtomicBool = AtomicBool::new(false);
-
-/// Entry cap on the inter-hop latency map (sampled in-flight queries).
-const LAST_HOP_CAP: usize = 4096;
-
-/// splitmix64: the finalizer used for key hashing and the sampling
-/// decision — one multiply-xor-shift round trio, fully deterministic.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Turn on 1-in-`n` query sampling with `seed`. First call wins;
-/// returns `false` (keeping the original parameters) on repeats.
-/// `n == 0` is treated as 1 (sample everything).
-pub fn enable_sampling(n: u64, seed: u64) -> bool {
-    let mut fresh = false;
-    SAMPLER.get_or_init(|| {
-        fresh = true;
-        Sampler {
-            n: n.max(1),
-            seed,
-            hops: crate::metrics::counter(
-                "obs_flight_sampled_hops_total",
-                "pipeline hop events emitted for sampled queries",
-            ),
-            last_hop: Mutex::new(HashMap::new()),
-        }
-    });
-    if fresh {
-        SAMPLING.store(true, Ordering::Release);
-    }
-    fresh
-}
-
-/// Whether query sampling is on (one relaxed load — the per-row fast
-/// path).
-#[inline]
-pub fn sampling_enabled() -> bool {
-    SAMPLING.load(Ordering::Relaxed)
-}
-
-/// The stable identity of one query as every hop sees it: generation
-/// timestamp, client address, client port. The same row hashes to the
-/// same key in any shard/job layout, so a sampled query is sampled
-/// everywhere.
-pub fn query_key(ts_us: u64, src: &IpAddr, src_port: u16) -> u64 {
-    let addr = match src {
-        IpAddr::V4(v4) => u64::from(u32::from(*v4)),
-        IpAddr::V6(v6) => {
-            let o = v6.octets();
-            u64::from_be_bytes(o[..8].try_into().expect("8 bytes"))
-                ^ u64::from_be_bytes(o[8..].try_into().expect("8 bytes"))
-        }
-    };
-    splitmix64(ts_us ^ addr.rotate_left(17) ^ (u64::from(src_port) << 48))
-}
-
-/// Deterministic sampling decision for `key`: true for 1-in-N keys
-/// under the configured seed, false whenever sampling is off.
-#[inline]
-pub fn sampled(key: u64) -> bool {
-    if !sampling_enabled() {
-        return false;
-    }
-    let s = SAMPLER.get().expect("sampling enabled implies init");
-    splitmix64(key ^ s.seed).is_multiple_of(s.n)
-}
-
-/// Record one pipeline hop for a sampled query: bumps the hop counter
-/// and, when tracing is enabled, emits an instant event named `hop`
-/// carrying the key and the latency since the query's previous hop.
-/// Call only after [`sampled`] said yes.
-pub fn hop(hop: &'static str, key: u64) {
-    let Some(s) = SAMPLER.get() else {
-        return;
-    };
-    s.hops.inc();
-    let Some(now_us) = crate::trace::now_us() else {
-        return; // tracing off: counted, not traced
-    };
-    let latency_us = {
-        let mut last = s.last_hop.lock().expect("flight hop lock");
-        if last.len() >= LAST_HOP_CAP {
-            last.clear();
-        }
-        let prev = last.insert(key, now_us);
-        prev.map_or(0, |p| now_us.saturating_sub(p))
-    };
-    crate::trace::instant(
-        hop,
-        format!("\"key\":\"{key:016x}\",\"hop\":\"{hop}\",\"latency_us\":{latency_us}"),
-    );
+    recorder.tick_registry(Registry::global());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// The points of `name`, which must exist.
+    fn points(rec: &Recorder, name: &str) -> Vec<Point> {
+        rec.series()
+            .into_iter()
+            .find(|(n, _)| n == name)
+            .expect("series exists")
+            .1
+    }
 
     #[test]
     fn ring_wraparound_keeps_the_newest_points() {
-        let ring = Ring::new(Kind::Counter, 4);
+        let registry = Registry::new();
+        let c = registry.counter("flight_ring_total", "t");
+        let rec = Recorder::new(Duration::from_secs(1), 4);
         for i in 0..10u64 {
-            ring.push(&Point {
-                t_ms: i * 1000,
-                value: PointValue::Counter {
-                    value: i * 5,
-                    rate: 5.0,
-                },
-            });
+            c.add(5);
+            rec.tick_at(&registry, i * 1000);
         }
-        let points = ring.points();
+        let points = points(&rec, "flight_ring_total");
         assert_eq!(points.len(), 4, "capacity bounds retention");
         let ts: Vec<u64> = points.iter().map(|p| p.t_ms).collect();
         assert_eq!(ts, [6000, 7000, 8000, 9000], "oldest dropped first");
-        match points[0].value {
-            PointValue::Counter { value, .. } => assert_eq!(value, 30),
-            ref other => panic!("counter point expected, got {other:?}"),
-        }
+        assert_eq!(points[0].value, SampleValue::Counter(35));
+        assert_eq!(rec.window.lock().unwrap().0.len(), 5, "capacity + 1 ticks");
     }
 
     #[test]
@@ -658,38 +283,24 @@ mod tests {
         let registry = Registry::new();
         let c = registry.counter("flight_wrap_total", "t");
         let rec = Recorder::new(Duration::from_secs(1), 4);
-        // 10 ticks into a 4-slot ring: counter climbs 7/s throughout
+        // 10 ticks into a 4-point window: counter climbs 7/s throughout
         for t in 0..10u64 {
             c.add(7);
             rec.tick_at(&registry, t * 1000);
         }
-        let series = rec.series();
-        let (_, _, points) = series
-            .iter()
-            .find(|(n, _, _)| n == "flight_wrap_total")
-            .expect("ring exists");
+        let points = points(&rec, "flight_wrap_total");
         assert_eq!(points.len(), 4);
-        for p in points {
-            match p.value {
-                PointValue::Counter { rate, .. } => {
-                    assert!(
-                        (rate - 7.0).abs() < 1e-9,
-                        "rate {rate} != 7/s at {}",
-                        p.t_ms
-                    );
-                }
-                ref other => panic!("counter point expected, got {other:?}"),
-            }
+        for p in &points {
+            assert!(
+                (p.rate - 7.0).abs() < 1e-9,
+                "rate {} != 7/s at {}",
+                p.rate,
+                p.t_ms
+            );
         }
         // the retained values are the last four cumulative readings
-        let values: Vec<u64> = points
-            .iter()
-            .map(|p| match p.value {
-                PointValue::Counter { value, .. } => value,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(values, [49, 56, 63, 70]);
+        let values: Vec<SampleValue> = points.into_iter().map(|p| p.value).collect();
+        assert_eq!(values, [49, 56, 63, 70].map(SampleValue::Counter));
     }
 
     #[test]
@@ -699,15 +310,14 @@ mod tests {
         registry.gauge("flight_qps", "t").set(12.25);
         let rec = Recorder::new(Duration::from_secs(1), 8);
         rec.tick_at(&registry, 500);
-        let series = rec.series();
-        for (name, _, points) in &series {
+        for (name, points) in rec.series() {
             assert_eq!(points.len(), 1);
-            match (name.as_str(), points[0].value) {
-                ("flight_first_total", PointValue::Counter { value, rate }) => {
-                    assert_eq!(value, 100);
-                    assert_eq!(rate, 0.0, "no previous point, no rate");
+            match (name.as_str(), &points[0].value) {
+                ("flight_first_total", SampleValue::Counter(value)) => {
+                    assert_eq!(*value, 100);
+                    assert_eq!(points[0].rate, 0.0, "no previous point, no rate");
                 }
-                ("flight_qps", PointValue::Gauge { value }) => assert_eq!(value, 12.25),
+                ("flight_qps", SampleValue::Gauge(value)) => assert_eq!(*value, 12.25),
                 other => panic!("unexpected series {other:?}"),
             }
         }
@@ -726,17 +336,18 @@ mod tests {
             h.record(200);
         }
         rec.tick_at(&registry, 2000);
-        let series = rec.series();
-        let (_, _, points) = &series[0];
+        let points = points(&rec, "flight_lat_us");
         match points[1].value {
-            PointValue::Histogram {
+            SampleValue::Histogram {
                 count,
-                rate,
                 sum,
                 quantiles,
             } => {
                 assert_eq!(count, 200);
-                assert!((rate - 150.0).abs() < 1e-9, "150 new samples in 1s");
+                assert!(
+                    (points[1].rate - 150.0).abs() < 1e-9,
+                    "150 new samples in 1s"
+                );
                 assert_eq!(sum, 40_000);
                 for q in quantiles {
                     assert!((q as f64 - 200.0).abs() / 200.0 <= 0.0625, "q {q}");
@@ -784,78 +395,89 @@ mod tests {
         assert_eq!(metrics[2]["points"].as_array().unwrap().len(), 2);
     }
 
+    /// A scripted run at capacity 4: three ticks wrap out, two ticks
+    /// share a timestamp (rate 0), a counter first appears at the fifth
+    /// tick (rate 0, three points), and a NaN gauge prints as 0. The
+    /// expected bytes are what the per-metric seqlock rings this
+    /// recorder replaced wrote for the same script.
     #[test]
-    fn sampling_decision_is_deterministic_and_roughly_one_in_n() {
-        // the decision function itself, independent of global state:
-        // same (key, seed) always agrees, and the hit rate over many
-        // keys approximates 1/N
-        let n = 16u64;
-        let seed = 42u64;
-        let decide = |key: u64| splitmix64(key ^ seed).is_multiple_of(n);
-        let keys: Vec<u64> = (0..20_000u64)
-            .map(|i| query_key(i * 7, &"198.51.100.7".parse().unwrap(), (i % 5000) as u16))
-            .collect();
-        let first: Vec<u64> = keys.iter().copied().filter(|k| decide(*k)).collect();
-        let second: Vec<u64> = keys.iter().copied().filter(|k| decide(*k)).collect();
-        assert_eq!(first, second, "same seed, same sampled set");
-        let rate = first.len() as f64 / keys.len() as f64;
-        assert!(
-            (rate - 1.0 / n as f64).abs() < 0.01,
-            "hit rate {rate} far from 1/{n}"
-        );
-        // a different seed picks a materially different set
-        let other: Vec<u64> = keys
-            .iter()
-            .copied()
-            .filter(|k| splitmix64(k ^ 1234).is_multiple_of(n))
-            .collect();
-        assert_ne!(first, other);
+    fn scripted_window_renders_byte_identically() {
+        let registry = Registry::new();
+        let a = registry.counter("flight_script_a_total", "t");
+        let g = registry.gauge("flight_script_g", "t");
+        let h = registry.histogram("flight_script_lat_us", "t");
+        let rec = Recorder::new(Duration::from_millis(500), 4);
+        for (i, t) in [0u64, 500, 1000, 1750, 1750, 2500, 3000]
+            .into_iter()
+            .enumerate()
+        {
+            let i = i as u64;
+            a.add(3 + i * 2);
+            g.set(if i == 5 {
+                f64::NAN
+            } else {
+                0.25 * i as f64 - 0.5
+            });
+            for v in 0..(i * 7 + 1) {
+                h.record(40 + v * 13);
+            }
+            if i >= 4 {
+                let late = registry.counter("flight_script_b_late_total", "t");
+                late.add(if i == 4 { 11 } else { i * 100 });
+            }
+            rec.tick_at(&registry, t);
+        }
+        let mut jsonl = Vec::new();
+        assert_eq!(rec.write_jsonl(&mut jsonl).unwrap(), 15);
+        assert_eq!(String::from_utf8(jsonl).unwrap(), SCRIPTED_JSONL);
+        assert_eq!(rec.snapshot_json(), SCRIPTED_SNAPSHOT);
     }
 
-    #[test]
-    fn query_key_ignores_nothing() {
-        let ip: IpAddr = "192.0.2.1".parse().unwrap();
-        let k = query_key(1000, &ip, 53);
-        assert_ne!(k, query_key(1001, &ip, 53), "timestamp matters");
-        assert_ne!(
-            k,
-            query_key(1000, &"192.0.2.2".parse().unwrap(), 53),
-            "address matters"
-        );
-        assert_ne!(k, query_key(1000, &ip, 54), "port matters");
-        assert_eq!(k, query_key(1000, &ip, 53), "stable");
-        let v6: IpAddr = "2001:db8::1".parse().unwrap();
-        assert_ne!(query_key(1000, &v6, 53), query_key(1000, &ip, 53));
-    }
+    const SCRIPTED_JSONL: &str = r#"{"metric":"flight_script_a_total","kind":"counter","t_ms":1750,"value":24,"rate":12}
+{"metric":"flight_script_a_total","kind":"counter","t_ms":1750,"value":35,"rate":0}
+{"metric":"flight_script_a_total","kind":"counter","t_ms":2500,"value":48,"rate":17.333333333333332}
+{"metric":"flight_script_a_total","kind":"counter","t_ms":3000,"value":63,"rate":30}
+{"metric":"flight_script_b_late_total","kind":"counter","t_ms":1750,"value":11,"rate":0}
+{"metric":"flight_script_b_late_total","kind":"counter","t_ms":2500,"value":511,"rate":666.6666666666666}
+{"metric":"flight_script_b_late_total","kind":"counter","t_ms":3000,"value":1111,"rate":1200}
+{"metric":"flight_script_g","kind":"gauge","t_ms":1750,"value":0.25}
+{"metric":"flight_script_g","kind":"gauge","t_ms":1750,"value":0.5}
+{"metric":"flight_script_g","kind":"gauge","t_ms":2500,"value":0}
+{"metric":"flight_script_g","kind":"gauge","t_ms":3000,"value":1}
+{"metric":"flight_script_lat_us","kind":"histogram","t_ms":1750,"count":46,"rate":29.333333333333332,"sum":6572,"p50":135,"p90":271,"p99":303,"p999":303}
+{"metric":"flight_script_lat_us","kind":"histogram","t_ms":1750,"count":75,"rate":0,"sum":13010,"p50":151,"p90":303,"p99":399,"p999":399}
+{"metric":"flight_script_lat_us","kind":"histogram","t_ms":2500,"count":111,"rate":48,"sum":22640,"p50":183,"p90":367,"p99":495,"p999":495}
+{"metric":"flight_script_lat_us","kind":"histogram","t_ms":3000,"count":154,"rate":86,"sum":36099,"p50":215,"p90":431,"p99":543,"p999":607}
+"#;
+
+    const SCRIPTED_SNAPSHOT: &str = r#"{"interval_ms":500,"ticks":7,"metrics":[{"name":"flight_script_a_total","kind":"counter","points":[{"t_ms":1750,"value":24,"rate":12},{"t_ms":1750,"value":35,"rate":0},{"t_ms":2500,"value":48,"rate":17.333333333333332},{"t_ms":3000,"value":63,"rate":30}]},{"name":"flight_script_b_late_total","kind":"counter","points":[{"t_ms":1750,"value":11,"rate":0},{"t_ms":2500,"value":511,"rate":666.6666666666666},{"t_ms":3000,"value":1111,"rate":1200}]},{"name":"flight_script_g","kind":"gauge","points":[{"t_ms":1750,"value":0.25},{"t_ms":1750,"value":0.5},{"t_ms":2500,"value":0},{"t_ms":3000,"value":1}]},{"name":"flight_script_lat_us","kind":"histogram","points":[{"t_ms":1750,"count":46,"rate":29.333333333333332,"sum":6572,"p50":135,"p90":271,"p99":303,"p999":303},{"t_ms":1750,"count":75,"rate":0,"sum":13010,"p50":151,"p90":303,"p99":399,"p999":399},{"t_ms":2500,"count":111,"rate":48,"sum":22640,"p50":183,"p90":367,"p99":495,"p999":495},{"t_ms":3000,"count":154,"rate":86,"sum":36099,"p50":215,"p90":431,"p99":543,"p999":607}]}]}"#;
 
     #[test]
     fn concurrent_reads_during_wrap_never_see_torn_points() {
-        let ring = Arc::new(Ring::new(Kind::Counter, 8));
-        let writer_ring = Arc::clone(&ring);
+        let registry = Arc::new(Registry::new());
+        let c = registry.counter("flight_torn_total", "t");
+        let rec = Arc::new(Recorder::new(Duration::from_secs(1), 8));
+        let (writer_rec, writer_registry) = (Arc::clone(&rec), Arc::clone(&registry));
         let stop = Arc::new(AtomicBool::new(false));
         let writer_stop = Arc::clone(&stop);
         let writer = std::thread::spawn(move || {
             // value and t_ms move in lockstep; a torn read would
             // decouple them
-            for i in 0..200_000u64 {
-                writer_ring.push(&Point {
-                    t_ms: i,
-                    value: PointValue::Counter {
-                        value: i * 3,
-                        rate: i as f64,
-                    },
-                });
+            for i in 1..20_000u64 {
+                c.add(3);
+                writer_rec.tick_at(&writer_registry, i);
             }
             writer_stop.store(true, Ordering::SeqCst);
         });
         while !stop.load(Ordering::SeqCst) {
-            for p in ring.points() {
-                match p.value {
-                    PointValue::Counter { value, rate } => {
-                        assert_eq!(value, p.t_ms * 3, "torn slot: {p:?}");
-                        assert_eq!(rate, p.t_ms as f64, "torn slot: {p:?}");
-                    }
-                    ref other => panic!("counter expected, got {other:?}"),
+            for (_, points) in rec.series() {
+                for p in points {
+                    assert_eq!(
+                        p.value,
+                        SampleValue::Counter(p.t_ms * 3),
+                        "torn point: {p:?}"
+                    );
+                    assert!(p.rate == 0.0 || p.rate == 3000.0, "torn rate: {p:?}");
                 }
             }
         }

@@ -14,11 +14,9 @@
 //! - [`mod@stage`] — per-stage duration/throughput accounting behind the
 //!   CLI's `--stats` summary table, plus a throttled [`stage::Progress`]
 //!   reporter (records/s, ETA) for `report`-scale runs.
-//! - [`flight`] — the flight recorder: a background thread samples the
-//!   registry into fixed-capacity lock-free ring buffers (value + rate
-//!   for counters, quantile vectors for histograms) behind `--flight`,
-//!   plus a deterministic 1-in-N query sampler whose per-hop instant
-//!   events land in the Chrome trace.
+//! - [`flight`] — the flight recorder: a background thread keeps the
+//!   last 600 registry snapshots behind `--flight` (value + rate for
+//!   counters, quantile vectors for histograms).
 //! - [`prom`] — Prometheus text-format exposition of the registry,
 //!   served by a tiny built-in HTTP listener (`--metrics-addr`); also
 //!   answers `/flight.json` with the recorder's retained window.

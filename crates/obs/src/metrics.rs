@@ -319,7 +319,7 @@ impl Histogram {
 
 /// One metric's value at a point in time, as enumerated by
 /// [`Registry::sample`] — the read-side unit the flight recorder
-/// ([`crate::flight`]) snapshots into its rings.
+/// ([`crate::flight`]) keeps, one snapshot per tick.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SampleValue {
     /// A counter's current value.
@@ -416,12 +416,6 @@ impl Registry {
     /// live handles).
     pub fn publish_counter(&self, name: &str, help: &str, handle: Arc<Counter>) {
         self.insert(name, help, Slot::Counter(handle));
-    }
-
-    /// Expose an externally owned gauge under `name` (see
-    /// [`Registry::publish_counter`]).
-    pub fn publish_gauge(&self, name: &str, help: &str, handle: Arc<Gauge>) {
-        self.insert(name, help, Slot::Gauge(handle));
     }
 
     /// Expose an externally owned histogram under `name` (see

@@ -16,18 +16,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// One collected trace event: a completed span or an instant marker.
+/// One collected trace event: a completed span.
 #[derive(Debug, Clone)]
 struct Event {
     name: Cow<'static, str>,
     tid: u64,
     start_us: u64,
     end_us: u64,
-    /// Inner body of the Chrome `args` object (pre-rendered JSON
-    /// key/value pairs, no braces); `None` for plain spans.
-    args: Option<String>,
-    /// `true` for instant ("i") events, `false` for complete ("X").
-    instant: bool,
 }
 
 struct Collector {
@@ -93,44 +88,8 @@ impl Drop for Span {
             tid,
             start_us,
             end_us,
-            args: None,
-            instant: false,
         });
     }
-}
-
-/// Record an instant ("i") event at the current timestamp, carrying
-/// `args` as the inner body of the Chrome `args` object (pre-rendered
-/// JSON key/value pairs without the surrounding braces, e.g.
-/// `"hop":"gen","latency_us":12`). A no-op unless tracing is
-/// [`enable`]d. The flight recorder's query-sampled hop events land
-/// here, thread-scoped so Perfetto pins them to the worker lane that
-/// produced them.
-pub fn instant(name: impl Into<Cow<'static, str>>, args: String) {
-    if !enabled() {
-        return;
-    }
-    let Some(collector) = COLLECTOR.get() else {
-        return;
-    };
-    let now_us = collector.epoch.elapsed().as_micros() as u64;
-    let tid = TID.with(|t| *t);
-    collector.events.lock().expect("trace lock").push(Event {
-        name: name.into(),
-        tid,
-        start_us: now_us,
-        end_us: now_us,
-        args: Some(args),
-        instant: true,
-    });
-}
-
-/// Microseconds elapsed since the trace epoch, or `None` when tracing
-/// is disabled (the epoch only exists once [`enable`] ran).
-pub fn now_us() -> Option<u64> {
-    COLLECTOR
-        .get()
-        .map(|c| c.epoch.elapsed().as_micros() as u64)
 }
 
 /// Number of spans collected so far.
@@ -159,8 +118,8 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Write every collected event as Chrome trace-event JSONL: one
-/// complete ("X") span or instant ("i") marker per line. Returns the
+/// Write every collected span as Chrome trace-event JSONL: one
+/// complete ("X") event per line. Returns the
 /// number of events written. The collector keeps its events (repeated
 /// calls re-export).
 pub fn write_jsonl<W: Write>(mut w: W) -> io::Result<usize> {
@@ -171,28 +130,14 @@ pub fn write_jsonl<W: Write>(mut w: W) -> io::Result<usize> {
     // stable order: by start, parents (longer) before children on ties
     events.sort_by_key(|e| (e.start_us, std::cmp::Reverse(e.end_us)));
     for e in &events {
-        if e.instant {
-            write!(
-                w,
-                "{{\"name\":\"{}\",\"cat\":\"obs\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{}",
-                escape(&e.name),
-                e.tid,
-                e.start_us,
-            )?;
-            if let Some(args) = &e.args {
-                write!(w, ",\"args\":{{{args}}}")?;
-            }
-            writeln!(w, "}}")?;
-        } else {
-            writeln!(
-                w,
-                "{{\"name\":\"{}\",\"cat\":\"obs\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}}}",
-                escape(&e.name),
-                e.tid,
-                e.start_us,
-                e.end_us - e.start_us,
-            )?;
-        }
+        writeln!(
+            w,
+            "{{\"name\":\"{}\",\"cat\":\"obs\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}}}",
+            escape(&e.name),
+            e.tid,
+            e.start_us,
+            e.end_us - e.start_us,
+        )?;
     }
     Ok(events.len())
 }
@@ -229,11 +174,6 @@ mod tests {
         let mut seen = Vec::new();
         for line in text.lines() {
             let v: serde_json::Value = serde_json::from_str(line).expect("line parses");
-            // the collector is global: other tests' instant events may
-            // be interleaved — spans are the "X" lines
-            if v["ph"].as_str() == Some("i") {
-                continue;
-            }
             assert_eq!(v["ph"].as_str(), Some("X"));
             assert!(v["ts"].as_u64().is_some());
             assert!(v["dur"].as_u64().is_some());
@@ -261,24 +201,5 @@ mod tests {
     #[test]
     fn escape_handles_specials() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
-    fn instant_events_export_with_args() {
-        enable();
-        instant("hop", "\"hop\":\"gen\",\"latency_us\":12".to_string());
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let line = text
-            .lines()
-            .find(|l| l.contains("\"ph\":\"i\""))
-            .expect("instant event exported");
-        let v: serde_json::Value = serde_json::from_str(line).expect("instant line parses");
-        assert_eq!(v["name"].as_str(), Some("hop"));
-        assert_eq!(v["s"].as_str(), Some("t"), "thread-scoped");
-        assert_eq!(v["args"]["hop"].as_str(), Some("gen"));
-        assert_eq!(v["args"]["latency_us"].as_u64(), Some(12));
-        assert!(v["ts"].as_u64().is_some());
     }
 }

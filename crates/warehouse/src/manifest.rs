@@ -171,6 +171,19 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_manifest_is_corrupt_not_a_stack_overflow() {
+        let root = tmp_root("nested");
+        let depth = 100_000;
+        let text = "[".repeat(depth) + &"]".repeat(depth);
+        fs::write(root.join(MANIFEST_FILE), text).unwrap();
+        match Manifest::load(&root) {
+            Err(WarehouseError::Corrupt { .. }) => {}
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn save_replaces_atomically() {
         let root = tmp_root("atomic");
         let mut m = Manifest::default();

@@ -3,7 +3,9 @@
 //! original rows, octet for octet, for any partition size; predicate
 //! scans agree with filtering the original rows in memory; a valid
 //! partition mutated and re-sealed never decodes into rows that panic;
-//! and the slicing CRC-32 agrees with a bit-at-a-time reference.
+//! a truncated or bit-flipped manifest opens or is `Corrupt`, and a torn
+//! `MANIFEST.json.tmp` is ignored; and the slicing CRC-32 agrees with a
+//! bit-at-a-time reference.
 
 use asdb::cloud::ALL_PROVIDERS;
 use asdb::registry::Asn;
@@ -16,10 +18,12 @@ use netbase::time::SimTime;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use warehouse::codec::crc32;
+use warehouse::manifest::MANIFEST_FILE;
 use warehouse::partition::{decode, encode};
-use warehouse::{AppendConfig, Predicate, Warehouse};
+use warehouse::{AppendConfig, Predicate, Warehouse, WarehouseError};
 
 /// A qname from a small pool, so partitions repeat names: short names
 /// a `Name` holds inline, names longer than 30 octets that it boxes,
@@ -155,7 +159,7 @@ fn bitwise_crc32(data: &[u8]) -> u32 {
     !c
 }
 
-fn fresh_root() -> std::path::PathBuf {
+fn fresh_root() -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "dnswh-prop-{}-{}",
@@ -219,8 +223,112 @@ proptest! {
     }
 }
 
+/// Append `n_rows` random rows as source `id` in partitions of at
+/// most 100 rows, and commit.
+fn append_committed(wh: &Warehouse, id: &str, seed: u64, n_rows: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let base = SimTime::from_date(2020, 4, 5).as_micros();
+    wh.ensure_source(id, "{\"seed\":7}").expect("source");
+    let config = AppendConfig {
+        max_rows: 100,
+        ..AppendConfig::default()
+    };
+    let mut app = wh.appender(id, config);
+    for _ in 0..n_rows {
+        app.push(&random_row(&mut rng, base));
+    }
+    app.finish().expect("finish");
+    wh.commit().expect("commit");
+}
+
+/// A committed warehouse of a few partitions: its root and the bytes of
+/// its manifest.
+fn committed_warehouse() -> (PathBuf, Vec<u8>) {
+    let root = fresh_root();
+    append_committed(&Warehouse::open(&root).expect("open"), "prop", 3, 400);
+    let bytes = std::fs::read(root.join(MANIFEST_FILE)).expect("manifest written");
+    (root, bytes)
+}
+
+/// `Warehouse::open` on `root` must load or report `Corrupt`: anything
+/// else (an I/O error, a panic) fails the test.
+fn opens_or_is_corrupt(root: &std::path::Path, what: &str) {
+    match Warehouse::open(root) {
+        Ok(_) | Err(WarehouseError::Corrupt { .. }) => {}
+        Err(e) => panic!("{what}: {e}"),
+    }
+}
+
+#[test]
+fn every_truncated_manifest_opens_or_is_corrupt() {
+    let (root, bytes) = committed_warehouse();
+    for len in 0..bytes.len() {
+        std::fs::write(root.join(MANIFEST_FILE), &bytes[..len]).unwrap();
+        opens_or_is_corrupt(&root, &format!("manifest cut to {len} bytes"));
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A crash between writing `MANIFEST.json.tmp` and renaming it leaves a
+/// torn tmp file beside the committed manifest: `open` must not read it,
+/// and the next commit overwrites and renames it away.
+#[test]
+fn torn_manifest_tmp_is_ignored_and_replaced_by_the_next_commit() {
+    let (root, bytes) = committed_warehouse();
+    let committed = Warehouse::open(&root).expect("open");
+    let tmp = root.join(format!("{MANIFEST_FILE}.tmp"));
+    std::fs::write(&tmp, &bytes[..bytes.len() / 2]).unwrap();
+
+    let wh = Warehouse::open(&root).expect("a torn tmp does not stop open");
+    assert_eq!(wh.partitions(), committed.partitions());
+    assert_eq!(wh.sources(), committed.sources());
+    assert_eq!(std::fs::read(root.join(MANIFEST_FILE)).unwrap(), bytes);
+
+    append_committed(&wh, "prop2", 4, 150);
+    assert!(!tmp.exists(), "the commit renamed its tmp file away");
+    let reopened = Warehouse::open(&root).expect("reopen");
+    let parts = reopened.partitions();
+    assert!(parts.len() > committed.partitions().len());
+    assert_eq!(
+        parts[..committed.partitions().len()],
+        committed.partitions()[..]
+    );
+    for meta in &parts {
+        reopened
+            .read_partition(meta)
+            .expect("every listed partition reads back");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Flip one to four random bytes of a saved manifest: `open` loads
+    /// it or reports `Corrupt`, never panics.
+    #[test]
+    fn flipped_manifest_bytes_open_or_are_corrupt(
+        seed in 0u64..1_000_000,
+        flips in 1usize..5,
+    ) {
+        static SAVED: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        let bytes = SAVED.get_or_init(|| {
+            let (root, bytes) = committed_warehouse();
+            let _ = std::fs::remove_dir_all(&root);
+            bytes
+        });
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut flipped = bytes.clone();
+        for _ in 0..flips {
+            let at = rng.gen_range(0..flipped.len());
+            flipped[at] ^= rng.gen_range(1u8..=255);
+        }
+        let root = fresh_root();
+        std::fs::create_dir_all(&root).unwrap();
+        std::fs::write(root.join(MANIFEST_FILE), &flipped).unwrap();
+        opens_or_is_corrupt(&root, &format!("seed {seed}, {flips} flips"));
+        let _ = std::fs::remove_dir_all(&root);
+    }
 
     /// Flip bits, truncate, or splice in bytes from elsewhere in the
     /// file, then re-seal the CRC so the structural decoder is what

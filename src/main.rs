@@ -32,8 +32,7 @@
 //! (most useful with `serve` and `live`). `serve` and `live` print
 //! periodic stats lines every `--stats-interval` (default 5s).
 //! `--flight out.jsonl` runs the flight recorder (a background sampler
-//! of every metric, dumped as JSONL and served at `/flight.json`),
-//! `--sample N` traces 1-in-N queries across pipeline hops, and
+//! of every metric, dumped as JSONL and served at `/flight.json`), and
 //! `--explain` prints warehouse scan plans + a decode profile.
 //!
 //! The command table ([`COMMANDS`]) and flag tables ([`VALUE_FLAGS`],
@@ -261,11 +260,6 @@ const VALUE_FLAGS: &[(&str, &str, &str)] = &[
         "flight recorder: metric sampling interval (default 1s)",
     ),
     (
-        "--sample",
-        "N",
-        "trace 1-in-N queries across pipeline hops (deterministic, seeded by --seed)",
-    ),
-    (
         "--profile",
         "out.folded",
         "sampling CPU profiler: write flamegraph-ready folded stacks on exit \
@@ -365,19 +359,6 @@ fn main() -> ExitCode {
             None => obs::flight::DEFAULT_INTERVAL,
         };
         obs::flight::start(interval);
-    }
-    if let Some(n) = flag_value(&flags, "--sample") {
-        let n: u64 = match n.parse() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("--sample takes a positive integer, got {n:?}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let seed: u64 = flag_value(&flags, "--seed")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(42);
-        obs::flight::enable_sampling(n, seed);
     }
     if flags.iter().any(|f| *f == "--explain") {
         warehouse::explain::enable();
@@ -678,9 +659,10 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
             let path = positional
                 .get(1)
                 .ok_or("usage: dnscentral scenario <scenario.json>")?;
-            let text = std::fs::read_to_string(path).expect("scenario file reads");
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read scenario {path}: {e}"))?;
             let spec: simnet::scenario::DatasetSpec =
-                serde_json::from_str(&text).expect("valid scenario JSON");
+                serde_json::from_str(&text).map_err(|e| format!("invalid scenario {path}: {e}"))?;
             let vantage = spec.vantage;
             let opts = opts_for(&spec.id());
             let run = run_spec_with(spec, scale, seed, &opts);

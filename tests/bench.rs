@@ -261,11 +261,9 @@ fn respond_hot_path_is_allocation_free_in_steady_state() {
     use simnet::scenario::dataset;
 
     assert!(obs::alloc::installed(), "counting allocator active");
-    // flight recorder + query sampler on: the respond path must stay
-    // allocation-free with full observability enabled (flight hops live
-    // in the socket servers, not in `handle_into`)
+    // flight recorder on: the respond path must stay allocation-free
+    // while the registry is sampled in the background
     obs::flight::start(std::time::Duration::from_millis(100));
-    obs::flight::enable_sampling(7, 42);
     let responder = Responder::for_spec(&dataset(Vantage::Nl, 2020));
     let queries = sampled_queries(512, 1024);
     let (warm, fresh) = queries.split_at(512);
@@ -440,7 +438,6 @@ fn engine_fixture(rrl: bool) -> (authd::Engine, Vec<(Vec<u8>, bool)>, std::path:
 fn full_udp_cycle_is_allocation_free_in_steady_state() {
     assert!(obs::alloc::installed(), "counting allocator active");
     obs::flight::start(std::time::Duration::from_millis(100));
-    obs::flight::enable_sampling(7, 42);
     let peer: std::net::SocketAddr = "127.0.0.1:55555".parse().unwrap();
     let local: std::net::SocketAddr = "127.0.0.1:53".parse().unwrap();
     for rrl in [false, true] {
@@ -466,7 +463,6 @@ fn full_tcp_cycle_is_allocation_free_in_steady_state() {
 
     assert!(obs::alloc::installed(), "counting allocator active");
     obs::flight::start(std::time::Duration::from_millis(100));
-    obs::flight::enable_sampling(7, 42);
     // TCP answers bypass RRL
     let (engine, queries, tap_path) = engine_fixture(true);
     let peer: std::net::SocketAddr = "127.0.0.1:55556".parse().unwrap();
@@ -605,9 +601,8 @@ fn wire_encode_into_is_allocation_free_and_byte_identical() {
 
     assert!(obs::alloc::installed(), "counting allocator active");
     // same observability load as the respond test: recorder sampling
-    // the registry in the background, query sampler armed
+    // the registry in the background
     obs::flight::start(std::time::Duration::from_millis(100));
-    obs::flight::enable_sampling(7, 42);
     let msg = sample_response();
     let expected = msg.encode().expect("encodes");
     let mut comp = ReusableCompressor::new();

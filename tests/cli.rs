@@ -101,7 +101,6 @@ fn help_covers_every_command_and_flag() {
         "--monthly",
         "--flight",
         "--flight-interval",
-        "--sample",
         "--explain",
     ] {
         assert!(help.contains(flag), "help is missing flag {flag}");
@@ -126,6 +125,15 @@ fn bad_scale_is_rejected() {
 
 #[test]
 fn bad_flag_values_fail_with_friendly_errors() {
+    // scenario files that cannot be read or parsed
+    let missing = tmp("no-such-scenario.json");
+    let _ = std::fs::remove_file(&missing);
+    let malformed = tmp("malformed-scenario.json");
+    std::fs::write(&malformed, "{\"vantage\": ").unwrap();
+    let nested = tmp("nested-scenario.json");
+    std::fs::write(&nested, "[".repeat(100_000) + &"]".repeat(100_000)).unwrap();
+    let [missing, malformed, nested] =
+        [&missing, &malformed, &nested].map(|p| p.display().to_string());
     // every case: non-zero exit, a readable message, and no panic text
     for (args, expect) in [
         (&["table1", "--seed=banana"][..], "--seed takes an integer"),
@@ -154,13 +162,23 @@ fn bad_flag_values_fail_with_friendly_errors() {
             &["dataset", "nl", "2020", "--flet"][..],
             "unknown flag --flet",
         ),
+        // a removed flag fails like any other unknown one
+        (&["table1", "--sample=16"][..], "unknown flag --sample"),
+        (&["scenario", missing.as_str()][..], "cannot read scenario"),
+        (&["scenario", malformed.as_str()][..], "invalid scenario"),
+        (
+            &["scenario", nested.as_str()][..],
+            "nesting deeper than 128",
+        ),
     ] {
         let out = bin().args(args).output().expect("runs");
-        assert!(!out.status.success(), "{args:?} should fail");
+        assert_eq!(out.status.code(), Some(1), "{args:?} should fail");
         let err = String::from_utf8(out.stderr).unwrap();
         assert!(err.contains(expect), "{args:?}: {err}");
         assert!(!err.contains("panicked"), "{args:?}: {err}");
     }
+    let _ = std::fs::remove_file(&malformed);
+    let _ = std::fs::remove_file(&nested);
 }
 
 #[test]
@@ -388,6 +406,57 @@ fn warehouse_ingest_then_report_matches_direct_run() {
     assert!(err.contains("0 row(s) read"), "{err}");
 
     let _ = std::fs::remove_dir_all(&wh);
+}
+
+/// An ingest killed at any point leaves a warehouse that either has no
+/// manifest yet or opens, with every partition it lists intact: files
+/// are written before the manifest names them, and the manifest is
+/// replaced by rename.
+#[test]
+fn killed_ingest_leaves_an_openable_warehouse() {
+    // an ingest into `dir`, emptied first
+    let fresh_ingest = |dir: &PathBuf| {
+        let _ = std::fs::remove_dir_all(dir);
+        let mut cmd = bin();
+        cmd.args(["ingest", "nl", "2020", "--scale=tiny"]);
+        cmd.arg(format!("--warehouse={}", dir.display()));
+        cmd.stdout(std::process::Stdio::null());
+        cmd.stderr(std::process::Stdio::null());
+        cmd
+    };
+    // time a whole run (the faster of two, so a cold first start does
+    // not stretch the delays), then kill five runs at points spread over it
+    let dir = tmp("wh-killed");
+    let full = (0..2)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            assert!(fresh_ingest(&dir).status().expect("runs").success());
+            start.elapsed()
+        })
+        .min()
+        .unwrap();
+    let mut killed_mid_run = 0;
+    for k in 1..=5u32 {
+        let mut child = fresh_ingest(&dir).spawn().expect("spawns");
+        std::thread::sleep(full * k / 6);
+        if child.try_wait().expect("polls").is_none() {
+            child.kill().expect("SIGKILL");
+            killed_mid_run += 1;
+        }
+        child.wait().expect("reaped");
+        if !dir.join(warehouse::manifest::MANIFEST_FILE).exists() {
+            continue;
+        }
+        let wh = warehouse::Warehouse::open(&dir)
+            .unwrap_or_else(|e| panic!("kill {k} of 5 left a manifest that does not open: {e}"));
+        for meta in wh.partitions() {
+            if let Err(e) = wh.read_partition(&meta) {
+                panic!("kill {k} of 5: {} does not read back: {e}", meta.file);
+            }
+        }
+    }
+    assert!(killed_mid_run > 0, "every run finished before its kill");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -345,7 +345,6 @@ fn flight_endpoint_serves_window_during_live_run() {
             "--flight",
             jsonl.to_str().unwrap(),
             "--flight-interval=200ms",
-            "--sample=16",
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -410,18 +409,14 @@ fn flight_endpoint_serves_window_during_live_run() {
     // the JSONL dump holds the same window, one decoded point per line
     let dump = std::fs::read_to_string(&jsonl).expect("flight JSONL written");
     let mut counters = 0;
-    let mut sampled_hops = 0u64;
     for line in dump.lines() {
         let v: serde_json::Value = serde_json::from_str(line).expect("line parses as JSON");
-        let metric = v["metric"].as_str().expect("metric name");
+        assert!(v["metric"].as_str().is_some(), "{line}");
         match v["kind"].as_str().expect("kind") {
             "counter" => {
                 counters += 1;
-                let value = v["value"].as_u64().expect("counter value");
+                assert!(v["value"].as_u64().is_some(), "{line}");
                 assert!(v["rate"].as_f64().is_some(), "{line}");
-                if metric == "obs_flight_sampled_hops_total" {
-                    sampled_hops = sampled_hops.max(value);
-                }
             }
             "gauge" => assert!(v["value"].as_f64().is_some(), "{line}"),
             "histogram" => {
@@ -434,8 +429,6 @@ fn flight_endpoint_serves_window_during_live_run() {
         }
     }
     assert!(counters > 0, "counter points in the dump:\n{dump}");
-    // the deterministic 1-in-16 sampler traced queries across hops
-    assert!(sampled_hops > 0, "sampled hop counter never moved:\n{dump}");
     let _ = std::fs::remove_file(&cap);
     let _ = std::fs::remove_file(&jsonl);
 }
