@@ -69,11 +69,10 @@ pub struct Query<'q> {
 /// What a reactor's slots send.
 pub trait Work {
     /// Slot `slot`'s last exchange ended as `last`: the query it sends
-    /// next, or `None` when it has nothing to send now. `idle` says no
-    /// exchange is in flight on the reactor, so waiting for work stalls
-    /// nobody; the reactor returns once every slot has said `None` while
-    /// it was idle.
-    fn next(&mut self, slot: usize, last: Outcome<'_>, idle: bool) -> Option<Query<'_>>;
+    /// next, or `None` when it has nothing to send now. The reactor
+    /// returns once no exchange is in flight and every slot has said
+    /// `None`.
+    fn next(&mut self, slot: usize, last: Outcome<'_>) -> Option<Query<'_>>;
 }
 
 /// How an exchange ended, before it is lent to the [`Work`] as an
@@ -234,7 +233,7 @@ impl<'a> Reactor<'a> {
                 }),
                 Ended::Timeout => Outcome::Timeout,
             };
-            let Some(query) = work.next(i, last, self.inflight == 0) else {
+            let Some(query) = work.next(i, last) else {
                 return;
             };
             let slot = &mut self.slots[i];
@@ -339,7 +338,7 @@ mod tests {
     }
 
     impl Work for Script {
-        fn next(&mut self, _slot: usize, last: Outcome<'_>, _idle: bool) -> Option<Query<'_>> {
+        fn next(&mut self, _slot: usize, last: Outcome<'_>) -> Option<Query<'_>> {
             match last {
                 Outcome::Idle => {}
                 Outcome::Answer(reply) => {

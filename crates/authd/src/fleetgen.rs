@@ -27,8 +27,7 @@
 //! (TC=1) answers retry over TCP exactly as a real resolver's would.
 
 use crate::client::{Outcome, Query, Reactor, Work};
-use crate::loadgen::LoadgenConfig;
-use crate::signal;
+use crate::loadgen::{LoadgenConfig, StopRule};
 use crate::stats::Stats;
 use netbase::flow::IpVersion;
 use netbase::time::SimDuration;
@@ -45,7 +44,7 @@ use simnet::fleet::{cumulative_weights, pick_cumulative};
 use simnet::vantage::WireScratch;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -109,9 +108,8 @@ struct Run<'a> {
     metrics: &'a FleetMetrics,
     rtt_hists: &'a [Arc<obs::Histogram>],
     started: Instant,
-    deadline: Option<Instant>,
+    stop: StopRule,
     resolvers: usize,
-    stop: AtomicBool,
     stimuli: AtomicU64,
     inflight: AtomicI64,
     inflight_peak: AtomicI64,
@@ -120,23 +118,6 @@ struct Run<'a> {
 }
 
 impl Run<'_> {
-    /// Whether a stop condition (vantage-query count, duration, SIGINT)
-    /// has fired: no new stimulus starts after it.
-    fn stopping(&self) -> bool {
-        if self.stop.load(Ordering::SeqCst)
-            || signal::triggered()
-            || self.deadline.is_some_and(|d| Instant::now() >= d)
-            || self
-                .config
-                .max_queries
-                .is_some_and(|m| self.stats.sent.get() >= m)
-        {
-            self.stop.store(true, Ordering::SeqCst);
-            return true;
-        }
-        false
-    }
-
     /// One more (`+1`) or one fewer (`-1`) vantage exchange in flight.
     fn inflight(&self, delta: i64) {
         let now = self.inflight.fetch_add(delta, Ordering::Relaxed) + delta;
@@ -167,7 +148,7 @@ impl Lanes<'_> {
     fn begin(&mut self, i: usize) -> Option<Step> {
         let run = self.run;
         let slowest = self.lanes.iter().map(|l| l.walks).min().unwrap_or(0);
-        if self.lanes[i].walks >= slowest + LANE_LEAD || run.stopping() {
+        if self.lanes[i].walks >= slowest + LANE_LEAD || run.stop.fired(run.stats.sent.get()) {
             return None;
         }
         let engine = run.engine;
@@ -198,7 +179,7 @@ impl Lanes<'_> {
 }
 
 impl Work for Lanes<'_> {
-    fn next(&mut self, i: usize, last: Outcome<'_>, _idle: bool) -> Option<Query<'_>> {
+    fn next(&mut self, i: usize, last: Outcome<'_>) -> Option<Query<'_>> {
         let run = self.run;
         let mut step = match last {
             Outcome::Idle => self.begin(i)?,
@@ -327,9 +308,8 @@ pub(crate) fn run(
         metrics: &metrics,
         rtt_hists: &rtt_hists,
         started,
-        deadline: config.duration.map(|d| started + d),
+        stop: StopRule::new(config, started),
         resolvers,
-        stop: AtomicBool::new(false),
         stimuli: AtomicU64::new(0),
         inflight: AtomicI64::new(0),
         inflight_peak: AtomicI64::new(0),
@@ -357,7 +337,7 @@ pub(crate) fn run(
             .map(|lanes| {
                 s.spawn(move |_| {
                     let Ok(mut reactor) = Reactor::new(config, lanes.len(), stats) else {
-                        run.stop.store(true, Ordering::SeqCst);
+                        run.stop.stop();
                         return (0u64, 0u64);
                     };
                     let mut work = Lanes {

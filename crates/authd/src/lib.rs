@@ -12,8 +12,8 @@
 //! - [`sockets`] — the socket plane under it: per-worker `SO_REUSEPORT`
 //!   UDP shards with `recvmmsg`/`sendmmsg` batching on Linux (syscalls
 //!   declared directly against the platform libc — no new crates), a
-//!   portable `try_clone` fallback elsewhere, and a `poll(2)`-based
-//!   readiness wait for the TCP accept loop.
+//!   portable `try_clone` fallback elsewhere, and the `poll(2)` wait
+//!   on the listener that every TCP worker accepts from.
 //! - [`loadgen`] — the closed-loop load generator
 //!   ([`run_loadgen`]): by default driven by
 //!   [`simnet::drive::Driver`], replaying the same fleet profiles
@@ -40,7 +40,8 @@
 //!   loopback for one-command end-to-end runs.
 //!
 //! No async runtime and no new dependencies: `std::net` blocking
-//! sockets, one thread per worker, `crossbeam` channels in between.
+//! sockets, one thread per worker, and no queue between threads but
+//! the kernel's.
 
 pub mod client;
 pub mod fleetgen;

@@ -14,7 +14,7 @@ use crate::tap::Tap;
 use simnet::scenario::{DatasetSpec, Scale};
 use std::io;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Parameters for a live loopback run.
 pub struct LiveConfig {
@@ -80,6 +80,48 @@ pub struct LiveReport {
     pub fleet: Option<crate::fleetgen::FleetgenReport>,
 }
 
+/// The live loop's stats monitor, for `serve` alone or a whole live
+/// run: every 50 ms until `wait` says the run is over, refresh the
+/// `authd_server_qps` gauge (and `authd_loadgen_qps`, given the load
+/// generator's `client` stats) for `--metrics-addr` scrapes, and every
+/// `interval` print a snapshot line per side to stderr. `wait(step)`
+/// returns within `step`, true once the run is over.
+pub fn monitor(
+    server: &Server,
+    client: Option<&Stats>,
+    interval: Option<Duration>,
+    mut wait: impl FnMut(Duration) -> bool,
+) {
+    let step = Duration::from_millis(50);
+    let server_qps = obs::gauge("authd_server_qps", "server-side queries per second");
+    let client = client.map(|stats| {
+        let qps = obs::gauge("authd_loadgen_qps", "load generator queries per second");
+        (stats, qps)
+    });
+    let mut since_print = Duration::ZERO;
+    while !wait(step) {
+        let elapsed = server.elapsed_secs();
+        let server_snap = server.stats().snapshot(elapsed);
+        server_qps.set(server_snap.qps);
+        let client_snap = client.as_ref().map(|(stats, qps)| {
+            let snap = stats.snapshot(elapsed);
+            qps.set(snap.qps);
+            snap
+        });
+        since_print += step;
+        if interval.is_some_and(|iv| since_print >= iv) {
+            since_print = Duration::ZERO;
+            match client_snap {
+                None => eprintln!("{server_snap}"),
+                Some(client_snap) => {
+                    eprintln!("serve  | {server_snap}");
+                    eprintln!("loadgen| {client_snap}");
+                }
+            }
+        }
+    }
+}
+
 /// Run the whole loop; returns once the capture is sealed on disk.
 pub fn run_live(config: &LiveConfig) -> io::Result<LiveReport> {
     let tap = Tap::create(&config.capture)?;
@@ -91,41 +133,18 @@ pub fn run_live(config: &LiveConfig) -> io::Result<LiveReport> {
     })?;
 
     let client_stats = Stats::new();
-    let started = Instant::now();
     // dropped when the load generator returns: the monitor wakes at once
     let (done, done_rx) = crossbeam::channel::bounded::<()>(0);
     let loadgen = crossbeam::thread::scope(|s| {
-        // The monitor always runs: it keeps the qps gauges fresh for
-        // `--metrics-addr` scrapes, and additionally prints stats lines
-        // when an interval was requested.
-        {
-            let server = &server;
-            let client_stats = &client_stats;
-            let interval = config.stats_interval;
-            let server_qps = obs::gauge("authd_server_qps", "server-side queries per second");
-            let loadgen_qps = obs::gauge("authd_loadgen_qps", "load generator queries per second");
-            s.spawn(move |_| {
-                // refresh in short steps; the load generator's end cuts
-                // a step short
-                let step = Duration::from_millis(50);
-                let mut since_print = Duration::ZERO;
-                while let Err(crossbeam::channel::RecvTimeoutError::Timeout) =
-                    done_rx.recv_timeout(step)
-                {
-                    let elapsed = started.elapsed().as_secs_f64();
-                    let server_snap = server.stats().snapshot(elapsed);
-                    let client_snap = client_stats.snapshot(elapsed);
-                    server_qps.set(server_snap.qps);
-                    loadgen_qps.set(client_snap.qps);
-                    since_print += step;
-                    if interval.is_some_and(|iv| since_print >= iv) {
-                        since_print = Duration::ZERO;
-                        eprintln!("serve  | {server_snap}");
-                        eprintln!("loadgen| {client_snap}");
-                    }
-                }
-            });
-        }
+        let (server, client_stats) = (&server, &client_stats);
+        s.spawn(move |_| {
+            monitor(server, Some(client_stats), config.stats_interval, |step| {
+                !matches!(
+                    done_rx.recv_timeout(step),
+                    Err(crossbeam::channel::RecvTimeoutError::Timeout)
+                )
+            })
+        });
         let mut lg = LoadgenConfig::new(
             config.spec.clone(),
             config.scale,
@@ -137,13 +156,13 @@ pub fn run_live(config: &LiveConfig) -> io::Result<LiveReport> {
         lg.max_queries = config.max_queries;
         lg.duration = config.duration;
         lg.resolvers = config.resolvers;
-        let report = run_loadgen(&lg, &client_stats);
+        let report = run_loadgen(&lg, client_stats);
         drop(done);
         report
     })
     .expect("live threads do not panic")?;
 
-    let elapsed = started.elapsed().as_secs_f64();
+    let elapsed = server.elapsed_secs();
     let server_snap = server.stats().snapshot(elapsed);
     let records = server.shutdown()?;
     Ok(LiveReport {

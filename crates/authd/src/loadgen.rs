@@ -1,15 +1,16 @@
 //! Closed-loop load generator driven by the fleet profiles.
 //!
-//! [`run_loadgen`] is the one entry point. By default it *replays*: a
-//! producer thread pulls [`PlannedQuery`]s from
+//! [`run_loadgen`] is the one entry point. By default it *replays*: N
+//! worker threads each run one [`Reactor`] of [`REPLAY_SLOTS`] slots,
+//! and every slot, as soon as its last query is answered or timed out,
+//! draws the next [`PlannedQuery`] straight from the one shared
 //! [`simnet::drive::Driver`] — the same fleet materialization, qtype
 //! mixes, Q-min schedule, EDNS sizes, and cache model the offline
-//! engine uses — into a bounded channel, and N worker threads each run
-//! one [`Reactor`] of [`REPLAY_SLOTS`] slots, every slot taking the next
-//! planned query as soon as its last one is answered or timed out (UDP,
-//! or TCP for the direct-TCP share, with TCP fallback on TC=1). With
-//! [`LoadgenConfig::resolvers`] set, the same threads' reactors instead
-//! carry resolver walks ([`crate::fleetgen`]), one slot per resolver.
+//! engine uses — and sends it (UDP, or TCP for the direct-TCP share,
+//! with TCP fallback on TC=1). With [`LoadgenConfig::resolvers`] set,
+//! the same threads' reactors instead carry resolver walks
+//! ([`crate::fleetgen`]), one slot per resolver. Both stop by one
+//! [`StopRule`].
 //!
 //! Every query carries a [`crate::proxy::Preamble`] with the logical
 //! resolver/server addresses so the server's capture tap attributes
@@ -19,7 +20,7 @@ use crate::client::{Outcome, Query, Reactor, Work};
 use crate::fleetgen::{self, FleetgenReport};
 use crate::signal;
 use crate::stats::Stats;
-use netbase::time::SimDuration;
+use netbase::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::drive::{Driver, PlannedQuery};
@@ -28,6 +29,7 @@ use simnet::scenario::{DatasetSpec, Scale};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Planned queries each replay thread keeps in flight.
@@ -103,9 +105,42 @@ pub struct LoadgenReport {
     pub fleet: Option<FleetgenReport>,
 }
 
-struct Job {
-    q: PlannedQuery,
-    src_port: u16,
+/// When a run starts no more work: on SIGINT, once a reactor could not
+/// start, at the deadline, or once the run's own count reaches
+/// [`LoadgenConfig::max_queries`]. The replay counts planned queries,
+/// the fleet vantage queries sent. Once fired it stays fired.
+pub(crate) struct StopRule {
+    stop: AtomicBool,
+    deadline: Option<Instant>,
+    max_queries: Option<u64>,
+}
+
+impl StopRule {
+    pub(crate) fn new(config: &LoadgenConfig, started: Instant) -> StopRule {
+        StopRule {
+            stop: AtomicBool::new(false),
+            deadline: config.duration.map(|d| started + d),
+            max_queries: config.max_queries,
+        }
+    }
+
+    /// Stop now.
+    pub(crate) fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether the run stops, `count` queries into it.
+    pub(crate) fn fired(&self, count: u64) -> bool {
+        if self.stop.load(Ordering::SeqCst)
+            || signal::triggered()
+            || self.deadline.is_some_and(|d| Instant::now() >= d)
+            || self.max_queries.is_some_and(|m| count >= m)
+        {
+            self.stop();
+            return true;
+        }
+        false
+    }
 }
 
 /// Run the closed loop until a stop condition (count, duration, or
@@ -140,103 +175,103 @@ pub fn run_loadgen(config: &LoadgenConfig, stats: &Stats) -> io::Result<LoadgenR
 
 /// Replay the calibrated driver's queries through `config.workers`
 /// reactors.
-fn replay(config: &LoadgenConfig, mut driver: Driver, started: Instant, stats: &Stats) {
-    let start_sim = config.spec.start;
-    let deadline = config.duration.map(|d| started + d);
-    let stop = AtomicBool::new(false);
-    let (tx, rx) = crossbeam::channel::bounded::<Job>(1024);
+fn replay(config: &LoadgenConfig, driver: Driver, started: Instant, stats: &Stats) {
+    let plan = Mutex::new(Plan {
+        driver,
+        port_rng: StdRng::seed_from_u64(config.seed ^ 0x5eed_9097),
+        drawn: 0,
+    });
+    let stop = StopRule::new(config, started);
     crossbeam::thread::scope(|s| {
         for _ in 0..config.workers.max(1) {
-            let rx = rx.clone();
-            let stop = &stop;
+            let (plan, stop) = (&plan, &stop);
             s.spawn(move |_| {
                 let Ok(mut reactor) = Reactor::new(config, REPLAY_SLOTS, stats) else {
-                    stop.store(true, Ordering::SeqCst);
+                    stop.stop();
                     return;
                 };
                 reactor.run(&mut Planned {
-                    rx,
+                    plan,
+                    stop,
+                    start_sim: config.spec.start,
+                    started,
                     jobs: (0..REPLAY_SLOTS).map(|_| None).collect(),
                 });
             });
         }
-        drop(rx);
-
-        // producer: sample queries until a stop condition fires
-        let mut port_rng = StdRng::seed_from_u64(config.seed ^ 0x5eed_9097);
-        let mut scheduled = 0u64;
-        loop {
-            if signal::triggered()
-                || stop.load(Ordering::SeqCst)
-                || deadline.is_some_and(|d| Instant::now() >= d)
-                || config.max_queries.is_some_and(|m| scheduled >= m)
-            {
-                break;
-            }
-            let now = start_sim + SimDuration::from_micros(started.elapsed().as_micros() as u64);
-            let job = Job {
-                q: driver.sample(now),
-                src_port: port_rng.gen_range(1024..u16::MAX),
-            };
-            // bounded send applies backpressure; poll the stop
-            // conditions while the queue is full
-            let mut job = job;
-            loop {
-                match tx.try_send(job) {
-                    Ok(()) => break,
-                    Err(crossbeam::channel::TrySendError::Full(back)) => {
-                        job = back;
-                        if signal::triggered()
-                            || stop.load(Ordering::SeqCst)
-                            || deadline.is_some_and(|d| Instant::now() >= d)
-                        {
-                            scheduled = u64::MAX; // force outer break
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
-                        scheduled = u64::MAX;
-                        break;
-                    }
-                }
-            }
-            if scheduled == u64::MAX {
-                break;
-            }
-            scheduled += 1;
-        }
-        drop(tx); // the reactors send what is queued and return
     })
     .expect("loadgen threads do not panic");
 }
 
-/// One replay thread's slots: each takes the next planned query from
-/// the producer's channel as soon as its last one ended — waiting for
-/// one only while nothing else is in flight. On SIGINT they stop taking
-/// any.
-struct Planned {
-    rx: crossbeam::channel::Receiver<Job>,
-    /// The query each slot has in flight.
-    jobs: Vec<Option<Job>>,
+/// What every replay thread draws from, under one lock: the driver,
+/// the source-port stream and the count of queries drawn, so the
+/// sequence of (query, source port) pairs is the one a single thread
+/// would draw, whichever threads send them.
+struct Plan {
+    driver: Driver,
+    port_rng: StdRng,
+    drawn: u64,
 }
 
-impl Work for Planned {
-    fn next(&mut self, slot: usize, _last: Outcome<'_>, idle: bool) -> Option<Query<'_>> {
-        if signal::triggered() {
-            return None;
-        }
-        let job = if idle {
-            self.rx.recv().ok()?
-        } else {
-            self.rx.try_recv().ok()?
+/// One replay thread's slots: each draws the next planned query as
+/// soon as its last one ended, until the stop rule fires.
+struct Planned<'a> {
+    plan: &'a Mutex<Plan>,
+    stop: &'a StopRule,
+    start_sim: SimTime,
+    started: Instant,
+    /// The query each slot has in flight, and its source port.
+    jobs: Vec<Option<(PlannedQuery, u16)>>,
+}
+
+impl Work for Planned<'_> {
+    fn next(&mut self, slot: usize, _last: Outcome<'_>) -> Option<Query<'_>> {
+        let job = {
+            let mut plan = self.plan.lock().expect("replay plan poisoned");
+            if self.stop.fired(plan.drawn) {
+                return None;
+            }
+            plan.drawn += 1;
+            let now = self.start_sim
+                + SimDuration::from_micros(self.started.elapsed().as_micros() as u64);
+            let q = plan.driver.sample(now);
+            (q, plan.port_rng.gen_range(1024..u16::MAX))
         };
-        let job = self.jobs[slot].insert(job);
+        let (q, src_port) = self.jobs[slot].insert(job);
         Some(Query {
-            wire: &job.q.wire,
-            src: SocketAddr::new(job.q.src, job.src_port),
-            dst: SocketAddr::new(job.q.dst, 53),
-            tcp_direct: job.q.tcp_direct,
+            wire: &q.wire,
+            src: SocketAddr::new(q.src, *src_port),
+            dst: SocketAddr::new(q.dst, 53),
+            tcp_direct: q.tcp_direct,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::{Server, ServerConfig};
+    use simnet::profile::Vantage;
+    use simnet::scenario::dataset;
+
+    /// Three replay threads draw from the one driver: each planned query
+    /// is sent once, plus its TCP retry after a TC=1 answer, and none is
+    /// lost between threads.
+    #[test]
+    fn replay_threads_send_each_planned_query_once() {
+        let _guard = signal::TEST_GUARD.lock().unwrap();
+        let spec = dataset(Vantage::Nl, 2020);
+        let server = Server::start(ServerConfig::for_spec(&spec)).unwrap();
+        let mut config =
+            LoadgenConfig::new(spec, Scale::tiny(), 7, server.udp_addr(), server.tcp_addr());
+        config.workers = 3;
+        const N: u64 = 2_000;
+        config.max_queries = Some(N);
+        config.timeout = Duration::from_secs(5);
+        let report = run_loadgen(&config, &Stats::new()).unwrap();
+        server.shutdown().unwrap();
+        assert_eq!(report.timeouts, 0, "{report:?}");
+        assert_eq!(report.sent, N + report.tcp_fallbacks, "{report:?}");
+        assert_eq!(report.received, report.sent, "{report:?}");
     }
 }

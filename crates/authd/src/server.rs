@@ -3,9 +3,10 @@
 //! Layout: N UDP workers each own one shard of the socket plane
 //! ([`crate::sockets::UdpShardSet`] — per-worker `SO_REUSEPORT`
 //! sockets with `recvmmsg`/`sendmmsg` batching on Linux, `try_clone` +
-//! `recv_from` elsewhere); one TCP accept thread blocks in `poll(2)`
-//! on the listener and feeds connections over a crossbeam channel to M
-//! TCP workers. All workers share one [`Engine`]: the [`Responder`],
+//! `recv_from` elsewhere); M TCP workers share the one non-blocking
+//! listener, each blocking in `poll(2)` on it and accepting the next
+//! connection itself, so the kernel's listen backlog is the only accept
+//! queue. All workers share one [`Engine`]: the [`Responder`],
 //! an optional *sharded* RRL limiter (per-bucket-key shards, decisions
 //! byte-identical to a serial limiter), the [`Stats`] block, and
 //! (optionally) one capture [`Tap`].
@@ -453,6 +454,8 @@ impl Engine {
 /// Everything the worker threads share.
 struct Shared {
     engine: Engine,
+    /// Non-blocking; every TCP worker waits on it and accepts from it.
+    listener: TcpListener,
     shutdown: AtomicBool,
 }
 
@@ -464,11 +467,9 @@ pub struct Server {
     udp_sharded: bool,
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
-    conn_rx: crossbeam::channel::Receiver<TcpStream>,
-    /// Clones of the UDP shards and the listener: shutting their read
-    /// side down wakes the workers blocked on them.
+    /// Clones of the UDP shards: shutting their read side down wakes
+    /// the workers blocked on them.
     wake_udp: Vec<std::net::UdpSocket>,
-    wake_tcp: TcpListener,
 }
 
 impl Server {
@@ -493,6 +494,7 @@ impl Server {
         engine.stats().publish("authd_server");
         let shared = Arc::new(Shared {
             engine,
+            listener,
             shutdown: AtomicBool::new(false),
         });
         let shards = shard_set.into_shards();
@@ -500,7 +502,6 @@ impl Server {
             .iter()
             .map(|s| s.socket().try_clone())
             .collect::<io::Result<_>>()?;
-        let wake_tcp = listener.try_clone()?;
 
         let mut threads = Vec::new();
         for (i, shard) in shards.into_iter().enumerate() {
@@ -512,25 +513,12 @@ impl Server {
             );
         }
 
-        let (conn_tx, conn_rx) = crossbeam::channel::bounded::<TcpStream>(64);
         for i in 0..config.tcp_workers.max(1) {
-            let rx = conn_rx.clone();
             let shared = Arc::clone(&shared);
             threads.push(
                 thread::Builder::new()
                     .name(format!("authd-tcp-{i}"))
-                    .spawn(move || tcp_worker(&rx, &shared, i))?,
-            );
-        }
-        {
-            let shared = Arc::clone(&shared);
-            // the accept loop holds its own receiver clone purely to
-            // observe queue occupancy; it never recv()s from it
-            let depth_rx = conn_rx.clone();
-            threads.push(
-                thread::Builder::new()
-                    .name("authd-accept".into())
-                    .spawn(move || accept_loop(&listener, &conn_tx, &depth_rx, &shared))?,
+                    .spawn(move || tcp_worker(&shared, i))?,
             );
         }
 
@@ -540,9 +528,7 @@ impl Server {
             udp_sharded,
             shared,
             threads,
-            conn_rx,
             wake_udp,
-            wake_tcp,
         })
     }
 
@@ -574,33 +560,23 @@ impl Server {
     /// Ask the workers to stop (returns immediately). Workers blocked
     /// waiting for traffic are woken rather than left to their read
     /// timeouts: each UDP shard's and the listener's read side is shut
-    /// down, and the accept loop's exit disconnects the TCP workers'
-    /// channel. Nothing a wake reads is counted or tapped.
+    /// down. Nothing a wake reads is counted or tapped, and connections
+    /// still in the listen backlog are never accepted.
     pub fn request_shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for sock in &self.wake_udp {
             sockets::wake_readers(sock);
         }
-        sockets::wake_readers(&self.wake_tcp);
+        sockets::wake_readers(&self.shared.listener);
     }
 
-    /// Drain: stop workers, join them, account for connections still
-    /// queued in the accept channel, flush + seal the tap.
+    /// Drain: stop workers, join them, flush + seal the tap.
     ///
     /// Returns the number of capture records flushed (0 without a tap).
     pub fn shutdown(mut self) -> io::Result<u64> {
         self.request_shutdown();
         for t in self.threads.drain(..) {
             let _ = t.join();
-        }
-        // connections accepted but never picked up by a worker: closed
-        // unserved, but counted, so accepted == served + dropped holds
-        while let Ok(stream) = self.conn_rx.try_recv() {
-            drop(stream);
-            self.shared
-                .engine
-                .stats
-                .bump(&self.shared.engine.stats.tcp_dropped);
         }
         match &self.shared.engine.tap {
             Some(tap) => tap.finish(),
@@ -666,58 +642,7 @@ fn udp_worker(shard: UdpShard, shared: &Shared, index: usize) {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    conn_tx: &crossbeam::channel::Sender<TcpStream>,
-    depth_rx: &crossbeam::channel::Receiver<TcpStream>,
-    shared: &Shared,
-) {
-    let stats = &shared.engine.stats;
-    let queue = obs::QueueDepth::register(
-        "authd_tcp_accept",
-        "connections accepted but not yet picked up by a TCP worker",
-    );
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        // block in the kernel until a connection is pending, or the
-        // shutdown wake (or the poll timeout) sends us to the flag
-        match sockets::wait_readable(listener, POLL) {
-            Ok(false) => continue,
-            Ok(true) => {}
-            Err(_) => continue,
-        }
-        // drain everything that is ready
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stats.bump(&stats.tcp_accepted);
-                    let mut item = stream;
-                    loop {
-                        match conn_tx.try_send(item) {
-                            Ok(()) => {
-                                queue.record(depth_rx.len());
-                                break;
-                            }
-                            Err(crossbeam::channel::TrySendError::Full(back)) => {
-                                queue.record(depth_rx.len());
-                                if shared.shutdown.load(Ordering::SeqCst) {
-                                    stats.bump(&stats.tcp_dropped);
-                                    break;
-                                }
-                                item = back;
-                                thread::sleep(Duration::from_millis(1));
-                            }
-                            Err(crossbeam::channel::TrySendError::Disconnected(_)) => return,
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-    }
-}
-
-fn tcp_worker(rx: &crossbeam::channel::Receiver<TcpStream>, shared: &Shared, index: usize) {
+fn tcp_worker(shared: &Shared, index: usize) {
     let stats = &shared.engine.stats;
     let mut state = TcpWorkerState::new();
     // busy = occupied by a connection (including its in-conversation
@@ -726,36 +651,30 @@ fn tcp_worker(rx: &crossbeam::channel::Receiver<TcpStream>, shared: &Shared, ind
         &format!("authd_tcp_worker{index}_busy_permille"),
         "authd TCP worker busy fraction (permille, windowed)",
     ));
-    let queue = obs::QueueDepth::register(
-        "authd_tcp_accept",
-        "connections accepted but not yet picked up by a TCP worker",
-    );
-    loop {
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        // block in the kernel until a connection is pending, or the
+        // shutdown wake (or the poll timeout) sends us to the flag
         let wait = Instant::now();
-        match rx.recv_timeout(POLL) {
-            Ok(stream) => {
-                util.idle(wait.elapsed());
-                queue.record(rx.len());
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    // shutdown already requested: this connection will
-                    // never be served, account for it
-                    stats.bump(&stats.tcp_dropped);
-                    continue;
-                }
-                stats.bump(&stats.tcp_served);
-                let work = Instant::now();
-                shared
-                    .engine
-                    .serve_tcp_conn(stream, &shared.shutdown, &mut state);
-                util.busy(work.elapsed());
-            }
-            Err(_) => {
-                util.idle(wait.elapsed());
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
+        let accepted = match sockets::wait_readable(&shared.listener, POLL) {
+            // WouldBlock: another worker took the connection
+            Ok(true) => shared.listener.accept().ok(),
+            _ => None,
+        };
+        util.idle(wait.elapsed());
+        let Some((stream, _)) = accepted else {
+            continue;
+        };
+        // a connection taken after shutdown is left unserved: the
+        // backlog behind it is never accepted either
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
         }
+        stats.bump(&stats.tcp_accepted);
+        let work = Instant::now();
+        shared
+            .engine
+            .serve_tcp_conn(stream, &shared.shutdown, &mut state);
+        util.busy(work.elapsed());
     }
 }
 
@@ -783,6 +702,17 @@ mod tests {
             .build()
             .encode()
             .unwrap()
+    }
+
+    /// The next length-framed response on `stream`.
+    fn read_reply(stream: &mut TcpStream) -> Message {
+        let mut len = [0u8; 2];
+        stream.read_exact(&mut len).unwrap();
+        let mut body = vec![0u8; u16::from_be_bytes(len) as usize];
+        stream.read_exact(&mut body).unwrap();
+        let msg = Message::parse(&body).unwrap();
+        assert!(msg.header.response);
+        msg
     }
 
     #[test]
@@ -823,13 +753,7 @@ mod tests {
                 stream.write_all(std::slice::from_ref(b)).unwrap();
                 stream.flush().unwrap();
             }
-            let mut len = [0u8; 2];
-            stream.read_exact(&mut len).unwrap();
-            let mut body = vec![0u8; u16::from_be_bytes(len) as usize];
-            stream.read_exact(&mut body).unwrap();
-            let msg = Message::parse(&body).unwrap();
-            assert!(msg.header.response);
-            assert_eq!(msg.header.id, id);
+            assert_eq!(read_reply(&mut stream).header.id, id);
         }
         server.shutdown().unwrap();
     }
@@ -865,17 +789,8 @@ mod tests {
         burst.extend_from_slice(&frame(&query_wire(&qname, 22)).unwrap());
         stream.write_all(&burst).unwrap();
 
-        let mut ids = Vec::new();
-        for _ in 0..2 {
-            let mut len = [0u8; 2];
-            stream.read_exact(&mut len).unwrap();
-            let mut body = vec![0u8; u16::from_be_bytes(len) as usize];
-            stream.read_exact(&mut body).unwrap();
-            let msg = Message::parse(&body).unwrap();
-            assert!(msg.header.response);
-            ids.push(msg.header.id);
-        }
-        assert_eq!(ids, vec![21, 22], "both good frames answered in order");
+        let ids = [(); 2].map(|_| read_reply(&mut stream).header.id);
+        assert_eq!(ids, [21, 22], "both good frames answered in order");
         let snap = server.stats().snapshot(1.0);
         assert_eq!(snap.malformed, 1, "the bad frame was counted");
         assert_eq!(snap.tcp_queries, 3);
@@ -909,56 +824,77 @@ mod tests {
         server.shutdown().unwrap();
     }
 
+    /// The kernel's listen backlog is the only accept queue. While the
+    /// lone TCP worker is held on an idle connection, the connections
+    /// opened behind it wait there, and all are served once it is free.
+    /// A shutdown with connections still pending returns promptly, and
+    /// counts none of them: they were never accepted.
     #[test]
-    fn shutdown_accounts_for_queued_tcp_connections() {
+    fn the_listen_backlog_queues_connections_for_a_busy_worker() {
         let spec = dataset(Vantage::Nl, 2020);
         let mut config = ServerConfig::for_spec(&spec);
         config.tcp_workers = 1;
+        let qname = config.zone.registered_domain(0).to_string();
         let server = Server::start(config).unwrap();
-
-        // first connection occupies the lone worker (we never write to
-        // it, the worker sits in its read-timeout loop); the rest queue
-        // in the accept channel
-        const N: usize = 6;
-        let streams: Vec<TcpStream> = (0..N)
-            .map(|_| TcpStream::connect(server.tcp_addr()).unwrap())
-            .collect();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.stats().snapshot(1.0).tcp_accepted < N as u64 {
-            assert!(Instant::now() < deadline, "connections never accepted");
-            thread::sleep(Duration::from_millis(10));
-        }
-        // give the worker a moment to pick up the first connection
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.stats().snapshot(1.0).tcp_served == 0 {
-            assert!(Instant::now() < deadline, "no connection ever served");
-            thread::sleep(Duration::from_millis(10));
-        }
-
-        // the handles outlive the server, so we can read the final
-        // tallies after shutdown consumes it
         let accepted = Arc::clone(&server.stats().tcp_accepted);
-        let served = Arc::clone(&server.stats().tcp_served);
-        let dropped = Arc::clone(&server.stats().tcp_dropped);
+        let tcp_queries = Arc::clone(&server.stats().tcp_queries);
+        let accepted_reaches = |n: u64| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while accepted.get() < n {
+                assert!(Instant::now() < deadline, "connection {n} never accepted");
+                thread::sleep(Duration::from_millis(5));
+            }
+        };
+        // connections with their query already sent
+        let queued = |ids: std::ops::Range<u16>| -> Vec<TcpStream> {
+            ids.map(|id| {
+                let mut stream = TcpStream::connect(server.tcp_addr()).unwrap();
+                stream
+                    .write_all(&frame(&query_wire(&qname, id)).unwrap())
+                    .unwrap();
+                stream
+            })
+            .collect()
+        };
+
+        // the worker takes this one and waits on it for a query
+        let idle = TcpStream::connect(server.tcp_addr()).unwrap();
+        accepted_reaches(1);
+        const N: u16 = 6;
+        let waiting = queued(0..N);
+        thread::sleep(Duration::from_millis(20));
+        assert_eq!(accepted.get(), 1, "a connection was taken off the backlog");
+        drop(idle);
+        // the backlog is first in, first out; each connection closes
+        // once answered, which frees the worker for the next
+        for (id, mut stream) in (0..N).zip(waiting) {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            assert_eq!(read_reply(&mut stream).header.id, id);
+        }
+        accepted_reaches(1 + N as u64);
+
+        let idle = TcpStream::connect(server.tcp_addr()).unwrap();
+        accepted_reaches(2 + N as u64);
+        let pending = queued(N..2 * N);
+        thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now();
         server.shutdown().unwrap();
-        drop(streams);
-        assert_eq!(accepted.get(), N as u64);
-        assert_eq!(
-            served.get() + dropped.get(),
-            accepted.get(),
-            "served + dropped must balance accepted (served {} dropped {})",
-            served.get(),
-            dropped.get()
-        );
-        assert!(dropped.get() >= 1, "queued connections counted as dropped");
+        assert!(t0.elapsed() < POLL * 10, "shutdown took {:?}", t0.elapsed());
+        drop((idle, pending));
+        assert_eq!(accepted.get(), 2 + N as u64, "a pending one was accepted");
+        assert_eq!(tcp_queries.get(), N as u64, "a pending query was served");
     }
 
-    /// Shutdown wakes the idle workers instead of waiting out their
-    /// read timeouts, and the wake is never served: no query, no
-    /// malformed datagram, no TCP connection is counted for it.
+    /// Shutdown wakes the idle workers, the two TCP workers waiting on
+    /// the one listener among them, instead of waiting out their read
+    /// timeouts, and the wake is never served: no query, no malformed
+    /// datagram, no TCP connection is counted for it.
     #[test]
     fn idle_shutdown_wakes_the_workers() {
         let spec = dataset(Vantage::Nl, 2020);
+        assert_eq!(ServerConfig::for_spec(&spec).tcp_workers, 2);
         // the fastest of three: a loaded test box may deschedule one
         let fastest = (0..3)
             .map(|_| {
@@ -969,16 +905,12 @@ mod tests {
                     &server.stats().udp_queries,
                     &server.stats().malformed,
                     &server.stats().tcp_accepted,
-                    &server.stats().tcp_served,
-                    &server.stats().tcp_dropped,
                 ]
                 .map(Arc::clone);
                 let t0 = Instant::now();
                 server.shutdown().unwrap();
                 let took = t0.elapsed();
-                let [udp, malformed, accepted, served, dropped] = stats.map(|c| c.get());
-                assert_eq!((udp, malformed), (0, 0), "the wake was counted");
-                assert_eq!(accepted, served + dropped);
+                assert_eq!(stats.map(|c| c.get()), [0; 3], "the wake was counted");
                 took
             })
             .min()

@@ -24,8 +24,8 @@
 //!
 //! [`PollSet`] wraps `poll(2)` over a slice of sockets: the load
 //! generator's reactor waits on all of its slots' sockets at once, and
-//! [`wait_readable`] is the same call on one TCP listener, so the accept
-//! loop blocks in the kernel until a connection is pending instead of
+//! [`wait_readable`] is the same call on one TCP listener, so each TCP
+//! worker blocks in the kernel until a connection is pending instead of
 //! sleeping between `accept` attempts. [`wake_readers`] shuts a
 //! socket's read side down, which returns every thread blocked reading
 //! it at once — how the server stops its workers without waiting out a

@@ -42,14 +42,8 @@ pub struct Stats {
     /// UDP response sends that failed at the socket (counted so
     /// `responses` minus `send_errors` is what actually left the host).
     pub send_errors: Arc<Counter>,
-    /// TCP connections accepted by the listener.
+    /// TCP connections a worker accepted, each served by it.
     pub tcp_accepted: Arc<Counter>,
-    /// TCP connections a worker picked up and served.
-    pub tcp_served: Arc<Counter>,
-    /// TCP connections accepted but never served (still queued at
-    /// shutdown); `tcp_accepted == tcp_served + tcp_dropped` once the
-    /// server has drained.
-    pub tcp_dropped: Arc<Counter>,
     /// Load generator: queries sent.
     pub sent: Arc<Counter>,
     /// Load generator: responses that never arrived in time.
@@ -126,16 +120,6 @@ impl Stats {
             "TCP connections accepted",
             &self.tcp_accepted,
         );
-        pc(
-            "tcp_served_total",
-            "TCP connections served by a worker",
-            &self.tcp_served,
-        );
-        pc(
-            "tcp_dropped_total",
-            "TCP connections dropped unserved at shutdown",
-            &self.tcp_dropped,
-        );
         pc("sent_total", "load generator queries sent", &self.sent);
         pc(
             "timeouts_total",
@@ -171,8 +155,6 @@ impl Stats {
             overruns: self.overruns.get(),
             send_errors: self.send_errors.get(),
             tcp_accepted: self.tcp_accepted.get(),
-            tcp_served: self.tcp_served.get(),
-            tcp_dropped: self.tcp_dropped.get(),
             sent,
             timeouts: self.timeouts.get(),
             tcp_fallbacks: self.tcp_fallbacks.get(),
@@ -202,8 +184,6 @@ pub struct StatsSnapshot {
     pub overruns: u64,
     pub send_errors: u64,
     pub tcp_accepted: u64,
-    pub tcp_served: u64,
-    pub tcp_dropped: u64,
     pub sent: u64,
     pub timeouts: u64,
     pub tcp_fallbacks: u64,

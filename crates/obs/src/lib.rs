@@ -47,8 +47,7 @@ pub mod stage;
 pub mod trace;
 
 pub use metrics::{
-    counter, gauge, histogram, Counter, Gauge, Histogram, QueueDepth, Registry, SampleValue,
-    Utilization,
+    counter, gauge, histogram, Counter, Gauge, Histogram, Registry, SampleValue, Utilization,
 };
 pub use stage::{stage, stage_owned, Progress, StageTimer};
 pub use trace::span;

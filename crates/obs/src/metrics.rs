@@ -147,37 +147,6 @@ impl Drop for Utilization {
     }
 }
 
-/// Instantaneous + high-water depth gauges for a bounded channel.
-///
-/// Registers `{prefix}_queue_depth` (latest observed occupancy) and
-/// `{prefix}_queue_peak` (monotonic high-water mark) in the global
-/// registry, so the pair shows up in Prometheus exposition, in
-/// `/flight.json` time series, and in the CLI's `== queues ==` block.
-pub struct QueueDepth {
-    depth: Arc<Gauge>,
-    peak: Arc<Gauge>,
-}
-
-impl QueueDepth {
-    /// Register the gauge pair under `{prefix}_queue_depth/_peak`.
-    pub fn register(prefix: &str, help: &str) -> QueueDepth {
-        QueueDepth {
-            depth: gauge(&format!("{prefix}_queue_depth"), help),
-            peak: gauge(
-                &format!("{prefix}_queue_peak"),
-                &format!("{help} (high-water mark)"),
-            ),
-        }
-    }
-
-    /// Record one occupancy observation.
-    #[inline]
-    pub fn record(&self, depth: usize) {
-        self.depth.set(depth as f64);
-        self.peak.set_max(depth as f64);
-    }
-}
-
 /// Sub-bucket resolution: 2^3 = 8 sub-buckets per octave, bounding the
 /// relative quantile error at 1/16 (±6.25%) above the linear region.
 const SUB_BITS: u32 = 3;
@@ -582,18 +551,6 @@ mod tests {
         u.busy(Duration::from_millis(100));
         drop(u);
         assert!((g.get() - 1000.0).abs() < 1.0, "got {}", g.get());
-    }
-
-    #[test]
-    fn queue_depth_tracks_latest_and_peak() {
-        let q = QueueDepth::register("test_metrics_qd", "test queue");
-        q.record(3);
-        q.record(9);
-        q.record(2);
-        let depth = gauge("test_metrics_qd_queue_depth", "");
-        let peak = gauge("test_metrics_qd_queue_peak", "");
-        assert_eq!(depth.get(), 2.0);
-        assert_eq!(peak.get(), 9.0);
     }
 
     #[test]

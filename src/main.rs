@@ -431,10 +431,6 @@ fn main() -> ExitCode {
         if !fleet_cache.is_empty() {
             print!("{fleet_cache}");
         }
-        let queues = render_queue_gauges();
-        if !queues.is_empty() {
-            print!("{queues}");
-        }
     }
     if let Some(path) = trace_path {
         match obs::trace::write_jsonl_file(&path) {
@@ -490,7 +486,8 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
             let (vantage, year, path) = dataset_args(positional)?;
             let spec = dataset(vantage, year);
             let engine = Engine::new(spec.clone(), scale, seed);
-            let stats = write_capture(&engine, Path::new(path), &opts).expect("capture generation");
+            let stats = write_capture(&engine, Path::new(path), &opts)
+                .map_err(|e| format!("cannot write capture {path}: {e}"))?;
             println!(
                 "{}: {} queries ({} tcp, {} truncated, {} junk) -> {path}",
                 spec.id(),
@@ -612,11 +609,11 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
             let path = positional
                 .get(1)
                 .ok_or("usage: dnscentral inspect <capture.dnscap>")?;
-            inspect_capture(Path::new(path.as_str()));
+            inspect_capture(Path::new(path.as_str()))?;
         }
         Some("export-pcap") => {
             let [input, output] = two_paths(positional, "export-pcap <in.dnscap> <out.pcap>")?;
-            export_pcap(Path::new(input), Path::new(output));
+            export_pcap(Path::new(input), Path::new(output))?;
         }
         Some("analyze-pcap") => {
             let input = positional
@@ -628,11 +625,11 @@ fn run_command(flags: &[&String], positional: &[&String]) -> Result<ExitCode, St
                 "root" => zonedb::zone::ZoneModel::root(1514),
                 other => return Err(format!("unknown zone {other:?} (nl|nz|root)")),
             };
-            analyze_external_pcap(Path::new(input.as_str()), zone);
+            analyze_external_pcap(Path::new(input.as_str()), zone)?;
         }
         Some("import-pcap") => {
             let [input, output] = two_paths(positional, "import-pcap <in.pcap> <out.dnscap>")?;
-            import_pcap_cli(Path::new(input), Path::new(output));
+            import_pcap_cli(Path::new(input), Path::new(output))?;
         }
         Some("concentration") => {
             let specs = [Vantage::Nl, Vantage::Nz, Vantage::BRoot]
@@ -767,48 +764,17 @@ fn render_scan_counters() -> String {
     )
 }
 
-/// The sampled value of the gauge or counter called `name`.
-fn sampled(samples: &[(String, obs::SampleValue)], name: &str) -> Option<f64> {
-    samples.iter().find_map(|(n, v)| match v {
-        obs::SampleValue::Gauge(v) if n == name => Some(*v),
-        obs::SampleValue::Counter(v) if n == name => Some(*v as f64),
-        _ => None,
-    })
-}
-
-/// The queue-depth summary printed under the `--stats` stage table:
-/// one row per registered `QueueDepth` (depth at last observation plus
-/// high-water mark); empty when nothing registered a bounded queue.
-fn render_queue_gauges() -> String {
-    let samples = obs::Registry::global().sample();
-    let mut rows = String::new();
-    for (name, value) in &samples {
-        let Some(prefix) = name.strip_suffix("_queue_peak") else {
-            continue;
-        };
-        let obs::SampleValue::Gauge(peak) = value else {
-            continue;
-        };
-        let depth = sampled(&samples, &format!("{prefix}_queue_depth")).unwrap_or(0.0);
-        rows.push_str(&format!(
-            "{prefix:<28} {:>8} {:>8}\n",
-            depth as u64, *peak as u64
-        ));
-    }
-    if rows.is_empty() {
-        return String::new();
-    }
-    format!(
-        "== queues ==\n{:<28} {:>8} {:>8}\n{rows}",
-        "queue", "depth", "peak"
-    )
-}
-
 /// The fleet-cache summary printed under the `--stats` stage table;
 /// empty unless a resolver fleet ran in this process.
 fn render_fleet_cache() -> String {
     let samples = obs::Registry::global().sample();
-    let value_of = |name: &str| sampled(&samples, name);
+    let value_of = |name: &str| {
+        samples.iter().find_map(|(n, v)| match v {
+            obs::SampleValue::Gauge(v) if n == name => Some(*v),
+            obs::SampleValue::Counter(v) if n == name => Some(*v as f64),
+            _ => None,
+        })
+    };
     let Some(entries) = value_of("resolver_fleet_cache_entries") else {
         return String::new();
     };
@@ -878,7 +844,9 @@ fn serve_cli(vantage: Vantage, year: u16, flags: &[&String]) -> Result<ExitCode,
         config.tcp_workers = n;
     }
     if let Some(path) = flag_value(flags, "--out") {
-        config.tap = Some(authd::Tap::create(Path::new(path)).expect("tap creates"));
+        let tap = authd::Tap::create(Path::new(path))
+            .map_err(|e| format!("cannot create capture {path}: {e}"))?;
+        config.tap = Some(tap);
     }
     let duration = flag_value(flags, "--duration")
         .map(parse_duration)
@@ -889,32 +857,24 @@ fn serve_cli(vantage: Vantage, year: u16, flags: &[&String]) -> Result<ExitCode,
         .unwrap_or(std::time::Duration::from_secs(5));
 
     authd::signal::install();
-    let server = authd::Server::start(config).expect("server starts");
+    let bind = config.bind;
+    let server =
+        authd::Server::start(config).map_err(|e| format!("cannot serve on {bind}: {e}"))?;
     println!(
         "{} serving on udp {} / tcp {} (Ctrl-C to drain)",
         spec.id(),
         server.udp_addr(),
         server.tcp_addr()
     );
-    let started = std::time::Instant::now();
-    let mut since_print = std::time::Duration::ZERO;
-    let step = std::time::Duration::from_millis(100);
-    let qps_gauge = obs::gauge("authd_server_qps", "server-side queries per second");
-    loop {
-        if authd::signal::triggered() || duration.is_some_and(|d| started.elapsed() >= d) {
-            break;
-        }
+    authd::live::monitor(&server, None, Some(interval), |step| {
         std::thread::sleep(step);
-        since_print += step;
-        let snap = server.stats().snapshot(started.elapsed().as_secs_f64());
-        qps_gauge.set(snap.qps);
-        if since_print >= interval {
-            since_print = std::time::Duration::ZERO;
-            eprintln!("{snap}");
-        }
-    }
-    let snap = server.stats().snapshot(started.elapsed().as_secs_f64());
-    let records = server.shutdown().expect("drain flushes");
+        authd::signal::triggered()
+            || duration.is_some_and(|d| server.elapsed_secs() >= d.as_secs_f64())
+    });
+    let snap = server.stats().snapshot(server.elapsed_secs());
+    let records = server
+        .shutdown()
+        .map_err(|e| format!("cannot seal capture: {e}"))?;
     println!("final: {snap}");
     if records > 0 {
         println!("capture: {records} records flushed");
@@ -949,7 +909,7 @@ fn loadgen_cli(
 
     authd::signal::install();
     let stats = authd::Stats::new();
-    let report = authd::run_loadgen(&config, &stats).expect("loadgen runs");
+    let report = authd::run_loadgen(&config, &stats).map_err(|e| format!("loadgen: {e}"))?;
     println!("{}", stats.snapshot(report.elapsed.as_secs_f64()));
     if let (Some(resolvers), Some(fleet)) = (config.resolvers, report.fleet) {
         println!("{}", fleet_line(resolvers, &fleet));
@@ -1000,7 +960,7 @@ fn live_cli(
     config.resolvers = parsed_flag(flags, "--resolvers", "a count")?;
 
     authd::signal::install();
-    let report = authd::run_live(&config).expect("live loop runs");
+    let report = authd::run_live(&config).map_err(|e| format!("live run to {out}: {e}"))?;
     println!(
         "live: sent {} ({} tcp-fallbacks, {} timeouts), served {} ({} udp / {} tcp), \
          {} capture records -> {out}",
@@ -1373,26 +1333,46 @@ fn print_dataset_report(
 
 /// Convert a `.dnscap` into a classic libpcap file (Ethernet/IP/UDP/TCP
 /// with valid checksums) for tcpdump/Wireshark.
-fn export_pcap(input: &Path, output: &Path) {
-    use netbase::capture::CaptureReader;
+fn export_pcap(input: &Path, output: &Path) -> Result<(), String> {
     use netbase::pcap::PcapWriter;
-    let infile = std::fs::File::open(input).expect("input opens");
-    let reader = CaptureReader::new(std::io::BufReader::new(infile)).expect("valid .dnscap header");
-    let outfile = std::fs::File::create(output).expect("output creates");
-    let mut writer = PcapWriter::new(std::io::BufWriter::new(outfile)).expect("pcap header writes");
+    let reader = open_capture(input)?;
+    let write_err = |e: std::io::Error| format!("cannot write {}: {e}", output.display());
+    let outfile = std::fs::File::create(output).map_err(write_err)?;
+    let mut writer = PcapWriter::new(std::io::BufWriter::new(outfile)).map_err(write_err)?;
     let mut errors = 0u64;
     for item in reader {
         match item {
-            Ok(rec) => writer.write_record(&rec).expect("pcap frame writes"),
+            Ok(rec) => writer.write_record(&rec).map_err(write_err)?,
             Err(_) => errors += 1,
         }
     }
     let frames = writer.frames_written();
-    writer.finish().expect("flush");
+    writer.finish().map_err(write_err)?;
     println!(
         "{frames} frames -> {} ({errors} capture errors skipped)",
         output.display()
     );
+    Ok(())
+}
+
+/// Open a `.dnscap` for reading, with a message naming `path` when it
+/// cannot be opened or does not start with a capture header.
+fn open_capture(
+    path: &Path,
+) -> Result<netbase::capture::CaptureReader<std::io::BufReader<std::fs::File>>, String> {
+    let file = std::fs::File::open(path)
+        .map_err(|e| format!("cannot open capture {}: {e}", path.display()))?;
+    netbase::capture::CaptureReader::new(std::io::BufReader::new(file))
+        .map_err(|e| format!("{} is not a .dnscap capture: {e}", path.display()))
+}
+
+/// The DNS records of the pcap file at `path`, and the count of frames
+/// skipped as no DNS, with a message naming `path` on failure.
+fn read_pcap(path: &Path) -> Result<(Vec<netbase::capture::CaptureRecord>, u64), String> {
+    let data =
+        std::fs::read(path).map_err(|e| format!("cannot read pcap {}: {e}", path.display()))?;
+    netbase::pcap::import_pcap(&data)
+        .ok_or_else(|| format!("{} is not a valid pcap file", path.display()))
 }
 
 /// Analyze an externally captured pcap without a scenario: cloud
@@ -1400,7 +1380,7 @@ fn export_pcap(input: &Path, output: &Path) {
 /// the Figure 1/4/5-style numbers are meaningful on real traffic; the
 /// synthetic rest-of-Internet plan is NOT used (non-CP sources simply
 /// stay unattributed).
-fn analyze_external_pcap(input: &Path, zone: zonedb::zone::ZoneModel) {
+fn analyze_external_pcap(input: &Path, zone: zonedb::zone::ZoneModel) -> Result<(), String> {
     use asdb::mapping::AsMapper;
     use asdb::registry::AsRegistry;
     use dnscentral_core::DatasetAnalysis;
@@ -1408,8 +1388,7 @@ fn analyze_external_pcap(input: &Path, zone: zonedb::zone::ZoneModel) {
     use entrada::ingest::CaptureIngest;
     use netbase::trie::PrefixTrie;
 
-    let data = std::fs::read(input).expect("input reads");
-    let (records, skipped) = netbase::pcap::import_pcap(&data).expect("valid pcap");
+    let (records, skipped) = read_pcap(input)?;
     eprintln!("[{} DNS frames imported, {skipped} skipped]", records.len());
 
     // a CP-only mapper: real, published address space only
@@ -1462,38 +1441,39 @@ fn analyze_external_pcap(input: &Path, zone: zonedb::zone::ZoneModel) {
         "[ingest: {} frames, {} malformed, {} unanswered, {} capture errors]",
         stats.frames, stats.malformed, stats.unanswered_queries, stats.capture_errors
     );
+    Ok(())
 }
 
 /// Convert a libpcap file back into a `.dnscap` (externally captured
 /// DNS traffic entering the analysis pipeline).
-fn import_pcap_cli(input: &Path, output: &Path) {
+fn import_pcap_cli(input: &Path, output: &Path) -> Result<(), String> {
     use netbase::capture::CaptureWriter;
-    let data = std::fs::read(input).expect("input reads");
-    let (records, skipped) = netbase::pcap::import_pcap(&data).expect("valid pcap file");
-    let outfile = std::fs::File::create(output).expect("output creates");
-    let mut writer = CaptureWriter::new(std::io::BufWriter::new(outfile)).expect("header writes");
+    let (records, skipped) = read_pcap(input)?;
+    let write_err = |e: std::io::Error| format!("cannot write {}: {e}", output.display());
+    let outfile = std::fs::File::create(output).map_err(write_err)?;
+    let mut writer = CaptureWriter::new(std::io::BufWriter::new(outfile)).map_err(write_err)?;
     for rec in &records {
-        writer.write(rec).expect("record writes");
+        writer.write(rec).map_err(write_err)?;
     }
-    writer.finish().expect("flush");
+    writer.finish().map_err(write_err)?;
     println!(
         "{} records -> {} ({skipped} non-DNS frames skipped)",
         records.len(),
         output.display()
     );
+    Ok(())
 }
 
 /// Capture forensics: walk any `.dnscap` without needing the scenario
 /// that produced it. Messages are counted as ingest counts them: each is
 /// read in place, and a TCP payload may coalesce several.
-fn inspect_capture(path: &Path) {
+fn inspect_capture(path: &Path) -> Result<(), String> {
     use dns_wire::reader::Reader;
-    use netbase::capture::{CaptureReader, Direction};
+    use netbase::capture::Direction;
     use netbase::flow::Transport;
     use std::collections::{HashMap, HashSet};
 
-    let file = std::fs::File::open(path).expect("capture opens");
-    let reader = CaptureReader::new(std::io::BufReader::new(file)).expect("valid header");
+    let reader = open_capture(path)?;
     let (mut frames, mut queries, mut responses, mut tcp) = (0u64, 0u64, 0u64, 0u64);
     let (mut messages, mut malformed) = (0u64, 0u64);
     let mut first: Option<netbase::time::SimTime> = None;
@@ -1561,4 +1541,5 @@ fn inspect_capture(path: &Path) {
     for (t, n) in top.iter().take(8) {
         println!("  {t:<8} {n}");
     }
+    Ok(())
 }

@@ -132,8 +132,16 @@ fn bad_flag_values_fail_with_friendly_errors() {
     std::fs::write(&malformed, "{\"vantage\": ").unwrap();
     let nested = tmp("nested-scenario.json");
     std::fs::write(&nested, "[".repeat(100_000) + &"]".repeat(100_000)).unwrap();
-    let [missing, malformed, nested] =
-        [&missing, &malformed, &nested].map(|p| p.display().to_string());
+    // a file that is neither a capture nor a pcap
+    let garbage = tmp("garbage.bin");
+    std::fs::write(&garbage, b"garbage").unwrap();
+    let pcap_out = tmp("garbage-out.pcap");
+    let cap_out = tmp("garbage-out.dnscap");
+    let [missing, malformed, nested, garbage, pcap_out, cap_out] =
+        [&missing, &malformed, &nested, &garbage, &pcap_out, &cap_out]
+            .map(|p| p.display().to_string());
+    let not_a_capture = format!("{garbage} is not a .dnscap capture");
+    let not_a_pcap = format!("{garbage} is not a valid pcap file");
     // every case: non-zero exit, a readable message, and no panic text
     for (args, expect) in [
         (&["table1", "--seed=banana"][..], "--seed takes an integer"),
@@ -170,6 +178,45 @@ fn bad_flag_values_fail_with_friendly_errors() {
             &["scenario", nested.as_str()][..],
             "nesting deeper than 128",
         ),
+        // file commands name the file they could not use
+        (
+            &["inspect", "/nonexistent.dnscap"][..],
+            "cannot open capture /nonexistent.dnscap",
+        ),
+        (&["inspect", garbage.as_str()][..], &not_a_capture),
+        (
+            &["export-pcap", garbage.as_str(), pcap_out.as_str()][..],
+            &not_a_capture,
+        ),
+        (
+            &["import-pcap", garbage.as_str(), cap_out.as_str()][..],
+            &not_a_pcap,
+        ),
+        (&["analyze-pcap", garbage.as_str()][..], &not_a_pcap),
+        (
+            &[
+                "generate",
+                "nl",
+                "2020",
+                "/nonexistent/dir/x.dnscap",
+                "--scale=tiny",
+            ][..],
+            "cannot write capture /nonexistent/dir/x.dnscap",
+        ),
+        (
+            &["serve", "nl", "2020", "--out=/nonexistent/dir/t.dnscap"][..],
+            "cannot create capture /nonexistent/dir/t.dnscap",
+        ),
+        (
+            &[
+                "live",
+                "nl",
+                "2020",
+                "/nonexistent/dir/t.dnscap",
+                "--scale=tiny",
+            ][..],
+            "/nonexistent/dir/t.dnscap",
+        ),
     ] {
         let out = bin().args(args).output().expect("runs");
         assert_eq!(out.status.code(), Some(1), "{args:?} should fail");
@@ -177,8 +224,9 @@ fn bad_flag_values_fail_with_friendly_errors() {
         assert!(err.contains(expect), "{args:?}: {err}");
         assert!(!err.contains("panicked"), "{args:?}: {err}");
     }
-    let _ = std::fs::remove_file(&malformed);
-    let _ = std::fs::remove_file(&nested);
+    for path in [malformed, nested, garbage, pcap_out, cap_out] {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 #[test]
